@@ -1,55 +1,42 @@
-(** Execution-tier selection: one front door to the three Wasm engines.
+(** Execution-tier selection: one front door to the two Wasm engines.
 
     WAMR spans "interpreted is the simplest yet slowest" to LLVM AOT
-    (§III); our reproduction mirrors that spectrum with three tiers:
+    (§III); our reproduction mirrors the two ends of that spectrum:
 
     - [Interp] — the tree-walking {!Watz_wasm.Interp} (slowest, no
-      preparation cost beyond decode/validate);
+      preparation cost beyond decode/validate); also the reference
+      oracle of the differential fuzzer;
     - [Fast]   — the pre-decoded linear-bytecode {!Watz_wasm.Fastinterp}
-      (WAMR's "fast interpreter": flattened once, direct branch
-      targets, array operand stack);
-    - [Aot]    — the closure-compiling {!Watz_wasm.Aot} (fastest
-      execution, highest preparation cost).
+      (flattened once at load, direct branch targets, typed register
+      files). It stands in for the paper's AOT column and is the
+      runtime default.
 
     [prepare] turns raw bytecode into a tier-specific, instance-free
     artifact; [instantiate] links it against WASI (and optionally
     WASI-RA) and attaches the exported memory to the WASI environment.
-    The [Fast] artifact is fully compiled and instance-independent, so
-    {!Runtime} caches it across loads keyed by the module measurement. *)
+    Both artifacts are instance-independent, so {!Runtime} caches them
+    across loads keyed by the module measurement. *)
 
 module Wasi = Watz_wasi.Wasi
 module Wasi_ra = Watz_wasi.Wasi_ra
 module W = Watz_wasm
 module T = Watz_obs.Trace
 
-type tier = Interp | Fast | Aot
+type tier = Interp | Fast
 
-let all_tiers = [ Interp; Fast; Aot ]
-let tier_name = function Interp -> "interp" | Fast -> "fast" | Aot -> "aot"
+let all_tiers = [ Interp; Fast ]
+let tier_name = function Interp -> "interp" | Fast -> "fast"
 
 let tier_of_string = function
   | "interp" -> Some Interp
   | "fast" -> Some Fast
-  | "aot" -> Some Aot
   | _ -> None
 
 (** A prepared module: decoded, validated, and (for the fast tier)
     flattened. Contains no instance state — safe to cache and reuse. *)
-type prepared =
-  | P_interp of W.Ast.module_
-  | P_fast of W.Fastinterp.cmodule
-  | P_aot of W.Ast.module_
-      (* The AOT tier compiles to closures that capture per-instance
-         import implementations, so only the validated AST is
-         instance-free; closure compilation happens at instantiate. *)
+type prepared = P_interp of W.Ast.module_ | P_fast of W.Fastinterp.cmodule
 
-type instance =
-  | I_interp of W.Instance.t
-  | I_fast of W.Fastinterp.finstance
-  | I_aot of W.Aot.rinstance
-
-let tier_of_prepared = function P_interp _ -> Interp | P_fast _ -> Fast | P_aot _ -> Aot
-let tier_of_instance = function I_interp _ -> Interp | I_fast _ -> Fast | I_aot _ -> Aot
+type instance = I_interp of W.Instance.t | I_fast of W.Fastinterp.finstance
 
 (** Decode + validate + tier-specific pre-compilation. The pipeline
     stages trace as secure-world spans (they run inside the runtime
@@ -61,7 +48,6 @@ let prepare ?(trace = T.null) ?(sid = T.no_session) tier bytes : prepared =
   | Interp -> P_interp m
   | Fast ->
     P_fast (T.span trace T.Secure ~session:sid "engine.compile" (fun () -> W.Fastinterp.compile m))
-  | Aot -> P_aot m
 
 (** Link a prepared module against WASI (and WASI-RA when [ra_env] is
     given) and attach the exported linear memory to [wasi_env]. *)
@@ -85,13 +71,6 @@ let instantiate ?(trace = T.null) ?(sid = T.no_session) ?ra_env ~wasi_env (p : p
     let inst = W.Fastinterp.instantiate ~imports cm in
     Wasi.attach_fast_memory wasi_env inst;
     I_fast inst
-  | P_aot m ->
-    let imports =
-      Wasi.aot_imports wasi_env @ (match ra_env with Some e -> Wasi_ra.aot_imports e | None -> [])
-    in
-    let inst = W.Aot.instantiate ~imports m in
-    Wasi.attach_aot_memory wasi_env inst;
-    I_aot inst
 
 (** Invoke an exported function. Raises [Not_found] when the export is
     missing or not a function; traps propagate as
@@ -103,7 +82,6 @@ let invoke (i : instance) name args =
     | Some f -> W.Interp.invoke f args
     | None -> raise Not_found)
   | I_fast inst -> W.Fastinterp.invoke inst name args
-  | I_aot inst -> W.Aot.invoke inst name args
 
 (** Like {!invoke}, but [None] when the export is absent (used for
     optional entry points such as [_start]). *)
@@ -117,14 +95,9 @@ let invoke_opt (i : instance) name args =
     match W.Fastinterp.export_func inst name with
     | Some f -> Some (W.Fastinterp.invoke_funcinst f args)
     | None -> None)
-  | I_aot inst -> (
-    match W.Aot.export_func inst name with
-    | Some f -> Some (W.Aot.invoke_funcinst inst f args)
-    | None -> None)
 
 (** The instance's exported "memory", if any. *)
 let export_memory (i : instance) =
   match i with
   | I_interp inst -> W.Instance.export_memory inst "memory"
   | I_fast inst -> W.Fastinterp.export_memory inst "memory"
-  | I_aot inst -> W.Aot.export_memory inst "memory"

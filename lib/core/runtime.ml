@@ -9,18 +9,18 @@
     WASI-RA bound to the GP API, and starts execution. Each phase is
     timed to regenerate the Fig. 4 startup breakdown.
 
-    Execution runs on a selectable tier ({!Engine.tier}): tree-walking
-    interpreter, fast interpreter (pre-decoded linear bytecode), or
-    AOT closures. Prepared modules are cached keyed by the SHA-256
-    measurement the attestation path computes anyway: a second [load]
-    of already-measured bytecode skips decode/validate (and, on the
-    fast tier, the whole flattening pass) — the trusted-runtime
-    analogue of Twine's in-enclave module cache. *)
+    Execution runs on a selectable tier ({!Engine.tier}): the
+    tree-walking interpreter, or the default fast tier (pre-decoded
+    linear bytecode, standing in for the paper's AOT). Prepared modules
+    are cached keyed by the SHA-256 measurement the attestation path
+    computes anyway: a second [load] of already-measured bytecode skips
+    decode/validate (and, on the fast tier, the whole flattening pass)
+    — the trusted-runtime analogue of Twine's in-enclave module cache. *)
 
 module Wasi = Watz_wasi.Wasi
 module Wasi_ra = Watz_wasi.Wasi_ra
 
-type exec_tier = Engine.tier = Interp | Fast | Aot
+type exec_tier = Engine.tier = Interp | Fast
 
 type config = {
   heap_bytes : int; (* TA heap reserved at session open (paper: per experiment) *)
@@ -37,7 +37,7 @@ let default_config =
     stack_bytes = 3 * 1024;
     args = [ "app.wasm" ];
     pump = (fun () -> ());
-    tier = Aot;
+    tier = Fast;
     use_cache = true;
   }
 
@@ -52,7 +52,7 @@ type startup = {
   hash_ns : float; (* bytecode measurement *)
   runtime_init_ns : float; (* runtime environment + native symbols *)
   load_ns : float; (* parsing + validation + pre-compilation *)
-  instantiate_ns : float; (* linking + segments (AOT: closure compilation) *)
+  instantiate_ns : float; (* linking + segments *)
   execute_ns : float; (* run to completion of the entry point *)
   cache_hit : bool;
 }
@@ -269,11 +269,7 @@ let load ?(config = default_config) ?(entry = Some "_start") soc wasm_bytes =
   {
     claim;
     tier = config.tier;
-    invoke_label =
-      (match config.tier with
-      | Interp -> "invoke.interp"
-      | Fast -> "invoke.fast"
-      | Aot -> "invoke.aot");
+    invoke_label = (match config.tier with Interp -> "invoke.interp" | Fast -> "invoke.fast");
     instance;
     wasi_env;
     ra_env;

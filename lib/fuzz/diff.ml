@@ -1,7 +1,7 @@
-(** Differential execution across the three tiers.
+(** Differential execution across the two tiers.
 
-    The oracle is agreement: the tree-walking interpreter, the
-    pre-decoded fast interpreter and the AOT compiler must produce the
+    The oracle is agreement: the tree-walking interpreter (the
+    reference) and the pre-decoded fast interpreter must produce the
     same outcome — same values (bit-identical, modulo any-NaN ==
     any-NaN), same trap message, and, after the full call sequence, the
     same reading of the module's fuel global. Equal fuel certifies the
@@ -99,19 +99,6 @@ let run_fast (c : Gen.case) =
     let o = Crash ("compile/instantiate: " ^ Printexc.to_string e) in
     { t_name = "fast"; t_outcomes = [ o ]; t_fuel = o }
 
-let run_aot (c : Gen.case) =
-  let run () =
-    let rinst = Aot.instantiate c.module_ in
-    let invoke name args = catching (fun () -> Aot.invoke rinst name args) in
-    let outs = List.map (fun (name, args) -> invoke name args) c.Gen.calls in
-    (outs, invoke c.Gen.fuel_export [])
-  in
-  match run () with
-  | outs, fuel -> { t_name = "aot"; t_outcomes = outs; t_fuel = fuel }
-  | exception e ->
-    let o = Crash ("compile/instantiate: " ^ Printexc.to_string e) in
-    { t_name = "aot"; t_outcomes = [ o ]; t_fuel = o }
-
 type verdict =
   | Agree
   | Invalid_module of string (* generator bug: produced an invalid module *)
@@ -151,14 +138,15 @@ let compare_runs (c : Gen.case) (a : tier_run) (b : tier_run) =
     in
     go names oa ob
 
-(** Run a generated case on all three tiers and compare. *)
+(** Run a generated case on both tiers and compare. *)
 let run_case (c : Gen.case) : verdict =
   match Validate.validate c.Gen.module_ with
   | exception Validate.Invalid m -> Invalid_module m
   | exception e -> Invalid_module (Printexc.to_string e)
   | () -> (
-    let runs = [ run_interp c; run_fast c; run_aot c ] in
-    (* a crash in any tier is a finding on its own *)
+    let interp = run_interp c in
+    let fast = run_fast c in
+    (* a crash in either tier is a finding on its own *)
     let crash =
       List.find_map
         (fun r ->
@@ -167,17 +155,11 @@ let run_case (c : Gen.case) : verdict =
             let names = List.map fst c.Gen.calls @ [ c.Gen.fuel_export ] in
             Some (Crashed { tier = r.t_name; call = List.nth names (min i (List.length names - 1)); detail = m })
           | None -> None)
-        runs
+        [ interp; fast ]
     in
     match crash with
     | Some v -> v
-    | None -> (
-      match runs with
-      | [ i; f; a ] -> (
-        match compare_runs c i f with
-        | Some v -> v
-        | None -> ( match compare_runs c i a with Some v -> v | None -> Agree))
-      | _ -> assert false))
+    | None -> Option.value (compare_runs c interp fast) ~default:Agree)
 
 (* A verdict worth shrinking: the module is valid and the tiers
    disagreed or crashed. [Invalid_module] is a finding too (a generator
@@ -202,7 +184,7 @@ let verdict_to_string = function
    the tiers fed identically). Accepted mutants can additionally be
    {e executed} differentially under {!Instance.Fuel} ([~exec]): a
    byte flip can turn a bounded loop into an unbounded one, so each
-   exported nullary call runs under an engine-fuel budget, all tiers
+   exported nullary call runs under an engine-fuel budget, both tiers
    charge the same edges (loop iterations, function entries), and
    [Exhausted ≡ Exhausted] — a mutant that terminates nowhere still
    compares tier-identically. *)
@@ -314,14 +296,6 @@ let exec_mutant (m : module_) : string option =
           start
           :: List.map
                (fun name -> catching (fun () -> under_fuel (fun () -> Fastinterp.invoke finst name [])))
-               calls );
-      ( "aot",
-        fun () ->
-          let rinst = Aot.instantiate ~fuel:true m in
-          limit_memories rinst.Aot.rmemories;
-          let start = catching (fun () -> under_fuel (fun () -> Aot.run_start rinst m); []) in
-          start
-          :: List.map (fun name -> catching (fun () -> under_fuel (fun () -> Aot.invoke rinst name [])))
                calls );
     ]
   in

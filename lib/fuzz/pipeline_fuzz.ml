@@ -12,9 +12,9 @@
     - {b attest}: a protocol run whose policy's reference claim is that
       measurement must accept — and must reject a policy expecting a
       different program;
-    - {b execute}: the app is loaded on all three tiers and every
-      exported function invoked with the same generated arguments; the
-      tiers must agree on results and trap messages.
+    - {b execute}: the app is loaded on both tiers and every exported
+      function invoked with the same generated arguments; the tiers
+      must agree on results and trap messages.
 
     Division, remainder and float→int casts are generated freely, so
     traps are common — and must be common {e identically} on every
@@ -231,11 +231,6 @@ let outcome_to_string = function
     Diff.outcome_to_string (Diff.Values (match v with Values xs -> xs | _ -> []))
   | Trapped m -> "trap: " ^ m
 
-let tier_name = function
-  | Runtime.Interp -> "interp"
-  | Runtime.Fast -> "fast"
-  | Runtime.Aot -> "aot"
-
 (** One pipeline round. [soc] is a booted board shared across rounds
     (manufacturing one per program would dominate the run time). *)
 let round soc ~policy ~service rng : (unit, string) result =
@@ -272,7 +267,7 @@ let round soc ~policy ~service rng : (unit, string) result =
       | exception e -> Error ("attestation crashed: " ^ Printexc.to_string e)
       | Ok _ -> (
         ignore service;
-        (* execute on all three tiers *)
+        (* execute on both tiers *)
         let run_tier tier =
           let config = { Runtime.default_config with Runtime.tier; use_cache = false } in
           let app = Runtime.load ~config ~entry:None soc bytes in
@@ -285,41 +280,35 @@ let round soc ~policy ~service rng : (unit, string) result =
                 | exception Runtime.App_trap m -> Ok (Trapped m)
                 | exception e ->
                   Error
-                    (Printf.sprintf "tier %s crashed invoking %s: %s" (tier_name tier) name
+                    (Printf.sprintf "tier %s crashed invoking %s: %s" (Watz.Engine.tier_name tier) name
                        (Printexc.to_string e)))
               calls
           in
           Runtime.unload app;
           (claim_ok, outs)
         in
-        match List.map run_tier [ Runtime.Interp; Runtime.Fast; Runtime.Aot ] with
+        match
+          let interp = run_tier Runtime.Interp in
+          (interp, run_tier Runtime.Fast)
+        with
         | exception e -> Error ("tier load crashed: " ^ Printexc.to_string e)
-        | [ (c_i, o_i); (c_f, o_f); (c_a, o_a) ] -> (
-          if not (c_i && c_f && c_a) then
-            Error "loaded app reports a claim different from Runtime.measure"
+        | (c_i, o_i), (c_f, o_f) -> (
+          if not (c_i && c_f) then Error "loaded app reports a claim different from Runtime.measure"
           else
-            let first_err =
-              List.find_map (function Error e -> Some e | Ok _ -> None) (o_i @ o_f @ o_a)
-            in
+            let first_err = List.find_map (function Error e -> Some e | Ok _ -> None) (o_i @ o_f) in
             match first_err with
             | Some e -> Error e
             | None ->
               let get = List.map (function Ok o -> o | Error _ -> assert false) in
-              let oi = get o_i and of_ = get o_f and oa = get o_a in
-              let rec cmp names xs ys zs =
-                match (names, xs, ys, zs) with
-                | [], [], [], [] -> Ok ()
-                | n :: ns, x :: xs', y :: ys', z :: zs' ->
-                  if not (outcome_equal x y) then
+              let rec cmp names xs ys =
+                match (names, xs, ys) with
+                | [], [], [] -> Ok ()
+                | n :: ns, x :: xs', y :: ys' ->
+                  if outcome_equal x y then cmp ns xs' ys'
+                  else
                     Error
                       (Printf.sprintf "pipeline divergence at %s: interp=%s fast=%s" n
                          (outcome_to_string x) (outcome_to_string y))
-                  else if not (outcome_equal x z) then
-                    Error
-                      (Printf.sprintf "pipeline divergence at %s: interp=%s aot=%s" n
-                         (outcome_to_string x) (outcome_to_string z))
-                  else cmp ns xs' ys' zs'
                 | _ -> Error "tier outcome arity mismatch"
               in
-              cmp (List.map fst calls) oi of_ oa)
-        | _ -> assert false))
+              cmp (List.map fst calls) (get o_i) (get o_f))))

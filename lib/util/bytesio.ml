@@ -95,24 +95,42 @@ module Reader = struct
     done;
     !n
 
+  (* Both LEB128 readers below accumulate in a native int, so a read
+     allocates nothing; [max_bits] <= 62 keeps every payload bit inside
+     the 63-bit int. A continuation past [max_bits] is an Overflow. *)
   let uleb r ~max_bits =
     let rec go shift acc =
       let byte = u8 r in
-      let acc = Int64.logor acc (Int64.shift_left (Int64.of_int (byte land 0x7f)) shift) in
+      let acc = acc lor ((byte land 0x7f) lsl shift) in
       if byte land 0x80 = 0 then begin
         let used = shift + 7 in
-        if used > max_bits then begin
-          (* Final byte must not set bits beyond [max_bits]. *)
-          let excess = used - max_bits in
-          let high = (byte land 0x7f) lsr (7 - excess) in
-          if high <> 0 then raise Overflow
-        end;
+        (* Final byte must not set bits beyond [max_bits]. *)
+        if used > max_bits && (byte land 0x7f) lsr (7 - (used - max_bits)) <> 0 then
+          raise Overflow;
         acc
       end
       else if shift + 7 >= max_bits then raise Overflow
       else go (shift + 7) acc
     in
-    go 0 0L
+    go 0 0
+
+  let sleb_int r ~max_bits =
+    let rec go shift acc =
+      let byte = u8 r in
+      let acc = acc lor ((byte land 0x7f) lsl shift) in
+      if byte land 0x80 = 0 then begin
+        let used = shift + 7 in
+        (* Bits of the final byte beyond [max_bits] must all copy the
+           sign bit (bit [max_bits - 1]). *)
+        (if used > max_bits then
+           let high = (byte land 0x7f) lsr (6 - (used - max_bits)) in
+           if high <> 0 && high <> (1 lsl (used - max_bits + 1)) - 1 then raise Overflow);
+        if used < Sys.int_size && byte land 0x40 <> 0 then acc lor (-1 lsl used) else acc
+      end
+      else if shift + 7 >= max_bits then raise Overflow
+      else go (shift + 7) acc
+    in
+    go 0 0
 
   let sleb r ~max_bits =
     let rec go shift acc =
@@ -138,9 +156,7 @@ module Reader = struct
     r.pos <- r.pos + n;
     s
 
-  let len_bytes r =
-    let n = Int64.to_int (uleb r ~max_bits:32) in
-    bytes r n
+  let len_bytes r = bytes r (uleb r ~max_bits:32)
 
   let sub r n =
     if n < 0 || r.pos + n > r.limit then raise Truncated;

@@ -30,7 +30,7 @@ module Reader : sig
   (** Raised when reading past the end of the input. *)
 
   exception Overflow
-  (** Raised by {!uleb}/{!sleb} when a variable-length integer needs
+  (** Raised by the LEB128 readers when a variable-length integer needs
       more than [max_bits] bits (an overlong continuation chain, or a
       final byte with payload bits beyond the limit). A typed sibling
       of {!Truncated}, so untrusted-input decoders can translate both
@@ -46,12 +46,19 @@ module Reader : sig
   val u32 : t -> int32
   val u64 : t -> int64
 
-  val uleb : t -> max_bits:int -> int64
-  (** ULEB128 decoding; raises {!Overflow} if the encoding needs more
-      than [max_bits] bits or sets payload bits beyond them in its
-      final byte. *)
+  val uleb : t -> max_bits:int -> int
+  (** ULEB128 decoding into a native int, [max_bits] <= 62; raises
+      {!Overflow} if the encoding needs more than [max_bits] bits or
+      sets payload bits beyond them in its final byte. *)
+
+  val sleb_int : t -> max_bits:int -> int
+  (** SLEB128 decoding into a native int, [max_bits] <= 62; raises
+      {!Overflow} on an overlong encoding or when the final byte's bits
+      beyond [max_bits] are not copies of the sign bit. *)
 
   val sleb : t -> max_bits:int -> int64
+  (** SLEB128 decoding for values up to 64 bits (Wasm [i64.const]). *)
+
   val bytes : t -> int -> string
 
   val len_bytes : t -> string

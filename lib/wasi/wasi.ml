@@ -9,7 +9,7 @@
     manually coded dummy functions for all 45 WASI API functions").
 
     The environment is engine-agnostic: {!bindings} produces neutral
-    host-function specs that adapt to both the interpreter and the AOT
+    host-function specs that adapt to both the interpreter and the fast
     engine. *)
 
 module T = Watz_wasm.Types
@@ -216,13 +216,6 @@ let registered_count = List.length bindings
 
 (* Engine adapters. *)
 
-let aot_imports env : Watz_wasm.Aot.import_binding list =
-  List.map
-    (fun s ->
-      Watz_wasm.Aot.host ~module_:module_name ~name:s.fn_name ~params:s.fn_params
-        ~results:s.fn_results (s.fn_impl env))
-    bindings
-
 let interp_imports env =
   List.map
     (fun s ->
@@ -242,9 +235,6 @@ let fast_imports env : Watz_wasm.Fastinterp.import_binding list =
 
 (** Attach the instance's exported memory to the environment (must run
     before the first WASI call). *)
-let attach_aot_memory env inst =
-  env.memory <- Watz_wasm.Aot.export_memory inst "memory"
-
 let attach_interp_memory env inst =
   env.memory <- Watz_wasm.Instance.export_memory inst "memory"
 

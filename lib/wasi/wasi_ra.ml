@@ -252,12 +252,6 @@ let bindings_for env : (string * T.valtype list * T.valtype list * (A.value arra
     ("net_dispose", [ i ], [ i ], net_dispose env);
   ]
 
-let aot_imports env : Watz_wasm.Aot.import_binding list =
-  List.map
-    (fun (name, params, results, impl) ->
-      Watz_wasm.Aot.host ~module_:module_name ~name ~params ~results impl)
-    (bindings_for env)
-
 let interp_imports env =
   List.map
     (fun (name, params, results, impl) ->

@@ -20,9 +20,7 @@ let valtype r =
   | 0x7c -> F64
   | b -> fail "invalid value type 0x%02x" b
 
-let u32_as_int r =
-  let v = R.uleb r ~max_bits:32 in
-  Int64.to_int v
+let u32_as_int r = R.uleb r ~max_bits:32
 
 let vec r f =
   let n = u32_as_int r in
@@ -167,7 +165,7 @@ and instr depth r op =
     (match R.u8 r with 0x00 -> MemorySize | b -> fail "memory.size: bad byte 0x%02x" b)
   | 0x40 ->
     (match R.u8 r with 0x00 -> MemoryGrow | b -> fail "memory.grow: bad byte 0x%02x" b)
-  | 0x41 -> Const (VI32 (Int64.to_int32 (R.sleb r ~max_bits:32)))
+  | 0x41 -> Const (VI32 (Int32.of_int (R.sleb_int r ~max_bits:32)))
   | 0x42 -> Const (VI64 (R.sleb r ~max_bits:64))
   | 0x43 -> Const (VF32 (Int32.float_of_bits (R.u32 r)))
   | 0x44 -> Const (VF64 (Int64.float_of_bits (R.u64 r)))

@@ -1,22 +1,22 @@
 (** Fast interpreter: pre-decoded linear bytecode with direct branch
     targets.
 
-    This is the middle execution tier between the tree-walking
-    {!Interp} and the closure-compiling {!Aot} — the role WAMR's "fast
-    interpreter" plays on real hardware. A validated module is
-    flattened {e once} into a flat [op array] per function: structured
-    control (block/loop/if) disappears into jumps whose absolute
-    program-counter targets are precomputed at flattening time, so
-    execution needs no [Branch] exception unwinding and no label-stack
-    traversal. Operands live in typed register files indexed by the
-    static stack height (known from validation), exactly as in the AOT
-    tier, so the hot loop is: fetch [code.(pc)], match, mutate arrays,
-    bump an integer [pc].
+    This is the fast execution tier: it stands in for WAMR's LLVM AOT
+    mode in the paper's interpreter-vs-AOT comparison, with the
+    tree-walking {!Interp} as the slow end and reference oracle. A
+    validated module is flattened {e once} into a flat [op array] per
+    function: structured control (block/loop/if) disappears into jumps
+    whose absolute program-counter targets are precomputed at
+    flattening time, so execution needs no [Branch] exception unwinding
+    and no label-stack traversal. Operands live in typed register files
+    indexed by the static stack height (known from validation), so the
+    hot loop is: fetch [code.(pc)], match, mutate arrays, bump an
+    integer [pc].
 
-    Unlike the AOT tier, the compiled form ({!cmodule}) references
-    functions by {e index} and contains no per-instance state, so it
-    can be cached across instantiations — {!Runtime.load} keys such a
-    cache by the module's SHA-256 measurement.
+    The compiled form ({!cmodule}) references functions by {e index}
+    and contains no per-instance state, so it can be cached across
+    instantiations — {!Runtime.load} keys such a cache by the module's
+    SHA-256 measurement.
 
     Modules must be validated ({!Validate.validate}) before
     {!compile}: the flattener trusts the types. *)
@@ -276,7 +276,7 @@ type cctx = {
   cglobals_t : globaltype array;
   clocals : valtype array;
   cnloc : int; (* locals count = offset of stack slot 0 in the register file *)
-  mutable cstack : valtype list; (* compile-time type stack, top first *)
+  mutable cstack : valtype array; (* compile-time type stack: [cheight] live entries *)
   mutable cheight : int;
   mutable cmax : int;
   mutable cframes : cframe list; (* innermost first *)
@@ -611,27 +611,28 @@ let emit_peep ctx o =
   go o
 
 let push_t ctx t =
-  ctx.cstack <- t :: ctx.cstack;
+  if ctx.cheight = Array.length ctx.cstack then begin
+    let bigger = Array.make (2 * ctx.cheight) I32 in
+    Array.blit ctx.cstack 0 bigger 0 ctx.cheight;
+    ctx.cstack <- bigger
+  end;
+  ctx.cstack.(ctx.cheight) <- t;
   ctx.cheight <- ctx.cheight + 1;
   if ctx.cheight > ctx.cmax then ctx.cmax <- ctx.cheight
 
 let pop_t ctx =
-  match ctx.cstack with
-  | [] -> invalid_arg "Fastinterp: compile-time stack underflow (module not validated?)"
-  | t :: rest ->
-    ctx.cstack <- rest;
-    ctx.cheight <- ctx.cheight - 1;
-    t
+  if ctx.cheight = 0 then
+    invalid_arg "Fastinterp: compile-time stack underflow (module not validated?)";
+  ctx.cheight <- ctx.cheight - 1;
+  ctx.cstack.(ctx.cheight)
 
-let pop_n ctx n = List.init n (fun _ -> pop_t ctx) |> List.rev
+let pop_n ctx n = ctx.cheight <- ctx.cheight - n
 
 (* Reset the type stack at a label end: whatever path was taken, the
    stack now holds [ts] at [entry]. *)
 let reset_stack ctx entry ts =
-  let rec drop stack h = if h > entry then drop (List.tl stack) (h - 1) else stack in
-  ctx.cstack <- List.rev_append (List.rev ts) (drop ctx.cstack ctx.cheight);
-  ctx.cheight <- entry + List.length ts;
-  if ctx.cheight > ctx.cmax then ctx.cmax <- ctx.cheight
+  ctx.cheight <- entry;
+  List.iter (push_t ctx) ts
 
 let kind_of_valtype = function I32 -> 0 | I64 -> 1 | F32 | F64 -> 2
 
@@ -690,12 +691,13 @@ let skind_of ty pack =
   | (I32 | F32 | F64), Some P32 | (F32 | F64), Some (P8 | P16) ->
     invalid_arg "Fastinterp: invalid store"
 
+(* Absolute register-file index one past the current stack top. *)
+let top ctx = ctx.cnloc + ctx.cheight
+
 (* Flatten one instruction. Returns [false] when the instruction
    diverts control unconditionally: the rest of the sequence is dead
    and must not be flattened. *)
 let rec compile_instr (ctx : cctx) (i : instr) : bool =
-  (* Absolute register-file index of the current stack top. *)
-  let h () = ctx.cnloc + ctx.cheight in
   match i with
   | Nop -> true
   | Unreachable ->
@@ -709,12 +711,12 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
     let t = pop_t ctx in
     ignore (pop_t ctx);
     push_t ctx t;
-    let d = h () - 1 in
+    let d = top ctx - 1 in
     emit ctx (match t with I32 -> OSelectI d | I64 -> OSelectL d | F32 | F64 -> OSelectF d);
     true
   | Const v ->
     push_t ctx (type_of_value v);
-    let d = h () - 1 in
+    let d = top ctx - 1 in
     emit ctx
       (match v with
       | VI32 x -> OConstI (d, Int32.to_int x)
@@ -724,7 +726,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
   | LocalGet i ->
     let t = ctx.clocals.(i) in
     push_t ctx t;
-    let d = h () - 1 in
+    let d = top ctx - 1 in
     emit ctx
       (match t with
       | I32 -> OMovI (d, i)
@@ -733,7 +735,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
     true
   | LocalSet i ->
     let t = pop_t ctx in
-    let s = h () in
+    let s = top ctx in
     (* Fusable: the producer of [s] can write the local directly. *)
     emit_peep ctx
       (match t with
@@ -742,8 +744,8 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
       | F32 | F64 -> OMovF (i, s));
     true
   | LocalTee i ->
-    let t = List.hd ctx.cstack in
-    let s = h () - 1 in
+    let t = ctx.cstack.(ctx.cheight - 1) in
+    let s = top ctx - 1 in
     emit ctx
       (match t with
       | I32 -> OMovI (i, s)
@@ -753,7 +755,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
   | GlobalGet i ->
     let t = ctx.cglobals_t.(i).content in
     push_t ctx t;
-    let d = h () - 1 in
+    let d = top ctx - 1 in
     emit ctx
       (match t with
       | I32 -> OGlobalGetI (d, i)
@@ -762,7 +764,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
     true
   | GlobalSet i ->
     let t = pop_t ctx in
-    let s = h () in
+    let s = top ctx in
     emit ctx
       (match t with
       | I32 -> OGlobalSetI (i, s)
@@ -772,13 +774,13 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
   | ITestop ty ->
     ignore (pop_t ctx);
     push_t ctx I32;
-    let s = h () - 1 in
+    let s = top ctx - 1 in
     emit ctx (match ty with I32 -> OTestI s | I64 -> OTestL s | F32 | F64 -> assert false);
     true
   | IUnop (ty, op) ->
     ignore (pop_t ctx);
     push_t ctx ty;
-    let s = h () - 1 in
+    let s = top ctx - 1 in
     emit ctx
       (match ty with
       | I32 -> OIUn32 (op, s)
@@ -789,7 +791,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
     ignore (pop_t ctx);
     ignore (pop_t ctx);
     push_t ctx ty;
-    let d = h () - 1 in
+    let d = top ctx - 1 in
     emit_peep ctx
       (match ty with
       | I32 -> (
@@ -811,7 +813,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
     ignore (pop_t ctx);
     ignore (pop_t ctx);
     push_t ctx I32;
-    let d = h () - 1 in
+    let d = top ctx - 1 in
     emit_peep ctx
       (match ty with
       | I32 -> OIRel32 (op, d, d, d + 1)
@@ -821,14 +823,14 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
   | FUnop (ty, op) ->
     ignore (pop_t ctx);
     push_t ctx ty;
-    let s = h () - 1 in
+    let s = top ctx - 1 in
     emit ctx (OFUn (op, s, (match ty with F32 -> true | _ -> false)));
     true
   | FBinop (ty, op) ->
     ignore (pop_t ctx);
     ignore (pop_t ctx);
     push_t ctx ty;
-    let d = h () - 1 in
+    let d = top ctx - 1 in
     emit_peep ctx
       (match ty with
       | F32 -> OFBin32 (op, d)
@@ -845,20 +847,20 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
     ignore (pop_t ctx);
     ignore (pop_t ctx);
     push_t ctx I32;
-    let d = h () - 1 in
+    let d = top ctx - 1 in
     emit ctx (OFRel (op, d));
     true
   | Cvtop op ->
     ignore (pop_t ctx);
     let _, dst = Validate.cvt_types op in
     push_t ctx dst;
-    let s = h () - 1 in
+    let s = top ctx - 1 in
     emit_peep ctx (match op with F64ConvertI32S -> OCvtIF (s, s) | _ -> OCvt (op, s, s));
     true
   | Load (ty, pack, m) ->
     ignore (pop_t ctx);
     push_t ctx ty;
-    let s = h () - 1 in
+    let s = top ctx - 1 in
     emit_peep ctx
       (match lkind_of ty pack with
       | LI32 -> OLoadI32 (m.offset, s, s)
@@ -869,7 +871,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
   | Store (ty, pack, m) ->
     ignore (pop_t ctx);
     ignore (pop_t ctx);
-    let s = h () in
+    let s = top ctx in
     emit_peep ctx
       (match skind_of ty pack with
       | SI32 -> OStoreI32 (m.offset, s, s + 1)
@@ -879,28 +881,28 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
     true
   | MemorySize ->
     push_t ctx I32;
-    emit ctx (OMemSize (h () - 1));
+    emit ctx (OMemSize (top ctx - 1));
     true
   | MemoryGrow ->
     ignore (pop_t ctx);
     push_t ctx I32;
-    emit ctx (OMemGrow (h () - 1));
+    emit ctx (OMemGrow (top ctx - 1));
     true
   | Call f ->
     let ft = ctx.cfunc_types.(f) in
     let n = List.length ft.params in
-    let args_base = h () - n in
-    ignore (pop_n ctx n);
+    let args_base = top ctx - n in
+    pop_n ctx n;
     List.iter (push_t ctx) ft.results;
     emit ctx (OCall (f, args_base));
     true
   | CallIndirect tidx ->
     let ft = ctx.ctypes.(tidx) in
     ignore (pop_t ctx);
-    let idx_slot = h () in
+    let idx_slot = top ctx in
     let n = List.length ft.params in
-    let args_base = h () - n in
-    ignore (pop_n ctx n);
+    let args_base = top ctx - n in
+    pop_n ctx n;
     List.iter (push_t ctx) ft.results;
     emit ctx (OCallIndirect (tidx, idx_slot, args_base));
     true
@@ -946,7 +948,6 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
     ignore (pop_t ctx);
     let cond_slot = ctx.cnloc + ctx.cheight in
     let entry = ctx.cheight in
-    let saved_stack = ctx.cstack in
     let fr =
       { fr_entry = entry; fr_label_types = ts; fr_is_loop = false; fr_start = 0; fr_pending = [] }
     in
@@ -963,7 +964,8 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
     end;
     mark_here ctx;
     else_edge.target <- here ctx;
-    ctx.cstack <- saved_stack;
+    (* Validated code never pops below a label's entry height, so the
+       types under [entry] are as the then-arm found them. *)
     ctx.cheight <- entry;
     ignore (compile_seq ctx else_);
     ctx.cframes <- List.tl ctx.cframes;
@@ -1015,7 +1017,7 @@ let compile_func ~fuel ctypes cfunc_types cglobals_t (f : func) (ft : functype) 
       cglobals_t;
       clocals = local_types;
       cnloc = nloc;
-      cstack = [];
+      cstack = Array.make 16 I32;
       cheight = 0;
       cmax = List.length ft.results;
       cframes = [ fn_frame ];

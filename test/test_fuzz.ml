@@ -233,7 +233,7 @@ let test_fastinterp_fusion_replays () =
 
 (* ------------------------------------------------------------------ *)
 (* Fuel-limited execution: the decode target's exec stage runs mutants
-   under a fuel budget, so the three tiers must charge identically — a
+   under a fuel budget, so both tiers must charge identically — a
    fuel trap that fires at different points would masquerade as a
    divergence. *)
 
@@ -274,10 +274,6 @@ let fast_invoke m name =
   let open Watz_wasm in
   ignore (Fastinterp.invoke (Fastinterp.instantiate (Fastinterp.compile ~fuel:true m)) name [])
 
-let aot_invoke m name =
-  let open Watz_wasm in
-  ignore (Aot.invoke (Aot.instantiate ~fuel:true m) name [])
-
 let test_fuel_trap_tier_identical () =
   let open Watz_wasm in
   let m = spin_module () in
@@ -290,7 +286,6 @@ let test_fuel_trap_tier_identical () =
   in
   exhausts "interp" interp_invoke;
   exhausts "fastinterp" fast_invoke;
-  exhausts "aot" aot_invoke;
   (* the differential harness calls exhaustion-everywhere agreement *)
   match Diff.run_bytes ~exec:true (Encode.encode m) with
   | Diff.Accepted -> ()
@@ -309,7 +304,6 @@ let test_fuel_charge_parity () =
   in
   let r_interp = remaining interp_invoke in
   Alcotest.(check int) "interp = fastinterp fuel charge" r_interp (remaining fast_invoke);
-  Alcotest.(check int) "interp = aot fuel charge" r_interp (remaining aot_invoke);
   Alcotest.(check bool) "fuel was charged" true (r_interp < budget);
   (* without a budget, fuel is free: same module, no charging *)
   interp_invoke m "run";

@@ -1,7 +1,7 @@
 (* Tests for the from-scratch Wasm engine: codec roundtrips, validator
-   accept/reject, semantics of all three execution tiers, and
-   differential interp-vs-fast-vs-AOT checks (every tier must agree on
-   every program, including traps). *)
+   accept/reject, semantics of both execution tiers, and differential
+   interp-vs-fast checks (the tiers must agree on every program,
+   including traps). *)
 
 open Watz_wasm
 open Types
@@ -24,8 +24,8 @@ let value_testable =
   in
   Alcotest.testable pp eq
 
-(* Run an exported function on all three execution tiers and check they
-   agree: tree-walking interpreter, pre-decoded fast interpreter, AOT. *)
+(* Run an exported function on both execution tiers and check they
+   agree: tree-walking interpreter and pre-decoded fast interpreter. *)
 let run_both m name args =
   Validate.validate m;
   let inst = Instance.instantiate m in
@@ -37,9 +37,6 @@ let run_both m name args =
   let finst = Fastinterp.instantiate (Fastinterp.compile m) in
   let fast_result = Fastinterp.invoke finst name args in
   Alcotest.(check (list value_testable)) (name ^ ": interp = fast") interp_result fast_result;
-  let rinst = Aot.instantiate m in
-  let aot_result = Aot.invoke rinst name args in
-  Alcotest.(check (list value_testable)) (name ^ ": interp = aot") interp_result aot_result;
   interp_result
 
 let check_result m name args expected =
@@ -84,16 +81,12 @@ let expect_trap m name args msg_fragment =
     Alcotest.(check bool) ("interp trap: " ^ msg) true
       (Astring.String.is_infix ~affix:msg_fragment msg
        || String.length msg_fragment = 0));
-  (match Fastinterp.invoke (Fastinterp.instantiate (Fastinterp.compile m)) name args with
+  match Fastinterp.invoke (Fastinterp.instantiate (Fastinterp.compile m)) name args with
   | _ -> Alcotest.failf "fast: expected trap %s" msg_fragment
   | exception Instance.Trap msg ->
     Alcotest.(check bool) ("fast trap: " ^ msg) true
       (Astring.String.is_infix ~affix:msg_fragment msg
-       || String.length msg_fragment = 0));
-  let rinst = Aot.instantiate m in
-  match Aot.invoke rinst name args with
-  | _ -> Alcotest.failf "aot: expected trap %s" msg_fragment
-  | exception Instance.Trap _ -> ()
+       || String.length msg_fragment = 0)
 
 let test_div_by_zero_traps () =
   let m = single_func ~params:[ I32 ] ~results:[ I32 ] [ LocalGet 0; Builder.i32c 0; IBinop (I32, DivS) ] in
@@ -423,14 +416,14 @@ let test_host_function_call () =
   let inst = Instance.instantiate ~imports m in
   let got = Interp.invoke (Option.get (Instance.export_func inst "f")) [ VI32 5l ] in
   Alcotest.(check (list value_testable)) "interp host" [ VI32 16l ] got;
-  (* aot *)
-  let rinst =
-    Aot.instantiate
-      ~imports:[ Aot.host ~module_:"env" ~name:"mul3" ~params:[ I32 ] ~results:[ I32 ] impl ]
-      m
+  (* fast *)
+  let finst =
+    Fastinterp.instantiate
+      ~imports:[ Fastinterp.host ~module_:"env" ~name:"mul3" ~params:[ I32 ] ~results:[ I32 ] impl ]
+      (Fastinterp.compile m)
   in
-  let got = Aot.invoke rinst "f" [ VI32 5l ] in
-  Alcotest.(check (list value_testable)) "aot host" [ VI32 16l ] got
+  let got = Fastinterp.invoke finst "f" [ VI32 5l ] in
+  Alcotest.(check (list value_testable)) "fast host" [ VI32 16l ] got
 
 (* ------------------------------------------------------------------ *)
 (* Memory *)
@@ -571,6 +564,74 @@ let test_leb_roundtrip =
       let r = Watz_util.Bytesio.Reader.of_string (Watz_util.Bytesio.Writer.contents w) in
       Int64.equal v (Watz_util.Bytesio.Reader.sleb r ~max_bits:64))
 
+(* 32-bit LEB128 bounds: u32 fields (here a memarg offset) and i32.const
+   immediates, through the real encoder and decoder. *)
+let leb32_table =
+  [ 0; 63; 64; 127; 128; -1; -64; -65; Int32.(to_int min_int); Int32.(to_int max_int); 0xFFFFFFFF ]
+
+let test_leb32_decode_table () =
+  List.iter
+    (fun x ->
+      let body =
+        [ Const (VI32 (Int32.of_int x)); Load (I32, None, { align = 0; offset = x land 0xFFFFFFFF }); Drop ]
+      in
+      let b = Builder.create () in
+      ignore (Builder.memory b ~min:1 ());
+      ignore (Builder.func b ~params:[] ~results:[] ~locals:[] body);
+      match (Decode.decode (Encode.encode (Builder.build b))).funcs with
+      | [ f ] -> Alcotest.(check bool) (Printf.sprintf "%d decodes back" x) true (f.body = body)
+      | _ -> Alcotest.fail "expected one function")
+    leb32_table
+
+(* A module with one memory and one [] -> [] function whose body is the
+   raw instruction bytes [code]. *)
+let module_with_body code =
+  let section id payload =
+    String.make 1 (Char.chr id) ^ String.make 1 (Char.chr (String.length payload)) ^ payload
+  in
+  let body = "\x00" ^ code ^ "\x0b" in
+  "\x00asm\x01\x00\x00\x00" ^ section 1 "\x01\x60\x00\x00" ^ section 3 "\x01\x00"
+  ^ section 5 "\x01\x00\x01"
+  ^ section 10 ("\x01" ^ String.make 1 (Char.chr (String.length body)) ^ body)
+
+let test_leb32_bounds () =
+  let decodes code expected =
+    match (Decode.decode (module_with_body code)).funcs with
+    | [ f ] -> Alcotest.(check bool) (String.escaped code) true (f.body = expected)
+    | _ -> Alcotest.fail "expected one function"
+  in
+  decodes "\x41\xff\xff\xff\xff\x07\x1a" [ Const (VI32 Int32.max_int); Drop ];
+  decodes "\x41\x80\x80\x80\x80\x78\x1a" [ Const (VI32 Int32.min_int); Drop ];
+  decodes "\x41\x00\x28\x02\xff\xff\xff\xff\x0f\x1a"
+    [ Const (VI32 0l); Load (I32, None, { align = 2; offset = 0xFFFFFFFF }); Drop ];
+  let malformed code =
+    match Decode.decode (module_with_body code) with
+    | _ -> Alcotest.failf "%s: decoded" (String.escaped code)
+    | exception Decode.Malformed msg ->
+      Alcotest.(check string) (String.escaped code) "malformed LEB128 integer" msg
+  in
+  (* 5-byte i32.const whose bits above bit 31 are not sign copies *)
+  malformed "\x41\x80\x80\x80\x80\x10\x1a";
+  malformed "\x41\xff\xff\xff\xff\x0f\x1a";
+  malformed "\x41\xff\xff\xff\xff\x6f\x1a";
+  (* 5-byte u32 fields with payload bits above bit 31 *)
+  malformed "\x41\x00\x28\x02\x80\x80\x80\x80\x10\x1a";
+  malformed "\x20\xff\xff\xff\xff\x1f\x1a";
+  (* 6-byte overlong encodings *)
+  malformed "\x41\x80\x80\x80\x80\x80\x00\x1a";
+  malformed "\x41\xff\xff\xff\xff\xff\x7f\x1a";
+  malformed "\x41\x00\x28\x02\x80\x80\x80\x80\x80\x00\x1a"
+
+let test_leb32_roundtrip =
+  QCheck.Test.make ~name:"codec: 32-bit sleb/uleb roundtrip" ~count:500 QCheck.int32 (fun v ->
+      let w = Watz_util.Bytesio.Writer.create () in
+      Watz_util.Bytesio.Writer.sleb w (Int64.of_int32 v);
+      Watz_util.Bytesio.Writer.uleb w (Int64.logand (Int64.of_int32 v) 0xFFFFFFFFL);
+      let r = Watz_util.Bytesio.Reader.of_string (Watz_util.Bytesio.Writer.contents w) in
+      let s = Watz_util.Bytesio.Reader.sleb_int r ~max_bits:32 in
+      let u = Watz_util.Bytesio.Reader.uleb r ~max_bits:32 in
+      s = Int32.to_int v && u = Int32.to_int v land 0xFFFFFFFF && Watz_util.Bytesio.Reader.eof r)
+
 (* ------------------------------------------------------------------ *)
 (* Validator *)
 
@@ -630,7 +691,7 @@ let test_validator_rejects_immutable_global_set () =
   expect_invalid (Builder.build b) "immutable"
 
 (* ------------------------------------------------------------------ *)
-(* Random differential testing: interp vs AOT on generated programs *)
+(* Random differential testing: interp vs fast on generated programs *)
 
 let random_program_gen =
   (* Straight-line i32 programs over two locals with arbitrary binops,
@@ -677,7 +738,7 @@ let balance_program instrs =
   fixed @ tail
 
 let qcheck_differential =
-  QCheck.Test.make ~name:"interp = fast = aot on random straight-line programs" ~count:300
+  QCheck.Test.make ~name:"interp = fast on random straight-line programs" ~count:300
     (QCheck.make random_program_gen)
     (fun instrs ->
       let body = balance_program instrs in
@@ -687,9 +748,7 @@ let qcheck_differential =
       let args = [ VI32 123456l; VI32 (-789l) ] in
       let a = Interp.invoke (Option.get (Instance.export_func inst "f")) args in
       let fa = Fastinterp.invoke (Fastinterp.instantiate (Fastinterp.compile m)) "f" args in
-      let rinst = Aot.instantiate m in
-      let b = Aot.invoke rinst "f" args in
-      a = fa && a = b)
+      a = fa)
 
 let qcheck_codec_roundtrip_random =
   QCheck.Test.make ~name:"encode/decode roundtrip on random programs" ~count:200
@@ -701,7 +760,7 @@ let qcheck_codec_roundtrip_random =
       Encode.encode m' = Encode.encode m)
 
 (* ------------------------------------------------------------------ *)
-(* Numerics edge cases: every case runs on all three tiers (via
+(* Numerics edge cases: every case runs on both tiers (via
    [check_result]/[expect_trap]), so these double as differential
    pins on the trap/value boundaries the fuzzer probes randomly. *)
 
@@ -898,6 +957,9 @@ let suite =
         case "roundtrip" test_encode_decode_roundtrip;
         case "rejects garbage" test_decode_rejects_garbage;
         q test_leb_roundtrip;
+        case "32-bit LEB128 decode table" test_leb32_decode_table;
+        case "32-bit LEB128 bounds" test_leb32_bounds;
+        q test_leb32_roundtrip;
         q qcheck_codec_roundtrip_random;
       ] );
     ( "wasm.validate",
