@@ -747,11 +747,6 @@ let mesh () =
    collections instead of serialising on the shared major heap; the
    knob and per-shard Gc.quick_stat deltas are recorded in the JSON.
 
-   A second table compares the two session schedulers (--sched) on a
-   single shard at a sessions count high enough for run-queue effects
-   to show: lock-step steps every launched session every tick, fibers
-   park idle sessions on the effects-based run queue.
-
    With --json, writes BENCH_fleet.json. *)
 
 let fleet () =
@@ -806,43 +801,6 @@ let fleet () =
         (shards, r, wall, setup, throughput, speedup))
       shard_counts
   in
-  (* Scheduler comparison: one shard, enough sessions that stepping
-     every launched session every tick is the dominant lock-step cost. *)
-  let sched_sessions = if smoke || quick then 256 else 1024 in
-  Printf.printf "  sched comparison: %d lossy sessions, 1 shard\n" sched_sessions;
-  Printf.printf "  %-10s %5s %6s %8s %9s %9s\n" "sched" "done" "rate" "run(ms)" "sess/sec"
-    "vs lock";
-  let sched_baseline = ref None in
-  let sched_rows =
-    List.map
-      (fun (name, sched) ->
-        let config =
-          {
-            Fleet.shards = 1;
-            storm =
-              {
-                Storm.default_config with
-                Storm.sessions = sched_sessions;
-                seed;
-                profile = Watz_tz.Net.lossy;
-                sched;
-              };
-            trace_capacity = 0;
-            minor_heap_words;
-          }
-        in
-        let r, wall, _ = best_of config in
-        let throughput = float_of_int r.Fleet.completed /. wall in
-        if sched = Storm.Lockstep then sched_baseline := Some throughput;
-        let vs =
-          match !sched_baseline with Some b when b > 0.0 -> throughput /. b | _ -> 1.0
-        in
-        Printf.printf "  %-10s %5d %5.1f%% %8.1f %9.1f %8.2fx\n" name r.Fleet.completed
-          (100.0 *. Fleet.completion_rate r)
-          (1e3 *. wall) throughput vs;
-        (name, r, wall, throughput, vs))
-      Storm.sched_modes
-  in
   if json_out then begin
     let buf = Buffer.create 1024 in
     Buffer.add_string buf
@@ -872,17 +830,6 @@ let fleet () =
              r.Fleet.ticks (per_session gc_minor) (per_session gc_major)
              (if i < n - 1 then "," else "")))
       rows;
-    Buffer.add_string buf "  ],\n  \"sched\": [\n";
-    let n = List.length sched_rows in
-    List.iteri
-      (fun i (name, (r : Fleet.report), wall, throughput, vs) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    { \"mode\": \"%s\", \"sessions\": %d, \"completed\": %d, \"run_wall_s\": \
-              %.4f, \"sessions_per_sec\": %.1f, \"speedup_vs_lockstep\": %.3f }%s\n"
-             name r.Fleet.sessions r.Fleet.completed wall throughput vs
-             (if i < n - 1 then "," else "")))
-      sched_rows;
     Buffer.add_string buf "  ]\n}\n";
     let oc = open_out "BENCH_fleet.json" in
     output_string oc (Buffer.contents buf);
@@ -905,14 +852,6 @@ let fleet () =
           Printf.sprintf "shards=4: speedup %.2fx < 1.0x on a %d-core host" speedup cores
           :: !failures)
     rows;
-  List.iter
-    (fun (name, (r : Fleet.report), _, _, _) ->
-      if Fleet.completion_rate r < 0.99 then
-        failures :=
-          Printf.sprintf "sched=%s: completion %.1f%% < 99%%" name
-            (100.0 *. Fleet.completion_rate r)
-          :: !failures)
-    sched_rows;
   match !failures with
   | [] -> ()
   | fs ->

@@ -239,20 +239,10 @@ let attest_storm_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "metrics" ] ~docv:"FILE"
-          ~doc:"Write the merged fleet metrics registry as flat JSON (byte-identical \
-                across fixed-seed runs). Requires $(b,--shards).")
-  in
-  let sched =
-    let names = String.concat ", " (List.map fst Watz.Storm.sched_modes) in
-    Arg.(
-      value & opt string "lockstep"
-      & info [ "sched" ] ~docv:"MODE"
-          ~doc:
-            (Printf.sprintf
-               "Session scheduler: %s. Both produce byte-identical metrics and traces at a \
-                fixed seed; $(b,fibers) parks idle sessions on an effects-based run queue \
-                instead of stepping every session every tick."
-               names))
+          ~doc:"Write the run's metrics registry as flat JSON (byte-identical across \
+                fixed-seed runs): the merged fleet registry, a fleet of one without \
+                $(b,--shards); with $(b,--resume), the mesh verifier's registry (the \
+                merged wave-2 registries with $(b,--shards)).")
   in
   let resume =
     Arg.(
@@ -353,23 +343,19 @@ let attest_storm_cmd =
       end
     end
   in
-  let run sessions seed profile_name smoke trace_file shards metrics_file sched_name resume
-      churn population =
-    match (Watz.Storm.profile_named profile_name, Watz.Storm.sched_mode_named sched_name) with
-    | None, _ ->
+  let run sessions seed profile_name smoke trace_file shards metrics_file resume churn population
+      =
+    match Watz.Storm.profile_named profile_name with
+    | None ->
       Printf.eprintf "unknown profile %S; known: %s\n" profile_name
         (String.concat ", " (List.map fst Watz.Storm.profiles));
       exit 2
-    | _, None ->
-      Printf.eprintf "unknown sched mode %S; known: %s\n" sched_name
-        (String.concat ", " (List.map fst Watz.Storm.sched_modes));
-      exit 2
-    | Some profile, Some _ when resume ->
+    | Some profile when resume ->
       if Option.is_some trace_file then
         Printf.eprintf "note: --trace applies to the classic storm; ignored with --resume\n";
       run_mesh ~sessions ~seed ~profile ~profile_name ~smoke ~shards ~metrics_file ~churn
         ~population
-    | Some profile, Some sched ->
+    | Some profile ->
       let sessions = if smoke then min sessions 8 else sessions in
       (* Under non-tampering profiles, not completing is a failure. *)
       let tampering = List.mem profile_name [ "corrupt"; "truncate"; "mitm-flip" ] in
@@ -383,7 +369,7 @@ let attest_storm_cmd =
         let config =
           {
             Watz.Fleet.shards;
-            storm = { Watz.Storm.default_config with Watz.Storm.sessions; seed; profile; sched };
+            storm = { Watz.Storm.default_config with Watz.Storm.sessions; seed; profile };
             trace_capacity = (match trace_file with None -> 0 | Some _ -> 65536);
             minor_heap_words = 0;
           }
@@ -406,7 +392,7 @@ let attest_storm_cmd =
         check_rate (Watz.Fleet.completion_rate r)
       end
       else begin
-        let config = { Watz.Storm.default_config with Watz.Storm.sessions; seed; profile; sched } in
+        let config = { Watz.Storm.default_config with Watz.Storm.sessions; seed; profile } in
         let tracer =
           match trace_file with None -> None | Some _ -> Some (Watz_obs.Trace.create ())
         in
@@ -434,8 +420,8 @@ let attest_storm_cmd =
        ~doc:"Run many concurrent attestation sessions over a fault-injected network, \
              optionally as a domain-sharded verifier fleet ($(b,--shards))")
     Term.(
-      const run $ sessions $ seed $ profile $ smoke $ trace_file $ shards $ metrics_file $ sched
-      $ resume $ churn $ population)
+      const run $ sessions $ seed $ profile $ smoke $ trace_file $ shards $ metrics_file $ resume
+      $ churn $ population)
 
 let verify_protocol_cmd =
   let run () =

@@ -3,12 +3,13 @@
 
     One simulated board hosts both sides (as in the paper's evaluation
     setup); the normal-world network between them runs a configurable
-    {!Watz_tz.Net.fault_profile}. Each scheduler tick advances the link
-    layer, the verifier server, every live attester, and the simulated
-    clock by one quantum. The run ends when every session reached a
-    terminal state (or [max_ticks] expired), and the report carries the
-    completion rate, abort histogram, retransmission and fault counts,
-    and per-session latency percentiles the bench prints. *)
+    {!Watz_tz.Net.fault_profile}. Each tick launches up to {!stagger}
+    new sessions, then advances the link layer, the verifier server,
+    every launched attester (in ascending session id) and the simulated
+    clock by one {!quantum_ns}. The run ends when every session reached
+    a terminal state (or {!max_ticks} expired), and the report carries
+    the completion rate, abort histogram, retransmission and fault
+    counts, and per-session latency percentiles the bench prints. *)
 
 module P = Watz_attest.Protocol
 module Net = Watz_tz.Net
@@ -16,35 +17,17 @@ module Soc = Watz_tz.Soc
 module Stats = Watz_util.Stats
 module Histogram = Watz_obs.Metrics.Histogram
 
-(** How attester sessions are multiplexed over the tick loop.
-    [Lockstep] is the naive baseline: every launched session is stepped
-    once per tick, terminal or not. [Fibers] runs each session as an
-    effects-based {!Sched} fiber that parks between frames and is woken
-    by frame arrival or its retransmission deadline — only live, due
-    sessions pay a call. Both modes step due sessions in ascending sid
-    order at the same point of the tick, so a fixed seed produces
-    byte-identical metrics and traces under either. *)
-type sched_mode = Lockstep | Fibers
-
-let sched_modes = [ ("lockstep", Lockstep); ("fibers", Fibers) ]
-let sched_mode_named name = List.assoc_opt name sched_modes
-let sched_mode_name m = fst (List.find (fun (_, v) -> v = m) sched_modes)
-
 type config = {
   sessions : int; (* concurrent attesters *)
   seed : int64; (* fault-layer PRNG seed; log it, replay it *)
   profile : Net.fault_profile;
   retry : Attester_app.retry;
-  stagger : int; (* sessions launched per tick *)
-  quantum_ns : int; (* simulated time per tick *)
-  max_ticks : int; (* hard stop for never-converging profiles *)
   first_sid : int; (* id of the first launched session *)
   sid_stride : int;
       (* id distance between consecutive launches. A fleet shard k of N
          runs [first_sid = k + 1; sid_stride = N]: sessions are sharded
          by attester id (sid mod N picks the shard) and ids stay
          globally unique across the merged trace. *)
-  sched : sched_mode;
 }
 
 let default_config =
@@ -53,13 +36,15 @@ let default_config =
     seed = 0xa77e57L;
     profile = Net.lossy;
     retry = Attester_app.default_retry;
-    stagger = 4;
-    quantum_ns = 1_000_000;
-    max_ticks = 20_000;
     first_sid = 1;
     sid_stride = 1;
-    sched = Lockstep;
   }
+
+(* Sessions launched per tick, simulated time per tick, and the hard
+   stop for never-converging profiles. *)
+let stagger = 4
+let quantum_ns = 1_000_000
+let max_ticks = 20_000
 
 (* Flip the first payload byte of every segment, leaving the length
    prefix intact: the frame still parses, its content no longer
@@ -110,8 +95,8 @@ type report = {
          [Histogram.merge_into] before summarising *)
   runq_hist : Histogram.t;
       (* run-queue depth (launched minus terminated sessions), sampled
-         once per tick after the launch phase — identical in both sched
-         modes; the fleet merges it as "sched.runq_depth" *)
+         once per tick after the launch phase; the fleet merges it as
+         "sched.runq_depth" *)
   server_hists : (string * Histogram.t) list;
       (* verifier-side histograms, e.g. the batch-verify size
          distribution "verify_batch_size"; merged as "server.<name>" *)
@@ -191,14 +176,9 @@ let prepare ?(config = default_config) ?tracer ?(notify = fun (_ : session_event
 
 (** Drive a prepared storm to completion. The whole schedule is a pure
     function of [config.seed]: a failing run replays exactly from its
-    seed, in either sched mode. *)
+    seed. *)
 let run_prepared p =
   let config = p.p_config and soc = p.p_soc and notify = p.p_notify in
-  let scheduler =
-    match config.sched with
-    | Lockstep -> None
-    | Fibers -> Some (Sched.create ~now:(fun () -> Soc.now_ns soc) ())
-  in
   (* Prepend order: [List.rev] recovers ascending-sid order wherever
      stepping or event order is observable. *)
   let attesters = ref [] in
@@ -221,7 +201,7 @@ let run_prepared p =
       notify (Session_aborted { sid = a.Attester_app.sid; reason = Format.asprintf "%a" P.pp_error e })
   in
   let launch () =
-    let n = min config.stagger (config.sessions - !launched) in
+    let n = min stagger (config.sessions - !launched) in
     for _ = 1 to n do
       let sid = config.first_sid + (!launched * config.sid_stride) in
       incr launched;
@@ -229,37 +209,15 @@ let run_prepared p =
         Attester_app.start ~retry:config.retry ~sid soc ~port:p.p_port ~random:p.p_random
           ~expected_verifier:p.p_expected_verifier ~issue:p.p_issue
       in
-      attesters := a :: !attesters;
-      match scheduler with
-      | None -> ()
-      | Some sched ->
-        (* The body first runs inside the next [Sched.run_tick], i.e. at
-           the same point of the tick where lock-step steps sessions. *)
-        Sched.spawn sched ~fid:sid (fun () ->
-            let rec loop () =
-              Attester_app.step a;
-              match Attester_app.outcome a with
-              | Attester_app.Pending ->
-                Sched.await_frame
-                  ~ready:(fun () -> Net.frame_ready a.Attester_app.conn)
-                  ~deadline_ns:a.Attester_app.deadline_ns;
-                loop ()
-              | _ -> notify_termination a
-            in
-            loop ())
+      attesters := a :: !attesters
     done
   in
   let all_terminal () =
     !launched = config.sessions
-    &&
-    match scheduler with
-    | Some sched -> Sched.live sched = 0
-    | None ->
-      List.for_all (fun a -> Attester_app.outcome a <> Attester_app.Pending) !attesters
+    && List.for_all (fun a -> Attester_app.outcome a <> Attester_app.Pending) !attesters
   in
-  (* Lock-step only: sessions whose termination has already been
-     streamed to [notify]; scanned after each tick so events fire the
-     tick they happen (fibers notify from the fiber body instead). *)
+  (* Sessions whose termination has already been streamed to [notify];
+     scanned after each tick so events fire the tick they happen. *)
   let reported = Hashtbl.create 16 in
   let stream_terminations () =
     List.iter
@@ -273,18 +231,15 @@ let run_prepared p =
       (List.rev !attesters)
   in
   let ticks = ref 0 in
-  while (not (all_terminal ())) && !ticks < config.max_ticks do
+  while (not (all_terminal ())) && !ticks < max_ticks do
     incr ticks;
     launch ();
     Histogram.record runq_hist (!launched - !terminated);
     Net.tick soc.Soc.net;
     Verifier_app.step p.p_server;
-    (match scheduler with
-    | None ->
-      List.iter Attester_app.step (List.rev !attesters);
-      stream_terminations ()
-    | Some sched -> Sched.run_tick sched);
-    Watz_tz.Simclock.advance soc.Soc.clock config.quantum_ns
+    List.iter Attester_app.step (List.rev !attesters);
+    stream_terminations ();
+    Watz_tz.Simclock.advance soc.Soc.clock quantum_ns
   done;
   (* Sessions still pending at the hard stop count as aborted. *)
   let outcomes = List.map (fun a -> (a, Attester_app.outcome a)) !attesters in

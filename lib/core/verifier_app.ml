@@ -15,39 +15,65 @@
     per-connection protocol state in a session table. Sessions survive
     retransmitted messages (answered idempotently from the protocol
     caches), are aborted on the first typed protocol error, and are
-    evicted once stalled longer than [session_timeout_ns] on the
+    evicted once stalled longer than {!session_timeout_ns} on the
     simulated clock. A metrics registry records everything the storm bench
     reports: sessions started / completed / aborted / evicted,
-    retransmits answered, and transport faults observed. *)
+    retransmits answered, and transport faults observed.
+
+    Extensions ride on the same loop instead of copying it: a
+    per-connection {!handler} sees every frame before the msg0–msg2
+    handler and may consume it, and may append a trailer to msg3. The
+    attested mesh ({!Watz_mesh.Mesh_verifier}) installs its ticket
+    resumption and sub-claim paths this way. *)
 
 module P = Watz_attest.Protocol
+module Evidence = Watz_attest.Evidence
 module T = Watz_obs.Trace
 module Metrics = Watz_obs.Metrics
+module Net = Watz_tz.Net
+module Soc = Watz_tz.Soc
+
+(** A per-connection extension, built when the connection is accepted.
+    [on_frame frame] runs before the msg0–msg2 handler and returns
+    [true] when it consumed the frame. [augment session evidence]
+    returns the trailer sealed into msg3 on the session's first
+    acceptance (see {!P.Verifier.handle_msg2_with}). *)
+type handler = {
+  on_frame : string -> bool;
+  augment : P.Verifier.session -> Evidence.signed -> string;
+}
+
+(* The plain server's handler: consumes nothing, appends nothing. One
+   shared value, so connections without an extension allocate none. *)
+let no_handler = { on_frame = (fun _ -> false); augment = (fun _ _ -> "") }
 
 type conn_state = {
   id : int;
-  conn : Watz_tz.Net.conn;
+  conn : Net.conn;
   mutable vsession : P.Verifier.session option;
-  mutable failed : P.error option;
   mutable completed : bool;
   mutable last_activity_ns : int64;
+  mutable handler : handler;
 }
 
 type t = {
-  soc : Watz_tz.Soc.t;
+  soc : Soc.t;
   port : int;
-  policy : P.Verifier.policy;
+  mutable policy : P.Verifier.policy; (* read by each msg0 and by handlers *)
   rng : Watz_util.Prng.t;
   sessions : (int, conn_state) Hashtbl.t;
   mutable next_id : int;
-  session_timeout_ns : int64;
   batch_verify : bool; (* settle msg2 evidence signatures in batches *)
+  make_handler : t -> conn_state -> handler;
   metrics : Metrics.t; (* server-side counters, dumped by the storm report *)
   on_evict : int -> unit; (* observer for evicted session ids *)
   mutable served : int; (* completed attestations *)
   mutable rejected : int;
   mutable last_err : P.error option;
 }
+
+(** Simulated-clock inactivity after which a session is evicted. *)
+let session_timeout_ns = 2_000_000_000L
 
 (* One deferred msg2 appraisal: everything [step] needs to settle the
    evidence-signature check later and then finish the appraisal with
@@ -62,22 +88,23 @@ type pending = {
 }
 
 (** Start listening. [soc] is the device hosting the verifier (the
-    paper co-locates attester and verifier on one board). Stalled
-    sessions are evicted after [session_timeout_ns] of simulated-clock
-    inactivity (default 2 s); [on_evict] observes each eviction with
-    the server-side session id (the fleet forwards these to its
-    supervisor queue).
+    paper co-locates attester and verifier on one board). [on_evict]
+    observes each eviction with the server-side session id (the fleet
+    forwards these to its supervisor queue). [handler t conn] builds
+    each accepted connection's extension (default: none).
 
     With [batch_verify] (the default), each [step] collects the pending
     msg2 evidence-signature checks across every session in the pass and
     settles them through {!Watz_crypto.Ecdsa.verify_batch}, amortising
     the endorsed keys' point precomputation and the scalar/field
-    inversions across sessions. The batch settle is simulated-time
-    neutral: world transitions and spans per appraisal are unchanged,
-    only wall-clock work shrinks. *)
-let start ?(session_timeout_ns = 2_000_000_000L) ?(batch_verify = true) ?(on_evict = fun _ -> ())
-    soc ~port ~policy =
-  ignore (Watz_tz.Net.listen soc.Watz_tz.Soc.net ~port);
+    inversions across sessions. The batch settle charges no simulated
+    time of its own: world transitions and spans per appraisal are
+    unchanged. Settling later in the pass does move the msg3 sends, so
+    under a faulty link a batched run and an inline run of one seed
+    draw different faults (DESIGN.md §9a). *)
+let start ?(batch_verify = true) ?(on_evict = fun _ -> ())
+    ?(handler = fun (_ : t) (_ : conn_state) -> no_handler) soc ~port ~policy =
+  ignore (Net.listen soc.Soc.net ~port);
   (* Pay the one-time crypto table costs (fixed-base comb, endorsed-key
      windows and combs, identity encoding) at startup, not inside the
      first session's latency. *)
@@ -92,8 +119,8 @@ let start ?(session_timeout_ns = 2_000_000_000L) ?(batch_verify = true) ?(on_evi
     rng = Watz_util.Prng.create 0x5eed0fae1L;
     sessions = Hashtbl.create 32;
     next_id = 0;
-    session_timeout_ns;
     batch_verify;
+    make_handler = handler;
     on_evict;
     metrics = Metrics.create ();
     served = 0;
@@ -116,28 +143,42 @@ let metrics t = t.metrics
 let live_sessions t = Hashtbl.length t.sessions
 
 let abort t state err =
-  state.failed <- Some err;
   t.rejected <- t.rejected + 1;
   t.last_err <- Some err;
   Metrics.incr t.metrics "sessions_aborted";
-  T.instant (Watz_tz.Soc.tracer t.soc) T.Normal ~session:state.id "verifier.abort";
-  Watz_tz.Net.close state.conn;
+  T.instant (Soc.tracer t.soc) T.Normal ~session:state.id "verifier.abort";
+  Net.close state.conn;
   Hashtbl.remove t.sessions state.id
 
+(** Close a connection that is not a failure, counting it under
+    [reason]. *)
 let drop_session t state reason =
   Metrics.incr t.metrics reason;
-  Watz_tz.Net.close state.conn;
+  Net.close state.conn;
   Hashtbl.remove t.sessions state.id
 
-(* Reply to the attester; a dead link while answering aborts the
-   session instead of escaping the event loop. *)
+(** Close every live connection, counting each under [reason] (a
+    verifier restart). *)
+let close_all t reason =
+  Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions []
+  |> List.iter (fun s -> drop_session t s reason)
+
+(** Reply to the attester; a dead link while answering aborts the
+    session instead of escaping the event loop. [false] when the
+    session is gone. *)
 let reply t state frame =
-  match Watz_tz.Net.send_frame state.conn frame with
+  match Net.send_frame state.conn frame with
   | () -> true
-  | exception Watz_tz.Net.Peer_closed ->
+  | exception Net.Peer_closed ->
     if state.completed then drop_session t state "sessions_closed"
     else abort t state (P.Connection_lost "verifier: peer vanished mid-reply");
     false
+
+(** Traffic against a terminal session: never aborts (the completed
+    appraisal stands), never answers. *)
+let stray t state =
+  Metrics.incr t.metrics "stray_after_complete";
+  T.instant (Soc.tracer t.soc) T.Normal ~session:state.id "verifier.stray_after_complete"
 
 (* Shared tail of a msg2 appraisal (inline or batch-settled):
    [already] is whether the session had completed before this frame was
@@ -147,34 +188,37 @@ let apply_msg2_result t state ~already = function
   | Ok m3 ->
     if already then begin
       Metrics.incr t.metrics "retransmits_answered";
-      T.instant (Watz_tz.Soc.tracer t.soc) T.Normal ~session:state.id
-        "verifier.retransmit_answered"
+      T.instant (Soc.tracer t.soc) T.Normal ~session:state.id "verifier.retransmit_answered"
     end
     else begin
       state.completed <- true;
       t.served <- t.served + 1;
       Metrics.incr t.metrics "sessions_completed";
-      T.instant (Watz_tz.Soc.tracer t.soc) T.Normal ~session:state.id "verifier.accept"
+      T.instant (Soc.tracer t.soc) T.Normal ~session:state.id "verifier.accept"
     end;
     ignore (reply t state m3)
   | Error _ when already ->
-    (* Anything that is not the byte-exact msg2 retransmit is stray
-       traffic against a terminal session: never aborts (the
-       completed appraisal stands), never answers. *)
-    Metrics.incr t.metrics "stray_after_complete";
-    T.instant (Watz_tz.Soc.tracer t.soc) T.Normal ~session:state.id
-      "verifier.stray_after_complete"
+    (* Anything that is not the byte-exact msg2 retransmit. *)
+    stray t state
   | Error e -> abort t state e
+
+(* The msg2 appraisal in the TEE, with [verify] supplying the evidence
+   signature verdict (inline ECDSA or a batch-settled one). *)
+let appraise t state vsession ~verify frame =
+  let already = state.completed in
+  apply_msg2_result t state ~already
+    (Soc.smc t.soc (fun () ->
+         P.Verifier.handle_msg2_with ~augment:(state.handler.augment vsession) ~verify vsession
+           ~random:(random t) frame))
 
 let handle_frame t state frame =
   match state.vsession with
   | None -> (
     (* First message on this connection: msg0, handled in the TEE. *)
     match
-      Watz_tz.Soc.smc t.soc (fun () ->
-          P.Verifier.handle_msg0
-            ~trace:(Watz_tz.Soc.tracer t.soc)
-            ~sid:state.id t.policy ~random:(random t) frame)
+      Soc.smc t.soc (fun () ->
+          P.Verifier.handle_msg0 ~trace:(Soc.tracer t.soc) ~sid:state.id t.policy
+            ~random:(random t) frame)
     with
     | Ok (vsession, m1) ->
       state.vsession <- Some vsession;
@@ -186,27 +230,20 @@ let handle_frame t state frame =
       | Some m1 ->
         (* The attester never saw msg1: answer from the session cache. *)
         Metrics.incr t.metrics "retransmits_answered";
-        T.instant (Watz_tz.Soc.tracer t.soc) T.Normal ~session:state.id
-          "verifier.retransmit_answered";
+        T.instant (Soc.tracer t.soc) T.Normal ~session:state.id "verifier.retransmit_answered";
         ignore (reply t state m1)
       | None ->
         (* Completed sessions are terminal: a late-duplicated msg0 gets
            no reply — answering msg1 here would reopen the finished
-           handshake (the resurrection bug). Count it and stay put. *)
-        Metrics.incr t.metrics "stray_after_complete";
-        T.instant (Watz_tz.Soc.tracer t.soc) T.Normal ~session:state.id
-          "verifier.stray_after_complete"
+           handshake (the resurrection bug). *)
+        stray t state
     end
-    else begin
-      let already = state.completed in
-      apply_msg2_result t state ~already
-        (Watz_tz.Soc.smc t.soc (fun () ->
-             P.Verifier.handle_msg2 vsession ~random:(random t) frame))
-    end
+    else appraise t state vsession ~verify:Evidence.verify_signature_with frame
 
 (** One scheduling quantum of the listener: accept pending connections,
     process every complete frame on every live session, and evict the
-    stalled ones.
+    stalled ones. Each frame goes to the connection's {!handler} first
+    and to the msg0–msg2 handler only if the extension declined it.
 
     In [batch_verify] mode the pass is two-phase. The drain over live
     sessions runs each msg2 appraisal only up to its evidence-signature
@@ -218,29 +255,32 @@ let handle_frame t state frame =
     with its precomputed verdict, and the parked sessions drain again
     (which may collect a next round, e.g. a duplicated msg2 now
     answered from the cache). Collection and settle orders follow the
-    deterministic session iteration order, so batching keeps the
-    fixed-seed determinism contract. *)
+    deterministic session iteration order, so a batched run replays
+    exactly from its seed. *)
 let step t =
   let rec accept_all () =
-    match Watz_tz.Net.accept t.soc.Watz_tz.Soc.net ~port:t.port with
+    match Net.accept t.soc.Soc.net ~port:t.port with
     | None -> ()
     | Some conn ->
       let id = t.next_id in
       t.next_id <- id + 1;
       Metrics.incr t.metrics "sessions_started";
-      Hashtbl.replace t.sessions id
+      let state =
         {
           id;
           conn;
           vsession = None;
-          failed = None;
           completed = false;
-          last_activity_ns = Watz_tz.Soc.now_ns t.soc;
-        };
+          last_activity_ns = Soc.now_ns t.soc;
+          handler = no_handler;
+        }
+      in
+      state.handler <- t.make_handler t state;
+      Hashtbl.replace t.sessions id state;
       accept_all ()
   in
   accept_all ();
-  let now = Watz_tz.Soc.now_ns t.soc in
+  let now = Soc.now_ns t.soc in
   let live = Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions [] in
   let pending = ref [] in
   (* [true] when the frame is a msg2 whose signature check was deferred
@@ -268,28 +308,29 @@ let step t =
     | _ -> false
   in
   let rec drain state =
-    match Watz_tz.Net.recv_frame_ex state.conn with
-    | Watz_tz.Net.Frame frame ->
-      state.last_activity_ns <- Watz_tz.Soc.now_ns t.soc;
-      if not (defer_msg2 state frame) then begin
-        handle_frame t state frame;
+    match Net.recv_frame_ex state.conn with
+    | Net.Frame frame ->
+      state.last_activity_ns <- Soc.now_ns t.soc;
+      let consumed = state.handler.on_frame frame in
+      if consumed || not (defer_msg2 state frame) then begin
+        if not consumed then handle_frame t state frame;
         if Hashtbl.mem t.sessions state.id then drain state
       end
-    | Watz_tz.Net.Awaiting ->
-      if Int64.sub now state.last_activity_ns > t.session_timeout_ns then
+    | Net.Awaiting ->
+      if Int64.sub now state.last_activity_ns > session_timeout_ns then
         if state.completed then drop_session t state "sessions_closed"
         else begin
           Metrics.incr t.metrics "sessions_evicted";
           t.on_evict state.id;
           abort t state (P.Timed_out "verifier: session stalled")
         end
-    | Watz_tz.Net.Closed_by_peer ->
+    | Net.Closed_by_peer ->
       (* A clean close after completion; anything earlier is a loss. *)
       if state.completed then drop_session t state "sessions_closed"
       else abort t state (P.Connection_lost "verifier: peer closed mid-protocol")
-    | Watz_tz.Net.Frame_violation e ->
+    | Net.Frame_violation e ->
       Metrics.incr t.metrics "frame_violations";
-      abort t state (P.Malformed (Format.asprintf "frame: %a" Watz_tz.Net.pp_frame_error e))
+      abort t state (P.Malformed (Format.asprintf "frame: %a" Net.pp_frame_error e))
   in
   List.iter drain live;
   let rec settle () =
@@ -305,12 +346,7 @@ let step t =
       Array.iteri
         (fun i p ->
           if Hashtbl.mem t.sessions p.p_state.id then begin
-            let already = p.p_state.completed in
-            apply_msg2_result t p.p_state ~already
-              (Watz_tz.Soc.smc t.soc (fun () ->
-                   P.Verifier.handle_msg2_with
-                     ~verify:(fun _ _ -> verdicts.(i))
-                     p.p_vsession ~random:(random t) p.p_frame));
+            appraise t p.p_state p.p_vsession ~verify:(fun _ _ -> verdicts.(i)) p.p_frame;
             if Hashtbl.mem t.sessions p.p_state.id then drain p.p_state
           end)
         batch;

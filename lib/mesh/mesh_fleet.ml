@@ -66,7 +66,6 @@ type report = {
 
 let shard_storm_config cfg ~wave k =
   {
-    Mesh_storm.default_config with
     Mesh_storm.sessions = cfg.sessions_per_shard;
     population = cfg.population_per_shard;
     seed = Mesh_storm.mix cfg.seed ((wave * cfg.shards) + k);

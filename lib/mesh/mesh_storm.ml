@@ -66,15 +66,7 @@ type config = {
   population : int; (* distinct attester identities *)
   seed : int64;
   profile : Net.fault_profile;
-  retry : Mesh_attester.retry;
-  quantum_ns : int; (* simulated time per tick *)
-  max_ticks : int;
-  mean_gap_ns : float; (* mean inter-arrival gap *)
-  heavy_tail_p : float; (* probability a gap is Pareto instead of exponential *)
-  pareto_alpha : float; (* tail index; lower = heavier bursts *)
   subclaims_per_session : int;
-  ticket_ttl_ns : int64;
-  cache_ttl_ns : int64;
   churn : churn;
 }
 
@@ -84,17 +76,20 @@ let default_config =
     population = 16;
     seed = 0xec0be11L;
     profile = Net.lossy;
-    retry = Mesh_attester.default_retry;
-    quantum_ns = 1_000_000;
-    max_ticks = 40_000;
-    mean_gap_ns = 2_000_000.0;
-    heavy_tail_p = 0.15;
-    pareto_alpha = 1.5;
     subclaims_per_session = 2;
-    ticket_ttl_ns = 20_000_000_000L;
-    cache_ttl_ns = 20_000_000_000L;
     churn = default_churn;
   }
+
+(* The load shape: 1 ms ticks up to a hard stop, a 2 ms mean
+   inter-arrival gap of which 15 % are Pareto draws with tail index
+   1.5 (lower = heavier bursts), and a 20 s lifetime for tickets and
+   evidence-cache entries. *)
+let quantum_ns = 1_000_000
+let max_ticks = 40_000
+let mean_gap_ns = 2_000_000.0
+let heavy_tail_p = 0.15
+let pareto_alpha = 1.5
+let ttl_ns = 20_000_000_000L
 
 type report = {
   launched : int;
@@ -128,13 +123,13 @@ let mix seed k = Int64.logxor seed (Int64.mul (Int64.of_int (k + 1)) 0x9e3779b97
    probability [heavy_tail_p]. The Pareto scale is set so its mean
    (alpha/(alpha-1) * xm for alpha > 1) matches the exponential mean,
    keeping the configured rate while fattening the tail. *)
-let draw_gap cfg rng =
+let draw_gap rng =
   let u = max 1e-12 (Prng.float rng 1.0) in
-  if Prng.float rng 1.0 < cfg.heavy_tail_p && cfg.pareto_alpha > 1.0 then begin
-    let xm = cfg.mean_gap_ns *. (cfg.pareto_alpha -. 1.0) /. cfg.pareto_alpha in
-    xm *. ((1.0 -. u) ** (-1.0 /. cfg.pareto_alpha))
+  if Prng.float rng 1.0 < heavy_tail_p then begin
+    let xm = mean_gap_ns *. (pareto_alpha -. 1.0) /. pareto_alpha in
+    xm *. ((1.0 -. u) ** (-1.0 /. pareto_alpha))
   end
-  else -.cfg.mean_gap_ns *. log u
+  else -.mean_gap_ns *. log u
 
 let claim_for generation = Watz_crypto.Sha256.digest (Printf.sprintf "mesh-module-v%d" generation)
 
@@ -174,7 +169,7 @@ let run ?(config = default_config) ?identities ?(stek_seed = "mesh-stek")
   in
   let port = 7300 in
   let server =
-    Mesh_verifier.start ~ticket_ttl_ns:cfg.ticket_ttl_ns ~cache_ttl_ns:cfg.cache_ttl_ns
+    Mesh_verifier.start ~ticket_ttl_ns:ttl_ns ~cache_ttl_ns:ttl_ns
       ~sub_refs:(sub_refs ()) ~stek_seed soc ~port ~policy ()
   in
   Cache.merge_into (Mesh_verifier.cache server) cache_seed;
@@ -183,7 +178,7 @@ let run ?(config = default_config) ?identities ?(stek_seed = "mesh-stek")
   let arrivals = Array.make cfg.sessions 0L in
   let tns = ref (Int64.to_float (Soc.now_ns soc)) in
   for i = 0 to cfg.sessions - 1 do
-    tns := !tns +. draw_gap cfg rng;
+    tns := !tns +. draw_gap rng;
     arrivals.(i) <- Int64.of_float !tns
   done;
   let crypto_rng = Prng.create (Int64.logxor cfg.seed 0x5e55104aL) in
@@ -223,7 +218,7 @@ let run ?(config = default_config) ?identities ?(stek_seed = "mesh-stek")
       let id = identities.(Prng.int rng (Array.length identities)) in
       apply_churn i id;
       let a =
-        Mesh_attester.start ~retry:cfg.retry ~sid:(i + 1) ~subclaims:(subclaims_for i) soc
+        Mesh_attester.start ~sid:(i + 1) ~subclaims:(subclaims_for i) soc
           ~port ~random ~identity:id ~expected_verifier:policy.P.Verifier.identity_pub ()
       in
       attesters := a :: !attesters
@@ -234,13 +229,13 @@ let run ?(config = default_config) ?identities ?(stek_seed = "mesh-stek")
     && List.for_all (fun a -> Mesh_attester.outcome a <> Mesh_attester.Pending) !attesters
   in
   let ticks = ref 0 in
-  while (not (all_terminal ())) && !ticks < cfg.max_ticks do
+  while (not (all_terminal ())) && !ticks < max_ticks do
     incr ticks;
     launch_due ();
     Net.tick soc.Soc.net;
     Mesh_verifier.step server;
     List.iter Mesh_attester.step (List.rev !attesters);
-    Watz_tz.Simclock.advance soc.Soc.clock cfg.quantum_ns
+    Watz_tz.Simclock.advance soc.Soc.clock quantum_ns
   done;
   Mesh_verifier.snapshot_cache_metrics server;
   let outcomes = List.map (fun a -> (a, Mesh_attester.outcome a)) (List.rev !attesters) in

@@ -1,10 +1,9 @@
-(** The mesh verifier: a multi-session listener (modeled on
-    {!Watz.Verifier_app}) that fronts the full msg0–msg3 protocol
-    {e and} the mesh's three fast paths on the same port:
+(** The mesh verifier: {!Watz.Verifier_app} with the mesh's fast paths
+    installed as its per-connection frame handler, all on one port:
 
-    - a full handshake mints a resumption ticket (delivered inside
-      msg3 via the protocol's [augment] hook) and records the
-      appraisal in the evidence {!Cache};
+    - the server's full msg0–msg3 handshake mints a resumption ticket
+      (sealed into msg3 through the handler's [augment] trailer) and
+      records the appraisal in the evidence {!Cache};
     - a ["WZR0"] first frame takes the 1-RTT resume path: redeem the
       ticket, check the binding MAC and the cache, answer with the
       secret blob under a fresh per-resumption key — or reject with a
@@ -17,18 +16,23 @@
     Frame dispatch is unambiguous: msg0 is a 65-byte SEC1 point
     starting with 0x04, every mesh frame starts with an ASCII magic.
 
+    The server appraises msg2 inline ([~batch_verify:false]): batch
+    settlement sends msg3 later in the pass, and since the link draws
+    one fault per send, the reordered sends would change which frames
+    a lossy run drops or delays.
+
     All trust decisions and their rejections are counted in the
-    metrics registry; the storm report and the forged-resume fuzz
-    oracle read them from there. *)
+    server's metrics registry; the storm report and the forged-resume
+    fuzz oracle read them from there. *)
 
 module P = Watz_attest.Protocol
 module Evidence = Watz_attest.Evidence
 module T = Watz_obs.Trace
 module Metrics = Watz_obs.Metrics
-module Net = Watz_tz.Net
 module Soc = Watz_tz.Soc
+module V = Watz.Verifier_app
 
-(* An established session: full handshake completed or resumption
+(* An established connection: full handshake completed or resumption
    accepted. Holds what sub-claims and retransmits need. *)
 type estab = {
   e_k_sub : string;
@@ -36,118 +40,50 @@ type estab = {
   e_sub_acks : (string, string) Hashtbl.t; (* subclaim frame -> ack *)
 }
 
-type conn_state = {
-  id : int;
-  conn : Net.conn;
-  mutable vsession : P.Verifier.session option; (* full-handshake path *)
-  mutable estab : estab option;
-  mutable completed : bool;
-  mutable resumed : bool;
-  mutable last_activity_ns : int64;
-}
-
-type t = {
-  soc : Soc.t;
-  port : int;
-  mutable policy : P.Verifier.policy;
-  mutable sub_refs : string list; (* acceptable sub-module measurements *)
+(* What the frame handlers share across connections. *)
+type mesh = {
+  sub_refs : string list; (* acceptable sub-module measurements *)
   mutable master : Ticket.master;
   cache : Cache.t;
   ticket_ttl_ns : int64;
   stek_seed : string;
-  rng : Watz_util.Prng.t;
-  sessions : (int, conn_state) Hashtbl.t;
-  mutable next_id : int;
-  session_timeout_ns : int64;
-  metrics : Metrics.t;
   mutable restarts : int;
 }
 
-(** Start listening. [stek_seed] derives the ticket master — shards of
-    a federated fleet pass the same seed so tickets are portable
-    across them. [sub_refs] is the reference list for hierarchical
-    sub-claims. *)
-let start ?(session_timeout_ns = 2_000_000_000L) ?(ticket_ttl_ns = 10_000_000_000L)
-    ?(cache_ttl_ns = 10_000_000_000L) ?(sub_refs = []) ~stek_seed soc ~port ~policy () =
-  ignore (Net.listen soc.Soc.net ~port);
-  Watz_crypto.P256.prewarm ();
-  List.iter Watz_crypto.P256.prepare policy.P.Verifier.endorsed_keys;
-  ignore (Watz_crypto.P256.encode policy.P.Verifier.identity_pub);
-  {
-    soc;
-    port;
-    policy;
-    sub_refs;
-    master = Ticket.make ~seed:stek_seed;
-    cache = Cache.create ~ttl_ns:cache_ttl_ns ();
-    ticket_ttl_ns;
-    stek_seed;
-    rng = Watz_util.Prng.create 0x6e5410aeL;
-    sessions = Hashtbl.create 32;
-    next_id = 0;
-    session_timeout_ns;
-    metrics = Metrics.create ();
-    restarts = 0;
-  }
+type t = { server : V.t; mesh : mesh }
 
-let random t n = Watz_util.Prng.bytes t.rng n
-let counters t = Metrics.counter_list t.metrics
-let metrics t = t.metrics
-let cache t = t.cache
-let ticket_master t = t.master
-let live_sessions t = Hashtbl.length t.sessions
+let counters t = V.counters t.server
+let metrics t = V.metrics t.server
+let cache t = t.mesh.cache
+let ticket_master t = t.mesh.master
 
 (** Endorse an additional attestation key (an attester rotated). *)
 let endorse t pub =
   Watz_crypto.P256.prepare pub;
-  t.policy <- { t.policy with P.Verifier.endorsed_keys = pub :: t.policy.P.Verifier.endorsed_keys }
+  let policy = t.server.V.policy in
+  t.server.V.policy <-
+    { policy with P.Verifier.endorsed_keys = pub :: policy.P.Verifier.endorsed_keys }
 
 (** Replace the acceptable runtime measurements (module update). *)
 let set_reference_claims t claims =
-  t.policy <- { t.policy with P.Verifier.reference_claims = claims }
-
-let set_sub_refs t refs = t.sub_refs <- refs
+  t.server.V.policy <- { t.server.V.policy with P.Verifier.reference_claims = claims }
 
 (** Rotate the session-ticket key: outstanding tickets reject as
     [rotated] from now on. *)
 let rotate_tickets t =
-  Metrics.incr t.metrics "stek_rotations";
-  Ticket.rotate t.master
-
-let close_conn t state reason =
-  Metrics.incr t.metrics reason;
-  Net.close state.conn;
-  Hashtbl.remove t.sessions state.id
-
-let abort t state err =
-  Metrics.incr t.metrics "sessions_aborted";
-  ignore (err : P.error);
-  T.instant (Soc.tracer t.soc) T.Normal ~session:state.id "mesh.abort";
-  Net.close state.conn;
-  Hashtbl.remove t.sessions state.id
+  Metrics.incr (metrics t) "stek_rotations";
+  Ticket.rotate t.mesh.master
 
 (** Simulate a verifier restart: every live connection dies, the
     evidence cache is wiped, and a fresh ticket master is derived —
     outstanding tickets become [unknown_key]. *)
 let restart t =
-  t.restarts <- t.restarts + 1;
-  Metrics.incr t.metrics "restarts";
-  let live = Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions [] in
-  List.iter (fun s -> close_conn t s "sessions_closed") live;
-  Cache.clear t.cache;
-  t.master <- Ticket.make ~seed:(Printf.sprintf "%s:restart%d" t.stek_seed t.restarts)
-
-let reply t state frame =
-  match Net.send_frame state.conn frame with
-  | () -> true
-  | exception Net.Peer_closed ->
-    if state.completed then close_conn t state "sessions_closed"
-    else abort t state (P.Connection_lost "mesh verifier: peer vanished mid-reply");
-    false
-
-let stray t state =
-  Metrics.incr t.metrics "stray_after_complete";
-  T.instant (Soc.tracer t.soc) T.Normal ~session:state.id "mesh.stray_after_complete"
+  let m = t.mesh in
+  m.restarts <- m.restarts + 1;
+  Metrics.incr (metrics t) "restarts";
+  V.close_all t.server "sessions_closed";
+  Cache.clear m.cache;
+  m.master <- Ticket.make ~seed:(Printf.sprintf "%s:restart%d" m.stek_seed m.restarts)
 
 let establish_from_rms ~rms =
   { e_k_sub = Hier.derive_key ~rms; e_resume_cache = None; e_sub_acks = Hashtbl.create 4 }
@@ -155,33 +91,35 @@ let establish_from_rms ~rms =
 (* ------------------------------------------------------------------ *)
 (* Resume path *)
 
-let handle_resume0 t state frame =
-  match state.estab with
+let handle_resume0 m v (c : V.conn_state) estab frame =
+  let metrics = V.metrics v and tracer = Soc.tracer v.V.soc in
+  match !estab with
   | Some e -> (
     match e.e_resume_cache with
     | Some (prev, rep) when String.equal prev frame ->
-      Metrics.incr t.metrics "retransmits_answered";
-      ignore (reply t state rep)
-    | _ -> stray t state)
+      Metrics.incr metrics "retransmits_answered";
+      ignore (V.reply v c rep)
+    | _ -> V.stray v c)
   | None ->
-    if state.vsession <> None then stray t state
+    if c.V.vsession <> None then V.stray v c
     else begin
-      Metrics.incr t.metrics "resume_attempts";
-      let now = Soc.now_ns t.soc in
+      Metrics.incr metrics "resume_attempts";
+      let now = Soc.now_ns v.V.soc in
+      let policy = v.V.policy in
       let reject reason =
-        Metrics.incr t.metrics ("resume_rejected." ^ Resume.reason_to_string reason);
-        T.instant (Soc.tracer t.soc) T.Normal ~session:state.id "mesh.resume_reject";
-        if reply t state (Resume.build_reject reason) then
+        Metrics.incr metrics ("resume_rejected." ^ Resume.reason_to_string reason);
+        T.instant tracer T.Normal ~session:c.V.id "mesh.resume_reject";
+        if V.reply v c (Resume.build_reject reason) then
           (* The attester falls back on a fresh connection; this one is
              done. Closing here (not aborting) keeps reject != failure. *)
-          close_conn t state "resume_fallbacks"
+          V.drop_session v c "resume_fallbacks"
       in
       let verdict =
-        Soc.smc t.soc (fun () ->
+        Soc.smc v.V.soc (fun () ->
             match Resume.parse_resume0 frame with
             | None -> Error Resume.Rj_malformed
             | Some r -> (
-              match Ticket.redeem t.master ~now_ns:now r.Resume.r_ticket with
+              match Ticket.redeem m.master ~now_ns:now r.Resume.r_ticket with
               | Error tr -> Error (Resume.reason_of_ticket_reject tr)
               | Ok body ->
                 if not (String.equal body.Ticket.attester_id r.Resume.r_attester_id) then
@@ -190,20 +128,20 @@ let handle_resume0 t state frame =
                   Error Resume.Rj_bad_binding
                 else if
                   not
-                    (Cache.lookup t.cache ~now_ns:now ~attester_id:body.Ticket.attester_id
+                    (Cache.lookup m.cache ~now_ns:now ~attester_id:body.Ticket.attester_id
                        ~claim:body.Ticket.claim ~boot:body.Ticket.boot)
                 then Error Resume.Rj_cache_stale
                 else if
                   not
                     (List.exists (String.equal body.Ticket.claim)
-                       t.policy.P.Verifier.reference_claims)
+                       policy.P.Verifier.reference_claims)
                 then Error Resume.Rj_policy
                 else begin
-                  let nonce_v = random t Resume.nonce_len in
-                  let iv = random t Resume.iv_len in
+                  let nonce_v = V.random v Resume.nonce_len in
+                  let iv = V.random v Resume.iv_len in
                   let rep =
                     Resume.build_accept ~rms:body.Ticket.rms ~nonce_a:r.Resume.r_nonce_a
-                      ~nonce_v ~iv t.policy.P.Verifier.secret_blob
+                      ~nonce_v ~iv policy.P.Verifier.secret_blob
                   in
                   Ok (body.Ticket.rms, rep)
                 end))
@@ -213,172 +151,124 @@ let handle_resume0 t state frame =
       | Ok (rms, rep) ->
         let e = establish_from_rms ~rms in
         e.e_resume_cache <- Some (frame, rep);
-        state.estab <- Some e;
-        state.completed <- true;
-        state.resumed <- true;
-        Metrics.incr t.metrics "resumes_accepted";
-        T.instant (Soc.tracer t.soc) T.Normal ~session:state.id "mesh.resume_accept";
-        ignore (reply t state rep)
+        estab := Some e;
+        c.V.completed <- true;
+        Metrics.incr metrics "resumes_accepted";
+        T.instant tracer T.Normal ~session:c.V.id "mesh.resume_accept";
+        ignore (V.reply v c rep)
     end
 
 (* ------------------------------------------------------------------ *)
 (* Hierarchical sub-claims *)
 
-let handle_subclaim t state frame =
-  match state.estab with
-  | None -> abort t state (P.Malformed "mesh verifier: sub-claim before establishment")
+let handle_subclaim m v c estab frame =
+  let metrics = V.metrics v in
+  match !estab with
+  | None -> V.abort v c (P.Malformed "mesh verifier: sub-claim before establishment")
   | Some e -> (
     match Hashtbl.find_opt e.e_sub_acks frame with
     | Some ack ->
-      Metrics.incr t.metrics "retransmits_answered";
-      ignore (reply t state ack)
+      Metrics.incr metrics "retransmits_answered";
+      ignore (V.reply v c ack)
     | None -> (
-      match Soc.smc t.soc (fun () -> Hier.verify ~k_sub:e.e_k_sub frame) with
+      match Soc.smc v.V.soc (fun () -> Hier.verify ~k_sub:e.e_k_sub frame) with
       | Error _ ->
-        Metrics.incr t.metrics "subclaims_rejected";
-        abort t state (P.Bad_mac "sub-claim")
-      | Ok v ->
-        if not (List.exists (String.equal v.Hier.measurement) t.sub_refs) then begin
-          Metrics.incr t.metrics "subclaims_rejected";
-          abort t state P.Unknown_measurement
+        Metrics.incr metrics "subclaims_rejected";
+        V.abort v c (P.Bad_mac "sub-claim")
+      | Ok sub ->
+        if not (List.exists (String.equal sub.Hier.measurement) m.sub_refs) then begin
+          Metrics.incr metrics "subclaims_rejected";
+          V.abort v c P.Unknown_measurement
         end
         else begin
-          let ack = Soc.smc t.soc (fun () -> Hier.ack ~k_sub:e.e_k_sub frame) in
+          let ack = Soc.smc v.V.soc (fun () -> Hier.ack ~k_sub:e.e_k_sub frame) in
           Hashtbl.replace e.e_sub_acks frame ack;
-          Metrics.incr t.metrics "subclaims_accepted";
-          ignore (reply t state ack)
+          Metrics.incr metrics "subclaims_accepted";
+          ignore (V.reply v c ack)
         end))
 
 (* ------------------------------------------------------------------ *)
-(* Full-handshake path (mirrors Verifier_app, plus ticket minting) *)
+(* Full handshake: ticket minting *)
 
-let handle_full t state frame =
-  match state.vsession with
-  | None -> (
-    match
-      Soc.smc t.soc (fun () ->
-          P.Verifier.handle_msg0 ~trace:(Soc.tracer t.soc) ~sid:state.id t.policy
-            ~random:(random t) frame)
-    with
-    | Ok (vsession, m1) ->
-      state.vsession <- Some vsession;
-      ignore (reply t state m1)
-    | Error e -> abort t state e)
-  | Some vsession ->
-    if P.Verifier.is_msg0_retransmit vsession frame then begin
-      match P.Verifier.msg1_reply vsession with
-      | Some m1 ->
-        Metrics.incr t.metrics "retransmits_answered";
-        ignore (reply t state m1)
-      | None -> stray t state
-    end
-    else begin
-      let already = state.completed in
-      (* On first acceptance the augment hook records the appraisal in
-         the evidence cache, derives the session's resumption secret
-         and seals the ticket into msg3's encrypted blob. *)
-      let augment (evidence : Evidence.signed) =
-        let now = Soc.now_ns t.soc in
-        let attester_id = Identity.attester_id_of_pub evidence.Evidence.body.Evidence.attestation_pubkey in
-        let claim = evidence.Evidence.body.Evidence.claim in
-        let boot =
-          match Identity.boot_digest_of_version evidence.Evidence.body.Evidence.version with
-          | Some b -> b
-          | None -> Watz_crypto.Sha256.digest "WZ-MESH-NO-TCB"
-        in
-        Cache.store t.cache ~now_ns:now ~attester_id ~claim ~boot;
-        let rms = P.Verifier.resumption_secret vsession in
-        let ticket =
-          Ticket.mint t.master ~random:(random t) ~now_ns:now ~ttl_ns:t.ticket_ttl_ns
-            ~attester_id ~claim ~boot ~rms
-        in
-        Metrics.incr t.metrics "tickets_minted";
-        state.estab <- Some (establish_from_rms ~rms);
-        Resume.seal_trailer ticket
-      in
-      match
-        Soc.smc t.soc (fun () -> P.Verifier.handle_msg2 ~augment vsession ~random:(random t) frame)
-      with
-      | Ok m3 ->
-        if already then begin
-          Metrics.incr t.metrics "retransmits_answered";
-          T.instant (Soc.tracer t.soc) T.Normal ~session:state.id "mesh.retransmit_answered"
-        end
-        else begin
-          state.completed <- true;
-          Metrics.incr t.metrics "full_completed";
-          T.instant (Soc.tracer t.soc) T.Normal ~session:state.id "mesh.full_accept"
-        end;
-        ignore (reply t state m3)
-      | Error _ when already -> stray t state
-      | Error e -> abort t state e
-    end
-
-let handle_frame t state frame =
-  if Resume.is_resume0 frame then handle_resume0 t state frame
-  else if Hier.is_subclaim frame then handle_subclaim t state frame
-  else if state.vsession = None && state.estab <> None then
-    (* A resumed connection only ever carries resume0 retransmits and
-       sub-claims. *)
-    stray t state
-  else handle_full t state frame
-
-(** One scheduling quantum: accept pending connections, process every
-    complete frame on every live session, evict the stalled ones. *)
-let step t =
-  let rec accept_all () =
-    match Net.accept t.soc.Soc.net ~port:t.port with
-    | None -> ()
-    | Some conn ->
-      let id = t.next_id in
-      t.next_id <- id + 1;
-      Metrics.incr t.metrics "sessions_started";
-      Hashtbl.replace t.sessions id
-        {
-          id;
-          conn;
-          vsession = None;
-          estab = None;
-          completed = false;
-          resumed = false;
-          last_activity_ns = Soc.now_ns t.soc;
-        };
-      accept_all ()
+(* On the first acceptance, record the appraisal in the evidence
+   cache, derive the session's resumption secret and seal the ticket
+   into msg3's encrypted blob. *)
+let mint_ticket m v estab vsession (evidence : Evidence.signed) =
+  let now = Soc.now_ns v.V.soc in
+  let body = evidence.Evidence.body in
+  let attester_id = Identity.attester_id_of_pub body.Evidence.attestation_pubkey in
+  let claim = body.Evidence.claim in
+  let boot =
+    match Identity.boot_digest_of_version body.Evidence.version with
+    | Some b -> b
+    | None -> Watz_crypto.Sha256.digest "WZ-MESH-NO-TCB"
   in
-  accept_all ();
-  let now = Soc.now_ns t.soc in
-  let live = Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions [] in
-  let rec drain state =
-    match Net.recv_frame_ex state.conn with
-    | Net.Frame frame ->
-      state.last_activity_ns <- Soc.now_ns t.soc;
-      handle_frame t state frame;
-      if Hashtbl.mem t.sessions state.id then drain state
-    | Net.Awaiting ->
-      if Int64.sub now state.last_activity_ns > t.session_timeout_ns then
-        if state.completed then close_conn t state "sessions_closed"
-        else begin
-          Metrics.incr t.metrics "sessions_evicted";
-          abort t state (P.Timed_out "mesh verifier: session stalled")
-        end
-    | Net.Closed_by_peer ->
-      if state.completed then close_conn t state "sessions_closed"
-      else abort t state (P.Connection_lost "mesh verifier: peer closed mid-protocol")
-    | Net.Frame_violation e ->
-      Metrics.incr t.metrics "frame_violations";
-      abort t state (P.Malformed (Format.asprintf "frame: %a" Net.pp_frame_error e))
+  Cache.store m.cache ~now_ns:now ~attester_id ~claim ~boot;
+  let rms = P.Verifier.resumption_secret vsession in
+  let ticket =
+    Ticket.mint m.master ~random:(V.random v) ~now_ns:now ~ttl_ns:m.ticket_ttl_ns ~attester_id
+      ~claim ~boot ~rms
   in
-  List.iter drain live
+  Metrics.incr (V.metrics v) "tickets_minted";
+  estab := Some (establish_from_rms ~rms);
+  Resume.seal_trailer ticket
+
+(* One connection's frame handler. Frames it declines (msg0, msg2 and
+   their retransmits) go to the server's full-handshake path. *)
+let handler m v (c : V.conn_state) =
+  let estab = ref None in
+  {
+    V.on_frame =
+      (fun frame ->
+        if Resume.is_resume0 frame then begin
+          handle_resume0 m v c estab frame;
+          true
+        end
+        else if Hier.is_subclaim frame then begin
+          handle_subclaim m v c estab frame;
+          true
+        end
+        else if c.V.vsession = None && !estab <> None then begin
+          (* A resumed connection only ever carries resume0
+             retransmits and sub-claims. *)
+          V.stray v c;
+          true
+        end
+        else false);
+    augment = mint_ticket m v estab;
+  }
+
+(** Start listening. [stek_seed] derives the ticket master — shards of
+    a federated fleet pass the same seed so tickets are portable
+    across them. [sub_refs] is the reference list for hierarchical
+    sub-claims. *)
+let start ?(ticket_ttl_ns = 10_000_000_000L) ?(cache_ttl_ns = 10_000_000_000L) ?(sub_refs = [])
+    ~stek_seed soc ~port ~policy () =
+  let mesh =
+    {
+      sub_refs;
+      master = Ticket.make ~seed:stek_seed;
+      cache = Cache.create ~ttl_ns:cache_ttl_ns ();
+      ticket_ttl_ns;
+      stek_seed;
+      restarts = 0;
+    }
+  in
+  { server = V.start ~batch_verify:false ~handler:(handler mesh) soc ~port ~policy; mesh }
+
+(** One scheduling quantum of the server: {!Watz.Verifier_app.step}. *)
+let step t = V.step t.server
 
 (** Copy the cache counters into the metrics registry (called by the
     storm before reporting, so one registry carries everything). *)
 let snapshot_cache_metrics t =
-  let set name v = Watz_obs.Metrics.Gauge.set (Metrics.gauge t.metrics ("cache." ^ name)) v in
-  set "size" (Cache.size t.cache);
-  set "hits" (Cache.hits t.cache);
-  set "misses" (Cache.misses t.cache);
-  set "stores" (Cache.stores t.cache);
-  set "invalidated" (Cache.invalidated t.cache);
-  set "expired" (Cache.expired t.cache);
-  set "merged" (Cache.merged t.cache);
-  set "tickets_minted" (Ticket.minted t.master)
+  let set name v = Metrics.Gauge.set (Metrics.gauge (metrics t) ("cache." ^ name)) v in
+  let c = t.mesh.cache in
+  set "size" (Cache.size c);
+  set "hits" (Cache.hits c);
+  set "misses" (Cache.misses c);
+  set "stores" (Cache.stores c);
+  set "invalidated" (Cache.invalidated c);
+  set "expired" (Cache.expired c);
+  set "merged" (Cache.merged c);
+  set "tickets_minted" (Ticket.minted t.mesh.master)

@@ -12,10 +12,10 @@ module M = Watz_obs.Metrics
 let case name f = Alcotest.test_case name `Quick f
 
 let config ?(shards = 2) ?(sessions = 8) ?(trace_capacity = 0) ?(profile = Net.lossy)
-    ?(seed = 0xf1ee7L) ?(sched = Storm.Lockstep) ?(minor_heap_words = 0) () =
+    ?(seed = 0xf1ee7L) ?(minor_heap_words = 0) () =
   {
     Fleet.shards;
-    storm = { Storm.default_config with Storm.sessions; seed; profile; sched };
+    storm = { Storm.default_config with Storm.sessions; seed; profile };
     trace_capacity;
     minor_heap_words;
   }
@@ -86,109 +86,18 @@ let test_fixed_seed_byte_identity () =
   Alcotest.(check bool) "trace non-trivial" true (String.length t1 > 2000);
   Alcotest.(check string) "merged trace byte-identical" t1 t2
 
-(* Tentpole acceptance: the two session schedulers are observationally
-   equivalent — at a fixed seed, lock-step and fibers produce
-   byte-identical merged metrics and traces (the fibers mode may only
-   change *when* a session is stepped, never what it observes). The
-   session count is deliberately large enough that retransmission
-   deadlines cross *mid-tick* — the simulated clock advances as
-   sessions do protocol work, so lazy per-fiber wake evaluation is
-   load-bearing here (a start-of-tick snapshot diverges at this size
-   while passing at 8 sessions). *)
-let test_sched_modes_byte_identity () =
-  let run sched =
-    let cfg = config ~shards:2 ~sessions:48 ~trace_capacity:65536 ~sched () in
+(* The per-domain minor-heap knob is wall-clock only: it must not
+   perturb the simulated artifacts. *)
+let test_gc_knob_byte_identity () =
+  let run minor_heap_words =
+    let cfg = config ~shards:2 ~sessions:48 ~trace_capacity:65536 ~minor_heap_words () in
     let r = Fleet.run ~config:cfg () in
     (Fleet.metrics_json r, Fleet.trace_json r)
   in
-  let m_lock, t_lock = run Storm.Lockstep in
-  let m_fib, t_fib = run Storm.Fibers in
-  Alcotest.(check string) "metrics identical across sched modes" m_lock m_fib;
-  Alcotest.(check string) "trace identical across sched modes" t_lock t_fib;
-  (* And the GC knob is wall-clock only: it must not perturb the
-     simulated artifacts either. *)
-  let m_gc, t_gc =
-    let cfg =
-      config ~shards:2 ~sessions:48 ~trace_capacity:65536 ~sched:Storm.Fibers
-        ~minor_heap_words:1_048_576 ()
-    in
-    let r = Fleet.run ~config:cfg () in
-    (Fleet.metrics_json r, Fleet.trace_json r)
-  in
-  Alcotest.(check string) "metrics identical under GC tuning" m_lock m_gc;
-  Alcotest.(check string) "trace identical under GC tuning" t_lock t_gc
-
-(* --- the effects scheduler in isolation ------------------------------ *)
-
-let test_sched_fairness () =
-  (* 1024 synthetic fibers each need [rounds] ticks: every fiber must
-     advance exactly once per tick (no starvation, no double-stepping)
-     and in ascending fiber id within the tick. *)
-  let fibers = 1024 and rounds = 5 in
-  let clock = ref 0L in
-  let s = Watz.Sched.create ~now:(fun () -> !clock) () in
-  let progress = Array.make fibers 0 in
-  let order = ref [] in
-  for fid = 0 to fibers - 1 do
-    Watz.Sched.spawn s ~fid (fun () ->
-        for _ = 1 to rounds do
-          progress.(fid) <- progress.(fid) + 1;
-          order := fid :: !order;
-          Watz.Sched.await_tick ()
-        done)
-  done;
-  Alcotest.(check int) "all fibers live after spawn" fibers (Watz.Sched.live s);
-  for tick = 1 to rounds do
-    order := [];
-    Watz.Sched.run_tick s;
-    Alcotest.(check (list int)) "ascending fid order within the tick"
-      (List.init fibers Fun.id) (List.rev !order);
-    Array.iteri
-      (fun fid p ->
-        if p <> tick then
-          Alcotest.failf "fiber %d made %d steps after %d ticks (starved or re-run)" fid p tick)
-      progress
-  done;
-  (* The final await_tick parks each fiber once more; one extra tick
-     retires them all. *)
-  Watz.Sched.run_tick s;
-  Alcotest.(check int) "all fibers retired" 0 (Watz.Sched.live s);
-  Alcotest.(check int) "peak run-queue depth" fibers (Watz.Sched.peak_live s)
-
-let test_sched_deadline_wakeup () =
-  (* A fiber waiting on a never-ready condition must wake exactly when
-     the simulated clock reaches its deadline. *)
-  let clock = ref 0L in
-  let s = Watz.Sched.create ~now:(fun () -> !clock) () in
-  let woke_at = ref (-1L) in
-  Watz.Sched.spawn s ~fid:1 (fun () ->
-      Watz.Sched.await_frame ~ready:(fun () -> false) ~deadline_ns:100L;
-      woke_at := !clock);
-  Watz.Sched.run_tick s;
-  (* first tick runs the body up to the park *)
-  List.iter
-    (fun t ->
-      clock := t;
-      Watz.Sched.run_tick s)
-    [ 10L; 99L ];
-  Alcotest.(check bool) "still parked before the deadline" true (!woke_at = -1L);
-  clock := 100L;
-  Watz.Sched.run_tick s;
-  Alcotest.(check bool) "woken at the deadline" true (!woke_at = 100L);
-  Alcotest.(check int) "fiber retired" 0 (Watz.Sched.live s)
-
-(* Fibers mode survives a real lossy storm: parking on frame_ready /
-   retransmission deadlines must not lose wakeups (a missed wakeup
-   shows up as a stalled session and a completion-rate drop). *)
-let test_fibers_lossy_completion () =
-  let cfg =
-    { Storm.default_config with Storm.sessions = 64; seed = 0xf1be25L; sched = Storm.Fibers }
-  in
-  let r = Storm.run ~config:cfg () in
-  Alcotest.(check bool)
-    (Format.asprintf "completion %.1f%% >= 99%%" (100.0 *. Storm.completion_rate r))
-    true
-    (Storm.completion_rate r >= 0.99)
+  let m_default, t_default = run 0 in
+  let m_gc, t_gc = run 1_048_576 in
+  Alcotest.(check string) "metrics identical under GC tuning" m_default m_gc;
+  Alcotest.(check string) "trace identical under GC tuning" t_default t_gc
 
 (* --- lossy completion + queue accounting ----------------------------- *)
 
@@ -251,10 +160,7 @@ let suite =
         case "shard split, seeds, sid disjointness" test_shard_split;
         case "bounded queue: backpressure, FIFO, termination" test_bqueue_backpressure_and_drain;
         case "fixed seed: merged artifacts byte-identical" test_fixed_seed_byte_identity;
-        case "sched modes: lockstep == fibers byte-identical" test_sched_modes_byte_identity;
-        case "sched: 1024 fibers, fair ascending-id stepping" test_sched_fairness;
-        case "sched: deadline wakeup on the simulated clock" test_sched_deadline_wakeup;
-        case "fibers: lossy 64-session storm completes" test_fibers_lossy_completion;
+        case "GC knob never perturbs simulated artifacts" test_gc_knob_byte_identity;
         case "lossy 4x4: completion + queue accounting" test_lossy_completion_and_accounting;
         case "net enforces single-domain ownership" test_net_domain_ownership;
       ] );

@@ -377,7 +377,34 @@ let test_storm_churn_regression () =
   let counter name = Option.value ~default:0 (List.assoc_opt name r.Mesh_storm.server) in
   check_bool "no forged resume acceptance" true
     (r.Mesh_storm.completed_resumed
-    <= counter "resumes_accepted" + counter "retransmits_answered")
+    <= counter "resumes_accepted" + counter "retransmits_answered");
+  (* Counter for counter: retries, ticks, every injected fault and every
+     server-side decision of the reference run
+     (`watz_cli attest-storm --resume --churn --sessions 256 --seed 7`). *)
+  check_int "retries" 1202 r.Mesh_storm.retries;
+  check_int "ticks" 98 r.Mesh_storm.ticks;
+  Alcotest.(check (list (pair string int)))
+    "faults"
+    [ ("chunk", 435); ("delay", 962); ("drop", 423); ("dup", 215); ("reorder", 307) ]
+    r.Mesh_storm.faults;
+  List.iter
+    (fun (name, v) -> check_int ("server " ^ name) v (counter name))
+    [
+      ("resume_attempts", 147);
+      ("resume_fallbacks", 90);
+      ("resume_rejected.cache_stale", 14);
+      ("resume_rejected.id_mismatch", 4);
+      ("resume_rejected.policy", 4);
+      ("resume_rejected.rotated", 68);
+      ("resumes_accepted", 57);
+      ("retransmits_answered", 1193);
+      ("sessions_aborted", 11);
+      ("sessions_closed", 275);
+      ("sessions_started", 379);
+      ("stek_rotations", 6);
+      ("subclaims_accepted", 512);
+      ("tickets_minted", 221);
+    ]
 
 let test_fleet_merge_order_free () =
   let config =
