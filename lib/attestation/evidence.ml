@@ -68,6 +68,7 @@ let verify_signature (s : signed) =
     key decoded out of the evidence. The caller must have already
     established [P256.equal key s.body.attestation_pubkey]; passing its
     own long-lived endorsed key object lets the verifier reuse that
-    key's memoized window table across sessions. *)
+    key's memoized window table across sessions and, once the key has
+    verified {!Watz_crypto.P256.comb_threshold} signatures, its comb. *)
 let verify_signature_with key (s : signed) =
   Watz_crypto.Ecdsa.verify key ~msg:(body_bytes s.body) ~signature:s.signature

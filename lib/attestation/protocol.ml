@@ -413,15 +413,9 @@ module Verifier = struct
         Ok (session, m1)
     end
 
-  (** Handle msg2 with a pluggable evidence-signature check: the full
-      appraisal of §IV(d) — MAC, session-key match, anchor, endorsement,
-      evidence signature (⑦), version policy and reference values —
-      where [verify endorsed evidence] supplies the signature verdict.
-      {!handle_msg2} passes the real ECDSA verification; a batching
-      server passes the precomputed verdict from
-      {!Watz_crypto.Ecdsa.verify_batch} (having extracted the check via
-      {!msg2_verify_triple}), keeping every other appraisal step — and
-      the traced span structure — byte-identical to the inline path.
+  (** Handle msg2: the full appraisal of §IV(d) inside the verifier
+      TA — MAC, session-key match, anchor, endorsement, evidence
+      signature (⑦), version policy and reference values.
 
       [augment evidence] returns extra bytes appended to the secret
       blob inside msg3's authenticated encryption — the hook the
@@ -430,7 +424,7 @@ module Verifier = struct
       called exactly once, after the evidence has been accepted. The
       default appends nothing, leaving msg3 byte-identical to the
       un-augmented protocol. *)
-  let handle_msg2_with ?(augment = fun (_ : Evidence.signed) -> "") ~verify session ~random raw
+  let handle_msg2 ?(augment = fun (_ : Evidence.signed) -> "") session ~random raw
       : (string, error) result =
     match session.msg2_cache with
     | Some (prev, m3) when String.equal prev raw ->
@@ -467,13 +461,14 @@ module Verifier = struct
             with
           | None -> Error Unknown_device
           | Some endorsed ->
-          (* Verify with the policy's own (prepared) key object rather
-             than the equal point decoded from the wire, so the window
-             table is shared across every session of this device. *)
+          (* Verify with the policy's own key object rather than the
+             equal point decoded from the wire, so its window table and
+             comb are shared across every session of this device. *)
           if
             not
               (tspan session.trace session.sid "ra.quote_verify" (fun () ->
-                   timed session.meter Asym (fun () -> verify endorsed evidence)))
+                   timed session.meter Asym (fun () ->
+                       Evidence.verify_signature_with endorsed evidence)))
           then Error Bad_evidence_signature
           else if not (session.policy.accept_version evidence.Evidence.body.Evidence.version)
           then Error (Outdated_version evidence.Evidence.body.Evidence.version)
@@ -499,54 +494,6 @@ module Verifier = struct
           end
       end
     end
-
-  let handle_msg2 ?augment session ~random raw : (string, error) result =
-    handle_msg2_with ?augment ~verify:Evidence.verify_signature_with session ~random raw
-
-  (** The evidence-signature check [handle_msg2 session raw] would run,
-      as an [(endorsed key, signed bytes, signature)] triple — or [None]
-      when the appraisal answers (or fails) before reaching it: a cached
-      retransmit, a completed session, or any pre-signature error (bad
-      MAC, key mismatch, malformed or mis-anchored evidence, unknown
-      device). Pure: touches no session state, no tracer, no meter —
-      safe to call ahead of the real appraisal. A server batching
-      verification collects these triples across sessions, settles them
-      with {!Watz_crypto.Ecdsa.verify_batch}, and completes each
-      appraisal via {!handle_msg2_with} with the precomputed verdict. *)
-  let msg2_verify_triple session raw : (C.P256.point * string * string) option =
-    match session.msg2_cache with
-    | Some (prev, _) when String.equal prev raw -> None
-    | _ when session.accepted_evidence <> None -> None
-    | _ ->
-      if String.length raw < point_len + mac_len then None
-      else begin
-        let content2 = String.sub raw 0 (String.length raw - mac_len) in
-        let tag = String.sub raw (String.length raw - mac_len) mac_len in
-        if not (C.Cmac.verify ~key:session.session_keys.C.Kdf.k_m ~tag content2) then None
-        else begin
-          let ga_raw = String.sub content2 0 point_len in
-          let evidence_raw = String.sub content2 point_len (String.length content2 - point_len) in
-          if not (String.equal ga_raw session.ga_raw) then None
-          else begin
-            match Evidence.decode evidence_raw with
-            | exception Evidence.Malformed _ -> None
-            | evidence ->
-              let gv_raw = C.P256.encode session.keys.C.Ecdh.pub in
-              let expected_anchor = anchor_of ~ga:ga_raw ~gv:gv_raw in
-              if not (String.equal evidence.Evidence.body.Evidence.anchor expected_anchor) then
-                None
-              else
-                Option.map
-                  (fun endorsed ->
-                    ( endorsed,
-                      Evidence.body_bytes evidence.Evidence.body,
-                      evidence.Evidence.signature ))
-                  (List.find_opt
-                     (C.P256.equal evidence.Evidence.body.Evidence.attestation_pubkey)
-                     session.policy.endorsed_keys)
-          end
-        end
-      end
 end
 
 (* ------------------------------------------------------------------ *)

@@ -233,10 +233,7 @@ let merged_metrics ~shards reports =
       List.iter
         (fun (name, h) -> Histogram.merge_into ~into:(Metrics.histogram reg ("phase." ^ name)) h)
         r.Storm.phase_hists;
-      Histogram.merge_into ~into:(Metrics.histogram reg "sched.runq_depth") r.Storm.runq_hist;
-      List.iter
-        (fun (name, h) -> Histogram.merge_into ~into:(Metrics.histogram reg ("server." ^ name)) h)
-        r.Storm.server_hists)
+      Histogram.merge_into ~into:(Metrics.histogram reg "sched.runq_depth") r.Storm.runq_hist)
     reports;
   reg
 

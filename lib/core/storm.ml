@@ -97,9 +97,6 @@ type report = {
       (* run-queue depth (launched minus terminated sessions), sampled
          once per tick after the launch phase; the fleet merges it as
          "sched.runq_depth" *)
-  server_hists : (string * Histogram.t) list;
-      (* verifier-side histograms, e.g. the batch-verify size
-         distribution "verify_batch_size"; merged as "server.<name>" *)
 }
 
 (** Per-session terminations, streamed while the storm runs: the fleet
@@ -308,7 +305,6 @@ let run_prepared p =
     phases;
     phase_hists;
     runq_hist;
-    server_hists = Verifier_app.histograms p.p_server;
   }
 
 (** Run one storm: {!prepare} then {!run_prepared}. *)

@@ -37,7 +37,7 @@ module Soc = Watz_tz.Soc
     [on_frame frame] runs before the msg0–msg2 handler and returns
     [true] when it consumed the frame. [augment session evidence]
     returns the trailer sealed into msg3 on the session's first
-    acceptance (see {!P.Verifier.handle_msg2_with}). *)
+    acceptance (see {!P.Verifier.handle_msg2}). *)
 type handler = {
   on_frame : string -> bool;
   augment : P.Verifier.session -> Evidence.signed -> string;
@@ -63,7 +63,6 @@ type t = {
   rng : Watz_util.Prng.t;
   sessions : (int, conn_state) Hashtbl.t;
   mutable next_id : int;
-  batch_verify : bool; (* settle msg2 evidence signatures in batches *)
   make_handler : t -> conn_state -> handler;
   metrics : Metrics.t; (* server-side counters, dumped by the storm report *)
   on_evict : int -> unit; (* observer for evicted session ids *)
@@ -75,42 +74,20 @@ type t = {
 (** Simulated-clock inactivity after which a session is evicted. *)
 let session_timeout_ns = 2_000_000_000L
 
-(* One deferred msg2 appraisal: everything [step] needs to settle the
-   evidence-signature check later and then finish the appraisal with
-   the precomputed verdict. *)
-type pending = {
-  p_state : conn_state;
-  p_vsession : P.Verifier.session;
-  p_frame : string;
-  p_key : Watz_crypto.P256.point;
-  p_msg : string;
-  p_sig : string;
-}
-
 (** Start listening. [soc] is the device hosting the verifier (the
     paper co-locates attester and verifier on one board). [on_evict]
     observes each eviction with the server-side session id (the fleet
     forwards these to its supervisor queue). [handler t conn] builds
-    each accepted connection's extension (default: none).
-
-    With [batch_verify] (the default), each [step] collects the pending
-    msg2 evidence-signature checks across every session in the pass and
-    settles them through {!Watz_crypto.Ecdsa.verify_batch}, amortising
-    the endorsed keys' point precomputation and the scalar/field
-    inversions across sessions. The batch settle charges no simulated
-    time of its own: world transitions and spans per appraisal are
-    unchanged. Settling later in the pass does move the msg3 sends, so
-    under a faulty link a batched run and an inline run of one seed
-    draw different faults (DESIGN.md §9a). *)
-let start ?(batch_verify = true) ?(on_evict = fun _ -> ())
+    each accepted connection's extension (default: none). *)
+let start ?(on_evict = fun _ -> ())
     ?(handler = fun (_ : t) (_ : conn_state) -> no_handler) soc ~port ~policy =
   ignore (Net.listen soc.Soc.net ~port);
   (* Pay the one-time crypto table costs (fixed-base comb, endorsed-key
-     windows and combs, identity encoding) at startup, not inside the
-     first session's latency. *)
+     windows, identity encoding) at startup, not inside the first
+     session's latency. An endorsed key builds its comb later, once it
+     has verified {!Watz_crypto.P256.comb_threshold} signatures. *)
   Watz_crypto.P256.prewarm ();
   List.iter Watz_crypto.P256.prepare policy.P.Verifier.endorsed_keys;
-  if batch_verify then List.iter Watz_crypto.P256.prepare_comb policy.P.Verifier.endorsed_keys;
   ignore (Watz_crypto.P256.encode policy.P.Verifier.identity_pub);
   {
     soc;
@@ -119,7 +96,6 @@ let start ?(batch_verify = true) ?(on_evict = fun _ -> ())
     rng = Watz_util.Prng.create 0x5eed0fae1L;
     sessions = Hashtbl.create 32;
     next_id = 0;
-    batch_verify;
     make_handler = handler;
     on_evict;
     metrics = Metrics.create ();
@@ -132,10 +108,6 @@ let random t n = Watz_util.Prng.bytes t.rng n
 
 (** Counter values, sorted by name (the storm report's "server" rows). *)
 let counters t = Metrics.counter_list t.metrics
-
-(** Histogram snapshots, sorted by name (e.g. the batch-verify size
-    distribution [verify_batch_size]). *)
-let histograms t = Metrics.histograms t.metrics
 
 (** The server's metrics registry, for exporters that want more than
     the counter list. *)
@@ -180,11 +152,17 @@ let stray t state =
   Metrics.incr t.metrics "stray_after_complete";
   T.instant (Soc.tracer t.soc) T.Normal ~session:state.id "verifier.stray_after_complete"
 
-(* Shared tail of a msg2 appraisal (inline or batch-settled):
-   [already] is whether the session had completed before this frame was
-   handled — an [Ok] then answers a retransmit, an [Error] is stray
-   traffic against a terminal session. *)
-let apply_msg2_result t state ~already = function
+(* The msg2 appraisal in the TEE, signature check included. [already]
+   is whether the session had completed before this frame was handled:
+   an [Ok] then answers a retransmit, an [Error] is stray traffic
+   against a terminal session. *)
+let appraise t state vsession frame =
+  let already = state.completed in
+  match
+    Soc.smc t.soc (fun () ->
+        P.Verifier.handle_msg2 ~augment:(state.handler.augment vsession) vsession
+          ~random:(random t) frame)
+  with
   | Ok m3 ->
     if already then begin
       Metrics.incr t.metrics "retransmits_answered";
@@ -201,15 +179,6 @@ let apply_msg2_result t state ~already = function
     (* Anything that is not the byte-exact msg2 retransmit. *)
     stray t state
   | Error e -> abort t state e
-
-(* The msg2 appraisal in the TEE, with [verify] supplying the evidence
-   signature verdict (inline ECDSA or a batch-settled one). *)
-let appraise t state vsession ~verify frame =
-  let already = state.completed in
-  apply_msg2_result t state ~already
-    (Soc.smc t.soc (fun () ->
-         P.Verifier.handle_msg2_with ~augment:(state.handler.augment vsession) ~verify vsession
-           ~random:(random t) frame))
 
 let handle_frame t state frame =
   match state.vsession with
@@ -238,25 +207,12 @@ let handle_frame t state frame =
            handshake (the resurrection bug). *)
         stray t state
     end
-    else appraise t state vsession ~verify:Evidence.verify_signature_with frame
+    else appraise t state vsession frame
 
 (** One scheduling quantum of the listener: accept pending connections,
     process every complete frame on every live session, and evict the
     stalled ones. Each frame goes to the connection's {!handler} first
-    and to the msg0–msg2 handler only if the extension declined it.
-
-    In [batch_verify] mode the pass is two-phase. The drain over live
-    sessions runs each msg2 appraisal only up to its evidence-signature
-    check ({!P.Verifier.msg2_verify_triple}) and parks the session
-    there — per-connection frame order is preserved by not reading
-    further frames from a parked session. Once every session is drained
-    or parked, all collected checks settle through one
-    {!Watz_crypto.Ecdsa.verify_batch} call, each appraisal completes
-    with its precomputed verdict, and the parked sessions drain again
-    (which may collect a next round, e.g. a duplicated msg2 now
-    answered from the cache). Collection and settle orders follow the
-    deterministic session iteration order, so a batched run replays
-    exactly from its seed. *)
+    and to the msg0–msg2 handler only if the extension declined it. *)
 let step t =
   let rec accept_all () =
     match Net.accept t.soc.Soc.net ~port:t.port with
@@ -282,40 +238,12 @@ let step t =
   accept_all ();
   let now = Soc.now_ns t.soc in
   let live = Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions [] in
-  let pending = ref [] in
-  (* [true] when the frame is a msg2 whose signature check was deferred
-     into [pending]; the caller must then stop draining this session
-     until the batch settles. *)
-  let defer_msg2 state frame =
-    t.batch_verify
-    &&
-    match state.vsession with
-    | Some v when not (P.Verifier.is_msg0_retransmit v frame) -> (
-      match P.Verifier.msg2_verify_triple v frame with
-      | Some (key, msg, signature) ->
-        pending :=
-          {
-            p_state = state;
-            p_vsession = v;
-            p_frame = frame;
-            p_key = key;
-            p_msg = msg;
-            p_sig = signature;
-          }
-          :: !pending;
-        true
-      | None -> false)
-    | _ -> false
-  in
   let rec drain state =
     match Net.recv_frame_ex state.conn with
     | Net.Frame frame ->
       state.last_activity_ns <- Soc.now_ns t.soc;
-      let consumed = state.handler.on_frame frame in
-      if consumed || not (defer_msg2 state frame) then begin
-        if not consumed then handle_frame t state frame;
-        if Hashtbl.mem t.sessions state.id then drain state
-      end
+      if not (state.handler.on_frame frame) then handle_frame t state frame;
+      if Hashtbl.mem t.sessions state.id then drain state
     | Net.Awaiting ->
       if Int64.sub now state.last_activity_ns > session_timeout_ns then
         if state.completed then drop_session t state "sessions_closed"
@@ -332,27 +260,7 @@ let step t =
       Metrics.incr t.metrics "frame_violations";
       abort t state (P.Malformed (Format.asprintf "frame: %a" Net.pp_frame_error e))
   in
-  List.iter drain live;
-  let rec settle () =
-    match List.rev !pending with
-    | [] -> ()
-    | batch ->
-      pending := [];
-      Metrics.observe t.metrics "verify_batch_size" (List.length batch);
-      let batch = Array.of_list batch in
-      let verdicts =
-        Watz_crypto.Ecdsa.verify_batch (Array.map (fun p -> (p.p_key, p.p_msg, p.p_sig)) batch)
-      in
-      Array.iteri
-        (fun i p ->
-          if Hashtbl.mem t.sessions p.p_state.id then begin
-            appraise t p.p_state p.p_vsession ~verify:(fun _ _ -> verdicts.(i)) p.p_frame;
-            if Hashtbl.mem t.sessions p.p_state.id then drain p.p_state
-          end)
-        batch;
-      settle ()
-  in
-  settle ()
+  List.iter drain live
 
 (** Most recent failure across connections, for tests asserting
     rejection reasons. *)

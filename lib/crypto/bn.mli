@@ -3,7 +3,9 @@
     Numbers are little-endian arrays of 26-bit limbs stored in OCaml
     [int]s, sized so that schoolbook multiplication never overflows a
     63-bit native integer. This is the only bignum in the repository; it
-    backs the P-256 field and scalar arithmetic ({!Modring}, {!P256}).
+    carries P-256 scalars and coordinates across the {!P256} and
+    {!Ecdsa} interfaces, keygen, and the reference crypto's Barrett
+    rings ([Modring] in [lib/crypto/ref]).
 
     All values are non-negative; [sub] raises on underflow. *)
 

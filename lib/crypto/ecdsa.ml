@@ -90,84 +90,3 @@ let verify_digest q ~digest ~signature =
   | Some (x1, _) -> Bn.equal (Bn.mod_ x1 n) r
 
 let verify q ~msg ~signature = verify_digest q ~digest:(Sha256.digest msg) ~signature
-
-(* Batch verification with shared precomputation. Three amortisations
-   over the per-signature path:
-
-   - the s^-1 scalar inversions collapse into one Fermat inversion via
-     Montgomery's trick (prefix products, invert once, walk back);
-   - each u1*G + u2*Q runs doubling-free on the keys' memoized combs
-     ({!P256.double_mul_batch}), so a key verifying many signatures
-     pays its table once and ~half the point work per signature after;
-   - all result points normalise through one shared field inversion.
-
-   Per-signature results, not an aggregate: a bad signature fails only
-   its own slot. Anything the fast path rejects is re-checked on the
-   scalar [verify_digest] path, so the batch identifies the culprit
-   exactly and a fast-path discrepancy can never turn a valid
-   signature away. *)
-let verify_digest_batch items =
-  let k = Array.length items in
-  if k = 0 then [||]
-  else begin
-    let out = Array.make k false in
-    let valid_range v = (not (Bn.is_zero v)) && Bn.compare v n < 0 in
-    let cand = ref [] in
-    Array.iteri
-      (fun i (q, digest, signature) ->
-        if String.length signature = 64 && String.length digest = 32 && not (P256.is_infinity q)
-        then begin
-          let r = Bn.of_bytes_be (String.sub signature 0 32) in
-          let s = Bn.of_bytes_be (String.sub signature 32 32) in
-          if valid_range r && valid_range s then
-            cand :=
-              (i, q, r, Fe256.of_bn sr s, Fe256.of_bn sr (Bn.of_bytes_be digest)) :: !cand
-        end)
-      items;
-    let cand = Array.of_list (List.rev !cand) in
-    let m = Array.length cand in
-    if m > 0 then begin
-      (* Montgomery's trick over the scalar ring: s_i are range-checked
-         nonzero, so the running product never vanishes. *)
-      let prefix = Array.make m (Fe256.one sr) in
-      let acc = ref (Fe256.one sr) in
-      for j = 0 to m - 1 do
-        prefix.(j) <- !acc;
-        let _, _, _, s, _ = cand.(j) in
-        acc := Fe256.mul sr !acc s
-      done;
-      let inv = ref (Fe256.inv sr !acc) in
-      let sinvs = Array.make m (Fe256.one sr) in
-      for j = m - 1 downto 0 do
-        let _, _, _, s, _ = cand.(j) in
-        sinvs.(j) <- Fe256.mul sr !inv prefix.(j);
-        inv := Fe256.mul sr !inv s
-      done;
-      let entries =
-        Array.mapi
-          (fun j (_, q, r, _, z) ->
-            let sinv = sinvs.(j) in
-            let u1 = Fe256.to_bn sr (Fe256.mul sr z sinv) in
-            let u2 = Fe256.to_bn sr (Fe256.mul sr (Fe256.of_bn sr r) sinv) in
-            (u1, u2, q))
-          cand
-      in
-      let points = P256.double_mul_batch entries in
-      Array.iteri
-        (fun j (i, _, r, _, _) ->
-          match points.(j) with
-          | None -> ()
-          | Some (x1, _) -> out.(i) <- Bn.equal (Bn.mod_ x1 n) r)
-        cand
-    end;
-    (* Fallback: every rejected slot re-verifies individually. *)
-    Array.iteri
-      (fun i (q, digest, signature) ->
-        if not out.(i) then out.(i) <- verify_digest q ~digest ~signature)
-      items;
-    out
-  end
-
-let verify_batch items =
-  verify_digest_batch
-    (Array.map (fun (q, msg, signature) -> (q, Sha256.digest msg, signature)) items)

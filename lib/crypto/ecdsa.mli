@@ -27,19 +27,9 @@ val sign_digest : private_key -> string -> string
 (** Signs a precomputed 32-byte digest. *)
 
 val verify : public_key -> msg:string -> signature:string -> bool
+(** [verify key ~msg ~signature] hashes [msg] and checks the signature.
+    A key object reused across calls gets faster after
+    {!P256.comb_threshold} verifications (see {!P256.double_mul}), so
+    long-lived keys should be kept and reused rather than re-decoded. *)
+
 val verify_digest : public_key -> digest:string -> signature:string -> bool
-
-val verify_digest_batch : (public_key * string * string) array -> bool array
-(** [verify_digest_batch [| (q, digest, signature); ... |]] verifies a
-    whole batch with shared precomputation: one scalar inversion for
-    all the [s^-1] (Montgomery's trick), doubling-free double-scalar
-    multiplication on each key's memoized comb
-    ({!P256.double_mul_batch}), and one shared field inversion to
-    normalise the results. Per-signature verdicts — slot [i] is exactly
-    [verify_digest] of entry [i]; any slot the fast path rejects is
-    re-checked individually, so a corrupted signature in the batch
-    fails alone and never poisons its neighbours. Keys repeated across
-    a batch (the verifier's endorsed devices) amortise their comb. *)
-
-val verify_batch : (public_key * string * string) array -> bool array
-(** Like {!verify_digest_batch} over raw messages (hashed first). *)

@@ -1,9 +1,10 @@
 (** Montgomery arithmetic for 256-bit prime rings.
 
-    The fast-path replacement for {!Modring} in the P-256 hot loops:
-    9 limbs of 29 bits in native ints, CIOS Montgomery products, and
-    Fermat inversion. One {!ring} instance each backs the P-256 field
-    (mod p) and scalar ring (mod n).
+    The fast-path replacement for the generic Barrett ring ([Modring],
+    now only in the reference crypto of [lib/crypto/ref]) in the P-256
+    hot loops: 9 limbs of 29 bits in native ints, CIOS Montgomery
+    products, and Fermat inversion. One {!ring} instance each backs the
+    P-256 field (mod p) and scalar ring (mod n).
 
     Elements are tied to the ring they were created with; mixing rings
     is a caller bug and silently computes garbage. All values stay

@@ -4,7 +4,8 @@
     the session keys (ECDHE) and the evidence signatures. Points are
     computed in Jacobian coordinates over the {!Fe256} Montgomery
     field, with 4-bit windowed scalar multiplication, a fixed-base comb
-    for the generator, and Shamir's trick for the ECDSA-verify shape.
+    for the generator, and Shamir's trick for the ECDSA-verify shape
+    until a key has verified often enough to earn its own comb.
 
     Caution: like the rest of this simulation's crypto, the scalar
     ladders here are *not* constant-time (window digits index tables,
@@ -12,14 +13,10 @@
 
 type point
 (** A point on the curve, including the point at infinity. Points carry
-    a memoized window table (see {!prepare}); the table is part of the
-    cache, not the value — {!equal} ignores it. *)
-
-val field : Modring.t
-(** The prime field F{_p} (generic-ring view, kept for tests/tools). *)
-
-val order : Modring.t
-(** The (prime) group order ring F{_n} (generic-ring view). *)
+    memo state that is part of the cache, not the value ({!equal}
+    ignores it): a window table (see {!prepare}), their SEC 1 encoding,
+    and a {!double_mul} use count that moves a key used often enough
+    onto its own comb (see {!comb_threshold}). *)
 
 val field_ring : Fe256.ring
 (** Montgomery ring for F{_p} — the fast path used by the point ops. *)
@@ -52,26 +49,19 @@ val base_mul : Bn.t -> point
 (** [k]G via the fixed-base comb: at most 64 mixed additions. *)
 
 val double_mul : Bn.t -> Bn.t -> point -> point
-(** [double_mul u1 u2 q] is [u1]G + [u2]Q on a shared doubling ladder
-    (Shamir's trick) — the ECDSA verification inner loop. *)
+(** [double_mul u1 u2 q] is [u1]G + [u2]Q — the ECDSA verification
+    inner loop. Its first {!comb_threshold} calls on a point run
+    Shamir's trick on one shared doubling ladder over the point's
+    window table; the next call builds and memoizes the point's comb
+    ([1..15] * 16{^j} * Q for every nibble position, ~64x the window
+    table) and every call from then on walks it doubling-free. Same
+    result either way. *)
 
-val double_mul_batch : (Bn.t * Bn.t * point) array -> (Bn.t * Bn.t) option array
-(** [double_mul_batch [| (u1, u2, q); ... |]] computes every
-    [u1]G + [u2]Q doubling-free on per-point combs (built and memoized
-    on first use, see {!prepare_comb}) and normalises all results with
-    a single shared field inversion (Montgomery's trick) — the
-    batch-verify workhorse. Each slot holds the affine coordinates of
-    its sum, or [None] when the sum is the point at infinity.
-    Agrees exactly with per-entry [double_mul] + [to_affine]. *)
-
-val prepare_comb : point -> unit
-(** Precompute and memoize the point's full comb ([1..15] * 16^j * P
-    for every nibble position), the table behind {!double_mul_batch}:
-    ~64x the window table's size, pays for itself once the key verifies
-    more than a couple of signatures. Idempotent; a no-op on the point
-    at infinity. The same single-domain ownership rule as {!prepare}
-    applies — build the comb in the domain that uses it, or before
-    spawning. *)
+val comb_threshold : int
+(** The number of window-ladder {!double_mul} calls a point makes
+    before it moves to its comb. A constant, not a setting: a comb
+    pays for itself after 8 to 12 uses, which long-lived keys reach
+    and keys decoded for a single handshake never do. *)
 
 val prepare : point -> unit
 (** Precompute and memoize the point's window table so later {!mul} /
@@ -79,13 +69,16 @@ val prepare : point -> unit
     point at infinity. Long-lived verifier keys should be prepared
     once and reused.
 
-    Domain ownership: the memo is an unsynchronised per-point cache, so
-    a point must not be mutated from two domains at once. Either keep
+    Domain ownership: the memo — window table, encoding, {!double_mul}
+    use count and comb — is an unsynchronised per-point cache, so a
+    point must not be mutated from two domains at once. Either keep
     every point domain-private (the fleet constructs each shard's keys
     inside the shard's domain) or fully [prepare]/[encode] shared
-    points before spawning — [Domain.spawn] publishes everything the
-    parent wrote. The generator's comb is the one cross-domain table
-    and is published atomically by {!prewarm}. *)
+    points before spawning and verify against them from one domain
+    only — [Domain.spawn] publishes everything the parent wrote, but
+    every {!double_mul} below the threshold bumps the count. The
+    generator's comb is the one cross-domain table and is published
+    atomically by {!prewarm}. *)
 
 val prewarm : unit -> unit
 (** Force the one-time lazy tables (the fixed-base comb for G) so a

@@ -1,3 +1,5 @@
+open Watz_crypto
+
 type t = { m : Bn.t; k : int; mu : Bn.t; m_minus_2 : Bn.t }
 
 let create m =

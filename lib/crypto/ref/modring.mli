@@ -1,8 +1,11 @@
+open Watz_crypto
 (** Modular arithmetic over a fixed odd modulus using Barrett reduction.
 
     A [t] caches the Barrett constant for its modulus so that a modular
     multiplication costs three bignum multiplications instead of a long
-    division. The P-256 field and scalar rings are built on this. *)
+    division. The reference P-256 ({!Refcrypto.P256}) runs its field
+    and scalar rings on this; the production curve uses
+    {!Watz_crypto.Fe256}, and the tests check the two agree. *)
 
 type t
 

@@ -8,7 +8,9 @@
       — one-shot, streamed and reference digests must all agree;
     - ECDSA sign (RFC 6979, so bit-identical signatures, not merely
       cross-verifiable), verify of both the good signature and a
-      corrupted one (same verdict from both stacks);
+      corrupted one (same verdict from both stacks) — first on the
+      fresh key's window ladder, then again on its comb once the round
+      has used the key past {!Watz_crypto.P256.comb_threshold};
     - GHASH on random subkeys and part lists (the table-driven path vs
       the shift-and-add reference);
     - AES-GCM encrypt bit-identity, decrypt roundtrip, and
@@ -93,11 +95,27 @@ let check_ecdsa rng =
     let bad = Bytes.to_string b in
     let v_fast = C.Ecdsa.verify_digest pub ~digest ~signature:bad in
     let v_ref = R.Ecdsa.verify_digest pub_ref ~digest ~signature:bad in
-    if v_fast = v_ref then Ok ()
-    else
+    if v_fast <> v_ref then
       Error
         (Printf.sprintf "ecdsa corrupted-signature verdict diverges (fast=%b ref=%b) on %s"
            v_fast v_ref (hex bad))
+    else begin
+      (* Reuse the round's key past the comb threshold, so the last
+         verdicts come from its comb rather than the window ladder. *)
+      let rec reuse k =
+        k = 0 || (C.Ecdsa.verify_digest pub ~digest ~signature:s_fast && reuse (k - 1))
+      in
+      if not (reuse (C.P256.comb_threshold + 1)) then
+        Error "ecdsa rejected a valid signature on a reused key"
+      else
+        let v_comb = C.Ecdsa.verify_digest pub ~digest ~signature:bad in
+        if v_comb = v_ref then Ok ()
+        else
+          Error
+            (Printf.sprintf
+               "ecdsa corrupted-signature verdict diverges on the comb (fast=%b ref=%b) on %s"
+               v_comb v_ref (hex bad))
+    end
   end
 
 let check_ghash rng =

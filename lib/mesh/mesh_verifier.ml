@@ -16,11 +16,6 @@
     Frame dispatch is unambiguous: msg0 is a 65-byte SEC1 point
     starting with 0x04, every mesh frame starts with an ASCII magic.
 
-    The server appraises msg2 inline ([~batch_verify:false]): batch
-    settlement sends msg3 later in the pass, and since the link draws
-    one fault per send, the reordered sends would change which frames
-    a lossy run drops or delays.
-
     All trust decisions and their rejections are counted in the
     server's metrics registry; the storm report and the forged-resume
     fuzz oracle read them from there. *)
@@ -254,7 +249,7 @@ let start ?(ticket_ttl_ns = 10_000_000_000L) ?(cache_ttl_ns = 10_000_000_000L) ?
       restarts = 0;
     }
   in
-  { server = V.start ~batch_verify:false ~handler:(handler mesh) soc ~port ~policy; mesh }
+  { server = V.start ~handler:(handler mesh) soc ~port ~policy; mesh }
 
 (** One scheduling quantum of the server: {!Watz.Verifier_app.step}. *)
 let step t = V.step t.server

@@ -96,7 +96,7 @@ let modring_matches_divmod () =
   Alcotest.(check bool) "barrett = division" true (Bn.equal via_ring via_div)
 
 let modring_inverse () =
-  let ring = P256.order in
+  let ring = Modring.create P256.n in
   let a = Bn.of_hex "123456789" in
   let inv = Modring.inv_prime ring a in
   Alcotest.(check bool) "a * a^-1 = 1" true (Bn.equal Bn.one (Modring.mul ring a inv));
@@ -359,63 +359,75 @@ let qcheck_ecdsa_sign_verify =
       let pub = Ecdsa.public_of_private key in
       Ecdsa.verify pub ~msg ~signature:(Ecdsa.sign key msg))
 
-(* Differential: the shared-precomputation batch path must return, slot
-   for slot, exactly what per-signature [verify] returns — across batch
-   sizes, repeated and distinct keys, and adversarial entries. *)
-let ecdsa_verify_batch_differential () =
-  let keys =
-    List.init 3 (fun i ->
-        let d = Ecdsa.private_of_bytes (Sha256.digest (Printf.sprintf "batch-key-%d" i)) in
-        (d, Ecdsa.public_of_private d))
-  in
-  let entry i =
-    let d, q = List.nth keys (i mod 3) in
-    let msg = Printf.sprintf "batch message %d" i in
-    (q, msg, Ecdsa.sign d msg)
-  in
-  List.iter
-    (fun n ->
-      let batch = Array.init n entry in
-      let got = Ecdsa.verify_batch batch in
-      Array.iteri
-        (fun i ok ->
-          let q, msg, signature = batch.(i) in
-          Alcotest.(check bool)
-            (Printf.sprintf "size %d, slot %d matches verify" n i)
-            (Ecdsa.verify q ~msg ~signature)
-            ok)
-        got;
-      Alcotest.(check bool)
-        (Printf.sprintf "size %d: all-valid batch accepts" n)
-        true
-        (Array.for_all Fun.id got))
-    [ 0; 1; 2; 7 ]
+(* A key object's verifications move from the window ladder to its own
+   comb once it passes [P256.comb_threshold] uses. Both sides of that
+   switch must give the frozen reference's verdict, for every key. *)
+let ref_key q = Option.get (Refcrypto.P256.of_bytes (P256.encode q))
 
-let ecdsa_verify_batch_corruption_isolated () =
-  let n = 8 in
+let ecdsa_verify_across_comb_threshold () =
+  let keys =
+    Array.init 3 (fun i ->
+        let d = Ecdsa.private_of_bytes (Sha256.digest (Printf.sprintf "comb-key-%d" i)) in
+        let q = Ecdsa.public_of_private d in
+        (d, q, ref_key q))
+  in
+  for i = 0 to (3 * (P256.comb_threshold + 3)) - 1 do
+    let d, q, q_ref = keys.(i mod 3) in
+    let msg = Printf.sprintf "comb message %d" i in
+    let signature = Ecdsa.sign d msg in
+    let got = Ecdsa.verify q ~msg ~signature in
+    let what = Printf.sprintf "key %d, use %d" (i mod 3) ((i / 3) + 1) in
+    Alcotest.(check bool)
+      (what ^ " matches reference")
+      (Refcrypto.Ecdsa.verify q_ref ~msg ~signature)
+      got;
+    Alcotest.(check bool) (what ^ " accepts") true got
+  done
+
+let ecdsa_corruptions_across_comb_threshold () =
   let d = Ecdsa.private_of_bytes rfc6979_private in
   let q = Ecdsa.public_of_private d in
-  let batch =
-    Array.init n (fun i ->
-        let msg = Printf.sprintf "msg %d" i in
-        (q, msg, Ecdsa.sign d msg))
-  in
-  (* Corrupt one signature mid-batch, swap one message with a foreign
-     key's, and truncate another: only those slots may fail. *)
-  (let q3, m3, s3 = batch.(3) in
-   batch.(3) <-
-     (q3, m3, String.mapi (fun i c -> if i = 20 then Char.chr (Char.code c lxor 0x08) else c) s3));
-  (let other = Ecdsa.public_of_private (Ecdsa.private_of_bytes (Sha256.digest "other")) in
-   let _, m5, s5 = batch.(5) in
-   batch.(5) <- (other, m5, s5));
-  (let q6, m6, s6 = batch.(6) in
-   batch.(6) <- (q6, m6, String.sub s6 0 63));
-  let got = Ecdsa.verify_batch batch in
-  Array.iteri
-    (fun i ok ->
-      let expected = not (List.mem i [ 3; 5; 6 ]) in
-      Alcotest.(check bool) (Printf.sprintf "slot %d" i) expected ok)
-    got
+  let q_ref = ref_key q in
+  let other = Ecdsa.public_of_private (Ecdsa.private_of_bytes (Sha256.digest "other")) in
+  let other_ref = ref_key other in
+  let flip20 = String.mapi (fun i c -> if i = 20 then Char.chr (Char.code c lxor 0x08) else c) in
+  (* [q] spends two uses per round and [other] one, so both keys run
+     their last rounds on their combs. *)
+  for i = 0 to P256.comb_threshold + 2 do
+    let msg = Printf.sprintf "msg %d" i in
+    let signature = Ecdsa.sign d msg in
+    List.iter
+      (fun (what, key, key_ref, signature, expected) ->
+        let what = Printf.sprintf "round %d, %s" i what in
+        let got = Ecdsa.verify key ~msg ~signature in
+        Alcotest.(check bool)
+          (what ^ " matches reference")
+          (Refcrypto.Ecdsa.verify key_ref ~msg ~signature)
+          got;
+        Alcotest.(check bool) what expected got)
+      [
+        ("valid", q, q_ref, signature, true);
+        ("byte 20 flipped", q, q_ref, flip20 signature, false);
+        ("foreign key", other, other_ref, signature, false);
+        ("63-byte truncation", q, q_ref, String.sub signature 0 63, false);
+      ]
+  done;
+  (* Range and malleability edge cases, now on the comb. *)
+  let digest = Sha256.digest "comb edge cases" in
+  let signature = Ecdsa.sign_digest d digest in
+  let r = String.sub signature 0 32 and s = String.sub signature 32 32 in
+  let zero32 = String.make 32 '\000' in
+  List.iter
+    (fun (what, signature) ->
+      Alcotest.(check bool) (what ^ " matches reference")
+        (Refcrypto.Ecdsa.verify_digest q_ref ~digest ~signature)
+        (Ecdsa.verify_digest q ~digest ~signature))
+    [
+      ("valid", signature);
+      ("high-s", r ^ Bn.to_bytes_be ~len:32 (Bn.sub P256.n (Bn.of_bytes_be s)));
+      ("r = 0", zero32 ^ s);
+      ("s = 0", r ^ zero32);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* ECDH *)
@@ -541,10 +553,11 @@ let qcheck_sha256_streaming_chunks =
 let qcheck_fe256_matches_modring =
   (* The Montgomery field vs the generic Barrett ring, on the P-256
      prime: add/sub/mul/inv agree for any inputs. *)
+  let gr = Modring.create (Fe256.modulus P256.field_ring) in
   QCheck.Test.make ~name:"fe256: montgomery = modring on P-256 field" ~count:200
     (QCheck.pair arbitrary_bn arbitrary_bn)
     (fun (a, b) ->
-      let fr = P256.field_ring and gr = P256.field in
+      let fr = P256.field_ring in
       let fa = Fe256.of_bn fr a and fb = Fe256.of_bn fr b in
       let ga = Modring.reduce gr a and gb = Modring.reduce gr b in
       Bn.equal (Fe256.to_bn fr (Fe256.add fr fa fb)) (Modring.add gr ga gb)
@@ -722,8 +735,8 @@ let suite =
         case "RFC 6979 P-256/SHA-256 vector" ecdsa_rfc6979_vector;
         case "rejects forgeries" ecdsa_rejects_forgery;
         case "seeded keypair deterministic" ecdsa_seeded_keypair_deterministic;
-        case "verify_batch differential vs verify" ecdsa_verify_batch_differential;
-        case "verify_batch isolates corrupted slots" ecdsa_verify_batch_corruption_isolated;
+        case "verify = reference across the comb threshold" ecdsa_verify_across_comb_threshold;
+        case "corrupted signatures across the comb threshold" ecdsa_corruptions_across_comb_threshold;
         q qcheck_ecdsa_sign_verify;
       ] );
     ( "crypto.ecdh",
