@@ -11,7 +11,6 @@ type t = {
   priv : Watz_crypto.Ecdsa.private_key;
   pub : Watz_crypto.Ecdsa.public_key;
   version : string;
-  mutable issued : int; (* evidence issued since boot, for load reporting *)
 }
 
 (** Derive the attestation key pair from the trusted OS's root of
@@ -25,17 +24,15 @@ let create os =
   (* The key pair lives for the whole boot: warm its SEC 1 encoding
      now so no "pubkey" request or evidence body pays the inversion. *)
   ignore (Watz_crypto.P256.encode pub);
-  { priv; pub; version = Watz_tz.Optee.Kernel.version os; issued = 0 }
+  { priv; pub; version = Watz_tz.Optee.Kernel.version os }
 
 let public_key t = t.pub
-let issued_count t = t.issued
 
 (** Issue signed evidence over a claim (the Wasm bytecode measurement)
     bound to a session anchor. *)
 let issue_evidence t ~anchor ~claim : Evidence.signed =
   if String.length anchor <> 32 then invalid_arg "Service.issue_evidence: anchor must be 32 bytes";
   if String.length claim <> 32 then invalid_arg "Service.issue_evidence: claim must be 32 bytes";
-  t.issued <- t.issued + 1;
   let body =
     { Evidence.anchor; version = t.version; claim; attestation_pubkey = t.pub }
   in

@@ -50,6 +50,8 @@ let rfc6979_k d digest =
   in
   attempt ()
 
+(* s = k^-1 (z + r d) mod n, computed in place on the scalar ring:
+   [fr] becomes r d, then z + r d, then s. *)
 let sign_digest d digest =
   if String.length digest <> 32 then invalid_arg "Ecdsa.sign_digest: need 32 bytes";
   let z = Fe256.of_bn sr (Bn.of_bytes_be digest) in
@@ -62,10 +64,13 @@ let sign_digest d digest =
         if Bn.is_zero r then attempt (Bn.add k Bn.one)
         else begin
           let fr = Fe256.of_bn sr r in
-          let kinv = Fe256.inv sr (Fe256.of_bn sr k) in
-          let fs = Fe256.mul sr kinv (Fe256.add sr z (Fe256.mul sr fr fd)) in
-          if Fe256.is_zero fs then attempt (Bn.add k Bn.one)
-          else Bn.to_bytes_be ~len:32 r ^ Bn.to_bytes_be ~len:32 (Fe256.to_bn sr fs)
+          let fk = Fe256.of_bn sr k in
+          Fe256.mul_into sr fr fr fd;
+          Fe256.add_into sr fr fr z;
+          Fe256.inv_into sr fk fk;
+          Fe256.mul_into sr fr fr fk;
+          if Fe256.is_zero fr then attempt (Bn.add k Bn.one)
+          else Bn.to_bytes_be ~len:32 r ^ Bn.to_bytes_be ~len:32 (Fe256.to_bn sr fr)
         end
   in
   attempt (rfc6979_k d digest)
@@ -81,11 +86,14 @@ let verify_digest q ~digest ~signature =
   let valid_range v = (not (Bn.is_zero v)) && Bn.compare v n < 0 in
   valid_range r && valid_range s
   &&
-  let z = Fe256.of_bn sr (Bn.of_bytes_be digest) in
-  let sinv = Fe256.inv sr (Fe256.of_bn sr s) in
-  let u1 = Fe256.to_bn sr (Fe256.mul sr z sinv) in
-  let u2 = Fe256.to_bn sr (Fe256.mul sr (Fe256.of_bn sr r) sinv) in
-  match P256.to_affine (P256.double_mul u1 u2 q) with
+  (* u1 = z s^-1 and u2 = r s^-1, in place on the scalar ring *)
+  let w = Fe256.of_bn sr s in
+  Fe256.inv_into sr w w;
+  let u1 = Fe256.of_bn sr (Bn.of_bytes_be digest) in
+  Fe256.mul_into sr u1 u1 w;
+  let u2 = Fe256.of_bn sr r in
+  Fe256.mul_into sr u2 u2 w;
+  match P256.to_affine (P256.double_mul (Fe256.to_bn sr u1) (Fe256.to_bn sr u2) q) with
   | None -> false
   | Some (x1, _) -> Bn.equal (Bn.mod_ x1 n) r
 

@@ -2,46 +2,73 @@
 
     The fast-path replacement for the generic Barrett ring ([Modring],
     now only in the reference crypto of [lib/crypto/ref]) in the P-256
-    hot loops: 9 limbs of 29 bits in native ints, CIOS Montgomery
-    products, and Fermat inversion. One {!ring} instance each backs the
-    P-256 field (mod p) and scalar ring (mod n).
+    hot loops: 9 limbs of 29 bits in native ints, a straight-line
+    Montgomery product, and Fermat inversion. One {!ring} instance each
+    backs the P-256 field (mod p) and scalar ring (mod n).
 
-    Elements are tied to the ring they were created with; mixing rings
-    is a caller bug and silently computes garbage. All values stay
-    fully reduced, so {!equal}/{!is_zero} are plain representation
-    comparisons. *)
+    The arithmetic is destination-passing and allocates nothing:
+    [op_into r dst a b] overwrites [dst], which may be [a], [b] or both.
+    Only the constructors ({!zero}, {!one}, {!of_bn}) and {!to_bn}
+    allocate. Elements are tied to the ring they were created with;
+    mixing rings is a caller bug and silently computes garbage. All
+    values stay fully reduced, so {!equal}/{!is_zero} are plain
+    representation comparisons. *)
 
 type t
-(** A ring element, internally in Montgomery form. *)
+(** A mutable ring element, internally in Montgomery form. *)
 
 type ring
 
 val create : Bn.t -> ring
-(** [create m] for an odd modulus [m], [3 <= m < 2^256]. {!inv} and the
-    semantics of the ring additionally assume [m] prime. *)
+(** [create m] for an odd modulus [m], [3 <= m < 2^256]. {!inv_into}
+    and the semantics of the ring additionally assume [m] prime. *)
 
 val modulus : ring -> Bn.t
 
 val zero : ring -> t
-val one : ring -> t
-val of_bn : ring -> Bn.t -> t
-(** Reduces mod [m] first, so any non-negative value is accepted. *)
+(** A fresh element holding 0. *)
 
-val of_int : ring -> int -> t
+val one : ring -> t
+(** A fresh element holding 1. *)
+
+val of_bn : ring -> Bn.t -> t
+(** A fresh element; reduces mod [m] first, so any non-negative value is
+    accepted. *)
+
 val to_bn : ring -> t -> Bn.t
 
-val add : ring -> t -> t -> t
-val sub : ring -> t -> t -> t
-val neg : ring -> t -> t
-val mul : ring -> t -> t -> t
-val sqr : ring -> t -> t
+val mul_into : ring -> t -> t -> t -> unit
+(** [mul_into r dst a b] sets [dst] to [a * b]. *)
 
-val inv : ring -> t -> t
-(** Fermat inversion [a^(m-2)]; requires a prime modulus. [inv zero]
-    returns zero. *)
+val sqr_into : ring -> t -> t -> unit
+(** [sqr_into r dst a] sets [dst] to [a * a]. *)
 
-val pow : ring -> t -> Bn.t -> t
+val add_into : ring -> t -> t -> t -> unit
+val sub_into : ring -> t -> t -> t -> unit
+
+val inv_into : ring -> t -> t -> unit
+(** [inv_into r dst a] sets [dst] to [a{^-1}] by Fermat inversion
+    [a{^m-2}]; requires a prime modulus. Inverting zero gives zero. Uses
+    a per-domain scratch table. *)
+
+val set : t -> t -> unit
+(** [set dst a] copies [a] into [dst]. *)
+
+val set_one : ring -> t -> unit
 
 val equal : t -> t -> bool
 val is_zero : t -> bool
-val copy : t -> t
+val is_one : ring -> t -> bool
+
+(** {2 Flat storage}
+
+    Tables of many elements live in one [int array], {!limbs} ints per
+    element, so a table is one heap block rather than one per element. *)
+
+val limbs : int
+
+val load : t -> int array -> int -> unit
+(** [load dst buf off] copies the element stored at [buf.(off)]. *)
+
+val store : int array -> int -> t -> unit
+(** [store buf off a] writes [a] at [buf.(off)]. *)

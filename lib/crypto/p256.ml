@@ -1,6 +1,9 @@
 (* Domain parameters from SEC 2 / FIPS 186-4.
 
-   Point arithmetic runs on the {!Fe256} Montgomery field. Hot paths:
+   Point arithmetic runs on the {!Fe256} Montgomery field, in place: the
+   formulas read and write the elements of a per-domain workspace, and
+   tables are flat limb arrays, so a public call allocates only its
+   result (plus, once per point, its memoized tables). Hot paths:
    4-bit windowed scalar multiplication, mixed (Z=1) additions against
    affine tables, a lazily-built fixed-base comb for the generator
    (base_mul is 64 mixed adds and no doublings), and Shamir's trick for
@@ -20,46 +23,240 @@ let scalar_ring = Fe256.create n
 module Fe = Fe256
 
 let fp = field_ring
-let fadd = Fe.add fp
-let fsub = Fe.sub fp
-let fmul = Fe.mul fp
-let fsqr = Fe.sqr fp
-
 let fe_a = Fe.of_bn fp (Bn.sub p (Bn.of_int 3)) (* a = -3 mod p *)
 let fe_b = Fe.of_bn fp b_coeff
 
-(* An affine point in Montgomery form; never the point at infinity. *)
-type affine = { ax : Fe.t; ay : Fe.t }
+(* Flat limb storage: an affine table entry is (x, y), [aff] ints; a
+   Jacobian entry is (X, Y, Z), [jac_w] ints. *)
+let lw = Fe.limbs
+let aff = 2 * lw
+let jac_w = 3 * lw
 
 (* Jacobian coordinates: (X, Y, Z) represents (X/Z^2, Y/Z^3); Z = 0 is
    the point at infinity. [memo] caches the [1..15]P affine window
-   table for this exact point value; [enc] caches the uncompressed
-   SEC 1 encoding (each fresh encode costs a field inversion, and
-   session keys are encoded several times per protocol run); [uses]
-   counts the point's window-ladder [double_mul] calls until
-   [comb_memo] holds its comb (see {!comb_threshold}). *)
+   table for this exact point value (15 flat entries); [enc] caches the
+   uncompressed SEC 1 encoding (each fresh encode costs a field
+   inversion, and session keys are encoded several times per protocol
+   run); [uses] counts the point's window-ladder [double_mul] calls
+   until [comb_memo] holds its comb (see {!comb_threshold}). A point's
+   coordinates are never written after construction. *)
 type point = {
   x : Fe.t;
   y : Fe.t;
   z : Fe.t;
-  mutable memo : affine array option;
+  mutable memo : int array option;
   mutable enc : string option;
   mutable uses : int;
-  mutable comb_memo : affine array array option;
+  mutable comb_memo : int array option;
 }
 
 let jac x y z = { x; y; z; memo = None; enc = None; uses = 0; comb_memo = None }
 let infinity = jac (Fe.one fp) (Fe.one fp) (Fe.zero fp)
 let is_infinity pt = Fe.is_zero pt.z
 
-let on_curve_fe x y =
-  let lhs = fsqr y in
-  let rhs = fadd (fmul (fsqr x) x) (fadd (fmul fe_a x) fe_b) in
-  Fe.equal lhs rhs
+let fresh a =
+  let e = Fe.zero fp in
+  Fe.set e a;
+  e
+
+(* The working registers of every formula below: a Jacobian
+   accumulator (A), an affine operand (P, loaded from a table), eight
+   temporaries, and room for the 15 Jacobian multiples of a window
+   table. One per domain, because fleet shards are domains; each public
+   call fetches it once and passes it down, and no public function is
+   called while it holds live values. *)
+type ws = {
+  ax : Fe.t;
+  ay : Fe.t;
+  az : Fe.t;
+  px : Fe.t;
+  py : Fe.t;
+  t0 : Fe.t;
+  t1 : Fe.t;
+  t2 : Fe.t;
+  t3 : Fe.t;
+  t4 : Fe.t;
+  t5 : Fe.t;
+  t6 : Fe.t;
+  t7 : Fe.t;
+  jtbl : int array;
+}
+
+let workspace =
+  Domain.DLS.new_key (fun () ->
+      let e () = Fe.zero fp in
+      { ax = e (); ay = e (); az = e (); px = e (); py = e (); t0 = e (); t1 = e (); t2 = e ();
+        t3 = e (); t4 = e (); t5 = e (); t6 = e (); t7 = e (); jtbl = Array.make (15 * jac_w) 0 })
+
+let set_acc ws x y z =
+  Fe.set ws.ax x;
+  Fe.set ws.ay y;
+  Fe.set ws.az z
+
+let set_infinity ws = set_acc ws infinity.x infinity.y infinity.z
+
+let point_of_acc ws =
+  if Fe.is_zero ws.az then infinity else jac (fresh ws.ax) (fresh ws.ay) (fresh ws.az)
+
+let store_acc ws buf i =
+  Fe.store buf (i * jac_w) ws.ax;
+  Fe.store buf ((i * jac_w) + lw) ws.ay;
+  Fe.store buf ((i * jac_w) + (2 * lw)) ws.az
+
+let load_affine ws tbl i =
+  Fe.load ws.px tbl (i * aff);
+  Fe.load ws.py tbl ((i * aff) + lw)
+
+(* A <- 2A. dbl-2001-b, Jacobian doubling for a = -3; small-constant
+   products are addition chains (3M + 5S, no generic constant muls). *)
+let dbl ws =
+  let { ax = x; ay = y; az = z; t0; t1; t2; t3; t4; _ } = ws in
+  if Fe.is_zero z || Fe.is_zero y then set_infinity ws
+  else begin
+    Fe.sqr_into fp t0 z (* delta *);
+    Fe.sqr_into fp t1 y (* gamma *);
+    Fe.mul_into fp t2 x t1 (* beta *);
+    Fe.sub_into fp t3 x t0;
+    Fe.add_into fp t4 x t0;
+    Fe.mul_into fp t3 t3 t4;
+    Fe.add_into fp t4 t3 t3;
+    Fe.add_into fp t3 t4 t3 (* alpha = 3 (X - delta)(X + delta) *);
+    (* Z3 = (Y + Z)^2 - (gamma + delta) *)
+    Fe.add_into fp z y z;
+    Fe.sqr_into fp z z;
+    Fe.add_into fp t0 t1 t0;
+    Fe.sub_into fp z z t0;
+    (* X3 = alpha^2 - 8 beta *)
+    Fe.add_into fp t2 t2 t2;
+    Fe.add_into fp t2 t2 t2 (* 4 beta *);
+    Fe.sqr_into fp x t3;
+    Fe.add_into fp t0 t2 t2;
+    Fe.sub_into fp x x t0;
+    (* Y3 = alpha (4 beta - X3) - 8 gamma^2 *)
+    Fe.sub_into fp t2 t2 x;
+    Fe.mul_into fp t2 t3 t2;
+    Fe.sqr_into fp t1 t1;
+    Fe.add_into fp t1 t1 t1;
+    Fe.add_into fp t1 t1 t1;
+    Fe.add_into fp t1 t1 t1;
+    Fe.sub_into fp y t2 t1
+  end
+
+(* A <- A + (X2, Y2, Z2). add-2007-bl, with the equal/opposite special
+   cases dispatched; the operand must not be A's own elements. *)
+let jadd ws x2 y2 z2 =
+  let { ax = x1; ay = y1; az = z1; t0; t1; t2; t3; t4; t5; t6; t7; _ } = ws in
+  if Fe.is_zero z2 then ()
+  else if Fe.is_zero z1 then set_acc ws x2 y2 z2
+  else begin
+    Fe.sqr_into fp t0 z1 (* Z1Z1 *);
+    Fe.sqr_into fp t1 z2 (* Z2Z2 *);
+    Fe.mul_into fp t2 x1 t1 (* U1 *);
+    Fe.mul_into fp t3 x2 t0 (* U2 *);
+    Fe.mul_into fp t4 z2 t1;
+    Fe.mul_into fp t4 y1 t4 (* S1 *);
+    Fe.mul_into fp t5 z1 t0;
+    Fe.mul_into fp t5 y2 t5 (* S2 *);
+    if Fe.equal t2 t3 then if Fe.equal t4 t5 then dbl ws else set_infinity ws
+    else begin
+      Fe.sub_into fp t3 t3 t2 (* H *);
+      Fe.add_into fp t6 t3 t3;
+      Fe.sqr_into fp t6 t6 (* I = (2H)^2 *);
+      Fe.mul_into fp t7 t3 t6 (* J *);
+      Fe.sub_into fp t5 t5 t4;
+      Fe.add_into fp t5 t5 t5 (* r = 2 (S2 - S1) *);
+      Fe.mul_into fp t2 t2 t6 (* V *);
+      (* Z3 = ((Z1 + Z2)^2 - (Z1Z1 + Z2Z2)) H *)
+      Fe.add_into fp z1 z1 z2;
+      Fe.sqr_into fp z1 z1;
+      Fe.add_into fp t0 t0 t1;
+      Fe.sub_into fp z1 z1 t0;
+      Fe.mul_into fp z1 z1 t3;
+      (* X3 = r^2 - J - 2V *)
+      Fe.sqr_into fp x1 t5;
+      Fe.sub_into fp x1 x1 t7;
+      Fe.add_into fp t0 t2 t2;
+      Fe.sub_into fp x1 x1 t0;
+      (* Y3 = r (V - X3) - 2 S1 J *)
+      Fe.mul_into fp t4 t4 t7;
+      Fe.add_into fp t4 t4 t4;
+      Fe.sub_into fp t2 t2 x1;
+      Fe.mul_into fp y1 t5 t2;
+      Fe.sub_into fp y1 y1 t4
+    end
+  end
+
+(* A <- A + P, P = (px, py) affine. Mixed addition (madd-2007-bl)
+   saves ~5 field products over the general add. *)
+let madd ws =
+  let { ax = x; ay = y; az = z; px; py; t0; t1; t2; t3; t4; t5; t6; _ } = ws in
+  if Fe.is_zero z then begin
+    Fe.set x px;
+    Fe.set y py;
+    Fe.set_one fp z
+  end
+  else begin
+    Fe.sqr_into fp t0 z (* Z1Z1 *);
+    Fe.mul_into fp t1 px t0 (* U2 *);
+    Fe.mul_into fp t2 z t0;
+    Fe.mul_into fp t2 py t2 (* S2 *);
+    if Fe.equal x t1 then if Fe.equal y t2 then dbl ws else set_infinity ws
+    else begin
+      Fe.sub_into fp t1 t1 x (* H *);
+      Fe.sqr_into fp t3 t1 (* HH *);
+      Fe.add_into fp t4 t3 t3;
+      Fe.add_into fp t4 t4 t4 (* I = 4 HH *);
+      Fe.mul_into fp t5 t1 t4 (* J *);
+      Fe.sub_into fp t2 t2 y;
+      Fe.add_into fp t2 t2 t2 (* r = 2 (S2 - Y1) *);
+      Fe.mul_into fp t4 x t4 (* V *);
+      (* Z3 = (Z1 + H)^2 - (Z1Z1 + HH) *)
+      Fe.add_into fp z z t1;
+      Fe.sqr_into fp z z;
+      Fe.add_into fp t0 t0 t3;
+      Fe.sub_into fp z z t0;
+      (* X3 = r^2 - J - 2V *)
+      Fe.sqr_into fp x t2;
+      Fe.sub_into fp x x t5;
+      Fe.add_into fp t6 t4 t4;
+      Fe.sub_into fp x x t6;
+      (* Y3 = r (V - X3) - 2 Y1 J *)
+      Fe.mul_into fp t5 y t5;
+      Fe.add_into fp t5 t5 t5;
+      Fe.sub_into fp t4 t4 x;
+      Fe.mul_into fp y t2 t4;
+      Fe.sub_into fp y y t5
+    end
+  end
+
+(* P <- the affine form of a finite point. *)
+let affine_of ws pt =
+  if Fe.is_one fp pt.z then begin
+    Fe.set ws.px pt.x;
+    Fe.set ws.py pt.y
+  end
+  else begin
+    Fe.inv_into fp ws.t0 pt.z;
+    Fe.sqr_into fp ws.t1 ws.t0;
+    Fe.mul_into fp ws.px pt.x ws.t1;
+    Fe.mul_into fp ws.t1 ws.t1 ws.t0;
+    Fe.mul_into fp ws.py pt.y ws.t1
+  end
+
+let on_curve_fe ws x y =
+  let { t0; t1; t2; _ } = ws in
+  Fe.sqr_into fp t0 y;
+  Fe.sqr_into fp t1 x;
+  Fe.mul_into fp t1 t1 x;
+  Fe.mul_into fp t2 fe_a x;
+  Fe.add_into fp t2 t2 fe_b;
+  Fe.add_into fp t1 t1 t2;
+  Fe.equal t0 t1
 
 let on_curve x y =
-  if Bn.compare x p >= 0 || Bn.compare y p >= 0 then false
-  else on_curve_fe (Fe.of_bn fp x) (Fe.of_bn fp y)
+  Bn.compare x p < 0
+  && Bn.compare y p < 0
+  && on_curve_fe (Domain.DLS.get workspace) (Fe.of_bn fp x) (Fe.of_bn fp y)
 
 let of_affine x y =
   if not (on_curve x y) then invalid_arg "P256.of_affine: point not on curve";
@@ -67,130 +264,79 @@ let of_affine x y =
 
 let base = jac (Fe.of_bn fp gx) (Fe.of_bn fp gy) (Fe.one fp)
 
-let to_affine_fe pt =
+let to_affine pt =
   if is_infinity pt then None
-  else if Fe.equal pt.z (Fe.one fp) then Some { ax = pt.x; ay = pt.y }
   else begin
-    let zinv = Fe.inv fp pt.z in
-    let zinv2 = fsqr zinv in
-    Some { ax = fmul pt.x zinv2; ay = fmul pt.y (fmul zinv2 zinv) }
+    let ws = Domain.DLS.get workspace in
+    affine_of ws pt;
+    Some (Fe.to_bn fp ws.px, Fe.to_bn fp ws.py)
   end
 
-let to_affine pt =
-  match to_affine_fe pt with
-  | None -> None
-  | Some a -> Some (Fe.to_bn fp a.ax, Fe.to_bn fp a.ay)
-
-(* dbl-2001-b: Jacobian doubling for a = -3; small-constant products
-   are addition chains (3M + 5S, no generic constant muls). *)
 let double pt =
   if is_infinity pt || Fe.is_zero pt.y then infinity
   else begin
-    let delta = fsqr pt.z in
-    let gamma = fsqr pt.y in
-    let beta = fmul pt.x gamma in
-    let t = fmul (fsub pt.x delta) (fadd pt.x delta) in
-    let alpha = fadd (fadd t t) t in
-    let beta2 = fadd beta beta in
-    let beta4 = fadd beta2 beta2 in
-    let x3 = fsub (fsqr alpha) (fadd beta4 beta4) in
-    let z3 = fsub (fsqr (fadd pt.y pt.z)) (fadd gamma delta) in
-    let g2 = fsqr gamma in
-    let g4 = fadd g2 g2 in
-    let g8 = fadd g4 g4 in
-    let y3 = fsub (fmul alpha (fsub beta4 x3)) (fadd g8 g8) in
-    jac x3 y3 z3
+    let ws = Domain.DLS.get workspace in
+    set_acc ws pt.x pt.y pt.z;
+    dbl ws;
+    point_of_acc ws
   end
 
-(* add-2007-bl, with the equal/opposite special cases dispatched. *)
 let add p1 p2 =
   if is_infinity p1 then p2
   else if is_infinity p2 then p1
   else begin
-    let z1z1 = fsqr p1.z in
-    let z2z2 = fsqr p2.z in
-    let u1 = fmul p1.x z2z2 in
-    let u2 = fmul p2.x z1z1 in
-    let s1 = fmul p1.y (fmul z2z2 p2.z) in
-    let s2 = fmul p2.y (fmul z1z1 p1.z) in
-    if Fe.equal u1 u2 then if Fe.equal s1 s2 then double p1 else infinity
-    else begin
-      let h = fsub u2 u1 in
-      let h2 = fadd h h in
-      let i = fsqr h2 in
-      let j = fmul h i in
-      let sd = fsub s2 s1 in
-      let r = fadd sd sd in
-      let v = fmul u1 i in
-      let x3 = fsub (fsub (fsqr r) j) (fadd v v) in
-      let s1j = fmul s1 j in
-      let y3 = fsub (fmul r (fsub v x3)) (fadd s1j s1j) in
-      let z3 = fmul h (fsub (fsqr (fadd p1.z p2.z)) (fadd z1z1 z2z2)) in
-      jac x3 y3 z3
-    end
+    let ws = Domain.DLS.get workspace in
+    set_acc ws p1.x p1.y p1.z;
+    jadd ws p2.x p2.y p2.z;
+    point_of_acc ws
   end
 
-(* Mixed addition (madd-2007-bl): the second operand is affine (Z = 1),
-   saving ~5 field products over the general add. *)
-let add_affine p1 a =
-  if is_infinity p1 then jac a.ax a.ay (Fe.one fp)
-  else begin
-    let z1z1 = fsqr p1.z in
-    let u2 = fmul a.ax z1z1 in
-    let s2 = fmul a.ay (fmul p1.z z1z1) in
-    if Fe.equal p1.x u2 then
-      if Fe.equal p1.y s2 then double p1 else infinity
-    else begin
-      let h = fsub u2 p1.x in
-      let hh = fsqr h in
-      let hh2 = fadd hh hh in
-      let i = fadd hh2 hh2 in
-      let j = fmul h i in
-      let sd = fsub s2 p1.y in
-      let r = fadd sd sd in
-      let v = fmul p1.x i in
-      let x3 = fsub (fsub (fsqr r) j) (fadd v v) in
-      let yj = fmul p1.y j in
-      let y3 = fsub (fmul r (fsub v x3)) (fadd yj yj) in
-      let z3 = fsub (fsqr (fadd p1.z h)) (fadd z1z1 hh) in
-      jac x3 y3 z3
-    end
-  end
-
-(* Montgomery's batch-inversion trick: one field inversion for a whole
-   table of Jacobian points (none may be infinity). *)
-let batch_to_affine pts =
-  let k = Array.length pts in
-  let prefix = Array.make k (Fe.one fp) in
-  let acc = ref (Fe.one fp) in
+(* Montgomery's batch-inversion trick: [k] Jacobian entries of [jflat]
+   (none infinity) to affine entries of [out], with one field
+   inversion. Entry i's x slot holds the prefix product z_0...z_(i-1)
+   until the backward pass replaces it. *)
+let batch_to_affine ws jflat k out =
+  let { t0 = acc; t1 = zi; t2 = zinv; t3 = zinv2; t4 = c; _ } = ws in
+  Fe.set_one fp acc;
   for i = 0 to k - 1 do
-    prefix.(i) <- !acc;
-    acc := fmul !acc pts.(i).z
+    Fe.store out (i * aff) acc;
+    Fe.load zi jflat ((i * jac_w) + (2 * lw));
+    Fe.mul_into fp acc acc zi
   done;
-  let inv = ref (Fe.inv fp !acc) in
-  let out = Array.make k { ax = Fe.zero fp; ay = Fe.zero fp } in
+  Fe.inv_into fp acc acc;
   for i = k - 1 downto 0 do
-    let zinv = fmul !inv prefix.(i) in
-    inv := fmul !inv pts.(i).z;
-    let zinv2 = fsqr zinv in
-    out.(i) <- { ax = fmul pts.(i).x zinv2; ay = fmul pts.(i).y (fmul zinv2 zinv) }
-  done;
-  out
+    Fe.load zi jflat ((i * jac_w) + (2 * lw));
+    Fe.load zinv out (i * aff);
+    Fe.mul_into fp zinv acc zinv (* 1 / z_i *);
+    Fe.mul_into fp acc acc zi;
+    Fe.sqr_into fp zinv2 zinv;
+    Fe.load c jflat (i * jac_w);
+    Fe.mul_into fp c c zinv2;
+    Fe.store out (i * aff) c;
+    Fe.mul_into fp zinv2 zinv2 zinv;
+    Fe.load c jflat ((i * jac_w) + lw);
+    Fe.mul_into fp c c zinv2;
+    Fe.store out ((i * aff) + lw) c
+  done
 
 (* The [1..15]P affine window table, memoized on the point. *)
-let window_table pt =
+let window_table ws pt =
   match pt.memo with
   | Some tbl -> tbl
   | None ->
-      let jtbl = Array.make 15 pt in
+      set_acc ws pt.x pt.y pt.z;
+      store_acc ws ws.jtbl 0;
       for d = 1 to 14 do
-        jtbl.(d) <- add jtbl.(d - 1) pt
+        jadd ws pt.x pt.y pt.z;
+        store_acc ws ws.jtbl d
       done;
-      let tbl = batch_to_affine jtbl in
+      let tbl = Array.make (15 * aff) 0 in
+      batch_to_affine ws ws.jtbl 15 tbl;
       pt.memo <- Some tbl;
       tbl
 
-let prepare pt = if not (is_infinity pt) then ignore (window_table pt)
+let prepare pt =
+  if not (is_infinity pt) then ignore (window_table (Domain.DLS.get workspace) pt)
 
 (* Scalars as 64 big-endian nibbles; index 0 is the most significant. *)
 let scalar_nibbles k = Bn.to_bytes_be ~len:32 (Bn.mod_ k n)
@@ -202,129 +348,172 @@ let nibble s i =
 let mul k pt =
   if is_infinity pt then infinity
   else begin
+    let ws = Domain.DLS.get workspace in
     let s = scalar_nibbles k in
-    let tbl = window_table pt in
-    let acc = ref infinity in
+    let tbl = window_table ws pt in
+    set_infinity ws;
     for i = 0 to 63 do
-      if not (is_infinity !acc) then begin
-        acc := double !acc;
-        acc := double !acc;
-        acc := double !acc;
-        acc := double !acc
+      if not (Fe.is_zero ws.az) then begin
+        dbl ws;
+        dbl ws;
+        dbl ws;
+        dbl ws
       end;
       let d = nibble s i in
-      if d > 0 then acc := add_affine !acc tbl.(d - 1)
+      if d > 0 then begin
+        load_affine ws tbl (d - 1);
+        madd ws
+      end
     done;
-    !acc
+    point_of_acc ws
   end
 
-(* A comb: row j holds [1..15] * 16^j * P, affine. Every scalar
-   d * 16^j stays below n (15 * 16^63 < n), so no entry of a finite
-   point's comb is infinity and one batch inversion normalises all 960. *)
-let build_comb pt =
-  let jrows = Array.make 64 [||] in
-  let pj = ref pt in
+(* A comb: row j holds [1..15] * 16^j * P, affine, at entries
+   15j .. 15j + 14. Every scalar d * 16^j stays below n
+   (15 * 16^63 < n), so no entry of a finite point's comb is infinity
+   and one batch inversion normalises all 960. *)
+let build_comb ws pt =
+  let jflat = Array.make (960 * jac_w) 0 in
+  (* (bx, by, bz) = 16^j P *)
+  let bx = fresh pt.x and by = fresh pt.y and bz = fresh pt.z in
   for j = 0 to 63 do
-    let row = Array.make 15 !pj in
+    set_acc ws bx by bz;
+    store_acc ws jflat (15 * j);
     for d = 1 to 14 do
-      row.(d) <- add row.(d - 1) !pj
+      jadd ws bx by bz;
+      store_acc ws jflat ((15 * j) + d)
     done;
-    jrows.(j) <- row;
-    if j < 63 then pj := double (double (double (double !pj)))
+    if j < 63 then begin
+      set_acc ws bx by bz;
+      dbl ws;
+      dbl ws;
+      dbl ws;
+      dbl ws;
+      Fe.set bx ws.ax;
+      Fe.set by ws.ay;
+      Fe.set bz ws.az
+    end
   done;
-  let affine = batch_to_affine (Array.concat (Array.to_list jrows)) in
-  Array.init 64 (fun j -> Array.sub affine (j * 15) 15)
+  let out = Array.make (960 * aff) 0 in
+  batch_to_affine ws jflat 960 out;
+  out
 
-(* The fixed-base comb for G, built lazily (one-time ~5 ms); after that
+(* The fixed-base comb for G, built lazily (one-time ~4 ms); after that
    base_mul is at most 64 mixed additions and zero doublings.
 
    The cell is [Atomic] because the comb is the one lazy table shared
    by every fleet domain: the atomic store publishes the fully-built
-   (and thereafter immutable) arrays, so a reader either sees [None]
+   (and thereafter immutable) array, so a reader either sees [None]
    and builds its own, or sees a complete comb. Concurrent builders
    race benignly — the construction is deterministic, so whichever
    store lands last publishes the same table the loser computed. *)
 let comb = Atomic.make None
 
-let get_comb () =
+(* Builds through [ws], so callers fetch the comb before loading the
+   accumulator. *)
+let get_comb ws =
   match Atomic.get comb with
   | Some c -> c
   | None ->
-      let c = build_comb base in
+      let c = build_comb ws base in
       Atomic.set comb (Some c);
       c
 
-let base_mul k =
-  let s = scalar_nibbles k in
-  let c = get_comb () in
-  let acc = ref infinity in
+(* A <- sum of comb entries for the nibbles of [s]; nibble index i
+   has significance 63 - i. *)
+let comb_walk ws c s =
   for i = 0 to 63 do
     let d = nibble s i in
-    (* nibble index i has significance 63 - i *)
-    if d > 0 then acc := add_affine !acc c.(63 - i).(d - 1)
-  done;
-  !acc
+    if d > 0 then begin
+      load_affine ws c ((15 * (63 - i)) + d - 1);
+      madd ws
+    end
+  done
+
+let base_mul k =
+  let ws = Domain.DLS.get workspace in
+  let s = scalar_nibbles k in
+  let c = get_comb ws in
+  set_infinity ws;
+  comb_walk ws c s;
+  point_of_acc ws
 
 (* Shamir/Straus interleaving for u1*G + u2*Q: one shared doubling
-   ladder, window adds from the generator comb's position-0 table and
-   from Q's memoized window table. *)
-let ladder_double_mul u1 u2 q =
+   ladder, window adds from the generator comb's row 0 and from Q's
+   memoized window table. *)
+let ladder_double_mul ws u1 u2 q =
   let s1 = scalar_nibbles u1 in
   let s2 = scalar_nibbles u2 in
-  let gtbl = (get_comb ()).(0) in
-  let qtbl = window_table q in
-  let acc = ref infinity in
+  let gc = get_comb ws in
+  let qtbl = window_table ws q in
+  set_infinity ws;
   for i = 0 to 63 do
-    if not (is_infinity !acc) then begin
-      acc := double !acc;
-      acc := double !acc;
-      acc := double !acc;
-      acc := double !acc
+    if not (Fe.is_zero ws.az) then begin
+      dbl ws;
+      dbl ws;
+      dbl ws;
+      dbl ws
     end;
     let d1 = nibble s1 i in
-    if d1 > 0 then acc := add_affine !acc gtbl.(d1 - 1);
+    if d1 > 0 then begin
+      load_affine ws gc (d1 - 1);
+      madd ws
+    end;
     let d2 = nibble s2 i in
-    if d2 > 0 then acc := add_affine !acc qtbl.(d2 - 1)
-  done;
-  !acc
+    if d2 > 0 then begin
+      load_affine ws qtbl (d2 - 1);
+      madd ws
+    end
+  done
 
 (* u1*G + u2*Q with both scalars walking combs: at most 128 mixed
    additions and none of the ladder's 252 doublings. *)
-let comb_double_mul u1 u2 qc =
+let comb_double_mul ws u1 u2 qc =
   let s1 = scalar_nibbles u1 in
   let s2 = scalar_nibbles u2 in
-  let gc = get_comb () in
-  let acc = ref infinity in
+  let gc = get_comb ws in
+  set_infinity ws;
   for i = 0 to 63 do
+    let row = 15 * (63 - i) in
     let d1 = nibble s1 i in
-    if d1 > 0 then acc := add_affine !acc gc.(63 - i).(d1 - 1);
+    if d1 > 0 then begin
+      load_affine ws gc (row + d1 - 1);
+      madd ws
+    end;
     let d2 = nibble s2 i in
-    if d2 > 0 then acc := add_affine !acc qc.(63 - i).(d2 - 1)
-  done;
-  !acc
+    if d2 > 0 then begin
+      load_affine ws qc (row + d2 - 1);
+      madd ws
+    end
+  done
 
-(* Measured with OCaml 5.1 on a 2-vCPU Xeon VM: a comb costs 7.6-9 ms
-   and 863k minor words to build, and each double_mul on it saves
-   0.65-0.9 ms and 113k words against the window ladder (83k vs 196k
-   words), so it pays for itself after 8 to 12 uses. The threshold sits
-   at the low end of that range because the keys that pass it (endorsed
-   attestation keys, a pinned verifier identity, a board's vendor key)
-   keep verifying for the rest of the run, while a key decoded for one
-   handshake never gets near it. *)
+(* Measured with OCaml 5.1 on a 2-vCPU Xeon VM: a comb costs 3.5-4.1 ms
+   to build (its two flat arrays, 42k words, go straight to the major
+   heap), and each ECDSA verify on it takes 0.28-0.32 ms against
+   0.59-0.76 ms on the window ladder, a saving of 0.29-0.48 ms; both
+   paths allocate ~2.8k words per verify. So a comb pays for itself
+   after 7 to 13 uses. The threshold sits at the low end of that range
+   because the keys that pass it (endorsed attestation keys, a pinned
+   verifier identity, a board's vendor key) keep verifying for the rest
+   of the run, while a key decoded for one handshake never gets near
+   it. *)
 let comb_threshold = 8
 
 let double_mul u1 u2 q =
   if is_infinity q then base_mul u1
-  else
-    match q.comb_memo with
-    | Some qc -> comb_double_mul u1 u2 qc
+  else begin
+    let ws = Domain.DLS.get workspace in
+    (match q.comb_memo with
+    | Some qc -> comb_double_mul ws u1 u2 qc
     | None when q.uses < comb_threshold ->
         q.uses <- q.uses + 1;
-        ladder_double_mul u1 u2 q
+        ladder_double_mul ws u1 u2 q
     | None ->
-        let qc = build_comb q in
+        let qc = build_comb ws q in
         q.comb_memo <- Some qc;
-        comb_double_mul u1 u2 qc
+        comb_double_mul ws u1 u2 qc);
+    point_of_acc ws
+  end
 
 (* Cross-multiplied comparison: x1*z2^2 = x2*z1^2 (and same for y with
    cubes) avoids any inversion. *)
@@ -333,10 +522,18 @@ let equal p1 p2 =
   | true, true -> true
   | true, false | false, true -> false
   | false, false ->
-      let z1z1 = fsqr p1.z in
-      let z2z2 = fsqr p2.z in
-      Fe.equal (fmul p1.x z2z2) (fmul p2.x z1z1)
-      && Fe.equal (fmul p1.y (fmul z2z2 p2.z)) (fmul p2.y (fmul z1z1 p1.z))
+      let { t0; t1; t2; t3; _ } = Domain.DLS.get workspace in
+      Fe.sqr_into fp t0 p1.z;
+      Fe.sqr_into fp t1 p2.z;
+      Fe.mul_into fp t2 p1.x t1;
+      Fe.mul_into fp t3 p2.x t0;
+      Fe.equal t2 t3
+      &&
+      (Fe.mul_into fp t1 t1 p2.z;
+       Fe.mul_into fp t2 p1.y t1;
+       Fe.mul_into fp t0 t0 p1.z;
+       Fe.mul_into fp t3 p2.y t0;
+       Fe.equal t2 t3)
 
 let encode pt =
   match pt.enc with
@@ -354,15 +551,19 @@ let decode s =
   else begin
     let x = Bn.of_bytes_be (String.sub s 1 32) in
     let y = Bn.of_bytes_be (String.sub s 33 32) in
-    if on_curve x y then begin
-      (* a decoded point re-encodes to its own input for free *)
-      let pt = jac (Fe.of_bn fp x) (Fe.of_bn fp y) (Fe.one fp) in
-      pt.enc <- Some s;
-      Some pt
+    if Bn.compare x p >= 0 || Bn.compare y p >= 0 then None
+    else begin
+      let fx = Fe.of_bn fp x and fy = Fe.of_bn fp y in
+      if on_curve_fe (Domain.DLS.get workspace) fx fy then begin
+        (* a decoded point re-encodes to its own input for free *)
+        let pt = jac fx fy (Fe.one fp) in
+        pt.enc <- Some s;
+        Some pt
+      end
+      else None
     end
-    else None
   end
 
 (* Force the one-time lazy tables (the fixed-base comb) so a server's
    first session does not pay their construction inside its latency. *)
-let prewarm () = ignore (get_comb ())
+let prewarm () = ignore (get_comb (Domain.DLS.get workspace))

@@ -5,7 +5,9 @@
     computed in Jacobian coordinates over the {!Fe256} Montgomery
     field, with 4-bit windowed scalar multiplication, a fixed-base comb
     for the generator, and Shamir's trick for the ECDSA-verify shape
-    until a key has verified often enough to earn its own comb.
+    until a key has verified often enough to earn its own comb. The
+    formulas run in place on a per-domain workspace, so each call
+    allocates little beyond its result.
 
     Caution: like the rest of this simulation's crypto, the scalar
     ladders here are *not* constant-time (window digits index tables,
@@ -60,7 +62,7 @@ val double_mul : Bn.t -> Bn.t -> point -> point
 val comb_threshold : int
 (** The number of window-ladder {!double_mul} calls a point makes
     before it moves to its comb. A constant, not a setting: a comb
-    pays for itself after 8 to 12 uses, which long-lived keys reach
+    pays for itself after 7 to 13 uses, which long-lived keys reach
     and keys decoded for a single handshake never do. *)
 
 val prepare : point -> unit

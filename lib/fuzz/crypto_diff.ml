@@ -11,6 +11,9 @@
       corrupted one (same verdict from both stacks) — first on the
       fresh key's window ladder, then again on its comb once the round
       has used the key past {!Watz_crypto.P256.comb_threshold};
+    - ECDH with a peer point freshly decoded from a seeded encoding,
+      against the x-coordinate of the reference [P256.mul], and the
+      decode verdict of both stacks on a one-byte-corrupted encoding;
     - GHASH on random subkeys and part lists (the table-driven path vs
       the shift-and-add reference);
     - AES-GCM encrypt bit-identity, decrypt roundtrip, and
@@ -118,6 +121,44 @@ let check_ecdsa rng =
     end
   end
 
+(* ECDH against a peer point decoded from its encoding, so the point is
+   fresh (no window table, no memo) exactly as a handshake sees it. *)
+let check_ecdh rng =
+  let scalar () =
+    let k = Bn.mod_ (Bn.of_bytes_be (Prng.bytes rng 32)) C.P256.n in
+    if Bn.is_zero k then Bn.one else k
+  in
+  let enc = C.P256.encode (C.P256.base_mul (scalar ())) in
+  let priv = scalar () in
+  match (C.P256.decode enc, R.P256.of_bytes enc) with
+  | None, _ -> Error (Printf.sprintf "p256 decode rejected a valid encoding %s" (hex enc))
+  | _, None -> Error (Printf.sprintf "reference decode rejected a valid encoding %s" (hex enc))
+  | Some peer, Some peer_ref -> (
+    let fast = C.Ecdh.shared_secret ~priv ~peer in
+    let ref_ =
+      Option.map
+        (fun (x, _) -> Bn.to_bytes_be ~len:32 x)
+        (R.P256.to_affine (R.P256.mul priv peer_ref))
+    in
+    if not (Option.equal String.equal fast ref_) then
+      let show = Option.fold ~none:"infinity" ~some:hex in
+      Error
+        (Printf.sprintf "ecdh secret mismatch with peer %s: fast=%s ref=%s" (hex enc) (show fast)
+           (show ref_))
+    else begin
+      (* one corrupted byte: both decoders must give the same verdict *)
+      let b = Bytes.of_string enc in
+      let i = Prng.int rng (Bytes.length b) in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 + Prng.int rng 255)));
+      let bad = Bytes.to_string b in
+      let v_fast = Option.is_some (C.P256.decode bad) in
+      let v_ref = Option.is_some (R.P256.of_bytes bad) in
+      if v_fast = v_ref then Ok ()
+      else
+        Error
+          (Printf.sprintf "p256 decode verdict diverges on %s (fast=%b ref=%b)" (hex bad) v_fast v_ref)
+    end)
+
 let check_ghash rng =
   let h = Prng.bytes rng 16 in
   let parts = List.init (Prng.int rng 5) (fun _ -> Prng.bytes rng (Prng.int rng 70)) in
@@ -158,8 +199,9 @@ let check_gcm rng =
 (** One differential round drawing which primitive to hit from the
     same stream as its inputs. *)
 let round rng =
-  match Prng.int rng 6 with
+  match Prng.int rng 7 with
   | 0 | 1 -> check_sha256 rng
   | 2 -> check_ecdsa rng
-  | 3 | 4 -> check_ghash rng
+  | 3 -> check_ecdh rng
+  | 4 | 5 -> check_ghash rng
   | _ -> check_gcm rng

@@ -83,19 +83,6 @@ let leb_abuse rng s =
     Bytes.to_string b
   end
 
-(* Splice the head of one input onto the tail of another — crosses
-   section boundaries and desynchronizes declared lengths from
-   payloads. *)
-let splice rng a b =
-  let na = String.length a and nb = String.length b in
-  if na = 0 then b
-  else if nb = 0 then a
-  else begin
-    let i = 1 + Prng.int rng na in
-    let j = Prng.int rng nb in
-    clamp_len (String.sub a 0 i ^ String.sub b j (nb - j))
-  end
-
 let mutators = [| bit_flip; byte_set; truncate; insert; delete; duplicate; leb_abuse |]
 
 (** [mutate rng s] applies 1–4 random mutations. *)

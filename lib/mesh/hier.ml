@@ -26,7 +26,6 @@ let mac_len = 32
 let derive_key ~rms = C.Hmac.sha256 ~key:rms "WZ-MESH-SUB"
 
 let is_subclaim frame = String.length frame >= 4 && String.equal (String.sub frame 0 4) magic
-let is_ack frame = String.length frame >= 4 && String.equal (String.sub frame 0 4) ack_magic
 
 let body ~name ~measurement =
   let w = W.create () in

@@ -130,16 +130,10 @@ let configure t ~seed ~profile =
 
 let set_profile conn profile = conn.profile <- profile
 
-(** The fault metrics registry (counters per fault family, named as in
-    {!fault_counts}); share it with a wider registry dump if needed. *)
-let fault_metrics t = t.faults
-
 (* Only families that actually fired are reported, matching the old
    ad-hoc counter table. *)
 let fault_counts t =
   List.filter (fun (_, v) -> v > 0) (Watz_obs.Metrics.counter_list t.faults)
-
-let reset_fault_counts t = Watz_obs.Metrics.reset t.faults
 
 exception Refused of int
 exception Peer_closed
@@ -150,10 +144,6 @@ let listen t ~port =
   let q = Queue.create () in
   Hashtbl.replace t.listeners port q;
   port
-
-let close_listener t ~port =
-  owner_check t;
-  Hashtbl.remove t.listeners port
 
 (** [connect t ~port] establishes a connection to a listening port and
     returns the client-side endpoint; the server side is delivered via
@@ -403,23 +393,6 @@ let recv_frame_ex conn =
       conn.rx.dst.read_pos <- conn.rx.dst.read_pos + 4;
       match recv conn ~len with Some s -> Frame s | None -> assert false
     end
-  end
-
-(** [frame_ready conn] is the non-consuming poll behind cooperative
-    session scheduling: [true] exactly when {!recv_frame_ex} would
-    return anything other than [Awaiting] (a complete frame, a stream
-    end, or a length violation) — i.e. when a blocked session driver
-    has something to react to. Reads nothing and mutates nothing, so
-    polling it any number of times is observation-free. *)
-let frame_ready conn =
-  owner_check conn.net;
-  if available conn < 4 then at_eof conn
-  else begin
-    let peek = Buffer.sub conn.rx.dst.buf conn.rx.dst.read_pos 4 in
-    let r = Watz_util.Bytesio.Reader.of_string peek in
-    let len = Int32.to_int (Watz_util.Bytesio.Reader.u32 r) in
-    if len < 0 || len > max_frame_len then true
-    else available conn >= 4 + len || at_eof conn
   end
 
 (** [recv_frame conn] is a complete frame, or [None] if one has not

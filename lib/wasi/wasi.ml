@@ -19,7 +19,6 @@ module Mem = Watz_wasm.Instance.Memory
 exception Proc_exit of int
 
 (* WASI errno values (subset). *)
-let errno_success = 0
 let errno_badf = 8
 let errno_inval = 28
 let errno_nosys = 52

@@ -147,7 +147,3 @@ let imported_memories m =
 let imported_globals m =
   List.filter_map (fun i -> match i.idesc with ImportGlobal g -> Some g | _ -> None) m.imports
 
-let func_type_index m idx =
-  let imported = imported_funcs m in
-  let n = List.length imported in
-  if idx < n then List.nth imported idx else (List.nth m.funcs (idx - n)).ftype

@@ -445,6 +445,29 @@ let ecdh_agreement () =
     Alcotest.(check int) "32 bytes" 32 (String.length a)
   | None, _ | _, None -> Alcotest.fail "unexpected infinity"
 
+(* NIST CAVS P-256 ECC CDH (KAS ECC CDH primitive), COUNT = 0: the
+   responder's key dIUT against the peer point QCAVS, through the same
+   decode path a handshake uses. *)
+let ecdh_cavs_vector () =
+  let point hx hy = "\x04" ^ hex hx ^ hex hy in
+  let peer =
+    match
+      P256.decode
+        (point "700c48f77f56584c5cc632ca65640db91b6bacce3a4df6b42ce7cc838833d287"
+           "db71e509e3fd9b060ddb20ba5c51dcc5948d46fbf640dfe0441782cab85fa4ac")
+    with
+    | Some q -> q
+    | None -> Alcotest.fail "QCAVS rejected"
+  in
+  let d_iut = Bn.of_hex "7d7dc5f71eb29ddaf80d6214632eeae03d9058af1fb6d22ed80badb62bc1a534" in
+  (match Ecdh.shared_secret ~priv:d_iut ~peer with
+  | Some z -> check_hex "ZIUT" "46fc62106420ff012e54a434fbdd2d25ccc5852060561e68040dd7778997bd7b" z
+  | None -> Alcotest.fail "shared secret at infinity");
+  check_hex "QIUT = dIUT G"
+    ("04" ^ "ead218590119e8876b29146ff89ca61770c4edbbf97d38ce385ed281d8a6b230"
+   ^ "28af61281fd35e2fa7002523acc85a429cb06ee6648325389f59edfce1405141")
+    (P256.encode (P256.base_mul d_iut))
+
 let ecdh_fresh_sessions_differ () =
   let rng = Watz_util.Prng.create 7L in
   let random n = Watz_util.Prng.bytes rng n in
@@ -551,20 +574,55 @@ let qcheck_sha256_streaming_chunks =
       String.equal (Sha256.finalize ctx) (Sha256.digest s))
 
 let qcheck_fe256_matches_modring =
-  (* The Montgomery field vs the generic Barrett ring, on the P-256
-     prime: add/sub/mul/inv agree for any inputs. *)
-  let gr = Modring.create (Fe256.modulus P256.field_ring) in
-  QCheck.Test.make ~name:"fe256: montgomery = modring on P-256 field" ~count:200
-    (QCheck.pair arbitrary_bn arbitrary_bn)
-    (fun (a, b) ->
-      let fr = P256.field_ring in
-      let fa = Fe256.of_bn fr a and fb = Fe256.of_bn fr b in
-      let ga = Modring.reduce gr a and gb = Modring.reduce gr b in
-      Bn.equal (Fe256.to_bn fr (Fe256.add fr fa fb)) (Modring.add gr ga gb)
-      && Bn.equal (Fe256.to_bn fr (Fe256.sub fr fa fb)) (Modring.sub gr ga gb)
-      && Bn.equal (Fe256.to_bn fr (Fe256.mul fr fa fb)) (Modring.mul gr ga gb)
-      && (Bn.is_zero ga
-         || Bn.equal (Fe256.to_bn fr (Fe256.inv fr fa)) (Modring.inv_prime gr ga)))
+  (* The Montgomery rings vs the generic Barrett ring, on both P-256
+     moduli: add/sub/mul/sqr/inv agree for any inputs, into a fresh
+     destination, into either operand, and with both operands one
+     element. The edge operands 0, 1, m - 1 and 2^255 - 1 fill the
+     straight-line product's columns with the widest limbs. *)
+  let rings =
+    List.map (fun fr -> (fr, Modring.create (Fe256.modulus fr))) [ P256.field_ring; P256.scalar_ring ]
+  in
+  let operand =
+    QCheck.Gen.(
+      frequency
+        [ (1, map (fun i -> `Edge i) (int_bound 3)); (3, map (fun b -> `Val b) (QCheck.gen arbitrary_bn)) ])
+  in
+  let print = function `Edge i -> Printf.sprintf "edge %d" i | `Val b -> Bn.to_hex b in
+  QCheck.Test.make ~name:"fe256: montgomery = modring in both P-256 rings, with aliasing" ~count:200
+    (QCheck.make ~print:QCheck.Print.(pair print print) (QCheck.Gen.pair operand operand))
+    (fun (oa, ob) ->
+      List.for_all
+        (fun (fr, gr) ->
+          let m = Fe256.modulus fr in
+          let value = function
+            | `Edge 0 -> Bn.zero
+            | `Edge 1 -> Bn.one
+            | `Edge 2 -> Bn.sub m Bn.one
+            | `Edge _ -> Bn.sub (Bn.shift_left Bn.one 255) Bn.one
+            | `Val b -> b
+          in
+          let a = value oa and b = value ob in
+          let ga = Modring.reduce gr a and gb = Modring.reduce gr b in
+          let agrees expected f =
+            (* f gets fresh copies of a and b and returns the element it wrote *)
+            Bn.equal (Fe256.to_bn fr (f (Fe256.of_bn fr a) (Fe256.of_bn fr b))) expected
+          in
+          let binop op expected expected_aa =
+            agrees expected (fun fa fb -> let d = Fe256.zero fr in op fr d fa fb; d)
+            && agrees expected (fun fa fb -> op fr fa fa fb; fa)
+            && agrees expected (fun fa fb -> op fr fb fa fb; fb)
+            && agrees expected_aa (fun fa _ -> let d = Fe256.zero fr in op fr d fa fa; d)
+          in
+          let unop op expected =
+            agrees expected (fun fa _ -> let d = Fe256.zero fr in op fr d fa; d)
+            && agrees expected (fun fa _ -> op fr fa fa; fa)
+          in
+          binop Fe256.add_into (Modring.add gr ga gb) (Modring.add gr ga ga)
+          && binop Fe256.sub_into (Modring.sub gr ga gb) Bn.zero
+          && binop Fe256.mul_into (Modring.mul gr ga gb) (Modring.sqr gr ga)
+          && unop Fe256.sqr_into (Modring.sqr gr ga)
+          && unop Fe256.inv_into (if Bn.is_zero ga then Bn.zero else Modring.inv_prime gr ga))
+        rings)
 
 let affine_eq_ref p_new p_old =
   match (P256.to_affine p_new, Refcrypto.P256.to_affine p_old) with
@@ -740,7 +798,11 @@ let suite =
         q qcheck_ecdsa_sign_verify;
       ] );
     ( "crypto.ecdh",
-      [ case "agreement" ecdh_agreement; case "fresh sessions differ" ecdh_fresh_sessions_differ ]
+      [
+        case "agreement" ecdh_agreement;
+        case "fresh sessions differ" ecdh_fresh_sessions_differ;
+        case "NIST CAVS CDH vector" ecdh_cavs_vector;
+      ]
     );
     ( "crypto.fortuna",
       [
