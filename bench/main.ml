@@ -2,7 +2,7 @@
    figure of the paper's evaluation (§VI). Run with no argument for the
    full sweep, or with one of:
 
-     fig3 fig4 fig5 fig6 table2 table3 fig7 table4 fig8 fast-ablation attest-storm mesh fleet crypto micro
+     fig3 fig4 fig5 fig6 table2 table3 fig7 table4 fig8 fast-ablation attest-storm mesh fleet crypto
 
    Absolute numbers differ from the paper (x86 host + an OCaml
    pre-decoded interpreter vs Cortex-A53 + LLVM AOT); EXPERIMENTS.md
@@ -628,7 +628,7 @@ let attest_storm () =
    churn (reboots, attestation-key rotation, STEK rotation, module
    updates) — comparing full-handshake vs 1-RTT-resume establishment
    latency, plus a federated 4-shard run whose merged evidence cache
-   must be independent of chunk arrival order. With --json, writes
+   must be independent of chunk merge order. With --json, writes
    BENCH_mesh.json. Hard gates: every scenario completes >= 99%, and
    on the clean profile resumed p95 <= 0.5 x full p95 — resumption
    that isn't at least twice as fast at the tail is not paying for
@@ -715,7 +715,7 @@ let mesh () =
        fr.MF.wave2_full fr.MF.wave2_fallbacks);
   Buffer.add_string json "}\n";
   if not order_free then
-    failures := "federation: merged cache depends on chunk arrival order" :: !failures;
+    failures := "federation: merged cache depends on chunk merge order" :: !failures;
   if fr.MF.cross_resumes = 0 then
     failures := "federation: no cross-shard resumption succeeded" :: !failures;
   if json_out then begin
@@ -1012,77 +1012,6 @@ let crypto () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure family. *)
-
-let micro () =
-  section "Bechamel micro-benchmarks";
-  let open Bechamel in
-  let soc = booted "bench-micro" in
-  let os = Soc.optee soc in
-  let priv, pub = Watz_crypto.Ecdsa.keypair_of_seed "bench" in
-  let signature = Watz_crypto.Ecdsa.sign priv "msg" in
-  let rng = Watz_util.Prng.create 1L in
-  let random n = Watz_util.Prng.bytes rng n in
-  let kp = Watz_crypto.Ecdh.generate ~random in
-  let keys = Watz_crypto.Kdf.session_of_shared (Watz_crypto.Sha256.digest "s") in
-  let payload = String.make 65536 'p' in
-  let service = Watz_attest.Service.install os in
-  let anchor = Watz_crypto.Sha256.digest "anchor" in
-  let claim = Watz_crypto.Sha256.digest "claim" in
-  let gemm_bytes = Watz_wasmc.Minic.compile_to_bytes (PB.find "gemm").PB.program in
-  let gemm_app = Wamr.load ~entry:None soc gemm_bytes in
-  let tests =
-    [
-      Test.make ~name:"fig3/world-switch" (Staged.stage (fun () -> Soc.smc soc (fun () -> ())));
-      Test.make ~name:"fig3/clock-read-sw"
-        (Staged.stage (fun () -> ignore (Optee.ree_time_ns os)));
-      Test.make ~name:"t3/sha256-64k"
-        (Staged.stage (fun () -> ignore (Watz_crypto.Sha256.digest payload)));
-      Test.make ~name:"t3/ecdsa-sign" (Staged.stage (fun () -> ignore (Watz_crypto.Ecdsa.sign priv "msg")));
-      Test.make ~name:"t3/ecdsa-verify"
-        (Staged.stage (fun () -> ignore (Watz_crypto.Ecdsa.verify pub ~msg:"msg" ~signature)));
-      Test.make ~name:"t3/ecdh-keygen"
-        (Staged.stage (fun () -> ignore (Watz_crypto.Ecdh.generate ~random)));
-      Test.make ~name:"t3/ecdh-shared"
-        (Staged.stage (fun () ->
-             ignore
-               (Watz_crypto.Ecdh.shared_secret ~priv:kp.Watz_crypto.Ecdh.priv
-                  ~peer:kp.Watz_crypto.Ecdh.pub)));
-      Test.make ~name:"t3/cmac-64k"
-        (Staged.stage (fun () -> ignore (Watz_crypto.Cmac.mac ~key:keys.Watz_crypto.Kdf.k_m payload)));
-      Test.make ~name:"fig7/aes-gcm-64k"
-        (Staged.stage (fun () ->
-             ignore
-               (Watz_crypto.Gcm.encrypt ~key:keys.Watz_crypto.Kdf.k_e ~iv:(String.make 12 'i')
-                  payload)));
-      Test.make ~name:"t4/issue-evidence"
-        (Staged.stage (fun () -> ignore (Watz_attest.Service.issue_evidence service ~anchor ~claim)));
-      Test.make ~name:"fig4/measure-64k" (Staged.stage (fun () -> ignore (Runtime.measure payload)));
-      Test.make ~name:"fig5/gemm-fast" (Staged.stage (fun () -> ignore (Wamr.invoke gemm_app "run" [])));
-    ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~stabilize:false () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let pp_time ns =
-    if ns < 1e3 then Printf.sprintf "%.0f ns" ns
-    else if ns < 1e6 then Printf.sprintf "%.2f us" (ns /. 1e3)
-    else if ns < 1e9 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-    else Printf.sprintf "%.3f s" (ns /. 1e9)
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let stats = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "  %-24s %s/run\n%!" name (pp_time est)
-          | Some _ | None -> Printf.printf "  %-24s (no estimate)\n" name)
-        stats)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* `bench record`: append the BENCH_*.json artifacts sitting in the
    working directory to bench/history.yaml, stamped with the current
    commit and an operator-supplied --reason, so scaling numbers stay
@@ -1146,7 +1075,6 @@ let all_targets =
     ("table3", table3); ("fig7", fig7); ("table4", table4); ("fig8", fig8);
     ("fast-ablation", fast_ablation);
     ("attest-storm", attest_storm); ("mesh", mesh); ("fleet", fleet); ("crypto", crypto);
-    ("micro", micro);
   ]
 
 (* [record] is invocable by name but not part of the default sweep —

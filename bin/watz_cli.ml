@@ -293,7 +293,7 @@ let attest_storm_cmd =
       if not (String.equal r.Watz_mesh.Mesh_fleet.merge_digest
                 r.Watz_mesh.Mesh_fleet.merge_digest_reversed)
       then begin
-        Printf.eprintf "FAIL: federated cache merge depends on chunk arrival order\n";
+        Printf.eprintf "FAIL: federated cache merge depends on chunk merge order\n";
         exit 1
       end;
       if (not tampering) && r.Watz_mesh.Mesh_fleet.cross_resumes = 0 then begin

@@ -9,8 +9,9 @@
     {!Watz_tz.Net} endpoint (single-domain ownership, enforced by the
     network layer), {!Verifier_app} instance, and per-domain
     metrics/trace sinks — so the shards share no mutable state and never
-    synchronise on the hot path. The only cross-domain traffic is the
-    bounded supervisor queue carrying per-session termination events.
+    synchronise on the hot path. The fleet is three parts: the shards,
+    a start barrier, and a merge of the shard reports at join; the only
+    cross-domain synchronisation is the barrier and [Domain.join].
 
     Determinism contract (see DESIGN.md):
 
@@ -24,115 +25,12 @@
       [Histogram.merge_into]) and traces through the shard-tagged
       {!Watz_obs.Merge}, so the merged artifacts are independent of
       join order and wall-clock interleaving — two fixed-seed runs
-      produce byte-identical merged metrics and traces. The supervisor
-      queue's arrival order is the one scheduling-dependent observation;
-      the report only keeps order-insensitive aggregates of it. *)
+      produce byte-identical merged metrics and traces. *)
 
 module Histogram = Watz_obs.Metrics.Histogram
 module Metrics = Watz_obs.Metrics
 module Merge = Watz_obs.Merge
 module Trace = Watz_obs.Trace
-
-(* ------------------------------------------------------------------ *)
-(* Domain-safe bounded queue (multi-producer, single-consumer) *)
-
-(* Classic mutex/condition ring: producers block once [capacity] events
-   are in flight (backpressure on fast shards), the consumer blocks
-   until an event or every producer retired. Deliberately boring — the
-   queue is the only cross-domain channel, so it is the one place
-   where being obviously correct beats being clever. *)
-module Bqueue = struct
-  type 'a t = {
-    lock : Mutex.t;
-    not_full : Condition.t;
-    not_empty : Condition.t;
-    items : 'a Queue.t;
-    capacity : int;
-    producers : int;
-    mutable retired : int; (* producers that called [producer_done] *)
-  }
-
-  let create ~capacity ~producers =
-    {
-      lock = Mutex.create ();
-      not_full = Condition.create ();
-      not_empty = Condition.create ();
-      items = Queue.create ();
-      capacity = max 1 capacity;
-      producers;
-      retired = 0;
-    }
-
-  let push t x =
-    Mutex.lock t.lock;
-    while Queue.length t.items >= t.capacity do
-      Condition.wait t.not_full t.lock
-    done;
-    Queue.push x t.items;
-    Condition.signal t.not_empty;
-    Mutex.unlock t.lock
-
-  (* Push a whole chunk under one lock round-trip: the common case is
-     one acquisition, one signal. Capacity is still respected per item;
-     when the ring fills mid-chunk the consumer is woken first so the
-     wait cannot deadlock on our own unsignalled items. *)
-  let push_chunk t xs =
-    Mutex.lock t.lock;
-    List.iter
-      (fun x ->
-        while Queue.length t.items >= t.capacity do
-          Condition.signal t.not_empty;
-          Condition.wait t.not_full t.lock
-        done;
-        Queue.push x t.items)
-      xs;
-    Condition.signal t.not_empty;
-    Mutex.unlock t.lock
-
-  (* A producer will push nothing further; once all have retired, [pop]
-     drains the remainder and then returns [None]. *)
-  let producer_done t =
-    Mutex.lock t.lock;
-    t.retired <- t.retired + 1;
-    Condition.broadcast t.not_empty;
-    Mutex.unlock t.lock
-
-  let pop t =
-    Mutex.lock t.lock;
-    while Queue.is_empty t.items && t.retired < t.producers do
-      Condition.wait t.not_empty t.lock
-    done;
-    let out =
-      if Queue.is_empty t.items then None
-      else begin
-        let x = Queue.pop t.items in
-        Condition.signal t.not_full;
-        Some x
-      end
-    in
-    Mutex.unlock t.lock;
-    out
-
-  (* Drain everything currently queued under one lock round-trip (the
-     consumer-side half of the chunked protocol). [None] only once all
-     producers retired and the queue is empty. *)
-  let pop_chunk t =
-    Mutex.lock t.lock;
-    while Queue.is_empty t.items && t.retired < t.producers do
-      Condition.wait t.not_empty t.lock
-    done;
-    let out =
-      if Queue.is_empty t.items then None
-      else begin
-        let xs = List.of_seq (Queue.to_seq t.items) in
-        Queue.clear t.items;
-        Condition.broadcast t.not_full;
-        Some xs
-      end
-    in
-    Mutex.unlock t.lock;
-    out
-end
 
 (* ------------------------------------------------------------------ *)
 (* Configuration *)
@@ -176,10 +74,6 @@ let shard_config config k =
 (* ------------------------------------------------------------------ *)
 (* Reports *)
 
-(** One supervisor-queue event: which shard, and what its storm
-    observed. *)
-type event = { shard : int; ev : Storm.session_event }
-
 (** [Gc.quick_stat] deltas across one shard's (timed) run phase —
     allocation pressure per shard, reported alongside the wall-clock
     split so the bench can print words-per-session. *)
@@ -192,10 +86,6 @@ type report = {
   aborted : int;
   retries : int;
   ticks : int; (* slowest shard, in that shard's simulated ticks *)
-  queue_events : int; (* events received over the supervisor queue *)
-  queue_done : int; (* Session_done events among them *)
-  queue_aborted : int;
-  evictions : int; (* verifier-side evictions reported over the queue *)
   per_shard : (int * Storm.report) list; (* ordered by shard id *)
   metrics : Metrics.t; (* merged registry: fleet.* / server.* / net.* / phase.* / sched.* *)
   phases : (string * Histogram.summary) list; (* merged across shards *)
@@ -252,15 +142,13 @@ type gate = {
 }
 
 (** Run the fleet: spawn one domain per shard, each simulating its
-    board to completion, while this domain drains the event queue;
-    then join and merge. The merged report is a pure function of
-    [config] — see the determinism contract above. *)
+    board to completion, then join and merge. The merged report is a
+    pure function of [config] — see the determinism contract above. *)
 let run ?(config = default_config) () =
   if config.shards < 1 then invalid_arg "Fleet.run: shards must be >= 1";
   if config.storm.Storm.sessions < config.shards then
     invalid_arg "Fleet.run: fewer sessions than shards";
   let n = config.shards in
-  let q : event Bqueue.t = Bqueue.create ~capacity:64 ~producers:n in
   let gate = { g_lock = Mutex.create (); g_cond = Condition.create (); g_ready = 0; g_go = false } in
   let check_in_and_wait () =
     Mutex.lock gate.g_lock;
@@ -284,51 +172,28 @@ let run ?(config = default_config) () =
           if config.trace_capacity > 0 then Some (Trace.create ~capacity:config.trace_capacity ())
           else None
         in
-        let storm_config = shard_config config k in
-        (* Termination events are buffered shard-side and flushed in
-           chunks: one queue lock round-trip per chunk instead of per
-           session, keeping the supervisor queue off the hot path. *)
-        let buffer = ref [] in
-        let buffered = ref 0 in
-        let flush () =
-          match List.rev !buffer with
-          | [] -> ()
-          | chunk ->
-            buffer := [];
-            buffered := 0;
-            Bqueue.push_chunk q chunk
+        (* If prepare dies the shard must still check in, or the
+           supervisor and the other shards deadlock on the gate. *)
+        let prep =
+          match Storm.prepare ~config:(shard_config config k) ?tracer () with
+          | p -> Ok p
+          | exception e -> Error e
         in
-        let notify ev =
-          buffer := { shard = k; ev } :: !buffer;
-          incr buffered;
-          if !buffered >= 32 then flush ()
-        in
-        Fun.protect
-          ~finally:(fun () -> Bqueue.producer_done q)
-          (fun () ->
-            (* If prepare dies the shard must still check in, or the
-               supervisor and the other shards deadlock on the gate. *)
-            let prep =
-              match Storm.prepare ~config:storm_config ?tracer ~notify () with
-              | p -> Ok p
-              | exception e -> Error e
-            in
-            check_in_and_wait ();
-            match prep with
-            | Error e -> raise e
-            | Ok prep ->
-              let g0 = Gc.quick_stat () in
-              let report = Storm.run_prepared prep in
-              let g1 = Gc.quick_stat () in
-              flush ();
-              let gc =
-                {
-                  minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-                  major_words = g1.Gc.major_words -. g0.Gc.major_words;
-                  promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-                }
-              in
-              (k, report, gc, Option.map (Merge.of_tracer ~shard_id:k) tracer)))
+        check_in_and_wait ();
+        match prep with
+        | Error e -> raise e
+        | Ok prep ->
+          let g0 = Gc.quick_stat () in
+          let report = Storm.run_prepared prep in
+          let g1 = Gc.quick_stat () in
+          let gc =
+            {
+              minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
+              major_words = g1.Gc.major_words -. g0.Gc.major_words;
+              promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
+            }
+          in
+          (k, report, gc, Option.map (Merge.of_tracer ~shard_id:k) tracer))
   in
   let domains = List.init n spawn in
   (* Release the barrier once every shard has built its board; the
@@ -341,31 +206,7 @@ let run ?(config = default_config) () =
   gate.g_go <- true;
   Condition.broadcast gate.g_cond;
   Mutex.unlock gate.g_lock;
-  (* Drain until every shard retired: the queue is bounded, so the
-     supervisor must consume while the shards run, not after. *)
-  let queue_events = ref 0
-  and queue_done = ref 0
-  and queue_aborted = ref 0
-  and evictions = ref 0 in
-  let rec drain () =
-    match Bqueue.pop_chunk q with
-    | None -> ()
-    | Some chunk ->
-      List.iter
-        (fun { ev; _ } ->
-          incr queue_events;
-          match ev with
-          | Storm.Session_done _ -> incr queue_done
-          | Storm.Session_aborted _ -> incr queue_aborted
-          | Storm.Session_evicted _ -> incr evictions)
-        chunk;
-      drain ()
-  in
-  drain ();
-  let results =
-    List.map Domain.join domains
-    |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
-  in
+  let results = List.map Domain.join domains (* shard order *) in
   let t_end = Unix.gettimeofday () in
   let reports = List.map (fun (_, r, _, _) -> r) results in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
@@ -386,10 +227,6 @@ let run ?(config = default_config) () =
     aborted = sum (fun r -> r.Storm.aborted);
     retries = sum (fun r -> r.Storm.retries);
     ticks = List.fold_left (fun acc r -> max acc r.Storm.ticks) 0 reports;
-    queue_events = !queue_events;
-    queue_done = !queue_done;
-    queue_aborted = !queue_aborted;
-    evictions = !evictions;
     per_shard = List.map (fun (k, r, _, _) -> (k, r)) results;
     metrics = phases_reg;
     phases = merged_phases;
@@ -400,7 +237,8 @@ let run ?(config = default_config) () =
   }
 
 (** The merged registry as canonical flat JSON (the byte-identity
-    artifact of the acceptance criteria). *)
+    artifact: CI diffs a 64-session, 4-shard dump against the committed
+    [fleet-metrics.json]). *)
 let metrics_json r = Watz_obs.Export.metrics_to_json r.metrics
 
 (** The merged shard-tagged Chrome trace ([] shards -> empty document). *)
@@ -412,8 +250,6 @@ let pp_report ppf r =
     r.shards r.sessions r.completed
     (100.0 *. completion_rate r)
     r.aborted r.retries r.ticks;
-  Format.fprintf ppf "@\n  queue: %d events (%d done, %d aborted, %d evictions)" r.queue_events
-    r.queue_done r.queue_aborted r.evictions;
   Format.fprintf ppf "@\n  wall: setup %.3fs | run %.3fs" r.setup_wall_s r.run_wall_s;
   List.iter
     (fun (name, (h : Histogram.summary)) ->

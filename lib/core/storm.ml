@@ -99,16 +99,6 @@ type report = {
          "sched.runq_depth" *)
 }
 
-(** Per-session terminations, streamed while the storm runs: the fleet
-    forwards these over its supervisor queue as they happen instead of
-    waiting for the shard's final report. [Session_evicted] carries the
-    verifier-side session id (server connection numbering), the other
-    two the attester sid. *)
-type session_event =
-  | Session_done of { sid : int; latency_ns : int64; retries : int }
-  | Session_aborted of { sid : int; reason : string }
-  | Session_evicted of { server_sid : int }
-
 let completion_rate r =
   if r.sessions = 0 then 1.0 else float_of_int r.completed /. float_of_int r.sessions
 
@@ -124,15 +114,12 @@ type prepared = {
   p_issue : anchor:string -> string;
   p_random : int -> string;
   p_port : int;
-  p_notify : session_event -> unit;
 }
 
 (** Build the simulated board, install the attestation service, derive
     the verifier policy and start the listener — everything up to (but
-    not including) the first tick. [notify] observes each session
-    termination as it happens (fleet shards stream these to the
-    supervisor). *)
-let prepare ?(config = default_config) ?tracer ?(notify = fun (_ : session_event) -> ()) () =
+    not including) the first tick. *)
+let prepare ?(config = default_config) ?tracer () =
   let soc = Soc.manufacture ~seed:"storm-board" () in
   (* Attach before boot so the secure-boot and CAAM spans are traced. *)
   (match tracer with Some trace -> Soc.attach_tracer soc trace | None -> ());
@@ -147,10 +134,7 @@ let prepare ?(config = default_config) ?tracer ?(notify = fun (_ : session_event
   in
   Net.configure soc.Soc.net ~seed:config.seed ~profile:config.profile;
   let port = 7100 in
-  let server =
-    Verifier_app.start soc ~port ~policy
-      ~on_evict:(fun server_sid -> notify (Session_evicted { server_sid }))
-  in
+  let server = Verifier_app.start soc ~port ~policy in
   let issue ~anchor =
     (* Evidence signing happens in the secure world's attestation
        service (⑥); the storm bypasses the kernel-call plumbing, so
@@ -168,35 +152,17 @@ let prepare ?(config = default_config) ?tracer ?(notify = fun (_ : session_event
     p_issue = issue;
     p_random = (fun n -> Watz_util.Prng.bytes crypto_rng n);
     p_port = port;
-    p_notify = notify;
   }
 
 (** Drive a prepared storm to completion. The whole schedule is a pure
     function of [config.seed]: a failing run replays exactly from its
     seed. *)
 let run_prepared p =
-  let config = p.p_config and soc = p.p_soc and notify = p.p_notify in
-  (* Prepend order: [List.rev] recovers ascending-sid order wherever
-     stepping or event order is observable. *)
+  let config = p.p_config and soc = p.p_soc in
+  (* Prepend order: [List.rev] recovers ascending-sid stepping order. *)
   let attesters = ref [] in
   let launched = ref 0 in
-  let terminated = ref 0 in
   let runq_hist = Histogram.create () in
-  let notify_termination (a : Attester_app.t) =
-    incr terminated;
-    match Attester_app.outcome a with
-    | Attester_app.Pending -> assert false
-    | Attester_app.Done _ ->
-      notify
-        (Session_done
-           {
-             sid = a.Attester_app.sid;
-             latency_ns = Int64.sub (Attester_app.finished_ns a) (Attester_app.started_ns a);
-             retries = Attester_app.retries a;
-           })
-    | Attester_app.Aborted e ->
-      notify (Session_aborted { sid = a.Attester_app.sid; reason = Format.asprintf "%a" P.pp_error e })
-  in
   let launch () =
     let n = min stagger (config.sessions - !launched) in
     for _ = 1 to n do
@@ -209,33 +175,19 @@ let run_prepared p =
       attesters := a :: !attesters
     done
   in
-  let all_terminal () =
-    !launched = config.sessions
-    && List.for_all (fun a -> Attester_app.outcome a <> Attester_app.Pending) !attesters
-  in
-  (* Sessions whose termination has already been streamed to [notify];
-     scanned after each tick so events fire the tick they happen. *)
-  let reported = Hashtbl.create 16 in
-  let stream_terminations () =
-    List.iter
-      (fun (a : Attester_app.t) ->
-        if not (Hashtbl.mem reported a.Attester_app.sid) then
-          match Attester_app.outcome a with
-          | Attester_app.Pending -> ()
-          | Attester_app.Done _ | Attester_app.Aborted _ ->
-            Hashtbl.replace reported a.Attester_app.sid ();
-            notify_termination a)
-      (List.rev !attesters)
+  let pending () =
+    List.fold_left
+      (fun n a -> if Attester_app.outcome a = Attester_app.Pending then n + 1 else n)
+      0 !attesters
   in
   let ticks = ref 0 in
-  while (not (all_terminal ())) && !ticks < max_ticks do
+  while (!launched < config.sessions || pending () > 0) && !ticks < max_ticks do
     incr ticks;
     launch ();
-    Histogram.record runq_hist (!launched - !terminated);
+    Histogram.record runq_hist (pending ());
     Net.tick soc.Soc.net;
     Verifier_app.step p.p_server;
     List.iter Attester_app.step (List.rev !attesters);
-    stream_terminations ();
     Watz_tz.Simclock.advance soc.Soc.clock quantum_ns
   done;
   (* Sessions still pending at the hard stop count as aborted. *)
@@ -308,7 +260,7 @@ let run_prepared p =
   }
 
 (** Run one storm: {!prepare} then {!run_prepared}. *)
-let run ?config ?tracer ?notify () = run_prepared (prepare ?config ?tracer ?notify ())
+let run ?config ?tracer () = run_prepared (prepare ?config ?tracer ())
 
 let pp_report ppf r =
   Format.fprintf ppf "sessions %d | completed %d (%.1f%%) | aborted %d | retries %d | ticks %d"

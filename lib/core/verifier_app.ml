@@ -65,7 +65,6 @@ type t = {
   mutable next_id : int;
   make_handler : t -> conn_state -> handler;
   metrics : Metrics.t; (* server-side counters, dumped by the storm report *)
-  on_evict : int -> unit; (* observer for evicted session ids *)
   mutable served : int; (* completed attestations *)
   mutable rejected : int;
   mutable last_err : P.error option;
@@ -75,12 +74,9 @@ type t = {
 let session_timeout_ns = 2_000_000_000L
 
 (** Start listening. [soc] is the device hosting the verifier (the
-    paper co-locates attester and verifier on one board). [on_evict]
-    observes each eviction with the server-side session id (the fleet
-    forwards these to its supervisor queue). [handler t conn] builds
-    each accepted connection's extension (default: none). *)
-let start ?(on_evict = fun _ -> ())
-    ?(handler = fun (_ : t) (_ : conn_state) -> no_handler) soc ~port ~policy =
+    paper co-locates attester and verifier on one board). [handler t
+    conn] builds each accepted connection's extension (default: none). *)
+let start ?(handler = fun (_ : t) (_ : conn_state) -> no_handler) soc ~port ~policy =
   ignore (Net.listen soc.Soc.net ~port);
   (* Pay the one-time crypto table costs (fixed-base comb, endorsed-key
      windows, identity encoding) at startup, not inside the first
@@ -97,7 +93,6 @@ let start ?(on_evict = fun _ -> ())
     sessions = Hashtbl.create 32;
     next_id = 0;
     make_handler = handler;
-    on_evict;
     metrics = Metrics.create ();
     served = 0;
     rejected = 0;
@@ -249,7 +244,6 @@ let step t =
         if state.completed then drop_session t state "sessions_closed"
         else begin
           Metrics.incr t.metrics "sessions_evicted";
-          t.on_evict state.id;
           abort t state (P.Timed_out "verifier: session stalled")
         end
     | Net.Closed_by_peer ->

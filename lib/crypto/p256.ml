@@ -258,10 +258,6 @@ let on_curve x y =
   && Bn.compare y p < 0
   && on_curve_fe (Domain.DLS.get workspace) (Fe.of_bn fp x) (Fe.of_bn fp y)
 
-let of_affine x y =
-  if not (on_curve x y) then invalid_arg "P256.of_affine: point not on curve";
-  jac (Fe.of_bn fp x) (Fe.of_bn fp y) (Fe.one fp)
-
 let base = jac (Fe.of_bn fp gx) (Fe.of_bn fp gy) (Fe.one fp)
 
 let to_affine pt =

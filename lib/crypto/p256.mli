@@ -34,9 +34,6 @@ val is_infinity : point -> bool
 val base : point
 (** The standard generator G. *)
 
-val of_affine : Bn.t -> Bn.t -> point
-(** Raises [Invalid_argument] if the coordinates are not on the curve. *)
-
 val to_affine : point -> (Bn.t * Bn.t) option
 (** [None] for the point at infinity. *)
 

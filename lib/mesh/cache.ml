@@ -9,11 +9,11 @@
     a full attestation.
 
     Entries are plain data, so federated verifier shards {!export}
-    their caches and {!merge_into} each other's exports through the
-    fleet supervisor channel. The merge keeps, per key, the entry
-    that is greatest under a total order (freshest appraisal first) —
-    commutative, associative and idempotent, so the merged cache is
-    byte-identical no matter the arrival order of shard exports. *)
+    their caches and the fleet combines the exports at join with
+    {!merge_into}. The merge keeps, per key, the entry that is greatest
+    under a total order (freshest appraisal first) — commutative,
+    associative and idempotent, so the merged cache is byte-identical
+    no matter the order the shard exports are merged in. *)
 
 type entry = {
   attester_id : string; (* 32 bytes *)
@@ -107,7 +107,7 @@ let clear t =
 
 (* Total order on entries sharing a key: freshest appraisal wins, then
    longest validity, then raw bytes as an arbitrary-but-fixed tiebreak.
-   Total, so the merge result is independent of arrival order. *)
+   Total, so the merge result is independent of merge order. *)
 let entry_geq a b =
   let c = Int64.compare a.verified_ns b.verified_ns in
   if c <> 0 then c > 0
@@ -116,7 +116,7 @@ let entry_geq a b =
     if c <> 0 then c > 0 else compare a b >= 0
 
 (** The cache contents in canonical (key-sorted) order — the shard
-    export the fleet streams to its supervisor. *)
+    export the fleet merges at join. *)
 let export t =
   Hashtbl.fold (fun _ e acc -> e :: acc) t.tbl []
   |> List.sort (fun a b ->

@@ -3,18 +3,18 @@
 
     Each shard runs its own board, network and {!Mesh_verifier} in its
     own domain, exactly like {!Watz.Fleet} — nothing mutable crosses a
-    domain boundary except through the bounded queue. The run has two
-    waves:
+    domain boundary; reports come back through [Domain.join]. The run
+    has two waves:
 
     {e Wave 1 (populate)}: every shard handles its own attester
-    population over full handshakes, streaming its evidence-cache
-    export to the supervisor in chunks over {!Watz.Fleet.Bqueue} as
-    each shard finishes. The supervisor folds the chunks into a merged
-    cache with {!Cache.merge_into} — a per-key max under a total
-    order, so the merge is commutative, associative and idempotent:
-    whatever order the shards' chunks arrive in, the merged cache is
-    byte-identical (the report carries digests of an arrival-order and
-    a reversed-order merge to prove it).
+    population over full handshakes. At join, the supervisor splits
+    each shard's evidence-cache export into chunks of at most
+    {!chunk_size} entries and folds them into a merged cache with
+    {!Cache.merge_into} — a per-key max under a total order, so the
+    merge is commutative, associative and idempotent: whatever order
+    the chunks are folded in, the merged cache is byte-identical (the
+    report carries digests of a forward and a reversed fold to prove
+    it).
 
     {e Wave 2 (migrate)}: shard [k] is handed shard [(k+1) mod n]'s
     attesters — tickets, resumption secrets and all — plus the merged
@@ -28,7 +28,6 @@
 
 module Net = Watz_tz.Net
 module Metrics = Watz_obs.Metrics
-module Bqueue = Watz.Fleet.Bqueue
 
 type config = {
   shards : int;
@@ -55,9 +54,9 @@ type report = {
   shards : int;
   outcomes : shard_outcome array;
   merged_entries : int;
-  merge_digest : string; (* arrival-order merge *)
-  merge_digest_reversed : string; (* reversed-order merge; equal ⇒ order-free *)
-  chunks_streamed : int;
+  merge_digest : string; (* forward fold of the chunks *)
+  merge_digest_reversed : string; (* reversed fold; equal ⇒ order-free *)
+  chunks_streamed : int; (* wave-1 export chunks folded into the merge *)
   cross_resumes : int; (* wave-2 sessions established via 1-RTT resume *)
   wave2_full : int;
   wave2_fallbacks : int;
@@ -78,73 +77,55 @@ let shard_storm_config cfg ~wave k =
    at every shard. *)
 let fleet_stek cfg = Printf.sprintf "fleet-stek-%Ld" cfg.seed
 
+(** Entries per wave-1 merge chunk. *)
+let chunk_size = 16
+
+(* Split an export into consecutive chunks of at most [chunk_size]. *)
+let rec chunk entries =
+  let rec take i = function
+    | x :: tl when i < chunk_size ->
+      let c, rest = take (i + 1) tl in
+      (x :: c, rest)
+    | rest -> ([], rest)
+  in
+  match take 0 entries with [], _ -> [] | c, rest -> c :: chunk rest
+
+(* Run [f k] for every shard [k] in its own domain; results in shard
+   order. *)
+let on_shards n f =
+  Array.of_list (List.map Domain.join (List.init n (fun k -> Domain.spawn (fun () -> f k))))
+
 let run ?(config = default_config) () =
   if config.shards < 1 then invalid_arg "Mesh_fleet.run: shards must be >= 1";
   let cfg = config in
   let n = cfg.shards in
   let stek_seed = fleet_stek cfg in
-  (* ---- Wave 1: populate, streaming cache exports to the supervisor. *)
-  let q : Cache.entry list Bqueue.t = Bqueue.create ~capacity:64 ~producers:n in
-  let spawn1 k =
-    Domain.spawn (fun () ->
-        Fun.protect
-          ~finally:(fun () -> Bqueue.producer_done q)
-          (fun () ->
-            Mesh_storm.run
-              ~config:(shard_storm_config cfg ~wave:0 k)
-              ~stek_seed
-              ~on_cache_export:(fun entries ->
-                (* Stream in bounded chunks so a big shard cannot wedge
-                   the queue with one giant item. *)
-                let rec chunks = function
-                  | [] -> ()
-                  | l ->
-                    let rec take i = function
-                      | x :: tl when i < 16 ->
-                        let c, rest = take (i + 1) tl in
-                        (x :: c, rest)
-                      | rest -> ([], rest)
-                    in
-                    let c, rest = take 0 l in
-                    Bqueue.push q c;
-                    chunks rest
-                in
-                chunks entries)
-              ()))
+  (* ---- Wave 1: populate, then merge the shards' cache exports. *)
+  let wave1 =
+    on_shards n (fun k -> Mesh_storm.run ~config:(shard_storm_config cfg ~wave:0 k) ~stek_seed ())
   in
-  let domains1 = List.init n spawn1 in
-  (* Drain while the shards run — the queue is bounded. *)
-  let merged = Cache.create ~ttl_ns:Int64.max_int () in
-  let arrived = ref [] in
-  let chunks_streamed = ref 0 in
-  let rec drain () =
-    match Bqueue.pop q with
-    | None -> ()
-    | Some chunk ->
-      incr chunks_streamed;
-      Cache.merge_into merged chunk;
-      arrived := chunk :: !arrived;
-      drain ()
+  let chunks =
+    Array.to_list wave1 |> List.concat_map (fun r -> chunk r.Mesh_storm.cache_export)
   in
-  drain ();
-  let wave1 = Array.of_list (List.map Domain.join domains1) in
+  let fold chunks =
+    let c = Cache.create ~ttl_ns:Int64.max_int () in
+    List.iter (Cache.merge_into c) chunks;
+    c
+  in
+  let merged = fold chunks in
   let merge_digest = Cache.digest merged in
-  (* Replay the merge with chunks in reverse arrival order: the digest
-     must not move, or the federation result would depend on thread
-     scheduling. *)
-  let reversed = Cache.create ~ttl_ns:Int64.max_int () in
-  List.iter (fun chunk -> Cache.merge_into reversed chunk) !arrived;
-  let merge_digest_reversed = Cache.digest reversed in
+  (* Replay the merge with the chunks reversed: the digest must not
+     move, or the federation result would depend on merge order. *)
+  let merge_digest_reversed = Cache.digest (fold (List.rev chunks)) in
   let seed_entries = Cache.export merged in
   (* ---- Wave 2: migrate each population one shard over and resume. *)
-  let spawn2 k =
-    Domain.spawn (fun () ->
+  let wave2 =
+    on_shards n (fun k ->
         Mesh_storm.run
           ~config:(shard_storm_config cfg ~wave:1 k)
           ~identities:wave1.((k + 1) mod n).Mesh_storm.identities
           ~stek_seed ~cache_seed:seed_entries ())
   in
-  let wave2 = Array.of_list (List.map Domain.join (List.init n spawn2)) in
   let metrics = Metrics.create () in
   Array.iter (fun (r : Mesh_storm.report) -> Metrics.merge_into ~into:metrics r.Mesh_storm.metrics) wave2;
   let sum f = Array.fold_left (fun acc r -> acc + f r) 0 wave2 in
@@ -154,7 +135,7 @@ let run ?(config = default_config) () =
     merged_entries = List.length seed_entries;
     merge_digest;
     merge_digest_reversed;
-    chunks_streamed = !chunks_streamed;
+    chunks_streamed = List.length chunks;
     cross_resumes = sum (fun r -> r.Mesh_storm.completed_resumed);
     wave2_full = sum (fun r -> r.Mesh_storm.completed_full);
     wave2_fallbacks = sum (fun r -> r.Mesh_storm.fallbacks);

@@ -139,12 +139,10 @@ let sub_ref_count = 4
 let sub_refs () = List.init sub_ref_count sub_measurement
 
 (** Run one mesh storm. [identities] (with any tickets they carry) and
-    a pre-seeded cache can be supplied by the federation layer;
-    [on_cache_export] observes the final cache export (the fleet
-    streams it to the supervisor). *)
+    a pre-seeded cache can be supplied by the federation layer, which
+    merges each shard's [cache_export] at join. *)
 let run ?(config = default_config) ?identities ?(stek_seed = "mesh-stek")
-    ?(cache_seed = ([] : Cache.entry list)) ?(on_cache_export = fun (_ : Cache.entry list) -> ())
-    () =
+    ?(cache_seed = ([] : Cache.entry list)) () =
   let cfg = config in
   let rng = Prng.create cfg.seed in
   let soc = Soc.manufacture ~seed:(Printf.sprintf "mesh-board-%Ld" cfg.seed) () in
@@ -294,8 +292,6 @@ let run ?(config = default_config) ?identities ?(stek_seed = "mesh-stek")
       counters
   in
   let cache = Mesh_verifier.cache server in
-  let export = Cache.export cache in
-  on_cache_export export;
   {
     launched = !launched;
     completed_resumed = !completed_resumed;
@@ -318,7 +314,7 @@ let run ?(config = default_config) ?identities ?(stek_seed = "mesh-stek")
     faults = Net.fault_counts soc.Soc.net;
     server = counters;
     metrics = Mesh_verifier.metrics server;
-    cache_export = export;
+    cache_export = Cache.export cache;
     identities;
   }
 

@@ -90,7 +90,7 @@ and t = {
   mutable default_profile : fault_profile;
   mutable pipes : pipe list;
   faults : Watz_obs.Metrics.t; (* injected-fault counters, per fault family *)
-  mutable owner : int; (* id of the one domain allowed to drive this network *)
+  owner : int; (* id of the one domain allowed to drive this network *)
 }
 
 let create () =
@@ -115,12 +115,6 @@ exception Wrong_domain of { owner : int; caller : int }
 let owner_check t =
   let caller = (Domain.self () :> int) in
   if t.owner <> caller then raise (Wrong_domain { owner = t.owner; caller })
-
-(** Transfer ownership of the network to the calling domain. Only legal
-    as an explicit handoff: the previous owner must have stopped
-    touching the network before the new domain starts (e.g. build a
-    board, then [adopt] it from the spawned domain before first use). *)
-let adopt t = t.owner <- (Domain.self () :> int)
 
 (** [configure t ~seed ~profile] reseeds the fault PRNG and sets the
     profile inherited by connections established afterwards. *)

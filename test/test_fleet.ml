@@ -1,8 +1,8 @@
-(* The domain-sharded verifier fleet: sharding arithmetic, the bounded
-   supervisor queue under real domains, the determinism contract
-   (fixed seed => byte-identical merged metrics and trace), lossy
-   completion with exact queue accounting, and the network layer's
-   single-domain ownership rule. *)
+(* The domain-sharded verifier fleet: sharding arithmetic, the
+   determinism contract (fixed seed => byte-identical merged metrics and
+   trace), a fleet of one against a plain storm, lossy completion with
+   merged accounting, and the network layer's single-domain ownership
+   rule. *)
 
 module Fleet = Watz.Fleet
 module Storm = Watz.Storm
@@ -40,39 +40,6 @@ let test_shard_split () =
   let all = List.concat_map sids [ 0; 1; 2 ] in
   Alcotest.(check int) "8 globally unique sids" 8 (List.length (List.sort_uniq compare all))
 
-(* --- the bounded queue under real domains --------------------------- *)
-
-let test_bqueue_backpressure_and_drain () =
-  (* Capacity 4 with 2 x 50 pushes forces producers to block on the
-     consumer; per-producer FIFO must survive, and pop must turn into
-     [None] exactly once both producers retired and the queue drained. *)
-  let q = Fleet.Bqueue.create ~capacity:4 ~producers:2 in
-  let producer k () =
-    Fun.protect
-      ~finally:(fun () -> Fleet.Bqueue.producer_done q)
-      (fun () ->
-        for i = 0 to 49 do
-          Fleet.Bqueue.push q (k, i)
-        done)
-  in
-  let d0 = Domain.spawn (producer 0) and d1 = Domain.spawn (producer 1) in
-  let seen = ref 0 in
-  let next = [| 0; 0 |] in
-  let rec drain () =
-    match Fleet.Bqueue.pop q with
-    | Some (k, i) ->
-      incr seen;
-      Alcotest.(check int) (Printf.sprintf "producer %d FIFO" k) next.(k) i;
-      next.(k) <- i + 1;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Domain.join d0;
-  Domain.join d1;
-  Alcotest.(check int) "every item delivered" 100 !seen;
-  Alcotest.(check bool) "drained queue stays terminal" true (Fleet.Bqueue.pop q = None)
-
 (* --- determinism: fixed seed => byte-identical merged artifacts ------ *)
 
 let test_fixed_seed_byte_identity () =
@@ -99,7 +66,25 @@ let test_gc_knob_byte_identity () =
   Alcotest.(check string) "metrics identical under GC tuning" m_default m_gc;
   Alcotest.(check string) "trace identical under GC tuning" t_default t_gc
 
-(* --- lossy completion + queue accounting ----------------------------- *)
+(* A fleet of one is a plain storm: the CLI's single-board [--metrics]
+   dump ([merged_metrics] over one [Storm.run]) must equal the
+   one-shard fleet's merged registry byte for byte. *)
+let test_fleet_of_one () =
+  List.iter
+    (fun (profile_name, sessions) ->
+      let profile = Option.get (Storm.profile_named profile_name) in
+      let cfg = config ~shards:1 ~sessions ~profile () in
+      let fleet = Fleet.metrics_json (Fleet.run ~config:cfg ()) in
+      let storm =
+        Watz_obs.Export.metrics_to_json
+          (Fleet.merged_metrics ~shards:1 [ Storm.run ~config:cfg.Fleet.storm () ])
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s x%d: fleet of one = storm" profile_name sessions)
+        storm fleet)
+    [ ("lossy", 8); ("lossy", 48); ("truncate", 8); ("truncate", 48) ]
+
+(* --- lossy completion + merged accounting ---------------------------- *)
 
 let test_lossy_completion_and_accounting () =
   let cfg = config ~shards:4 ~sessions:16 () in
@@ -110,12 +95,6 @@ let test_lossy_completion_and_accounting () =
     (Format.asprintf "completion %.1f%% >= 99%%" (100.0 *. Fleet.completion_rate r))
     true
     (Fleet.completion_rate r >= 0.99);
-  (* Every session terminates exactly once over the supervisor queue. *)
-  Alcotest.(check int) "one termination event per session" r.Fleet.sessions
-    (r.Fleet.queue_done + r.Fleet.queue_aborted);
-  Alcotest.(check int) "queue completions match the reports" r.Fleet.completed
-    r.Fleet.queue_done;
-  Alcotest.(check int) "queue aborts match the reports" r.Fleet.aborted r.Fleet.queue_aborted;
   (* The merged registry agrees with the summed per-shard reports. *)
   let c name = M.Counter.get (M.counter r.Fleet.metrics name) in
   Alcotest.(check int) "fleet.completed merged" r.Fleet.completed (c "fleet.completed");
@@ -137,31 +116,18 @@ let test_net_domain_ownership () =
            | exception Net.Wrong_domain _ -> true))
   in
   Alcotest.(check bool) "foreign domain rejected" true foreign;
-  (* The owning domain is unaffected... *)
-  Net.tick net;
-  (* ...and adoption transfers ownership wholesale (the escape hatch
-     for handing a quiescent board to a worker domain). *)
-  let net2 = Net.create () in
-  let adopted =
-    Domain.join
-      (Domain.spawn (fun () ->
-           Net.adopt net2;
-           match Net.tick net2 with () -> true | exception Net.Wrong_domain _ -> false))
-  in
-  Alcotest.(check bool) "adopted domain owns the net" true adopted;
-  match Net.tick net2 with
-  | () -> Alcotest.fail "original domain must lose ownership after adopt"
-  | exception Net.Wrong_domain _ -> ()
+  (* The owning domain is unaffected. *)
+  Net.tick net
 
 let suite =
   [
     ( "fleet",
       [
         case "shard split, seeds, sid disjointness" test_shard_split;
-        case "bounded queue: backpressure, FIFO, termination" test_bqueue_backpressure_and_drain;
         case "fixed seed: merged artifacts byte-identical" test_fixed_seed_byte_identity;
         case "GC knob never perturbs simulated artifacts" test_gc_knob_byte_identity;
-        case "lossy 4x4: completion + queue accounting" test_lossy_completion_and_accounting;
+        case "a fleet of one is a plain storm" test_fleet_of_one;
+        case "lossy 4x4: completion + merged accounting" test_lossy_completion_and_accounting;
         case "net enforces single-domain ownership" test_net_domain_ownership;
       ] );
   ]

@@ -417,7 +417,7 @@ let test_fleet_merge_order_free () =
     }
   in
   let r = Mesh_fleet.run ~config () in
-  check_bool "merged cache digest independent of chunk arrival order" true
+  check_bool "merged cache digest independent of chunk merge order" true
     (String.equal r.Mesh_fleet.merge_digest r.Mesh_fleet.merge_digest_reversed);
   check_bool "wave 2 resumes across shards" true (r.Mesh_fleet.cross_resumes > 0);
   Array.iter
