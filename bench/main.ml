@@ -123,12 +123,29 @@ let fig4 () =
       Runtime.unload app)
     sizes;
   Printf.printf "  (paper: load 73%%, init 16%%, alloc 5%%, hash 4%%, rest <1%% each)\n";
+  (* Where load goes: the three stages of Engine.prepare, each timed
+     alone on the 1 MB app's bytes (one warm-up call, median of five),
+     as benchsuite's isolated per-layer calls do. *)
+  let bytes = Watz_workloads.Bigapp.generate ~mb:1 in
+  let m = Watz_wasm.Decode.decode bytes in
+  let stages =
+    [
+      ("decode", median_ns ~warmup:1 (fun () -> ignore (Watz_wasm.Decode.decode bytes)));
+      ("validate", median_ns ~warmup:1 (fun () -> Watz_wasm.Validate.validate m));
+      ("compile", median_ns ~warmup:1 (fun () -> ignore (Watz_wasm.Fastinterp.compile m)));
+    ]
+  in
+  let sum = List.fold_left (fun acc (_, ns) -> acc +. ns) 0.0 stages in
+  Printf.printf "\n  load split (1MB app, fast tier, each stage alone)\n";
+  Printf.printf "  %-8s %10s %8s\n" "stage" "ms" "share";
+  List.iter
+    (fun (name, ns) -> Printf.printf "  %-8s %10.2f %7.1f%%\n" name (ns_to_ms ns) (100.0 *. ns /. sum))
+    stages;
   (* Measurement-keyed module cache: a second load of the same (already
      measured) bytecode skips decode/validate/pre-compile entirely. *)
   Printf.printf "\n  module cache (fast tier, 1MB app): cold vs cached reload\n";
   Printf.printf "  %-8s %10s %10s %10s %6s\n" "load" "total(ms)" "load(ms)" "inst(ms)" "hit";
   let soc = booted "bench-fig4-cache" in
-  let bytes = Watz_workloads.Bigapp.generate ~mb:1 in
   let config =
     { Runtime.default_config with Runtime.heap_bytes = 23 * 1024 * 1024; tier = Runtime.Fast }
   in

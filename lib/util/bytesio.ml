@@ -97,58 +97,58 @@ module Reader = struct
 
   (* Both LEB128 readers below accumulate in a native int, so a read
      allocates nothing; [max_bits] <= 62 keeps every payload bit inside
-     the 63-bit int. A continuation past [max_bits] is an Overflow. *)
-  let uleb r ~max_bits =
-    let rec go shift acc =
-      let byte = u8 r in
-      let acc = acc lor ((byte land 0x7f) lsl shift) in
-      if byte land 0x80 = 0 then begin
-        let used = shift + 7 in
-        (* Final byte must not set bits beyond [max_bits]. *)
-        if used > max_bits && (byte land 0x7f) lsr (7 - (used - max_bits)) <> 0 then
-          raise Overflow;
-        acc
-      end
-      else if shift + 7 >= max_bits then raise Overflow
-      else go (shift + 7) acc
-    in
-    go 0 0
+     the 63-bit int. A continuation past [max_bits] is an Overflow. The
+     loops are top-level functions over explicit arguments, so a read
+     builds no closure either: the Wasm decoder and the protocol codecs
+     call these once per field. *)
+  let rec uleb_from r max_bits shift acc =
+    let byte = u8 r in
+    let acc = acc lor ((byte land 0x7f) lsl shift) in
+    if byte land 0x80 = 0 then begin
+      let used = shift + 7 in
+      (* Final byte must not set bits beyond [max_bits]. *)
+      if used > max_bits && (byte land 0x7f) lsr (7 - (used - max_bits)) <> 0 then
+        raise Overflow;
+      acc
+    end
+    else if shift + 7 >= max_bits then raise Overflow
+    else uleb_from r max_bits (shift + 7) acc
 
-  let sleb_int r ~max_bits =
-    let rec go shift acc =
-      let byte = u8 r in
-      let acc = acc lor ((byte land 0x7f) lsl shift) in
-      if byte land 0x80 = 0 then begin
-        let used = shift + 7 in
-        (* Bits of the final byte beyond [max_bits] must all copy the
-           sign bit (bit [max_bits - 1]). *)
-        (if used > max_bits then
-           let high = (byte land 0x7f) lsr (6 - (used - max_bits)) in
-           if high <> 0 && high <> (1 lsl (used - max_bits + 1)) - 1 then raise Overflow);
-        if used < Sys.int_size && byte land 0x40 <> 0 then acc lor (-1 lsl used) else acc
-      end
-      else if shift + 7 >= max_bits then raise Overflow
-      else go (shift + 7) acc
-    in
-    go 0 0
+  let uleb r ~max_bits = uleb_from r max_bits 0 0
 
-  let sleb r ~max_bits =
-    let rec go shift acc =
-      let byte = u8 r in
-      let acc = Int64.logor acc (Int64.shift_left (Int64.of_int (byte land 0x7f)) shift) in
-      if byte land 0x80 = 0 then begin
-        (* A 64-bit value may need 10 bytes (the last carries a single
-           payload bit plus sign bits); sign-extend only when the
-           payload is narrower than 64 bits. *)
-        let used = shift + 7 in
-        if used < 64 && byte land 0x40 <> 0 then
-          Int64.logor acc (Int64.shift_left (-1L) used)
-        else acc
-      end
-      else if shift + 7 >= max_bits then raise Overflow
-      else go (shift + 7) acc
-    in
-    go 0 0L
+  let rec sleb_int_from r max_bits shift acc =
+    let byte = u8 r in
+    let acc = acc lor ((byte land 0x7f) lsl shift) in
+    if byte land 0x80 = 0 then begin
+      let used = shift + 7 in
+      (* Bits of the final byte beyond [max_bits] must all copy the
+         sign bit (bit [max_bits - 1]). *)
+      (if used > max_bits then
+         let high = (byte land 0x7f) lsr (6 - (used - max_bits)) in
+         if high <> 0 && high <> (1 lsl (used - max_bits + 1)) - 1 then raise Overflow);
+      if used < Sys.int_size && byte land 0x40 <> 0 then acc lor (-1 lsl used) else acc
+    end
+    else if shift + 7 >= max_bits then raise Overflow
+    else sleb_int_from r max_bits (shift + 7) acc
+
+  let sleb_int r ~max_bits = sleb_int_from r max_bits 0 0
+
+  let rec sleb_from r max_bits shift acc =
+    let byte = u8 r in
+    let acc = Int64.logor acc (Int64.shift_left (Int64.of_int (byte land 0x7f)) shift) in
+    if byte land 0x80 = 0 then begin
+      (* A 64-bit value may need 10 bytes (the last carries a single
+         payload bit plus sign bits); sign-extend only when the
+         payload is narrower than 64 bits. *)
+      let used = shift + 7 in
+      if used < 64 && byte land 0x40 <> 0 then
+        Int64.logor acc (Int64.shift_left (-1L) used)
+      else acc
+    end
+    else if shift + 7 >= max_bits then raise Overflow
+    else sleb_from r max_bits (shift + 7) acc
+
+  let sleb r ~max_bits = sleb_from r max_bits 0 0L
 
   let bytes r n =
     if n < 0 || r.pos + n > r.limit then raise Truncated;

@@ -73,49 +73,135 @@ let blocktype r =
   | 0x7c -> BlockVal F64
   | b -> fail "unsupported block type 0x%02x" b
 
+let irelop = function
+  | 0 -> Eq | 1 -> Ne | 2 -> LtS | 3 -> LtU | 4 -> GtS
+  | 5 -> GtU | 6 -> LeS | 7 -> LeU | 8 -> GeS | 9 -> GeU
+  | _ -> assert false
+
+let frelop = function
+  | 0 -> Feq | 1 -> Fne | 2 -> Flt | 3 -> Fgt | 4 -> Fle | 5 -> Fge | _ -> assert false
+
+let iunop = function 0 -> Clz | 1 -> Ctz | 2 -> Popcnt | _ -> assert false
+
+let ibinop = function
+  | 0 -> Add | 1 -> Sub | 2 -> Mul | 3 -> DivS | 4 -> DivU | 5 -> RemS | 6 -> RemU
+  | 7 -> And | 8 -> Or | 9 -> Xor | 10 -> Shl | 11 -> ShrS | 12 -> ShrU
+  | 13 -> Rotl | 14 -> Rotr
+  | _ -> assert false
+
+let funop = function
+  | 0 -> Abs | 1 -> Neg | 2 -> Ceil | 3 -> Floor | 4 -> Trunc | 5 -> Nearest | 6 -> Sqrt
+  | _ -> assert false
+
+let fbinop = function
+  | 0 -> Fadd | 1 -> Fsub | 2 -> Fmul | 3 -> Fdiv | 4 -> Fmin | 5 -> Fmax | 6 -> Copysign
+  | _ -> assert false
+
+let cvtop op =
+  match op with
+  | 0xa7 -> I32WrapI64
+  | 0xa8 -> I32TruncF32S
+  | 0xa9 -> I32TruncF32U
+  | 0xaa -> I32TruncF64S
+  | 0xab -> I32TruncF64U
+  | 0xac -> I64ExtendI32S
+  | 0xad -> I64ExtendI32U
+  | 0xae -> I64TruncF32S
+  | 0xaf -> I64TruncF32U
+  | 0xb0 -> I64TruncF64S
+  | 0xb1 -> I64TruncF64U
+  | 0xb2 -> F32ConvertI32S
+  | 0xb3 -> F32ConvertI32U
+  | 0xb4 -> F32ConvertI64S
+  | 0xb5 -> F32ConvertI64U
+  | 0xb6 -> F32DemoteF64
+  | 0xb7 -> F64ConvertI32S
+  | 0xb8 -> F64ConvertI32U
+  | 0xb9 -> F64ConvertI64S
+  | 0xba -> F64ConvertI64U
+  | 0xbb -> F64PromoteF32
+  | 0xbc -> I32ReinterpretF32
+  | 0xbd -> I64ReinterpretF64
+  | 0xbe -> F32ReinterpretI32
+  | 0xbf -> F64ReinterpretI64
+  | _ -> assert false
+
+(* The numeric opcodes 0x45..0xbf carry no immediates. Each maps to one
+   value built here once, so decoding them allocates nothing. *)
+let first_numeric = 0x45
+let last_numeric = 0xbf
+
+let numeric = function
+  | 0x45 -> ITestop I32
+  | 0x50 -> ITestop I64
+  | op when op >= 0x46 && op <= 0x4f -> IRelop (I32, irelop (op - 0x46))
+  | op when op >= 0x51 && op <= 0x5a -> IRelop (I64, irelop (op - 0x51))
+  | op when op >= 0x5b && op <= 0x60 -> FRelop (F32, frelop (op - 0x5b))
+  | op when op >= 0x61 && op <= 0x66 -> FRelop (F64, frelop (op - 0x61))
+  | op when op >= 0x67 && op <= 0x69 -> IUnop (I32, iunop (op - 0x67))
+  | op when op >= 0x6a && op <= 0x78 -> IBinop (I32, ibinop (op - 0x6a))
+  | op when op >= 0x79 && op <= 0x7b -> IUnop (I64, iunop (op - 0x79))
+  | op when op >= 0x7c && op <= 0x8a -> IBinop (I64, ibinop (op - 0x7c))
+  | op when op >= 0x8b && op <= 0x91 -> FUnop (F32, funop (op - 0x8b))
+  | op when op >= 0x92 && op <= 0x98 -> FBinop (F32, fbinop (op - 0x92))
+  | op when op >= 0x99 && op <= 0x9f -> FUnop (F64, funop (op - 0x99))
+  | op when op >= 0xa0 && op <= 0xa6 -> FBinop (F64, fbinop (op - 0xa0))
+  | op -> Cvtop (cvtop op)
+
+let numerics = Array.init (last_numeric - first_numeric + 1) (fun k -> numeric (first_numeric + k))
+
 (* Structured instructions nest recursively; bound the depth so a
    mutated module full of 0x02 bytes exhausts neither this decoder's
    stack nor the validator's/compilers' (they all recurse over the same
    tree). 256 is far beyond anything a real toolchain emits. *)
 let max_nesting = 256
 
-(* Decoding a structured instruction sequence. Returns the list and the
-   terminator (0x0b end, or 0x05 else). *)
-let rec instr_seq depth r =
-  if depth > max_nesting then fail "block nesting deeper than %d" max_nesting;
-  let rec go acc =
-    let op = R.u8 r in
-    match op with
-    | 0x0b -> (List.rev acc, `End)
-    | 0x05 -> (List.rev acc, `Else)
-    | _ -> go (instr depth r op :: acc)
-  in
-  go []
+(* Decoding a structured instruction sequence. The list is built in
+   order with one cons per instruction, and the sequence's terminator
+   is left in [ended_by_else]: [false] for 0x0b end, [true] for 0x05
+   else. One flag serves every nesting level, because a caller reads it
+   as soon as the sequence it asked for returns. *)
+let[@tail_mod_cons] rec instr_seq depth r ended_by_else =
+  match R.u8 r with
+  | 0x0b ->
+    ended_by_else := false;
+    []
+  | 0x05 ->
+    ended_by_else := true;
+    []
+  | op ->
+    let i = instr depth r ended_by_else op in
+    i :: instr_seq depth r ended_by_else
 
-and instr depth r op =
+and nested depth r ended_by_else =
+  let depth = depth + 1 in
+  if depth > max_nesting then fail "block nesting deeper than %d" max_nesting;
+  instr_seq depth r ended_by_else
+
+and instr depth r ended_by_else op =
   match op with
   | 0x00 -> Unreachable
   | 0x01 -> Nop
   | 0x02 ->
     let bt = blocktype r in
-    let body, term = instr_seq (depth + 1) r in
-    if term <> `End then fail "block: unexpected else";
+    let body = nested depth r ended_by_else in
+    if !ended_by_else then fail "block: unexpected else";
     Block (bt, body)
   | 0x03 ->
     let bt = blocktype r in
-    let body, term = instr_seq (depth + 1) r in
-    if term <> `End then fail "loop: unexpected else";
+    let body = nested depth r ended_by_else in
+    if !ended_by_else then fail "loop: unexpected else";
     Loop (bt, body)
   | 0x04 ->
     let bt = blocktype r in
-    let then_, term = instr_seq (depth + 1) r in
+    let then_ = nested depth r ended_by_else in
     let else_ =
-      match term with
-      | `End -> []
-      | `Else ->
-        let e, term2 = instr_seq (depth + 1) r in
-        if term2 <> `End then fail "if: nested else";
+      if !ended_by_else then begin
+        let e = nested depth r ended_by_else in
+        if !ended_by_else then fail "if: nested else";
         e
+      end
+      else []
     in
     If (bt, then_, else_)
   | 0x0c -> Br (u32_as_int r)
@@ -169,79 +255,13 @@ and instr depth r op =
   | 0x42 -> Const (VI64 (R.sleb r ~max_bits:64))
   | 0x43 -> Const (VF32 (Int32.float_of_bits (R.u32 r)))
   | 0x44 -> Const (VF64 (Int64.float_of_bits (R.u64 r)))
-  | 0x45 -> ITestop I32
-  | 0x50 -> ITestop I64
-  | op when op >= 0x46 && op <= 0x4f -> IRelop (I32, irelop (op - 0x46))
-  | op when op >= 0x51 && op <= 0x5a -> IRelop (I64, irelop (op - 0x51))
-  | op when op >= 0x5b && op <= 0x60 -> FRelop (F32, frelop (op - 0x5b))
-  | op when op >= 0x61 && op <= 0x66 -> FRelop (F64, frelop (op - 0x61))
-  | op when op >= 0x67 && op <= 0x69 -> IUnop (I32, iunop (op - 0x67))
-  | op when op >= 0x6a && op <= 0x78 -> IBinop (I32, ibinop (op - 0x6a))
-  | op when op >= 0x79 && op <= 0x7b -> IUnop (I64, iunop (op - 0x79))
-  | op when op >= 0x7c && op <= 0x8a -> IBinop (I64, ibinop (op - 0x7c))
-  | op when op >= 0x8b && op <= 0x91 -> FUnop (F32, funop (op - 0x8b))
-  | op when op >= 0x92 && op <= 0x98 -> FBinop (F32, fbinop (op - 0x92))
-  | op when op >= 0x99 && op <= 0x9f -> FUnop (F64, funop (op - 0x99))
-  | op when op >= 0xa0 && op <= 0xa6 -> FBinop (F64, fbinop (op - 0xa0))
-  | op when op >= 0xa7 && op <= 0xbf -> Cvtop (cvtop op)
+  | op when op >= first_numeric && op <= last_numeric -> numerics.(op - first_numeric)
   | op -> fail "unknown opcode 0x%02x" op
 
-and irelop = function
-  | 0 -> Eq | 1 -> Ne | 2 -> LtS | 3 -> LtU | 4 -> GtS
-  | 5 -> GtU | 6 -> LeS | 7 -> LeU | 8 -> GeS | 9 -> GeU
-  | _ -> assert false
-
-and frelop = function
-  | 0 -> Feq | 1 -> Fne | 2 -> Flt | 3 -> Fgt | 4 -> Fle | 5 -> Fge | _ -> assert false
-
-and iunop = function 0 -> Clz | 1 -> Ctz | 2 -> Popcnt | _ -> assert false
-
-and ibinop = function
-  | 0 -> Add | 1 -> Sub | 2 -> Mul | 3 -> DivS | 4 -> DivU | 5 -> RemS | 6 -> RemU
-  | 7 -> And | 8 -> Or | 9 -> Xor | 10 -> Shl | 11 -> ShrS | 12 -> ShrU
-  | 13 -> Rotl | 14 -> Rotr
-  | _ -> assert false
-
-and funop = function
-  | 0 -> Abs | 1 -> Neg | 2 -> Ceil | 3 -> Floor | 4 -> Trunc | 5 -> Nearest | 6 -> Sqrt
-  | _ -> assert false
-
-and fbinop = function
-  | 0 -> Fadd | 1 -> Fsub | 2 -> Fmul | 3 -> Fdiv | 4 -> Fmin | 5 -> Fmax | 6 -> Copysign
-  | _ -> assert false
-
-and cvtop op =
-  match op with
-  | 0xa7 -> I32WrapI64
-  | 0xa8 -> I32TruncF32S
-  | 0xa9 -> I32TruncF32U
-  | 0xaa -> I32TruncF64S
-  | 0xab -> I32TruncF64U
-  | 0xac -> I64ExtendI32S
-  | 0xad -> I64ExtendI32U
-  | 0xae -> I64TruncF32S
-  | 0xaf -> I64TruncF32U
-  | 0xb0 -> I64TruncF64S
-  | 0xb1 -> I64TruncF64U
-  | 0xb2 -> F32ConvertI32S
-  | 0xb3 -> F32ConvertI32U
-  | 0xb4 -> F32ConvertI64S
-  | 0xb5 -> F32ConvertI64U
-  | 0xb6 -> F32DemoteF64
-  | 0xb7 -> F64ConvertI32S
-  | 0xb8 -> F64ConvertI32U
-  | 0xb9 -> F64ConvertI64S
-  | 0xba -> F64ConvertI64U
-  | 0xbb -> F64PromoteF32
-  | 0xbc -> I32ReinterpretF32
-  | 0xbd -> I64ReinterpretF64
-  | 0xbe -> F32ReinterpretI32
-  | 0xbf -> F64ReinterpretI64
-  | _ -> assert false
-
 let expr r =
-  let body, term = instr_seq 0 r in
-  if term <> `End then fail "expression: unexpected else";
+  let ended_by_else = ref false in
+  let body = instr_seq 0 r ended_by_else in
+  if !ended_by_else then fail "expression: unexpected else";
   body
 
 let importdesc r =
@@ -285,6 +305,7 @@ let decode_inner bytes =
   let version = try R.u32 r with R.Truncated -> fail "truncated version" in
   if not (Int32.equal version 1l) then fail "unsupported version %ld" version;
   let m = ref empty_module in
+  let customs = ref [] (* newest first *) in
   let func_type_indices = ref [] in
   let code_entries = ref [] in
   let last_section = ref 0 in
@@ -300,7 +321,7 @@ let decode_inner bytes =
        | 0 ->
          let cname = name payload in
          let rest = R.bytes payload (R.remaining payload) in
-         m := { !m with customs = !m.customs @ [ (cname, rest) ] }
+         customs := (cname, rest) :: !customs
        | 1 -> m := { !m with types = vec payload functype }
        | 2 ->
          m :=
@@ -376,7 +397,7 @@ let decode_inner bytes =
     List.map2 (fun ftype (locals, body) -> { ftype; locals; body }) !func_type_indices
       !code_entries
   in
-  { !m with funcs }
+  { !m with funcs; customs = List.rev !customs }
 
 (* The decoder's error contract: any byte string maps to a module or a
    [Malformed] — never [Invalid_argument], [Truncated] or a stack

@@ -152,10 +152,13 @@ type cbody = {
   cb_result_types : valtype array;
 }
 
-(* A compiled module: the source AST (for link-time data: imports,
-   exports, segments, start) plus the flattened bodies. Contains no
-   instance state, so it is safe to share across instantiations and to
-   cache by code measurement. *)
+(* A compiled module: the flattened bodies plus the source module's
+   link-time data in [cm_module] (types, imports, tables, memories,
+   globals, exports, start, element and data segments, custom
+   sections). [cm_module.funcs] is empty: every body lives on, already
+   flattened, in [cm_bodies], so a cached module does not also keep its
+   AST. Contains no instance state, so it is safe to share across
+   instantiations and to cache by code measurement. *)
 type cmodule = {
   cm_module : module_;
   cm_types : functype array;
@@ -281,7 +284,7 @@ type cctx = {
   mutable cmax : int;
   mutable cframes : cframe list; (* innermost first *)
   cbuf : buf;
-  cmarks : (int, unit) Hashtbl.t; (* branch-target positions: fusion barriers *)
+  mutable cmark : int; (* latest branch-target position (-1: none): a fusion barrier *)
   cfuel : bool; (* emit OFuel at function entry and loop headers *)
 }
 
@@ -298,8 +301,11 @@ let emit ctx o =
 let here ctx = ctx.cbuf.len
 
 (* Record that the current position is (or will become) a branch
-   target, so the peephole below never folds an op across it. *)
-let mark_here ctx = Hashtbl.replace ctx.cmarks (here ctx) ()
+   target, so the peephole below never folds an op across it. Only the
+   latest mark needs keeping: marks are set at the buffer's end, and
+   folding stops at a mark, so the buffer never shrinks below it and no
+   earlier mark can be the end again. *)
+let mark_here ctx = ctx.cmark <- here ctx
 
 let negate_irelop = function
   | Eq -> Ne
@@ -332,7 +338,9 @@ let commutes = function Add | Mul | And | Or | Xor -> true | _ -> false
    [tail] just produced, that slot is dead afterwards, and folds only
    fire when [tail]'s destination is exactly the natural operand slot
    (a stack position >= cnloc), never a local carrying a live value.
-   Returns the combined op, or None to emit [pending] as-is. *)
+   Returns the combined op, always a freshly built value, or [pending]
+   itself to emit it as-is; the caller tells the two apart with [==],
+   so a failed fold allocates nothing. *)
 (* Shift count when [op]/[c] is a scaled-address producer: the shift
    amount for [Shl], log2 for a power-of-two [Mul], -1 otherwise. *)
 let shift_amount op c =
@@ -343,8 +351,9 @@ let shift_amount op c =
     log2 0 c
   | _ -> -1
 
-let absorb ~nloc (pending : op) (tail : op) : op option =
-  let stack_slot s = s >= nloc in
+let stack_slot nloc s = s >= nloc
+
+let absorb ~nloc (pending : op) (tail : op) : op =
   match (pending, tail) with
   (* -- operand folding into 3-address i32 arithmetic ---------------- *)
   | (OAdd32 (d, a, b) | OSub32 (d, a, b) | OMul32 (d, a, b) | OAnd32 (d, a, b)
@@ -353,109 +362,103 @@ let absorb ~nloc (pending : op) (tail : op) : op option =
     when t = b && b = a + 1 -> (
     (* right operand still at its natural push slot: read the move's
        source directly *)
-    Some
-      (match pending with
-      | OAdd32 _ -> OAdd32 (d, a, s)
-      | OSub32 _ -> OSub32 (d, a, s)
-      | OMul32 _ -> OMul32 (d, a, s)
-      | OAnd32 _ -> OAnd32 (d, a, s)
-      | OOr32 _ -> OOr32 (d, a, s)
-      | OXor32 _ -> OXor32 (d, a, s)
-      | OShl32 _ -> OShl32 (d, a, s)
-      | OShrS32 _ -> OShrS32 (d, a, s)
-      | OShrU32 _ -> OShrU32 (d, a, s)
-      | _ -> assert false))
+    match pending with
+    | OAdd32 _ -> OAdd32 (d, a, s)
+    | OSub32 _ -> OSub32 (d, a, s)
+    | OMul32 _ -> OMul32 (d, a, s)
+    | OAnd32 _ -> OAnd32 (d, a, s)
+    | OOr32 _ -> OOr32 (d, a, s)
+    | OXor32 _ -> OXor32 (d, a, s)
+    | OShl32 _ -> OShl32 (d, a, s)
+    | OShrS32 _ -> OShrS32 (d, a, s)
+    | OShrU32 _ -> OShrU32 (d, a, s)
+    | _ -> assert false)
   | (OAdd32 (d, a, b) | OSub32 (d, a, b) | OMul32 (d, a, b) | OAnd32 (d, a, b)
     | OOr32 (d, a, b) | OXor32 (d, a, b) | OShl32 (d, a, b) | OShrS32 (d, a, b)
     | OShrU32 (d, a, b)), OConstI (t, v)
     when t = b && b = a + 1 ->
-    Some (OBin3I32 (ibinop_of_spec pending, d, a, v))
+    OBin3I32 (ibinop_of_spec pending, d, a, v)
   | (OAdd32 (d, a, b) | OSub32 (d, a, b) | OMul32 (d, a, b) | OAnd32 (d, a, b)
     | OOr32 (d, a, b) | OXor32 (d, a, b) | OShl32 (d, a, b) | OShrS32 (d, a, b)
     | OShrU32 (d, a, b)), OMovI (t, s)
     when t = a && a = d && b <> a + 1 -> (
     (* right operand already folded; now fold the left push *)
-    Some
-      (match pending with
-      | OAdd32 _ -> OAdd32 (d, s, b)
-      | OSub32 _ -> OSub32 (d, s, b)
-      | OMul32 _ -> OMul32 (d, s, b)
-      | OAnd32 _ -> OAnd32 (d, s, b)
-      | OOr32 _ -> OOr32 (d, s, b)
-      | OXor32 _ -> OXor32 (d, s, b)
-      | OShl32 _ -> OShl32 (d, s, b)
-      | OShrS32 _ -> OShrS32 (d, s, b)
-      | OShrU32 _ -> OShrU32 (d, s, b)
-      | _ -> assert false))
-  | OBin3I32 (op, d, a, imm), OMovI (t, s) when t = a && a = d -> Some (OBin3I32 (op, d, s, imm))
+    match pending with
+    | OAdd32 _ -> OAdd32 (d, s, b)
+    | OSub32 _ -> OSub32 (d, s, b)
+    | OMul32 _ -> OMul32 (d, s, b)
+    | OAnd32 _ -> OAnd32 (d, s, b)
+    | OOr32 _ -> OOr32 (d, s, b)
+    | OXor32 _ -> OXor32 (d, s, b)
+    | OShl32 _ -> OShl32 (d, s, b)
+    | OShrS32 _ -> OShrS32 (d, s, b)
+    | OShrU32 _ -> OShrU32 (d, s, b)
+    | _ -> assert false)
+  | OBin3I32 (op, d, a, imm), OMovI (t, s) when t = a && a = d -> OBin3I32 (op, d, s, imm)
   | (OAdd32 (d, a, b) | OMul32 (d, a, b) | OAnd32 (d, a, b) | OOr32 (d, a, b)
     | OXor32 (d, a, b)), OConstI (t, v)
     when t = a && a = d && b <> a + 1 && commutes (ibinop_of_spec pending) ->
     (* constant pushed first on a commutative op: swap operands *)
-    Some (OBin3I32 (ibinop_of_spec pending, d, b, v))
+    OBin3I32 (ibinop_of_spec pending, d, b, v)
   (* -- operand folding into i32 comparisons ------------------------- *)
-  | OIRel32 (op, d, a, b), OMovI (t, s) when t = b && b = a + 1 -> Some (OIRel32 (op, d, a, s))
+  | OIRel32 (op, d, a, b), OMovI (t, s) when t = b && b = a + 1 -> OIRel32 (op, d, a, s)
   | OIRel32 (op, d, a, b), OConstI (t, v) when t = b && b = a + 1 ->
-    Some (OIRelI32 (op, d, a, v))
+    OIRelI32 (op, d, a, v)
   | OIRel32 (op, d, a, b), OMovI (t, s) when t = a && a = d && b <> a + 1 ->
-    Some (OIRel32 (op, d, s, b))
-  | OIRelI32 (op, d, a, imm), OMovI (t, s) when t = a && a = d -> Some (OIRelI32 (op, d, s, imm))
+    OIRel32 (op, d, s, b)
+  | OIRelI32 (op, d, a, imm), OMovI (t, s) when t = a && a = d -> OIRelI32 (op, d, s, imm)
   (* -- operand folding into f64 arithmetic -------------------------- *)
   | (OFAdd64 (d, a, b) | OFSub64 (d, a, b) | OFMul64 (d, a, b) | OFDiv64 (d, a, b)),
     OMovF (t, s)
     when t = b && b = a + 1 -> (
-    Some
-      (match pending with
-      | OFAdd64 _ -> OFAdd64 (d, a, s)
-      | OFSub64 _ -> OFSub64 (d, a, s)
-      | OFMul64 _ -> OFMul64 (d, a, s)
-      | OFDiv64 _ -> OFDiv64 (d, a, s)
-      | _ -> assert false))
+    match pending with
+    | OFAdd64 _ -> OFAdd64 (d, a, s)
+    | OFSub64 _ -> OFSub64 (d, a, s)
+    | OFMul64 _ -> OFMul64 (d, a, s)
+    | OFDiv64 _ -> OFDiv64 (d, a, s)
+    | _ -> assert false)
   | (OFAdd64 (d, a, b) | OFSub64 (d, a, b) | OFMul64 (d, a, b) | OFDiv64 (d, a, b)),
     OMovF (t, s)
     when t = a && a = d && b <> a + 1 -> (
-    Some
-      (match pending with
-      | OFAdd64 _ -> OFAdd64 (d, s, b)
-      | OFSub64 _ -> OFSub64 (d, s, b)
-      | OFMul64 _ -> OFMul64 (d, s, b)
-      | OFDiv64 _ -> OFDiv64 (d, s, b)
-      | _ -> assert false))
+    match pending with
+    | OFAdd64 _ -> OFAdd64 (d, s, b)
+    | OFSub64 _ -> OFSub64 (d, s, b)
+    | OFMul64 _ -> OFMul64 (d, s, b)
+    | OFDiv64 _ -> OFDiv64 (d, s, b)
+    | _ -> assert false)
   | (OFAdd64 (d, a, b) | OFSub64 (d, a, b) | OFMul64 (d, a, b) | OFDiv64 (d, a, b)),
     OConstF (t, v)
     when t = b && b = a + 1 -> (
-    Some
-      (match pending with
-      | OFAdd64 _ -> OFImm (Fadd, d, a, v)
-      | OFSub64 _ -> OFImm (Fsub, d, a, v)
-      | OFMul64 _ -> OFImm (Fmul, d, a, v)
-      | OFDiv64 _ -> OFImm (Fdiv, d, a, v)
-      | _ -> assert false))
+    match pending with
+    | OFAdd64 _ -> OFImm (Fadd, d, a, v)
+    | OFSub64 _ -> OFImm (Fsub, d, a, v)
+    | OFMul64 _ -> OFImm (Fmul, d, a, v)
+    | OFDiv64 _ -> OFImm (Fdiv, d, a, v)
+    | _ -> assert false)
   | (OFAdd64 (d, a, b) | OFMul64 (d, a, b)), OConstF (t, v) when t = a && a = d && b <> a + 1 ->
     (* constant pushed first on a commutative f64 op *)
-    Some (OFImm ((match pending with OFAdd64 _ -> Fadd | _ -> Fmul), d, b, v))
-  | OFImm (op, d, a, c), OMovF (t, s) when t = a && a = d -> Some (OFImm (op, d, s, c))
+    OFImm ((match pending with OFAdd64 _ -> Fadd | _ -> Fmul), d, b, v)
+  | OFImm (op, d, a, c), OMovF (t, s) when t = a && a = d -> OFImm (op, d, s, c)
   (* -- conversions --------------------------------------------------- *)
-  | OCvtIF (d, a), OMovI (t, s) when t = a && a = d -> Some (OCvtIF (d, s))
-  | OCvt (op, d, a), OMovI (t, s) when t = a && a = d -> Some (OCvt (op, d, s))
-  | OCvt (op, d, a), OMovL (t, s) when t = a && a = d -> Some (OCvt (op, d, s))
-  | OCvt (op, d, a), OMovF (t, s) when t = a && a = d -> Some (OCvt (op, d, s))
+  | OCvtIF (d, a), OMovI (t, s) when t = a && a = d -> OCvtIF (d, s)
+  | OCvt (op, d, a), OMovI (t, s) when t = a && a = d -> OCvt (op, d, s)
+  | OCvt (op, d, a), OMovL (t, s) when t = a && a = d -> OCvt (op, d, s)
+  | OCvt (op, d, a), OMovF (t, s) when t = a && a = d -> OCvt (op, d, s)
   (* -- address/value folding into loads and stores ------------------ *)
-  | OLoadI32 (off, d, a), OMovI (t, s) when t = a && a = d -> Some (OLoadI32 (off, d, s))
-  | OLoadI64 (off, d, a), OMovI (t, s) when t = a && a = d -> Some (OLoadI64 (off, d, s))
-  | OLoadF64 (off, d, a), OMovI (t, s) when t = a && a = d -> Some (OLoadF64 (off, d, s))
-  | OStoreI32 (off, a, v), OMovI (t, s) when t = v && v = a + 1 -> Some (OStoreI32 (off, a, s))
-  | OStoreI64 (off, a, v), OMovL (t, s) when t = v && v = a + 1 -> Some (OStoreI64 (off, a, s))
-  | OStoreF64 (off, a, v), OMovF (t, s) when t = v && v = a + 1 -> Some (OStoreF64 (off, a, s))
+  | OLoadI32 (off, d, a), OMovI (t, s) when t = a && a = d -> OLoadI32 (off, d, s)
+  | OLoadI64 (off, d, a), OMovI (t, s) when t = a && a = d -> OLoadI64 (off, d, s)
+  | OLoadF64 (off, d, a), OMovI (t, s) when t = a && a = d -> OLoadF64 (off, d, s)
+  | OStoreI32 (off, a, v), OMovI (t, s) when t = v && v = a + 1 -> OStoreI32 (off, a, s)
+  | OStoreI64 (off, a, v), OMovL (t, s) when t = v && v = a + 1 -> OStoreI64 (off, a, s)
+  | OStoreF64 (off, a, v), OMovF (t, s) when t = v && v = a + 1 -> OStoreF64 (off, a, s)
   | (OStoreI32 (off, a, v) | OStoreI64 (off, a, v) | OStoreF64 (off, a, v)), OMovI (t, s)
     when t = a && v <> a + 1 -> (
     (* value already folded; the trailing op is now the address push *)
-    Some
-      (match pending with
-      | OStoreI32 _ -> OStoreI32 (off, s, v)
-      | OStoreI64 _ -> OStoreI64 (off, s, v)
-      | OStoreF64 _ -> OStoreF64 (off, s, v)
-      | _ -> assert false))
+    match pending with
+    | OStoreI32 _ -> OStoreI32 (off, s, v)
+    | OStoreI64 _ -> OStoreI64 (off, s, v)
+    | OStoreF64 _ -> OStoreF64 (off, s, v)
+    | _ -> assert false)
   (* -- scaled-address folding -----------------------------------------
         (x << k) + b  /  (x * 2^k) + b  address chains collapse into a
         single [OScaled]/[OScaledR], which then fuses into the memory op
@@ -465,70 +468,64 @@ let absorb ~nloc (pending : op) (tail : op) : op option =
         wrap32 (wrap32 (x lsl k) + b) = wrap32 ((x lsl k) + b) and
         (x +- c) lsl k has the same low bits as (x lsl k) +- (c lsl k). *)
   | OBin3I32 (Add, d, a, c2), OBin3I32 (((Shl | Mul) as bop), t, x, c)
-    when t = a && a = d && stack_slot a && shift_amount bop c >= 0 ->
-    Some (OScaled (d, x, shift_amount bop c, wrap32 c2))
+    when t = a && a = d && stack_slot nloc a && shift_amount bop c >= 0 ->
+    OScaled (d, x, shift_amount bop c, wrap32 c2)
   | OBin3I32 (((Shl | Mul) as bop), d, a, c), OBin3I32 (((Add | Sub) as op2), t, x, c2)
-    when t = a && a = d && stack_slot a && shift_amount bop c >= 0 ->
+    when t = a && a = d && stack_slot nloc a && shift_amount bop c >= 0 ->
     let k = shift_amount bop c in
-    Some (OScaled (d, x, k, wrap32 ((match op2 with Sub -> -c2 | _ -> c2) lsl k)))
-  | OBin3I32 (Add, d, a, c2), OScaled (t, x, k, b0) when t = a && a = d && stack_slot a ->
-    Some (OScaled (d, x, k, wrap32 (b0 + c2)))
+    OScaled (d, x, k, wrap32 ((match op2 with Sub -> -c2 | _ -> c2) lsl k))
+  | OBin3I32 (Add, d, a, c2), OScaled (t, x, k, b0) when t = a && a = d && stack_slot nloc a ->
+    OScaled (d, x, k, wrap32 (b0 + c2))
   | OAdd32 (d, a, b), OBin3I32 (((Shl | Mul) as bop), t, x, c)
-    when t = a && a = d && b <> a && stack_slot a && shift_amount bop c >= 0 ->
-    Some (OScaledR (d, x, shift_amount bop c, b))
+    when t = a && a = d && b <> a && stack_slot nloc a && shift_amount bop c >= 0 ->
+    OScaledR (d, x, shift_amount bop c, b)
   | OAdd32 (d, a, b), OBin3I32 (((Shl | Mul) as bop), t, x, c)
-    when t = b && b = a + 1 && a <> b && stack_slot b && shift_amount bop c >= 0 ->
-    Some (OScaledR (d, x, shift_amount bop c, a))
+    when t = b && b = a + 1 && a <> b && stack_slot nloc b && shift_amount bop c >= 0 ->
+    OScaledR (d, x, shift_amount bop c, a)
   | (OLoadI32 (off, d, a) | OLoadI64 (off, d, a) | OLoadF64 (off, d, a)),
     OBin3I32 (((Shl | Mul) as bop), t, x, c)
-    when t = a && a = d && stack_slot a && shift_amount bop c >= 0 ->
+    when t = a && a = d && stack_slot nloc a && shift_amount bop c >= 0 ->
     let k = shift_amount bop c in
-    Some
-      (match pending with
-      | OLoadI32 _ -> OLoadI32X (off, 0, d, x, k)
-      | OLoadI64 _ -> OLoadI64X (off, 0, d, x, k)
-      | OLoadF64 _ -> OLoadF64X (off, 0, d, x, k)
-      | _ -> assert false)
+    (match pending with
+    | OLoadI32 _ -> OLoadI32X (off, 0, d, x, k)
+    | OLoadI64 _ -> OLoadI64X (off, 0, d, x, k)
+    | OLoadF64 _ -> OLoadF64X (off, 0, d, x, k)
+    | _ -> assert false)
   | (OLoadI32 (off, d, a) | OLoadI64 (off, d, a) | OLoadF64 (off, d, a)), OScaled (t, x, k, b0)
-    when t = a && a = d && stack_slot a ->
-    Some
-      (match pending with
-      | OLoadI32 _ -> OLoadI32X (off, b0, d, x, k)
-      | OLoadI64 _ -> OLoadI64X (off, b0, d, x, k)
-      | OLoadF64 _ -> OLoadF64X (off, b0, d, x, k)
-      | _ -> assert false)
+    when t = a && a = d && stack_slot nloc a ->
+    (match pending with
+    | OLoadI32 _ -> OLoadI32X (off, b0, d, x, k)
+    | OLoadI64 _ -> OLoadI64X (off, b0, d, x, k)
+    | OLoadF64 _ -> OLoadF64X (off, b0, d, x, k)
+    | _ -> assert false)
   | (OLoadI32 (off, d, a) | OLoadF64 (off, d, a)), OScaledR (t, x, k, r)
-    when t = a && a = d && stack_slot a ->
-    Some
-      (match pending with
-      | OLoadI32 _ -> OLoadI32RX (off, d, x, k, r)
-      | OLoadF64 _ -> OLoadF64RX (off, d, x, k, r)
-      | _ -> assert false)
+    when t = a && a = d && stack_slot nloc a ->
+    (match pending with
+    | OLoadI32 _ -> OLoadI32RX (off, d, x, k, r)
+    | OLoadF64 _ -> OLoadF64RX (off, d, x, k, r)
+    | _ -> assert false)
   | (OStoreI32 (off, a, v) | OStoreI64 (off, a, v) | OStoreF64 (off, a, v)),
     OBin3I32 (((Shl | Mul) as bop), t, x, c)
-    when t = a && v <> a + 1 && stack_slot a && shift_amount bop c >= 0 ->
+    when t = a && v <> a + 1 && stack_slot nloc a && shift_amount bop c >= 0 ->
     let k = shift_amount bop c in
-    Some
-      (match pending with
-      | OStoreI32 _ -> OStoreI32X (off, 0, x, k, v)
-      | OStoreI64 _ -> OStoreI64X (off, 0, x, k, v)
-      | OStoreF64 _ -> OStoreF64X (off, 0, x, k, v)
-      | _ -> assert false)
+    (match pending with
+    | OStoreI32 _ -> OStoreI32X (off, 0, x, k, v)
+    | OStoreI64 _ -> OStoreI64X (off, 0, x, k, v)
+    | OStoreF64 _ -> OStoreF64X (off, 0, x, k, v)
+    | _ -> assert false)
   | (OStoreI32 (off, a, v) | OStoreI64 (off, a, v) | OStoreF64 (off, a, v)), OScaled (t, x, k, b0)
-    when t = a && v <> a + 1 && stack_slot a ->
-    Some
-      (match pending with
-      | OStoreI32 _ -> OStoreI32X (off, b0, x, k, v)
-      | OStoreI64 _ -> OStoreI64X (off, b0, x, k, v)
-      | OStoreF64 _ -> OStoreF64X (off, b0, x, k, v)
-      | _ -> assert false)
+    when t = a && v <> a + 1 && stack_slot nloc a ->
+    (match pending with
+    | OStoreI32 _ -> OStoreI32X (off, b0, x, k, v)
+    | OStoreI64 _ -> OStoreI64X (off, b0, x, k, v)
+    | OStoreF64 _ -> OStoreF64X (off, b0, x, k, v)
+    | _ -> assert false)
   | (OStoreI32 (off, a, v) | OStoreF64 (off, a, v)), OScaledR (t, x, k, r)
-    when t = a && v <> a + 1 && stack_slot a ->
-    Some
-      (match pending with
-      | OStoreI32 _ -> OStoreI32RX (off, x, k, r, v)
-      | OStoreF64 _ -> OStoreF64RX (off, x, k, r, v)
-      | _ -> assert false)
+    when t = a && v <> a + 1 && stack_slot nloc a ->
+    (match pending with
+    | OStoreI32 _ -> OStoreI32RX (off, x, k, r, v)
+    | OStoreF64 _ -> OStoreF64RX (off, x, k, r, v)
+    | _ -> assert false)
   (* -- compare-and-branch fusion ------------------------------------
         Guard: only fold a producer away when its destination [c] is a
         dead stack slot. After local.set retargeting the producer's
@@ -536,79 +533,78 @@ let absorb ~nloc (pending : op) (tail : op) : op option =
         local.get z; br_if folds down to OBrIf(z) with the retargeted
         OIRel32 writing z as the trailing op) — folding that producer
         into the branch would delete a live local store. *)
-  | OBrIf (c, e), OIRel32 (op, t, a, b) when t = c && stack_slot c ->
-    Some (OBrCmpR32 (op, a, b, e))
-  | OBrIf (c, e), OIRelI32 (op, t, a, imm) when t = c && stack_slot c ->
-    Some (OBrCmpI32 (op, a, imm, e))
-  | OBrIfNot (c, e), OIRel32 (op, t, a, b) when t = c && stack_slot c ->
-    Some (OBrCmpR32 (negate_irelop op, a, b, e))
-  | OBrIfNot (c, e), OIRelI32 (op, t, a, imm) when t = c && stack_slot c ->
-    Some (OBrCmpI32 (negate_irelop op, a, imm, e))
-  | OBrIf (c, e), OTestI t when t = c && stack_slot c -> Some (OBrIfNot (c, e))
-  | OBrIfNot (c, e), OTestI t when t = c && stack_slot c -> Some (OBrIf (c, e))
-  | OBrIf (c, e), OMovI (t, s) when t = c && stack_slot c -> Some (OBrIf (s, e))
-  | OBrIfNot (c, e), OMovI (t, s) when t = c && stack_slot c -> Some (OBrIfNot (s, e))
+  | OBrIf (c, e), OIRel32 (op, t, a, b) when t = c && stack_slot nloc c ->
+    OBrCmpR32 (op, a, b, e)
+  | OBrIf (c, e), OIRelI32 (op, t, a, imm) when t = c && stack_slot nloc c ->
+    OBrCmpI32 (op, a, imm, e)
+  | OBrIfNot (c, e), OIRel32 (op, t, a, b) when t = c && stack_slot nloc c ->
+    OBrCmpR32 (negate_irelop op, a, b, e)
+  | OBrIfNot (c, e), OIRelI32 (op, t, a, imm) when t = c && stack_slot nloc c ->
+    OBrCmpI32 (negate_irelop op, a, imm, e)
+  | OBrIf (c, e), OTestI t when t = c && stack_slot nloc c -> OBrIfNot (c, e)
+  | OBrIfNot (c, e), OTestI t when t = c && stack_slot nloc c -> OBrIf (c, e)
+  | OBrIf (c, e), OMovI (t, s) when t = c && stack_slot nloc c -> OBrIf (s, e)
+  | OBrIfNot (c, e), OMovI (t, s) when t = c && stack_slot nloc c -> OBrIfNot (s, e)
   (* -- local.set retargeting: rewrite the producer's destination ----- *)
-  | OMovI (z, s), OConstI (t, v) when t = s && stack_slot s -> Some (OConstI (z, v))
-  | OMovI (z, s), OMovI (t, x) when t = s && stack_slot s -> Some (OMovI (z, x))
-  | OMovI (z, s), OAdd32 (t, a, b) when t = s && stack_slot s -> Some (OAdd32 (z, a, b))
-  | OMovI (z, s), OSub32 (t, a, b) when t = s && stack_slot s -> Some (OSub32 (z, a, b))
-  | OMovI (z, s), OMul32 (t, a, b) when t = s && stack_slot s -> Some (OMul32 (z, a, b))
-  | OMovI (z, s), OAnd32 (t, a, b) when t = s && stack_slot s -> Some (OAnd32 (z, a, b))
-  | OMovI (z, s), OOr32 (t, a, b) when t = s && stack_slot s -> Some (OOr32 (z, a, b))
-  | OMovI (z, s), OXor32 (t, a, b) when t = s && stack_slot s -> Some (OXor32 (z, a, b))
-  | OMovI (z, s), OShl32 (t, a, b) when t = s && stack_slot s -> Some (OShl32 (z, a, b))
-  | OMovI (z, s), OShrS32 (t, a, b) when t = s && stack_slot s -> Some (OShrS32 (z, a, b))
-  | OMovI (z, s), OShrU32 (t, a, b) when t = s && stack_slot s -> Some (OShrU32 (z, a, b))
-  | OMovI (z, s), OBin3I32 (op, t, a, imm) when t = s && stack_slot s -> Some (OBin3I32 (op, z, a, imm))
-  | OMovI (z, s), OIRel32 (op, t, a, b) when t = s && stack_slot s -> Some (OIRel32 (op, z, a, b))
-  | OMovI (z, s), OIRelI32 (op, t, a, imm) when t = s && stack_slot s -> Some (OIRelI32 (op, z, a, imm))
-  | OMovI (z, s), OLoadI32 (off, t, a) when t = s && stack_slot s -> Some (OLoadI32 (off, z, a))
-  | OMovF (z, s), OConstF (t, v) when t = s && stack_slot s -> Some (OConstF (z, v))
-  | OMovF (z, s), OMovF (t, x) when t = s && stack_slot s -> Some (OMovF (z, x))
-  | OMovF (z, s), OFAdd64 (t, a, b) when t = s && stack_slot s -> Some (OFAdd64 (z, a, b))
-  | OMovF (z, s), OFSub64 (t, a, b) when t = s && stack_slot s -> Some (OFSub64 (z, a, b))
-  | OMovF (z, s), OFMul64 (t, a, b) when t = s && stack_slot s -> Some (OFMul64 (z, a, b))
-  | OMovF (z, s), OFDiv64 (t, a, b) when t = s && stack_slot s -> Some (OFDiv64 (z, a, b))
-  | OMovF (z, s), OLoadF64 (off, t, a) when t = s && stack_slot s -> Some (OLoadF64 (off, z, a))
-  | OMovF (z, s), OFImm (op, t, a, c) when t = s && stack_slot s -> Some (OFImm (op, z, a, c))
-  | OMovI (z, s), OScaled (t, x, k, b0) when t = s && stack_slot s -> Some (OScaled (z, x, k, b0))
-  | OMovI (z, s), OScaledR (t, x, k, r) when t = s && stack_slot s -> Some (OScaledR (z, x, k, r))
-  | OMovI (z, s), OLoadI32X (off, b0, t, x, k) when t = s && stack_slot s ->
-    Some (OLoadI32X (off, b0, z, x, k))
-  | OMovL (z, s), OLoadI64X (off, b0, t, x, k) when t = s && stack_slot s ->
-    Some (OLoadI64X (off, b0, z, x, k))
-  | OMovF (z, s), OLoadF64X (off, b0, t, x, k) when t = s && stack_slot s ->
-    Some (OLoadF64X (off, b0, z, x, k))
-  | OMovI (z, s), OLoadI32RX (off, t, x, k, r) when t = s && stack_slot s ->
-    Some (OLoadI32RX (off, z, x, k, r))
-  | OMovF (z, s), OLoadF64RX (off, t, x, k, r) when t = s && stack_slot s ->
-    Some (OLoadF64RX (off, z, x, k, r))
-  | OMovF (z, s), OCvtIF (t, a) when t = s && stack_slot s -> Some (OCvtIF (z, a))
-  | OMovI (z, s), OCvt (op, t, a) when t = s && stack_slot s -> Some (OCvt (op, z, a))
-  | OMovL (z, s), OCvt (op, t, a) when t = s && stack_slot s -> Some (OCvt (op, z, a))
-  | OMovF (z, s), OCvt (op, t, a) when t = s && stack_slot s -> Some (OCvt (op, z, a))
-  | OMovL (z, s), OConstL (t, v) when t = s && stack_slot s -> Some (OConstL (z, v))
-  | OMovL (z, s), OMovL (t, x) when t = s && stack_slot s -> Some (OMovL (z, x))
-  | OMovL (z, s), OLoadI64 (off, t, a) when t = s && stack_slot s -> Some (OLoadI64 (off, z, a))
-  | _ -> None
+  | OMovI (z, s), OConstI (t, v) when t = s && stack_slot nloc s -> OConstI (z, v)
+  | OMovI (z, s), OMovI (t, x) when t = s && stack_slot nloc s -> OMovI (z, x)
+  | OMovI (z, s), OAdd32 (t, a, b) when t = s && stack_slot nloc s -> OAdd32 (z, a, b)
+  | OMovI (z, s), OSub32 (t, a, b) when t = s && stack_slot nloc s -> OSub32 (z, a, b)
+  | OMovI (z, s), OMul32 (t, a, b) when t = s && stack_slot nloc s -> OMul32 (z, a, b)
+  | OMovI (z, s), OAnd32 (t, a, b) when t = s && stack_slot nloc s -> OAnd32 (z, a, b)
+  | OMovI (z, s), OOr32 (t, a, b) when t = s && stack_slot nloc s -> OOr32 (z, a, b)
+  | OMovI (z, s), OXor32 (t, a, b) when t = s && stack_slot nloc s -> OXor32 (z, a, b)
+  | OMovI (z, s), OShl32 (t, a, b) when t = s && stack_slot nloc s -> OShl32 (z, a, b)
+  | OMovI (z, s), OShrS32 (t, a, b) when t = s && stack_slot nloc s -> OShrS32 (z, a, b)
+  | OMovI (z, s), OShrU32 (t, a, b) when t = s && stack_slot nloc s -> OShrU32 (z, a, b)
+  | OMovI (z, s), OBin3I32 (op, t, a, imm) when t = s && stack_slot nloc s -> OBin3I32 (op, z, a, imm)
+  | OMovI (z, s), OIRel32 (op, t, a, b) when t = s && stack_slot nloc s -> OIRel32 (op, z, a, b)
+  | OMovI (z, s), OIRelI32 (op, t, a, imm) when t = s && stack_slot nloc s -> OIRelI32 (op, z, a, imm)
+  | OMovI (z, s), OLoadI32 (off, t, a) when t = s && stack_slot nloc s -> OLoadI32 (off, z, a)
+  | OMovF (z, s), OConstF (t, v) when t = s && stack_slot nloc s -> OConstF (z, v)
+  | OMovF (z, s), OMovF (t, x) when t = s && stack_slot nloc s -> OMovF (z, x)
+  | OMovF (z, s), OFAdd64 (t, a, b) when t = s && stack_slot nloc s -> OFAdd64 (z, a, b)
+  | OMovF (z, s), OFSub64 (t, a, b) when t = s && stack_slot nloc s -> OFSub64 (z, a, b)
+  | OMovF (z, s), OFMul64 (t, a, b) when t = s && stack_slot nloc s -> OFMul64 (z, a, b)
+  | OMovF (z, s), OFDiv64 (t, a, b) when t = s && stack_slot nloc s -> OFDiv64 (z, a, b)
+  | OMovF (z, s), OLoadF64 (off, t, a) when t = s && stack_slot nloc s -> OLoadF64 (off, z, a)
+  | OMovF (z, s), OFImm (op, t, a, c) when t = s && stack_slot nloc s -> OFImm (op, z, a, c)
+  | OMovI (z, s), OScaled (t, x, k, b0) when t = s && stack_slot nloc s -> OScaled (z, x, k, b0)
+  | OMovI (z, s), OScaledR (t, x, k, r) when t = s && stack_slot nloc s -> OScaledR (z, x, k, r)
+  | OMovI (z, s), OLoadI32X (off, b0, t, x, k) when t = s && stack_slot nloc s ->
+    OLoadI32X (off, b0, z, x, k)
+  | OMovL (z, s), OLoadI64X (off, b0, t, x, k) when t = s && stack_slot nloc s ->
+    OLoadI64X (off, b0, z, x, k)
+  | OMovF (z, s), OLoadF64X (off, b0, t, x, k) when t = s && stack_slot nloc s ->
+    OLoadF64X (off, b0, z, x, k)
+  | OMovI (z, s), OLoadI32RX (off, t, x, k, r) when t = s && stack_slot nloc s ->
+    OLoadI32RX (off, z, x, k, r)
+  | OMovF (z, s), OLoadF64RX (off, t, x, k, r) when t = s && stack_slot nloc s ->
+    OLoadF64RX (off, z, x, k, r)
+  | OMovF (z, s), OCvtIF (t, a) when t = s && stack_slot nloc s -> OCvtIF (z, a)
+  | OMovI (z, s), OCvt (op, t, a) when t = s && stack_slot nloc s -> OCvt (op, z, a)
+  | OMovL (z, s), OCvt (op, t, a) when t = s && stack_slot nloc s -> OCvt (op, z, a)
+  | OMovF (z, s), OCvt (op, t, a) when t = s && stack_slot nloc s -> OCvt (op, z, a)
+  | OMovL (z, s), OConstL (t, v) when t = s && stack_slot nloc s -> OConstL (z, v)
+  | OMovL (z, s), OMovL (t, x) when t = s && stack_slot nloc s -> OMovL (z, x)
+  | OMovL (z, s), OLoadI64 (off, t, a) when t = s && stack_slot nloc s -> OLoadI64 (off, z, a)
+  | _ -> pending
 
 (* Emit with fusion: keep absorbing the trailing op while legal. The
    mark check guards relocation — combining into position [len - 1]
    is only sound when no branch lands at [len] (where the new op would
    otherwise have been). *)
-let emit_peep ctx o =
+let rec emit_peep ctx o =
   let b = ctx.cbuf in
-  let rec go o =
-    if b.len > 0 && not (Hashtbl.mem ctx.cmarks b.len) then
-      match absorb ~nloc:ctx.cnloc o b.arr.(b.len - 1) with
-      | Some o' ->
-        b.len <- b.len - 1;
-        go o'
-      | None -> emit ctx o
-    else emit ctx o
-  in
-  go o
+  if b.len > 0 && b.len <> ctx.cmark then begin
+    let o' = absorb ~nloc:ctx.cnloc o b.arr.(b.len - 1) in
+    if o' == o then emit ctx o
+    else begin
+      b.len <- b.len - 1;
+      emit_peep ctx o'
+    end
+  end
+  else emit ctx o
 
 let push_t ctx t =
   if ctx.cheight = Array.length ctx.cstack then begin
@@ -1022,7 +1018,7 @@ let compile_func ~fuel ctypes cfunc_types cglobals_t (f : func) (ft : functype) 
       cmax = List.length ft.results;
       cframes = [ fn_frame ];
       cbuf = { arr = Array.make 32 OHalt; len = 0 };
-      cmarks = Hashtbl.create 16;
+      cmark = -1;
       cfuel = fuel;
     }
   in
@@ -1065,7 +1061,13 @@ let compile ?(fuel = false) (m : module_) : cmodule =
          (fun (f : func) -> compile_func ~fuel cm_types cm_func_types cglobals_t f cm_types.(f.ftype))
          m.funcs)
   in
-  { cm_module = m; cm_types; cm_func_types; cm_bodies; cm_n_imported = List.length imp_ftypes }
+  {
+    cm_module = { m with funcs = [] };
+    cm_types;
+    cm_func_types;
+    cm_bodies;
+    cm_n_imported = List.length imp_ftypes;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Execution *)

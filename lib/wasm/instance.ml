@@ -183,6 +183,7 @@ let eval_const inst = function
     {!Validate.validate} first — and performs allocation, segment
     initialisation and the start-function call. *)
 let instantiate ?(imports : import_map = Hashtbl.create 0) (m : module_) =
+  let types = Array.of_list m.types in
   let lookup (imp : import) =
     match Hashtbl.find_opt imports (imp.imp_module, imp.imp_name) with
     | Some ext -> ext
@@ -193,7 +194,7 @@ let instantiate ?(imports : import_map = Hashtbl.create 0) (m : module_) =
       (fun (fs, ts, ms, gs) imp ->
         match (imp.idesc, lookup imp) with
         | ImportFunc tidx, Extern_func f ->
-          let expected = List.nth m.types tidx in
+          let expected = types.(tidx) in
           if not (functype_equal expected (type_of_funcinst f)) then
             link_fail "import %s.%s: signature mismatch (want %s, got %s)" imp.imp_module
               imp.imp_name
@@ -240,7 +241,7 @@ let instantiate ?(imports : import_map = Hashtbl.create 0) (m : module_) =
   in
   let inst = { inst with globals = Array.of_list (imported_globals @ own_globals) } in
   let own_funcs =
-    List.map (fun f -> Wasm_func { ftype = List.nth m.types f.ftype; func = f; inst }) m.funcs
+    List.map (fun f -> Wasm_func { ftype = types.(f.ftype); func = f; inst }) m.funcs
   in
   let inst = { inst with funcs = Array.of_list (imported_funcs @ own_funcs) } in
   (* Patch closures: Wasm_func above captured the previous [inst]

@@ -25,32 +25,47 @@ type ctrl = {
   is_loop : bool;
 }
 
+(* Every [Known] pushed is one of these four values, so a push
+   allocates nothing. *)
+let known = function
+  | I32 -> Known I32
+  | I64 -> Known I64
+  | F32 -> Known F32
+  | F64 -> Known F64
+
+(* The operand stack is an array whose live part is [0, height), so
+   pushes, pops and height checks take constant time at any depth. *)
 type context = {
-  module_ : module_;
+  types : functype array; (* the type section, by type index *)
   func_types : functype array; (* by function index, imports first *)
   global_types : globaltype array;
   table_count : int;
   memory_count : int;
   locals : valtype array;
   return_types : valtype list;
-  mutable opds : opd list;
+  mutable opds : opd array;
+  mutable height : int;
   mutable ctrls : ctrl list;
 }
 
-let push_opd ctx t = ctx.opds <- t :: ctx.opds
+let push_opd ctx t =
+  if ctx.height = Array.length ctx.opds then begin
+    let bigger = Array.make (2 * ctx.height) Unknown in
+    Array.blit ctx.opds 0 bigger 0 ctx.height;
+    ctx.opds <- bigger
+  end;
+  ctx.opds.(ctx.height) <- t;
+  ctx.height <- ctx.height + 1
 
 let pop_opd ctx =
-  match (ctx.opds, ctx.ctrls) with
-  | _, [] -> fail "control stack underflow"
-  | opds, frame :: _ ->
-    if List.length opds = frame.height then
+  match ctx.ctrls with
+  | [] -> fail "control stack underflow"
+  | frame :: _ ->
+    if ctx.height = frame.height then
       if frame.unreachable then Unknown else fail "operand stack underflow"
     else begin
-      match opds with
-      | [] -> fail "operand stack underflow"
-      | t :: rest ->
-        ctx.opds <- rest;
-        t
+      ctx.height <- ctx.height - 1;
+      ctx.opds.(ctx.height)
     end
 
 let pop_expect ctx expect =
@@ -60,11 +75,11 @@ let pop_expect ctx expect =
       fail "type mismatch: expected %s, got %s" (string_of_valtype expect) (string_of_valtype t)
 
 let pop_expects ctx types = List.iter (pop_expect ctx) (List.rev types)
-let push_knowns ctx types = List.iter (fun t -> push_opd ctx (Known t)) types
+let push_knowns ctx types = List.iter (fun t -> push_opd ctx (known t)) types
 
 let push_ctrl ctx ~is_loop label_types end_types =
   ctx.ctrls <-
-    { label_types; end_types; height = List.length ctx.opds; unreachable = false; is_loop }
+    { label_types; end_types; height = ctx.height; unreachable = false; is_loop }
     :: ctx.ctrls
 
 let pop_ctrl ctx =
@@ -72,7 +87,7 @@ let pop_ctrl ctx =
   | [] -> fail "control stack underflow"
   | frame :: rest ->
     pop_expects ctx frame.end_types;
-    if List.length ctx.opds <> frame.height then fail "values remain on stack at end of block";
+    if ctx.height <> frame.height then fail "values remain on stack at end of block";
     ctx.ctrls <- rest;
     frame
 
@@ -81,8 +96,7 @@ let set_unreachable ctx =
   | [] -> fail "control stack underflow"
   | frame :: _ ->
     (* Discard operands pushed inside this frame. *)
-    let rec drop opds = if List.length opds > frame.height then drop (List.tl opds) else opds in
-    ctx.opds <- drop ctx.opds;
+    ctx.height <- frame.height;
     frame.unreachable <- true
 
 let label_arity ctx n =
@@ -120,11 +134,13 @@ let rec check_instr ctx (i : instr) =
   | If (bt, then_, else_) ->
     pop_expect ctx I32;
     let ts = blocktype_types bt in
-    let saved_opds = ctx.opds in
+    (* The then-arm never pops below this height, so resetting it
+       restores the stack the else-arm starts from. *)
+    let saved_height = ctx.height in
     push_ctrl ctx ~is_loop:false ts ts;
     check_body ctx then_;
     if else_ <> [] then begin
-      ctx.opds <- saved_opds;
+      ctx.height <- saved_height;
       push_ctrl ctx ~is_loop:false ts ts;
       check_body ctx else_
     end
@@ -159,12 +175,11 @@ let rec check_instr ctx (i : instr) =
     push_knowns ctx ft.results
   | CallIndirect t ->
     if ctx.table_count = 0 then fail "call_indirect with no table";
-    (match List.nth_opt ctx.module_.types t with
-    | None -> fail "call_indirect: type %d out of range" t
-    | Some ft ->
-      pop_expect ctx I32;
-      pop_expects ctx ft.params;
-      push_knowns ctx ft.results)
+    if t < 0 || t >= Array.length ctx.types then fail "call_indirect: type %d out of range" t;
+    let ft = ctx.types.(t) in
+    pop_expect ctx I32;
+    pop_expects ctx ft.params;
+    push_knowns ctx ft.results
   | Drop -> ignore (pop_opd ctx)
   | Select ->
     pop_expect ctx I32;
@@ -172,21 +187,21 @@ let rec check_instr ctx (i : instr) =
     let t2 = pop_opd ctx in
     (match (t1, t2) with
     | Known a, Known b when not (valtype_equal a b) -> fail "select operands differ"
-    | Known a, _ -> push_opd ctx (Known a)
+    | Known _, _ -> push_opd ctx t1
     | Unknown, other -> push_opd ctx other)
   | LocalGet i ->
     if i >= Array.length ctx.locals then fail "local %d out of range" i;
-    push_opd ctx (Known ctx.locals.(i))
+    push_opd ctx (known ctx.locals.(i))
   | LocalSet i ->
     if i >= Array.length ctx.locals then fail "local %d out of range" i;
     pop_expect ctx ctx.locals.(i)
   | LocalTee i ->
     if i >= Array.length ctx.locals then fail "local %d out of range" i;
     pop_expect ctx ctx.locals.(i);
-    push_opd ctx (Known ctx.locals.(i))
+    push_opd ctx (known ctx.locals.(i))
   | GlobalGet i ->
     if i >= Array.length ctx.global_types then fail "global %d out of range" i;
-    push_opd ctx (Known ctx.global_types.(i).content)
+    push_opd ctx (known ctx.global_types.(i).content)
   | GlobalSet i ->
     if i >= Array.length ctx.global_types then fail "global %d out of range" i;
     let g = ctx.global_types.(i) in
@@ -196,37 +211,37 @@ let rec check_instr ctx (i : instr) =
     let ext = match pack with None -> None | Some (p, _) -> Some p in
     check_memarg ctx m ~width:(width_of (ext, ty));
     pop_expect ctx I32;
-    push_opd ctx (Known ty)
+    push_opd ctx (known ty)
   | Store (ty, pack, m) ->
     check_memarg ctx m ~width:(width_of (pack, ty));
     pop_expect ctx ty;
     pop_expect ctx I32
   | MemorySize ->
     if ctx.memory_count = 0 then fail "memory.size with no memory";
-    push_opd ctx (Known I32)
+    push_opd ctx (known I32)
   | MemoryGrow ->
     if ctx.memory_count = 0 then fail "memory.grow with no memory";
     pop_expect ctx I32;
-    push_opd ctx (Known I32)
-  | Const v -> push_opd ctx (Known (type_of_value v))
+    push_opd ctx (known I32)
+  | Const v -> push_opd ctx (known (type_of_value v))
   | ITestop ty ->
     pop_expect ctx ty;
-    push_opd ctx (Known I32)
+    push_opd ctx (known I32)
   | IUnop (ty, _) | FUnop (ty, _) ->
     pop_expect ctx ty;
-    push_opd ctx (Known ty)
+    push_opd ctx (known ty)
   | IBinop (ty, _) | FBinop (ty, _) ->
     pop_expect ctx ty;
     pop_expect ctx ty;
-    push_opd ctx (Known ty)
+    push_opd ctx (known ty)
   | IRelop (ty, _) | FRelop (ty, _) ->
     pop_expect ctx ty;
     pop_expect ctx ty;
-    push_opd ctx (Known I32)
+    push_opd ctx (known I32)
   | Cvtop op ->
     let src, dst = cvt_types op in
     pop_expect ctx src;
-    push_opd ctx (Known dst)
+    push_opd ctx (known dst)
 
 and cvt_types = function
   | I32WrapI64 -> (I64, I32)
@@ -255,8 +270,7 @@ let check_functype ft =
   if List.length ft.results > 1 then fail "multi-value results not supported in the MVP"
 
 (* Constant expressions initialise globals and segment offsets. *)
-let check_const_expr m expected body =
-  let imported = Array.of_list (imported_globals m) in
+let check_const_expr (imported : globaltype array) expected body =
   let t =
     match body with
     | [ Const v ] -> type_of_value v
@@ -280,16 +294,17 @@ let check_limits (l : limits) ~bound ~what =
 
 let validate (m : module_) =
   List.iter check_functype m.types;
+  let types = Array.of_list m.types in
   let type_of idx =
-    match List.nth_opt m.types idx with
-    | Some t -> t
-    | None -> fail "type index %d out of range" idx
+    if idx < 0 || idx >= Array.length types then fail "type index %d out of range" idx;
+    types.(idx)
   in
   let func_types =
     Array.of_list (List.map type_of (imported_funcs m @ List.map (fun f -> f.ftype) m.funcs))
   in
+  let imported_globals = Array.of_list (imported_globals m) in
   let global_types =
-    Array.of_list (imported_globals m @ List.map (fun g -> g.gtype) m.globals)
+    Array.append imported_globals (Array.of_list (List.map (fun g -> g.gtype) m.globals))
   in
   let table_count = List.length (imported_tables m) + List.length m.tables in
   let memory_count = List.length (imported_memories m) + List.length m.memories in
@@ -298,7 +313,7 @@ let validate (m : module_) =
   List.iter (fun l -> check_limits l ~bound:max_pages ~what:"memory") m.memories;
   List.iter (fun l -> check_limits l ~bound:0xffff_ffff ~what:"table") m.tables;
   (* Globals: initialisers may only refer to imported globals. *)
-  List.iter (fun g -> check_const_expr m g.gtype.content g.ginit) m.globals;
+  List.iter (fun g -> check_const_expr imported_globals g.gtype.content g.ginit) m.globals;
   (* Functions. *)
   let n_imported = List.length (imported_funcs m) in
   List.iteri
@@ -306,14 +321,15 @@ let validate (m : module_) =
       let ft = type_of f.ftype in
       let ctx =
         {
-          module_ = m;
+          types;
           func_types;
           global_types;
           table_count;
           memory_count;
           locals = Array.of_list (ft.params @ f.locals);
           return_types = ft.results;
-          opds = [];
+          opds = Array.make 16 Unknown;
+          height = 0;
           ctrls = [];
         }
       in
@@ -345,7 +361,7 @@ let validate (m : module_) =
   List.iter
     (fun e ->
       if e.etable >= table_count then fail "element segment: table %d out of range" e.etable;
-      check_const_expr m I32 e.eoffset;
+      check_const_expr imported_globals I32 e.eoffset;
       List.iter
         (fun f -> if f >= Array.length func_types then fail "element: func %d out of range" f)
         e.einit)
@@ -353,5 +369,5 @@ let validate (m : module_) =
   List.iter
     (fun d ->
       if d.dmem >= memory_count then fail "data segment: memory %d out of range" d.dmem;
-      check_const_expr m I32 d.doffset)
+      check_const_expr imported_globals I32 d.doffset)
     m.datas

@@ -632,6 +632,93 @@ let test_leb32_roundtrip =
       let u = Watz_util.Bytesio.Reader.uleb r ~max_bits:32 in
       s = Int32.to_int v && u = Int32.to_int v land 0xFFFFFFFF && Watz_util.Bytesio.Reader.eof r)
 
+(* CPU seconds taken by [f ()], with its result. The load path handles
+   bytecode from the normal world, so its work must stay linear in the
+   input. At the sizes used, linear work takes milliseconds and the
+   quadratic shapes these cases pin took seconds, so a 1 s bound tells
+   them apart on any machine. *)
+let timed f =
+  let t0 = Sys.time () in
+  let x = f () in
+  (x, Sys.time () -. t0)
+
+let check_under_1s what seconds =
+  Alcotest.(check bool) (Printf.sprintf "%s in %.3f s (< 1 s)" what seconds) true (seconds < 1.0)
+
+let test_custom_sections_linear () =
+  let names = List.init 40_000 string_of_int in
+  let bytes = Encode.encode { empty_module with customs = List.map (fun n -> (n, "")) names } in
+  let m, seconds = timed (fun () -> Decode.decode bytes) in
+  check_under_1s "40,000 custom sections decode" seconds;
+  Alcotest.(check (list string)) "original order" names (List.map fst m.customs)
+
+(* Every numeric instruction: the decoder maps each of their opcodes to
+   one shared value, so the roundtrip below checks that table. *)
+let numeric_instr_gen =
+  let open QCheck.Gen in
+  let ity = oneofl [ I32; I64 ] and fty = oneofl [ F32; F64 ] in
+  oneof
+    [
+      map (fun t -> ITestop t) ity;
+      map2 (fun t o -> IUnop (t, o)) ity (oneofl [ Clz; Ctz; Popcnt ]);
+      map2
+        (fun t o -> IBinop (t, o))
+        ity
+        (oneofl [ Add; Sub; Mul; DivS; DivU; RemS; RemU; And; Or; Xor; Shl; ShrS; ShrU; Rotl; Rotr ]);
+      map2 (fun t o -> IRelop (t, o)) ity (oneofl [ Eq; Ne; LtS; LtU; GtS; GtU; LeS; LeU; GeS; GeU ]);
+      map2 (fun t o -> FUnop (t, o)) fty (oneofl [ Abs; Neg; Ceil; Floor; Trunc; Nearest; Sqrt ]);
+      map2 (fun t o -> FBinop (t, o)) fty (oneofl [ Fadd; Fsub; Fmul; Fdiv; Fmin; Fmax; Copysign ]);
+      map2 (fun t o -> FRelop (t, o)) fty (oneofl [ Feq; Fne; Flt; Fgt; Fle; Fge ]);
+      map
+        (fun o -> Cvtop o)
+        (oneofl
+           [ I32WrapI64; I32TruncF32S; I32TruncF32U; I32TruncF64S; I32TruncF64U; I64ExtendI32S;
+             I64ExtendI32U; I64TruncF32S; I64TruncF32U; I64TruncF64S; I64TruncF64U;
+             F32ConvertI32S; F32ConvertI32U; F32ConvertI64S; F32ConvertI64U; F32DemoteF64;
+             F64ConvertI32S; F64ConvertI32U; F64ConvertI64S; F64ConvertI64U; F64PromoteF32;
+             I32ReinterpretF32; I64ReinterpretF64; F32ReinterpretI32; F64ReinterpretI64 ]);
+    ]
+
+(* Bodies with nested block, loop and if (with and without else, empty
+   arms included) up to four levels deep. They need not validate: the
+   codec roundtrip is structural. *)
+let nested_body_gen =
+  let open QCheck.Gen in
+  let bt = oneofl [ BlockEmpty; BlockVal I32; BlockVal F64 ] in
+  let leaf =
+    frequency
+      [
+        (2, map (fun n -> Const (VI32 (Int32.of_int n))) small_signed_int);
+        (1, map (fun n -> Const (VI64 (Int64.of_int n))) small_signed_int);
+        (1, map (fun n -> Const (VF64 (float_of_int n))) small_signed_int);
+        (2, map (fun n -> LocalGet n) (int_bound 2));
+        (1, map (fun n -> BrIf n) (int_bound 3));
+        (1, map2 (fun ts d -> BrTable (ts, d)) (list_size (int_bound 3) (int_bound 3)) (int_bound 3));
+        (1, oneofl [ Nop; Drop; Select; Return; Unreachable; MemorySize; MemoryGrow ]);
+        (3, numeric_instr_gen);
+      ]
+  in
+  let seq =
+    fix (fun self depth ->
+        let arm = if depth = 0 then list_size (int_bound 3) leaf else self (depth - 1) in
+        list_size (int_bound 4)
+          (frequency
+             [
+               (3, leaf);
+               (1, map2 (fun b xs -> Block (b, xs)) bt arm);
+               (1, map2 (fun b xs -> Loop (b, xs)) bt arm);
+               (1, map3 (fun b t e -> If (b, t, e)) bt arm (oneof [ return []; arm ]));
+             ]))
+  in
+  int_bound 4 >>= seq
+
+let qcheck_codec_roundtrip_nested =
+  QCheck.Test.make ~name:"decode (encode m) = m with nested control" ~count:300
+    (QCheck.make nested_body_gen)
+    (fun body ->
+      let m = single_func ~params:[ I32; I32 ] ~results:[] ~locals:[ F64 ] body in
+      Decode.decode (Encode.encode m) = m)
+
 (* ------------------------------------------------------------------ *)
 (* Validator *)
 
@@ -689,6 +776,33 @@ let test_validator_rejects_immutable_global_set () =
   let f = Builder.func b ~params:[] ~results:[] ~locals:[] [ Builder.i32c 1; GlobalSet g ] in
   Builder.export_func b "f" f;
   expect_invalid (Builder.build b) "immutable"
+
+let test_validator_deep_stack_linear () =
+  let n = 40_000 in
+  let m =
+    single_func ~params:[] ~results:[]
+      (List.init n (fun _ -> Const (VI32 0l)) @ List.init n (fun _ -> Drop))
+  in
+  let (), seconds = timed (fun () -> Validate.validate m) in
+  check_under_1s "40,000-deep operand stack validates" seconds
+
+(* One type per function: each function looks up its own type and
+   calls through the table with it. *)
+let test_validator_many_types_linear () =
+  let n = 40_000 in
+  let m =
+    {
+      empty_module with
+      types = List.init n (fun _ -> { params = []; results = [] });
+      funcs = List.init n (fun i -> { ftype = i; locals = []; body = [ Const (VI32 0l); CallIndirect i ] });
+      tables = [ { min = 1; max = None } ];
+    }
+  in
+  let (), seconds = timed (fun () -> Validate.validate m) in
+  check_under_1s "40,000 types and functions validate" seconds;
+  let inst, seconds = timed (fun () -> Instance.instantiate m) in
+  check_under_1s "40,000 types and functions instantiate (interp)" seconds;
+  Alcotest.(check int) "functions" n (Array.length inst.Instance.funcs)
 
 (* ------------------------------------------------------------------ *)
 (* Random differential testing: interp vs fast on generated programs *)
@@ -961,6 +1075,8 @@ let suite =
         case "32-bit LEB128 bounds" test_leb32_bounds;
         q test_leb32_roundtrip;
         q qcheck_codec_roundtrip_random;
+        case "custom sections: linear, in order" test_custom_sections_linear;
+        q qcheck_codec_roundtrip_nested;
       ] );
     ( "wasm.validate",
       [
@@ -968,6 +1084,8 @@ let suite =
         case "rejects bad memory use" test_validator_rejects_bad_memory_use;
         case "accepts unreachable code" test_validator_accepts_unreachable_code;
         case "rejects immutable global set" test_validator_rejects_immutable_global_set;
+        case "deep operand stack: linear" test_validator_deep_stack_linear;
+        case "many types: linear" test_validator_many_types_linear;
       ] );
     ( "wasm.numerics",
       [
