@@ -36,7 +36,7 @@ let tier_of_string = function
     flattened. Contains no instance state — safe to cache and reuse. *)
 type prepared = P_interp of W.Ast.module_ | P_fast of W.Fastinterp.cmodule
 
-type instance = I_interp of W.Instance.t | I_fast of W.Fastinterp.finstance
+type instance = I_interp of W.Interp.funcinst W.Instance.t | I_fast of W.Fastinterp.finstance
 
 (** Decode + validate + tier-specific pre-compilation. The pipeline
     stages trace as secure-world spans (they run inside the runtime
@@ -54,22 +54,17 @@ let prepare ?(trace = T.null) ?(sid = T.no_session) tier bytes : prepared =
 let instantiate ?(trace = T.null) ?(sid = T.no_session) ?ra_env ~wasi_env (p : prepared) :
     instance =
   T.span trace T.Secure ~session:sid "engine.instantiate" @@ fun () ->
+  let imports =
+    Wasi.imports wasi_env @ (match ra_env with Some e -> Wasi_ra.imports e | None -> [])
+  in
   match p with
   | P_interp m ->
-    let bindings =
-      Wasi.interp_imports wasi_env
-      @ (match ra_env with Some e -> Wasi_ra.interp_imports e | None -> [])
-    in
-    let inst = W.Instance.instantiate ~imports:(W.Instance.import_map_of_list bindings) m in
-    Wasi.attach_interp_memory wasi_env inst;
+    let inst = W.Interp.instantiate ~imports m in
+    Wasi.attach_memory wasi_env inst;
     I_interp inst
   | P_fast cm ->
-    let imports =
-      Wasi.fast_imports wasi_env
-      @ (match ra_env with Some e -> Wasi_ra.fast_imports e | None -> [])
-    in
     let inst = W.Fastinterp.instantiate ~imports cm in
-    Wasi.attach_fast_memory wasi_env inst;
+    Wasi.attach_memory wasi_env inst;
     I_fast inst
 
 (** Invoke an exported function. Raises [Not_found] when the export is
@@ -92,7 +87,7 @@ let invoke_opt (i : instance) name args =
     | Some f -> Some (W.Interp.invoke f args)
     | None -> None)
   | I_fast inst -> (
-    match W.Fastinterp.export_func inst name with
+    match W.Instance.export_func inst name with
     | Some f -> Some (W.Fastinterp.invoke_funcinst f args)
     | None -> None)
 
@@ -100,4 +95,4 @@ let invoke_opt (i : instance) name args =
 let export_memory (i : instance) =
   match i with
   | I_interp inst -> W.Instance.export_memory inst "memory"
-  | I_fast inst -> W.Fastinterp.export_memory inst "memory"
+  | I_fast inst -> W.Instance.export_memory inst "memory"

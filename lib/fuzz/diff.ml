@@ -70,7 +70,7 @@ type tier_run = { t_name : string; t_outcomes : outcome list; t_fuel : outcome }
 
 let run_interp (c : Gen.case) =
   let run () =
-    let inst = Instance.instantiate c.module_ in
+    let inst = Interp.instantiate c.module_ in
     let invoke name args =
       catching (fun () ->
           match Instance.export_func inst name with
@@ -205,14 +205,10 @@ let max_exec_calls = 8
 let max_exec_mem_pages = 64 (* skip modules declaring > 4 MiB up front *)
 let exec_mem_limit_bytes = 16 * 1024 * 1024 (* memory.grow ceiling, as in a TEE heap *)
 
+(* Own memories only: a memory import fails to link before anything is
+   allocated. *)
 let mem_too_big (m : module_) =
   List.exists (fun (l : Types.limits) -> l.min > max_exec_mem_pages) m.memories
-  || List.exists
-       (fun (imp : import) ->
-         match imp.idesc with
-         | ImportMemory l -> l.min > max_exec_mem_pages
-         | ImportFunc _ | ImportTable _ | ImportGlobal _ -> false)
-       m.imports
 
 (* Exported functions of type [] -> *, in export order. *)
 let nullary_exports (m : module_) =
@@ -236,12 +232,12 @@ let nullary_exports (m : module_) =
   in
   List.filteri (fun i _ -> i < max_exec_calls) nullary
 
-(* Instantiate-time failures are typed per kind, not per message: the
-   tiers phrase link errors independently and that wording is not part
-   of the spec'd behaviour being differentially tested. *)
+(* Both tiers link through {!Instance.instantiate}, so a link failure
+   must carry the same message on each; exhaustion and traps outside a
+   call compare by kind. *)
 type exec_result =
   | X_outs of outcome list (* start outcome :: call outcomes *)
-  | X_reject of string (* typed instantiate rejection kind *)
+  | X_reject of string (* instantiate rejection: kind, with the message for links *)
   | X_crash of string
 
 let exec_result_equal a b =
@@ -260,7 +256,7 @@ let under_fuel f = Instance.Fuel.with_fuel exec_fuel_budget f
 let exec_tier (go : unit -> outcome list) : exec_result =
   match go () with
   | outs -> X_outs outs
-  | exception Instance.Link_error _ -> X_reject "link"
+  | exception Instance.Link_error m -> X_reject ("link: " ^ m)
   | exception Instance.Exhaustion _ -> X_reject "exhausted"
   | exception Instance.Trap _ -> X_reject "trap"
   | exception Stack_overflow -> X_crash "stack overflow"
@@ -277,7 +273,7 @@ let exec_mutant (m : module_) : string option =
     [
       ( "interp",
         fun () ->
-          let inst = Instance.instantiate m in
+          let inst = Interp.instantiate m in
           limit_memories inst.Instance.memories;
           let start = catching (fun () -> under_fuel (fun () -> Interp.run_start inst); []) in
           start
@@ -291,7 +287,7 @@ let exec_mutant (m : module_) : string option =
       ( "fast",
         fun () ->
           let finst = Fastinterp.instantiate (Fastinterp.compile ~fuel:true m) in
-          limit_memories finst.Fastinterp.fmemories;
+          limit_memories finst.Instance.memories;
           let start = catching (fun () -> under_fuel (fun () -> Fastinterp.run_start finst); []) in
           start
           :: List.map

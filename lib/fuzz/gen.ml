@@ -263,7 +263,7 @@ let rec gen_stmt env depth : instr list =
           ( BlockEmpty,
             [ Block
                 ( BlockEmpty,
-                  gen_expr env (depth - 1) I32 @ [ BrTable ([ 0; 1 ], 0) ] )
+                  gen_expr env (depth - 1) I32 @ [ BrTable ([| 0; 1 |], 0) ] )
             ]
             @ gen_stmts env (depth - 1) 1 ) ]
     | 9 when depth > 0 -> (

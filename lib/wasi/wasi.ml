@@ -8,9 +8,8 @@
     ones the experiments do not need return [ENOSYS] ("we first
     manually coded dummy functions for all 45 WASI API functions").
 
-    The environment is engine-agnostic: {!bindings} produces neutral
-    host-function specs that adapt to both the interpreter and the fast
-    engine. *)
+    The environment is engine-agnostic: {!imports} binds every entry
+    point to an environment as host functions either tier links. *)
 
 module T = Watz_wasm.Types
 module A = Watz_wasm.Ast
@@ -48,13 +47,6 @@ let i32_arg args i =
 
 let ok = [ A.VI32 0l ]
 let errno e = [ A.VI32 (Int32.of_int e) ]
-
-type spec = {
-  fn_name : string;
-  fn_params : T.valtype list;
-  fn_results : T.valtype list;
-  fn_impl : env -> A.value array -> A.value list;
-}
 
 let environ_strings env = List.map (fun (k, v) -> k ^ "=" ^ v) env.environ
 
@@ -201,41 +193,16 @@ let stubs =
 
 let module_name = "wasi_snapshot_preview1"
 
-(** All registered entry points as neutral specs. *)
-let bindings : spec list =
-  List.map
-    (fun (fn_name, fn_params, fn_results, fn_impl) -> { fn_name; fn_params; fn_results; fn_impl })
-    implemented
-  @ List.map
-      (fun (fn_name, fn_params, fn_results) ->
-        { fn_name; fn_params; fn_results; fn_impl = (fun _ _ -> errno errno_nosys) })
-      stubs
+let registered_count = List.length implemented + List.length stubs
 
-let registered_count = List.length bindings
-
-(* Engine adapters. *)
-
-let interp_imports env =
-  List.map
-    (fun s ->
-      ( module_name,
-        s.fn_name,
-        Watz_wasm.Instance.Extern_func
-          (Watz_wasm.Instance.host_func ~name:s.fn_name ~params:s.fn_params
-             ~results:s.fn_results (s.fn_impl env)) ))
-    bindings
-
-let fast_imports env : Watz_wasm.Fastinterp.import_binding list =
-  List.map
-    (fun s ->
-      Watz_wasm.Fastinterp.host ~module_:module_name ~name:s.fn_name ~params:s.fn_params
-        ~results:s.fn_results (s.fn_impl env))
-    bindings
+(** Every registered entry point as a host function bound to [env]. *)
+let imports env =
+  let host (name, params, results, impl) =
+    Watz_wasm.Instance.host ~module_:module_name ~name ~params ~results (impl env)
+  in
+  let nosys _ _ = errno errno_nosys in
+  List.map host implemented @ List.map (fun (n, p, r) -> host (n, p, r, nosys)) stubs
 
 (** Attach the instance's exported memory to the environment (must run
     before the first WASI call). *)
-let attach_interp_memory env inst =
-  env.memory <- Watz_wasm.Instance.export_memory inst "memory"
-
-let attach_fast_memory env inst =
-  env.memory <- Watz_wasm.Fastinterp.export_memory inst "memory"
+let attach_memory env inst = env.memory <- Watz_wasm.Instance.export_memory inst "memory"

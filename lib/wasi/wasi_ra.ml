@@ -237,48 +237,36 @@ let net_dispose env args =
     ok
 
 let module_name = "wasi_ra"
-let i = T.I32
+let i = Watz_wasmc.Minic.I32
 
-let bindings_for env : (string * T.valtype list * T.valtype list * (A.value array -> A.value list)) list =
+(* The entry points: name, parameter types and implementation. Each
+   returns an i32 errno. *)
+let entry_points =
   [
-    ("collect_quote", [ i; i; i ], [ i ], collect_quote env);
-    ("dispose_quote", [ i ], [ i ], dispose_quote env);
-    ("quote_len", [ i; i ], [ i ], quote_len env);
-    ("quote_read", [ i; i; i ], [ i ], quote_read env);
-    ("net_handshake", [ i; i; i; i ], [ i ], net_handshake env);
-    ("net_send_quote", [ i; i ], [ i ], net_send_quote env);
-    ("net_data_len", [ i; i ], [ i ], net_data_len env);
-    ("net_receive_data", [ i; i; i; i ], [ i ], net_receive_data env);
-    ("net_dispose", [ i ], [ i ], net_dispose env);
+    ("collect_quote", [ i; i; i ], collect_quote);
+    ("dispose_quote", [ i ], dispose_quote);
+    ("quote_len", [ i; i ], quote_len);
+    ("quote_read", [ i; i; i ], quote_read);
+    ("net_handshake", [ i; i; i; i ], net_handshake);
+    ("net_send_quote", [ i; i ], net_send_quote);
+    ("net_data_len", [ i; i ], net_data_len);
+    ("net_receive_data", [ i; i; i; i ], net_receive_data);
+    ("net_dispose", [ i ], net_dispose);
   ]
 
-let interp_imports env =
+(** The entry points as host functions bound to [env]. *)
+let imports env =
   List.map
-    (fun (name, params, results, impl) ->
-      ( module_name,
-        name,
-        Watz_wasm.Instance.Extern_func
-          (Watz_wasm.Instance.host_func ~name ~params ~results impl) ))
-    (bindings_for env)
+    (fun (name, params, impl) ->
+      Watz_wasm.Instance.host ~module_:module_name ~name
+        ~params:(List.map Watz_wasmc.Minic.valtype_of_ty params)
+        ~results:[ T.I32 ] (impl env))
+    entry_points
 
-let fast_imports env : Watz_wasm.Fastinterp.import_binding list =
-  List.map
-    (fun (name, params, results, impl) ->
-      Watz_wasm.Fastinterp.host ~module_:module_name ~name ~params ~results impl)
-    (bindings_for env)
-
-(** MiniC import declarations matching {!bindings_for}, for apps that
+(** The same entry points as MiniC import declarations, for apps that
     use the attestation API. *)
 let minic_imports : Watz_wasmc.Minic.import_decl list =
-  let ii = Watz_wasmc.Minic.I32 in
-  [
-    { i_module = module_name; i_name = "collect_quote"; i_params = [ ii; ii; ii ]; i_ret = Some ii };
-    { i_module = module_name; i_name = "dispose_quote"; i_params = [ ii ]; i_ret = Some ii };
-    { i_module = module_name; i_name = "quote_len"; i_params = [ ii; ii ]; i_ret = Some ii };
-    { i_module = module_name; i_name = "quote_read"; i_params = [ ii; ii; ii ]; i_ret = Some ii };
-    { i_module = module_name; i_name = "net_handshake"; i_params = [ ii; ii; ii; ii ]; i_ret = Some ii };
-    { i_module = module_name; i_name = "net_send_quote"; i_params = [ ii; ii ]; i_ret = Some ii };
-    { i_module = module_name; i_name = "net_data_len"; i_params = [ ii; ii ]; i_ret = Some ii };
-    { i_module = module_name; i_name = "net_receive_data"; i_params = [ ii; ii; ii; ii ]; i_ret = Some ii };
-    { i_module = module_name; i_name = "net_dispose"; i_params = [ ii ]; i_ret = Some ii };
-  ]
+  List.map
+    (fun (i_name, i_params, _) ->
+      { Watz_wasmc.Minic.i_module = module_name; i_name; i_params; i_ret = Some i })
+    entry_points

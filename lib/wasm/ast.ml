@@ -59,7 +59,7 @@ type instr =
   | If of blocktype * instr list * instr list
   | Br of int
   | BrIf of int
-  | BrTable of int list * int
+  | BrTable of int array * int
   | Return
   | Call of int
   | CallIndirect of int (* type index *)

@@ -207,7 +207,7 @@ and instr depth r ended_by_else op =
   | 0x0c -> Br (u32_as_int r)
   | 0x0d -> BrIf (u32_as_int r)
   | 0x0e ->
-    let targets = vec r u32_as_int in
+    let targets = Array.of_list (vec r u32_as_int) in
     let default = u32_as_int r in
     BrTable (targets, default)
   | 0x0f -> Return

@@ -185,7 +185,8 @@ let rec instr w = function
     uleb_int w l
   | BrTable (ls, default) ->
     W.u8 w 0x0e;
-    vec w (fun w l -> uleb_int w l) ls;
+    uleb_int w (Array.length ls);
+    Array.iter (uleb_int w) ls;
     uleb_int w default
   | Return -> W.u8 w 0x0f
   | Call f ->

@@ -161,7 +161,6 @@ type cbody = {
    instantiations and to cache by code measurement. *)
 type cmodule = {
   cm_module : module_;
-  cm_types : functype array;
   cm_func_types : functype array; (* full function index space *)
   cm_bodies : cbody array; (* own (non-imported) functions *)
   cm_n_imported : int;
@@ -169,8 +168,6 @@ type cmodule = {
 
 (* ------------------------------------------------------------------ *)
 (* Runtime representation *)
-
-type fglobal = { fgty : globaltype; mutable fgvalue : value }
 
 (* [fframe0]/[fbusy]: each function keeps one preallocated frame that
    non-recursive calls reuse (locals re-zeroed on reuse; stack slots
@@ -180,13 +177,12 @@ type ffuncinst =
   | FWasm of {
       fftype : functype;
       fbody : cbody;
-      finst : finstance;
+      finst : ffuncinst Instance.t;
       fframe0 : frame;
       mutable fbusy : bool;
     }
   | FHost of {
       fhtype : functype;
-      fhname : string;
       fh_params : valtype array;
       fh_results : valtype array;
       fimpl : value array -> value list;
@@ -197,23 +193,10 @@ and frame = {
   xi : int array; (* i32 slots, sign-extended native ints *)
   xl : int64 array;
   xf : float array; (* f32/f64 slots *)
-  inst : finstance;
+  inst : ffuncinst Instance.t;
 }
 
-and finstance = {
-  fmod : cmodule;
-  ffuncs : ffuncinst array;
-  fmemories : Memory.t array;
-  ftables : ffuncinst option array array;
-  fglobals : fglobal array;
-  mutable fexports : (string * fextern) list;
-}
-
-and fextern =
-  | FFunc of ffuncinst
-  | FMemory of Memory.t
-  | FGlobal of fglobal
-  | FTable of ffuncinst option array
+type finstance = ffuncinst Instance.t
 
 let type_of_ffuncinst = function FWasm f -> f.fftype | FHost h -> h.fhtype
 
@@ -981,7 +964,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
   | BrTable (targets, default) ->
     ignore (pop_t ctx);
     let cond_slot = ctx.cnloc + ctx.cheight in
-    let edges = Array.of_list (List.map (fun tgt -> branch_edge ctx tgt) targets) in
+    let edges = Array.map (fun tgt -> branch_edge ctx tgt) targets in
     let dedge = branch_edge ctx default in
     emit ctx (OBrTable (cond_slot, edges, dedge));
     false
@@ -1063,7 +1046,6 @@ let compile ?(fuel = false) (m : module_) : cmodule =
   in
   {
     cm_module = { m with funcs = [] };
-    cm_types;
     cm_func_types;
     cm_bodies;
     cm_n_imported = List.length imp_ftypes;
@@ -1226,7 +1208,7 @@ let exec_cvt fr op d s =
    32/64-bit flavours have dedicated ops inlined in the dispatch loop
    but are kept here for completeness. *)
 let exec_load fr kind off s =
-  let m = fr.inst.fmemories.(0) in
+  let m = fr.inst.memories.(0) in
   let data = m.Memory.data in
   let a = u32 fr.xi.(s) + off in
   match kind with
@@ -1274,7 +1256,7 @@ let exec_load fr kind off s =
     fr.xl.(s) <- Int64.logand (Int64.of_int32 (Bytes.get_int32_le data a)) 0xffffffffL
 
 let exec_store fr kind off s =
-  let m = fr.inst.fmemories.(0) in
+  let m = fr.inst.memories.(0) in
   let data = m.Memory.data in
   let a = u32 fr.xi.(s) + off in
   match kind with
@@ -1317,8 +1299,8 @@ let exec_store fr kind off s =
 let oob () = raise (Trap "out of bounds memory access")
 
 let mem0_data inst =
-  if Array.length inst.fmemories = 0 then Bytes.empty
-  else (Array.unsafe_get inst.fmemories 0).Memory.data
+  if Array.length inst.memories = 0 then Bytes.empty
+  else (Array.unsafe_get inst.memories 0).Memory.data
 
 let rec dispatch (fr : frame) (xi : int array) (xl : int64 array) (xf : float array)
     (inst : finstance) (code : op array) (data : Bytes.t) (pc : int) : unit =
@@ -1349,17 +1331,17 @@ let rec dispatch (fr : frame) (xi : int array) (xl : int64 array) (xf : float ar
       if Array.length e.moves <> 0 then apply_moves fr e.moves;
       dispatch fr xi xl xf inst code data e.target
     | OCall (fidx, base) ->
-      call_func fr (Array.unsafe_get inst.ffuncs fidx) base;
+      call_func fr (Array.unsafe_get inst.funcs fidx) base;
       (* the callee may have grown memory: refetch the bytes *)
       dispatch fr xi xl xf inst code (mem0_data inst) (pc + 1)
     | OCallIndirect (tidx, s, base) ->
-      let table = inst.ftables.(0) in
+      let table = inst.tables.(0) in
       let i = u32 (Array.unsafe_get xi s) in
       if i >= Array.length table then raise (Trap "undefined element");
       (match table.(i) with
       | None -> raise (Trap "uninitialized element")
       | Some callee ->
-        if not (functype_equal (type_of_ffuncinst callee) inst.fmod.cm_types.(tidx)) then
+        if not (functype_equal (type_of_ffuncinst callee) inst.types.(tidx)) then
           raise (Trap "indirect call type mismatch");
         call_func fr callee base);
       dispatch fr xi xl xf inst code (mem0_data inst) (pc + 1)
@@ -1382,30 +1364,30 @@ let rec dispatch (fr : frame) (xi : int array) (xl : int64 array) (xf : float ar
       Array.unsafe_set xf d (Array.unsafe_get xf s);
       dispatch fr xi xl xf inst code data (pc + 1)
     | OGlobalGetI (d, i) ->
-      (match inst.fglobals.(i).fgvalue with
+      (match inst.globals.(i).gvalue with
       | VI32 x -> Array.unsafe_set xi d (Int32.to_int x)
       | VI64 _ | VF32 _ | VF64 _ -> raise (Trap "global type confusion"));
       dispatch fr xi xl xf inst code data (pc + 1)
     | OGlobalGetL (d, i) ->
-      (match inst.fglobals.(i).fgvalue with
+      (match inst.globals.(i).gvalue with
       | VI64 x -> Array.unsafe_set xl d x
       | VI32 _ | VF32 _ | VF64 _ -> raise (Trap "global type confusion"));
       dispatch fr xi xl xf inst code data (pc + 1)
     | OGlobalGetF (d, i) ->
-      (match inst.fglobals.(i).fgvalue with
+      (match inst.globals.(i).gvalue with
       | VF32 x | VF64 x -> Array.unsafe_set xf d x
       | VI32 _ | VI64 _ -> raise (Trap "global type confusion"));
       dispatch fr xi xl xf inst code data (pc + 1)
     | OGlobalSetI (i, s) ->
-      inst.fglobals.(i).fgvalue <- VI32 (Int32.of_int (Array.unsafe_get xi s));
+      inst.globals.(i).gvalue <- VI32 (Int32.of_int (Array.unsafe_get xi s));
       dispatch fr xi xl xf inst code data (pc + 1)
     | OGlobalSetL (i, s) ->
-      inst.fglobals.(i).fgvalue <- VI64 (Array.unsafe_get xl s);
+      inst.globals.(i).gvalue <- VI64 (Array.unsafe_get xl s);
       dispatch fr xi xl xf inst code data (pc + 1)
     | OGlobalSetF (i, s) ->
-      (let g = inst.fglobals.(i) in
-       g.fgvalue <-
-         (match g.fgty.content with
+      (let g = inst.globals.(i) in
+       g.gvalue <-
+         (match g.gity.content with
          | F32 -> VF32 (Array.unsafe_get xf s)
          | _ -> VF64 (Array.unsafe_get xf s)));
       dispatch fr xi xl xf inst code data (pc + 1)
@@ -1723,10 +1705,10 @@ let rec dispatch (fr : frame) (xi : int array) (xl : int64 array) (xf : float ar
       exec_store fr kind off s;
       dispatch fr xi xl xf inst code data (pc + 1)
     | OMemSize d ->
-      Array.unsafe_set xi d (Memory.size_pages inst.fmemories.(0));
+      Array.unsafe_set xi d (Memory.size_pages inst.memories.(0));
       dispatch fr xi xl xf inst code data (pc + 1)
     | OMemGrow s ->
-      Array.unsafe_set xi s (Memory.grow inst.fmemories.(0) (Array.unsafe_get xi s));
+      Array.unsafe_set xi s (Memory.grow inst.memories.(0) (Array.unsafe_get xi s));
       dispatch fr xi xl xf inst code (mem0_data inst) (pc + 1)
 
 and exec (fr : frame) (code : op array) : unit =
@@ -1785,147 +1767,31 @@ and call_func (caller : frame) (callee : ffuncinst) (base : int) : unit =
 (* ------------------------------------------------------------------ *)
 (* Instantiation: link + initialise a compiled module. *)
 
-exception Link_error = Instance.Link_error
-
-type import_binding = string * string * fextern
-
-let host ~module_ ~name ~params ~results impl : import_binding =
-  ( module_,
-    name,
-    FFunc
-      (FHost
-         {
-           fhtype = { params; results };
-           fhname = name;
-           fh_params = Array.of_list params;
-           fh_results = Array.of_list results;
-           fimpl = impl;
-         }) )
-
-let dummy_func =
+let of_host (h : host) =
   FHost
     {
-      fhtype = { params = []; results = [] };
-      fhname = "<uninitialized>";
-      fh_params = [||];
-      fh_results = [||];
-      fimpl = (fun _ -> raise (Trap "uninitialized function"));
+      fhtype = h.h_type;
+      fh_params = Array.of_list h.h_type.params;
+      fh_results = Array.of_list h.h_type.results;
+      fimpl = h.h_impl;
     }
 
-(** [instantiate ~imports cm] links a compiled module against its
-    imports and builds a runnable instance: memories and tables
-    allocated, data and element segments applied. The start function,
-    if any, is run by {!run_start} (call it explicitly, as the embedder
-    controls timing measurements around it). *)
-let instantiate ?(imports : import_binding list = []) (cm : cmodule) : finstance =
-  let m = cm.cm_module in
-  let import_tbl = Hashtbl.create 16 in
-  List.iter (fun (mo, na, ext) -> Hashtbl.replace import_tbl (mo, na) ext) imports;
-  let lookup (imp : import) =
-    match Hashtbl.find_opt import_tbl (imp.imp_module, imp.imp_name) with
-    | Some ext -> ext
-    | None -> Instance.link_fail "unknown import %s.%s" imp.imp_module imp.imp_name
-  in
-  let imp_funcs, imp_mems, imp_globals, imp_tables =
-    List.fold_left
-      (fun (fs, ms, gs, ts) imp ->
-        match (imp.idesc, lookup imp) with
-        | ImportFunc tidx, FFunc f ->
-          let expected = cm.cm_types.(tidx) in
-          if not (functype_equal expected (type_of_ffuncinst f)) then
-            Instance.link_fail "import %s.%s: signature mismatch" imp.imp_module imp.imp_name;
-          (f :: fs, ms, gs, ts)
-        | ImportMemory l, FMemory mem ->
-          if Memory.size_pages mem < l.min then
-            Instance.link_fail "import %s.%s: memory too small" imp.imp_module imp.imp_name;
-          (fs, mem :: ms, gs, ts)
-        | ImportGlobal g, FGlobal fg ->
-          if not (valtype_equal g.content fg.fgty.content) then
-            Instance.link_fail "import %s.%s: global type mismatch" imp.imp_module imp.imp_name;
-          (fs, ms, fg :: gs, ts)
-        | ImportTable _, FTable t -> (fs, ms, gs, t :: ts)
-        | (ImportFunc _ | ImportMemory _ | ImportGlobal _ | ImportTable _), _ ->
-          Instance.link_fail "import %s.%s: kind mismatch" imp.imp_module imp.imp_name)
-      ([], [], [], []) m.imports
-  in
-  let imp_funcs = List.rev imp_funcs in
-  let imp_mems = List.rev imp_mems in
-  let imp_globals = List.rev imp_globals in
-  let imp_tables = List.rev imp_tables in
-  let n_imp = List.length imp_funcs in
-  if n_imp <> cm.cm_n_imported then
-    Instance.link_fail "import count mismatch (recompiled module?)";
-  let eval_const body =
-    match body with
-    | [ Const v ] -> v
-    | [ GlobalGet i ] when i < List.length imp_globals -> (List.nth imp_globals i).fgvalue
-    | _ -> Instance.link_fail "unsupported constant expression"
-  in
-  let own_globals =
-    List.map (fun (g : global) -> { fgty = g.gtype; fgvalue = eval_const g.ginit }) m.globals
-  in
-  let fglobals = Array.of_list (imp_globals @ own_globals) in
-  let own_mems = List.map Memory.create m.memories in
-  let fmemories = Array.of_list (imp_mems @ own_mems) in
-  let own_tables =
-    List.map (fun (l : limits) -> (Array.make l.min None : ffuncinst option array)) m.tables
-  in
-  let ftables = Array.of_list (imp_tables @ own_tables) in
-  let ffuncs = Array.make (n_imp + Array.length cm.cm_bodies) dummy_func in
-  List.iteri (fun i f -> ffuncs.(i) <- f) imp_funcs;
-  let inst = { fmod = cm; ffuncs; fmemories; ftables; fglobals; fexports = [] } in
-  Array.iteri
-    (fun i body ->
-      ffuncs.(n_imp + i) <-
-        FWasm
-          {
-            fftype = cm.cm_func_types.(n_imp + i);
-            fbody = body;
-            finst = inst;
-            fframe0 = make_frame inst body;
-            fbusy = false;
-          })
-    cm.cm_bodies;
-  (* Element segments. *)
-  List.iter
-    (fun e ->
-      let offset =
-        match eval_const e.eoffset with
-        | VI32 v -> Int32.to_int v land 0xffffffff
-        | VI64 _ | VF32 _ | VF64 _ -> Instance.link_fail "element offset must be i32"
-      in
-      let table = ftables.(e.etable) in
-      if offset + List.length e.einit > Array.length table then
-        Instance.link_fail "element segment out of bounds";
-      List.iteri (fun i fidx -> table.(offset + i) <- Some ffuncs.(fidx)) e.einit)
-    m.elems;
-  (* Data segments. *)
-  List.iter
-    (fun d ->
-      let offset =
-        match eval_const d.doffset with
-        | VI32 v -> Int32.to_int v land 0xffffffff
-        | VI64 _ | VF32 _ | VF64 _ -> Instance.link_fail "data offset must be i32"
-      in
-      let mem = fmemories.(d.dmem) in
-      if offset + String.length d.dinit > Memory.size_bytes mem then
-        Instance.link_fail "data segment out of bounds";
-      Memory.store_string mem offset d.dinit)
-    m.datas;
-  (* Exports. *)
-  inst.fexports <-
-    List.map
-      (fun e ->
-        let ext =
-          match e.edesc with
-          | ExportFunc i -> FFunc ffuncs.(i)
-          | ExportMemory i -> FMemory fmemories.(i)
-          | ExportGlobal i -> FGlobal fglobals.(i)
-          | ExportTable i -> FTable ftables.(i)
-        in
-        (e.exp_name, ext))
-      m.exports;
-  inst
+(** Link a compiled module for this tier ({!Instance.instantiate}). The
+    start function, if any, is run by {!run_start} (call it explicitly,
+    as the embedder controls timing measurements around it). *)
+let instantiate ?imports (cm : cmodule) : finstance =
+  Instance.instantiate ~of_host ~n_own:(Array.length cm.cm_bodies)
+    ~own:(fun inst i ->
+      let fbody = cm.cm_bodies.(i) in
+      FWasm
+        {
+          fftype = cm.cm_func_types.(cm.cm_n_imported + i);
+          fbody;
+          finst = inst;
+          fframe0 = make_frame inst fbody;
+          fbusy = false;
+        })
+    ?imports cm.cm_module
 
 (* ------------------------------------------------------------------ *)
 (* Invocation *)
@@ -1933,12 +1799,7 @@ let instantiate ?(imports : import_binding list = []) (cm : cmodule) : finstance
 (** Call a flattened or host function with boxed values. *)
 let invoke_funcinst (fi : ffuncinst) (args : value list) : value list =
   let ft = type_of_ffuncinst fi in
-  if List.length args <> List.length ft.params then raise (Trap "invoke: wrong argument count");
-  List.iter2
-    (fun v t ->
-      if not (valtype_equal (type_of_value v) t) then
-        raise (Trap "invoke: argument type mismatch"))
-    args ft.params;
+  check_args ft args;
   match fi with
   | FHost h -> h.fimpl (Array.of_list args)
   | FWasm { fbody; finst; _ } ->
@@ -1953,16 +1814,6 @@ let invoke_funcinst (fi : ffuncinst) (args : value list) : value list =
     exec fr fbody.cb_code;
     List.mapi (fun i t -> read_slot fr t (fbody.cb_nloc + i)) ft.results
 
-let export_func (inst : finstance) name =
-  match List.assoc_opt name inst.fexports with
-  | Some (FFunc f) -> Some f
-  | Some (FMemory _ | FGlobal _ | FTable _) | None -> None
-
-let export_memory (inst : finstance) name =
-  match List.assoc_opt name inst.fexports with
-  | Some (FMemory m) -> Some m
-  | Some (FFunc _ | FGlobal _ | FTable _) | None -> None
-
 (** Invoke an exported function by name. Raises [Not_found] if the
     export is missing or not a function. *)
 let invoke (inst : finstance) name args =
@@ -1972,6 +1823,6 @@ let invoke (inst : finstance) name args =
 
 (** Run the module's start function, if any. *)
 let run_start (inst : finstance) =
-  match inst.fmod.cm_module.start with
+  match inst.module_.start with
   | None -> ()
-  | Some f -> ignore (invoke_funcinst inst.ffuncs.(f) [])
+  | Some f -> ignore (invoke_funcinst inst.funcs.(f) [])

@@ -1,5 +1,6 @@
-(** Runtime structures: memories, tables, globals, function instances,
-    module instantiation and the host-function interface (spec §4).
+(** Runtime structures (spec §4): linear memory, globals, the instance
+    record both execution tiers share, the host-function interface and
+    the one link step that instantiates a module for either tier.
 
     Each instantiated module owns its own linear memory — the sandbox
     boundary that lets WaTZ host mutually distrusting applications in
@@ -138,174 +139,131 @@ end
 (* ------------------------------------------------------------------ *)
 (* Instances *)
 
-type funcinst =
-  | Wasm_func of { ftype : functype; func : func; inst : t }
-  | Host_func of { ftype : functype; name : string; f : value array -> value list }
+type globalinst = { gity : globaltype; mutable gvalue : value }
 
-and globalinst = { gity : globaltype; mutable gvalue : value }
-
-and tableinst = { mutable telems : funcinst option array; tmax : int option }
-
-and extern =
-  | Extern_func of funcinst
-  | Extern_table of tableinst
-  | Extern_memory of Memory.t
-  | Extern_global of globalinst
-
-and t = {
+(** An instantiated module. Both tiers share this record and this link
+    step; they differ only in their function value ['f]
+    ({!Interp.funcinst}, {!Fastinterp.ffuncinst}). Each index space
+    holds the imports first, then the module's own entities; only
+    functions can be imported (see {!instantiate}). *)
+type 'f t = {
   module_ : module_;
-  funcs : funcinst array;
-  tables : tableinst array;
+  types : functype array;
+  funcs : 'f array;
+  tables : 'f option array array;
   memories : Memory.t array;
   globals : globalinst array;
-  mutable exports : (string * extern) list;
 }
 
-let type_of_funcinst = function Wasm_func { ftype; _ } -> ftype | Host_func { ftype; _ } -> ftype
+(** A host function, as either tier links it: the import name it
+    answers, its Wasm type and a boxed implementation. *)
+type host = {
+  h_module : string;
+  h_name : string;
+  h_type : functype;
+  h_impl : value array -> value list;
+}
 
-let host_func ~name ~params ~results f =
-  Host_func { ftype = { params; results }; name; f }
+let host ~module_ ~name ~params ~results impl =
+  { h_module = module_; h_name = name; h_type = { params; results }; h_impl = impl }
 
-(** Import resolution: [imports] maps (module, name) to externs. *)
-type import_map = (string * string, extern) Hashtbl.t
+(* Fills the function index space until the module's own functions,
+   which close over the finished instance, are built. *)
+let uninitialized =
+  host ~module_:"" ~name:"<uninitialized>" ~params:[] ~results:[] (fun _ ->
+      raise (Trap "uninitialized function"))
 
-let import_map_of_list bindings =
-  let tbl = Hashtbl.create (List.length bindings) in
-  List.iter (fun (m, n, ext) -> Hashtbl.replace tbl (m, n) ext) bindings;
-  tbl
-
-let eval_const inst = function
+(* Validation admits only [t.const] and [global.get] of an imported
+   global here, and globals cannot be imported. *)
+let eval_const = function
   | [ Const v ] -> v
-  | [ GlobalGet i ] -> inst.globals.(i).gvalue
-  | _ -> raise (Link_error "unsupported constant expression")
+  | _ -> link_fail "unsupported constant expression"
 
-(** [instantiate ~imports m] validates nothing by itself — call
-    {!Validate.validate} first — and performs allocation, segment
-    initialisation and the start-function call. *)
-let instantiate ?(imports : import_map = Hashtbl.create 0) (m : module_) =
+let eval_offset what body =
+  match eval_const body with
+  | VI32 v -> Int32.to_int v land 0xffffffff
+  | VI64 _ | VF32 _ | VF64 _ -> link_fail "%s offset must be i32" what
+
+(** [instantiate ~of_host ~n_own ~own ?imports m] links [m] for one
+    tier: it resolves and type-checks the imports against [imports],
+    evaluates constants, allocates memories, tables and globals, builds
+    the [n_own] own functions with [own inst i] and applies element and
+    data segments. [of_host] turns a host function into the tier's
+    function value. Imports are host functions only, so a module that
+    imports a table, memory or global fails with [unknown import].
+    Validate [m] first ({!Validate.validate}); the start function, if
+    any, is the tier's to run. *)
+let instantiate ~of_host ~n_own ~own ?(imports = []) (m : module_) =
   let types = Array.of_list m.types in
-  let lookup (imp : import) =
-    match Hashtbl.find_opt imports (imp.imp_module, imp.imp_name) with
-    | Some ext -> ext
-    | None -> link_fail "unknown import %s.%s" imp.imp_module imp.imp_name
+  let bound = Hashtbl.create (List.length imports) in
+  List.iter (fun h -> Hashtbl.replace bound (h.h_module, h.h_name) h) imports;
+  let link (imp : import) =
+    match (Hashtbl.find_opt bound (imp.imp_module, imp.imp_name), imp.idesc) with
+    | None, _ -> link_fail "unknown import %s.%s" imp.imp_module imp.imp_name
+    | Some h, ImportFunc tidx ->
+      if not (functype_equal types.(tidx) h.h_type) then
+        link_fail "import %s.%s: signature mismatch (want %s, got %s)" imp.imp_module imp.imp_name
+          (string_of_functype types.(tidx))
+          (string_of_functype h.h_type);
+      of_host h
+    | Some _, (ImportTable _ | ImportMemory _ | ImportGlobal _) ->
+      link_fail "import %s.%s: kind mismatch" imp.imp_module imp.imp_name
   in
-  let imported_funcs, imported_tables, imported_mems, imported_globals =
-    List.fold_left
-      (fun (fs, ts, ms, gs) imp ->
-        match (imp.idesc, lookup imp) with
-        | ImportFunc tidx, Extern_func f ->
-          let expected = types.(tidx) in
-          if not (functype_equal expected (type_of_funcinst f)) then
-            link_fail "import %s.%s: signature mismatch (want %s, got %s)" imp.imp_module
-              imp.imp_name
-              (string_of_functype expected)
-              (string_of_functype (type_of_funcinst f));
-          (f :: fs, ts, ms, gs)
-        | ImportTable _, Extern_table t -> (fs, t :: ts, ms, gs)
-        | ImportMemory l, Extern_memory mem ->
-          if Memory.size_pages mem < l.min then
-            link_fail "import %s.%s: memory too small" imp.imp_module imp.imp_name;
-          (fs, ts, mem :: ms, gs)
-        | ImportGlobal g, Extern_global gi ->
-          if not (valtype_equal g.content (type_of_value gi.gvalue)) then
-            link_fail "import %s.%s: global type mismatch" imp.imp_module imp.imp_name;
-          (fs, ts, ms, gi :: gs)
-        | (ImportFunc _ | ImportTable _ | ImportMemory _ | ImportGlobal _), _ ->
-          link_fail "import %s.%s: kind mismatch" imp.imp_module imp.imp_name)
-      ([], [], [], []) m.imports
+  let imported = Array.of_list (List.map link m.imports) in
+  let n_imp = Array.length imported in
+  let globals =
+    Array.of_list (List.map (fun g -> { gity = g.gtype; gvalue = eval_const g.ginit }) m.globals)
   in
-  let imported_funcs = List.rev imported_funcs in
-  let imported_tables = List.rev imported_tables in
-  let imported_mems = List.rev imported_mems in
-  let imported_globals = List.rev imported_globals in
-  let own_tables =
-    List.map
-      (fun (l : limits) -> { telems = Array.make l.min None; tmax = l.max })
-      m.tables
-  in
-  let own_memories = List.map Memory.create m.memories in
-  let inst =
-    {
-      module_ = m;
-      funcs = Array.of_list imported_funcs;
-      tables = Array.of_list (imported_tables @ own_tables);
-      memories = Array.of_list (imported_mems @ own_memories);
-      globals = Array.of_list imported_globals;
-      exports = [];
-    }
-  in
-  (* Own globals need [inst] for const-expr evaluation over imported
-     globals; own functions close over [inst]. Rebuild the arrays. *)
-  let own_globals =
-    List.map (fun g -> { gity = g.gtype; gvalue = eval_const inst g.ginit }) m.globals
-  in
-  let inst = { inst with globals = Array.of_list (imported_globals @ own_globals) } in
-  let own_funcs =
-    List.map (fun f -> Wasm_func { ftype = types.(f.ftype); func = f; inst }) m.funcs
-  in
-  let inst = { inst with funcs = Array.of_list (imported_funcs @ own_funcs) } in
-  (* Patch closures: Wasm_func above captured the previous [inst]
-     record; rebuild functions against the final record instead. *)
-  let final =
-    { inst with funcs = Array.copy inst.funcs }
-  in
-  Array.iteri
-    (fun i fi ->
-      match fi with
-      | Wasm_func w -> final.funcs.(i) <- Wasm_func { w with inst = final }
-      | Host_func _ -> ())
-    inst.funcs;
-  let inst = final in
-  (* Element segments. *)
+  let memories = Array.of_list (List.map Memory.create m.memories) in
+  let tables = Array.of_list (List.map (fun (l : limits) -> Array.make l.min None) m.tables) in
+  let funcs = Array.make (n_imp + n_own) (of_host uninitialized) in
+  Array.blit imported 0 funcs 0 n_imp;
+  let inst = { module_ = m; types; funcs; tables; memories; globals } in
+  for i = 0 to n_own - 1 do
+    funcs.(n_imp + i) <- own inst i
+  done;
   List.iter
     (fun e ->
-      let offset =
-        match eval_const inst e.eoffset with
-        | VI32 v -> Int32.to_int v land 0xffffffff
-        | VI64 _ | VF32 _ | VF64 _ -> raise (Link_error "element offset must be i32")
-      in
-      let table = inst.tables.(e.etable) in
-      if offset + List.length e.einit > Array.length table.telems then
-        raise (Link_error "element segment out of bounds");
-      List.iteri (fun i f -> table.telems.(offset + i) <- Some inst.funcs.(f)) e.einit)
+      let offset = eval_offset "element" e.eoffset in
+      let table = tables.(e.etable) in
+      if offset + List.length e.einit > Array.length table then
+        link_fail "element segment out of bounds";
+      List.iteri (fun i f -> table.(offset + i) <- Some funcs.(f)) e.einit)
     m.elems;
-  (* Data segments. *)
   List.iter
     (fun d ->
-      let offset =
-        match eval_const inst d.doffset with
-        | VI32 v -> Int32.to_int v land 0xffffffff
-        | VI64 _ | VF32 _ | VF64 _ -> raise (Link_error "data offset must be i32")
-      in
-      let mem = inst.memories.(d.dmem) in
+      let offset = eval_offset "data" d.doffset in
+      let mem = memories.(d.dmem) in
       if offset + String.length d.dinit > Memory.size_bytes mem then
-        raise (Link_error "data segment out of bounds");
+        link_fail "data segment out of bounds";
       Memory.store_string mem offset d.dinit)
     m.datas;
-  (* Exports. *)
-  inst.exports <-
-    List.map
-      (fun e ->
-        let ext =
-          match e.edesc with
-          | ExportFunc i -> Extern_func inst.funcs.(i)
-          | ExportTable i -> Extern_table inst.tables.(i)
-          | ExportMemory i -> Extern_memory inst.memories.(i)
-          | ExportGlobal i -> Extern_global inst.globals.(i)
-        in
-        (e.exp_name, ext))
-      m.exports;
   inst
 
+(* Top-level and recursive, so the lookup that every invoke by name
+   makes allocates no closure. *)
+let rec find_export name = function
+  | [] -> None
+  | (e : export) :: rest -> if String.equal e.exp_name name then Some e.edesc else find_export name rest
+
 let export_func inst name =
-  match List.assoc_opt name inst.exports with
-  | Some (Extern_func f) -> Some f
-  | Some (Extern_table _ | Extern_memory _ | Extern_global _) | None -> None
+  match find_export name inst.module_.exports with
+  | Some (ExportFunc i) -> Some inst.funcs.(i)
+  | Some (ExportTable _ | ExportMemory _ | ExportGlobal _) | None -> None
 
 let export_memory inst name =
-  match List.assoc_opt name inst.exports with
-  | Some (Extern_memory m) -> Some m
-  | Some (Extern_func _ | Extern_table _ | Extern_global _) | None -> None
+  match find_export name inst.module_.exports with
+  | Some (ExportMemory i) -> Some inst.memories.(i)
+  | Some (ExportFunc _ | ExportTable _ | ExportGlobal _) | None -> None
 
 let memory0 inst =
   if Array.length inst.memories = 0 then raise (Trap "no memory") else inst.memories.(0)
+
+(** The invoke API's argument check, one message per fault for both
+    tiers. *)
+let check_args (ft : functype) args =
+  if List.length args <> List.length ft.params then raise (Trap "invoke: wrong number of arguments");
+  List.iter2
+    (fun v t ->
+      if not (valtype_equal (type_of_value v) t) then raise (Trap "invoke: argument type mismatch"))
+    args ft.params

@@ -6,7 +6,9 @@
     ("Interpreted is the simplest yet slowest"). The fast tier
     ({!Fastinterp}, which stands in for the paper's AOT) runs the same
     modules roughly an order of magnitude faster; this interpreter is
-    the reference oracle the differential fuzzer checks it against. *)
+    the reference oracle the differential fuzzer checks it against.
+    Both tiers link through {!Instance.instantiate}; this one supplies
+    its function values ({!funcinst}). *)
 
 open Types
 open Ast
@@ -27,7 +29,13 @@ let take n stack =
   in
   go n [] stack
 
-type frame = { locals : value array; inst : Instance.t }
+type funcinst =
+  | Wasm_func of { ftype : functype; func : func; inst : funcinst Instance.t }
+  | Host_func of host
+
+type frame = { locals : value array; inst : funcinst Instance.t }
+
+let type_of_funcinst = function Wasm_func { ftype; _ } -> ftype | Host_func h -> h.h_type
 
 let i32 = function VI32 v -> v | VI64 _ | VF32 _ | VF64 _ -> raise (Trap "type error: i32")
 let i64 = function VI64 v -> v | VI32 _ | VF32 _ | VF64 _ -> raise (Trap "type error: i64")
@@ -251,9 +259,7 @@ and eval_instr frame stack (instr : instr) =
     (match stack with
     | cond :: rest ->
       let idx = Int32.to_int (i32 cond) in
-      let target =
-        if idx >= 0 && idx < List.length targets then List.nth targets idx else default
-      in
+      let target = if idx >= 0 && idx < Array.length targets then targets.(idx) else default in
       raise (Branch (target, rest))
     | [] -> raise (Trap "stack underflow"))
   | Return -> raise (Return_exn stack)
@@ -263,13 +269,12 @@ and eval_instr frame stack (instr : instr) =
     | idx :: rest ->
       let table = frame.inst.tables.(0) in
       let i = Int32.to_int (i32 idx) land 0xffffffff in
-      if i >= Array.length table.telems then raise (Trap "undefined element")
+      if i >= Array.length table then raise (Trap "undefined element")
       else begin
-        match table.telems.(i) with
+        match table.(i) with
         | None -> raise (Trap "uninitialized element")
         | Some fi ->
-          let expected = List.nth frame.inst.module_.types tidx in
-          if not (functype_equal expected (type_of_funcinst fi)) then
+          if not (functype_equal frame.inst.types.(tidx) (type_of_funcinst fi)) then
             raise (Trap "indirect call type mismatch");
           call_funcinst fi rest
       end
@@ -396,11 +401,11 @@ and eval_instr frame stack (instr : instr) =
 
 and call_funcinst fi stack =
   match fi with
-  | Host_func { ftype; f; _ } ->
-    let n_params = List.length ftype.params in
+  | Host_func h ->
+    let n_params = List.length h.h_type.params in
     let args = Array.of_list (List.rev (take n_params stack)) in
     let rest = drop n_params stack in
-    let results = f args in
+    let results = h.h_impl args in
     List.rev_append results rest
   | Wasm_func { ftype; func; inst } ->
     Fuel.consume ();
@@ -430,17 +435,23 @@ and drop n stack =
 (** Invoke an exported or internal function with boxed arguments. *)
 let invoke (fi : funcinst) (args : value list) : value list =
   let ftype = type_of_funcinst fi in
-  if List.length args <> List.length ftype.params then
-    raise (Trap "invoke: wrong number of arguments");
-  List.iter2
-    (fun v t ->
-      if not (valtype_equal (type_of_value v) t) then raise (Trap "invoke: argument type mismatch"))
-    args ftype.params;
+  check_args ftype args;
   let stack = call_funcinst fi (List.rev args) in
   List.rev (take (List.length ftype.results) stack)
 
+(** Link a validated module for this tier ({!Instance.instantiate}). *)
+let instantiate ?imports (m : module_) : funcinst Instance.t =
+  let own = Array.of_list m.funcs in
+  Instance.instantiate
+    ~of_host:(fun h -> Host_func h)
+    ~n_own:(Array.length own)
+    ~own:(fun inst i ->
+      let func = own.(i) in
+      Wasm_func { ftype = inst.types.(func.ftype); func; inst })
+    ?imports m
+
 (** Run a module's start function if present. *)
-let run_start (inst : Instance.t) =
+let run_start (inst : funcinst Instance.t) =
   match inst.module_.start with
   | None -> ()
   | Some f -> ignore (invoke inst.funcs.(f) [])

@@ -157,7 +157,7 @@ let rec check_instr ctx (i : instr) =
   | BrTable (targets, default) ->
     pop_expect ctx I32;
     let ts = label_arity ctx default in
-    List.iter
+    Array.iter
       (fun n ->
         let ts' = label_arity ctx n in
         if List.length ts <> List.length ts' || not (List.for_all2 valtype_equal ts ts') then

@@ -265,7 +265,7 @@ let bounded_module iters =
 
 let interp_invoke m name =
   let open Watz_wasm in
-  let inst = Instance.instantiate m in
+  let inst = Interp.instantiate m in
   match Instance.export_func inst name with
   | Some f -> ignore (Interp.invoke f [])
   | None -> Alcotest.failf "no export %s" name

@@ -8,7 +8,7 @@ let run_f64 program name args =
   let m = compile program in
   Watz_wasm.Validate.validate m;
   let finst = Watz_wasm.Fastinterp.instantiate (Watz_wasm.Fastinterp.compile m) in
-  let inst = Watz_wasm.Instance.instantiate m in
+  let inst = Watz_wasm.Interp.instantiate m in
   let boxed = List.map (fun x -> Watz_wasm.Ast.VF64 x) args in
   let a = Watz_wasm.Fastinterp.invoke finst name boxed in
   let b = Watz_wasm.Interp.invoke (Option.get (Watz_wasm.Instance.export_func inst name)) boxed in
@@ -21,7 +21,7 @@ let run_i32 program name args =
   let m = compile program in
   Watz_wasm.Validate.validate m;
   let finst = Watz_wasm.Fastinterp.instantiate (Watz_wasm.Fastinterp.compile m) in
-  let inst = Watz_wasm.Instance.instantiate m in
+  let inst = Watz_wasm.Interp.instantiate m in
   let boxed = List.map (fun x -> Watz_wasm.Ast.VI32 (Int32.of_int x)) args in
   let a = Watz_wasm.Fastinterp.invoke finst name boxed in
   let b = Watz_wasm.Interp.invoke (Option.get (Watz_wasm.Instance.export_func inst name)) boxed in
@@ -178,7 +178,7 @@ let test_imports () =
     Watz_wasm.Fastinterp.instantiate
       ~imports:
         [
-          Watz_wasm.Fastinterp.host ~module_:"env" ~name:"log_i32"
+          Watz_wasm.Instance.host ~module_:"env" ~name:"log_i32"
             ~params:[ Watz_wasm.Types.I32 ] ~results:[]
             (fun args ->
               (match args.(0) with

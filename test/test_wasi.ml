@@ -20,10 +20,10 @@ let run_app ?(args = [ "app.wasm" ]) ?(environ = []) program =
       ~write_out:(Buffer.add_string out) ()
   in
   let inst =
-    Watz_wasm.Fastinterp.instantiate ~imports:(Wasi.fast_imports env)
+    Watz_wasm.Fastinterp.instantiate ~imports:(Wasi.imports env)
       (Watz_wasm.Fastinterp.compile m)
   in
-  Wasi.attach_fast_memory env inst;
+  Wasi.attach_memory env inst;
   (env, inst, out)
 
 let imp name params ret = { i_module = wasi; i_name = name; i_params = params; i_ret = ret }

@@ -28,7 +28,7 @@ let value_testable =
    agree: tree-walking interpreter and pre-decoded fast interpreter. *)
 let run_both m name args =
   Validate.validate m;
-  let inst = Instance.instantiate m in
+  let inst = Interp.instantiate m in
   let interp_result =
     match Instance.export_func inst name with
     | Some f -> Interp.invoke f args
@@ -73,7 +73,7 @@ let test_i32_division_semantics () =
 
 let expect_trap m name args msg_fragment =
   Validate.validate m;
-  let inst = Instance.instantiate m in
+  let inst = Interp.instantiate m in
   let f = Option.get (Instance.export_func inst name) in
   (match Interp.invoke f args with
   | _ -> Alcotest.failf "interp: expected trap %s" msg_fragment
@@ -226,7 +226,7 @@ let test_br_table () =
               Block
                 ( BlockEmpty,
                   [
-                    Block (BlockEmpty, [ LocalGet 0; BrTable ([ 0; 1 ], 2) ]);
+                    Block (BlockEmpty, [ LocalGet 0; BrTable ([| 0; 1 |], 2) ]);
                     (* case 0 *)
                     Builder.i32c 100;
                     LocalSet 1;
@@ -408,20 +408,12 @@ let test_host_function_call () =
     | VI32 v -> [ VI32 (Int32.mul v 3l) ]
     | _ -> assert false
   in
-  (* interp *)
-  let imports =
-    Instance.import_map_of_list
-      [ ("env", "mul3", Instance.Extern_func (Instance.host_func ~name:"mul3" ~params:[ I32 ] ~results:[ I32 ] (fun args -> impl args))) ]
-  in
-  let inst = Instance.instantiate ~imports m in
+  (* one host spec, linked by both tiers *)
+  let imports = [ Instance.host ~module_:"env" ~name:"mul3" ~params:[ I32 ] ~results:[ I32 ] impl ] in
+  let inst = Interp.instantiate ~imports m in
   let got = Interp.invoke (Option.get (Instance.export_func inst "f")) [ VI32 5l ] in
   Alcotest.(check (list value_testable)) "interp host" [ VI32 16l ] got;
-  (* fast *)
-  let finst =
-    Fastinterp.instantiate
-      ~imports:[ Fastinterp.host ~module_:"env" ~name:"mul3" ~params:[ I32 ] ~results:[ I32 ] impl ]
-      (Fastinterp.compile m)
-  in
+  let finst = Fastinterp.instantiate ~imports (Fastinterp.compile m) in
   let got = Fastinterp.invoke finst "f" [ VI32 5l ] in
   Alcotest.(check (list value_testable)) "fast host" [ VI32 16l ] got
 
@@ -693,7 +685,7 @@ let nested_body_gen =
         (1, map (fun n -> Const (VF64 (float_of_int n))) small_signed_int);
         (2, map (fun n -> LocalGet n) (int_bound 2));
         (1, map (fun n -> BrIf n) (int_bound 3));
-        (1, map2 (fun ts d -> BrTable (ts, d)) (list_size (int_bound 3) (int_bound 3)) (int_bound 3));
+        (1, map2 (fun ts d -> BrTable (Array.of_list ts, d)) (list_size (int_bound 3) (int_bound 3)) (int_bound 3));
         (1, oneofl [ Nop; Drop; Select; Return; Unreachable; MemorySize; MemoryGrow ]);
         (3, numeric_instr_gen);
       ]
@@ -800,9 +792,171 @@ let test_validator_many_types_linear () =
   in
   let (), seconds = timed (fun () -> Validate.validate m) in
   check_under_1s "40,000 types and functions validate" seconds;
-  let inst, seconds = timed (fun () -> Instance.instantiate m) in
+  let inst, seconds = timed (fun () -> Interp.instantiate m) in
   check_under_1s "40,000 types and functions instantiate (interp)" seconds;
   Alcotest.(check int) "functions" n (Array.length inst.Instance.funcs)
+
+(* The interp tier at run time: a [call_indirect] reads its type, and a
+   [br_table] its target, in constant time, however many types or
+   targets the module declares. *)
+let test_interp_call_indirect_linear () =
+  let n = 40_000 and calls = 200_000 in
+  let last = n - 1 in
+  let m =
+    {
+      empty_module with
+      types = List.init n (fun _ -> { params = []; results = [] });
+      funcs =
+        [
+          { ftype = last; locals = []; body = [] };
+          {
+            ftype = last;
+            locals = [ I32 ];
+            body =
+              [
+                Loop
+                  ( BlockEmpty,
+                    [
+                      Builder.i32c 0;
+                      CallIndirect last;
+                      LocalGet 0;
+                      Builder.i32c 1;
+                      IBinop (I32, Add);
+                      LocalTee 0;
+                      Builder.i32c calls;
+                      IRelop (I32, LtS);
+                      BrIf 0;
+                    ] );
+              ];
+          };
+        ];
+      tables = [ { min = 1; max = None } ];
+      elems = [ { etable = 0; eoffset = [ Builder.i32c 0 ]; einit = [ 0 ] } ];
+      exports = [ { exp_name = "run"; edesc = ExportFunc 1 } ];
+    }
+  in
+  Validate.validate m;
+  let inst = Interp.instantiate m in
+  let run = Option.get (Instance.export_func inst "run") in
+  let _, seconds = timed (fun () -> Interp.invoke run []) in
+  check_under_1s "200,000 call_indirect at the last of 40,000 types (interp)" seconds
+
+let test_interp_br_table_linear () =
+  let n = 40_000 and runs = 100_000 in
+  (* Every target but the last (0) leaves both blocks and skips the
+     count, so the result counts the runs that took the last target. *)
+  let targets = Array.init n (fun i -> if i = n - 1 then 0 else 1) in
+  let m =
+    single_func ~params:[] ~results:[ I32 ] ~locals:[ I32; I32 ]
+      [
+        Loop
+          ( BlockEmpty,
+            [
+              Block
+                ( BlockEmpty,
+                  [
+                    Block (BlockEmpty, [ Builder.i32c (n - 1); BrTable (targets, 1) ]);
+                    LocalGet 1;
+                    Builder.i32c 1;
+                    IBinop (I32, Add);
+                    LocalSet 1;
+                  ] );
+              LocalGet 0;
+              Builder.i32c 1;
+              IBinop (I32, Add);
+              LocalTee 0;
+              Builder.i32c runs;
+              IRelop (I32, LtS);
+              BrIf 0;
+            ] );
+        LocalGet 1;
+      ]
+  in
+  Validate.validate m;
+  let inst = Interp.instantiate m in
+  let f = Option.get (Instance.export_func inst "f") in
+  let got, seconds = timed (fun () -> Interp.invoke f []) in
+  check_under_1s "100,000 br_table at the last of 40,000 targets (interp)" seconds;
+  Alcotest.(check (list value_testable)) "last target taken every run" [ VI32 (Int32.of_int runs) ] got
+
+(* ------------------------------------------------------------------ *)
+(* Link parity: both tiers link through [Instance.instantiate], so a
+   module that fails to link fails with one message on either, and the
+   invoke API rejects a bad call with one trap. *)
+
+let link_outcome f = match f () with _ -> "linked" | exception Instance.Link_error m -> m
+
+let check_link_parity ?imports m expected =
+  Validate.validate m;
+  let interp = link_outcome (fun () -> ignore (Interp.instantiate ?imports m)) in
+  let fast =
+    link_outcome (fun () -> ignore (Fastinterp.instantiate ?imports (Fastinterp.compile m)))
+  in
+  Alcotest.(check string) ("interp = fast: " ^ interp) interp fast;
+  Alcotest.(check bool)
+    (Printf.sprintf "%S in %S" expected interp)
+    true
+    (Astring.String.is_infix ~affix:expected interp)
+
+let import_module ?(name = "x") idesc =
+  {
+    empty_module with
+    types = [ { params = [ I32 ]; results = [ I32 ] } ];
+    imports = [ { imp_module = "env"; imp_name = name; idesc } ];
+  }
+
+let nop_host = Instance.host ~module_:"env" ~name:"x" ~params:[] ~results:[] (fun _ -> [])
+
+let test_link_unknown_import () =
+  check_link_parity (import_module (ImportFunc 0)) "unknown import env.x";
+  check_link_parity ~imports:[ nop_host ] (import_module ~name:"y" (ImportFunc 0)) "unknown import env.y"
+
+let test_link_signature_mismatch () =
+  check_link_parity ~imports:[ nop_host ] (import_module (ImportFunc 0))
+    "import env.x: signature mismatch (want [i32] -> [i32], got [] -> [])"
+
+let test_link_kind_mismatch () =
+  check_link_parity ~imports:[ nop_host ]
+    (import_module (ImportGlobal { content = I32; mut = Immutable }))
+    "import env.x: kind mismatch"
+
+let test_link_only_functions () =
+  List.iter
+    (fun idesc -> check_link_parity (import_module idesc) "unknown import env.x")
+    [
+      ImportGlobal { content = I32; mut = Immutable };
+      ImportMemory { min = 1; max = None };
+      ImportTable { min = 1; max = None };
+    ]
+
+let test_link_segments_out_of_bounds () =
+  let b = Builder.create () in
+  let f = Builder.func b ~params:[] ~results:[] ~locals:[] [] in
+  ignore (Builder.table b ~min:2 ());
+  Builder.elem b ~table:0 ~offset:1 [ f; f ];
+  check_link_parity (Builder.build b) "element segment out of bounds";
+  let b = Builder.create () in
+  ignore (Builder.memory b ~min:1 ());
+  Builder.data b ~memory:0 ~offset:(page_size - 2) "abc";
+  check_link_parity (Builder.build b) "data segment out of bounds"
+
+let test_invoke_arity_and_types () =
+  let m = single_func ~params:[ I32 ] ~results:[ I32 ] [ LocalGet 0 ] in
+  Validate.validate m;
+  let trap f = match f () with _ -> "no trap" | exception Instance.Trap msg -> msg in
+  let interp = Option.get (Instance.export_func (Interp.instantiate m) "f") in
+  let fast = Fastinterp.instantiate (Fastinterp.compile m) in
+  List.iter
+    (fun (args, expected) ->
+      let a = trap (fun () -> Interp.invoke interp args) in
+      let b = trap (fun () -> Fastinterp.invoke fast "f" args) in
+      Alcotest.(check string) ("interp = fast: " ^ a) a b;
+      Alcotest.(check string) "message" expected a)
+    [
+      ([], "invoke: wrong number of arguments");
+      ([ VI32 1l; VI32 2l ], "invoke: wrong number of arguments");
+      ([ VI64 1L ], "invoke: argument type mismatch");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Random differential testing: interp vs fast on generated programs *)
@@ -858,7 +1012,7 @@ let qcheck_differential =
       let body = balance_program instrs in
       let m = single_func ~params:[ I32; I32 ] ~results:[ I32 ] body in
       Validate.validate m;
-      let inst = Instance.instantiate m in
+      let inst = Interp.instantiate m in
       let args = [ VI32 123456l; VI32 (-789l) ] in
       let a = Interp.invoke (Option.get (Instance.export_func inst "f")) args in
       let fa = Fastinterp.invoke (Fastinterp.instantiate (Fastinterp.compile m)) "f" args in
@@ -1086,6 +1240,20 @@ let suite =
         case "rejects immutable global set" test_validator_rejects_immutable_global_set;
         case "deep operand stack: linear" test_validator_deep_stack_linear;
         case "many types: linear" test_validator_many_types_linear;
+      ] );
+    ( "wasm.linear",
+      [
+        case "interp call_indirect: 40,000 types" test_interp_call_indirect_linear;
+        case "interp br_table: 40,000 targets" test_interp_br_table_linear;
+      ] );
+    ( "wasm.link",
+      [
+        case "unknown import" test_link_unknown_import;
+        case "signature mismatch names both types" test_link_signature_mismatch;
+        case "kind mismatch" test_link_kind_mismatch;
+        case "only functions import" test_link_only_functions;
+        case "segments out of bounds" test_link_segments_out_of_bounds;
+        case "invoke arity and argument types" test_invoke_arity_and_types;
       ] );
     ( "wasm.numerics",
       [

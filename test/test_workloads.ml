@@ -45,7 +45,7 @@ let run_both_tiers program =
     | [ Watz_wasm.Ast.VF64 x ] -> x
     | _ -> Alcotest.fail "expected one f64"
   in
-  let inst = Watz_wasm.Instance.instantiate m in
+  let inst = Watz_wasm.Interp.instantiate m in
   let interp =
     f64 (Watz_wasm.Interp.invoke (Option.get (Watz_wasm.Instance.export_func inst "run")) [])
   in
@@ -71,7 +71,7 @@ let test_polybench_interp_agrees () =
       let k = PB.find name in
       let m = Watz_wasmc.Minic.compile k.PB.program in
       Watz_wasm.Validate.validate m;
-      let inst = Watz_wasm.Instance.instantiate m in
+      let inst = Watz_wasm.Interp.instantiate m in
       match Watz_wasm.Interp.invoke (Option.get (Watz_wasm.Instance.export_func inst "run")) [] with
       | [ Watz_wasm.Ast.VF64 x ] -> Alcotest.(check (float 0.0)) name (k.PB.native ()) x
       | _ -> Alcotest.fail "bad result")
@@ -170,7 +170,7 @@ let test_genann_wasm_bit_identical () =
   let inst = Watz_wasm.Fastinterp.instantiate (Watz_wasm.Fastinterp.compile m) in
   let invoke name args = Watz_wasm.Fastinterp.invoke inst name args in
   GW.seed_weights ~invoke initial;
-  let mem = Option.get (Watz_wasm.Fastinterp.export_memory inst "memory") in
+  let mem = Option.get (Watz_wasm.Instance.export_memory inst "memory") in
   GW.write_dataset mem data;
   GW.train ~invoke ~n_records ~epochs:3 ~rate:0.7;
   let wasm_weights = GW.read_weights ~invoke in
@@ -210,7 +210,7 @@ let test_genann_tiers_bit_identical () =
     GW.read_weights ~invoke
   in
   let interp_w =
-    let inst = Watz_wasm.Instance.instantiate m in
+    let inst = Watz_wasm.Interp.instantiate m in
     let invoke name args =
       Watz_wasm.Interp.invoke (Option.get (Watz_wasm.Instance.export_func inst name)) args
     in
@@ -219,7 +219,7 @@ let test_genann_tiers_bit_identical () =
   let fast_w =
     let inst = Watz_wasm.Fastinterp.instantiate (Watz_wasm.Fastinterp.compile m) in
     let invoke name args = Watz_wasm.Fastinterp.invoke inst name args in
-    train_on ~invoke ~memory:(Option.get (Watz_wasm.Fastinterp.export_memory inst "memory"))
+    train_on ~invoke ~memory:(Option.get (Watz_wasm.Instance.export_memory inst "memory"))
   in
   Array.iteri
     (fun k w ->
