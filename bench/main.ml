@@ -105,9 +105,8 @@ let fig3 () =
 let fig4 () =
   section "Fig. 4 - startup breakdown of large Wasm applications in WaTZ";
   let sizes = if quick then [ 1; 3 ] else [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ] in
-  (* Every sample is a cold launch: the module cache and the
-     measurement memo are cleared first, so each one decodes, validates,
-     compiles and hashes. *)
+  (* Every launch is cold: each sample hashes, decodes, validates and
+     compiles. *)
   let samples = if quick then 3 else 7 in
   Printf.printf "  %d cold launches per size: median total, its min-max, median phase shares\n"
     samples;
@@ -120,7 +119,6 @@ let fig4 () =
       let config = { Runtime.default_config with Runtime.heap_bytes = 23 * 1024 * 1024 } in
       let runs =
         Array.init samples (fun _ ->
-            Runtime.cache_clear ();
             let app = Runtime.load ~config soc bytes in
             Runtime.unload app;
             app.Runtime.startup)
@@ -158,26 +156,7 @@ let fig4 () =
   Printf.printf "  %-8s %10s %8s\n" "stage" "ms" "share";
   List.iter
     (fun (name, ns) -> Printf.printf "  %-8s %10.2f %7.1f%%\n" name (ns_to_ms ns) (100.0 *. ns /. sum))
-    stages;
-  (* Measurement-keyed module cache: a second load of the same (already
-     measured) bytecode skips decode/validate/pre-compile entirely. *)
-  Printf.printf "\n  module cache (fast tier, 1MB app): cold vs cached reload\n";
-  Printf.printf "  %-8s %10s %10s %10s %6s\n" "load" "total(ms)" "load(ms)" "inst(ms)" "hit";
-  let soc = booted "bench-fig4-cache" in
-  let config =
-    { Runtime.default_config with Runtime.heap_bytes = 23 * 1024 * 1024; tier = Runtime.Fast }
-  in
-  Runtime.cache_clear ();
-  let row label app =
-    let s = app.Runtime.startup in
-    Printf.printf "  %-8s %10.2f %10.2f %10.2f %6s\n" label
-      (ns_to_ms (Runtime.total_ns s))
-      (ns_to_ms s.Runtime.load_ns) (ns_to_ms s.Runtime.instantiate_ns)
-      (if s.Runtime.cache_hit then "yes" else "no");
-    Runtime.unload app
-  in
-  row "cold" (Runtime.load ~config soc bytes);
-  row "cached" (Runtime.load ~config soc bytes)
+    stages
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 5: PolyBench/C, normalised against native. *)

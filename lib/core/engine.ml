@@ -13,9 +13,7 @@
 
     [prepare] turns raw bytecode into a tier-specific, instance-free
     artifact; [instantiate] links it against WASI (and optionally
-    WASI-RA) and attaches the exported memory to the WASI environment.
-    Both artifacts are instance-independent, so {!Runtime} caches them
-    across loads keyed by the module measurement. *)
+    WASI-RA) and attaches the exported memory to the WASI environment. *)
 
 module Wasi = Watz_wasi.Wasi
 module Wasi_ra = Watz_wasi.Wasi_ra
@@ -33,7 +31,7 @@ let tier_of_string = function
   | _ -> None
 
 (** A prepared module: decoded, validated, and (for the fast tier)
-    flattened. Contains no instance state — safe to cache and reuse. *)
+    flattened. Contains no instance state. *)
 type prepared = P_interp of W.Ast.module_ | P_fast of W.Fastinterp.cmodule
 
 type instance = I_interp of W.Interp.funcinst W.Instance.t | I_fast of W.Fastinterp.finstance

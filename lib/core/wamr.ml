@@ -22,12 +22,12 @@ type app = {
 exception App_trap of string
 
 (** Load and optionally run [_start] in the normal world. *)
-let load ?(tier = Engine.Fast) ?(args = [ "app.wasm" ]) ?(entry = Some "_start") soc wasm_bytes =
+let load ?(tier = Engine.Fast) ?(entry = Some "_start") soc wasm_bytes =
   let t0 = Unix.gettimeofday () in
   let output = Buffer.create 256 in
   let rng = Watz_util.Prng.create 0x77414d52L in
   let wasi_env =
-    Wasi.make_env ~args
+    Wasi.make_env ~args:[ "app.wasm" ]
       ~clock_ns:(fun () -> Watz_tz.Soc.normal_world_clock_ns soc)
       ~random:(Watz_util.Prng.bytes rng)
       ~write_out:(Buffer.add_string output) ()

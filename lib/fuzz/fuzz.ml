@@ -196,26 +196,28 @@ let pipeline_case pctx cs =
 (* ------------------------------------------------------------------ *)
 (* Campaign *)
 
-(* Budget shares, in tenths: cheap targets get the bulk, the end-to-end
-   targets enough to matter without dominating wall-clock. *)
-let share budget = function
-  | Modgen -> budget * 3 / 10
-  | Decode -> budget * 4 / 10
-  | Crypto -> budget * 2 / 10
-  | Proto -> max 1 (budget / 20)
-  | Pipeline -> max 1 (budget / 20)
+(* Budget weights, in twentieths of an all-target campaign: cheap
+   targets get the bulk, the end-to-end targets enough to matter
+   without dominating wall-clock. *)
+let weight = function Modgen -> 6 | Decode -> 8 | Crypto -> 4 | Proto -> 1 | Pipeline -> 1
+
+(* A target's share of [budget]: its weight over the selected targets'
+   total, rounded down, so the shares fall short of the budget by less
+   than one case per target. *)
+let share ~targets budget target =
+  budget * weight target / List.fold_left (fun acc t -> acc + weight t) 0 targets
 
 (** [run ~seed ~budget ~targets ()] executes the campaign. [budget] is
-    the total case count, split across [targets] with fixed weights (so
-    findings stay replayable however the budget changes: a case's seed
-    depends only on its target and index). [on_finding] fires as
-    findings are discovered (already shrunk). *)
+    the total case count, split across the selected [targets] by fixed
+    weights (so findings stay replayable however the budget changes: a
+    case's seed depends only on its target and index). [on_finding]
+    fires as findings are discovered (already shrunk). *)
 let run ?(targets = all_targets) ?(on_finding = fun (_ : finding) -> ()) ~seed ~budget () :
     report =
   let lazy_proto = lazy (Proto_fuzz.make_ctx seed) in
   let lazy_pipeline = lazy (make_pipeline_ctx seed) in
   let run_target target =
-    let n = max 1 (share budget target) in
+    let n = max 1 (share ~targets budget target) in
     let case =
       match target with
       | Modgen -> modgen_case ~shrink:true

@@ -217,20 +217,6 @@ let gen_program rng : prog_case =
 (* ------------------------------------------------------------------ *)
 (* The pipeline oracle *)
 
-type outcome = Values of value list | Trapped of string
-
-let outcome_equal a b =
-  match (a, b) with
-  | Values xs, Values ys ->
-    List.length xs = List.length ys && List.for_all2 Diff.value_equal xs ys
-  | Trapped x, Trapped y -> String.equal x y
-  | _ -> false
-
-let outcome_to_string = function
-  | Values _ as v ->
-    Diff.outcome_to_string (Diff.Values (match v with Values xs -> xs | _ -> []))
-  | Trapped m -> "trap: " ^ m
-
 (** One pipeline round. [soc] is a booted board shared across rounds
     (manufacturing one per program would dominate the run time). *)
 let round soc ~policy ~service rng : (unit, string) result =
@@ -269,15 +255,15 @@ let round soc ~policy ~service rng : (unit, string) result =
         ignore service;
         (* execute on both tiers *)
         let run_tier tier =
-          let config = { Runtime.default_config with Runtime.tier; use_cache = false } in
+          let config = { Runtime.default_config with Runtime.tier } in
           let app = Runtime.load ~config ~entry:None soc bytes in
           let claim_ok = String.equal (Runtime.claim app) m1 in
           let outs =
             List.map
               (fun (name, args) ->
                 match Runtime.invoke app name args with
-                | vs -> Ok (Values vs)
-                | exception Runtime.App_trap m -> Ok (Trapped m)
+                | vs -> Ok (Diff.Values vs)
+                | exception Runtime.App_trap m -> Ok (Diff.Trap m)
                 | exception e ->
                   Error
                     (Printf.sprintf "tier %s crashed invoking %s: %s" (Watz.Engine.tier_name tier) name
@@ -304,11 +290,11 @@ let round soc ~policy ~service rng : (unit, string) result =
                 match (names, xs, ys) with
                 | [], [], [] -> Ok ()
                 | n :: ns, x :: xs', y :: ys' ->
-                  if outcome_equal x y then cmp ns xs' ys'
+                  if Diff.outcome_equal x y then cmp ns xs' ys'
                   else
                     Error
                       (Printf.sprintf "pipeline divergence at %s: interp=%s fast=%s" n
-                         (outcome_to_string x) (outcome_to_string y))
+                         (Diff.outcome_to_string x) (Diff.outcome_to_string y))
                 | _ -> Error "tier outcome arity mismatch"
               in
               cmp (List.map fst calls) (get o_i) (get o_f))))

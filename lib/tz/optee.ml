@@ -39,6 +39,7 @@ type t = {
   mutable exec_pages_syscall : bool;
   mutable kernel_services : (string * kernel_service) list;
   mutable next_session : int;
+  rng : Watz_util.Prng.t; (* this board's TRNG *)
 }
 
 (* The paper's patched memory caps (§V). *)
@@ -59,6 +60,7 @@ let create ~clock ~costs ~mkvb ~boot_measurement ~net ~vendor_pub ~version =
     exec_pages_syscall = true; (* the WaTZ kernel extension, on by default *)
     kernel_services = [];
     next_session = 1;
+    rng = Watz_util.Prng.create 0x7a5e_1234_dead_beefL;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -244,6 +246,8 @@ let kernel_call t ~service request =
 (* ------------------------------------------------------------------ *)
 (* Random (hardware TRNG behind the GP API) *)
 
-let random_state = lazy (Watz_util.Prng.create 0x7a5e_1234_dead_beefL)
-
-let generate_random _t n = Watz_util.Prng.bytes (Lazy.force random_state) n
+(** [n] bytes from this board's random source. Each board owns its
+    generator, so what one board's apps draw never depends on another
+    board in the same process, and boards on different domains share
+    no state. *)
+let generate_random t n = Watz_util.Prng.bytes t.rng n

@@ -14,9 +14,7 @@
     integer [pc].
 
     The compiled form ({!cmodule}) references functions by {e index}
-    and contains no per-instance state, so it can be cached across
-    instantiations — {!Runtime.load} keys such a cache by the module's
-    SHA-256 measurement.
+    and contains no per-instance state.
 
     Modules must be validated ({!Validate.validate}) before
     {!compile}: the flattener trusts the types. *)
@@ -156,9 +154,9 @@ type cbody = {
    link-time data in [cm_module] (types, imports, tables, memories,
    globals, exports, start, element and data segments, custom
    sections). [cm_module.funcs] is empty: every body lives on, already
-   flattened, in [cm_bodies], so a cached module does not also keep its
-   AST. Contains no instance state, so it is safe to share across
-   instantiations and to cache by code measurement. *)
+   flattened, in [cm_bodies], so a compiled module does not also keep
+   its AST. Contains no instance state, so it is safe to share across
+   instantiations. *)
 type cmodule = {
   cm_module : module_;
   cm_func_types : functype array; (* full function index space *)
@@ -1025,11 +1023,9 @@ let compile_func ~fuel ctypes cfunc_types cglobals_t (f : func) (ft : functype) 
 
 (** Flatten a {e validated} module. The result is instance-free and
     reusable: instantiate it any number of times. With [~fuel], the
-    flattened code
-    charges {!Instance.Fuel} once per function entry and per loop
-    iteration — for running untrusted modules under a budget; never
-    enable it for cmodules that go into a measurement-keyed cache, or
-    metered and unmetered users would share one compiled form. *)
+    flattened code charges {!Instance.Fuel} once per function entry
+    and per loop iteration — for running untrusted modules under a
+    budget. *)
 let compile ?(fuel = false) (m : module_) : cmodule =
   let cm_types = Array.of_list m.types in
   let imp_ftypes = List.map (fun t -> cm_types.(t)) (imported_funcs m) in

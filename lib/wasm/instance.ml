@@ -24,7 +24,7 @@ let link_fail fmt = Format.kasprintf (fun s -> raise (Link_error s)) fmt
     because all tiers charge the same edges, tier-identical.
 
     The budget is a single global cell, not per-instance state: fuel is
-    a harness concern and threading it through three execution tiers'
+    a harness concern and threading it through two execution tiers'
     hot paths would tax the default (unmetered) configuration. The cell
     is domain-local in effect — the fuzz harness is single-domain — and
     [max_int] is the sentinel for "off". *)

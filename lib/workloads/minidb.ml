@@ -5,9 +5,10 @@
     B-tree secondary indexes with a small planner that uses them for
     equality and range predicates, expression evaluation, aggregates
     with GROUP BY, ORDER BY/LIMIT, inner joins, UPDATE/DELETE with
-    index maintenance. It powers the [secure_db] example (the paper's
-    in-enclave database scenario) and the native side of the
-    Speedtest1-style experiments.
+    index maintenance. It serves [watz_cli sql], the [secure_db]
+    example (the paper's in-enclave database scenario) and its own
+    tests; the Speedtest1-style experiments ({!Speedtest}) use plain
+    OCaml and MiniC kernels instead.
 
     Supported statements:
     {v

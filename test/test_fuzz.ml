@@ -122,6 +122,14 @@ let test_campaign_smoke_all_targets () =
         f.Fuzz.f_case_seed f.Fuzz.f_desc)
     r.Fuzz.r_findings
 
+let test_campaign_budget_is_total () =
+  (* the budget is split over the selected targets only: a two-target
+     campaign runs its whole budget, less at most one rounded-down case *)
+  let r = Fuzz.run ~targets:[ Fuzz.Crypto; Fuzz.Proto ] ~seed:5L ~budget:21 () in
+  let execs = List.fold_left (fun acc s -> acc + s.Fuzz.t_execs) 0 r.Fuzz.r_stats in
+  Alcotest.(check bool) (Printf.sprintf "%d execs for a budget of 21" execs) true
+    (execs >= 20 && execs <= 21)
+
 let test_case_seed_mixing () =
   (* derived case seeds: deterministic, and distinct across targets and
      neighbouring indices *)
@@ -336,6 +344,7 @@ let suite =
       [
         case "deterministic" test_campaign_deterministic;
         case "smoke all targets" test_campaign_smoke_all_targets;
+        case "budget is the total over selected targets" test_campaign_budget_is_total;
         case "case seed mixing" test_case_seed_mixing;
         case "generator termination+validity" test_generator_termination_and_validity;
       ] );

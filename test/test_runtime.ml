@@ -151,6 +151,76 @@ let test_trap_is_contained () =
   | exception Runtime.App_trap _ -> ());
   Runtime.unload app
 
+(* A failed launch gives back everything it took from the TEE. At 2 MB
+   of TA heap per session, 13 leaked sessions leave the 27 MB heap pool
+   no room for a 14th, and three leaked 3 MB staging buffers fill the
+   9 MB shared pool; after either, no module could launch on the board. *)
+let test_failed_launch_releases_tee_memory () =
+  let soc = booted_soc "dev" in
+  let trace = Watz_obs.Trace.create () in
+  Watz_tz.Soc.attach_tracer soc trace;
+  let os = Watz_tz.Soc.optee soc in
+  let pools () = (os.Watz_tz.Optee.heap_pool.used, os.Watz_tz.Optee.shm_pool.used) in
+  let before = pools () in
+  for _ = 1 to 20 do
+    match Runtime.load soc "\x00asm\x01\x00\x00\x00\x01\xff" with
+    | _ -> Alcotest.fail "malformed module launched"
+    | exception Watz_wasm.Decode.Malformed _ -> ()
+  done;
+  (* Over the default 2 MB TA heap, under the 9 MB shared pool. *)
+  let oversized = String.make 3_145_728 '\000' in
+  for _ = 1 to 4 do
+    match Runtime.load soc oversized with
+    | _ -> Alcotest.fail "3 MB module fit a 2 MB heap"
+    | exception Watz_tz.Optee.Out_of_memory _ -> ()
+  done;
+  let trapping = Dsl.program [ fn "_start" [] None [ ExprS (i 1 / i 0); ret_void ] ] in
+  (match Runtime.load soc (compile_to_bytes trapping) with
+  | _ -> Alcotest.fail "trapping _start launched"
+  | exception Watz_wasm.Instance.Trap _ -> ());
+  Alcotest.(check (pair int int)) "heap and shared pools restored" before (pools ());
+  let loads kind =
+    List.length
+      (List.filter
+         (fun (e : Watz_obs.Trace.event) ->
+           Stdlib.(e.Watz_obs.Trace.kind = kind && String.equal e.Watz_obs.Trace.name "runtime.load"))
+         (Watz_obs.Trace.events trace))
+  in
+  Alcotest.(check int) "every runtime.load span ended" (loads Watz_obs.Trace.Begin)
+    (loads Watz_obs.Trace.End);
+  let app = Runtime.load soc (compile_to_bytes (hello_app ())) in
+  Alcotest.(check string) "a valid module still launches" "hello from the secure world\n"
+    (Runtime.output app);
+  Runtime.unload app
+
+(* Two launches of the same bytes share nothing but the board: each
+   measures the bytecode itself and owns its linear memory (the sandbox
+   boundary). *)
+let test_launches_are_independent () =
+  let soc = booted_soc "dev" in
+  let p =
+    Dsl.program
+      [
+        fn "put" [ ("x", I32) ] None [ StoreS (I32, i 64, v "x"); ret_void ];
+        fn "get" [] (Some I32) [ ret (LoadE (I32, i 64)) ];
+      ]
+  in
+  let bytes = compile_to_bytes p in
+  let a = Runtime.load ~entry:None soc bytes and b = Runtime.load ~entry:None soc bytes in
+  let claim = Watz_util.Hex.encode (Runtime.measure bytes) in
+  Alcotest.(check string) "first claim" claim (Watz_util.Hex.encode (Runtime.claim a));
+  Alcotest.(check string) "second claim" claim (Watz_util.Hex.encode (Runtime.claim b));
+  ignore (Runtime.invoke a "put" [ Watz_wasm.Ast.VI32 42l ]);
+  let get app =
+    match Runtime.invoke app "get" [] with
+    | [ Watz_wasm.Ast.VI32 x ] -> x
+    | _ -> Alcotest.fail "bad result"
+  in
+  Alcotest.(check int32) "store visible to its own app" 42l (get a);
+  Alcotest.(check int32) "store invisible to the other app" 0l (get b);
+  Runtime.unload a;
+  Runtime.unload b
+
 (* ------------------------------------------------------------------ *)
 (* WASI-RA end to end *)
 
@@ -253,7 +323,7 @@ let test_wasi_ra_connection_refused () =
 let case name f = Alcotest.test_case name `Quick f
 
 (* ------------------------------------------------------------------ *)
-(* Execution tiers and the measurement-keyed module cache *)
+(* Execution tiers *)
 
 let compute_app () =
   Dsl.program
@@ -282,54 +352,6 @@ let test_all_tiers_agree () =
   | [ a; b ] -> Alcotest.(check bool) "interp = fast" true (Stdlib.( = ) a b)
   | _ -> Alcotest.fail "expected two tiers"
 
-let test_module_cache_hits () =
-  Runtime.cache_clear ();
-  let soc = booted_soc "dev" in
-  let bytes = compile_to_bytes (compute_app ()) in
-  let config = { Runtime.default_config with Runtime.tier = Runtime.Fast } in
-  let app1 = Runtime.load ~config ~entry:None soc bytes in
-  Alcotest.(check bool) "first load is a miss" false app1.Runtime.startup.Runtime.cache_hit;
-  Alcotest.(check int) "one cached module" 1 (Runtime.cache_size ());
-  let app2 = Runtime.load ~config ~entry:None soc bytes in
-  Alcotest.(check bool) "second load hits" true app2.Runtime.startup.Runtime.cache_hit;
-  Alcotest.(check int) "still one cached module" 1 (Runtime.cache_size ());
-  let r1 = Runtime.invoke app1 "run" [ Watz_wasm.Ast.VI32 100l ] in
-  let r2 = Runtime.invoke app2 "run" [ Watz_wasm.Ast.VI32 100l ] in
-  Alcotest.(check bool) "cached instance agrees" true (Stdlib.( = ) r1 r2);
-  (* A different tier is a different cache entry, not a hit. *)
-  let interp_config = { Runtime.default_config with Runtime.tier = Runtime.Interp } in
-  let app3 = Runtime.load ~config:interp_config ~entry:None soc bytes in
-  Alcotest.(check bool) "other tier misses" false app3.Runtime.startup.Runtime.cache_hit;
-  Alcotest.(check int) "two cache entries" 2 (Runtime.cache_size ());
-  (* The registry-backed stats agree: app1 missed, app2 hit, app3
-     (other tier) missed; the measurement memo saw one digest and two
-     memo hits for the same bytes. *)
-  Alcotest.(check (pair int int)) "module cache stats (hits, misses)" (1, 2)
-    (Runtime.module_cache_stats ());
-  Alcotest.(check (pair int int)) "measure memo stats (hits, misses)" (2, 1)
-    (Runtime.measure_memo_stats ());
-  Runtime.unload app1;
-  Runtime.unload app2;
-  Runtime.unload app3;
-  Runtime.cache_clear ();
-  Alcotest.(check int) "cache cleared" 0 (Runtime.cache_size ());
-  Alcotest.(check (pair int int)) "stats reset with the cache" (0, 0)
-    (Runtime.module_cache_stats ())
-
-let test_module_cache_opt_out () =
-  Runtime.cache_clear ();
-  let soc = booted_soc "dev" in
-  let bytes = compile_to_bytes (compute_app ()) in
-  let config = { Runtime.default_config with Runtime.use_cache = false } in
-  let app1 = Runtime.load ~config ~entry:None soc bytes in
-  let app2 = Runtime.load ~config ~entry:None soc bytes in
-  Alcotest.(check bool) "no hit without cache" false app2.Runtime.startup.Runtime.cache_hit;
-  Alcotest.(check int) "nothing cached" 0 (Runtime.cache_size ());
-  Alcotest.(check (pair int int)) "no cache stats recorded" (0, 0)
-    (Runtime.module_cache_stats ());
-  Runtime.unload app1;
-  Runtime.unload app2
-
 let suite =
   [
     ( "runtime.launch",
@@ -343,12 +365,12 @@ let suite =
         case "heap budget enforced" test_heap_budget_enforced;
         case "oversized binary rejected" test_oversized_binary_rejected;
         case "traps contained by sandbox" test_trap_is_contained;
+        case "failed launches release TEE memory" test_failed_launch_releases_tee_memory;
+        case "launches of the same bytes are independent" test_launches_are_independent;
       ] );
     ( "runtime.tiers",
       [
         case "all tiers agree" test_all_tiers_agree;
-        case "module cache hits by measurement" test_module_cache_hits;
-        case "cache opt-out" test_module_cache_opt_out;
       ] );
     ( "runtime.wasi_ra",
       [

@@ -257,6 +257,23 @@ let test_net_partial_frame () =
   Alcotest.(check (option string)) "completes" (Some ("abc" ^ String.make 13 'x'))
     (Net.recv_frame server)
 
+(* ------------------------------------------------------------------ *)
+(* Random source *)
+
+(* Each board owns its random source: what one board drew does not
+   shift another's stream, whether the boards share a domain or not. *)
+let test_random_per_board () =
+  let hex = Watz_util.Hex.encode in
+  let first_32 () = hex (Optee.generate_random (Soc.optee (fresh_soc ())) 32) in
+  let a = Soc.optee (fresh_soc ()) in
+  let a32 = hex (Optee.generate_random a 32) in
+  ignore (Optee.generate_random a 1000);
+  Alcotest.(check string) "board B starts where board A started" a32 (first_32 ());
+  let d1 = Domain.spawn first_32 and d2 = Domain.spawn first_32 in
+  let b1 = Domain.join d1 and b2 = Domain.join d2 in
+  Alcotest.(check string) "board on a first domain" a32 b1;
+  Alcotest.(check string) "board on a second domain" a32 b2
+
 let case name f = Alcotest.test_case name `Quick f
 
 let suite =
@@ -294,6 +311,7 @@ let suite =
         case "secure time RPC cost" test_secure_time_costs;
         case "ms vs ns resolution" test_time_resolution;
       ] );
+    ("tz.random", [ case "one random source per board" test_random_per_board ]);
     ( "tz.net",
       [
         case "connect refused" test_net_connect_refused;
