@@ -1,5 +1,12 @@
-(* FIPS 197. State is column-major: state.(4*c + r) is row r, column c,
-   matching the byte order of the input block. *)
+(* FIPS 197, encryption only, on 32-bit T-tables in native ints.
+
+   A column of the state is one big-endian word in the low 32 bits of
+   an int, so a round is sixteen table lookups and XORs on four local
+   ints: no array state, no allocation per block. Every table index is
+   a byte taken with [land 0xff], always inside a 256-entry table, so
+   only those lookups skip the bounds check. *)
+
+let mask32 = 0xffffffff
 
 let xtime b =
   let b = b lsl 1 in
@@ -15,24 +22,37 @@ let gmul a b =
 
 (* The S-box is the GF inverse followed by the FIPS affine transform
    b ^ rot1(b) ^ rot2(b) ^ rot3(b) ^ rot4(b) ^ 0x63. *)
-let sbox, inv_sbox =
+let sbox =
   let inv = Array.make 256 0 in
   for a = 1 to 255 do
     for b = 1 to 255 do
       if gmul a b = 1 then inv.(a) <- b
     done
   done;
-  let s = Array.make 256 0 and si = Array.make 256 0 in
   let rotl8 x n = ((x lsl n) lor (x lsr (8 - n))) land 0xff in
-  for a = 0 to 255 do
-    let b = inv.(a) in
-    let v = b lxor rotl8 b 1 lxor rotl8 b 2 lxor rotl8 b 3 lxor rotl8 b 4 lxor 0x63 in
-    s.(a) <- v;
-    si.(v) <- a
-  done;
-  (s, si)
+  Array.init 256 (fun a ->
+      let b = inv.(a) in
+      b lxor rotl8 b 1 lxor rotl8 b 2 lxor rotl8 b 3 lxor rotl8 b 4 lxor 0x63)
 
-type key = { rounds : int; rk : int array (* (rounds+1) * 16 bytes *) }
+(* te0.(x) is the MixColumns column (2s, s, s, 3s) of s = S(x), most
+   significant byte first; te1..te3 are it rotated right by 8, 16 and
+   24 bits, one table per row so a round needs no rotations. *)
+let te0, te1, te2, te3 =
+  let rotr w n = ((w lsr n) lor (w lsl (32 - n))) land mask32 in
+  let t0 =
+    Array.map (fun s -> (xtime s lsl 24) lor (s lsl 16) lor (s lsl 8) lor (xtime s lxor s)) sbox
+  in
+  (t0, Array.map (fun w -> rotr w 8) t0, Array.map (fun w -> rotr w 16) t0,
+   Array.map (fun w -> rotr w 24) t0)
+
+(* rk holds the 4 * (rounds + 1) schedule words. *)
+type key = { rounds : int; rk : int array }
+
+let sub_word w =
+  (Array.unsafe_get sbox ((w lsr 24) land 0xff) lsl 24)
+  lor (Array.unsafe_get sbox ((w lsr 16) land 0xff) lsl 16)
+  lor (Array.unsafe_get sbox ((w lsr 8) land 0xff) lsl 8)
+  lor Array.unsafe_get sbox (w land 0xff)
 
 let expand_key key_bytes =
   let nk =
@@ -43,120 +63,72 @@ let expand_key key_bytes =
     | _ -> invalid_arg "Aes.expand_key: key must be 16, 24 or 32 bytes"
   in
   let rounds = nk + 6 in
-  let words = 4 * (rounds + 1) in
-  (* w.(i) is a 4-byte word stored as an int array of bytes. *)
-  let w = Array.make_matrix words 4 0 in
+  let rk = Array.make (4 * (rounds + 1)) 0 in
   for i = 0 to nk - 1 do
-    for j = 0 to 3 do
-      w.(i).(j) <- Char.code key_bytes.[(4 * i) + j]
-    done
+    rk.(i) <- Int32.to_int (String.get_int32_be key_bytes (4 * i)) land mask32
   done;
   let rcon = ref 1 in
-  for i = nk to words - 1 do
-    let temp = Array.copy w.(i - 1) in
-    if i mod nk = 0 then begin
-      (* RotWord then SubWord then Rcon. *)
-      let t0 = temp.(0) in
-      temp.(0) <- sbox.(temp.(1));
-      temp.(1) <- sbox.(temp.(2));
-      temp.(2) <- sbox.(temp.(3));
-      temp.(3) <- sbox.(t0);
-      temp.(0) <- temp.(0) lxor !rcon;
-      rcon := xtime !rcon
-    end
-    else if nk > 6 && i mod nk = 4 then
-      for j = 0 to 3 do
-        temp.(j) <- sbox.(temp.(j))
-      done;
-    for j = 0 to 3 do
-      w.(i).(j) <- w.(i - nk).(j) lxor temp.(j)
-    done
-  done;
-  let rk = Array.make (16 * (rounds + 1)) 0 in
-  for i = 0 to words - 1 do
-    for j = 0 to 3 do
-      rk.((4 * i) + j) <- w.(i).(j)
-    done
+  for i = nk to Array.length rk - 1 do
+    let temp = rk.(i - 1) in
+    let temp =
+      if i mod nk = 0 then begin
+        (* RotWord then SubWord then Rcon. *)
+        let t = sub_word (((temp lsl 8) lor (temp lsr 24)) land mask32) lxor (!rcon lsl 24) in
+        rcon := xtime !rcon;
+        t
+      end
+      else if nk > 6 && i mod nk = 4 then sub_word temp
+      else temp
+    in
+    rk.(i) <- rk.(i - nk) lxor temp
   done;
   { rounds; rk }
 
-let add_round_key state rk round =
-  for i = 0 to 15 do
-    state.(i) <- state.(i) lxor rk.((16 * round) + i)
-  done
+let load b off = Int32.to_int (Bytes.get_int32_be b off) land mask32
 
-let sub_bytes state box =
-  for i = 0 to 15 do
-    state.(i) <- box.(state.(i))
-  done
-
-let shift_rows state =
-  (* Row r (bytes r, r+4, r+8, r+12) rotates left by r. *)
-  for r = 1 to 3 do
-    let row = Array.init 4 (fun c -> state.((4 * c) + r)) in
-    for c = 0 to 3 do
-      state.((4 * c) + r) <- row.((c + r) mod 4)
-    done
-  done
-
-let inv_shift_rows state =
-  for r = 1 to 3 do
-    let row = Array.init 4 (fun c -> state.((4 * c) + r)) in
-    for c = 0 to 3 do
-      state.((4 * c) + r) <- row.((c - r + 4) mod 4)
-    done
-  done
-
-let mix_columns state =
-  for c = 0 to 3 do
-    let a0 = state.(4 * c) and a1 = state.((4 * c) + 1) in
-    let a2 = state.((4 * c) + 2) and a3 = state.((4 * c) + 3) in
-    state.(4 * c) <- xtime a0 lxor (xtime a1 lxor a1) lxor a2 lxor a3;
-    state.((4 * c) + 1) <- a0 lxor xtime a1 lxor (xtime a2 lxor a2) lxor a3;
-    state.((4 * c) + 2) <- a0 lxor a1 lxor xtime a2 lxor (xtime a3 lxor a3);
-    state.((4 * c) + 3) <- (xtime a0 lxor a0) lxor a1 lxor a2 lxor xtime a3
-  done
-
-let inv_mix_columns state =
-  for c = 0 to 3 do
-    let a0 = state.(4 * c) and a1 = state.((4 * c) + 1) in
-    let a2 = state.((4 * c) + 2) and a3 = state.((4 * c) + 3) in
-    state.(4 * c) <- gmul a0 14 lxor gmul a1 11 lxor gmul a2 13 lxor gmul a3 9;
-    state.((4 * c) + 1) <- gmul a0 9 lxor gmul a1 14 lxor gmul a2 11 lxor gmul a3 13;
-    state.((4 * c) + 2) <- gmul a0 13 lxor gmul a1 9 lxor gmul a2 14 lxor gmul a3 11;
-    state.((4 * c) + 3) <- gmul a0 11 lxor gmul a1 13 lxor gmul a2 9 lxor gmul a3 14
-  done
-
-let state_of_block block =
-  if String.length block <> 16 then invalid_arg "Aes: block must be 16 bytes";
-  Array.init 16 (fun i -> Char.code block.[i])
-
-let block_of_state state = String.init 16 (fun i -> Char.chr state.(i))
-
-let encrypt_block key block =
-  let state = state_of_block block in
-  add_round_key state key.rk 0;
-  for round = 1 to key.rounds - 1 do
-    sub_bytes state sbox;
-    shift_rows state;
-    mix_columns state;
-    add_round_key state key.rk round
+let encrypt_into { rounds; rk } src soff dst doff =
+  let s0 = ref (load src soff lxor rk.(0)) and s1 = ref (load src (soff + 4) lxor rk.(1)) in
+  let s2 = ref (load src (soff + 8) lxor rk.(2)) and s3 = ref (load src (soff + 12) lxor rk.(3)) in
+  for r = 1 to rounds - 1 do
+    let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+    s0 :=
+      Array.unsafe_get te0 ((a0 lsr 24) land 0xff)
+      lxor Array.unsafe_get te1 ((a1 lsr 16) land 0xff)
+      lxor Array.unsafe_get te2 ((a2 lsr 8) land 0xff)
+      lxor Array.unsafe_get te3 (a3 land 0xff)
+      lxor rk.(4 * r);
+    s1 :=
+      Array.unsafe_get te0 ((a1 lsr 24) land 0xff)
+      lxor Array.unsafe_get te1 ((a2 lsr 16) land 0xff)
+      lxor Array.unsafe_get te2 ((a3 lsr 8) land 0xff)
+      lxor Array.unsafe_get te3 (a0 land 0xff)
+      lxor rk.((4 * r) + 1);
+    s2 :=
+      Array.unsafe_get te0 ((a2 lsr 24) land 0xff)
+      lxor Array.unsafe_get te1 ((a3 lsr 16) land 0xff)
+      lxor Array.unsafe_get te2 ((a0 lsr 8) land 0xff)
+      lxor Array.unsafe_get te3 (a1 land 0xff)
+      lxor rk.((4 * r) + 2);
+    s3 :=
+      Array.unsafe_get te0 ((a3 lsr 24) land 0xff)
+      lxor Array.unsafe_get te1 ((a0 lsr 16) land 0xff)
+      lxor Array.unsafe_get te2 ((a1 lsr 8) land 0xff)
+      lxor Array.unsafe_get te3 (a2 land 0xff)
+      lxor rk.((4 * r) + 3)
   done;
-  sub_bytes state sbox;
-  shift_rows state;
-  add_round_key state key.rk key.rounds;
-  block_of_state state
-
-let decrypt_block key block =
-  let state = state_of_block block in
-  add_round_key state key.rk key.rounds;
-  for round = key.rounds - 1 downto 1 do
-    inv_shift_rows state;
-    sub_bytes state inv_sbox;
-    add_round_key state key.rk round;
-    inv_mix_columns state
-  done;
-  inv_shift_rows state;
-  sub_bytes state inv_sbox;
-  add_round_key state key.rk 0;
-  block_of_state state
+  (* The last round has no MixColumns: plain S-box bytes. *)
+  let last a b c d k =
+    (Array.unsafe_get sbox ((a lsr 24) land 0xff) lsl 24)
+    lor (Array.unsafe_get sbox ((b lsr 16) land 0xff) lsl 16)
+    lor (Array.unsafe_get sbox ((c lsr 8) land 0xff) lsl 8)
+    lor Array.unsafe_get sbox (d land 0xff)
+    lxor k
+  in
+  let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+  let k = 4 * rounds in
+  let o0 = last a0 a1 a2 a3 rk.(k) and o1 = last a1 a2 a3 a0 rk.(k + 1) in
+  let o2 = last a2 a3 a0 a1 rk.(k + 2) and o3 = last a3 a0 a1 a2 rk.(k + 3) in
+  Bytes.set_int32_be dst doff (Int32.of_int o0);
+  Bytes.set_int32_be dst (doff + 4) (Int32.of_int o1);
+  Bytes.set_int32_be dst (doff + 8) (Int32.of_int o2);
+  Bytes.set_int32_be dst (doff + 12) (Int32.of_int o3)

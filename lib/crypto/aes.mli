@@ -1,10 +1,14 @@
-(** AES block cipher (FIPS 197) for 128-, 192- and 256-bit keys.
+(** AES block cipher (FIPS 197) for 128-, 192- and 256-bit keys,
+    encryption only.
 
-    The S-box is derived algebraically from the GF(2{^8}) inverse and
-    the FIPS affine transform rather than transcribed, and checked by
-    the FIPS 197 known-answer tests. Only block encryption is exposed;
-    every mode used by WaTZ (CTR, GCM, CMAC) needs just the forward
-    direction — decryption is provided for completeness and tests. *)
+    Every mode WaTZ uses (GCM's CTR keystream and tag mask, CMAC, the
+    Fortuna generator) runs the cipher forward, so there is no
+    decryption direction; the textbook cipher with both directions is
+    kept frozen as {!Refcrypto.Aes} for differential tests. Rounds run
+    on four 256-entry 32-bit T-tables derived from the algebraic S-box
+    and are checked by the FIPS 197 known-answer tests. Lookups are
+    indexed by key- and data-dependent bytes, so the cipher is not
+    cache-timing safe (DESIGN.md §7). *)
 
 type key
 
@@ -12,7 +16,10 @@ val expand_key : string -> key
 (** Accepts 16-, 24- or 32-byte keys; raises [Invalid_argument]
     otherwise. *)
 
-val encrypt_block : key -> string -> string
-(** 16-byte block in, 16-byte block out. *)
-
-val decrypt_block : key -> string -> string
+val encrypt_into : key -> Bytes.t -> int -> Bytes.t -> int -> unit
+(** [encrypt_into key src soff dst doff] encrypts the 16-byte block at
+    [src.[soff..soff+15]] into [dst.[doff..doff+15]] and allocates
+    nothing. [src] and [dst] may be the same buffer: the whole block is
+    read before any byte is written, so in-place encryption
+    ([src == dst], [soff = doff]) is safe. Raises [Invalid_argument]
+    if either block lies outside its buffer. *)

@@ -26,19 +26,22 @@ let of_seed seed =
   reseed t seed;
   t
 
-let generate_blocks t aes count =
-  let out = Buffer.create (16 * count) in
-  for _ = 1 to count do
-    Buffer.add_string out (Aes.encrypt_block aes (Bytes.to_string t.counter));
+(* [count] counter-mode blocks, encrypted straight into [out]. *)
+let generate_into t aes out count =
+  for i = 0 to count - 1 do
+    Aes.encrypt_into aes t.counter 0 out (16 * i);
     increment_counter t
-  done;
-  Buffer.contents out
+  done
 
 let generate t n =
   if not t.seeded then failwith "Fortuna.generate: generator not seeded";
   if n < 0 || n > 1 lsl 20 then invalid_arg "Fortuna.generate: request too large";
   let aes = Aes.expand_key t.key in
-  let data = generate_blocks t aes ((n + 15) / 16) in
+  let blocks = (n + 15) / 16 in
+  let data = Bytes.create (16 * blocks) in
+  generate_into t aes data blocks;
   (* Rekey so that a later state compromise cannot reveal past output. *)
-  t.key <- generate_blocks t aes 2;
-  String.sub data 0 n
+  let key = Bytes.create 32 in
+  generate_into t aes key 2;
+  t.key <- Bytes.unsafe_to_string key;
+  Bytes.sub_string data 0 n

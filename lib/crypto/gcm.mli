@@ -1,8 +1,13 @@
 (** AES-GCM authenticated encryption (NIST SP 800-38D).
 
     WaTZ uses AES-GCM-128 to protect the secret blob of msg3 in the
-    remote-attestation protocol. GHASH runs on a per-key 4-bit table
-    (Shoup's method) over unboxed 32-bit words. *)
+    remote-attestation protocol. The CTR keystream comes from
+    {!Aes.encrypt_into}, one block at a time into a per-call 16-byte
+    scratch, XORed into a single output buffer; GHASH runs on a per-key
+    4-bit table (Shoup's method) over unboxed 32-bit words. Neither
+    allocates per block, so a call's minor allocation does not grow
+    with the message: only the output buffer does. Like {!Aes}, it is
+    not cache-timing safe. *)
 
 val encrypt :
   key:string -> iv:string -> ?aad:string -> string -> string * string

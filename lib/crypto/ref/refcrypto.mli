@@ -3,8 +3,9 @@ open Watz_crypto
 
     Reference implementations kept only for differential testing and for
     the [crypto] bench target's old-vs-new speedup measurements: the
-    optimized {!Sha256}, {!P256}, {!Ecdsa} and {!Gcm} modules must stay
-    bit-identical to these. Nothing in the runtime calls this module. *)
+    optimized {!Sha256}, {!P256}, {!Ecdsa}, {!Aes} and {!Gcm} modules
+    must stay bit-identical to these. Nothing in the runtime calls this
+    module. *)
 
 module Sha256 : sig
   type ctx
@@ -43,6 +44,17 @@ module Ecdsa : sig
   val sign_digest : Bn.t -> string -> string
   val verify : P256.point -> msg:string -> signature:string -> bool
   val verify_digest : P256.point -> digest:string -> signature:string -> bool
+end
+
+module Aes : sig
+  (** The textbook FIPS 197 cipher, one byte per array slot, with the
+      decryption direction the production {!Watz_crypto.Aes} dropped. *)
+
+  type key
+
+  val expand_key : string -> key
+  val encrypt_block : key -> string -> string
+  val decrypt_block : key -> string -> string
 end
 
 module Gcm : sig

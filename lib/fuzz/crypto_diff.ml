@@ -17,7 +17,11 @@
     - GHASH on random subkeys and part lists (the table-driven path vs
       the shift-and-add reference);
     - AES-GCM encrypt bit-identity, decrypt roundtrip, and
-      tag-corruption rejection.
+      tag-corruption rejection;
+    - the T-table AES against the frozen textbook cipher: one block
+      under each key size, then GCM encrypt and decrypt against the
+      reference GCM at plaintext and AAD lengths straddling the block
+      boundaries (0, 1, 15/16/17, 31/32/33, 255/256/257).
 
     [round rng] is [Ok ()] or [Error description]; the description is a
     finding. *)
@@ -196,12 +200,52 @@ let check_gcm rng =
       | Some _ -> Error "gcm accepted a corrupted tag"
       | None -> Ok ())
 
+let aes_key_sizes = [ 16; 24; 32 ]
+let gcm_boundary_lengths = [| 0; 1; 15; 16; 17; 31; 32; 33; 255; 256; 257 |]
+
+let check_aes rng =
+  let rec blocks = function
+    | [] -> Ok ()
+    | n :: rest ->
+      let key = Prng.bytes rng n and block = Prng.bytes rng 16 in
+      let b = Bytes.of_string block in
+      C.Aes.encrypt_into (C.Aes.expand_key key) b 0 b 0;
+      let fast = Bytes.to_string b in
+      let ref_ = R.Aes.encrypt_block (R.Aes.expand_key key) block in
+      if String.equal fast ref_ then blocks rest
+      else
+        Error
+          (Printf.sprintf "aes-%d block mismatch (key %s, block %s): fast=%s ref=%s" (8 * n)
+             (hex key) (hex block) (hex fast) (hex ref_))
+  in
+  match blocks aes_key_sizes with
+  | Error _ as e -> e
+  | Ok () -> (
+    let length () = gcm_boundary_lengths.(Prng.int rng (Array.length gcm_boundary_lengths)) in
+    let key = Prng.bytes rng (List.nth aes_key_sizes (Prng.int rng 3)) in
+    let iv = Prng.bytes rng 12 in
+    let pt = Prng.bytes rng (length ()) in
+    let aad = Prng.bytes rng (length ()) in
+    let ct_f, tag_f = C.Gcm.encrypt ~key ~iv ~aad pt in
+    let ct_r, tag_r = R.Gcm.encrypt ~key ~iv ~aad pt in
+    if not (String.equal ct_f ct_r && String.equal tag_f tag_r) then
+      Error
+        (Printf.sprintf "gcm encrypt mismatch (key %d, pt %d, aad %d bytes): ct %s/%s tag %s/%s"
+           (String.length key) (String.length pt) (String.length aad) (hex ct_f) (hex ct_r)
+           (hex tag_f) (hex tag_r))
+    else
+      match C.Gcm.decrypt ~key ~iv ~aad ~tag:tag_r ct_r with
+      | Some pt' when String.equal pt pt' -> Ok ()
+      | Some _ -> Error "gcm decrypt of the reference ciphertext changed the plaintext"
+      | None -> Error "gcm decrypt rejected the reference ciphertext and tag")
+
 (** One differential round drawing which primitive to hit from the
     same stream as its inputs. *)
 let round rng =
-  match Prng.int rng 7 with
+  match Prng.int rng 8 with
   | 0 | 1 -> check_sha256 rng
   | 2 -> check_ecdsa rng
   | 3 -> check_ecdh rng
   | 4 | 5 -> check_ghash rng
-  | _ -> check_gcm rng
+  | 6 -> check_gcm rng
+  | _ -> check_aes rng

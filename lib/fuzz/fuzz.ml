@@ -210,10 +210,15 @@ let share ~targets budget target =
 (** [run ~seed ~budget ~targets ()] executes the campaign. [budget] is
     the total case count, split across the selected [targets] by fixed
     weights (so findings stay replayable however the budget changes: a
-    case's seed depends only on its target and index). [on_finding]
+    case's seed depends only on its target and index). A target named
+    more than once runs once, in the order of its first mention: a
+    second pass would only repeat the same case seeds. [on_finding]
     fires as findings are discovered (already shrunk). *)
 let run ?(targets = all_targets) ?(on_finding = fun (_ : finding) -> ()) ~seed ~budget () :
     report =
+  let targets =
+    List.rev (List.fold_left (fun acc t -> if List.mem t acc then acc else t :: acc) [] targets)
+  in
   let lazy_proto = lazy (Proto_fuzz.make_ctx seed) in
   let lazy_pipeline = lazy (make_pipeline_ctx seed) in
   let run_target target =

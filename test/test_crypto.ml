@@ -157,15 +157,25 @@ let hmac_vectors () =
 (* ------------------------------------------------------------------ *)
 (* AES (FIPS 197 appendix C) *)
 
+(* One block through [Aes.encrypt_into], string in and out. *)
+let aes_block k block =
+  let b = Bytes.of_string block in
+  Aes.encrypt_into k b 0 b 0;
+  Bytes.to_string b
+
+(* Encryption is checked on both ciphers; decryption exists only in the
+   frozen textbook cipher, so its vectors run on [Refcrypto.Aes]. *)
 let aes_vectors () =
   let run keylen key pt expected =
-    let k = Aes.expand_key (hex key) in
-    let ct = Aes.encrypt_block k (hex pt) in
+    let ct = aes_block (Aes.expand_key (hex key)) (hex pt) in
     check_hex (Printf.sprintf "aes-%d encrypt" keylen) expected ct;
+    let k = Refcrypto.Aes.expand_key (hex key) in
+    check_hex (Printf.sprintf "reference aes-%d encrypt" keylen) expected
+      (Refcrypto.Aes.encrypt_block k (hex pt));
     Alcotest.(check string)
       (Printf.sprintf "aes-%d decrypt" keylen)
       pt
-      (hex_of (Aes.decrypt_block k ct))
+      (hex_of (Refcrypto.Aes.decrypt_block k ct))
   in
   run 128 "000102030405060708090a0b0c0d0e0f" "00112233445566778899aabbccddeeff"
     "69c4e0d86a7b0430d8cdb78070b4c55a";
@@ -179,11 +189,33 @@ let aes_bad_key () =
     (fun () -> ignore (Aes.expand_key (String.make 15 'k')))
 
 let qcheck_aes_roundtrip =
-  QCheck.Test.make ~name:"aes: decrypt . encrypt = id" ~count:100
+  QCheck.Test.make ~name:"aes: decrypt . encrypt = id, on Refcrypto.Aes" ~count:100
     QCheck.(pair (string_of_size (Gen.return 16)) (string_of_size (Gen.return 16)))
     (fun (key, block) ->
+      let k = Refcrypto.Aes.expand_key key in
+      String.equal block (Refcrypto.Aes.decrypt_block k (Refcrypto.Aes.encrypt_block k block)))
+
+(* The T-table cipher against the textbook one, for every key size,
+   out of place and in place at a non-zero offset. *)
+let qcheck_aes_matches_ref =
+  QCheck.Test.make ~name:"aes: encrypt_into = Refcrypto.Aes, all key sizes, in place" ~count:150
+    QCheck.(
+      triple
+        (string_gen_of_size (Gen.oneofl [ 16; 24; 32 ]) Gen.char)
+        (string_of_size (Gen.return 16))
+        (int_range 1 40))
+    (fun (key, block, off) ->
+      let expected = Refcrypto.Aes.encrypt_block (Refcrypto.Aes.expand_key key) block in
       let k = Aes.expand_key key in
-      String.equal block (Aes.decrypt_block k (Aes.encrypt_block k block)))
+      let src = Bytes.of_string block and dst = Bytes.make 16 '\000' in
+      Aes.encrypt_into k src 0 dst 0;
+      let buf = Bytes.make (off + 20) '\xaa' in
+      Bytes.blit_string block 0 buf off 16;
+      Aes.encrypt_into k buf off buf off;
+      String.equal (Bytes.to_string dst) expected
+      && String.equal (Bytes.sub_string buf off 16) expected
+      && String.equal (Bytes.sub_string buf 0 off) (String.make off '\xaa')
+      && String.equal (Bytes.sub_string buf (off + 16) 4) "\xaa\xaa\xaa\xaa")
 
 (* ------------------------------------------------------------------ *)
 (* GCM (NIST test cases) *)
@@ -496,6 +528,17 @@ let fortuna_rekeys () =
   let second = Fortuna.generate a 32 in
   Alcotest.(check bool) "consecutive outputs differ" false (String.equal first second)
 
+(* The stream every fixed-seed artifact derives its keys and nonces
+   from, read from the textbook-AES generator: 48 bytes (three AES-256
+   blocks), then 32 more under the key the first request rekeyed to. *)
+let fortuna_pinned_stream () =
+  let g = Fortuna.of_seed "seed" in
+  check_hex "first request"
+    "32f7816358d6cfd678271acb4a45712d95026c390a53b69d211610b97169006ff12aa7d9a19e5e407e53d783f58cc219"
+    (Fortuna.generate g 48);
+  check_hex "after the rekey" "7520daf83dfdf0b59f6d8977b2d3a7cf382a9ceef2c55c8e55551581ccebe7eb"
+    (Fortuna.generate g 32)
+
 let fortuna_unseeded () =
   let g = Fortuna.create () in
   Alcotest.check_raises "unseeded" (Failure "Fortuna.generate: generator not seeded")
@@ -706,6 +749,27 @@ let qcheck_gcm_matches_ref =
       let ct', tag' = Refcrypto.Gcm.encrypt ~key ~iv ~aad:"hdr" pt in
       String.equal ct ct' && String.equal tag tag')
 
+(* A block costs no allocation, so a GCM call allocates the same words
+   whatever its length: the output buffers of both sizes go straight to
+   the major heap, and what is left is the per-call key schedule, hash
+   table and scratch. *)
+let aes_gcm_allocation_law () =
+  let minor_words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    int_of_float (Gc.minor_words () -. w0)
+  in
+  let k = Aes.expand_key (pattern 16) in
+  let b = Bytes.make 16 'b' in
+  Alcotest.(check int) "10,000 encrypt_into calls" 0
+    (minor_words (fun () ->
+         for _ = 1 to 10_000 do
+           Aes.encrypt_into k b 0 b 0
+         done));
+  let key = pattern 16 and iv = pattern 12 in
+  let gcm len = minor_words (fun () -> ignore (Gcm.encrypt ~key ~iv (String.make len 'p'))) in
+  Alcotest.(check int) "gcm encrypt: 16 KiB and 128 KiB" (gcm 16384) (gcm 131072)
+
 let mac_prepared_equivalence () =
   (* Prepared-key paths (reused SHA contexts / expanded AES subkeys)
      must match the one-shot derivations for every key-length shape. *)
@@ -769,8 +833,12 @@ let suite =
       ] );
     ("crypto.hmac", [ case "RFC 4231 vectors" hmac_vectors ]);
     ( "crypto.aes",
-      [ case "FIPS 197 vectors" aes_vectors; case "bad key size" aes_bad_key; q qcheck_aes_roundtrip ]
-    );
+      [
+        case "FIPS 197 vectors" aes_vectors;
+        case "bad key size" aes_bad_key;
+        q qcheck_aes_roundtrip;
+        q qcheck_aes_matches_ref;
+      ] );
     ( "crypto.gcm",
       [
         case "NIST vectors" gcm_vectors;
@@ -810,6 +878,7 @@ let suite =
         case "seed separation" fortuna_differs_by_seed;
         case "rekeys between requests" fortuna_rekeys;
         case "unseeded raises" fortuna_unseeded;
+        case "stream pinned across the AES rewrite" fortuna_pinned_stream;
       ] );
     ("crypto.kdf", [ case "session key shape" kdf_shape; case "secret separation" kdf_distinct_secrets ]);
     ( "crypto.fastpath",
@@ -826,5 +895,6 @@ let suite =
         q qcheck_gcm_matches_ref;
         case "mac prepared = one-shot" mac_prepared_equivalence;
         case "p256 cached encoding stable" p256_encode_cached_stable;
+        case "aes/gcm allocation law" aes_gcm_allocation_law;
       ] );
   ]

@@ -130,6 +130,14 @@ let test_campaign_budget_is_total () =
   Alcotest.(check bool) (Printf.sprintf "%d execs for a budget of 21" execs) true
     (execs >= 20 && execs <= 21)
 
+let test_campaign_repeated_target () =
+  (* a repeated target would rerun the same case seeds: it runs once,
+     with the whole budget *)
+  let r = Fuzz.run ~targets:[ Fuzz.Decode; Fuzz.Decode ] ~seed:3L ~budget:100 () in
+  Alcotest.(check (list (pair string int)))
+    "one decode row of 100 execs" [ ("decode", 100) ]
+    (List.map (fun s -> (Fuzz.target_name s.Fuzz.t_target, s.Fuzz.t_execs)) r.Fuzz.r_stats)
+
 let test_case_seed_mixing () =
   (* derived case seeds: deterministic, and distinct across targets and
      neighbouring indices *)
@@ -347,6 +355,7 @@ let suite =
         case "budget is the total over selected targets" test_campaign_budget_is_total;
         case "case seed mixing" test_case_seed_mixing;
         case "generator termination+validity" test_generator_termination_and_validity;
+        case "repeated target runs once" test_campaign_repeated_target;
       ] );
     ( "fuzz.corpus",
       [
