@@ -561,7 +561,6 @@ let attest_storm () =
     "retries" "faults" "p50(ms)" "p95(ms)" "p99(ms)" "ticks";
   (* Profiles that tamper with payloads are expected to kill sessions;
      everything else must converge (the >=99% acceptance criterion). *)
-  let tampering = [ "corrupt"; "truncate"; "mitm-flip" ] in
   let failures = ref [] in
   let json = Buffer.create 2048 in
   Buffer.add_string json "{\n";
@@ -610,7 +609,7 @@ let attest_storm () =
         r.Storm.phases;
       Buffer.add_string json
         (Printf.sprintf "} }%s\n" (if i < n_profiles - 1 then "," else ""));
-      if List.mem name tampering then begin
+      if Watz_tz.Net.tampers profile then begin
         (* Probabilistic corrupt/truncate legitimately complete the
            sessions they never touched; the per-segment MITM must
            complete none. *)

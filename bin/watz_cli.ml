@@ -269,7 +269,7 @@ let attest_storm_cmd =
   in
   let run_mesh ~sessions ~seed ~profile ~profile_name ~smoke ~shards ~metrics_file ~churn
       ~population =
-    let tampering = List.mem profile_name [ "corrupt"; "truncate"; "mitm-flip" ] in
+    let tampering = Watz_tz.Net.tampers profile in
     if shards > 1 then begin
       let config =
         {
@@ -358,7 +358,7 @@ let attest_storm_cmd =
     | Some profile ->
       let sessions = if smoke then min sessions 8 else sessions in
       (* Under non-tampering profiles, not completing is a failure. *)
-      let tampering = List.mem profile_name [ "corrupt"; "truncate"; "mitm-flip" ] in
+      let tampering = Watz_tz.Net.tampers profile in
       let check_rate rate =
         if (not tampering) && rate < 0.99 then begin
           Printf.eprintf "FAIL: completion rate %.1f%% below 99%%\n" (100.0 *. rate);

@@ -65,8 +65,6 @@ type t = {
   mutable next_id : int;
   make_handler : t -> conn_state -> handler;
   metrics : Metrics.t; (* server-side counters, dumped by the storm report *)
-  mutable served : int; (* completed attestations *)
-  mutable rejected : int;
   mutable last_err : P.error option;
 }
 
@@ -94,8 +92,6 @@ let start ?(handler = fun (_ : t) (_ : conn_state) -> no_handler) soc ~port ~pol
     next_id = 0;
     make_handler = handler;
     metrics = Metrics.create ();
-    served = 0;
-    rejected = 0;
     last_err = None;
   }
 
@@ -110,7 +106,6 @@ let metrics t = t.metrics
 let live_sessions t = Hashtbl.length t.sessions
 
 let abort t state err =
-  t.rejected <- t.rejected + 1;
   t.last_err <- Some err;
   Metrics.incr t.metrics "sessions_aborted";
   T.instant (Soc.tracer t.soc) T.Normal ~session:state.id "verifier.abort";
@@ -165,7 +160,6 @@ let appraise t state vsession frame =
     end
     else begin
       state.completed <- true;
-      t.served <- t.served + 1;
       Metrics.incr t.metrics "sessions_completed";
       T.instant (Soc.tracer t.soc) T.Normal ~session:state.id "verifier.accept"
     end;

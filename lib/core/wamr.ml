@@ -11,19 +11,12 @@
 
 module Wasi = Watz_wasi.Wasi
 
-type app = {
-  tier : Engine.tier;
-  instance : Engine.instance;
-  wasi_env : Wasi.env;
-  output : Buffer.t;
-  startup_ns : float;
-}
+type app = { instance : Engine.instance; output : Buffer.t }
 
 exception App_trap of string
 
 (** Load and optionally run [_start] in the normal world. *)
 let load ?(tier = Engine.Fast) ?(entry = Some "_start") soc wasm_bytes =
-  let t0 = Unix.gettimeofday () in
   let output = Buffer.create 256 in
   let rng = Watz_util.Prng.create 0x77414d52L in
   let wasi_env =
@@ -39,8 +32,7 @@ let load ?(tier = Engine.Fast) ?(entry = Some "_start") soc wasm_bytes =
   | Some name -> (
     try ignore (Engine.invoke_opt instance name [])
     with Wasi.Proc_exit code -> wasi_env.Wasi.exit_code <- Some code));
-  let startup_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-  { tier; instance; wasi_env; output; startup_ns }
+  { instance; output }
 
 let invoke app name args =
   try Engine.invoke app.instance name args with

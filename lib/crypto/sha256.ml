@@ -24,1385 +24,124 @@ let reset ctx =
   ctx.buf_len <- 0;
   ctx.total <- 0L
 
-let copy ctx =
-  { h = Array.copy ctx.h; buf = Bytes.copy ctx.buf; buf_len = ctx.buf_len; total = ctx.total }
-
 let blit src dst =
   Array.blit src.h 0 dst.h 0 8;
   Bytes.blit src.buf 0 dst.buf 0 src.buf_len;
   dst.buf_len <- src.buf_len;
   dst.total <- src.total
 
-(* Hand-unrolled FIPS 180-4 block transform. The tricks that keep
-   the tagged-int op count near the C envelope:
-   - every chain value is masked to 32 bits exactly once, at
-     creation, so the round body never re-masks and intermediate
-     sums can carry garbage above bit 31 (adds/xors/ands cannot
+(* Round constants (FIPS 180-4 §4.2.2). *)
+let k =
+  [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1; 0x923f82a4;
+     0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe;
+     0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc; 0x2de92c6f;
+     0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7;
+     0xc6e00bf3; 0xd5a79147; 0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc;
+     0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+     0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116;
+     0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f; 0x682e6ff3;
+     0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208; 0x90befffa; 0xa4506ceb; 0xbef9a3f7;
+     0xc67178f2 |]
+
+(* The block transform. What keeps its tagged-int op count low:
+   - every chain value (working variable, schedule word, state word)
+     is masked to 32 bits exactly once, at creation, so intermediate
+     sums may carry garbage above bit 31 (adds, xors and ands cannot
      push garbage down into the low 32 bits);
    - each rotation set reads one 64-bit duplicate (m lor m lsl 32),
      making every rotr a single shift off the duplicate;
    - message words arrive eight bytes at a time through the raw
      64-bit load + byte-swap primitives (the int64 stays unboxed
      across the shift/to_int chain), two words per load;
-   - maj reuses last round's a-xor-b: maj(a,b,c) =
-     b lxor ((a lxor b) land (b lxor c)), and b lxor c this round
-     is a lxor b of the previous round;
-   - round constants >= 2^31 appear as negative literals so they
-     fit an immediate add (equal mod 2^32, which is all that
-     survives), and the 32-bit mask lives in one register behind
-     an opaque binding instead of being re-materialised per use;
-   - the eight working variables rotate by renaming (the x/y let
-     chains), not by moving data, and each schedule word is
-     let-bound right before the round that consumes it, so only a
-     16-word window is ever live.
+   - maj reuses the previous round's a-xor-b: maj(a,b,c) =
+     b lxor ((a lxor b) land (b lxor c)), and b lxor c this round is
+     a lxor b of the round before;
+   - T1 and T2 add their Σ term last: Σ0(a) and Σ1(e) are the longest
+     paths from the previous round's a and e, so the other terms are
+     summed while they compute;
+   - [rounds] is closed and top-level, so its self tail call is a jump
+     and nothing is allocated (a local function closing over the
+     schedule would allocate a closure per block).
    Correctness is pinned by the NIST vectors and the differential
    suite against Refcrypto. *)
 
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external bswap64 : int64 -> int64 = "%bswap_int64"
 
+(* The 64-word message schedule. Domain-local because fleet shards
+   hash concurrently. *)
+let schedule = Domain.DLS.new_key (fun () -> Array.make 64 0)
+
+(* Loads the block's 16 big-endian words and extends them to 64. *)
+let expand w block off =
+  for j = 0 to 7 do
+    let r = bswap64 (get64u block (off + (8 * j))) in
+    Array.unsafe_set w (2 * j) (Int64.to_int (Int64.shift_right_logical r 32));
+    Array.unsafe_set w ((2 * j) + 1) (Int64.to_int r land mask)
+  done;
+  for i = 16 to 63 do
+    let p = Array.unsafe_get w (i - 15) and q = Array.unsafe_get w (i - 2) in
+    let dp = p lor (p lsl 32) and dq = q lor (q lsl 32) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16)
+       + ((dp lsr 7) lxor (dp lsr 18) lxor (p lsr 3))
+       + Array.unsafe_get w (i - 7)
+       + ((dq lsr 17) lxor (dq lsr 19) lxor (q lsr 10)))
+      land mask)
+  done
+
+(* T1 = h + K_i + W_i + Ch(e, f, g) + Σ1(e), unmasked. *)
+let[@inline] t1 w i e f g h =
+  let d = e lor (e lsl 32) in
+  h + Array.unsafe_get k i + Array.unsafe_get w i + (g lxor (e land (f lxor g)))
+  + ((d lsr 6) lxor (d lsr 11) lxor (d lsr 25))
+
+(* T2 = Maj(a, b, c) + Σ0(a), unmasked, given ab = a lxor b and
+   bc = b lxor c. *)
+let[@inline] t2 a b ab bc =
+  let d = a lor (a lsl 32) in
+  (b lxor (ab land bc)) + ((d lsr 2) lxor (d lsr 13) lxor (d lsr 22))
+
+(* Rounds i .. i+7, then the next eight; after round 63 the working
+   variables are added into the state [hst]. Each round binds only the
+   new a and the new e, under the names of the two values it retires
+   (old h and old d), so the roles rotate by renaming and after eight
+   rounds every variable is back under its own name. *)
+let rec rounds hst w i a b c d e f g h =
+  let t = t1 w i e f g h and ab = a lxor b in
+  let h = (t + t2 a b ab (b lxor c)) land mask and d = (d + t) land mask in
+  let t = t1 w (i + 1) d e f g and ha = h lxor a in
+  let g = (t + t2 h a ha ab) land mask and c = (c + t) land mask in
+  let t = t1 w (i + 2) c d e f and gh = g lxor h in
+  let f = (t + t2 g h gh ha) land mask and b = (b + t) land mask in
+  let t = t1 w (i + 3) b c d e and fg = f lxor g in
+  let e = (t + t2 f g fg gh) land mask and a = (a + t) land mask in
+  let t = t1 w (i + 4) a b c d and ef = e lxor f in
+  let d = (t + t2 e f ef fg) land mask and h = (h + t) land mask in
+  let t = t1 w (i + 5) h a b c and de = d lxor e in
+  let c = (t + t2 d e de ef) land mask and g = (g + t) land mask in
+  let t = t1 w (i + 6) g h a b and cd = c lxor d in
+  let b = (t + t2 c d cd de) land mask and f = (f + t) land mask in
+  let t = t1 w (i + 7) f g h a and bc = b lxor c in
+  let a = (t + t2 b c bc cd) land mask and e = (e + t) land mask in
+  if i < 56 then rounds hst w (i + 8) a b c d e f g h
+  else begin
+    Array.unsafe_set hst 0 ((Array.unsafe_get hst 0 + a) land mask);
+    Array.unsafe_set hst 1 ((Array.unsafe_get hst 1 + b) land mask);
+    Array.unsafe_set hst 2 ((Array.unsafe_get hst 2 + c) land mask);
+    Array.unsafe_set hst 3 ((Array.unsafe_get hst 3 + d) land mask);
+    Array.unsafe_set hst 4 ((Array.unsafe_get hst 4 + e) land mask);
+    Array.unsafe_set hst 5 ((Array.unsafe_get hst 5 + f) land mask);
+    Array.unsafe_set hst 6 ((Array.unsafe_get hst 6 + g) land mask);
+    Array.unsafe_set hst 7 ((Array.unsafe_get hst 7 + h) land mask)
+  end
+
 let compress ctx block off =
-  let hst = ctx.h in
-  (* keep the mask in a register: an opaque binding stops the compiler
-     from re-materialising the 33-bit immediate at every use *)
-  let msk = Sys.opaque_identity mask in
-  let r0 = bswap64 (get64u block (off + 0)) in
-  let w0 = Int64.to_int (Int64.shift_right_logical r0 32) in
-  let w1 = Int64.to_int r0 land msk in
-  let r1 = bswap64 (get64u block (off + 8)) in
-  let w2 = Int64.to_int (Int64.shift_right_logical r1 32) in
-  let w3 = Int64.to_int r1 land msk in
-  let r2 = bswap64 (get64u block (off + 16)) in
-  let w4 = Int64.to_int (Int64.shift_right_logical r2 32) in
-  let w5 = Int64.to_int r2 land msk in
-  let r3 = bswap64 (get64u block (off + 24)) in
-  let w6 = Int64.to_int (Int64.shift_right_logical r3 32) in
-  let w7 = Int64.to_int r3 land msk in
-  let r4 = bswap64 (get64u block (off + 32)) in
-  let w8 = Int64.to_int (Int64.shift_right_logical r4 32) in
-  let w9 = Int64.to_int r4 land msk in
-  let r5 = bswap64 (get64u block (off + 40)) in
-  let w10 = Int64.to_int (Int64.shift_right_logical r5 32) in
-  let w11 = Int64.to_int r5 land msk in
-  let r6 = bswap64 (get64u block (off + 48)) in
-  let w12 = Int64.to_int (Int64.shift_right_logical r6 32) in
-  let w13 = Int64.to_int r6 land msk in
-  let r7 = bswap64 (get64u block (off + 56)) in
-  let w14 = Int64.to_int (Int64.shift_right_logical r7 32) in
-  let w15 = Int64.to_int r7 land msk in
-  let x0 = Array.unsafe_get hst 0 land msk in
-  let xm1 = Array.unsafe_get hst 1 land msk in
-  let xm2 = Array.unsafe_get hst 2 land msk in
-  let xm3 = Array.unsafe_get hst 3 land msk in
-  let y0 = Array.unsafe_get hst 4 land msk in
-  let ym1 = Array.unsafe_get hst 5 land msk in
-  let ym2 = Array.unsafe_get hst 6 land msk in
-  let ym3 = Array.unsafe_get hst 7 land msk in
-  let tm1 = xm1 lxor xm2 in
-  let p16 = w1 lor (w1 lsl 32) in
-  let q16 = w14 lor (w14 lsl 32) in
-  let w16 =
-    (w0 + ((p16 lsr 7) lxor (p16 lsr 18) lxor (w1 lsr 3))
-    + w9 + ((q16 lsr 17) lxor (q16 lsr 19) lxor (w14 lsr 10)))
-    land msk
-  in
-  let de0 = y0 lor (y0 lsl 32) in
-  let t1_0 =
-    ym3
-    + ((de0 lsr 6) lxor (de0 lsr 11) lxor (de0 lsr 25))
-    + (ym2 lxor (y0 land (ym1 lxor ym2)))
-    + 1116352408 + w0
-  in
-  let da0 = x0 lor (x0 lsl 32) in
-  let t0 = x0 lxor xm1 in
-  let t2_0 =
-    ((da0 lsr 2) lxor (da0 lsr 13) lxor (da0 lsr 22))
-    + (xm1 lxor (t0 land tm1))
-  in
-  let x1 = (t1_0 + t2_0) land msk in
-  let y1 = (xm3 + t1_0) land msk in
-  let p17 = w2 lor (w2 lsl 32) in
-  let q17 = w15 lor (w15 lsl 32) in
-  let w17 =
-    (w1 + ((p17 lsr 7) lxor (p17 lsr 18) lxor (w2 lsr 3))
-    + w10 + ((q17 lsr 17) lxor (q17 lsr 19) lxor (w15 lsr 10)))
-    land msk
-  in
-  let de1 = y1 lor (y1 lsl 32) in
-  let t1_1 =
-    ym2
-    + ((de1 lsr 6) lxor (de1 lsr 11) lxor (de1 lsr 25))
-    + (ym1 lxor (y1 land (y0 lxor ym1)))
-    + 1899447441 + w1
-  in
-  let da1 = x1 lor (x1 lsl 32) in
-  let t1 = x1 lxor x0 in
-  let t2_1 =
-    ((da1 lsr 2) lxor (da1 lsr 13) lxor (da1 lsr 22))
-    + (x0 lxor (t1 land t0))
-  in
-  let x2 = (t1_1 + t2_1) land msk in
-  let y2 = (xm2 + t1_1) land msk in
-  let p18 = w3 lor (w3 lsl 32) in
-  let q18 = w16 lor (w16 lsl 32) in
-  let w18 =
-    (w2 + ((p18 lsr 7) lxor (p18 lsr 18) lxor (w3 lsr 3))
-    + w11 + ((q18 lsr 17) lxor (q18 lsr 19) lxor (w16 lsr 10)))
-    land msk
-  in
-  let de2 = y2 lor (y2 lsl 32) in
-  let t1_2 =
-    ym1
-    + ((de2 lsr 6) lxor (de2 lsr 11) lxor (de2 lsr 25))
-    + (y0 lxor (y2 land (y1 lxor y0)))
-    + (-1245643825) + w2
-  in
-  let da2 = x2 lor (x2 lsl 32) in
-  let t2 = x2 lxor x1 in
-  let t2_2 =
-    ((da2 lsr 2) lxor (da2 lsr 13) lxor (da2 lsr 22))
-    + (x1 lxor (t2 land t1))
-  in
-  let x3 = (t1_2 + t2_2) land msk in
-  let y3 = (xm1 + t1_2) land msk in
-  let p19 = w4 lor (w4 lsl 32) in
-  let q19 = w17 lor (w17 lsl 32) in
-  let w19 =
-    (w3 + ((p19 lsr 7) lxor (p19 lsr 18) lxor (w4 lsr 3))
-    + w12 + ((q19 lsr 17) lxor (q19 lsr 19) lxor (w17 lsr 10)))
-    land msk
-  in
-  let de3 = y3 lor (y3 lsl 32) in
-  let t1_3 =
-    y0
-    + ((de3 lsr 6) lxor (de3 lsr 11) lxor (de3 lsr 25))
-    + (y1 lxor (y3 land (y2 lxor y1)))
-    + (-373957723) + w3
-  in
-  let da3 = x3 lor (x3 lsl 32) in
-  let t3 = x3 lxor x2 in
-  let t2_3 =
-    ((da3 lsr 2) lxor (da3 lsr 13) lxor (da3 lsr 22))
-    + (x2 lxor (t3 land t2))
-  in
-  let x4 = (t1_3 + t2_3) land msk in
-  let y4 = (x0 + t1_3) land msk in
-  let p20 = w5 lor (w5 lsl 32) in
-  let q20 = w18 lor (w18 lsl 32) in
-  let w20 =
-    (w4 + ((p20 lsr 7) lxor (p20 lsr 18) lxor (w5 lsr 3))
-    + w13 + ((q20 lsr 17) lxor (q20 lsr 19) lxor (w18 lsr 10)))
-    land msk
-  in
-  let de4 = y4 lor (y4 lsl 32) in
-  let t1_4 =
-    y1
-    + ((de4 lsr 6) lxor (de4 lsr 11) lxor (de4 lsr 25))
-    + (y2 lxor (y4 land (y3 lxor y2)))
-    + 961987163 + w4
-  in
-  let da4 = x4 lor (x4 lsl 32) in
-  let t4 = x4 lxor x3 in
-  let t2_4 =
-    ((da4 lsr 2) lxor (da4 lsr 13) lxor (da4 lsr 22))
-    + (x3 lxor (t4 land t3))
-  in
-  let x5 = (t1_4 + t2_4) land msk in
-  let y5 = (x1 + t1_4) land msk in
-  let p21 = w6 lor (w6 lsl 32) in
-  let q21 = w19 lor (w19 lsl 32) in
-  let w21 =
-    (w5 + ((p21 lsr 7) lxor (p21 lsr 18) lxor (w6 lsr 3))
-    + w14 + ((q21 lsr 17) lxor (q21 lsr 19) lxor (w19 lsr 10)))
-    land msk
-  in
-  let de5 = y5 lor (y5 lsl 32) in
-  let t1_5 =
-    y2
-    + ((de5 lsr 6) lxor (de5 lsr 11) lxor (de5 lsr 25))
-    + (y3 lxor (y5 land (y4 lxor y3)))
-    + 1508970993 + w5
-  in
-  let da5 = x5 lor (x5 lsl 32) in
-  let t5 = x5 lxor x4 in
-  let t2_5 =
-    ((da5 lsr 2) lxor (da5 lsr 13) lxor (da5 lsr 22))
-    + (x4 lxor (t5 land t4))
-  in
-  let x6 = (t1_5 + t2_5) land msk in
-  let y6 = (x2 + t1_5) land msk in
-  let p22 = w7 lor (w7 lsl 32) in
-  let q22 = w20 lor (w20 lsl 32) in
-  let w22 =
-    (w6 + ((p22 lsr 7) lxor (p22 lsr 18) lxor (w7 lsr 3))
-    + w15 + ((q22 lsr 17) lxor (q22 lsr 19) lxor (w20 lsr 10)))
-    land msk
-  in
-  let de6 = y6 lor (y6 lsl 32) in
-  let t1_6 =
-    y3
-    + ((de6 lsr 6) lxor (de6 lsr 11) lxor (de6 lsr 25))
-    + (y4 lxor (y6 land (y5 lxor y4)))
-    + (-1841331548) + w6
-  in
-  let da6 = x6 lor (x6 lsl 32) in
-  let t6 = x6 lxor x5 in
-  let t2_6 =
-    ((da6 lsr 2) lxor (da6 lsr 13) lxor (da6 lsr 22))
-    + (x5 lxor (t6 land t5))
-  in
-  let x7 = (t1_6 + t2_6) land msk in
-  let y7 = (x3 + t1_6) land msk in
-  let p23 = w8 lor (w8 lsl 32) in
-  let q23 = w21 lor (w21 lsl 32) in
-  let w23 =
-    (w7 + ((p23 lsr 7) lxor (p23 lsr 18) lxor (w8 lsr 3))
-    + w16 + ((q23 lsr 17) lxor (q23 lsr 19) lxor (w21 lsr 10)))
-    land msk
-  in
-  let de7 = y7 lor (y7 lsl 32) in
-  let t1_7 =
-    y4
-    + ((de7 lsr 6) lxor (de7 lsr 11) lxor (de7 lsr 25))
-    + (y5 lxor (y7 land (y6 lxor y5)))
-    + (-1424204075) + w7
-  in
-  let da7 = x7 lor (x7 lsl 32) in
-  let t7 = x7 lxor x6 in
-  let t2_7 =
-    ((da7 lsr 2) lxor (da7 lsr 13) lxor (da7 lsr 22))
-    + (x6 lxor (t7 land t6))
-  in
-  let x8 = (t1_7 + t2_7) land msk in
-  let y8 = (x4 + t1_7) land msk in
-  let p24 = w9 lor (w9 lsl 32) in
-  let q24 = w22 lor (w22 lsl 32) in
-  let w24 =
-    (w8 + ((p24 lsr 7) lxor (p24 lsr 18) lxor (w9 lsr 3))
-    + w17 + ((q24 lsr 17) lxor (q24 lsr 19) lxor (w22 lsr 10)))
-    land msk
-  in
-  let de8 = y8 lor (y8 lsl 32) in
-  let t1_8 =
-    y5
-    + ((de8 lsr 6) lxor (de8 lsr 11) lxor (de8 lsr 25))
-    + (y6 lxor (y8 land (y7 lxor y6)))
-    + (-670586216) + w8
-  in
-  let da8 = x8 lor (x8 lsl 32) in
-  let t8 = x8 lxor x7 in
-  let t2_8 =
-    ((da8 lsr 2) lxor (da8 lsr 13) lxor (da8 lsr 22))
-    + (x7 lxor (t8 land t7))
-  in
-  let x9 = (t1_8 + t2_8) land msk in
-  let y9 = (x5 + t1_8) land msk in
-  let p25 = w10 lor (w10 lsl 32) in
-  let q25 = w23 lor (w23 lsl 32) in
-  let w25 =
-    (w9 + ((p25 lsr 7) lxor (p25 lsr 18) lxor (w10 lsr 3))
-    + w18 + ((q25 lsr 17) lxor (q25 lsr 19) lxor (w23 lsr 10)))
-    land msk
-  in
-  let de9 = y9 lor (y9 lsl 32) in
-  let t1_9 =
-    y6
-    + ((de9 lsr 6) lxor (de9 lsr 11) lxor (de9 lsr 25))
-    + (y7 lxor (y9 land (y8 lxor y7)))
-    + 310598401 + w9
-  in
-  let da9 = x9 lor (x9 lsl 32) in
-  let t9 = x9 lxor x8 in
-  let t2_9 =
-    ((da9 lsr 2) lxor (da9 lsr 13) lxor (da9 lsr 22))
-    + (x8 lxor (t9 land t8))
-  in
-  let x10 = (t1_9 + t2_9) land msk in
-  let y10 = (x6 + t1_9) land msk in
-  let p26 = w11 lor (w11 lsl 32) in
-  let q26 = w24 lor (w24 lsl 32) in
-  let w26 =
-    (w10 + ((p26 lsr 7) lxor (p26 lsr 18) lxor (w11 lsr 3))
-    + w19 + ((q26 lsr 17) lxor (q26 lsr 19) lxor (w24 lsr 10)))
-    land msk
-  in
-  let de10 = y10 lor (y10 lsl 32) in
-  let t1_10 =
-    y7
-    + ((de10 lsr 6) lxor (de10 lsr 11) lxor (de10 lsr 25))
-    + (y8 lxor (y10 land (y9 lxor y8)))
-    + 607225278 + w10
-  in
-  let da10 = x10 lor (x10 lsl 32) in
-  let t10 = x10 lxor x9 in
-  let t2_10 =
-    ((da10 lsr 2) lxor (da10 lsr 13) lxor (da10 lsr 22))
-    + (x9 lxor (t10 land t9))
-  in
-  let x11 = (t1_10 + t2_10) land msk in
-  let y11 = (x7 + t1_10) land msk in
-  let p27 = w12 lor (w12 lsl 32) in
-  let q27 = w25 lor (w25 lsl 32) in
-  let w27 =
-    (w11 + ((p27 lsr 7) lxor (p27 lsr 18) lxor (w12 lsr 3))
-    + w20 + ((q27 lsr 17) lxor (q27 lsr 19) lxor (w25 lsr 10)))
-    land msk
-  in
-  let de11 = y11 lor (y11 lsl 32) in
-  let t1_11 =
-    y8
-    + ((de11 lsr 6) lxor (de11 lsr 11) lxor (de11 lsr 25))
-    + (y9 lxor (y11 land (y10 lxor y9)))
-    + 1426881987 + w11
-  in
-  let da11 = x11 lor (x11 lsl 32) in
-  let t11 = x11 lxor x10 in
-  let t2_11 =
-    ((da11 lsr 2) lxor (da11 lsr 13) lxor (da11 lsr 22))
-    + (x10 lxor (t11 land t10))
-  in
-  let x12 = (t1_11 + t2_11) land msk in
-  let y12 = (x8 + t1_11) land msk in
-  let p28 = w13 lor (w13 lsl 32) in
-  let q28 = w26 lor (w26 lsl 32) in
-  let w28 =
-    (w12 + ((p28 lsr 7) lxor (p28 lsr 18) lxor (w13 lsr 3))
-    + w21 + ((q28 lsr 17) lxor (q28 lsr 19) lxor (w26 lsr 10)))
-    land msk
-  in
-  let de12 = y12 lor (y12 lsl 32) in
-  let t1_12 =
-    y9
-    + ((de12 lsr 6) lxor (de12 lsr 11) lxor (de12 lsr 25))
-    + (y10 lxor (y12 land (y11 lxor y10)))
-    + 1925078388 + w12
-  in
-  let da12 = x12 lor (x12 lsl 32) in
-  let t12 = x12 lxor x11 in
-  let t2_12 =
-    ((da12 lsr 2) lxor (da12 lsr 13) lxor (da12 lsr 22))
-    + (x11 lxor (t12 land t11))
-  in
-  let x13 = (t1_12 + t2_12) land msk in
-  let y13 = (x9 + t1_12) land msk in
-  let p29 = w14 lor (w14 lsl 32) in
-  let q29 = w27 lor (w27 lsl 32) in
-  let w29 =
-    (w13 + ((p29 lsr 7) lxor (p29 lsr 18) lxor (w14 lsr 3))
-    + w22 + ((q29 lsr 17) lxor (q29 lsr 19) lxor (w27 lsr 10)))
-    land msk
-  in
-  let de13 = y13 lor (y13 lsl 32) in
-  let t1_13 =
-    y10
-    + ((de13 lsr 6) lxor (de13 lsr 11) lxor (de13 lsr 25))
-    + (y11 lxor (y13 land (y12 lxor y11)))
-    + (-2132889090) + w13
-  in
-  let da13 = x13 lor (x13 lsl 32) in
-  let t13 = x13 lxor x12 in
-  let t2_13 =
-    ((da13 lsr 2) lxor (da13 lsr 13) lxor (da13 lsr 22))
-    + (x12 lxor (t13 land t12))
-  in
-  let x14 = (t1_13 + t2_13) land msk in
-  let y14 = (x10 + t1_13) land msk in
-  let p30 = w15 lor (w15 lsl 32) in
-  let q30 = w28 lor (w28 lsl 32) in
-  let w30 =
-    (w14 + ((p30 lsr 7) lxor (p30 lsr 18) lxor (w15 lsr 3))
-    + w23 + ((q30 lsr 17) lxor (q30 lsr 19) lxor (w28 lsr 10)))
-    land msk
-  in
-  let de14 = y14 lor (y14 lsl 32) in
-  let t1_14 =
-    y11
-    + ((de14 lsr 6) lxor (de14 lsr 11) lxor (de14 lsr 25))
-    + (y12 lxor (y14 land (y13 lxor y12)))
-    + (-1680079193) + w14
-  in
-  let da14 = x14 lor (x14 lsl 32) in
-  let t14 = x14 lxor x13 in
-  let t2_14 =
-    ((da14 lsr 2) lxor (da14 lsr 13) lxor (da14 lsr 22))
-    + (x13 lxor (t14 land t13))
-  in
-  let x15 = (t1_14 + t2_14) land msk in
-  let y15 = (x11 + t1_14) land msk in
-  let p31 = w16 lor (w16 lsl 32) in
-  let q31 = w29 lor (w29 lsl 32) in
-  let w31 =
-    (w15 + ((p31 lsr 7) lxor (p31 lsr 18) lxor (w16 lsr 3))
-    + w24 + ((q31 lsr 17) lxor (q31 lsr 19) lxor (w29 lsr 10)))
-    land msk
-  in
-  let de15 = y15 lor (y15 lsl 32) in
-  let t1_15 =
-    y12
-    + ((de15 lsr 6) lxor (de15 lsr 11) lxor (de15 lsr 25))
-    + (y13 lxor (y15 land (y14 lxor y13)))
-    + (-1046744716) + w15
-  in
-  let da15 = x15 lor (x15 lsl 32) in
-  let t15 = x15 lxor x14 in
-  let t2_15 =
-    ((da15 lsr 2) lxor (da15 lsr 13) lxor (da15 lsr 22))
-    + (x14 lxor (t15 land t14))
-  in
-  let x16 = (t1_15 + t2_15) land msk in
-  let y16 = (x12 + t1_15) land msk in
-  let p32 = w17 lor (w17 lsl 32) in
-  let q32 = w30 lor (w30 lsl 32) in
-  let w32 =
-    (w16 + ((p32 lsr 7) lxor (p32 lsr 18) lxor (w17 lsr 3))
-    + w25 + ((q32 lsr 17) lxor (q32 lsr 19) lxor (w30 lsr 10)))
-    land msk
-  in
-  let de16 = y16 lor (y16 lsl 32) in
-  let t1_16 =
-    y13
-    + ((de16 lsr 6) lxor (de16 lsr 11) lxor (de16 lsr 25))
-    + (y14 lxor (y16 land (y15 lxor y14)))
-    + (-459576895) + w16
-  in
-  let da16 = x16 lor (x16 lsl 32) in
-  let t16 = x16 lxor x15 in
-  let t2_16 =
-    ((da16 lsr 2) lxor (da16 lsr 13) lxor (da16 lsr 22))
-    + (x15 lxor (t16 land t15))
-  in
-  let x17 = (t1_16 + t2_16) land msk in
-  let y17 = (x13 + t1_16) land msk in
-  let p33 = w18 lor (w18 lsl 32) in
-  let q33 = w31 lor (w31 lsl 32) in
-  let w33 =
-    (w17 + ((p33 lsr 7) lxor (p33 lsr 18) lxor (w18 lsr 3))
-    + w26 + ((q33 lsr 17) lxor (q33 lsr 19) lxor (w31 lsr 10)))
-    land msk
-  in
-  let de17 = y17 lor (y17 lsl 32) in
-  let t1_17 =
-    y14
-    + ((de17 lsr 6) lxor (de17 lsr 11) lxor (de17 lsr 25))
-    + (y15 lxor (y17 land (y16 lxor y15)))
-    + (-272742522) + w17
-  in
-  let da17 = x17 lor (x17 lsl 32) in
-  let t17 = x17 lxor x16 in
-  let t2_17 =
-    ((da17 lsr 2) lxor (da17 lsr 13) lxor (da17 lsr 22))
-    + (x16 lxor (t17 land t16))
-  in
-  let x18 = (t1_17 + t2_17) land msk in
-  let y18 = (x14 + t1_17) land msk in
-  let p34 = w19 lor (w19 lsl 32) in
-  let q34 = w32 lor (w32 lsl 32) in
-  let w34 =
-    (w18 + ((p34 lsr 7) lxor (p34 lsr 18) lxor (w19 lsr 3))
-    + w27 + ((q34 lsr 17) lxor (q34 lsr 19) lxor (w32 lsr 10)))
-    land msk
-  in
-  let de18 = y18 lor (y18 lsl 32) in
-  let t1_18 =
-    y15
-    + ((de18 lsr 6) lxor (de18 lsr 11) lxor (de18 lsr 25))
-    + (y16 lxor (y18 land (y17 lxor y16)))
-    + 264347078 + w18
-  in
-  let da18 = x18 lor (x18 lsl 32) in
-  let t18 = x18 lxor x17 in
-  let t2_18 =
-    ((da18 lsr 2) lxor (da18 lsr 13) lxor (da18 lsr 22))
-    + (x17 lxor (t18 land t17))
-  in
-  let x19 = (t1_18 + t2_18) land msk in
-  let y19 = (x15 + t1_18) land msk in
-  let p35 = w20 lor (w20 lsl 32) in
-  let q35 = w33 lor (w33 lsl 32) in
-  let w35 =
-    (w19 + ((p35 lsr 7) lxor (p35 lsr 18) lxor (w20 lsr 3))
-    + w28 + ((q35 lsr 17) lxor (q35 lsr 19) lxor (w33 lsr 10)))
-    land msk
-  in
-  let de19 = y19 lor (y19 lsl 32) in
-  let t1_19 =
-    y16
-    + ((de19 lsr 6) lxor (de19 lsr 11) lxor (de19 lsr 25))
-    + (y17 lxor (y19 land (y18 lxor y17)))
-    + 604807628 + w19
-  in
-  let da19 = x19 lor (x19 lsl 32) in
-  let t19 = x19 lxor x18 in
-  let t2_19 =
-    ((da19 lsr 2) lxor (da19 lsr 13) lxor (da19 lsr 22))
-    + (x18 lxor (t19 land t18))
-  in
-  let x20 = (t1_19 + t2_19) land msk in
-  let y20 = (x16 + t1_19) land msk in
-  let p36 = w21 lor (w21 lsl 32) in
-  let q36 = w34 lor (w34 lsl 32) in
-  let w36 =
-    (w20 + ((p36 lsr 7) lxor (p36 lsr 18) lxor (w21 lsr 3))
-    + w29 + ((q36 lsr 17) lxor (q36 lsr 19) lxor (w34 lsr 10)))
-    land msk
-  in
-  let de20 = y20 lor (y20 lsl 32) in
-  let t1_20 =
-    y17
-    + ((de20 lsr 6) lxor (de20 lsr 11) lxor (de20 lsr 25))
-    + (y18 lxor (y20 land (y19 lxor y18)))
-    + 770255983 + w20
-  in
-  let da20 = x20 lor (x20 lsl 32) in
-  let t20 = x20 lxor x19 in
-  let t2_20 =
-    ((da20 lsr 2) lxor (da20 lsr 13) lxor (da20 lsr 22))
-    + (x19 lxor (t20 land t19))
-  in
-  let x21 = (t1_20 + t2_20) land msk in
-  let y21 = (x17 + t1_20) land msk in
-  let p37 = w22 lor (w22 lsl 32) in
-  let q37 = w35 lor (w35 lsl 32) in
-  let w37 =
-    (w21 + ((p37 lsr 7) lxor (p37 lsr 18) lxor (w22 lsr 3))
-    + w30 + ((q37 lsr 17) lxor (q37 lsr 19) lxor (w35 lsr 10)))
-    land msk
-  in
-  let de21 = y21 lor (y21 lsl 32) in
-  let t1_21 =
-    y18
-    + ((de21 lsr 6) lxor (de21 lsr 11) lxor (de21 lsr 25))
-    + (y19 lxor (y21 land (y20 lxor y19)))
-    + 1249150122 + w21
-  in
-  let da21 = x21 lor (x21 lsl 32) in
-  let t21 = x21 lxor x20 in
-  let t2_21 =
-    ((da21 lsr 2) lxor (da21 lsr 13) lxor (da21 lsr 22))
-    + (x20 lxor (t21 land t20))
-  in
-  let x22 = (t1_21 + t2_21) land msk in
-  let y22 = (x18 + t1_21) land msk in
-  let p38 = w23 lor (w23 lsl 32) in
-  let q38 = w36 lor (w36 lsl 32) in
-  let w38 =
-    (w22 + ((p38 lsr 7) lxor (p38 lsr 18) lxor (w23 lsr 3))
-    + w31 + ((q38 lsr 17) lxor (q38 lsr 19) lxor (w36 lsr 10)))
-    land msk
-  in
-  let de22 = y22 lor (y22 lsl 32) in
-  let t1_22 =
-    y19
-    + ((de22 lsr 6) lxor (de22 lsr 11) lxor (de22 lsr 25))
-    + (y20 lxor (y22 land (y21 lxor y20)))
-    + 1555081692 + w22
-  in
-  let da22 = x22 lor (x22 lsl 32) in
-  let t22 = x22 lxor x21 in
-  let t2_22 =
-    ((da22 lsr 2) lxor (da22 lsr 13) lxor (da22 lsr 22))
-    + (x21 lxor (t22 land t21))
-  in
-  let x23 = (t1_22 + t2_22) land msk in
-  let y23 = (x19 + t1_22) land msk in
-  let p39 = w24 lor (w24 lsl 32) in
-  let q39 = w37 lor (w37 lsl 32) in
-  let w39 =
-    (w23 + ((p39 lsr 7) lxor (p39 lsr 18) lxor (w24 lsr 3))
-    + w32 + ((q39 lsr 17) lxor (q39 lsr 19) lxor (w37 lsr 10)))
-    land msk
-  in
-  let de23 = y23 lor (y23 lsl 32) in
-  let t1_23 =
-    y20
-    + ((de23 lsr 6) lxor (de23 lsr 11) lxor (de23 lsr 25))
-    + (y21 lxor (y23 land (y22 lxor y21)))
-    + 1996064986 + w23
-  in
-  let da23 = x23 lor (x23 lsl 32) in
-  let t23 = x23 lxor x22 in
-  let t2_23 =
-    ((da23 lsr 2) lxor (da23 lsr 13) lxor (da23 lsr 22))
-    + (x22 lxor (t23 land t22))
-  in
-  let x24 = (t1_23 + t2_23) land msk in
-  let y24 = (x20 + t1_23) land msk in
-  let p40 = w25 lor (w25 lsl 32) in
-  let q40 = w38 lor (w38 lsl 32) in
-  let w40 =
-    (w24 + ((p40 lsr 7) lxor (p40 lsr 18) lxor (w25 lsr 3))
-    + w33 + ((q40 lsr 17) lxor (q40 lsr 19) lxor (w38 lsr 10)))
-    land msk
-  in
-  let de24 = y24 lor (y24 lsl 32) in
-  let t1_24 =
-    y21
-    + ((de24 lsr 6) lxor (de24 lsr 11) lxor (de24 lsr 25))
-    + (y22 lxor (y24 land (y23 lxor y22)))
-    + (-1740746414) + w24
-  in
-  let da24 = x24 lor (x24 lsl 32) in
-  let t24 = x24 lxor x23 in
-  let t2_24 =
-    ((da24 lsr 2) lxor (da24 lsr 13) lxor (da24 lsr 22))
-    + (x23 lxor (t24 land t23))
-  in
-  let x25 = (t1_24 + t2_24) land msk in
-  let y25 = (x21 + t1_24) land msk in
-  let p41 = w26 lor (w26 lsl 32) in
-  let q41 = w39 lor (w39 lsl 32) in
-  let w41 =
-    (w25 + ((p41 lsr 7) lxor (p41 lsr 18) lxor (w26 lsr 3))
-    + w34 + ((q41 lsr 17) lxor (q41 lsr 19) lxor (w39 lsr 10)))
-    land msk
-  in
-  let de25 = y25 lor (y25 lsl 32) in
-  let t1_25 =
-    y22
-    + ((de25 lsr 6) lxor (de25 lsr 11) lxor (de25 lsr 25))
-    + (y23 lxor (y25 land (y24 lxor y23)))
-    + (-1473132947) + w25
-  in
-  let da25 = x25 lor (x25 lsl 32) in
-  let t25 = x25 lxor x24 in
-  let t2_25 =
-    ((da25 lsr 2) lxor (da25 lsr 13) lxor (da25 lsr 22))
-    + (x24 lxor (t25 land t24))
-  in
-  let x26 = (t1_25 + t2_25) land msk in
-  let y26 = (x22 + t1_25) land msk in
-  let p42 = w27 lor (w27 lsl 32) in
-  let q42 = w40 lor (w40 lsl 32) in
-  let w42 =
-    (w26 + ((p42 lsr 7) lxor (p42 lsr 18) lxor (w27 lsr 3))
-    + w35 + ((q42 lsr 17) lxor (q42 lsr 19) lxor (w40 lsr 10)))
-    land msk
-  in
-  let de26 = y26 lor (y26 lsl 32) in
-  let t1_26 =
-    y23
-    + ((de26 lsr 6) lxor (de26 lsr 11) lxor (de26 lsr 25))
-    + (y24 lxor (y26 land (y25 lxor y24)))
-    + (-1341970488) + w26
-  in
-  let da26 = x26 lor (x26 lsl 32) in
-  let t26 = x26 lxor x25 in
-  let t2_26 =
-    ((da26 lsr 2) lxor (da26 lsr 13) lxor (da26 lsr 22))
-    + (x25 lxor (t26 land t25))
-  in
-  let x27 = (t1_26 + t2_26) land msk in
-  let y27 = (x23 + t1_26) land msk in
-  let p43 = w28 lor (w28 lsl 32) in
-  let q43 = w41 lor (w41 lsl 32) in
-  let w43 =
-    (w27 + ((p43 lsr 7) lxor (p43 lsr 18) lxor (w28 lsr 3))
-    + w36 + ((q43 lsr 17) lxor (q43 lsr 19) lxor (w41 lsr 10)))
-    land msk
-  in
-  let de27 = y27 lor (y27 lsl 32) in
-  let t1_27 =
-    y24
-    + ((de27 lsr 6) lxor (de27 lsr 11) lxor (de27 lsr 25))
-    + (y25 lxor (y27 land (y26 lxor y25)))
-    + (-1084653625) + w27
-  in
-  let da27 = x27 lor (x27 lsl 32) in
-  let t27 = x27 lxor x26 in
-  let t2_27 =
-    ((da27 lsr 2) lxor (da27 lsr 13) lxor (da27 lsr 22))
-    + (x26 lxor (t27 land t26))
-  in
-  let x28 = (t1_27 + t2_27) land msk in
-  let y28 = (x24 + t1_27) land msk in
-  let p44 = w29 lor (w29 lsl 32) in
-  let q44 = w42 lor (w42 lsl 32) in
-  let w44 =
-    (w28 + ((p44 lsr 7) lxor (p44 lsr 18) lxor (w29 lsr 3))
-    + w37 + ((q44 lsr 17) lxor (q44 lsr 19) lxor (w42 lsr 10)))
-    land msk
-  in
-  let de28 = y28 lor (y28 lsl 32) in
-  let t1_28 =
-    y25
-    + ((de28 lsr 6) lxor (de28 lsr 11) lxor (de28 lsr 25))
-    + (y26 lxor (y28 land (y27 lxor y26)))
-    + (-958395405) + w28
-  in
-  let da28 = x28 lor (x28 lsl 32) in
-  let t28 = x28 lxor x27 in
-  let t2_28 =
-    ((da28 lsr 2) lxor (da28 lsr 13) lxor (da28 lsr 22))
-    + (x27 lxor (t28 land t27))
-  in
-  let x29 = (t1_28 + t2_28) land msk in
-  let y29 = (x25 + t1_28) land msk in
-  let p45 = w30 lor (w30 lsl 32) in
-  let q45 = w43 lor (w43 lsl 32) in
-  let w45 =
-    (w29 + ((p45 lsr 7) lxor (p45 lsr 18) lxor (w30 lsr 3))
-    + w38 + ((q45 lsr 17) lxor (q45 lsr 19) lxor (w43 lsr 10)))
-    land msk
-  in
-  let de29 = y29 lor (y29 lsl 32) in
-  let t1_29 =
-    y26
-    + ((de29 lsr 6) lxor (de29 lsr 11) lxor (de29 lsr 25))
-    + (y27 lxor (y29 land (y28 lxor y27)))
-    + (-710438585) + w29
-  in
-  let da29 = x29 lor (x29 lsl 32) in
-  let t29 = x29 lxor x28 in
-  let t2_29 =
-    ((da29 lsr 2) lxor (da29 lsr 13) lxor (da29 lsr 22))
-    + (x28 lxor (t29 land t28))
-  in
-  let x30 = (t1_29 + t2_29) land msk in
-  let y30 = (x26 + t1_29) land msk in
-  let p46 = w31 lor (w31 lsl 32) in
-  let q46 = w44 lor (w44 lsl 32) in
-  let w46 =
-    (w30 + ((p46 lsr 7) lxor (p46 lsr 18) lxor (w31 lsr 3))
-    + w39 + ((q46 lsr 17) lxor (q46 lsr 19) lxor (w44 lsr 10)))
-    land msk
-  in
-  let de30 = y30 lor (y30 lsl 32) in
-  let t1_30 =
-    y27
-    + ((de30 lsr 6) lxor (de30 lsr 11) lxor (de30 lsr 25))
-    + (y28 lxor (y30 land (y29 lxor y28)))
-    + 113926993 + w30
-  in
-  let da30 = x30 lor (x30 lsl 32) in
-  let t30 = x30 lxor x29 in
-  let t2_30 =
-    ((da30 lsr 2) lxor (da30 lsr 13) lxor (da30 lsr 22))
-    + (x29 lxor (t30 land t29))
-  in
-  let x31 = (t1_30 + t2_30) land msk in
-  let y31 = (x27 + t1_30) land msk in
-  let p47 = w32 lor (w32 lsl 32) in
-  let q47 = w45 lor (w45 lsl 32) in
-  let w47 =
-    (w31 + ((p47 lsr 7) lxor (p47 lsr 18) lxor (w32 lsr 3))
-    + w40 + ((q47 lsr 17) lxor (q47 lsr 19) lxor (w45 lsr 10)))
-    land msk
-  in
-  let de31 = y31 lor (y31 lsl 32) in
-  let t1_31 =
-    y28
-    + ((de31 lsr 6) lxor (de31 lsr 11) lxor (de31 lsr 25))
-    + (y29 lxor (y31 land (y30 lxor y29)))
-    + 338241895 + w31
-  in
-  let da31 = x31 lor (x31 lsl 32) in
-  let t31 = x31 lxor x30 in
-  let t2_31 =
-    ((da31 lsr 2) lxor (da31 lsr 13) lxor (da31 lsr 22))
-    + (x30 lxor (t31 land t30))
-  in
-  let x32 = (t1_31 + t2_31) land msk in
-  let y32 = (x28 + t1_31) land msk in
-  let p48 = w33 lor (w33 lsl 32) in
-  let q48 = w46 lor (w46 lsl 32) in
-  let w48 =
-    (w32 + ((p48 lsr 7) lxor (p48 lsr 18) lxor (w33 lsr 3))
-    + w41 + ((q48 lsr 17) lxor (q48 lsr 19) lxor (w46 lsr 10)))
-    land msk
-  in
-  let de32 = y32 lor (y32 lsl 32) in
-  let t1_32 =
-    y29
-    + ((de32 lsr 6) lxor (de32 lsr 11) lxor (de32 lsr 25))
-    + (y30 lxor (y32 land (y31 lxor y30)))
-    + 666307205 + w32
-  in
-  let da32 = x32 lor (x32 lsl 32) in
-  let t32 = x32 lxor x31 in
-  let t2_32 =
-    ((da32 lsr 2) lxor (da32 lsr 13) lxor (da32 lsr 22))
-    + (x31 lxor (t32 land t31))
-  in
-  let x33 = (t1_32 + t2_32) land msk in
-  let y33 = (x29 + t1_32) land msk in
-  let p49 = w34 lor (w34 lsl 32) in
-  let q49 = w47 lor (w47 lsl 32) in
-  let w49 =
-    (w33 + ((p49 lsr 7) lxor (p49 lsr 18) lxor (w34 lsr 3))
-    + w42 + ((q49 lsr 17) lxor (q49 lsr 19) lxor (w47 lsr 10)))
-    land msk
-  in
-  let de33 = y33 lor (y33 lsl 32) in
-  let t1_33 =
-    y30
-    + ((de33 lsr 6) lxor (de33 lsr 11) lxor (de33 lsr 25))
-    + (y31 lxor (y33 land (y32 lxor y31)))
-    + 773529912 + w33
-  in
-  let da33 = x33 lor (x33 lsl 32) in
-  let t33 = x33 lxor x32 in
-  let t2_33 =
-    ((da33 lsr 2) lxor (da33 lsr 13) lxor (da33 lsr 22))
-    + (x32 lxor (t33 land t32))
-  in
-  let x34 = (t1_33 + t2_33) land msk in
-  let y34 = (x30 + t1_33) land msk in
-  let p50 = w35 lor (w35 lsl 32) in
-  let q50 = w48 lor (w48 lsl 32) in
-  let w50 =
-    (w34 + ((p50 lsr 7) lxor (p50 lsr 18) lxor (w35 lsr 3))
-    + w43 + ((q50 lsr 17) lxor (q50 lsr 19) lxor (w48 lsr 10)))
-    land msk
-  in
-  let de34 = y34 lor (y34 lsl 32) in
-  let t1_34 =
-    y31
-    + ((de34 lsr 6) lxor (de34 lsr 11) lxor (de34 lsr 25))
-    + (y32 lxor (y34 land (y33 lxor y32)))
-    + 1294757372 + w34
-  in
-  let da34 = x34 lor (x34 lsl 32) in
-  let t34 = x34 lxor x33 in
-  let t2_34 =
-    ((da34 lsr 2) lxor (da34 lsr 13) lxor (da34 lsr 22))
-    + (x33 lxor (t34 land t33))
-  in
-  let x35 = (t1_34 + t2_34) land msk in
-  let y35 = (x31 + t1_34) land msk in
-  let p51 = w36 lor (w36 lsl 32) in
-  let q51 = w49 lor (w49 lsl 32) in
-  let w51 =
-    (w35 + ((p51 lsr 7) lxor (p51 lsr 18) lxor (w36 lsr 3))
-    + w44 + ((q51 lsr 17) lxor (q51 lsr 19) lxor (w49 lsr 10)))
-    land msk
-  in
-  let de35 = y35 lor (y35 lsl 32) in
-  let t1_35 =
-    y32
-    + ((de35 lsr 6) lxor (de35 lsr 11) lxor (de35 lsr 25))
-    + (y33 lxor (y35 land (y34 lxor y33)))
-    + 1396182291 + w35
-  in
-  let da35 = x35 lor (x35 lsl 32) in
-  let t35 = x35 lxor x34 in
-  let t2_35 =
-    ((da35 lsr 2) lxor (da35 lsr 13) lxor (da35 lsr 22))
-    + (x34 lxor (t35 land t34))
-  in
-  let x36 = (t1_35 + t2_35) land msk in
-  let y36 = (x32 + t1_35) land msk in
-  let p52 = w37 lor (w37 lsl 32) in
-  let q52 = w50 lor (w50 lsl 32) in
-  let w52 =
-    (w36 + ((p52 lsr 7) lxor (p52 lsr 18) lxor (w37 lsr 3))
-    + w45 + ((q52 lsr 17) lxor (q52 lsr 19) lxor (w50 lsr 10)))
-    land msk
-  in
-  let de36 = y36 lor (y36 lsl 32) in
-  let t1_36 =
-    y33
-    + ((de36 lsr 6) lxor (de36 lsr 11) lxor (de36 lsr 25))
-    + (y34 lxor (y36 land (y35 lxor y34)))
-    + 1695183700 + w36
-  in
-  let da36 = x36 lor (x36 lsl 32) in
-  let t36 = x36 lxor x35 in
-  let t2_36 =
-    ((da36 lsr 2) lxor (da36 lsr 13) lxor (da36 lsr 22))
-    + (x35 lxor (t36 land t35))
-  in
-  let x37 = (t1_36 + t2_36) land msk in
-  let y37 = (x33 + t1_36) land msk in
-  let p53 = w38 lor (w38 lsl 32) in
-  let q53 = w51 lor (w51 lsl 32) in
-  let w53 =
-    (w37 + ((p53 lsr 7) lxor (p53 lsr 18) lxor (w38 lsr 3))
-    + w46 + ((q53 lsr 17) lxor (q53 lsr 19) lxor (w51 lsr 10)))
-    land msk
-  in
-  let de37 = y37 lor (y37 lsl 32) in
-  let t1_37 =
-    y34
-    + ((de37 lsr 6) lxor (de37 lsr 11) lxor (de37 lsr 25))
-    + (y35 lxor (y37 land (y36 lxor y35)))
-    + 1986661051 + w37
-  in
-  let da37 = x37 lor (x37 lsl 32) in
-  let t37 = x37 lxor x36 in
-  let t2_37 =
-    ((da37 lsr 2) lxor (da37 lsr 13) lxor (da37 lsr 22))
-    + (x36 lxor (t37 land t36))
-  in
-  let x38 = (t1_37 + t2_37) land msk in
-  let y38 = (x34 + t1_37) land msk in
-  let p54 = w39 lor (w39 lsl 32) in
-  let q54 = w52 lor (w52 lsl 32) in
-  let w54 =
-    (w38 + ((p54 lsr 7) lxor (p54 lsr 18) lxor (w39 lsr 3))
-    + w47 + ((q54 lsr 17) lxor (q54 lsr 19) lxor (w52 lsr 10)))
-    land msk
-  in
-  let de38 = y38 lor (y38 lsl 32) in
-  let t1_38 =
-    y35
-    + ((de38 lsr 6) lxor (de38 lsr 11) lxor (de38 lsr 25))
-    + (y36 lxor (y38 land (y37 lxor y36)))
-    + (-2117940946) + w38
-  in
-  let da38 = x38 lor (x38 lsl 32) in
-  let t38 = x38 lxor x37 in
-  let t2_38 =
-    ((da38 lsr 2) lxor (da38 lsr 13) lxor (da38 lsr 22))
-    + (x37 lxor (t38 land t37))
-  in
-  let x39 = (t1_38 + t2_38) land msk in
-  let y39 = (x35 + t1_38) land msk in
-  let p55 = w40 lor (w40 lsl 32) in
-  let q55 = w53 lor (w53 lsl 32) in
-  let w55 =
-    (w39 + ((p55 lsr 7) lxor (p55 lsr 18) lxor (w40 lsr 3))
-    + w48 + ((q55 lsr 17) lxor (q55 lsr 19) lxor (w53 lsr 10)))
-    land msk
-  in
-  let de39 = y39 lor (y39 lsl 32) in
-  let t1_39 =
-    y36
-    + ((de39 lsr 6) lxor (de39 lsr 11) lxor (de39 lsr 25))
-    + (y37 lxor (y39 land (y38 lxor y37)))
-    + (-1838011259) + w39
-  in
-  let da39 = x39 lor (x39 lsl 32) in
-  let t39 = x39 lxor x38 in
-  let t2_39 =
-    ((da39 lsr 2) lxor (da39 lsr 13) lxor (da39 lsr 22))
-    + (x38 lxor (t39 land t38))
-  in
-  let x40 = (t1_39 + t2_39) land msk in
-  let y40 = (x36 + t1_39) land msk in
-  let p56 = w41 lor (w41 lsl 32) in
-  let q56 = w54 lor (w54 lsl 32) in
-  let w56 =
-    (w40 + ((p56 lsr 7) lxor (p56 lsr 18) lxor (w41 lsr 3))
-    + w49 + ((q56 lsr 17) lxor (q56 lsr 19) lxor (w54 lsr 10)))
-    land msk
-  in
-  let de40 = y40 lor (y40 lsl 32) in
-  let t1_40 =
-    y37
-    + ((de40 lsr 6) lxor (de40 lsr 11) lxor (de40 lsr 25))
-    + (y38 lxor (y40 land (y39 lxor y38)))
-    + (-1564481375) + w40
-  in
-  let da40 = x40 lor (x40 lsl 32) in
-  let t40 = x40 lxor x39 in
-  let t2_40 =
-    ((da40 lsr 2) lxor (da40 lsr 13) lxor (da40 lsr 22))
-    + (x39 lxor (t40 land t39))
-  in
-  let x41 = (t1_40 + t2_40) land msk in
-  let y41 = (x37 + t1_40) land msk in
-  let p57 = w42 lor (w42 lsl 32) in
-  let q57 = w55 lor (w55 lsl 32) in
-  let w57 =
-    (w41 + ((p57 lsr 7) lxor (p57 lsr 18) lxor (w42 lsr 3))
-    + w50 + ((q57 lsr 17) lxor (q57 lsr 19) lxor (w55 lsr 10)))
-    land msk
-  in
-  let de41 = y41 lor (y41 lsl 32) in
-  let t1_41 =
-    y38
-    + ((de41 lsr 6) lxor (de41 lsr 11) lxor (de41 lsr 25))
-    + (y39 lxor (y41 land (y40 lxor y39)))
-    + (-1474664885) + w41
-  in
-  let da41 = x41 lor (x41 lsl 32) in
-  let t41 = x41 lxor x40 in
-  let t2_41 =
-    ((da41 lsr 2) lxor (da41 lsr 13) lxor (da41 lsr 22))
-    + (x40 lxor (t41 land t40))
-  in
-  let x42 = (t1_41 + t2_41) land msk in
-  let y42 = (x38 + t1_41) land msk in
-  let p58 = w43 lor (w43 lsl 32) in
-  let q58 = w56 lor (w56 lsl 32) in
-  let w58 =
-    (w42 + ((p58 lsr 7) lxor (p58 lsr 18) lxor (w43 lsr 3))
-    + w51 + ((q58 lsr 17) lxor (q58 lsr 19) lxor (w56 lsr 10)))
-    land msk
-  in
-  let de42 = y42 lor (y42 lsl 32) in
-  let t1_42 =
-    y39
-    + ((de42 lsr 6) lxor (de42 lsr 11) lxor (de42 lsr 25))
-    + (y40 lxor (y42 land (y41 lxor y40)))
-    + (-1035236496) + w42
-  in
-  let da42 = x42 lor (x42 lsl 32) in
-  let t42 = x42 lxor x41 in
-  let t2_42 =
-    ((da42 lsr 2) lxor (da42 lsr 13) lxor (da42 lsr 22))
-    + (x41 lxor (t42 land t41))
-  in
-  let x43 = (t1_42 + t2_42) land msk in
-  let y43 = (x39 + t1_42) land msk in
-  let p59 = w44 lor (w44 lsl 32) in
-  let q59 = w57 lor (w57 lsl 32) in
-  let w59 =
-    (w43 + ((p59 lsr 7) lxor (p59 lsr 18) lxor (w44 lsr 3))
-    + w52 + ((q59 lsr 17) lxor (q59 lsr 19) lxor (w57 lsr 10)))
-    land msk
-  in
-  let de43 = y43 lor (y43 lsl 32) in
-  let t1_43 =
-    y40
-    + ((de43 lsr 6) lxor (de43 lsr 11) lxor (de43 lsr 25))
-    + (y41 lxor (y43 land (y42 lxor y41)))
-    + (-949202525) + w43
-  in
-  let da43 = x43 lor (x43 lsl 32) in
-  let t43 = x43 lxor x42 in
-  let t2_43 =
-    ((da43 lsr 2) lxor (da43 lsr 13) lxor (da43 lsr 22))
-    + (x42 lxor (t43 land t42))
-  in
-  let x44 = (t1_43 + t2_43) land msk in
-  let y44 = (x40 + t1_43) land msk in
-  let p60 = w45 lor (w45 lsl 32) in
-  let q60 = w58 lor (w58 lsl 32) in
-  let w60 =
-    (w44 + ((p60 lsr 7) lxor (p60 lsr 18) lxor (w45 lsr 3))
-    + w53 + ((q60 lsr 17) lxor (q60 lsr 19) lxor (w58 lsr 10)))
-    land msk
-  in
-  let de44 = y44 lor (y44 lsl 32) in
-  let t1_44 =
-    y41
-    + ((de44 lsr 6) lxor (de44 lsr 11) lxor (de44 lsr 25))
-    + (y42 lxor (y44 land (y43 lxor y42)))
-    + (-778901479) + w44
-  in
-  let da44 = x44 lor (x44 lsl 32) in
-  let t44 = x44 lxor x43 in
-  let t2_44 =
-    ((da44 lsr 2) lxor (da44 lsr 13) lxor (da44 lsr 22))
-    + (x43 lxor (t44 land t43))
-  in
-  let x45 = (t1_44 + t2_44) land msk in
-  let y45 = (x41 + t1_44) land msk in
-  let p61 = w46 lor (w46 lsl 32) in
-  let q61 = w59 lor (w59 lsl 32) in
-  let w61 =
-    (w45 + ((p61 lsr 7) lxor (p61 lsr 18) lxor (w46 lsr 3))
-    + w54 + ((q61 lsr 17) lxor (q61 lsr 19) lxor (w59 lsr 10)))
-    land msk
-  in
-  let de45 = y45 lor (y45 lsl 32) in
-  let t1_45 =
-    y42
-    + ((de45 lsr 6) lxor (de45 lsr 11) lxor (de45 lsr 25))
-    + (y43 lxor (y45 land (y44 lxor y43)))
-    + (-694614492) + w45
-  in
-  let da45 = x45 lor (x45 lsl 32) in
-  let t45 = x45 lxor x44 in
-  let t2_45 =
-    ((da45 lsr 2) lxor (da45 lsr 13) lxor (da45 lsr 22))
-    + (x44 lxor (t45 land t44))
-  in
-  let x46 = (t1_45 + t2_45) land msk in
-  let y46 = (x42 + t1_45) land msk in
-  let p62 = w47 lor (w47 lsl 32) in
-  let q62 = w60 lor (w60 lsl 32) in
-  let w62 =
-    (w46 + ((p62 lsr 7) lxor (p62 lsr 18) lxor (w47 lsr 3))
-    + w55 + ((q62 lsr 17) lxor (q62 lsr 19) lxor (w60 lsr 10)))
-    land msk
-  in
-  let de46 = y46 lor (y46 lsl 32) in
-  let t1_46 =
-    y43
-    + ((de46 lsr 6) lxor (de46 lsr 11) lxor (de46 lsr 25))
-    + (y44 lxor (y46 land (y45 lxor y44)))
-    + (-200395387) + w46
-  in
-  let da46 = x46 lor (x46 lsl 32) in
-  let t46 = x46 lxor x45 in
-  let t2_46 =
-    ((da46 lsr 2) lxor (da46 lsr 13) lxor (da46 lsr 22))
-    + (x45 lxor (t46 land t45))
-  in
-  let x47 = (t1_46 + t2_46) land msk in
-  let y47 = (x43 + t1_46) land msk in
-  let p63 = w48 lor (w48 lsl 32) in
-  let q63 = w61 lor (w61 lsl 32) in
-  let w63 =
-    (w47 + ((p63 lsr 7) lxor (p63 lsr 18) lxor (w48 lsr 3))
-    + w56 + ((q63 lsr 17) lxor (q63 lsr 19) lxor (w61 lsr 10)))
-    land msk
-  in
-  let de47 = y47 lor (y47 lsl 32) in
-  let t1_47 =
-    y44
-    + ((de47 lsr 6) lxor (de47 lsr 11) lxor (de47 lsr 25))
-    + (y45 lxor (y47 land (y46 lxor y45)))
-    + 275423344 + w47
-  in
-  let da47 = x47 lor (x47 lsl 32) in
-  let t47 = x47 lxor x46 in
-  let t2_47 =
-    ((da47 lsr 2) lxor (da47 lsr 13) lxor (da47 lsr 22))
-    + (x46 lxor (t47 land t46))
-  in
-  let x48 = (t1_47 + t2_47) land msk in
-  let y48 = (x44 + t1_47) land msk in
-  let de48 = y48 lor (y48 lsl 32) in
-  let t1_48 =
-    y45
-    + ((de48 lsr 6) lxor (de48 lsr 11) lxor (de48 lsr 25))
-    + (y46 lxor (y48 land (y47 lxor y46)))
-    + 430227734 + w48
-  in
-  let da48 = x48 lor (x48 lsl 32) in
-  let t48 = x48 lxor x47 in
-  let t2_48 =
-    ((da48 lsr 2) lxor (da48 lsr 13) lxor (da48 lsr 22))
-    + (x47 lxor (t48 land t47))
-  in
-  let x49 = (t1_48 + t2_48) land msk in
-  let y49 = (x45 + t1_48) land msk in
-  let de49 = y49 lor (y49 lsl 32) in
-  let t1_49 =
-    y46
-    + ((de49 lsr 6) lxor (de49 lsr 11) lxor (de49 lsr 25))
-    + (y47 lxor (y49 land (y48 lxor y47)))
-    + 506948616 + w49
-  in
-  let da49 = x49 lor (x49 lsl 32) in
-  let t49 = x49 lxor x48 in
-  let t2_49 =
-    ((da49 lsr 2) lxor (da49 lsr 13) lxor (da49 lsr 22))
-    + (x48 lxor (t49 land t48))
-  in
-  let x50 = (t1_49 + t2_49) land msk in
-  let y50 = (x46 + t1_49) land msk in
-  let de50 = y50 lor (y50 lsl 32) in
-  let t1_50 =
-    y47
-    + ((de50 lsr 6) lxor (de50 lsr 11) lxor (de50 lsr 25))
-    + (y48 lxor (y50 land (y49 lxor y48)))
-    + 659060556 + w50
-  in
-  let da50 = x50 lor (x50 lsl 32) in
-  let t50 = x50 lxor x49 in
-  let t2_50 =
-    ((da50 lsr 2) lxor (da50 lsr 13) lxor (da50 lsr 22))
-    + (x49 lxor (t50 land t49))
-  in
-  let x51 = (t1_50 + t2_50) land msk in
-  let y51 = (x47 + t1_50) land msk in
-  let de51 = y51 lor (y51 lsl 32) in
-  let t1_51 =
-    y48
-    + ((de51 lsr 6) lxor (de51 lsr 11) lxor (de51 lsr 25))
-    + (y49 lxor (y51 land (y50 lxor y49)))
-    + 883997877 + w51
-  in
-  let da51 = x51 lor (x51 lsl 32) in
-  let t51 = x51 lxor x50 in
-  let t2_51 =
-    ((da51 lsr 2) lxor (da51 lsr 13) lxor (da51 lsr 22))
-    + (x50 lxor (t51 land t50))
-  in
-  let x52 = (t1_51 + t2_51) land msk in
-  let y52 = (x48 + t1_51) land msk in
-  let de52 = y52 lor (y52 lsl 32) in
-  let t1_52 =
-    y49
-    + ((de52 lsr 6) lxor (de52 lsr 11) lxor (de52 lsr 25))
-    + (y50 lxor (y52 land (y51 lxor y50)))
-    + 958139571 + w52
-  in
-  let da52 = x52 lor (x52 lsl 32) in
-  let t52 = x52 lxor x51 in
-  let t2_52 =
-    ((da52 lsr 2) lxor (da52 lsr 13) lxor (da52 lsr 22))
-    + (x51 lxor (t52 land t51))
-  in
-  let x53 = (t1_52 + t2_52) land msk in
-  let y53 = (x49 + t1_52) land msk in
-  let de53 = y53 lor (y53 lsl 32) in
-  let t1_53 =
-    y50
-    + ((de53 lsr 6) lxor (de53 lsr 11) lxor (de53 lsr 25))
-    + (y51 lxor (y53 land (y52 lxor y51)))
-    + 1322822218 + w53
-  in
-  let da53 = x53 lor (x53 lsl 32) in
-  let t53 = x53 lxor x52 in
-  let t2_53 =
-    ((da53 lsr 2) lxor (da53 lsr 13) lxor (da53 lsr 22))
-    + (x52 lxor (t53 land t52))
-  in
-  let x54 = (t1_53 + t2_53) land msk in
-  let y54 = (x50 + t1_53) land msk in
-  let de54 = y54 lor (y54 lsl 32) in
-  let t1_54 =
-    y51
-    + ((de54 lsr 6) lxor (de54 lsr 11) lxor (de54 lsr 25))
-    + (y52 lxor (y54 land (y53 lxor y52)))
-    + 1537002063 + w54
-  in
-  let da54 = x54 lor (x54 lsl 32) in
-  let t54 = x54 lxor x53 in
-  let t2_54 =
-    ((da54 lsr 2) lxor (da54 lsr 13) lxor (da54 lsr 22))
-    + (x53 lxor (t54 land t53))
-  in
-  let x55 = (t1_54 + t2_54) land msk in
-  let y55 = (x51 + t1_54) land msk in
-  let de55 = y55 lor (y55 lsl 32) in
-  let t1_55 =
-    y52
-    + ((de55 lsr 6) lxor (de55 lsr 11) lxor (de55 lsr 25))
-    + (y53 lxor (y55 land (y54 lxor y53)))
-    + 1747873779 + w55
-  in
-  let da55 = x55 lor (x55 lsl 32) in
-  let t55 = x55 lxor x54 in
-  let t2_55 =
-    ((da55 lsr 2) lxor (da55 lsr 13) lxor (da55 lsr 22))
-    + (x54 lxor (t55 land t54))
-  in
-  let x56 = (t1_55 + t2_55) land msk in
-  let y56 = (x52 + t1_55) land msk in
-  let de56 = y56 lor (y56 lsl 32) in
-  let t1_56 =
-    y53
-    + ((de56 lsr 6) lxor (de56 lsr 11) lxor (de56 lsr 25))
-    + (y54 lxor (y56 land (y55 lxor y54)))
-    + 1955562222 + w56
-  in
-  let da56 = x56 lor (x56 lsl 32) in
-  let t56 = x56 lxor x55 in
-  let t2_56 =
-    ((da56 lsr 2) lxor (da56 lsr 13) lxor (da56 lsr 22))
-    + (x55 lxor (t56 land t55))
-  in
-  let x57 = (t1_56 + t2_56) land msk in
-  let y57 = (x53 + t1_56) land msk in
-  let de57 = y57 lor (y57 lsl 32) in
-  let t1_57 =
-    y54
-    + ((de57 lsr 6) lxor (de57 lsr 11) lxor (de57 lsr 25))
-    + (y55 lxor (y57 land (y56 lxor y55)))
-    + 2024104815 + w57
-  in
-  let da57 = x57 lor (x57 lsl 32) in
-  let t57 = x57 lxor x56 in
-  let t2_57 =
-    ((da57 lsr 2) lxor (da57 lsr 13) lxor (da57 lsr 22))
-    + (x56 lxor (t57 land t56))
-  in
-  let x58 = (t1_57 + t2_57) land msk in
-  let y58 = (x54 + t1_57) land msk in
-  let de58 = y58 lor (y58 lsl 32) in
-  let t1_58 =
-    y55
-    + ((de58 lsr 6) lxor (de58 lsr 11) lxor (de58 lsr 25))
-    + (y56 lxor (y58 land (y57 lxor y56)))
-    + (-2067236844) + w58
-  in
-  let da58 = x58 lor (x58 lsl 32) in
-  let t58 = x58 lxor x57 in
-  let t2_58 =
-    ((da58 lsr 2) lxor (da58 lsr 13) lxor (da58 lsr 22))
-    + (x57 lxor (t58 land t57))
-  in
-  let x59 = (t1_58 + t2_58) land msk in
-  let y59 = (x55 + t1_58) land msk in
-  let de59 = y59 lor (y59 lsl 32) in
-  let t1_59 =
-    y56
-    + ((de59 lsr 6) lxor (de59 lsr 11) lxor (de59 lsr 25))
-    + (y57 lxor (y59 land (y58 lxor y57)))
-    + (-1933114872) + w59
-  in
-  let da59 = x59 lor (x59 lsl 32) in
-  let t59 = x59 lxor x58 in
-  let t2_59 =
-    ((da59 lsr 2) lxor (da59 lsr 13) lxor (da59 lsr 22))
-    + (x58 lxor (t59 land t58))
-  in
-  let x60 = (t1_59 + t2_59) land msk in
-  let y60 = (x56 + t1_59) land msk in
-  let de60 = y60 lor (y60 lsl 32) in
-  let t1_60 =
-    y57
-    + ((de60 lsr 6) lxor (de60 lsr 11) lxor (de60 lsr 25))
-    + (y58 lxor (y60 land (y59 lxor y58)))
-    + (-1866530822) + w60
-  in
-  let da60 = x60 lor (x60 lsl 32) in
-  let t60 = x60 lxor x59 in
-  let t2_60 =
-    ((da60 lsr 2) lxor (da60 lsr 13) lxor (da60 lsr 22))
-    + (x59 lxor (t60 land t59))
-  in
-  let x61 = (t1_60 + t2_60) land msk in
-  let y61 = (x57 + t1_60) land msk in
-  let de61 = y61 lor (y61 lsl 32) in
-  let t1_61 =
-    y58
-    + ((de61 lsr 6) lxor (de61 lsr 11) lxor (de61 lsr 25))
-    + (y59 lxor (y61 land (y60 lxor y59)))
-    + (-1538233109) + w61
-  in
-  let da61 = x61 lor (x61 lsl 32) in
-  let t61 = x61 lxor x60 in
-  let t2_61 =
-    ((da61 lsr 2) lxor (da61 lsr 13) lxor (da61 lsr 22))
-    + (x60 lxor (t61 land t60))
-  in
-  let x62 = (t1_61 + t2_61) land msk in
-  let y62 = (x58 + t1_61) land msk in
-  let de62 = y62 lor (y62 lsl 32) in
-  let t1_62 =
-    y59
-    + ((de62 lsr 6) lxor (de62 lsr 11) lxor (de62 lsr 25))
-    + (y60 lxor (y62 land (y61 lxor y60)))
-    + (-1090935817) + w62
-  in
-  let da62 = x62 lor (x62 lsl 32) in
-  let t62 = x62 lxor x61 in
-  let t2_62 =
-    ((da62 lsr 2) lxor (da62 lsr 13) lxor (da62 lsr 22))
-    + (x61 lxor (t62 land t61))
-  in
-  let x63 = (t1_62 + t2_62) land msk in
-  let y63 = (x59 + t1_62) land msk in
-  let de63 = y63 lor (y63 lsl 32) in
-  let t1_63 =
-    y60
-    + ((de63 lsr 6) lxor (de63 lsr 11) lxor (de63 lsr 25))
-    + (y61 lxor (y63 land (y62 lxor y61)))
-    + (-965641998) + w63
-  in
-  let da63 = x63 lor (x63 lsl 32) in
-  let t63 = x63 lxor x62 in
-  let t2_63 =
-    ((da63 lsr 2) lxor (da63 lsr 13) lxor (da63 lsr 22))
-    + (x62 lxor (t63 land t62))
-  in
-  let x64 = (t1_63 + t2_63) land msk in
-  let y64 = (x60 + t1_63) land msk in
-  Array.unsafe_set hst 0 (Array.unsafe_get hst 0 + x64);
-  Array.unsafe_set hst 1 (Array.unsafe_get hst 1 + x63);
-  Array.unsafe_set hst 2 (Array.unsafe_get hst 2 + x62);
-  Array.unsafe_set hst 3 (Array.unsafe_get hst 3 + x61);
-  Array.unsafe_set hst 4 (Array.unsafe_get hst 4 + y64);
-  Array.unsafe_set hst 5 (Array.unsafe_get hst 5 + y63);
-  Array.unsafe_set hst 6 (Array.unsafe_get hst 6 + y62);
-  Array.unsafe_set hst 7 (Array.unsafe_get hst 7 + y61)
+  let w = Domain.DLS.get schedule and hst = ctx.h in
+  expand w block off;
+  rounds hst w 0 (Array.unsafe_get hst 0) (Array.unsafe_get hst 1) (Array.unsafe_get hst 2)
+    (Array.unsafe_get hst 3) (Array.unsafe_get hst 4) (Array.unsafe_get hst 5)
+    (Array.unsafe_get hst 6) (Array.unsafe_get hst 7)
 
 let update_bytes ctx b pos len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
@@ -1455,8 +194,7 @@ let finalize_into ctx dst pos =
   compress ctx ctx.buf 0;
   ctx.buf_len <- 0;
   for i = 0 to 7 do
-    (* compress leaves garbage above bit 31; mask on the way out *)
-    let v = ctx.h.(i) land mask in
+    let v = ctx.h.(i) in
     Bytes.set dst (pos + (4 * i)) (Char.unsafe_chr (v lsr 24));
     Bytes.set dst (pos + (4 * i) + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
     Bytes.set dst (pos + (4 * i) + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
@@ -1480,18 +218,6 @@ let digest s =
   let ctx = Domain.DLS.get oneshot in
   reset ctx;
   update ctx s;
-  finalize ctx
-
-let digest_into s dst pos =
-  let ctx = Domain.DLS.get oneshot in
-  reset ctx;
-  update ctx s;
-  finalize_into ctx dst pos
-
-let digest_bytes b pos len =
-  let ctx = Domain.DLS.get oneshot in
-  reset ctx;
-  update_bytes ctx b pos len;
   finalize ctx
 
 let digest_list parts =

@@ -5,21 +5,14 @@
 
     The streaming API lets callers hash straight out of their own
     buffers ([update_bytes]/[update_substring]) and write digests into
-    preallocated storage ([finalize_into]/[digest_into]), so the hot
-    paths in [Hmac], [Kdf] and [Evidence] avoid intermediate copies.
-    Contexts are not thread-safe; neither is the module (the message
-    schedule is shared scratch). *)
+    preallocated storage ([finalize_into]), so the hot paths in [Hmac],
+    [Kdf] and [Evidence] avoid intermediate copies. A context must not
+    be shared between domains; the module itself is domain-safe (the
+    message schedule and the one-shot context are per-domain scratch). *)
 
 type ctx
 
 val init : unit -> ctx
-
-val reset : ctx -> unit
-(** Rewind a context to the freshly-initialised state, reusing its
-    buffers. *)
-
-val copy : ctx -> ctx
-(** Snapshot a context mid-stream (e.g. a precomputed HMAC pad state). *)
 
 val blit : ctx -> ctx -> unit
 (** [blit src dst] overwrites [dst] with [src]'s state, allocation-free. *)
@@ -30,16 +23,13 @@ val update_bytes : ctx -> Bytes.t -> int -> int -> unit
 
 val finalize : ctx -> string
 (** 32-byte digest. The context must not be reused afterwards unless
-    {!reset} is called first. *)
+    {!blit} overwrites it first. *)
 
 val finalize_into : ctx -> Bytes.t -> int -> unit
 (** Writes the 32-byte digest at the given offset. *)
 
 val digest : string -> string
 (** One-shot hash of a whole string. *)
-
-val digest_into : string -> Bytes.t -> int -> unit
-val digest_bytes : Bytes.t -> int -> int -> string
 
 val digest_list : string list -> string
 (** Hash of the concatenation of the list, without materializing it. *)

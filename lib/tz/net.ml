@@ -74,6 +74,13 @@ let lossy =
     chunk_p = 0.15;
   }
 
+(** Whether a profile tampers with payloads: flips bytes, truncates a
+    link or puts an adversary in the middle. Sessions under such a
+    profile may legitimately fail; the other faults only drop, repeat,
+    reorder, delay or split segments, which a retransmitting endpoint
+    always survives. *)
+let tampers p = p.corrupt_p > 0.0 || p.truncate_close_p > 0.0 || Option.is_some p.mitm
+
 type conn = {
   net : t;
   tx : pipe; (* what this endpoint writes *)

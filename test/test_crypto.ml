@@ -585,13 +585,6 @@ let sha256_padding_boundaries () =
 let sha256_oneshot_variants () =
   let s = pattern 119 in
   let expected = hex_of (Sha256.digest s) in
-  let b = Bytes.of_string ("xx" ^ s ^ "yy") in
-  Alcotest.(check string) "digest_bytes at offset" expected (hex_of (Sha256.digest_bytes b 2 119));
-  let dst = Bytes.make 40 '\xaa' in
-  Sha256.digest_into s dst 4;
-  Alcotest.(check string) "digest_into" expected (hex_of (Bytes.sub_string dst 4 32));
-  Alcotest.(check string) "digest_into preserves prefix" "aaaaaaaa"
-    (hex_of (Bytes.sub_string dst 0 4));
   Alcotest.(check string) "digest_list" expected
     (hex_of (Sha256.digest_list [ ""; String.sub s 0 10; String.sub s 10 109 ]))
 
@@ -770,6 +763,21 @@ let aes_gcm_allocation_law () =
   let gcm len = minor_words (fun () -> ignore (Gcm.encrypt ~key ~iv (String.make len 'p'))) in
   Alcotest.(check int) "gcm encrypt: 16 KiB and 128 KiB" (gcm 16384) (gcm 131072)
 
+let sha256_allocation_law () =
+  (* A digest allocates its result and a boxed length, never anything
+     per block: the round function is closed and its schedule is
+     per-domain scratch. *)
+  let minor_words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    int_of_float (Gc.minor_words () -. w0)
+  in
+  let small = pattern 16384 and large = String.make (1 lsl 20) 'm' in
+  let digest s = minor_words (fun () -> ignore (Sha256.digest s)) in
+  (* the first digest on a domain allocates its scratch *)
+  ignore (Sha256.digest "");
+  Alcotest.(check int) "digest: 16 KiB and 1 MiB" (digest small) (digest large)
+
 let mac_prepared_equivalence () =
   (* Prepared-key paths (reused SHA contexts / expanded AES subkeys)
      must match the one-shot derivations for every key-length shape. *)
@@ -896,5 +904,6 @@ let suite =
         case "mac prepared = one-shot" mac_prepared_equivalence;
         case "p256 cached encoding stable" p256_encode_cached_stable;
         case "aes/gcm allocation law" aes_gcm_allocation_law;
+        case "sha256 allocation law" sha256_allocation_law;
       ] );
   ]

@@ -404,6 +404,13 @@ let prop_non_corrupting_profiles_converge =
       let r = Storm.run ~config () in
       r.Storm.completed = 2 && assoc "sessions_completed" r.Storm.server = 2)
 
+let test_tampering_profiles () =
+  (* The CLI and the storm bench excuse failed sessions only under a
+     profile that [Net.tampers]; of the named profiles, that must be
+     exactly the three that rewrite or cut payloads. *)
+  Alcotest.(check (list string)) "tampering profiles" [ "corrupt"; "truncate"; "mitm-flip" ]
+    (List.filter_map (fun (name, p) -> if Net.tampers p then Some name else None) Storm.profiles)
+
 let suite =
   [
     ( "fault.frames",
@@ -434,5 +441,6 @@ let suite =
         qcheck prop_codec_roundtrip_chunked;
         qcheck prop_truncate_is_clean_prefix;
         qcheck prop_non_corrupting_profiles_converge;
+        case "tampering profiles are corrupt, truncate, mitm-flip" test_tampering_profiles;
       ] );
   ]

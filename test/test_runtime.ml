@@ -271,6 +271,9 @@ let ra_setup ?(secret = "iris dataset bytes") ?(tamper = false) () =
   let app = Runtime.load ~config ~entry:None soc bytes in
   (soc, server, app)
 
+let server_counter server name =
+  Option.value ~default:0 (List.assoc_opt name (Verifier_app.counters server))
+
 let test_wasi_ra_end_to_end () =
   let secret = "iris dataset bytes" in
   let _soc, server, app = ra_setup ~secret () in
@@ -278,7 +281,8 @@ let test_wasi_ra_end_to_end () =
   | [ Watz_wasm.Ast.VI32 0l ] -> ()
   | [ Watz_wasm.Ast.VI32 rc ] -> Alcotest.failf "attest failed with %ld" rc
   | _ -> Alcotest.fail "bad result");
-  Alcotest.(check int) "verifier served one attestation" 1 server.Verifier_app.served;
+  Alcotest.(check int) "verifier served one attestation" 1
+    (server_counter server "sessions_completed");
   (match Runtime.invoke app "blob_len" [] with
   | [ Watz_wasm.Ast.VI32 n ] -> Alcotest.(check int32) "blob length" (Int32.of_int (String.length secret)) n
   | _ -> Alcotest.fail "bad result");
@@ -299,7 +303,7 @@ let test_wasi_ra_rejects_tampered_app () =
   | [ Watz_wasm.Ast.VI32 rc ] ->
     Alcotest.(check bool) "attest fails at receive" true (Stdlib.( >= ) (Int32.to_int rc) 400)
   | _ -> Alcotest.fail "bad result");
-  Alcotest.(check int) "verifier rejected" 1 server.Verifier_app.rejected;
+  Alcotest.(check int) "verifier rejected" 1 (server_counter server "sessions_aborted");
   (match Verifier_app.last_error server with
   | Some P.Unknown_measurement -> ()
   | Some e -> Alcotest.failf "wrong rejection: %a" P.pp_error e
