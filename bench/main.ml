@@ -2,7 +2,8 @@
    figure of the paper's evaluation (§VI). Run with no argument for the
    full sweep, or with one of:
 
-     fig3 fig4 fig5 fig6 table2 table3 fig7 table4 fig8 fast-ablation attest-storm mesh fleet crypto
+     fig3 fig4 fig5 fig6 table2 table3 fig7 table4 fig8 fast-ablation wasm-ops attest-storm
+     mesh fleet crypto
 
    Absolute numbers differ from the paper (x86 host + an OCaml
    pre-decoded interpreter vs Cortex-A53 + LLVM AOT); EXPERIMENTS.md
@@ -542,10 +543,75 @@ let fast_ablation () =
         interp /. fast)
       kernels
   in
+  let median = Stats.median (Array.of_list ratios) in
   Printf.printf "  %-16s %10s %10s %10s %8.1fx\n" "geomean" "" "" "" (geomean ratios);
-  Printf.printf "  %-16s %10s %10s %10s %8.1fx\n" "median" "" "" ""
-    (Stats.median (Array.of_list ratios));
-  Printf.printf "  (target: fast >= 5x median over the tree-walking interpreter, identical results)\n"
+  Printf.printf "  %-16s %10s %10s %10s %8.1fx\n" "median" "" "" "" median;
+  Printf.printf "  (target: fast >= 5x median over the tree-walking interpreter, identical results)\n";
+  if median < 5.0 then begin
+    Printf.printf "  FAIL: median interp/fast ratio %.1fx is below the 5x target\n" median;
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Executed ops: each of the 43 PolyBench and Speedtest kernels runs
+   once on a counting copy of its compiled module
+   (Fastinterp.counting). The counts are exact, so with --json they go
+   to BENCH_wasm_ops.json, which CI regenerates and byte-diffs. Exits 1
+   if a counted run's result differs from the uncounted run's. *)
+
+(* The kernels of benchsuite's wasm-kernels workload. *)
+let suite_kernels =
+  [ "gemm"; "jacobi-2d"; "floyd-warshall"; "cholesky"; "atax"; "durbin"; "st-130"; "st-160";
+    "st-510"; "st-110"; "st-120"; "st-190" ]
+
+let wasm_ops () =
+  section "Executed Wasm ops per kernel run (fast tier, exact counts)";
+  let module Fi = Watz_wasm.Fastinterp in
+  let kernels =
+    List.map (fun (k : PB.kernel) -> (k.PB.name, k.PB.program)) PB.all
+    @ List.map (fun (e : ST.experiment) -> (Printf.sprintf "st-%d" e.ST.id, e.ST.program)) ST.all
+  in
+  let bits = function
+    | [ Watz_wasm.Ast.VF64 x ] -> Int64.bits_of_float x
+    | _ -> failwith "run did not return one f64"
+  in
+  let counts =
+    List.map
+      (fun (name, program) ->
+        let m = Watz_wasmc.Minic.compile program in
+        Watz_wasm.Validate.validate m;
+        let cm = Fi.compile m in
+        let run cm = bits (Fi.invoke (Fi.instantiate cm) "run" []) in
+        let counted, ops = Fi.counting cm in
+        let expected = run cm in
+        if run counted <> expected then begin
+          Printf.printf "  FAIL: %s: the counted run's result differs\n" name;
+          exit 1
+        end;
+        (name, ops ()))
+      kernels
+  in
+  let total names = List.fold_left (fun acc n -> acc + List.assoc n counts) 0 names in
+  List.iter
+    (fun (name, ops) ->
+      Printf.printf "  %-16s %12d%s\n" name ops (if List.mem name suite_kernels then "  *" else ""))
+    counts;
+  let suite_total = total suite_kernels and all_total = total (List.map fst counts) in
+  Printf.printf "  %-16s %12d  (* the %d wasm-kernels kernels)\n" "suite total" suite_total
+    (List.length suite_kernels);
+  Printf.printf "  %-16s %12d  (all %d kernels)\n" "total" all_total (List.length counts);
+  if json_out then begin
+    let oc = open_out "BENCH_wasm_ops.json" in
+    Printf.fprintf oc "{\n  \"ops_per_run\": {\n";
+    List.iteri
+      (fun i (name, ops) ->
+        Printf.fprintf oc "    %S: %d%s\n" name ops (if i = List.length counts - 1 then "" else ","))
+      counts;
+    Printf.fprintf oc "  },\n  \"wasm_kernels_total\": %d,\n  \"total\": %d\n}\n" suite_total
+      all_total;
+    close_out oc;
+    Printf.printf "  wrote BENCH_wasm_ops.json\n"
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Attestation under faults: the storm bench. One row per named fault
@@ -1101,7 +1167,7 @@ let all_targets =
   [
     ("fig3", fig3); ("fig4", fig4); ("fig5", fig5); ("fig6", fig6); ("table2", table2);
     ("table3", table3); ("fig7", fig7); ("table4", table4); ("fig8", fig8);
-    ("fast-ablation", fast_ablation);
+    ("fast-ablation", fast_ablation); ("wasm-ops", wasm_ops);
     ("attest-storm", attest_storm); ("mesh", mesh); ("fleet", fleet); ("crypto", crypto);
   ]
 

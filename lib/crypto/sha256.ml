@@ -11,18 +11,18 @@ type ctx = {
   h : int array; (* 8 words, always masked to 32 bits *)
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
-  mutable total : int64; (* total message bytes *)
+  mutable total : int; (* total message bytes: a native int, so updates never box *)
 }
 
 let iv = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
             0x1f83d9ab; 0x5be0cd19 |]
 
-let init () = { h = Array.copy iv; buf = Bytes.create 64; buf_len = 0; total = 0L }
+let init () = { h = Array.copy iv; buf = Bytes.create 64; buf_len = 0; total = 0 }
 
 let reset ctx =
   Array.blit iv 0 ctx.h 0 8;
   ctx.buf_len <- 0;
-  ctx.total <- 0L
+  ctx.total <- 0
 
 let blit src dst =
   Array.blit src.h 0 dst.h 0 8;
@@ -146,7 +146,7 @@ let compress ctx block off =
 let update_bytes ctx b pos len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Sha256.update_bytes: slice out of bounds";
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
+  ctx.total <- ctx.total + len;
   let pos = ref pos and rem = ref len in
   if ctx.buf_len > 0 then begin
     let take = min (64 - ctx.buf_len) !rem in
@@ -177,7 +177,7 @@ let update ctx s = update_substring ctx s 0 (String.length s)
 let finalize_into ctx dst pos =
   if pos < 0 || pos + 32 > Bytes.length dst then
     invalid_arg "Sha256.finalize_into: need 32 bytes of room";
-  let bit_len = Int64.mul ctx.total 8L in
+  let bit_len = ctx.total lsl 3 in
   (* Pad in the block buffer directly: 0x80, zeros, 64-bit length. *)
   Bytes.set ctx.buf ctx.buf_len '\x80';
   let fill = ctx.buf_len + 1 in
@@ -189,7 +189,7 @@ let finalize_into ctx dst pos =
   else Bytes.fill ctx.buf fill (56 - fill) '\000';
   for i = 0 to 7 do
     Bytes.set ctx.buf (56 + i)
-      (Char.unsafe_chr (Int64.to_int (Int64.shift_right_logical bit_len (8 * (7 - i))) land 0xff))
+      (Char.unsafe_chr ((bit_len lsr (8 * (7 - i))) land 0xff))
   done;
   compress ctx ctx.buf 0;
   ctx.buf_len <- 0;

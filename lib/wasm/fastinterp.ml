@@ -54,7 +54,13 @@ type skind = SI32 | SI64 | SF32 | SF64 | SI32_8 | SI32_16 | SI64_8 | SI64_16 | S
    plain register moves. The hottest operation families (i32 index
    arithmetic, f64 arithmetic, 32/64-bit loads and stores) get
    dedicated constructors so the dispatch loop resolves them with a
-   single match. *)
+   single match. Four superinstruction families were chosen from an
+   executed-op-pair profile of the PolyBench and Speedtest kernels
+   ({!counting}): a loop back-edge fused with its i32 step and the
+   loop header's compare-branch ([OBackCmp*]), 2-D array addressing
+   [x*n + y] ([OMulAdd32], [OLoad*M]), f64 multiply-add
+   ([OFMulAdd64], two roundings like the unfused pair) and i32
+   memory-to-memory copies ([OCopyI32*]). *)
 type op =
   | OHalt
   | OUnreachable
@@ -115,8 +121,19 @@ type op =
   | OCvt of cvtop * int * int (* dst slot, src slot *)
   | OCvtIF of int * int (* f64.convert_i32_s: xf.d <- float xi.s *)
   | OFImm of fbinop * int * int * float (* d, a, imm (folded f64.const) *)
+  | OFMulAdd64 of int * int * int * int (* d, acc, a, b: xf.d <- xf.acc +. (xf.a *. xf.b) *)
   | OBrCmpR32 of irelop * int * int * edge (* jump when xi.a op xi.b *)
   | OBrCmpI32 of irelop * int * int * edge (* jump when xi.a op imm *)
+  (* A loop back-edge: xi.d <- wrap32 (xi.a + step), then the loop
+     header's compare-branch: leave through the header's exit edge
+     when its test holds, else continue at [next], the header's
+     successor. *)
+  | OBackCmpI32 of int * int * int * irelop * int * int * edge * int
+      (* d, a, step; header op, x, imm, exit edge; next *)
+  | OBackCmpR32 of int * int * int * irelop * int * int * edge * int
+      (* d, a, step; header op, x, y, exit edge; next *)
+  | OMulAdd32 of int * int * int * int * int * int
+      (* d, x, n, y, k, b: xi.d <- wrap32 (((xi.x * n + xi.y) lsl k) + b) *)
   | OLoadI32 of int * int * int (* static offset, result slot, addr slot *)
   | OLoadI64 of int * int * int
   | OLoadF64 of int * int * int
@@ -135,10 +152,18 @@ type op =
   | OStoreF64X of int * int * int * int * int
   | OStoreI32RX of int * int * int * int * int (* off, index slot, shift, base slot, value *)
   | OStoreF64RX of int * int * int * int * int
+  | OLoadI32M of int * int * int * int * int * int * int
+      (* off, b, dst, x, n, y, k: address as in [OMulAdd32] *)
+  | OLoadF64M of int * int * int * int * int * int * int
+  | OCopyI32X of int * int * int * int * int * int
+      (* store off, store addr slot; load off, const base, index slot, shift *)
+  | OCopyI32RX of int * int * int * int * int * int
+      (* store off, store addr slot; load off, index slot, shift, base slot *)
   | OLoad of lkind * int * int (* kind, static offset, addr/result slot *)
   | OStore of skind * int * int (* kind, static offset, addr slot (value at +1) *)
   | OMemSize of int
   | OMemGrow of int
+  | OCount of int ref (* bump the tally; emitted only by {!counting} *)
 
 (* A flattened function body. Instance-independent: calls reference
    function indices, globals reference global indices. *)
@@ -507,6 +532,66 @@ let absorb ~nloc (pending : op) (tail : op) : op =
     | OStoreI32 _ -> OStoreI32RX (off, x, k, r, v)
     | OStoreF64 _ -> OStoreF64RX (off, x, k, r, v)
     | _ -> assert false)
+  (* -- 2-D addressing ---------------------------------------------------
+        x*n + y with n not a power of two (those took the OScaledR rules
+        above) becomes one [OMulAdd32], as does a + (y +- c). A +- c on
+        either index, a power-of-two scale and the array's constant
+        base then fold into its k and b, and the i32/f64 loads absorb
+        the whole address. Exact for the reason the scaled rules are:
+        every rewrite keeps the low 32 bits of the unfused chain. *)
+  | OAdd32 (d, a, b), OBin3I32 (Mul, t, x, n) when t = a && a = d && b <> a && stack_slot nloc a ->
+    OMulAdd32 (d, x, n, b, 0, 0)
+  | OAdd32 (d, a, b), OBin3I32 (Mul, t, x, n) when t = b && b = a + 1 && stack_slot nloc b ->
+    OMulAdd32 (d, x, n, a, 0, 0)
+  | OAdd32 (d, a, b), OBin3I32 (((Add | Sub) as op), t, y, c)
+    when t = b && b = a + 1 && stack_slot nloc b ->
+    OMulAdd32 (d, a, 1, y, 0, wrap32 (match op with Sub -> -c | _ -> c))
+  | OMulAdd32 (d, x, n, y, k, b), OMovI (t, s) when t = x && x = d && y <> d && stack_slot nloc t ->
+    OMulAdd32 (d, s, n, y, k, b)
+  | OMulAdd32 (d, x, n, y, k, b), OMovI (t, s) when t = y && y = d && x <> d && stack_slot nloc t ->
+    OMulAdd32 (d, x, n, s, k, b)
+  | OMulAdd32 (d, a, m, y, k, b), OBin3I32 (Mul, t, x, n) when t = a && y <> a && stack_slot nloc a ->
+    OMulAdd32 (d, x, wrap32 (n * m), y, k, b)
+  | OMulAdd32 (d, a, n, y, k, b), OBin3I32 (((Add | Sub) as op), t, x, c)
+    when t = a && y <> a && stack_slot nloc a ->
+    let c = match op with Sub -> -c | _ -> c in
+    OMulAdd32 (d, x, n, y, k, wrap32 (b + ((c * n) lsl k)))
+  | OMulAdd32 (d, x, n, a, k, b), OBin3I32 (((Add | Sub) as op), t, y, c)
+    when t = a && x <> a && stack_slot nloc a ->
+    let c = match op with Sub -> -c | _ -> c in
+    OMulAdd32 (d, x, n, y, k, wrap32 (b + (c lsl k)))
+  | OBin3I32 (((Add | Sub) as op), d, a, c), OMulAdd32 (t, x, n, y, k, b)
+    when t = a && stack_slot nloc a ->
+    OMulAdd32 (d, x, n, y, k, wrap32 (match op with Sub -> b - c | _ -> b + c))
+  | OScaled (d, a, k, b0), OMulAdd32 (t, x, n, y, 0, c) when t = a && stack_slot nloc a ->
+    OMulAdd32 (d, x, n, y, k, wrap32 (b0 + (c lsl k)))
+  | (OLoadI32 (off, d, a) | OLoadF64 (off, d, a)), OMulAdd32 (t, x, n, y, k, b)
+    when t = a && a = d && stack_slot nloc a ->
+    (match pending with
+    | OLoadI32 _ -> OLoadI32M (off, b, d, x, n, y, k)
+    | OLoadF64 _ -> OLoadF64M (off, b, d, x, n, y, k)
+    | _ -> assert false)
+  | (OLoadI32X (off, b0, d, a, k) | OLoadF64X (off, b0, d, a, k)), OMulAdd32 (t, x, n, y, 0, c)
+    when t = a && stack_slot nloc a ->
+    let b = wrap32 (b0 + (c lsl k)) in
+    (match pending with
+    | OLoadI32X _ -> OLoadI32M (off, b, d, x, n, y, k)
+    | OLoadF64X _ -> OLoadF64M (off, b, d, x, n, y, k)
+    | _ -> assert false)
+  (* -- f64 multiply-add: acc + a*b, two roundings as unfused (no FMA).
+        Only with the product on the right, so NaN operands meet the
+        add in the unfused order. *)
+  | OFAdd64 (d, a, b), OFMul64 (t, x, y) when t = b && b = a + 1 && stack_slot nloc b ->
+    OFMulAdd64 (d, a, x, y)
+  | OFMulAdd64 (d, a, x, y), OMovF (t, s) when t = a && a = d && x <> d && y <> d && stack_slot nloc t
+    ->
+    OFMulAdd64 (d, s, x, y)
+  (* -- i32 memory-to-memory copy: the load feeding a store's value.
+        The load's bound is checked first, then the store's. *)
+  | OStoreI32 (soff, a, v), OLoadI32X (off, b0, t, x, k) when t = v && v = a + 1 && stack_slot nloc v ->
+    OCopyI32X (soff, a, off, b0, x, k)
+  | OStoreI32 (soff, a, v), OLoadI32RX (off, t, x, k, r) when t = v && v = a + 1 && stack_slot nloc v ->
+    OCopyI32RX (soff, a, off, x, k, r)
   (* -- compare-and-branch fusion ------------------------------------
         Guard: only fold a producer away when its destination [c] is a
         dead stack slot. After local.set retargeting the producer's
@@ -562,6 +647,13 @@ let absorb ~nloc (pending : op) (tail : op) : op =
     OLoadI32RX (off, z, x, k, r)
   | OMovF (z, s), OLoadF64RX (off, t, x, k, r) when t = s && stack_slot nloc s ->
     OLoadF64RX (off, z, x, k, r)
+  | OMovI (z, s), OMulAdd32 (t, x, n, y, k, b) when t = s && stack_slot nloc s ->
+    OMulAdd32 (z, x, n, y, k, b)
+  | OMovI (z, s), OLoadI32M (off, b, t, x, n, y, k) when t = s && stack_slot nloc s ->
+    OLoadI32M (off, b, z, x, n, y, k)
+  | OMovF (z, s), OLoadF64M (off, b, t, x, n, y, k) when t = s && stack_slot nloc s ->
+    OLoadF64M (off, b, z, x, n, y, k)
+  | OMovF (z, s), OFMulAdd64 (t, a, x, y) when t = s && stack_slot nloc s -> OFMulAdd64 (z, a, x, y)
   | OMovF (z, s), OCvtIF (t, a) when t = s && stack_slot nloc s -> OCvtIF (z, a)
   | OMovI (z, s), OCvt (op, t, a) when t = s && stack_slot nloc s -> OCvt (op, z, a)
   | OMovL (z, s), OCvt (op, t, a) when t = s && stack_slot nloc s -> OCvt (op, z, a)
@@ -634,6 +726,34 @@ let branch_edge ctx n : edge =
     frame.fr_pending <- e :: frame.fr_pending;
     e
   end
+
+(* Emit [br n]. A back-edge to a loop whose header (the op at
+   [fr_start]) is a compare-branch, right after an i32 add/sub step,
+   replaces the step with one [OBackCmp*]: step, the header's test,
+   then its exit edge (shared, so patched with the header's) or the
+   header's successor. One dispatch per iteration instead of three.
+   Not under fuel, where the header is the [OFuel] every iteration
+   must charge; and only when the edge carries no moves, the step
+   follows the header, and no branch lands at the [br]'s position. *)
+let emit_br ctx n =
+  let fr = List.nth ctx.cframes n in
+  let e = branch_edge ctx n in
+  let b = ctx.cbuf in
+  let tail = b.len - 1 in
+  let back =
+    if ctx.cfuel || (not fr.fr_is_loop) || Array.length e.moves <> 0 || b.len = ctx.cmark
+       || tail <= fr.fr_start
+    then OJmp e
+    else
+      let step op c = match op with Sub -> -c | _ -> c in
+      match (b.arr.(tail), b.arr.(fr.fr_start)) with
+      | OBin3I32 (((Add | Sub) as op), d, a, c), OBrCmpI32 (rel, x, imm, exit) ->
+        OBackCmpI32 (d, a, step op c, rel, x, imm, exit, fr.fr_start + 1)
+      | OBin3I32 (((Add | Sub) as op), d, a, c), OBrCmpR32 (rel, x, y, exit) ->
+        OBackCmpR32 (d, a, step op c, rel, x, y, exit, fr.fr_start + 1)
+      | _ -> OJmp e
+  in
+  match back with OJmp _ -> emit ctx back | _ -> b.arr.(tail) <- back
 
 let lkind_of ty pack =
   match (ty, pack) with
@@ -952,7 +1072,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
     reset_stack ctx entry ts;
     true
   | Br n ->
-    emit ctx (OJmp (branch_edge ctx n));
+    emit_br ctx n;
     false
   | BrIf n ->
     ignore (pop_t ctx);
@@ -1046,6 +1166,45 @@ let compile ?(fuel = false) (m : module_) : cmodule =
     cm_bodies;
     cm_n_imported = List.length imp_ftypes;
   }
+
+(** [counting cm] is a copy of [cm] that counts the ops it executes,
+    and the reader of that count. Op [pc] of each body moves to
+    [2 * pc + 1], behind an [OCount] at [2 * pc], and every pc an op
+    carries (edge targets, [OBrTable]'s arrays, a back-edge's [next])
+    becomes [2 * pc], so a jump counts the op it lands on. An edge
+    shared by several ops is copied once (edges no longer change after
+    {!compile}, so equal edges share one copy); [cm] is left untouched.
+    For measurement (`bench wasm-ops`), not for running apps. *)
+let counting (cm : cmodule) : cmodule * (unit -> int) =
+  let tally = ref 0 in
+  let copies = Hashtbl.create 64 in
+  let edge (e : edge) =
+    match Hashtbl.find_opt copies e with
+    | Some copy -> copy
+    | None ->
+      let copy = { target = 2 * e.target; moves = e.moves } in
+      Hashtbl.add copies e copy;
+      copy
+  in
+  let relocate = function
+    | OJmp e -> OJmp (edge e)
+    | OBrIf (s, e) -> OBrIf (s, edge e)
+    | OBrIfNot (s, e) -> OBrIfNot (s, edge e)
+    | OBrTable (s, es, e) -> OBrTable (s, Array.map edge es, edge e)
+    | OBrCmpR32 (op, a, b, e) -> OBrCmpR32 (op, a, b, edge e)
+    | OBrCmpI32 (op, a, b, e) -> OBrCmpI32 (op, a, b, edge e)
+    | OBackCmpI32 (d, a, c, op, x, y, e, next) -> OBackCmpI32 (d, a, c, op, x, y, edge e, 2 * next)
+    | OBackCmpR32 (d, a, c, op, x, y, e, next) -> OBackCmpR32 (d, a, c, op, x, y, edge e, 2 * next)
+    | o -> o
+  in
+  let body b =
+    let code = b.cb_code in
+    { b with
+      cb_code =
+        Array.init (2 * Array.length code) (fun i ->
+            if i land 1 = 0 then OCount tally else relocate code.(i / 2)) }
+  in
+  ({ cm with cm_bodies = Array.map body cm.cm_bodies }, fun () -> !tally)
 
 (* ------------------------------------------------------------------ *)
 (* Execution *)
@@ -1294,6 +1453,19 @@ let exec_store fr kind off s =
    generic helpers above. *)
 let oob () = raise (Trap "out of bounds memory access")
 
+let[@inline] rel32 op a b =
+  match op with
+  | Eq -> a = b
+  | Ne -> a <> b
+  | LtS -> a < b
+  | LtU -> u32 a < u32 b
+  | GtS -> a > b
+  | GtU -> u32 a > u32 b
+  | LeS -> a <= b
+  | LeU -> u32 a <= u32 b
+  | GeS -> a >= b
+  | GeU -> u32 a >= u32 b
+
 let mem0_data inst =
   if Array.length inst.memories = 0 then Bytes.empty
   else (Array.unsafe_get inst.memories 0).Memory.data
@@ -1463,75 +1635,38 @@ let rec dispatch (fr : frame) (xi : int array) (xl : int64 array) (xf : float ar
       exec_ibin64 xl op d;
       dispatch fr xi xl xf inst code data (pc + 1)
     | OIRel32 (op, d, sa, sb) ->
-      let a = Array.unsafe_get xi sa and b = Array.unsafe_get xi sb in
       Array.unsafe_set xi d
-        (match op with
-        | Eq -> if a = b then 1 else 0
-        | Ne -> if a <> b then 1 else 0
-        | LtS -> if a < b then 1 else 0
-        | LtU -> if u32 a < u32 b then 1 else 0
-        | GtS -> if a > b then 1 else 0
-        | GtU -> if u32 a > u32 b then 1 else 0
-        | LeS -> if a <= b then 1 else 0
-        | LeU -> if u32 a <= u32 b then 1 else 0
-        | GeS -> if a >= b then 1 else 0
-        | GeU -> if u32 a >= u32 b then 1 else 0);
+        (if rel32 op (Array.unsafe_get xi sa) (Array.unsafe_get xi sb) then 1 else 0);
       dispatch fr xi xl xf inst code data (pc + 1)
     | OIRelI32 (op, d, sa, b) ->
-      let a = Array.unsafe_get xi sa in
-      Array.unsafe_set xi d
-        (match op with
-        | Eq -> if a = b then 1 else 0
-        | Ne -> if a <> b then 1 else 0
-        | LtS -> if a < b then 1 else 0
-        | LtU -> if u32 a < u32 b then 1 else 0
-        | GtS -> if a > b then 1 else 0
-        | GtU -> if u32 a > u32 b then 1 else 0
-        | LeS -> if a <= b then 1 else 0
-        | LeU -> if u32 a <= u32 b then 1 else 0
-        | GeS -> if a >= b then 1 else 0
-        | GeU -> if u32 a >= u32 b then 1 else 0);
+      Array.unsafe_set xi d (if rel32 op (Array.unsafe_get xi sa) b then 1 else 0);
       dispatch fr xi xl xf inst code data (pc + 1)
     | OBrCmpR32 (op, sa, sb, e) ->
-      let a = Array.unsafe_get xi sa and b = Array.unsafe_get xi sb in
-      let taken =
-        match op with
-        | Eq -> a = b
-        | Ne -> a <> b
-        | LtS -> a < b
-        | LtU -> u32 a < u32 b
-        | GtS -> a > b
-        | GtU -> u32 a > u32 b
-        | LeS -> a <= b
-        | LeU -> u32 a <= u32 b
-        | GeS -> a >= b
-        | GeU -> u32 a >= u32 b
-      in
-      if taken then begin
+      if rel32 op (Array.unsafe_get xi sa) (Array.unsafe_get xi sb) then begin
         if Array.length e.moves <> 0 then apply_moves fr e.moves;
         dispatch fr xi xl xf inst code data e.target
       end
       else dispatch fr xi xl xf inst code data (pc + 1)
     | OBrCmpI32 (op, sa, b, e) ->
-      let a = Array.unsafe_get xi sa in
-      let taken =
-        match op with
-        | Eq -> a = b
-        | Ne -> a <> b
-        | LtS -> a < b
-        | LtU -> u32 a < u32 b
-        | GtS -> a > b
-        | GtU -> u32 a > u32 b
-        | LeS -> a <= b
-        | LeU -> u32 a <= u32 b
-        | GeS -> a >= b
-        | GeU -> u32 a >= u32 b
-      in
-      if taken then begin
+      if rel32 op (Array.unsafe_get xi sa) b then begin
         if Array.length e.moves <> 0 then apply_moves fr e.moves;
         dispatch fr xi xl xf inst code data e.target
       end
       else dispatch fr xi xl xf inst code data (pc + 1)
+    | OBackCmpI32 (d, a, step, op, sx, b, e, next) ->
+      Array.unsafe_set xi d (wrap32 (Array.unsafe_get xi a + step));
+      if rel32 op (Array.unsafe_get xi sx) b then begin
+        if Array.length e.moves <> 0 then apply_moves fr e.moves;
+        dispatch fr xi xl xf inst code data e.target
+      end
+      else dispatch fr xi xl xf inst code data next
+    | OBackCmpR32 (d, a, step, op, sx, sy, e, next) ->
+      Array.unsafe_set xi d (wrap32 (Array.unsafe_get xi a + step));
+      if rel32 op (Array.unsafe_get xi sx) (Array.unsafe_get xi sy) then begin
+        if Array.length e.moves <> 0 then apply_moves fr e.moves;
+        dispatch fr xi xl xf inst code data e.target
+      end
+      else dispatch fr xi xl xf inst code data next
     | OIRel64 (op, d) ->
       exec_irel64 xi xl op d;
       dispatch fr xi xl xf inst code data (pc + 1)
@@ -1549,6 +1684,12 @@ let rec dispatch (fr : frame) (xi : int array) (xl : int64 array) (xf : float ar
       dispatch fr xi xl xf inst code data (pc + 1)
     | OFDiv64 (d, a, b) ->
       Array.unsafe_set xf d (Array.unsafe_get xf a /. Array.unsafe_get xf b);
+      dispatch fr xi xl xf inst code data (pc + 1)
+    | OFMulAdd64 (d, acc, a, b) ->
+      (* [acc] is bound first so it stays the add's first operand, as
+         in the unfused OFAdd64: of two NaNs, the add returns the first *)
+      let s = Array.unsafe_get xf acc in
+      Array.unsafe_set xf d (s +. (Array.unsafe_get xf a *. Array.unsafe_get xf b));
       dispatch fr xi xl xf inst code data (pc + 1)
     | OFBin32 (op, d) ->
       exec_fbin32 xf op d;
@@ -1694,6 +1835,40 @@ let rec dispatch (fr : frame) (xi : int array) (xl : int64 array) (xf : float ar
       if Sys.big_endian then set64u data a (swap64 (Int64.bits_of_float (Array.unsafe_get xf v)))
       else set64u data a (Int64.bits_of_float (Array.unsafe_get xf v));
       dispatch fr xi xl xf inst code data (pc + 1)
+    | OMulAdd32 (d, x, n, y, k, b) ->
+      Array.unsafe_set xi d
+        (wrap32 ((((Array.unsafe_get xi x * n) + Array.unsafe_get xi y) lsl k) + b));
+      dispatch fr xi xl xf inst code data (pc + 1)
+    | OLoadI32M (off, b, d, x, n, y, k) ->
+      let a =
+        u32 (wrap32 ((((Array.unsafe_get xi x * n) + Array.unsafe_get xi y) lsl k) + b)) + off
+      in
+      if a + 4 > Bytes.length data then oob ();
+      if Sys.big_endian then Array.unsafe_set xi d (Int32.to_int (swap32 (get32u data a)))
+      else Array.unsafe_set xi d (Int32.to_int (get32u data a));
+      dispatch fr xi xl xf inst code data (pc + 1)
+    | OLoadF64M (off, b, d, x, n, y, k) ->
+      let a =
+        u32 (wrap32 ((((Array.unsafe_get xi x * n) + Array.unsafe_get xi y) lsl k) + b)) + off
+      in
+      if a + 8 > Bytes.length data then oob ();
+      if Sys.big_endian then Array.unsafe_set xf d (Int64.float_of_bits (swap64 (get64u data a)))
+      else Array.unsafe_set xf d (Int64.float_of_bits (get64u data a));
+      dispatch fr xi xl xf inst code data (pc + 1)
+    | OCopyI32X (soff, s, off, b, x, k) ->
+      let src = u32 (wrap32 ((Array.unsafe_get xi x lsl k) + b)) + off in
+      if src + 4 > Bytes.length data then oob ();
+      let dst = u32 (Array.unsafe_get xi s) + soff in
+      if dst + 4 > Bytes.length data then oob ();
+      set32u data dst (get32u data src);
+      dispatch fr xi xl xf inst code data (pc + 1)
+    | OCopyI32RX (soff, s, off, x, k, r) ->
+      let src = u32 (wrap32 ((Array.unsafe_get xi x lsl k) + Array.unsafe_get xi r)) + off in
+      if src + 4 > Bytes.length data then oob ();
+      let dst = u32 (Array.unsafe_get xi s) + soff in
+      if dst + 4 > Bytes.length data then oob ();
+      set32u data dst (get32u data src);
+      dispatch fr xi xl xf inst code data (pc + 1)
     | OLoad (kind, off, s) ->
       exec_load fr kind off s;
       dispatch fr xi xl xf inst code data (pc + 1)
@@ -1706,6 +1881,9 @@ let rec dispatch (fr : frame) (xi : int array) (xl : int64 array) (xf : float ar
     | OMemGrow s ->
       Array.unsafe_set xi s (Memory.grow inst.memories.(0) (Array.unsafe_get xi s));
       dispatch fr xi xl xf inst code (mem0_data inst) (pc + 1)
+    | OCount n ->
+      incr n;
+      dispatch fr xi xl xf inst code data (pc + 1)
 
 and exec (fr : frame) (code : op array) : unit =
   let inst = fr.inst in

@@ -764,9 +764,9 @@ let aes_gcm_allocation_law () =
   Alcotest.(check int) "gcm encrypt: 16 KiB and 128 KiB" (gcm 16384) (gcm 131072)
 
 let sha256_allocation_law () =
-  (* A digest allocates its result and a boxed length, never anything
-     per block: the round function is closed and its schedule is
-     per-domain scratch. *)
+  (* A digest allocates its result, never anything per block: the round
+     function is closed, its schedule is per-domain scratch, and the
+     message length is a native int, so an update allocates nothing. *)
   let minor_words f =
     let w0 = Gc.minor_words () in
     f ();
@@ -776,7 +776,15 @@ let sha256_allocation_law () =
   let digest s = minor_words (fun () -> ignore (Sha256.digest s)) in
   (* the first digest on a domain allocates its scratch *)
   ignore (Sha256.digest "");
-  Alcotest.(check int) "digest: 16 KiB and 1 MiB" (digest small) (digest large)
+  Alcotest.(check int) "digest: 16 KiB and 1 MiB" (digest small) (digest large);
+  let ctx = Sha256.init () and b = Bytes.of_string (pattern 64) in
+  List.iter
+    (fun len ->
+      Alcotest.(check int)
+        (Printf.sprintf "update_bytes of %d bytes" len)
+        0
+        (minor_words (fun () -> Sha256.update_bytes ctx b 0 len)))
+    [ 0; 1; 64 ]
 
 let mac_prepared_equivalence () =
   (* Prepared-key paths (reused SHA contexts / expanded AES subkeys)

@@ -1176,6 +1176,465 @@ let test_if_fusion_preserves_local_store () =
   check_result m "f" [ VI32 20l ] [ VI32 1l ];
   check_result m "f" [ VI32 1l ] [ VI32 42l ]
 
+(* ------------------------------------------------------------------ *)
+(* Superinstruction families: loop back-edges, 2-D addressing, f64
+   multiply-add and i32 copies. Each case must give equal results,
+   trap messages and memory on both tiers; [fuses] pins that the shape
+   under test really compiles to the fused op, so a case cannot pass
+   by testing the unfused path. *)
+
+type outcome = Returned of value list | Trapped of string
+
+let outcome_testable =
+  let pp ppf = function
+    | Returned vs -> Format.fprintf ppf "%a" (Format.pp_print_list (Alcotest.pp value_testable)) vs
+    | Trapped msg -> Format.fprintf ppf "trap %S" msg
+  in
+  let eq a b =
+    match (a, b) with
+    | Returned x, Returned y ->
+      List.length x = List.length y && List.for_all2 (Alcotest.equal value_testable) x y
+    | Trapped x, Trapped y -> String.equal x y
+    | _ -> false
+  in
+  Alcotest.testable pp eq
+
+(* Run [name] on both tiers: the same result or trap message, and the
+   same memory afterwards. Returns the outcome and the memory. *)
+let on_both_tiers m name args =
+  Validate.validate m;
+  let attempt f = match f () with vs -> Returned vs | exception Instance.Trap msg -> Trapped msg in
+  let memory inst =
+    match inst.Instance.memories with
+    | [||] -> Bytes.empty
+    | mems -> Bytes.copy mems.(0).Instance.Memory.data
+  in
+  let inst = Interp.instantiate m in
+  let interp = attempt (fun () -> Interp.invoke (Option.get (Instance.export_func inst name)) args) in
+  let finst = Fastinterp.instantiate (Fastinterp.compile m) in
+  let fast = attempt (fun () -> Fastinterp.invoke finst name args) in
+  Alcotest.check outcome_testable (name ^ ": interp = fast") interp fast;
+  Alcotest.(check bool) (name ^ ": same memory") true (Bytes.equal (memory inst) (memory finst));
+  (fast, memory finst)
+
+let compiled_ops ?(fuel = false) m =
+  Validate.validate m;
+  let cm = Fastinterp.compile ~fuel m in
+  Array.concat (List.map (fun b -> b.Fastinterp.cb_code) (Array.to_list cm.Fastinterp.cm_bodies))
+
+let fuses what pred m = Alcotest.(check bool) (what ^ " fuses") true (Array.exists pred (compiled_ops m))
+
+let back_edge = function Fastinterp.OBackCmpI32 _ | Fastinterp.OBackCmpR32 _ -> true | _ -> false
+
+(* block { loop { header (br_if 1 exits); body; step; br 0 } } *)
+let counted_loop ~header ~body ~step =
+  [ Block (BlockEmpty, [ Loop (BlockEmpty, header @ body @ step @ [ Br 0 ]) ]) ]
+
+let test_back_edge_down_count () =
+  (* while (n > 0) { acc += n; n -= 1 }: the Sub step is a -1 immediate *)
+  let m =
+    single_func ~params:[ I32 ] ~results:[ I32 ] ~locals:[ I32 ]
+      (counted_loop
+         ~header:[ LocalGet 0; Builder.i32c 0; IRelop (I32, LeS); BrIf 1 ]
+         ~body:[ LocalGet 1; LocalGet 0; IBinop (I32, Add); LocalSet 1 ]
+         ~step:[ LocalGet 0; Builder.i32c 1; IBinop (I32, Sub); LocalSet 0 ]
+      @ [ LocalGet 1 ])
+  in
+  fuses "i -= 1 back-edge"
+    (function Fastinterp.OBackCmpI32 (0, 0, -1, LeS, 0, 0, _, _) -> true | _ -> false)
+    m;
+  check_result m "f" [ VI32 10l ] [ VI32 55l ];
+  check_result m "f" [ VI32 1l ] [ VI32 1l ];
+  check_result m "f" [ VI32 0l ] [ VI32 0l ];
+  check_result m "f" [ VI32 (-5l) ] [ VI32 0l ]
+
+let test_back_edge_wraps () =
+  (* i += 1 from 2^31 - 3 wraps past 2^31 - 1 to -2^31, where the header
+     exits. The step writes local i (a retargeted producer), and i must
+     survive the loop. *)
+  let m =
+    single_func ~params:[ I32 ] ~results:[ I32 ] ~locals:[ I32 ]
+      (counted_loop
+         ~header:[ LocalGet 0; Const (VI32 Int32.min_int); IRelop (I32, Eq); BrIf 1 ]
+         ~body:[ LocalGet 1; Builder.i32c 1; IBinop (I32, Add); LocalSet 1 ]
+         ~step:[ LocalGet 0; Builder.i32c 1; IBinop (I32, Add); LocalSet 0 ]
+      @ [ LocalGet 0; LocalGet 1; IBinop (I32, Add) ])
+  in
+  fuses "wrapping back-edge" back_edge m;
+  check_result m "f" [ VI32 (Int32.sub Int32.max_int 2l) ] [ VI32 (Int32.add Int32.min_int 3l) ];
+  check_result m "f" [ VI32 Int32.min_int ] [ VI32 Int32.min_int ]
+
+let test_back_edge_continue () =
+  (* for (i = 0; i < n; i++) { if (i & 1) continue; acc += i }: the
+     continue leaves a block that ends at the step, so it lands on the
+     fused op *)
+  let m =
+    single_func ~params:[ I32 ] ~results:[ I32 ] ~locals:[ I32; I32 ]
+      (counted_loop
+         ~header:[ LocalGet 1; LocalGet 0; IRelop (I32, GeS); BrIf 1 ]
+         ~body:
+           [ Block
+               ( BlockEmpty,
+                 [ LocalGet 1; Builder.i32c 1; IBinop (I32, And); BrIf 0; LocalGet 2; LocalGet 1;
+                   IBinop (I32, Add); LocalSet 2 ] ) ]
+         ~step:[ LocalGet 1; Builder.i32c 1; IBinop (I32, Add); LocalSet 1 ]
+      @ [ LocalGet 2 ])
+  in
+  let ops = compiled_ops m in
+  let fused_at = ref (-1) in
+  Array.iteri (fun pc o -> if back_edge o then fused_at := pc) ops;
+  Alcotest.(check bool) "continue lands on the fused op" true
+    (!fused_at >= 0
+    && Array.exists
+         (function Fastinterp.OBrIf (_, e) -> e.Fastinterp.target = !fused_at | _ -> false)
+         ops);
+  check_result m "f" [ VI32 10l ] [ VI32 20l ];
+  check_result m "f" [ VI32 1l ] [ VI32 0l ]
+
+let test_back_edge_other_local () =
+  (* the header tests j while the step bumps i: j += i; i += 1 until j >= n *)
+  let m =
+    single_func ~params:[ I32 ] ~results:[ I32 ] ~locals:[ I32; I32 ]
+      (counted_loop
+         ~header:[ LocalGet 2; LocalGet 0; IRelop (I32, GeS); BrIf 1 ]
+         ~body:[ LocalGet 2; LocalGet 1; IBinop (I32, Add); LocalSet 2 ]
+         ~step:[ LocalGet 1; Builder.i32c 1; IBinop (I32, Add); LocalSet 1 ]
+      @ [ LocalGet 1; Builder.i32c 100; IBinop (I32, Mul); LocalGet 2; IBinop (I32, Add) ])
+  in
+  fuses "back-edge testing another local"
+    (function Fastinterp.OBackCmpR32 (1, 1, 1, GeS, 2, 0, _, _) -> true | _ -> false)
+    m;
+  check_result m "f" [ VI32 10l ] [ VI32 510l ];
+  check_result m "f" [ VI32 0l ] [ VI32 0l ]
+
+let test_back_edge_exit_carries_value () =
+  (* block (result i32) { loop { push 2i; br_if 1 when i >= n (carrying
+     2i); drop; i += 1; br 0 } }: the carried value's producer heads the
+     loop, so its header is no compare-branch and the back-edge stays an
+     OJmp; the exit must still deliver the value *)
+  let m =
+    single_func ~params:[ I32 ] ~results:[ I32 ] ~locals:[ I32 ]
+      [ Block
+          ( BlockVal I32,
+            [ Loop
+                ( BlockEmpty,
+                  [ LocalGet 1; Builder.i32c 2; IBinop (I32, Mul); LocalGet 1; LocalGet 0;
+                    IRelop (I32, GeS); BrIf 1; Drop; LocalGet 1; Builder.i32c 1;
+                    IBinop (I32, Add); LocalSet 1; Br 0 ] );
+              Unreachable ] ) ]
+  in
+  check_result m "f" [ VI32 7l ] [ VI32 14l ];
+  check_result m "f" [ VI32 0l ] [ VI32 0l ]
+
+let test_back_edge_branch_to_br () =
+  (* block { skip the step when j is odd; i += 1 } br 0: the skip lands
+     on the br itself, so fusing the step into it would send the skip
+     past the loop; the back-edge stays an OJmp *)
+  let m =
+    single_func ~params:[ I32 ] ~results:[ I32 ] ~locals:[ I32; I32 ]
+      (counted_loop
+         ~header:[ LocalGet 1; LocalGet 0; IRelop (I32, GeS); BrIf 1 ]
+         ~body:[ LocalGet 2; Builder.i32c 1; IBinop (I32, Add); LocalSet 2 ]
+         ~step:
+           [ Block
+               ( BlockEmpty,
+                 [ LocalGet 2; Builder.i32c 1; IBinop (I32, And); BrIf 0; LocalGet 1;
+                   Builder.i32c 1; IBinop (I32, Add); LocalSet 1 ] ) ]
+      @ [ LocalGet 1; Builder.i32c 100; IBinop (I32, Mul); LocalGet 2; IBinop (I32, Add) ])
+  in
+  Alcotest.(check bool) "stays an OJmp" false (Array.exists back_edge (compiled_ops m));
+  check_result m "f" [ VI32 5l ] [ VI32 510l ]
+
+let test_back_edge_needs_step () =
+  (* i *= 3 is no add/sub step: the back-edge stays an OJmp *)
+  let m =
+    single_func ~params:[ I32 ] ~results:[ I32 ] ~locals:[ I32 ]
+      ([ Builder.i32c 1; LocalSet 1 ]
+      @ counted_loop
+          ~header:[ LocalGet 1; LocalGet 0; IRelop (I32, GeS); BrIf 1 ]
+          ~body:[]
+          ~step:[ LocalGet 1; Builder.i32c 3; IBinop (I32, Mul); LocalSet 1 ]
+      @ [ LocalGet 1 ])
+  in
+  let ops = compiled_ops m in
+  Alcotest.(check bool) "stays an OJmp" true
+    (Array.exists (function Fastinterp.OJmp _ -> true | _ -> false) ops
+    && not (Array.exists back_edge ops));
+  check_result m "f" [ VI32 100l ] [ VI32 243l ]
+
+let test_back_edge_fuel () =
+  (* Under ~fuel the loop header is the OFuel each iteration charges, so
+     the back-edge stays unfused and both tiers charge alike on a MiniC
+     for loop. *)
+  let open Watz_wasmc.Minic in
+  let program =
+    let open Dsl in
+    Dsl.program
+      [ fn "run" [] (Some I32)
+          [ decl "s" I32 (i 0); for_ "k" (i 0) (i 50) [ set "s" (v "s" + v "k") ]; ret (v "s") ] ]
+  in
+  let m = Watz_wasmc.Minic.compile program in
+  Alcotest.(check bool) "fused without fuel" true (Array.exists back_edge (compiled_ops m));
+  Alcotest.(check bool) "unfused under fuel" false
+    (Array.exists back_edge (compiled_ops ~fuel:true m));
+  let metered f =
+    Instance.Fuel.with_fuel 10_000 (fun () ->
+        let r = f () in
+        (r, !Instance.Fuel.cell))
+  in
+  let inst = Interp.instantiate m in
+  let r_interp, left_interp =
+    metered (fun () -> Interp.invoke (Option.get (Instance.export_func inst "run")) [])
+  in
+  let r_fast, left_fast =
+    metered (fun () ->
+        Fastinterp.invoke (Fastinterp.instantiate (Fastinterp.compile ~fuel:true m)) "run" [])
+  in
+  Alcotest.(check (list value_testable)) "result" [ VI32 1225l ] r_interp;
+  Alcotest.(check (list value_testable)) "interp = fast" r_interp r_fast;
+  Alcotest.(check int) "fuel charged: interp = fast" left_interp left_fast;
+  Alcotest.(check bool) "fuel was charged" true (left_fast < 10_000)
+
+(* A memory whose every aligned word differs, for the addressing and
+   copy cases. *)
+let pattern = String.init 65536 (fun i -> Char.chr (((i * 7) + (i lsr 8)) land 0xff))
+
+let patterned_memory b =
+  ignore (Builder.memory b ~min:1 ());
+  Builder.data b ~memory:0 ~offset:0 pattern
+
+(* ((x +- xc) * n + (y +- yc) +- zc) * 2^k + base, in MiniC's order:
+   the row term first unless [swap]; no base add when [base] is 0. *)
+let addr2 ?(xc = 0) ?(yc = 0) ?(zc = 0) ?(swap = false) ~n ~k ~base () =
+  let plus c = if c = 0 then [] else [ Builder.i32c (abs c); IBinop (I32, if c > 0 then Add else Sub) ] in
+  let row = (LocalGet 0 :: plus xc) @ [ Builder.i32c n; IBinop (I32, Mul) ] in
+  let col = LocalGet 1 :: plus yc in
+  (if swap then col @ row else row @ col)
+  @ (IBinop (I32, Add) :: plus zc)
+  @ [ Builder.i32c (1 lsl k); IBinop (I32, Mul) ]
+  @ plus base
+
+let test_2d_addressing () =
+  let b = Builder.create () in
+  patterned_memory b;
+  let load name addr ty =
+    let f =
+      Builder.func b ~params:[ I32; I32 ] ~results:[ ty ] ~locals:[]
+        (addr @ [ Load (ty, None, { align = 2; offset = 0 }) ])
+    in
+    Builder.export_func b name f
+  in
+  load "xy" (addr2 ~n:12 ~k:2 ~base:16 ()) I32;
+  load "yx" (addr2 ~swap:true ~n:12 ~k:2 ~base:16 ()) I32;
+  load "x,y+1" (addr2 ~yc:1 ~n:12 ~k:2 ~base:16 ()) I32;
+  load "x,y-1" (addr2 ~yc:(-1) ~n:12 ~k:2 ~base:16 ()) I32;
+  load "x+1,y" (addr2 ~xc:1 ~n:12 ~k:2 ~base:16 ()) I32;
+  load "x-1,y" (addr2 ~xc:(-1) ~n:12 ~k:2 ~base:16 ()) I32;
+  load "x-1,y+1" (addr2 ~xc:(-1) ~yc:1 ~swap:true ~n:12 ~k:2 ~base:16 ()) I32;
+  load "xy,+3" (addr2 ~zc:3 ~n:12 ~k:2 ~base:16 ()) I32;
+  load "xy,-3" (addr2 ~zc:(-3) ~n:12 ~k:2 ~base:16 ()) I32;
+  load "xy,no base" (addr2 ~n:12 ~k:2 ~base:0 ()) I32;
+  load "x,y+1,no base" (addr2 ~yc:1 ~n:12 ~k:2 ~base:0 ()) I32;
+  load "xy+17" (addr2 ~n:12 ~k:2 ~base:17 ()) I32;
+  load "f64" (addr2 ~n:12 ~k:3 ~base:8 ()) F64;
+  load "f64+9" (addr2 ~n:12 ~k:3 ~base:9 ()) F64;
+  let store name addr =
+    let f =
+      Builder.func b ~params:[ I32; I32 ] ~results:[] ~locals:[]
+        (addr @ [ Builder.i32c 0x5a5a5a5a; Store (I32, None, { align = 2; offset = 0 }) ])
+    in
+    Builder.export_func b name f
+  in
+  store "store" (addr2 ~n:12 ~k:2 ~base:16 ());
+  store "store+17" (addr2 ~n:12 ~k:2 ~base:17 ());
+  let m = Builder.build b in
+  (* each load compiles to one fused load, each store to its address,
+     its constant value and the store *)
+  Array.iter
+    (fun b ->
+      Alcotest.(check bool) "one fused load, or address + store" true
+        (match b.Fastinterp.cb_code with
+        | [| (Fastinterp.OLoadI32M _ | Fastinterp.OLoadF64M _); OHalt |]
+        | [| Fastinterp.OMulAdd32 (_, 0, 12, 1, 2, _); OConstI _; OStoreI32 _; OHalt |] -> true
+        | _ -> false))
+    (Fastinterp.compile m).Fastinterp.cm_bodies;
+  let run name x y = ignore (on_both_tiers m name [ VI32 (Int32.of_int x); VI32 (Int32.of_int y) ]) in
+  let trap name x y =
+    match on_both_tiers m name [ VI32 (Int32.of_int x); VI32 (Int32.of_int y) ] with
+    | Trapped _, _ -> ()
+    | Returned _, _ -> Alcotest.failf "%s %d %d: expected an out-of-bounds trap" name x y
+  in
+  List.iter
+    (fun name ->
+      List.iter (fun (x, y) -> run name x y) [ (0, 0); (1, 1); (3, 5); (0, 2); (2, 0); (-1, 20) ])
+    [ "xy"; "yx"; "x,y+1"; "x,y-1"; "x+1,y"; "x-1,y"; "x-1,y+1"; "xy,+3"; "xy,-3"; "xy,no base"; "x,y+1,no base" ];
+  (* (x*12 + y) wraps i32: 2^30 * 12 = 3 * 2^32, and (2^30 + 5) * 4 wraps
+     to 20 *)
+  run "xy" 0x40000000 3;
+  run "xy" 89478485 9;
+  run "x+1,y" (-1) 7;
+  (* last in-bounds access (bytes up to 65535) and one byte past it *)
+  run "xy" 1364 11;
+  trap "xy" 1364 12;
+  trap "xy+17" 1364 11;
+  run "f64" 682 6;
+  trap "f64" 682 7;
+  trap "f64+9" 682 6;
+  run "store" 1364 11;
+  trap "store" 1364 12;
+  trap "store+17" 1364 11;
+  (* the store really wrote its last in-bounds word *)
+  let _, mem = on_both_tiers m "store" [ VI32 1364l; VI32 11l ] in
+  Alcotest.(check int32) "last word stored" 0x5a5a5a5al (Bytes.get_int32_le mem 65532)
+
+let test_2d_retargeted_index () =
+  (* idx = x*12 + y; return mem[idx*4 + 16] + idx: local.set points the
+     OMulAdd32 at local idx, whose value must survive *)
+  let b = Builder.create () in
+  patterned_memory b;
+  let f =
+    Builder.func b ~params:[ I32; I32 ] ~results:[ I32 ] ~locals:[ I32 ]
+      [ LocalGet 0; Builder.i32c 12; IBinop (I32, Mul); LocalGet 1; IBinop (I32, Add); LocalSet 2;
+        LocalGet 2; Builder.i32c 4; IBinop (I32, Mul); Builder.i32c 16; IBinop (I32, Add);
+        Load (I32, None, { align = 2; offset = 0 }); LocalGet 2; IBinop (I32, Add) ]
+  in
+  Builder.export_func b "f" f;
+  let m = Builder.build b in
+  fuses "x*n+y into a local" (function Fastinterp.OMulAdd32 (2, 0, 12, 1, 0, 0) -> true | _ -> false) m;
+  (match on_both_tiers m "f" [ VI32 3l; VI32 5l ] with
+  | Returned [ VI32 v ], mem ->
+    Alcotest.(check int32) "load + idx" (Int32.add (Bytes.get_int32_le mem ((41 * 4) + 16)) 41l) v
+  | _ -> Alcotest.fail "expected one i32");
+  (* p = x*12; y + p + p: the product went to local p (adjacent to y),
+     so the add must not absorb it *)
+  let m2 =
+    single_func ~params:[ I32; I32 ] ~results:[ I32 ] ~locals:[ I32 ]
+      [ LocalGet 0; Builder.i32c 12; IBinop (I32, Mul); LocalSet 2; LocalGet 1; LocalGet 2;
+        IBinop (I32, Add); LocalGet 2; IBinop (I32, Add) ]
+  in
+  check_result m2 "f" [ VI32 3l; VI32 5l ] [ VI32 77l ]
+
+let test_f64_multiply_add () =
+  (* acc + a*b, returned as raw bits: two roundings, never an FMA, and
+     the unfused operand order for NaN payloads *)
+  let m =
+    single_func ~params:[ F64; F64; F64 ] ~results:[ I64 ]
+      [ LocalGet 0; LocalGet 1; LocalGet 2; FBinop (F64, Fmul); FBinop (F64, Fadd);
+        Cvtop I64ReinterpretF64 ]
+  in
+  fuses "acc + a*b" (function Fastinterp.OFMulAdd64 (_, 0, 1, 2) -> true | _ -> false) m;
+  let bits acc a b =
+    match on_both_tiers m "f" [ VF64 acc; VF64 a; VF64 b ] with
+    | Returned [ VI64 r ], _ -> r
+    | _ -> Alcotest.fail "expected one i64"
+  in
+  let nan1 = Int64.float_of_bits 0x7ff8000000000001L
+  and nan2 = Int64.float_of_bits 0x7ff8000000000002L in
+  Alcotest.(check int64) "unfused NaN order" (Int64.bits_of_float (nan1 +. (nan2 *. 1.0)))
+    (bits nan1 nan2 1.0);
+  Alcotest.(check int64) "NaN product" (Int64.bits_of_float (1.0 +. (nan2 *. 2.0))) (bits 1.0 nan2 2.0);
+  Alcotest.(check int64) "-0 + -0 = -0" (Int64.bits_of_float (-0.0)) (bits (-0.0) 0.0 (-1.0));
+  Alcotest.(check int64) "-0 + +0 = +0" 0L (bits (-0.0) 0.0 1.0);
+  (* a*b rounds to 1 + 2^-29 before the add; an FMA would keep 2^-60 *)
+  let a = 1.0 +. ldexp 1.0 (-30) and acc = -.(1.0 +. ldexp 1.0 (-29)) in
+  Alcotest.(check bool) "the triple tells FMA apart" true (Float.fma a a acc <> 0.0);
+  Alcotest.(check int64) "two roundings" 0L (bits acc a a)
+
+let test_f64_multiply_add_retargeted () =
+  (* p = a*b (local.set); acc + p + p: the product's store to p must
+     survive; and acc = acc + a*b retargets the fused op to local acc *)
+  let m =
+    single_func ~params:[ F64; F64; F64 ] ~results:[ F64 ] ~locals:[ F64 ]
+      [ LocalGet 1; LocalGet 2; FBinop (F64, Fmul); LocalSet 3; LocalGet 0; LocalGet 3;
+        FBinop (F64, Fadd); LocalGet 3; FBinop (F64, Fadd); LocalGet 0; LocalGet 1; LocalGet 2;
+        FBinop (F64, Fmul); FBinop (F64, Fadd); LocalSet 0; LocalGet 0; FBinop (F64, Fadd) ]
+  in
+  fuses "acc = acc + a*b" (function Fastinterp.OFMulAdd64 (0, 0, 1, 2) -> true | _ -> false) m;
+  check_result m "f" [ VF64 1.0; VF64 2.0; VF64 3.0 ] [ VF64 20.0 ]
+
+let test_i32_copy () =
+  (* mem[dst] = mem[src], with the source index scaled from a constant
+     base (X) and from a base local (RX) *)
+  let b = Builder.create () in
+  patterned_memory b;
+  let scaled_const idx = [ LocalGet idx; Builder.i32c 4; IBinop (I32, Mul); Builder.i32c 16; IBinop (I32, Add) ] in
+  let scaled_local idx = [ LocalGet idx; Builder.i32c 4; IBinop (I32, Mul); LocalGet 2; IBinop (I32, Add) ] in
+  let copy name src =
+    let f =
+      Builder.func b ~params:[ I32; I32; I32 ] ~results:[] ~locals:[]
+        (scaled_const 0 @ src @ [ Load (I32, None, { align = 2; offset = 0 });
+                                  Store (I32, None, { align = 2; offset = 0 }) ])
+    in
+    Builder.export_func b name f
+  in
+  copy "copy" (scaled_const 1);
+  copy "copy_r" (scaled_local 1);
+  let m = Builder.build b in
+  fuses "i32 copy (X)" (function Fastinterp.OCopyI32X _ -> true | _ -> false) m;
+  fuses "i32 copy (RX)" (function Fastinterp.OCopyI32RX _ -> true | _ -> false) m;
+  let word i = String.get_int32_le pattern i in
+  List.iter
+    (fun name ->
+      let call dst src = on_both_tiers m name [ VI32 (Int32.of_int dst); VI32 (Int32.of_int src); VI32 16l ] in
+      let _, mem = call 3 7 in
+      Alcotest.(check int32) (name ^ ": copied") (word ((7 * 4) + 16)) (Bytes.get_int32_le mem ((3 * 4) + 16));
+      let _, mem = call 5 5 in
+      Alcotest.(check int32) (name ^ ": src = dst") (word ((5 * 4) + 16)) (Bytes.get_int32_le mem ((5 * 4) + 16));
+      (match call 3 16380 with
+      | Trapped _, mem ->
+        Alcotest.(check int32) (name ^ ": out-of-bounds source leaves dst") (word ((3 * 4) + 16))
+          (Bytes.get_int32_le mem ((3 * 4) + 16))
+      | Returned _, _ -> Alcotest.fail "out-of-bounds source must trap");
+      match call 16380 3 with
+      | Trapped _, _ -> ()
+      | Returned _, _ -> Alcotest.fail "out-of-bounds destination must trap")
+    [ "copy"; "copy_r" ]
+
+let test_i32_copy_retargeted () =
+  (* v = mem[src]; mem[dst] = v; return v: the load writes local v,
+     which the store must not swallow *)
+  let b = Builder.create () in
+  patterned_memory b;
+  let f =
+    Builder.func b ~params:[ I32; I32 ] ~results:[ I32 ] ~locals:[ I32 ]
+      [ LocalGet 0; Builder.i32c 4; IBinop (I32, Mul); Builder.i32c 16; IBinop (I32, Add);
+        LocalGet 1; Builder.i32c 4; IBinop (I32, Mul); Builder.i32c 16; IBinop (I32, Add);
+        Load (I32, None, { align = 2; offset = 0 }); LocalSet 2; LocalGet 2;
+        Store (I32, None, { align = 2; offset = 0 }); LocalGet 2 ]
+  in
+  Builder.export_func b "f" f;
+  let m = Builder.build b in
+  Alcotest.(check bool) "no copy through a local" false
+    (Array.exists (function Fastinterp.OCopyI32X _ -> true | _ -> false) (compiled_ops m));
+  match on_both_tiers m "f" [ VI32 3l; VI32 7l ] with
+  | Returned [ VI32 v ], mem -> Alcotest.(check int32) "v = copied word" (Bytes.get_int32_le mem 28) v
+  | _ -> Alcotest.fail "expected one i32"
+
+(* The counting copy: a loop of N iterations executes exactly 3 + 2N
+   ops — the header once, then the body and the fused back-edge per
+   iteration, then the result move and the halt. *)
+let test_counting_loop () =
+  let m =
+    single_func ~params:[ I32 ] ~results:[ I32 ] ~locals:[ I32 ]
+      (counted_loop
+         ~header:[ LocalGet 0; Builder.i32c 0; IRelop (I32, LeS); BrIf 1 ]
+         ~body:[ LocalGet 1; LocalGet 0; IBinop (I32, Add); LocalSet 1 ]
+         ~step:[ LocalGet 0; Builder.i32c 1; IBinop (I32, Sub); LocalSet 0 ]
+      @ [ LocalGet 1 ])
+  in
+  Validate.validate m;
+  let cm = Fastinterp.compile m in
+  let before = Marshal.to_string cm.Fastinterp.cm_bodies [] in
+  List.iter
+    (fun n ->
+      let counted, ops = Fastinterp.counting cm in
+      let r = Fastinterp.invoke (Fastinterp.instantiate counted) "f" [ VI32 (Int32.of_int n) ] in
+      Alcotest.(check (list value_testable)) "counted result" [ VI32 (Int32.of_int (n * (n + 1) / 2)) ] r;
+      Alcotest.(check int) (Printf.sprintf "ops at N = %d" n) (3 + (2 * n)) (ops ()))
+    [ 10; 1000 ];
+  Alcotest.(check bool) "source module untouched" true
+    (String.equal before (Marshal.to_string cm.Fastinterp.cm_bodies []))
+
 let case name f = Alcotest.test_case name `Quick f
 let q = Seed_util.qcheck
 
@@ -1269,6 +1728,21 @@ let suite =
       [
         case "br_if keeps local store" test_brif_fusion_preserves_local_store;
         case "if keeps local store" test_if_fusion_preserves_local_store;
+        case "back-edge: i -= 1" test_back_edge_down_count;
+        case "back-edge: step wraps at 2^31-1" test_back_edge_wraps;
+        case "back-edge: continue lands on it" test_back_edge_continue;
+        case "back-edge: header tests another local" test_back_edge_other_local;
+        case "back-edge: exit carries a value" test_back_edge_exit_carries_value;
+        case "back-edge: a branch to the br stays OJmp" test_back_edge_branch_to_br;
+        case "back-edge: no step stays OJmp" test_back_edge_needs_step;
+        case "back-edge: unfused under fuel" test_back_edge_fuel;
+        case "2-D addressing: shapes and bounds" test_2d_addressing;
+        case "2-D addressing: index into a local" test_2d_retargeted_index;
+        case "f64 multiply-add: NaN, -0, no FMA" test_f64_multiply_add;
+        case "f64 multiply-add: locals survive" test_f64_multiply_add_retargeted;
+        case "i32 copy: aliasing and bounds" test_i32_copy;
+        case "i32 copy: local survives" test_i32_copy_retargeted;
+        case "counting: a loop costs 3 + 2N" test_counting_loop;
       ] );
     ("wasm.differential", [ q qcheck_differential ]);
   ]
