@@ -36,16 +36,24 @@ type prepared = P_interp of W.Ast.module_ | P_fast of W.Fastinterp.cmodule
 
 type instance = I_interp of W.Interp.funcinst W.Instance.t | I_fast of W.Fastinterp.finstance
 
-(** Decode + validate + tier-specific pre-compilation. The pipeline
-    stages trace as secure-world spans (they run inside the runtime
-    TA); pass the board's tracer to see them. *)
+(** Decode + validate + tier-specific pre-compilation. The stages
+    trace as secure-world spans (they run inside the runtime TA); pass
+    the board's tracer to see them. The interp tier decodes to an AST
+    ([engine.decode]) and validates it ([engine.validate]). The fast
+    tier does all three in one pass over the bytes
+    ({!Watz_wasm.Fastinterp.compile_bytes}), with no function body
+    built as an AST, so it is one span, [engine.prepare]. Both raise
+    the same [Malformed] or [Invalid] on the same bytes. *)
 let prepare ?(trace = T.null) ?(sid = T.no_session) tier bytes : prepared =
-  let m = T.span trace T.Secure ~session:sid "engine.decode" (fun () -> W.Decode.decode bytes) in
-  T.span trace T.Secure ~session:sid "engine.validate" (fun () -> W.Validate.validate m);
   match tier with
-  | Interp -> P_interp m
+  | Interp ->
+    let m = T.span trace T.Secure ~session:sid "engine.decode" (fun () -> W.Decode.decode bytes) in
+    T.span trace T.Secure ~session:sid "engine.validate" (fun () -> W.Validate.validate m);
+    P_interp m
   | Fast ->
-    P_fast (T.span trace T.Secure ~session:sid "engine.compile" (fun () -> W.Fastinterp.compile m))
+    P_fast
+      (T.span trace T.Secure ~session:sid "engine.prepare" (fun () ->
+           W.Fastinterp.compile_bytes bytes))
 
 (** Link a prepared module against WASI (and WASI-RA when [ra_env] is
     given) and attach the exported linear memory to [wasi_env]. *)

@@ -1,10 +1,7 @@
 type t = {
-  mutable key : string; (* 32 bytes once seeded *)
+  mutable key : string; (* 32 bytes *)
   counter : Bytes.t; (* 16-byte little-endian block counter *)
-  mutable seeded : bool;
 }
-
-let create () = { key = String.make 32 '\000'; counter = Bytes.make 16 '\000'; seeded = false }
 
 let increment_counter t =
   let rec bump i =
@@ -16,14 +13,13 @@ let increment_counter t =
   in
   bump 0
 
-let reseed t seed =
-  t.key <- Sha256.digest_list [ t.key; seed ];
-  t.seeded <- true;
-  increment_counter t
-
+(* Fortuna's reseed, [key <- SHA-256(key || seed)], from the all-zero
+   key, then one counter step. *)
 let of_seed seed =
-  let t = create () in
-  reseed t seed;
+  let t =
+    { key = Sha256.digest_list [ String.make 32 '\000'; seed ]; counter = Bytes.make 16 '\000' }
+  in
+  increment_counter t;
   t
 
 (* [count] counter-mode blocks, encrypted straight into [out]. *)
@@ -34,7 +30,6 @@ let generate_into t aes out count =
   done
 
 let generate t n =
-  if not t.seeded then failwith "Fortuna.generate: generator not seeded";
   if n < 0 || n > 1 lsl 20 then invalid_arg "Fortuna.generate: request too large";
   let aes = Aes.expand_key t.key in
   let blocks = (n + 15) / 16 in

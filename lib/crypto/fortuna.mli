@@ -8,17 +8,11 @@
 
 type t
 
-val create : unit -> t
-(** An unseeded generator; {!generate} raises until {!reseed} is
-    called. *)
-
 val of_seed : string -> t
-(** [of_seed s] is [create] followed by [reseed s]. *)
-
-val reseed : t -> string -> unit
-(** Mixes seed material into the key: [key <- SHA-256(key || seed)]. *)
+(** [of_seed s] is a generator seeded with [s]: its key is
+    SHA-256(0{^32} || [s]), Fortuna's reseed from the all-zero key. *)
 
 val generate : t -> int -> string
 (** [generate t n] produces [n] pseudo-random bytes and rekeys.
-    Raises [Failure] if the generator was never seeded, and
-    [Invalid_argument] beyond the per-request limit of 2{^20} bytes. *)
+    Raises [Invalid_argument] beyond the per-request limit of 2{^20}
+    bytes. *)

@@ -9,10 +9,6 @@
 
 type session_keys = { kdk : string; k_m : string; k_e : string }
 
-val kdk_of_shared : string -> string
-(** [kdk_of_shared gab_x] takes the 32-byte big-endian shared-secret
-    x-coordinate and derives the 16-byte key-derivation key. *)
-
 val derive_label : kdk:string -> string -> string
 (** [derive_label ~kdk label] is AES-CMAC(KDK, 0x01 || label || 0x00 ||
     0x80 || 0x00), the SGX derivation shape. *)

@@ -177,7 +177,11 @@ let verdict_to_string = function
 (* Decoder/validator byte-level oracle: any byte string must map to a
    decoded module or a typed [Decode.Malformed]; a decoded module must
    validate or raise a typed [Validate.Invalid]. Nothing else — no
-   [Invalid_argument], no [Stack_overflow], no reader exceptions. A
+   [Invalid_argument], no [Stack_overflow], no reader exceptions. The
+   fast tier's one-pass loader ({!Fastinterp.compile_bytes}) is a
+   second front door to the same verdict: it must raise the same
+   exception with the same message, or accept and compile the same
+   code; any difference is a finding. A
    module that decodes AND validates must also survive a re-encode →
    re-decode → re-validate roundtrip (the verdict every execution tier
    consumes is the same front door, so verdict stability is what keeps
@@ -192,7 +196,7 @@ let verdict_to_string = function
 type decode_verdict =
   | Rejected (* typed rejection: fine *)
   | Accepted
-  | Decoder_crash of string
+  | Decoder_crash of string (* a front door broke the contract, or the two disagree *)
   | Exec_diverged of string (* accepted mutant executed differently across tiers *)
 
 (* ---- Fuel-limited execution of accepted mutants. Unlike {!run_case}
@@ -322,28 +326,57 @@ let exec_mutant (m : module_) : string option =
       rest
   | None, [] -> None
 
+(* The two front doors must agree on every byte string: the same typed
+   rejection with the same message, or acceptance with the same
+   compiled module (compared by its marshalled bytes, so float
+   constants compare bit for bit). *)
+let same_rejection a b =
+  match (a, b) with
+  | Decode.Malformed x, Decode.Malformed y | Validate.Invalid x, Validate.Invalid y ->
+    String.equal x y
+  | _ -> false
+
+let same_code (a : Fastinterp.cmodule) (b : Fastinterp.cmodule) =
+  String.equal (Marshal.to_string a [ Marshal.No_sharing ]) (Marshal.to_string b [ Marshal.No_sharing ])
+
 let run_bytes ?(exec = false) (bytes : string) : decode_verdict =
+  let onepass = match Fastinterp.compile_bytes bytes with cm -> Ok cm | exception e -> Error e in
+  let disagree ast =
+    Decoder_crash
+      (Printf.sprintf "front doors disagree: decode+validate %s, one-pass %s" ast
+         (match onepass with Ok _ -> "accepts" | Error e -> Printexc.to_string e))
+  in
+  let rejected e =
+    match onepass with
+    | Error e' when same_rejection e e' -> Rejected
+    | _ -> disagree (Printexc.to_string e)
+  in
   match Decode.decode bytes with
-  | exception Decode.Malformed _ -> Rejected
+  | exception (Decode.Malformed _ as e) -> rejected e
   | exception e -> Decoder_crash ("decode: " ^ Printexc.to_string e)
   | m -> (
     match Validate.validate m with
-    | exception Validate.Invalid _ -> Rejected
+    | exception (Validate.Invalid _ as e) -> rejected e
     | exception e -> Decoder_crash ("validate: " ^ Printexc.to_string e)
     | () -> (
-      match Encode.encode m with
-      | exception e -> Decoder_crash ("re-encode of accepted module: " ^ Printexc.to_string e)
-      | bytes' -> (
-        match Decode.decode bytes' with
-        | exception e ->
-          Decoder_crash ("re-decode of accepted module: " ^ Printexc.to_string e)
-        | m' -> (
-          match Validate.validate m' with
+      match onepass with
+      | Error _ -> disagree "accepts"
+      | Ok cm when not (same_code (Fastinterp.compile m) cm) ->
+        Decoder_crash "front doors compile different code"
+      | Ok _ -> (
+        match Encode.encode m with
+        | exception e -> Decoder_crash ("re-encode of accepted module: " ^ Printexc.to_string e)
+        | bytes' -> (
+          match Decode.decode bytes' with
           | exception e ->
-            Decoder_crash ("re-validate of accepted module: " ^ Printexc.to_string e)
-          | () ->
-            if exec && not (mem_too_big m) then
-              match exec_mutant m with
-              | Some detail -> Exec_diverged detail
-              | None -> Accepted
-            else Accepted))))
+            Decoder_crash ("re-decode of accepted module: " ^ Printexc.to_string e)
+          | m' -> (
+            match Validate.validate m' with
+            | exception e ->
+              Decoder_crash ("re-validate of accepted module: " ^ Printexc.to_string e)
+            | () ->
+              if exec && not (mem_too_big m) then
+                match exec_mutant m with
+                | Some detail -> Exec_diverged detail
+                | None -> Accepted
+              else Accepted)))))

@@ -84,6 +84,65 @@ type instr =
   | FRelop of valtype * frelop
   | Cvtop of cvtop
 
+(** A function body as the events one pass over it meets, in reading
+    order: each leaf instruction (never [Block], [Loop] or [If]), the
+    start of each structured instruction with its block type, an [if]'s
+    [else] and each [end], the body's own closing [end] last. An [else]
+    arm with no instructions sends no [else], as the AST cannot tell it
+    from an absent one. The state ['a] is passed to every step, so a
+    sink is one static record. *)
+type 'a sink = {
+  leaf : 'a -> instr -> unit;
+  block : 'a -> blocktype -> unit;
+  loop : 'a -> blocktype -> unit;
+  if_ : 'a -> blocktype -> unit;
+  else_ : 'a -> unit;
+  end_ : 'a -> unit;
+}
+
+(** Replay a body's AST as the events the decoder would send for its
+    encoding, closing [end] included. *)
+let rec replay sink st = function
+  | [] -> ()
+  | i :: rest ->
+    replay_instr sink st i;
+    replay sink st rest
+
+and replay_instr sink st = function
+  | Block (bt, body) ->
+    sink.block st bt;
+    replay sink st body;
+    sink.end_ st
+  | Loop (bt, body) ->
+    sink.loop st bt;
+    replay sink st body;
+    sink.end_ st
+  | If (bt, then_, else_) ->
+    sink.if_ st bt;
+    replay sink st then_;
+    (match else_ with
+    | [] -> ()
+    | _ ->
+      sink.else_ st;
+      replay sink st else_);
+    sink.end_ st
+  | i -> sink.leaf st i
+
+let replay_body sink st body =
+  replay sink st body;
+  sink.end_ st
+
+(** The sink that ignores every event. *)
+let no_events =
+  {
+    leaf = (fun _ _ -> ());
+    block = (fun _ _ -> ());
+    loop = (fun _ _ -> ());
+    if_ = (fun _ _ -> ());
+    else_ = ignore;
+    end_ = ignore;
+  }
+
 type func = { ftype : int; locals : valtype list; body : instr list }
 
 type importdesc =

@@ -22,10 +22,12 @@ let valtype r =
 
 let u32_as_int r = R.uleb r ~max_bits:32
 
-let vec r f =
+let vec_length r =
   let n = u32_as_int r in
   if n > 1_000_000 then fail "vector too long (%d)" n;
-  List.init n (fun _ -> f r)
+  n
+
+let vec r f = List.init (vec_length r) (fun _ -> f r)
 
 let name r =
   let n = u32_as_int r in
@@ -151,59 +153,33 @@ let numeric = function
 let numerics = Array.init (last_numeric - first_numeric + 1) (fun k -> numeric (first_numeric + k))
 
 (* Structured instructions nest recursively; bound the depth so a
-   mutated module full of 0x02 bytes exhausts neither this decoder's
-   stack nor the validator's/compilers' (they all recurse over the same
-   tree). 256 is far beyond anything a real toolchain emits. *)
+   mutated module full of 0x02 bytes exhausts neither this reader's
+   stack nor the AST walkers' (the interpreter and the replayer recurse
+   over the tree). 256 is far beyond anything a real toolchain emits. *)
 let max_nesting = 256
 
-(* Decoding a structured instruction sequence. The list is built in
-   order with one cons per instruction, and the sequence's terminator
-   is left in [ended_by_else]: [false] for 0x0b end, [true] for 0x05
-   else. One flag serves every nesting level, because a caller reads it
-   as soon as the sequence it asked for returns. *)
-let[@tail_mod_cons] rec instr_seq depth r ended_by_else =
-  match R.u8 r with
-  | 0x0b ->
-    ended_by_else := false;
-    []
-  | 0x05 ->
-    ended_by_else := true;
-    []
-  | op ->
-    let i = instr depth r ended_by_else op in
-    i :: instr_seq depth r ended_by_else
+(* The instruction reader, shared by [decode] and the fast tier's
+   one-pass loader. It reads a sequence up to the [end] or [else] that
+   closes it and sends each instruction to [sink] as soon as it is read
+   (the events of {!Ast.sink}). With [build] set it also returns the
+   sequence, built in order with one cons per instruction; without, it
+   returns [] and builds nothing. The nesting bound and the placement of
+   [else] are checked here and only here. The sequence's terminator is
+   left in [ended_by_else]: [false] for 0x0b end, [true] for 0x05 else.
+   One flag serves every nesting level, because a caller reads it as
+   soon as the sequence it asked for returns. *)
+type 'a reader = {
+  r : R.t;
+  build : bool;
+  sink : 'a sink;
+  st : 'a;
+  mutable ended_by_else : bool;
+}
 
-and nested depth r ended_by_else =
-  let depth = depth + 1 in
-  if depth > max_nesting then fail "block nesting deeper than %d" max_nesting;
-  instr_seq depth r ended_by_else
-
-and instr depth r ended_by_else op =
+let leaf r op =
   match op with
   | 0x00 -> Unreachable
   | 0x01 -> Nop
-  | 0x02 ->
-    let bt = blocktype r in
-    let body = nested depth r ended_by_else in
-    if !ended_by_else then fail "block: unexpected else";
-    Block (bt, body)
-  | 0x03 ->
-    let bt = blocktype r in
-    let body = nested depth r ended_by_else in
-    if !ended_by_else then fail "loop: unexpected else";
-    Loop (bt, body)
-  | 0x04 ->
-    let bt = blocktype r in
-    let then_ = nested depth r ended_by_else in
-    let else_ =
-      if !ended_by_else then begin
-        let e = nested depth r ended_by_else in
-        if !ended_by_else then fail "if: nested else";
-        e
-      end
-      else []
-    in
-    If (bt, then_, else_)
   | 0x0c -> Br (u32_as_int r)
   | 0x0d -> BrIf (u32_as_int r)
   | 0x0e ->
@@ -258,11 +234,74 @@ and instr depth r ended_by_else op =
   | op when op >= first_numeric && op <= last_numeric -> numerics.(op - first_numeric)
   | op -> fail "unknown opcode 0x%02x" op
 
-let expr r =
-  let ended_by_else = ref false in
-  let body = instr_seq 0 r ended_by_else in
-  if !ended_by_else then fail "expression: unexpected else";
-  body
+(* [op] is the sequence's first byte, already read. *)
+let[@tail_mod_cons] rec seq rd depth op =
+  match op with
+  | 0x0b ->
+    rd.ended_by_else <- false;
+    []
+  | 0x05 ->
+    rd.ended_by_else <- true;
+    []
+  | op ->
+    let i = instr rd depth op in
+    if rd.build then i :: seq rd depth (R.u8 rd.r) else seq rd depth (R.u8 rd.r)
+
+and nested rd depth =
+  let depth = depth + 1 in
+  if depth > max_nesting then fail "block nesting deeper than %d" max_nesting;
+  seq rd depth (R.u8 rd.r)
+
+and instr rd depth op =
+  match op with
+  | 0x02 ->
+    let bt = blocktype rd.r in
+    rd.sink.block rd.st bt;
+    let body = nested rd depth in
+    if rd.ended_by_else then fail "block: unexpected else";
+    rd.sink.end_ rd.st;
+    if rd.build then Block (bt, body) else Nop
+  | 0x03 ->
+    let bt = blocktype rd.r in
+    rd.sink.loop rd.st bt;
+    let body = nested rd depth in
+    if rd.ended_by_else then fail "loop: unexpected else";
+    rd.sink.end_ rd.st;
+    if rd.build then Loop (bt, body) else Nop
+  | 0x04 ->
+    let bt = blocktype rd.r in
+    rd.sink.if_ rd.st bt;
+    let then_ = nested rd depth in
+    let else_ =
+      if not rd.ended_by_else then []
+      else
+        (* An empty else arm is sent, and built, as no else arm. *)
+        match R.u8 rd.r with
+        | 0x0b -> []
+        | op ->
+          rd.sink.else_ rd.st;
+          let e = seq rd (depth + 1) op in
+          if rd.ended_by_else then fail "if: nested else";
+          e
+    in
+    rd.sink.end_ rd.st;
+    if rd.build then If (bt, then_, else_) else Nop
+  | op ->
+    let i = leaf rd.r op in
+    rd.sink.leaf rd.st i;
+    i
+
+(** Read an expression (a function body, or a constant initialiser)
+    up to its closing [end], sending its events, that [end] included,
+    to [sink]. Returns the body when [build] is set, else []. *)
+let body ~build sink st r =
+  let rd = { r; build; sink; st; ended_by_else = false } in
+  let b = seq rd 0 (R.u8 r) in
+  if rd.ended_by_else then fail "expression: unexpected else";
+  sink.end_ st;
+  b
+
+let expr r = body ~build:true no_events () r
 
 let importdesc r =
   match R.u8 r with
@@ -283,7 +322,9 @@ let exportdesc r =
   | 0x03 -> ExportGlobal (u32_as_int r)
   | b -> fail "invalid export kind 0x%02x" b
 
-let code_entry r =
+(* One code-section entry: [read_body x locals r] reads the body from
+   [r], given the entry's declared locals. *)
+let code_entry r read_body x =
   let body_reader = R.sub r (u32_as_int r) in
   let groups =
     vec body_reader (fun r ->
@@ -294,11 +335,11 @@ let code_entry r =
   let total = List.fold_left (fun acc (c, _) -> acc + c) 0 groups in
   if total > 100_000 then fail "too many locals (%d)" total;
   let locals = List.concat_map (fun (count, t) -> List.init count (fun _ -> t)) groups in
-  let body = expr body_reader in
+  let b = read_body x locals body_reader in
   if not (R.eof body_reader) then fail "code entry: trailing bytes";
-  (locals, body)
+  b
 
-let decode_inner bytes =
+let sections_inner ~code bytes =
   let r = R.of_string bytes in
   let magic = try R.bytes r 4 with R.Truncated -> fail "truncated magic" in
   if not (String.equal magic "\x00asm") then fail "bad magic";
@@ -307,7 +348,8 @@ let decode_inner bytes =
   let m = ref empty_module in
   let customs = ref [] (* newest first *) in
   let func_type_indices = ref [] in
-  let code_entries = ref [] in
+  let n_code = ref 0 in
+  let funcs = ref [] in
   let last_section = ref 0 in
   (try
      while not (R.eof r) do
@@ -373,7 +415,9 @@ let decode_inner bytes =
                    let einit = vec r u32_as_int in
                    { etable; eoffset; einit })
            }
-       | 10 -> code_entries := vec payload code_entry
+       | 10 ->
+         n_code := vec_length payload;
+         funcs := code !m !func_type_indices !n_code payload
        | 11 ->
          m :=
            { !m with
@@ -389,20 +433,40 @@ let decode_inner bytes =
        if id <> 0 && not (R.eof payload) then fail "section 0x%02x: trailing bytes" id
      done
    with R.Truncated -> fail "unexpected end of input");
-  if List.length !func_type_indices <> List.length !code_entries then
-    fail "function and code section lengths disagree (%d vs %d)"
-      (List.length !func_type_indices)
-      (List.length !code_entries);
-  let funcs =
-    List.map2 (fun ftype (locals, body) -> { ftype; locals; body }) !func_type_indices
-      !code_entries
-  in
-  { !m with funcs; customs = List.rev !customs }
+  let n_funcs = List.length !func_type_indices in
+  if n_funcs <> !n_code then
+    fail "function and code section lengths disagree (%d vs %d)" n_funcs !n_code;
+  { !m with funcs = !funcs; customs = List.rev !customs }
 
-(* The decoder's error contract: any byte string maps to a module or a
-   [Malformed] — never [Invalid_argument], [Truncated] or a stack
-   overflow. The fuzz harness's byte mutator asserts exactly this. *)
-let decode bytes =
-  try decode_inner bytes with
+(** The section loop, shared by [decode] and the fast tier's one-pass
+    loader. [code m ftypes n r] reads the code section's [n] entries
+    from [r] and returns the module's functions; [m] holds every
+    earlier section and [ftypes] the function section's type indices.
+    Raises [Malformed] on any decoding error, including a function and
+    a code section that disagree in length, which is checked only once
+    every section has been read. The decoder's error contract: any
+    byte string maps to a module or a [Malformed] — never
+    [Invalid_argument], [Truncated] or a stack overflow. The fuzz
+    harness's byte mutator asserts exactly this. *)
+let sections ~code bytes =
+  try sections_inner ~code bytes with
   | R.Truncated -> fail "unexpected end of input"
   | R.Overflow -> fail "malformed LEB128 integer"
+
+let func_of_entry ftype locals r = { ftype; locals; body = expr r }
+
+(* Pair each body with its type index. Bodies beyond the function
+   section's count are read and dropped: the length check fails once
+   every section has been read. *)
+let[@tail_mod_cons] rec funcs r n k ftypes =
+  if k = n then []
+  else
+    match ftypes with
+    | ftype :: rest ->
+      let f = code_entry r func_of_entry ftype in
+      f :: funcs r n (k + 1) rest
+    | [] ->
+      code_entry r (fun () _ r -> ignore (body ~build:false no_events () r)) ();
+      funcs r n (k + 1) []
+
+let decode bytes = sections bytes ~code:(fun _ ftypes n r -> funcs r n 0 ftypes)

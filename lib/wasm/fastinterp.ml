@@ -17,7 +17,10 @@
     and contains no per-instance state.
 
     Modules must be validated ({!Validate.validate}) before
-    {!compile}: the flattener trusts the types. *)
+    {!compile}: the flattener trusts the types. {!compile_bytes} goes
+    from bytes to the same compiled module in one pass, with no
+    function body built as an AST: the decoder sends each instruction
+    to the checker and then to the flattener as it reads it. *)
 
 open Types
 open Ast
@@ -273,10 +276,10 @@ type buf = { mutable arr : op array; mutable len : int }
 
 type cframe = {
   fr_entry : int; (* stack height at label entry *)
-  fr_label_types : valtype list; (* what a branch to this label carries *)
-  fr_is_loop : bool;
-  fr_start : int; (* loop header pc; meaningful when fr_is_loop *)
+  fr_results : valtype list; (* what the stack holds above [fr_entry] at the end *)
+  fr_start : int; (* a loop's header pc; -1 for a block or an if *)
   mutable fr_pending : edge list; (* forward edges to patch at label end *)
+  mutable fr_else : edge option; (* an if's jump to its else arm, until the else *)
 }
 
 type cctx = {
@@ -292,6 +295,11 @@ type cctx = {
   cbuf : buf;
   mutable cmark : int; (* latest branch-target position (-1: none): a fusion barrier *)
   cfuel : bool; (* emit OFuel at function entry and loop headers *)
+  mutable cdead : int;
+      (* 0 while live. An op that leaves unconditionally sets it to 1:
+         the rest of its block is dead and flattens to nothing. Each
+         block opened while dead adds one; the dead block's own else
+         or end makes the code live again. *)
 }
 
 let emit ctx o =
@@ -697,11 +705,17 @@ let pop_t ctx =
 
 let pop_n ctx n = ctx.cheight <- ctx.cheight - n
 
+let rec push_all ctx = function
+  | [] -> ()
+  | t :: ts ->
+    push_t ctx t;
+    push_all ctx ts
+
 (* Reset the type stack at a label end: whatever path was taken, the
    stack now holds [ts] at [entry]. *)
 let reset_stack ctx entry ts =
   ctx.cheight <- entry;
-  List.iter (push_t ctx) ts
+  push_all ctx ts
 
 let kind_of_valtype = function I32 -> 0 | I64 -> 1 | F32 | F64 -> 2
 
@@ -710,7 +724,10 @@ let kind_of_valtype = function I32 -> 0 | I64 -> 1 | F32 | F64 -> 2
    the target label closes. *)
 let branch_edge ctx n : edge =
   let frame = List.nth ctx.cframes n in
-  let arity = List.length frame.fr_label_types in
+  let is_loop = frame.fr_start >= 0 in
+  (* A branch to a loop carries its (empty, in the MVP) parameters. *)
+  let label_types = if is_loop then [] else frame.fr_results in
+  let arity = List.length label_types in
   let src = ctx.cnloc + ctx.cheight - arity and dst = ctx.cnloc + frame.fr_entry in
   let moves =
     if src = dst then [||]
@@ -718,9 +735,9 @@ let branch_edge ctx n : edge =
       Array.of_list
         (List.mapi
            (fun k t -> { mk = kind_of_valtype t; msrc = src + k; mdst = dst + k })
-           frame.fr_label_types)
+           label_types)
   in
-  if frame.fr_is_loop then { target = frame.fr_start; moves }
+  if is_loop then { target = frame.fr_start; moves }
   else begin
     let e = { target = -1; moves } in
     frame.fr_pending <- e :: frame.fr_pending;
@@ -741,7 +758,7 @@ let emit_br ctx n =
   let b = ctx.cbuf in
   let tail = b.len - 1 in
   let back =
-    if ctx.cfuel || (not fr.fr_is_loop) || Array.length e.moves <> 0 || b.len = ctx.cmark
+    if ctx.cfuel || fr.fr_start < 0 || Array.length e.moves <> 0 || b.len = ctx.cmark
        || tail <= fr.fr_start
     then OJmp e
     else
@@ -791,26 +808,25 @@ let skind_of ty pack =
 (* Absolute register-file index one past the current stack top. *)
 let top ctx = ctx.cnloc + ctx.cheight
 
-(* Flatten one instruction. Returns [false] when the instruction
-   diverts control unconditionally: the rest of the sequence is dead
-   and must not be flattened. *)
-let rec compile_instr (ctx : cctx) (i : instr) : bool =
+(* The per-event steps, one per {!Ast.sink} field: the flattener
+   consumes a body as the events of one pass over it, from the decoder
+   or from an AST. Each leaf's case below expects the types validation
+   guarantees. *)
+let leaf_live (ctx : cctx) (i : instr) =
   match i with
-  | Nop -> true
+  | Nop -> ()
   | Unreachable ->
     emit ctx OUnreachable;
-    false
+    ctx.cdead <- 1
   | Drop ->
-    ignore (pop_t ctx);
-    true
+    ignore (pop_t ctx)
   | Select ->
     ignore (pop_t ctx);
     let t = pop_t ctx in
     ignore (pop_t ctx);
     push_t ctx t;
     let d = top ctx - 1 in
-    emit ctx (match t with I32 -> OSelectI d | I64 -> OSelectL d | F32 | F64 -> OSelectF d);
-    true
+    emit ctx (match t with I32 -> OSelectI d | I64 -> OSelectL d | F32 | F64 -> OSelectF d)
   | Const v ->
     push_t ctx (type_of_value v);
     let d = top ctx - 1 in
@@ -818,8 +834,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
       (match v with
       | VI32 x -> OConstI (d, Int32.to_int x)
       | VI64 x -> OConstL (d, x)
-      | VF32 x | VF64 x -> OConstF (d, x));
-    true
+      | VF32 x | VF64 x -> OConstF (d, x))
   | LocalGet i ->
     let t = ctx.clocals.(i) in
     push_t ctx t;
@@ -828,8 +843,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
       (match t with
       | I32 -> OMovI (d, i)
       | I64 -> OMovL (d, i)
-      | F32 | F64 -> OMovF (d, i));
-    true
+      | F32 | F64 -> OMovF (d, i))
   | LocalSet i ->
     let t = pop_t ctx in
     let s = top ctx in
@@ -838,8 +852,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
       (match t with
       | I32 -> OMovI (i, s)
       | I64 -> OMovL (i, s)
-      | F32 | F64 -> OMovF (i, s));
-    true
+      | F32 | F64 -> OMovF (i, s))
   | LocalTee i ->
     let t = ctx.cstack.(ctx.cheight - 1) in
     let s = top ctx - 1 in
@@ -847,8 +860,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
       (match t with
       | I32 -> OMovI (i, s)
       | I64 -> OMovL (i, s)
-      | F32 | F64 -> OMovF (i, s));
-    true
+      | F32 | F64 -> OMovF (i, s))
   | GlobalGet i ->
     let t = ctx.cglobals_t.(i).content in
     push_t ctx t;
@@ -857,8 +869,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
       (match t with
       | I32 -> OGlobalGetI (d, i)
       | I64 -> OGlobalGetL (d, i)
-      | F32 | F64 -> OGlobalGetF (d, i));
-    true
+      | F32 | F64 -> OGlobalGetF (d, i))
   | GlobalSet i ->
     let t = pop_t ctx in
     let s = top ctx in
@@ -866,14 +877,12 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
       (match t with
       | I32 -> OGlobalSetI (i, s)
       | I64 -> OGlobalSetL (i, s)
-      | F32 | F64 -> OGlobalSetF (i, s));
-    true
+      | F32 | F64 -> OGlobalSetF (i, s))
   | ITestop ty ->
     ignore (pop_t ctx);
     push_t ctx I32;
     let s = top ctx - 1 in
-    emit ctx (match ty with I32 -> OTestI s | I64 -> OTestL s | F32 | F64 -> assert false);
-    true
+    emit ctx (match ty with I32 -> OTestI s | I64 -> OTestL s | F32 | F64 -> assert false)
   | IUnop (ty, op) ->
     ignore (pop_t ctx);
     push_t ctx ty;
@@ -882,8 +891,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
       (match ty with
       | I32 -> OIUn32 (op, s)
       | I64 -> OIUn64 (op, s)
-      | F32 | F64 -> assert false);
-    true
+      | F32 | F64 -> assert false)
   | IBinop (ty, op) ->
     ignore (pop_t ctx);
     ignore (pop_t ctx);
@@ -904,8 +912,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
         | ShrU -> OShrU32 (d, d, d + 1)
         | DivS | DivU | RemS | RemU | Rotl | Rotr -> OIBin32 (op, d))
       | I64 -> OIBin64 (op, d)
-      | F32 | F64 -> assert false);
-    true
+      | F32 | F64 -> assert false)
   | IRelop (ty, op) ->
     ignore (pop_t ctx);
     ignore (pop_t ctx);
@@ -915,14 +922,12 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
       (match ty with
       | I32 -> OIRel32 (op, d, d, d + 1)
       | I64 -> OIRel64 (op, d)
-      | F32 | F64 -> assert false);
-    true
+      | F32 | F64 -> assert false)
   | FUnop (ty, op) ->
     ignore (pop_t ctx);
     push_t ctx ty;
     let s = top ctx - 1 in
-    emit ctx (OFUn (op, s, (match ty with F32 -> true | _ -> false)));
-    true
+    emit ctx (OFUn (op, s, (match ty with F32 -> true | _ -> false)))
   | FBinop (ty, op) ->
     ignore (pop_t ctx);
     ignore (pop_t ctx);
@@ -938,22 +943,19 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
         | Fmul -> OFMul64 (d, d, d + 1)
         | Fdiv -> OFDiv64 (d, d, d + 1)
         | Fmin | Fmax | Copysign -> OFBin64 (op, d))
-      | I32 | I64 -> assert false);
-    true
+      | I32 | I64 -> assert false)
   | FRelop (_, op) ->
     ignore (pop_t ctx);
     ignore (pop_t ctx);
     push_t ctx I32;
     let d = top ctx - 1 in
-    emit ctx (OFRel (op, d));
-    true
+    emit ctx (OFRel (op, d))
   | Cvtop op ->
     ignore (pop_t ctx);
     let _, dst = Validate.cvt_types op in
     push_t ctx dst;
     let s = top ctx - 1 in
-    emit_peep ctx (match op with F64ConvertI32S -> OCvtIF (s, s) | _ -> OCvt (op, s, s));
-    true
+    emit_peep ctx (match op with F64ConvertI32S -> OCvtIF (s, s) | _ -> OCvt (op, s, s))
   | Load (ty, pack, m) ->
     ignore (pop_t ctx);
     push_t ctx ty;
@@ -963,8 +965,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
       | LI32 -> OLoadI32 (m.offset, s, s)
       | LI64 -> OLoadI64 (m.offset, s, s)
       | LF64 -> OLoadF64 (m.offset, s, s)
-      | k -> OLoad (k, m.offset, s));
-    true
+      | k -> OLoad (k, m.offset, s))
   | Store (ty, pack, m) ->
     ignore (pop_t ctx);
     ignore (pop_t ctx);
@@ -974,25 +975,21 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
       | SI32 -> OStoreI32 (m.offset, s, s + 1)
       | SI64 -> OStoreI64 (m.offset, s, s + 1)
       | SF64 -> OStoreF64 (m.offset, s, s + 1)
-      | k -> OStore (k, m.offset, s));
-    true
+      | k -> OStore (k, m.offset, s))
   | MemorySize ->
     push_t ctx I32;
-    emit ctx (OMemSize (top ctx - 1));
-    true
+    emit ctx (OMemSize (top ctx - 1))
   | MemoryGrow ->
     ignore (pop_t ctx);
     push_t ctx I32;
-    emit ctx (OMemGrow (top ctx - 1));
-    true
+    emit ctx (OMemGrow (top ctx - 1))
   | Call f ->
     let ft = ctx.cfunc_types.(f) in
     let n = List.length ft.params in
     let args_base = top ctx - n in
     pop_n ctx n;
-    List.iter (push_t ctx) ft.results;
-    emit ctx (OCall (f, args_base));
-    true
+    push_all ctx ft.results;
+    emit ctx (OCall (f, args_base))
   | CallIndirect tidx ->
     let ft = ctx.ctypes.(tidx) in
     ignore (pop_t ctx);
@@ -1000,143 +997,150 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
     let n = List.length ft.params in
     let args_base = top ctx - n in
     pop_n ctx n;
-    List.iter (push_t ctx) ft.results;
-    emit ctx (OCallIndirect (tidx, idx_slot, args_base));
-    true
-  | Block (bt, body) ->
-    let ts = match bt with BlockEmpty -> [] | BlockVal t -> [ t ] in
-    let entry = ctx.cheight in
-    let fr =
-      { fr_entry = entry; fr_label_types = ts; fr_is_loop = false; fr_start = 0; fr_pending = [] }
-    in
-    ctx.cframes <- fr :: ctx.cframes;
-    ignore (compile_seq ctx body);
-    ctx.cframes <- List.tl ctx.cframes;
-    let e = here ctx in
-    if fr.fr_pending <> [] then mark_here ctx;
-    List.iter (fun edge -> edge.target <- e) fr.fr_pending;
-    reset_stack ctx entry ts;
-    true
-  | Loop (bt, body) ->
-    let ts = match bt with BlockEmpty -> [] | BlockVal t -> [ t ] in
-    let entry = ctx.cheight in
-    mark_here ctx;
-    (* Under fuel, the header op sits at [fr_start]: charged on fall-in
-       and by every back edge, i.e. once per iteration — the same
-       charging points as the tree-walker's [iterate]. *)
-    let start = here ctx in
-    if ctx.cfuel then emit ctx OFuel;
-    let fr =
-      {
-        fr_entry = entry;
-        fr_label_types = [];
-        fr_is_loop = true;
-        fr_start = start;
-        fr_pending = [];
-      }
-    in
-    ctx.cframes <- fr :: ctx.cframes;
-    ignore (compile_seq ctx body);
-    ctx.cframes <- List.tl ctx.cframes;
-    reset_stack ctx entry ts;
-    true
-  | If (bt, then_, else_) ->
-    let ts = match bt with BlockEmpty -> [] | BlockVal t -> [ t ] in
-    ignore (pop_t ctx);
-    let cond_slot = ctx.cnloc + ctx.cheight in
-    let entry = ctx.cheight in
-    let fr =
-      { fr_entry = entry; fr_label_types = ts; fr_is_loop = false; fr_start = 0; fr_pending = [] }
-    in
-    ctx.cframes <- fr :: ctx.cframes;
-    let else_edge = { target = -1; moves = [||] } in
-    emit_peep ctx (OBrIfNot (cond_slot, else_edge));
-    let then_falls = compile_seq ctx then_ in
-    (* At the natural end of the then-arm the values already sit at
-       [entry..]; skipping the else-arm needs no moves. *)
-    if then_falls then begin
-      let e = { target = -1; moves = [||] } in
-      emit ctx (OJmp e);
-      fr.fr_pending <- e :: fr.fr_pending
-    end;
-    mark_here ctx;
-    else_edge.target <- here ctx;
-    (* Validated code never pops below a label's entry height, so the
-       types under [entry] are as the then-arm found them. *)
-    ctx.cheight <- entry;
-    ignore (compile_seq ctx else_);
-    ctx.cframes <- List.tl ctx.cframes;
-    let e = here ctx in
-    if fr.fr_pending <> [] then mark_here ctx;
-    List.iter (fun edge -> edge.target <- e) fr.fr_pending;
-    reset_stack ctx entry ts;
-    true
+    push_all ctx ft.results;
+    emit ctx (OCallIndirect (tidx, idx_slot, args_base))
   | Br n ->
     emit_br ctx n;
-    false
+    ctx.cdead <- 1
   | BrIf n ->
     ignore (pop_t ctx);
     let cond_slot = ctx.cnloc + ctx.cheight in
-    emit_peep ctx (OBrIf (cond_slot, branch_edge ctx n));
-    true
+    emit_peep ctx (OBrIf (cond_slot, branch_edge ctx n))
   | BrTable (targets, default) ->
     ignore (pop_t ctx);
     let cond_slot = ctx.cnloc + ctx.cheight in
     let edges = Array.map (fun tgt -> branch_edge ctx tgt) targets in
     let dedge = branch_edge ctx default in
     emit ctx (OBrTable (cond_slot, edges, dedge));
-    false
+    ctx.cdead <- 1
   | Return ->
     emit ctx (OJmp (branch_edge ctx (List.length ctx.cframes - 1)));
-    false
+    ctx.cdead <- 1
+  | Block _ | Loop _ | If _ -> invalid_arg "Fastinterp.leaf: structured instruction"
 
-and compile_seq ctx (body : instr list) : bool =
-  match body with
-  | [] -> true
-  | i :: rest -> if compile_instr ctx i then compile_seq ctx rest else false
 
-let compile_func ~fuel ctypes cfunc_types cglobals_t (f : func) (ft : functype) : cbody =
-  let local_types = Array.of_list (ft.params @ f.locals) in
-  let fn_frame =
+let leaf ctx i = if ctx.cdead = 0 then leaf_live ctx i
+
+let push_frame ?(start = -1) ?else_edge ctx results =
+  ctx.cframes <-
     {
-      fr_entry = 0;
-      fr_label_types = ft.results;
-      fr_is_loop = false;
-      fr_start = 0;
+      fr_entry = ctx.cheight;
+      fr_results = results;
+      fr_start = start;
       fr_pending = [];
+      fr_else = else_edge;
     }
-  in
-  let nloc = Array.length local_types in
+    :: ctx.cframes
+
+let results_of = function BlockEmpty -> [] | BlockVal t -> [ t ]
+
+let block ctx bt =
+  if ctx.cdead > 0 then ctx.cdead <- ctx.cdead + 1
+  else
+    let ts = results_of bt in
+    push_frame ctx ts
+
+let loop ctx bt =
+  if ctx.cdead > 0 then ctx.cdead <- ctx.cdead + 1
+  else begin
+    mark_here ctx;
+    (* Under fuel, the header op sits at [fr_start]: charged on fall-in
+       and by every back edge, i.e. once per iteration — the same
+       charging points as the tree-walker's [iterate]. *)
+    let start = here ctx in
+    if ctx.cfuel then emit ctx OFuel;
+    push_frame ~start ctx (results_of bt)
+  end
+
+let if_ ctx bt =
+  if ctx.cdead > 0 then ctx.cdead <- ctx.cdead + 1
+  else begin
+    ignore (pop_t ctx);
+    let cond_slot = ctx.cnloc + ctx.cheight in
+    let ts = results_of bt in
+    let else_edge = { target = -1; moves = [||] } in
+    push_frame ~else_edge ctx ts;
+    emit_peep ctx (OBrIfNot (cond_slot, else_edge))
+  end
+
+(* The then-arm is over: it jumps past the else arm when it falls
+   through, and the else arm (present or not) starts here. *)
+let start_else ctx fr else_edge =
+  (* At the natural end of the then-arm the values already sit at
+     [entry..]; skipping the else-arm needs no moves. *)
+  if ctx.cdead = 0 then begin
+    let e = { target = -1; moves = [||] } in
+    emit ctx (OJmp e);
+    fr.fr_pending <- e :: fr.fr_pending
+  end;
+  ctx.cdead <- 0;
+  fr.fr_else <- None;
+  mark_here ctx;
+  else_edge.target <- here ctx;
+  (* Validated code never pops below a label's entry height, so the
+     types under [entry] are as the then-arm found them. *)
+  ctx.cheight <- fr.fr_entry
+
+let else_ ctx =
+  if ctx.cdead <= 1 then
+    match ctx.cframes with
+    | ({ fr_else = Some else_edge; _ } as fr) :: _ -> start_else ctx fr else_edge
+    | _ -> invalid_arg "Fastinterp.else_: no if to close"
+
+let end_ ctx =
+  if ctx.cdead > 1 then ctx.cdead <- ctx.cdead - 1
+  else
+    match ctx.cframes with
+    | [] -> invalid_arg "Fastinterp.end_: no block to close"
+    | fr :: rest ->
+      (match fr.fr_else with Some else_edge -> start_else ctx fr else_edge | None -> ());
+      ctx.cdead <- 0;
+      ctx.cframes <- rest;
+      if fr.fr_start < 0 then begin
+        let e = here ctx in
+        if fr.fr_pending <> [] then mark_here ctx;
+        List.iter (fun edge -> edge.target <- e) fr.fr_pending
+      end;
+      reset_stack ctx fr.fr_entry fr.fr_results
+
+let sink = { leaf; block; loop; if_; else_; end_ }
+
+(* The flattener for one function with local types [locals]
+   (parameters first) and type [ft]. Feed it the body's events through
+   {!sink}, then take the code with [finish]. *)
+let func_cctx ~fuel ctypes cfunc_types cglobals_t (locals : valtype array) (ft : functype) =
+  let nloc = Array.length locals in
   let ctx =
     {
       ctypes;
       cfunc_types;
       cglobals_t;
-      clocals = local_types;
+      clocals = locals;
       cnloc = nloc;
       cstack = Array.make 16 I32;
       cheight = 0;
       cmax = List.length ft.results;
-      cframes = [ fn_frame ];
+      cframes = [];
       cbuf = { arr = Array.make 32 OHalt; len = 0 };
       cmark = -1;
       cfuel = fuel;
+      cdead = 0;
     }
   in
+  (* The function's own label: returns and branches to it land on the
+     trailing OHalt with the results already moved to stack slots
+     0..arity-1 (register-file indices nloc..); natural fall-through
+     leaves them there by construction. *)
+  push_frame ctx ft.results;
   if fuel then emit ctx OFuel (* function entry *);
-  ignore (compile_seq ctx f.body);
-  (* Returns and branches to the function label land on the trailing
-     OHalt with the results already moved to stack slots 0..arity-1
-     (register-file indices nloc..); natural fall-through leaves them
-     there by construction. *)
-  let e = here ctx in
-  if fn_frame.fr_pending <> [] then mark_here ctx;
-  List.iter (fun edge -> edge.target <- e) fn_frame.fr_pending;
+  ctx
+
+let finish ctx (ft : functype) : cbody =
   emit ctx OHalt;
   {
     cb_code = Array.sub ctx.cbuf.arr 0 ctx.cbuf.len;
-    cb_nslots = nloc + ctx.cmax;
-    cb_nloc = nloc;
+    cb_nslots = ctx.cnloc + ctx.cmax;
+    cb_nloc = ctx.cnloc;
     cb_param_types = Array.of_list ft.params;
     cb_result_types = Array.of_list ft.results;
   }
@@ -1155,16 +1159,105 @@ let compile ?(fuel = false) (m : module_) : cmodule =
     Array.of_list (imported_globals m @ List.map (fun (g : global) -> g.gtype) m.globals)
   in
   let cm_bodies =
-    Array.of_list
-      (List.map
-         (fun (f : func) -> compile_func ~fuel cm_types cm_func_types cglobals_t f cm_types.(f.ftype))
-         m.funcs)
+    Array.map
+      (fun (f : func) ->
+        let ft = cm_types.(f.ftype) in
+        let ctx =
+          func_cctx ~fuel cm_types cm_func_types cglobals_t (Array.of_list (ft.params @ f.locals)) ft
+        in
+        replay_body sink ctx f.body;
+        finish ctx ft)
+      (Array.of_list m.funcs)
   in
   {
     cm_module = { m with funcs = [] };
     cm_func_types;
     cm_bodies;
     cm_n_imported = List.length imp_ftypes;
+  }
+
+(* One body in the one-pass loader: each event goes to the checker,
+   then, once the checker has passed it, to the flattener. The first
+   failed check stops both for the rest of the body. *)
+type onepass = { check : Validate.context; flat : cctx; mutable error : exn option }
+
+let step check flatten p x =
+  match p.error with
+  | Some _ -> ()
+  | None -> (
+    match check p.check x with
+    | () -> flatten p.flat x
+    | exception Validate.Invalid msg -> p.error <- Some (Validate.in_function p.check msg))
+
+let onepass_sink =
+  {
+    leaf = (fun p i -> step Validate.leaf leaf p i);
+    block = (fun p bt -> step Validate.block block p bt);
+    loop = (fun p bt -> step Validate.loop loop p bt);
+    if_ = (fun p bt -> step Validate.if_ if_ p bt);
+    else_ = (fun p -> step (fun c () -> Validate.else_ c) (fun c () -> else_ c) p ());
+    end_ = (fun p -> step (fun c () -> Validate.end_ c) (fun c () -> end_ c) p ());
+  }
+
+let no_body =
+  { cb_code = [||]; cb_nslots = 0; cb_nloc = 0; cb_param_types = [||]; cb_result_types = [||] }
+
+(** Decode, validate and flatten [bytes] in one pass, building no
+    function body as an AST: each instruction goes to the checker and
+    then to the flattener as the decoder reads it. Gives the module
+    [compile ?fuel (Decode.decode bytes)] gives once
+    [Validate.validate] has accepted it, and otherwise raises what
+    those two raise, with the same message. A decoding error anywhere
+    beats any validation error, so the first failed check waits until
+    the whole module has decoded; and the module-level checks run in
+    {!Validate.validate}'s order: {!Validate.header} before the bodies,
+    {!Validate.trailer} after them. *)
+let compile_bytes ?(fuel = false) bytes : cmodule =
+  let env = ref None and invalid = ref None and bodies = ref [||] in
+  let header m ftypes =
+    match Validate.header m ftypes with
+    | e -> env := Some e
+    | exception (Validate.Invalid _ as e) -> invalid := Some e
+  in
+  let code m ftypes n r =
+    header m ftypes;
+    (* A count mismatch is a decoding error, raised once every section
+       has been read: until then the bodies are only decoded. *)
+    let checked = n = List.length ftypes in
+    let compiled = Array.make n no_body in
+    let read_body i locals r =
+      match (!env, !invalid) with
+      | Some env, None when checked ->
+        let check = Validate.checker env i locals in
+        let ft = env.func_types.(env.n_imported + i) in
+        let flat =
+          func_cctx ~fuel env.types env.func_types env.global_types check.Validate.locals ft
+        in
+        let p = { check; flat; error = None } in
+        ignore (Decode.body ~build:false onepass_sink p r);
+        (match p.error with
+        | Some e -> invalid := Some e
+        | None -> compiled.(i) <- finish flat ft)
+      | _ -> ignore (Decode.body ~build:false no_events () r)
+    in
+    for i = 0 to n - 1 do
+      Decode.code_entry r read_body i
+    done;
+    bodies := compiled;
+    []
+  in
+  let m = Decode.sections ~code bytes in
+  (* With no code section there are no functions, or [sections] has
+     failed on the count mismatch. *)
+  if Option.is_none !env && Option.is_none !invalid then header m [];
+  Option.iter raise !invalid;
+  let env = Option.get !env in
+  Validate.trailer env m;
+  {
+    cm_module = m;
+    cm_func_types = env.func_types;
+    cm_bodies = !bodies;
+    cm_n_imported = env.n_imported;
   }
 
 (** [counting cm] is a copy of [cm] that counts the ops it executes,

@@ -22,7 +22,7 @@ type ctrl = {
   end_types : valtype list; (* types left on exit *)
   height : int;
   mutable unreachable : bool;
-  is_loop : bool;
+  is_then : bool; (* an if's then-arm: reaching its end means no else arm *)
 }
 
 (* Every [Known] pushed is one of these four values, so a push
@@ -33,15 +33,24 @@ let known = function
   | F32 -> Known F32
   | F64 -> Known F64
 
-(* The operand stack is an array whose live part is [0, height), so
-   pushes, pops and height checks take constant time at any depth. *)
-type context = {
+(* What every body check reads of the module, built by [header]. *)
+type env = {
   types : functype array; (* the type section, by type index *)
   func_types : functype array; (* by function index, imports first *)
   global_types : globaltype array;
+  imported_globals : globaltype array;
   table_count : int;
   memory_count : int;
-  locals : valtype array;
+  n_imported : int; (* imported functions *)
+}
+
+(* One function's checker state. The operand stack is an array whose
+   live part is [0, height), so pushes, pops and height checks take
+   constant time at any depth. *)
+type context = {
+  env : env;
+  findex : int; (* in the function index space *)
+  locals : valtype array; (* parameters first *)
   return_types : valtype list;
   mutable opds : opd array;
   mutable height : int;
@@ -77,9 +86,9 @@ let pop_expect ctx expect =
 let pop_expects ctx types = List.iter (pop_expect ctx) (List.rev types)
 let push_knowns ctx types = List.iter (fun t -> push_opd ctx (known t)) types
 
-let push_ctrl ctx ~is_loop label_types end_types =
+let push_ctrl ?(is_then = false) ctx label_types end_types =
   ctx.ctrls <-
-    { label_types; end_types; height = ctx.height; unreachable = false; is_loop }
+    { label_types; end_types; height = ctx.height; unreachable = false; is_then }
     :: ctx.ctrls
 
 let pop_ctrl ctx =
@@ -107,7 +116,7 @@ let label_arity ctx n =
 let blocktype_types = function BlockEmpty -> [] | BlockVal t -> [ t ]
 
 let check_memarg ctx (m : memarg) ~width =
-  if ctx.memory_count = 0 then fail "memory instruction with no memory";
+  if ctx.env.memory_count = 0 then fail "memory instruction with no memory";
   let natural = match width with 1 -> 0 | 2 -> 1 | 4 -> 2 | 8 -> 3 | _ -> assert false in
   if m.align > natural then fail "alignment %d larger than natural %d" m.align natural
 
@@ -117,35 +126,12 @@ let width_of = function
   | Some P16, _ -> 2
   | Some P32, _ -> 4
 
-let rec check_instr ctx (i : instr) =
+(* The per-event steps, one per {!Ast.sink} field. A leaf is any
+   instruction but [Block], [Loop] and [If]. *)
+let rec leaf ctx (i : instr) =
   match i with
   | Unreachable -> set_unreachable ctx
   | Nop -> ()
-  | Block (bt, body) ->
-    let ts = blocktype_types bt in
-    push_ctrl ctx ~is_loop:false ts ts;
-    check_body ctx body
-  | Loop (bt, body) ->
-    let ts = blocktype_types bt in
-    (* Branches to a loop target its beginning: label types are the
-       (empty, in the MVP) parameter types. *)
-    push_ctrl ctx ~is_loop:true [] ts;
-    check_body ctx body
-  | If (bt, then_, else_) ->
-    pop_expect ctx I32;
-    let ts = blocktype_types bt in
-    (* The then-arm never pops below this height, so resetting it
-       restores the stack the else-arm starts from. *)
-    let saved_height = ctx.height in
-    push_ctrl ctx ~is_loop:false ts ts;
-    check_body ctx then_;
-    if else_ <> [] then begin
-      ctx.height <- saved_height;
-      push_ctrl ctx ~is_loop:false ts ts;
-      check_body ctx else_
-    end
-    else if ts <> [] then fail "if with result type requires else"
-    else push_knowns ctx ts
   | Br n ->
     pop_expects ctx (label_arity ctx n);
     set_unreachable ctx
@@ -169,14 +155,15 @@ let rec check_instr ctx (i : instr) =
     pop_expects ctx ctx.return_types;
     set_unreachable ctx
   | Call f ->
-    if f >= Array.length ctx.func_types then fail "call: function %d out of range" f;
-    let ft = ctx.func_types.(f) in
+    if f >= Array.length ctx.env.func_types then fail "call: function %d out of range" f;
+    let ft = ctx.env.func_types.(f) in
     pop_expects ctx ft.params;
     push_knowns ctx ft.results
+  | Block _ | Loop _ | If _ -> invalid_arg "Validate.leaf: structured instruction"
   | CallIndirect t ->
-    if ctx.table_count = 0 then fail "call_indirect with no table";
-    if t < 0 || t >= Array.length ctx.types then fail "call_indirect: type %d out of range" t;
-    let ft = ctx.types.(t) in
+    if ctx.env.table_count = 0 then fail "call_indirect with no table";
+    if t < 0 || t >= Array.length ctx.env.types then fail "call_indirect: type %d out of range" t;
+    let ft = ctx.env.types.(t) in
     pop_expect ctx I32;
     pop_expects ctx ft.params;
     push_knowns ctx ft.results
@@ -200,11 +187,11 @@ let rec check_instr ctx (i : instr) =
     pop_expect ctx ctx.locals.(i);
     push_opd ctx (known ctx.locals.(i))
   | GlobalGet i ->
-    if i >= Array.length ctx.global_types then fail "global %d out of range" i;
-    push_opd ctx (known ctx.global_types.(i).content)
+    if i >= Array.length ctx.env.global_types then fail "global %d out of range" i;
+    push_opd ctx (known ctx.env.global_types.(i).content)
   | GlobalSet i ->
-    if i >= Array.length ctx.global_types then fail "global %d out of range" i;
-    let g = ctx.global_types.(i) in
+    if i >= Array.length ctx.env.global_types then fail "global %d out of range" i;
+    let g = ctx.env.global_types.(i) in
     if g.mut = Immutable then fail "global %d is immutable" i;
     pop_expect ctx g.content
   | Load (ty, pack, m) ->
@@ -217,10 +204,10 @@ let rec check_instr ctx (i : instr) =
     pop_expect ctx ty;
     pop_expect ctx I32
   | MemorySize ->
-    if ctx.memory_count = 0 then fail "memory.size with no memory";
+    if ctx.env.memory_count = 0 then fail "memory.size with no memory";
     push_opd ctx (known I32)
   | MemoryGrow ->
-    if ctx.memory_count = 0 then fail "memory.grow with no memory";
+    if ctx.env.memory_count = 0 then fail "memory.grow with no memory";
     pop_expect ctx I32;
     push_opd ctx (known I32)
   | Const v -> push_opd ctx (known (type_of_value v))
@@ -261,10 +248,31 @@ and cvt_types = function
   | F32ReinterpretI32 -> (I32, F32)
   | F64ReinterpretI64 -> (I64, F64)
 
-and check_body ctx body =
-  List.iter (check_instr ctx) body;
+let block ctx bt =
+  let ts = blocktype_types bt in
+  push_ctrl ctx ts ts
+
+(* Branches to a loop target its beginning: label types are the (empty,
+   in the MVP) parameter types. *)
+let loop ctx bt = push_ctrl ctx [] (blocktype_types bt)
+
+let if_ ctx bt =
+  pop_expect ctx I32;
+  let ts = blocktype_types bt in
+  push_ctrl ~is_then:true ctx ts ts
+
+(* The then-arm never pops below its entry height, where its frame
+   leaves the stack, so the else-arm starts from the if's own stack. *)
+let else_ ctx =
   let frame = pop_ctrl ctx in
+  push_ctrl ctx frame.label_types frame.end_types
+
+let end_ ctx =
+  let frame = pop_ctrl ctx in
+  if frame.is_then && frame.end_types <> [] then fail "if with result type requires else";
   push_knowns ctx frame.end_types
+
+let sink = { leaf; block; loop; if_; else_; end_ }
 
 let check_functype ft =
   if List.length ft.results > 1 then fail "multi-value results not supported in the MVP"
@@ -292,16 +300,18 @@ let check_limits (l : limits) ~bound ~what =
     if m < l.min then fail "%s maximum %d below minimum %d" what m l.min;
     if m > bound then fail "%s maximum %d exceeds bound %d" what m bound
 
-let validate (m : module_) =
+(** The checks that need only the sections before the code section:
+    types, the function types ([ftypes], the function section's type
+    indices), table and memory counts, limits and global initialisers.
+    Run before any body is checked. *)
+let header (m : module_) (ftypes : int list) =
   List.iter check_functype m.types;
   let types = Array.of_list m.types in
   let type_of idx =
     if idx < 0 || idx >= Array.length types then fail "type index %d out of range" idx;
     types.(idx)
   in
-  let func_types =
-    Array.of_list (List.map type_of (imported_funcs m @ List.map (fun f -> f.ftype) m.funcs))
-  in
+  let func_types = Array.of_list (List.map type_of (imported_funcs m @ ftypes)) in
   let imported_globals = Array.of_list (imported_globals m) in
   let global_types =
     Array.append imported_globals (Array.of_list (List.map (fun g -> g.gtype) m.globals))
@@ -314,29 +324,43 @@ let validate (m : module_) =
   List.iter (fun l -> check_limits l ~bound:0xffff_ffff ~what:"table") m.tables;
   (* Globals: initialisers may only refer to imported globals. *)
   List.iter (fun g -> check_const_expr imported_globals g.gtype.content g.ginit) m.globals;
-  (* Functions. *)
-  let n_imported = List.length (imported_funcs m) in
-  List.iteri
-    (fun i f ->
-      let ft = type_of f.ftype in
-      let ctx =
-        {
-          types;
-          func_types;
-          global_types;
-          table_count;
-          memory_count;
-          locals = Array.of_list (ft.params @ f.locals);
-          return_types = ft.results;
-          opds = Array.make 16 Unknown;
-          height = 0;
-          ctrls = [];
-        }
-      in
-      push_ctrl ctx ~is_loop:false ft.results ft.results;
-      try check_body ctx f.body
-      with Invalid msg -> fail "function %d: %s" (n_imported + i) msg)
-    m.funcs;
+  {
+    types;
+    func_types;
+    global_types;
+    imported_globals;
+    table_count;
+    memory_count;
+    n_imported = List.length (imported_funcs m);
+  }
+
+(** The checker for own function [i], whose declared locals are
+    [locals]. Feed it the body's events through {!sink}. *)
+let checker env i (locals : valtype list) =
+  let findex = env.n_imported + i in
+  let ft = env.func_types.(findex) in
+  let ctx =
+    {
+      env;
+      findex;
+      locals = Array.of_list (ft.params @ locals);
+      return_types = ft.results;
+      opds = Array.make 16 Unknown;
+      height = 0;
+      ctrls = [];
+    }
+  in
+  push_ctrl ctx ft.results ft.results;
+  ctx
+
+(** The error a failed step of [ctx]'s function raises. *)
+let in_function ctx msg = Invalid (Printf.sprintf "function %d: %s" ctx.findex msg)
+
+(** The checks that read sections the bodies do not need: the start
+    function, exports, element and data segments. Run after every body
+    has been checked. *)
+let trailer env (m : module_) =
+  let func_types = env.func_types in
   (* Start function must be [] -> []. *)
   (match m.start with
   | None -> ()
@@ -353,21 +377,30 @@ let validate (m : module_) =
       match e.edesc with
       | ExportFunc i -> if i >= Array.length func_types then fail "export func %d out of range" i
       | ExportGlobal i ->
-        if i >= Array.length global_types then fail "export global %d out of range" i
-      | ExportTable i -> if i >= table_count then fail "export table %d out of range" i
-      | ExportMemory i -> if i >= memory_count then fail "export memory %d out of range" i)
+        if i >= Array.length env.global_types then fail "export global %d out of range" i
+      | ExportTable i -> if i >= env.table_count then fail "export table %d out of range" i
+      | ExportMemory i -> if i >= env.memory_count then fail "export memory %d out of range" i)
     m.exports;
   (* Element and data segments. *)
   List.iter
     (fun e ->
-      if e.etable >= table_count then fail "element segment: table %d out of range" e.etable;
-      check_const_expr imported_globals I32 e.eoffset;
+      if e.etable >= env.table_count then fail "element segment: table %d out of range" e.etable;
+      check_const_expr env.imported_globals I32 e.eoffset;
       List.iter
         (fun f -> if f >= Array.length func_types then fail "element: func %d out of range" f)
         e.einit)
     m.elems;
   List.iter
     (fun d ->
-      if d.dmem >= memory_count then fail "data segment: memory %d out of range" d.dmem;
-      check_const_expr imported_globals I32 d.doffset)
+      if d.dmem >= env.memory_count then fail "data segment: memory %d out of range" d.dmem;
+      check_const_expr env.imported_globals I32 d.doffset)
     m.datas
+
+let validate (m : module_) =
+  let env = header m (List.map (fun f -> f.ftype) m.funcs) in
+  List.iteri
+    (fun i (f : func) ->
+      let ctx = checker env i f.locals in
+      try replay_body sink ctx f.body with Invalid msg -> raise (in_function ctx msg))
+    m.funcs;
+  trailer env m

@@ -539,11 +539,6 @@ let fortuna_pinned_stream () =
   check_hex "after the rekey" "7520daf83dfdf0b59f6d8977b2d3a7cf382a9ceef2c55c8e55551581ccebe7eb"
     (Fortuna.generate g 32)
 
-let fortuna_unseeded () =
-  let g = Fortuna.create () in
-  Alcotest.check_raises "unseeded" (Failure "Fortuna.generate: generator not seeded")
-    (fun () -> ignore (Fortuna.generate g 16))
-
 (* ------------------------------------------------------------------ *)
 (* KDF *)
 
@@ -893,7 +888,6 @@ let suite =
         case "deterministic from seed" fortuna_deterministic;
         case "seed separation" fortuna_differs_by_seed;
         case "rekeys between requests" fortuna_rekeys;
-        case "unseeded raises" fortuna_unseeded;
         case "stream pinned across the AES rewrite" fortuna_pinned_stream;
       ] );
     ("crypto.kdf", [ case "session key shape" kdf_shape; case "secret separation" kdf_distinct_secrets ]);

@@ -880,6 +880,190 @@ let test_interp_br_table_linear () =
   Alcotest.(check (list value_testable)) "last target taken every run" [ VI32 (Int32.of_int runs) ] got
 
 (* ------------------------------------------------------------------ *)
+(* Front-door parity. The fast tier loads bytes in one pass
+   ([Fastinterp.compile_bytes]); the AST path decodes, then validates.
+   On any bytes both must give one verdict with one message, and the
+   cases below are the orders a one-pass loader can get wrong: a
+   decoding error anywhere beats a validation error, and the
+   module-level checks keep their order around the bodies. The shapes
+   need raw bytes, since the AST cannot hold an unknown opcode, an
+   explicit empty else or a count mismatch. *)
+
+let uleb n =
+  let w = Watz_util.Bytesio.Writer.create () in
+  Watz_util.Bytesio.Writer.uleb w (Int64.of_int n);
+  Watz_util.Bytesio.Writer.contents w
+
+let raw_module sections =
+  "\x00asm\x01\x00\x00\x00"
+  ^ String.concat ""
+      (List.map (fun (id, payload) -> String.make 1 (Char.chr id) ^ uleb (String.length payload) ^ payload)
+         sections)
+
+let vec items = uleb (List.length items) ^ String.concat "" items
+
+(* A code-section entry with no locals; [code] excludes the closing end. *)
+let code_entry code = uleb (String.length code + 2) ^ "\x00" ^ code ^ "\x0b"
+
+let type_void = "\x60\x00\x00" (* [] -> [] *)
+let type_i32 = "\x60\x00\x01\x7f" (* [] -> [i32] *)
+let ill_typed = "\x41\x00\x42\x00\x6a\x1a" (* i32.const 0; i64.const 0; i32.add; drop *)
+let ill_typed_error = "invalid: function 0: type mismatch: expected i32, got i64"
+
+let front_door_verdict f =
+  match f () with
+  | () -> "accepted"
+  | exception Decode.Malformed m -> "malformed: " ^ m
+  | exception Validate.Invalid m -> "invalid: " ^ m
+
+(* Both front doors' verdict, checked equal; accepted bytes must also
+   compile to the same code on both. *)
+let front_doors bytes =
+  let ast = front_door_verdict (fun () -> Validate.validate (Decode.decode bytes)) in
+  let onepass = front_door_verdict (fun () -> ignore (Fastinterp.compile_bytes bytes)) in
+  Alcotest.(check string) "one pass = decode, then validate" ast onepass;
+  if ast = "accepted" then begin
+    let digest cm = Digest.string (Marshal.to_string cm [ Marshal.No_sharing ]) in
+    Alcotest.(check string) "same compiled module"
+      (digest (Fastinterp.compile (Decode.decode bytes)))
+      (digest (Fastinterp.compile_bytes bytes))
+  end;
+  ast
+
+let check_front_doors what expected bytes =
+  Alcotest.(check string) what expected (front_doors bytes)
+
+let test_parity_decode_error_beats_type_error () =
+  check_front_doors "type error in function 0, unknown opcode in function 1"
+    "malformed: unknown opcode 0x06"
+    (raw_module
+       [ (1, vec [ type_void ]); (3, vec [ "\x00"; "\x00" ]);
+         (10, vec [ code_entry ill_typed; code_entry "\x06" ]) ]);
+  check_front_doors "type error, then a truncated data section" "malformed: unexpected end of input"
+    (raw_module
+       [ (1, vec [ type_void ]); (3, vec [ "\x00" ]); (5, vec [ "\x00\x01" ]);
+         (10, vec [ code_entry ill_typed ]);
+         (11, vec [ "\x00\x41\x00\x0b\x05ab" ]) ]);
+  check_front_doors "type index out of range, then a bad body opcode" "malformed: unknown opcode 0x06"
+    (raw_module [ (1, vec [ type_void ]); (3, vec [ "\x05" ]); (10, vec [ code_entry "\x06" ]) ]);
+  check_front_doors "fewer code entries than functions, and a type error"
+    "malformed: function and code section lengths disagree (2 vs 1)"
+    (raw_module
+       [ (1, vec [ type_void ]); (3, vec [ "\x00"; "\x00" ]); (10, vec [ code_entry ill_typed ]) ])
+
+let test_parity_check_order () =
+  check_front_doors "a body's type error beats a duplicate export" ill_typed_error
+    (raw_module
+       [ (1, vec [ type_void ]); (3, vec [ "\x00" ]);
+         (7, vec [ "\x01f\x00\x00"; "\x01f\x00\x00" ]);
+         (10, vec [ code_entry ill_typed ]) ]);
+  check_front_doors "type index out of range beats a body's type error"
+    "invalid: type index 1 out of range"
+    (raw_module
+       [ (1, vec [ type_void ]); (3, vec [ "\x00"; "\x01" ]);
+         (10, vec [ code_entry ill_typed; code_entry "" ]) ]);
+  check_front_doors "the first function's error wins" ill_typed_error
+    (raw_module
+       [ (1, vec [ type_void ]); (3, vec [ "\x00"; "\x00" ]);
+         (10, vec [ code_entry ill_typed; code_entry "\x41\x00" ]) ]);
+  check_front_doors "no code section: the header is checked" "invalid: at most one memory in the MVP"
+    (raw_module [ (5, vec [ "\x00\x01"; "\x00\x01" ]); (8, uleb 0) ]);
+  check_front_doors "no code section: the start function is checked" "invalid: start function 0 out of range"
+    (raw_module [ (1, vec [ type_void ]); (8, uleb 0) ])
+
+let test_parity_empty_else () =
+  let requires_else = "invalid: function 0: if with result type requires else" in
+  let body code = raw_module [ (1, vec [ type_i32 ]); (3, vec [ "\x00" ]); (10, vec [ code_entry code ]) ] in
+  (* i32.const 1; if (result i32) i32.const 2 [else] end *)
+  check_front_doors "explicit empty else" requires_else (body "\x41\x01\x04\x7f\x41\x02\x05\x0b");
+  check_front_doors "no else" requires_else (body "\x41\x01\x04\x7f\x41\x02\x0b");
+  check_front_doors "empty else, empty result" "accepted"
+    (raw_module
+       [ (1, vec [ type_void ]); (3, vec [ "\x00" ]);
+         (10, vec [ code_entry "\x41\x01\x04\x40\x01\x05\x0b" ]) ])
+
+(* A [return] ends the then-arm: the flattener emits no jump over the
+   else arm, and the else arm is live again. *)
+let test_parity_return_in_then_arm () =
+  let m =
+    single_func ~params:[ I32 ] ~results:[ I32 ]
+      [ LocalGet 0; If (BlockVal I32, [ Builder.i32c 7; Return ], [ Builder.i32c 3 ]) ]
+  in
+  check_result m "f" [ VI32 1l ] [ VI32 7l ];
+  check_result m "f" [ VI32 0l ] [ VI32 3l ];
+  let bytes = Encode.encode m in
+  check_front_doors "return in a value-carrying then-arm, then else" "accepted" bytes;
+  let cm = Fastinterp.compile_bytes bytes in
+  Alcotest.(check int) "one jump: the return's" 1
+    (Array.fold_left
+       (fun n op -> match op with Fastinterp.OJmp _ -> n + 1 | _ -> n)
+       0 cm.Fastinterp.cm_bodies.(0).Fastinterp.cb_code);
+  Alcotest.(check (list value_testable)) "else arm" [ VI32 3l ]
+    (Fastinterp.invoke (Fastinterp.instantiate cm) "f" [ VI32 0l ])
+
+(* Code after an unconditional branch flattens to nothing, nested
+   blocks included, and the block's end makes the code live again. *)
+let test_dead_code_flattens_to_nothing () =
+  let dead =
+    [ Block (BlockEmpty, [ Br 0 ]); Loop (BlockEmpty, [ Br 0 ]);
+      If (BlockVal I32, [ Builder.i32c 1 ], [ Unreachable; Builder.i32c 2 ]); Drop; Builder.i32c 9 ]
+  in
+  let f tail =
+    single_func ~params:[ I32 ] ~results:[ I32 ]
+      [ Block (BlockVal I32, [ Builder.i32c 5; LocalGet 0; BrIf 0; Drop; Builder.i32c 6; Br 0 ] @ tail) ]
+  in
+  let code m = Marshal.to_string (Fastinterp.compile_bytes (Encode.encode m)).Fastinterp.cm_bodies [] in
+  Alcotest.(check bool) "dead tail emits no op" true (String.equal (code (f [])) (code (f dead)));
+  check_result (f dead) "f" [ VI32 1l ] [ VI32 5l ];
+  check_result (f dead) "f" [ VI32 0l ] [ VI32 6l ]
+
+(* The one-pass loader's work stays linear in the module. At these
+   sizes it takes milliseconds, and each shape's quadratic variant
+   missed the bound by more than 10x (3.3-12.6 s): a function's type
+   looked up with [List.nth], a type stack grown one slot at a time,
+   forward edges appended to a list, and a walk over the code emitted
+   so far at each block's end. *)
+let check_onepass_linear what m =
+  let bytes = Encode.encode m in
+  let cm, seconds = timed (fun () -> Fastinterp.compile_bytes bytes) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: one pass in %.3f s (< 0.25 s)" what seconds)
+    true (seconds < 0.25);
+  cm
+
+let test_onepass_many_functions_linear () =
+  let n = 100_000 in
+  let cm =
+    check_onepass_linear "100,000 functions"
+      {
+        empty_module with
+        types = [ { params = []; results = [] } ];
+        funcs = List.init n (fun _ -> { ftype = 0; locals = []; body = [ Nop ] });
+      }
+  in
+  Alcotest.(check int) "bodies" n (Array.length cm.Fastinterp.cm_bodies)
+
+let test_onepass_deep_stack_linear () =
+  let n = 40_000 in
+  ignore
+    (check_onepass_linear "40,000-deep operand stack"
+       (single_func ~params:[] ~results:[]
+          (List.init n (fun _ -> Const (VI32 0l)) @ List.init n (fun _ -> Drop))))
+
+let test_onepass_br_table_linear () =
+  let n = 40_000 in
+  ignore
+    (check_onepass_linear "40,000-target br_table"
+       (single_func ~params:[] ~results:[]
+          [ Block (BlockEmpty, [ Builder.i32c 0; BrTable (Array.make n 0, 0) ]) ]))
+
+let test_onepass_sibling_blocks_linear () =
+  let n = 100_000 in
+  ignore
+    (check_onepass_linear "100,000 sibling blocks, each a br 0"
+       (single_func ~params:[] ~results:[] (List.init n (fun _ -> Block (BlockEmpty, [ Br 0 ])))))
+
+(* ------------------------------------------------------------------ *)
 (* Link parity: both tiers link through [Instance.instantiate], so a
    module that fails to link fails with one message on either, and the
    invoke API rejects a bad call with one trap. *)
@@ -1635,6 +1819,46 @@ let test_counting_loop () =
   Alcotest.(check bool) "source module untouched" true
     (String.equal before (Marshal.to_string cm.Fastinterp.cm_bodies []))
 
+(* ------------------------------------------------------------------ *)
+(* One-pass identity: loading bytes in one pass and compiling the
+   decoded AST give the same compiled module, with and without fuel. *)
+
+let check_onepass_identity (name, bytes) =
+  let m = Decode.decode bytes in
+  Validate.validate m;
+  let digest x = Digest.to_hex (Digest.string (Marshal.to_string x [ Marshal.No_sharing ])) in
+  List.iter
+    (fun fuel ->
+      let ast = Fastinterp.compile ~fuel m and onepass = Fastinterp.compile_bytes ~fuel bytes in
+      let check field f =
+        Alcotest.(check string)
+          (Printf.sprintf "%s%s: %s" name (if fuel then " (fuel)" else "") field)
+          (digest (f ast)) (digest (f onepass))
+      in
+      check "cm_module" (fun cm -> digest cm.Fastinterp.cm_module);
+      check "cm_func_types" (fun cm -> digest cm.Fastinterp.cm_func_types);
+      check "cm_bodies" (fun cm -> digest cm.Fastinterp.cm_bodies);
+      check "cm_n_imported" (fun cm -> digest cm.Fastinterp.cm_n_imported))
+    [ false; true ]
+
+let minic = Watz_wasmc.Minic.compile_to_bytes
+
+let test_onepass_polybench () =
+  List.iter
+    (fun (k : Watz_workloads.Polybench.kernel) ->
+      check_onepass_identity (k.Watz_workloads.Polybench.name, minic k.Watz_workloads.Polybench.program))
+    Watz_workloads.Polybench.all
+
+let test_onepass_speedtest () =
+  List.iter
+    (fun (e : Watz_workloads.Speedtest.experiment) ->
+      check_onepass_identity
+        (Printf.sprintf "speedtest %d" e.Watz_workloads.Speedtest.id, minic e.Watz_workloads.Speedtest.program))
+    Watz_workloads.Speedtest.all
+
+let test_onepass_bigapp () = check_onepass_identity ("1 MB Bigapp", Watz_workloads.Bigapp.generate ~mb:1)
+let test_onepass_genann () = check_onepass_identity ("Genann", Watz_workloads.Genann_wasm.bytes ())
+
 let case name f = Alcotest.test_case name `Quick f
 let q = Seed_util.qcheck
 
@@ -1699,11 +1923,27 @@ let suite =
         case "rejects immutable global set" test_validator_rejects_immutable_global_set;
         case "deep operand stack: linear" test_validator_deep_stack_linear;
         case "many types: linear" test_validator_many_types_linear;
+        case "front doors: a decode error wins" test_parity_decode_error_beats_type_error;
+        case "front doors: check order" test_parity_check_order;
+        case "front doors: empty else is no else" test_parity_empty_else;
+        case "front doors: return in a then-arm" test_parity_return_in_then_arm;
       ] );
     ( "wasm.linear",
       [
         case "interp call_indirect: 40,000 types" test_interp_call_indirect_linear;
         case "interp br_table: 40,000 targets" test_interp_br_table_linear;
+        case "one pass: 100,000 functions" test_onepass_many_functions_linear;
+        case "one pass: 40,000-deep operand stack" test_onepass_deep_stack_linear;
+        case "one pass: 40,000-target br_table" test_onepass_br_table_linear;
+        case "one pass: 100,000 sibling blocks" test_onepass_sibling_blocks_linear;
+      ] );
+    ( "wasm.onepass",
+      [
+        case "PolyBench: bytes = AST" test_onepass_polybench;
+        case "Speedtest: bytes = AST" test_onepass_speedtest;
+        case "1 MB Bigapp: bytes = AST" test_onepass_bigapp;
+        case "Genann: bytes = AST" test_onepass_genann;
+        case "dead code flattens to nothing" test_dead_code_flattens_to_nothing;
       ] );
     ( "wasm.link",
       [
