@@ -8,9 +8,10 @@
      measure <file.wasm>       print the attestation claim of a binary
      run <file.wasm> [entry]   launch a Wasm binary inside WaTZ
      attest                    run a full remote attestation end to end
+     trace <trace.json>        summarize a Chrome trace written by --trace
      attest-storm              many concurrent attestations over a faulty network
      verify-protocol           run the Dolev-Yao analysis of Table II
-     sql <statement...>        execute SQL against an in-enclave MiniDB *)
+     fuzz                      seeded fuzzing and differential verification *)
 
 open Cmdliner
 
@@ -72,13 +73,29 @@ let run_cmd =
   let run file entry tier =
     let soc = booted "cli-device" in
     let config = { Watz.Runtime.default_config with Watz.Runtime.tier } in
-    let app = Watz.Runtime.load ~config ~entry:(Some entry) soc (read_file file) in
-    print_string (Watz.Runtime.output app);
-    Printf.printf "[watz] tier: %s\n" (Watz.Engine.tier_name tier);
-    Printf.printf "[watz] claim: %s\n" (Watz_util.Hex.encode (Watz.Runtime.claim app));
-    Watz.Runtime.unload app
+    (* A bad module or a trapping entry point is the input's fault, not
+       the tool's: report it on one line and exit 1. *)
+    let fail kind msg =
+      Printf.eprintf "watz: %s: %s\n" kind msg;
+      exit 1
+    in
+    match Watz.Runtime.load ~config ~entry:(Some entry) soc (read_file file) with
+    | app ->
+      print_string (Watz.Runtime.output app);
+      Printf.printf "[watz] tier: %s\n" (Watz.Engine.tier_name tier);
+      Printf.printf "[watz] claim: %s\n" (Watz_util.Hex.encode (Watz.Runtime.claim app));
+      Watz.Runtime.unload app
+    | exception Watz_wasm.Decode.Malformed m -> fail "malformed module" m
+    | exception Watz_wasm.Validate.Invalid m -> fail "invalid module" m
+    | exception Watz_wasm.Instance.Link_error m -> fail "link error" m
+    | exception Watz_wasm.Instance.Trap m -> fail "trap" m
+    | exception Watz_wasm.Instance.Exhaustion m -> fail "exhausted" m
+    | exception Watz_tz.Optee.Out_of_memory m -> fail "out of memory" m
   in
-  Cmd.v (Cmd.info "run" ~doc:"Launch a Wasm binary inside the WaTZ runtime")
+  Cmd.v
+    (Cmd.info "run"
+       ~doc:"Launch a Wasm binary inside the WaTZ runtime. Exit status 1 when the module is \
+             rejected or its entry point traps.")
     Term.(const run $ file $ entry $ tier)
 
 let pp_sim_ns ns = Format.asprintf "%a" Watz_util.Stats.pp_ns (float_of_int ns)
@@ -438,21 +455,6 @@ let verify_protocol_cmd =
   Cmd.v (Cmd.info "verify-protocol" ~doc:"Dolev-Yao analysis of the Table II protocol")
     Term.(const run $ const ())
 
-let sql_cmd =
-  let stmts = Arg.(non_empty & pos_all string [] & info [] ~docv:"SQL") in
-  let run stmts =
-    let db = Watz_workloads.Minidb.create () in
-    List.iter
-      (fun s ->
-        match Watz_workloads.Minidb.exec db s with
-        | result -> print_string (Watz_workloads.Minidb.render result)
-        | exception Watz_workloads.Minidb.Sql_error m -> Printf.printf "error: %s\n" m)
-      stmts
-  in
-  Cmd.v
-    (Cmd.info "sql" ~doc:"Execute SQL statements against an in-enclave MiniDB (one per argument)")
-    Term.(const run $ stmts)
-
 let fuzz_cmd =
   let budget =
     Arg.(
@@ -577,5 +579,5 @@ let () =
        (Cmd.group info
           [
             boot_cmd; measure_cmd; run_cmd; attest_cmd; attest_storm_cmd; trace_cmd;
-            verify_protocol_cmd; sql_cmd; fuzz_cmd;
+            verify_protocol_cmd; fuzz_cmd;
           ]))

@@ -64,36 +64,42 @@ let () =
       ~accept_version:(fun v -> String.equal v Watz_tz.Soc.watz_version)
       ~secret_blob:"deployment credentials" ()
   in
-  let attempt name ~claim ~issue_service ~expected_verifier =
+  let attempt name ~accept ~claim ~issue_service ~expected_verifier =
     let issue ~anchor =
       Watz_attest.Evidence.encode (Watz_attest.Service.issue_evidence issue_service ~anchor ~claim)
     in
     match P.run_local ~random ~policy ~issue ~expected_verifier () with
-    | Ok r -> Printf.printf "%-40s accepted (blob %S)\n" name r.P.blob
-    | Error e -> Format.printf "%-40s rejected: %a@." name P.pp_error e
+    | Ok r when accept -> Printf.printf "%-40s accepted (blob %S)\n" name r.P.blob
+    | Error e when not accept -> Format.printf "%-40s rejected: %a@." name P.pp_error e
+    | Ok _ -> failwith (name ^ " accepted!")
+    | Error e -> Format.kasprintf failwith "%s rejected: %a" name P.pp_error e
   in
-  attempt "genuine device, known measurement:" ~claim:claim_good ~issue_service:service
-    ~expected_verifier:policy.P.Verifier.identity_pub;
-  attempt "genuine device, tampered application:"
+  attempt "genuine device, known measurement:" ~accept:true ~claim:claim_good
+    ~issue_service:service ~expected_verifier:policy.P.Verifier.identity_pub;
+  attempt "genuine device, tampered application:" ~accept:false
     ~claim:(Watz_crypto.Sha256.digest "backdoored.wasm")
     ~issue_service:service ~expected_verifier:policy.P.Verifier.identity_pub;
   let rogue = Watz_tz.Soc.manufacture ~seed:"rogue-board" () in
   (match Watz_tz.Soc.boot rogue with Ok _ -> () | Error _ -> assert false);
   let rogue_service = Watz_attest.Service.install (Watz_tz.Soc.optee rogue) in
-  attempt "unendorsed device, correct measurement:" ~claim:claim_good
+  attempt "unendorsed device, correct measurement:" ~accept:false ~claim:claim_good
     ~issue_service:rogue_service ~expected_verifier:policy.P.Verifier.identity_pub;
   let _, impostor = Watz_crypto.Ecdsa.keypair_of_seed "impostor" in
-  attempt "masquerading verifier:" ~claim:claim_good ~issue_service:service
+  attempt "masquerading verifier:" ~accept:false ~claim:claim_good ~issue_service:service
     ~expected_verifier:impostor;
 
   banner "4. Formal analysis of the protocol (Scyther substitute)";
+  let claims = Watz_attest.Symbolic.verify_protocol () in
   List.iter
     (fun v ->
       Printf.printf "%-66s %s\n" v.Watz_attest.Symbolic.claim
         (if v.Watz_attest.Symbolic.holds then "holds" else "VIOLATED"))
-    (Watz_attest.Symbolic.verify_protocol ());
+    claims;
+  let findings = Watz_attest.Symbolic.attack_findings () in
   List.iter
     (fun (name, found) ->
       Printf.printf "checker sanity [%s]: %s\n" name
         (if found then "attack found, as expected" else "checker too weak!"))
-    (Watz_attest.Symbolic.attack_findings ())
+    findings;
+  if not (List.for_all (fun v -> v.Watz_attest.Symbolic.holds) claims && List.for_all snd findings)
+  then exit 1

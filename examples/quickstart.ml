@@ -48,8 +48,8 @@ let () =
 
   (* 4. Call an export from the normal world (one world round trip). *)
   (match Watz.Runtime.invoke running "square" [ Watz_wasm.Ast.VI32 12l ] with
-  | [ Watz_wasm.Ast.VI32 n ] -> Printf.printf "[watz] square(12) = %ld\n" n
-  | _ -> failwith "unexpected result");
+  | [ Watz_wasm.Ast.VI32 144l ] -> print_endline "[watz] square(12) = 144"
+  | _ -> failwith "square(12) did not return 144");
 
   (* 5. Startup breakdown, as in Fig. 4 of the paper. *)
   let s = running.Watz.Runtime.startup in

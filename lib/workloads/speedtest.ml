@@ -12,7 +12,7 @@
     Fig. 6 labels; [kind] records the read/write split the paper uses
     when reporting 2.04x (reads) vs 2.23x (writes).
 
-    The full SQL engine lives in {!Minidb}; these kernels keep the
+    Both sides run the same kernel over the same data, which keeps the
     Wasm-vs-native comparison apples-to-apples. *)
 
 module M = Watz_wasmc.Minic

@@ -223,6 +223,46 @@ let test_time_resolution () =
   Alcotest.(check int64) "ms value" (Int64.div ns 1_000_000L) ms
 
 (* ------------------------------------------------------------------ *)
+(* GP TEE Client API: the normal world's side of a TA session *)
+
+(* [f ()] and the simulated time it took. *)
+let timed soc f =
+  let before = Soc.now_ns soc in
+  let r = f () in
+  (r, Int64.sub (Soc.now_ns soc) before)
+
+let test_ree_session () =
+  let soc = fresh_soc () in
+  let ctx = Ree.initialize_context soc in
+  let echo = dummy_ta soc in
+  (* Every session call is one SMC round trip: 86 us in + 20 us out. *)
+  let s, t_open = timed soc (fun () -> Ree.open_session ctx echo) in
+  Alcotest.(check int64) "open: one world switch" 106_000L t_open;
+  let reply, t_invoke = timed soc (fun () -> Ree.invoke_command ctx s ~cmd:3 "ping") in
+  Alcotest.(check string) "TA reply" "ping" reply;
+  Alcotest.(check int64) "invoke: one world switch" 106_000L t_invoke;
+  let (), t_close = timed soc (fun () -> Ree.close_session ctx s) in
+  Alcotest.(check int64) "close: one world switch" 106_000L t_close;
+  Alcotest.check_raises "invoke after close"
+    (Invalid_argument "Optee.invoke_session: session closed") (fun () ->
+      ignore (Ree.invoke_command ctx s ~cmd:3 "ping"))
+
+let test_ree_shared_memory () =
+  let soc = fresh_soc () in
+  let ctx = Ree.initialize_context soc in
+  let mib = 1024 * 1024 in
+  let shm = Ree.allocate_shared_memory ctx (8 * mib) in
+  (match Ree.allocate_shared_memory ctx (2 * mib) with
+  | _ -> Alcotest.fail "9 MB shared-memory pool overcommitted"
+  | exception Optee.Out_of_memory _ -> ());
+  (* The buffer is mapped in both worlds, so writing it is no world switch. *)
+  let (), t_write = timed soc (fun () -> Ree.write_shared ctx shm ~off:0 "ping") in
+  Alcotest.(check int64) "write: no world switch" 0L t_write;
+  Alcotest.(check string) "bytes in the buffer" "ping" (Bytes.sub_string shm.Optee.shm_data 0 4);
+  Ree.release_shared_memory ctx shm;
+  Ree.release_shared_memory ctx (Ree.allocate_shared_memory ctx (2 * mib))
+
+(* ------------------------------------------------------------------ *)
 (* Network *)
 
 let test_net_connect_refused () =
@@ -310,6 +350,11 @@ let suite =
         case "world-switch costs" test_world_switch_costs;
         case "secure time RPC cost" test_secure_time_costs;
         case "ms vs ns resolution" test_time_resolution;
+      ] );
+    ( "tz.ree",
+      [
+        case "one world switch per session call" test_ree_session;
+        case "shared memory against the 9 MB pool" test_ree_shared_memory;
       ] );
     ("tz.random", [ case "one random source per board" test_random_per_board ]);
     ( "tz.net",

@@ -1,14 +1,12 @@
 (* Workload tests: PolyBench native/Wasm parity across all 30 kernels,
    Speedtest parity, Genann OCaml-vs-Wasm bit equality, Iris dataset
-   shape, MiniDB SQL behaviour, and B-tree properties. *)
+   shape, and the 1 MB Bigapp module. *)
 
 module PB = Watz_workloads.Polybench
 module ST = Watz_workloads.Speedtest
 module G = Watz_workloads.Genann
 module GW = Watz_workloads.Genann_wasm
 module Iris = Watz_workloads.Iris
-module DB = Watz_workloads.Minidb
-module BT = Watz_workloads.Btree
 
 let run_wasm program name =
   let m = Watz_wasmc.Minic.compile program in
@@ -260,168 +258,6 @@ let test_iris_replication () =
   Alcotest.(check int) "record-aligned" 0 (String.length bytes mod Iris.record_bytes)
 
 (* ------------------------------------------------------------------ *)
-(* B-tree *)
-
-let test_btree_basics () =
-  let t = BT.create ~order:4 () in
-  for k = 0 to 999 do
-    BT.insert t (BT.Kint ((k * 7919) mod 1000)) k
-  done;
-  BT.check_invariants t;
-  Alcotest.(check int) "size" 1000 (BT.size t);
-  (* every key findable *)
-  for k = 0 to 999 do
-    let key = BT.Kint ((k * 7919) mod 1000) in
-    Alcotest.(check bool) "found" true (List.mem k (BT.find t key))
-  done
-
-let test_btree_range_and_remove () =
-  let t = BT.create ~order:4 () in
-  for k = 0 to 99 do
-    BT.insert t (BT.Kint k) k
-  done;
-  let ids = BT.range t ~lo:(BT.Kint 10) ~hi:(BT.Kint 19) in
-  Alcotest.(check int) "range size" 10 (List.length ids);
-  BT.remove t (BT.Kint 15) 15;
-  Alcotest.(check (list int)) "removed" [] (BT.find t (BT.Kint 15));
-  BT.check_invariants t
-
-let qcheck_btree_model =
-  QCheck.Test.make ~name:"btree matches a sorted-assoc model" ~count:100
-    QCheck.(list (pair small_int small_int))
-    (fun pairs ->
-      let t = BT.create ~order:4 () in
-      let model = Hashtbl.create 16 in
-      List.iteri
-        (fun rowid (k, _) ->
-          BT.insert t (BT.Kint k) rowid;
-          Hashtbl.replace model k (rowid :: (try Hashtbl.find model k with Not_found -> [])))
-        pairs;
-      BT.check_invariants t;
-      Hashtbl.fold
-        (fun k ids acc ->
-          acc && List.sort compare (BT.find t (BT.Kint k)) = List.sort compare ids)
-        model true)
-
-(* ------------------------------------------------------------------ *)
-(* MiniDB *)
-
-let fresh_db () = DB.create ()
-
-let exec db sql = DB.exec db sql
-let rows db sql = (DB.exec db sql).DB.rows_out
-
-let test_sql_create_insert_select () =
-  let db = fresh_db () in
-  ignore (exec db "CREATE TABLE users (id INT, name TEXT, score REAL)");
-  ignore (exec db "INSERT INTO users VALUES (1, 'alice', 9.5), (2, 'bob', 7.25), (3, 'carol', 8.0)");
-  let r = rows db "SELECT name FROM users WHERE score >= 8.0 ORDER BY score DESC" in
-  Alcotest.(check int) "two rows" 2 (List.length r);
-  (match r with
-  | [ [| DB.Text first |]; [| DB.Text second |] ] ->
-    Alcotest.(check string) "best first" "alice" first;
-    Alcotest.(check string) "then carol" "carol" second
-  | _ -> Alcotest.fail "unexpected shape")
-
-let test_sql_aggregates_group_by () =
-  let db = fresh_db () in
-  ignore (exec db "CREATE TABLE t (grp TEXT, x INT)");
-  ignore (exec db "INSERT INTO t VALUES ('a', 1), ('a', 2), ('b', 10), ('b', 20), ('b', 30)");
-  let r = rows db "SELECT *, COUNT(*), SUM(x), AVG(x) FROM t GROUP BY grp" in
-  Alcotest.(check int) "two groups" 2 (List.length r);
-  List.iter
-    (fun row ->
-      match row with
-      | [| DB.Text "a"; DB.Int 2; DB.Int 3; DB.Real avg |] ->
-        Alcotest.(check (float 1e-9)) "avg a" 1.5 avg
-      | [| DB.Text "b"; DB.Int 3; DB.Int 60; DB.Real avg |] ->
-        Alcotest.(check (float 1e-9)) "avg b" 20.0 avg
-      | _ -> Alcotest.fail "unexpected group row")
-    r
-
-let test_sql_update_delete () =
-  let db = fresh_db () in
-  ignore (exec db "CREATE TABLE t (id INT, x INT)");
-  ignore (exec db "INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)");
-  ignore (exec db "UPDATE t SET x = x + 5 WHERE id = 2");
-  (match rows db "SELECT x FROM t WHERE id = 2" with
-  | [ [| DB.Int 25 |] ] -> ()
-  | _ -> Alcotest.fail "update failed");
-  ignore (exec db "DELETE FROM t WHERE x > 24");
-  match rows db "SELECT COUNT(*) FROM t" with
-  | [ [| DB.Int 1 |] ] -> ()
-  | _ -> Alcotest.fail "delete failed"
-
-let test_sql_index_consistency () =
-  let db = fresh_db () in
-  ignore (exec db "CREATE TABLE t (k INT, x INT)");
-  ignore (exec db "CREATE INDEX ik ON t (k)");
-  for batch = 0 to 9 do
-    let values =
-      String.concat ", "
-        (List.init 50 (fun j ->
-             let k = ((batch * 50) + j) * 7919 mod 1000 in
-             Printf.sprintf "(%d, %d)" k j))
-    in
-    ignore (exec db (Printf.sprintf "INSERT INTO t VALUES %s" values))
-  done;
-  (* Indexed lookup must agree with a full scan. *)
-  for key = 0 to 50 do
-    let indexed = rows db (Printf.sprintf "SELECT COUNT(*) FROM t WHERE k = %d" key) in
-    let scanned = rows db (Printf.sprintf "SELECT COUNT(*) FROM t WHERE k + 0 = %d" key) in
-    match (indexed, scanned) with
-    | [ [| DB.Int a |] ], [ [| DB.Int b |] ] ->
-      Alcotest.(check int) (Printf.sprintf "key %d" key) b a
-    | _ -> Alcotest.fail "bad count shape"
-  done
-
-let test_sql_join () =
-  let db = fresh_db () in
-  ignore (exec db "CREATE TABLE emp (id INT, dept INT, name TEXT)");
-  ignore (exec db "CREATE TABLE dept (did INT, dname TEXT)");
-  ignore (exec db "INSERT INTO emp VALUES (1, 10, 'ann'), (2, 20, 'ben'), (3, 10, 'cyd')");
-  ignore (exec db "INSERT INTO dept VALUES (10, 'science'), (20, 'ops')");
-  let r = rows db "SELECT emp.name, dept.dname FROM emp JOIN dept ON emp.dept = dept.did WHERE dept.dname = 'science'" in
-  Alcotest.(check int) "two science employees" 2 (List.length r)
-
-let test_sql_like () =
-  let db = fresh_db () in
-  ignore (exec db "CREATE TABLE t (s TEXT)");
-  ignore (exec db "INSERT INTO t VALUES ('apple'), ('apricot'), ('banana'), ('grape')");
-  (match rows db "SELECT COUNT(*) FROM t WHERE s LIKE 'ap%'" with
-  | [ [| DB.Int 2 |] ] -> ()
-  | _ -> Alcotest.fail "prefix LIKE");
-  (match rows db "SELECT COUNT(*) FROM t WHERE s LIKE '%an%'" with
-  | [ [| DB.Int 1 |] ] -> ()
-  | _ -> Alcotest.fail "infix LIKE");
-  match rows db "SELECT COUNT(*) FROM t WHERE s LIKE '%e'" with
-  | [ [| DB.Int 2 |] ] -> ()
-  | _ -> Alcotest.fail "suffix LIKE"
-
-let test_sql_errors () =
-  let db = fresh_db () in
-  let expect_err sql =
-    match DB.exec db sql with
-    | _ -> Alcotest.failf "accepted: %s" sql
-    | exception DB.Sql_error _ -> ()
-  in
-  expect_err "SELECT * FROM missing";
-  ignore (exec db "CREATE TABLE t (a INT)");
-  expect_err "CREATE TABLE t (a INT)";
-  expect_err "INSERT INTO t VALUES (1, 2)";
-  expect_err "SELECT nosuch FROM t";
-  expect_err "BOGUS STATEMENT";
-  expect_err "SELECT a FROM t WHERE a = "
-
-let test_sql_limit_order () =
-  let db = fresh_db () in
-  ignore (exec db "CREATE TABLE t (x INT)");
-  ignore (exec db "INSERT INTO t VALUES (5), (3), (9), (1), (7)");
-  match rows db "SELECT x FROM t ORDER BY x LIMIT 3" with
-  | [ [| DB.Int 1 |]; [| DB.Int 3 |]; [| DB.Int 5 |] ] -> ()
-  | _ -> Alcotest.fail "order/limit failed"
-
-(* ------------------------------------------------------------------ *)
 (* Bigapp *)
 
 let test_bigapp_size_and_runs () =
@@ -437,7 +273,6 @@ let test_bigapp_size_and_runs () =
   | _ -> Alcotest.fail "_start should return nothing"
 
 let case name f = Alcotest.test_case name `Quick f
-let q = Seed_util.qcheck
 
 let suite =
   [
@@ -460,23 +295,6 @@ let suite =
         case "shape and size" test_iris_shape;
         case "bytes roundtrip" test_iris_bytes_roundtrip;
         case "replication" test_iris_replication;
-      ] );
-    ( "workloads.btree",
-      [
-        case "insert/find/invariants" test_btree_basics;
-        case "range and remove" test_btree_range_and_remove;
-        q qcheck_btree_model;
-      ] );
-    ( "workloads.minidb",
-      [
-        case "create/insert/select" test_sql_create_insert_select;
-        case "aggregates + group by" test_sql_aggregates_group_by;
-        case "update/delete" test_sql_update_delete;
-        case "index consistency" test_sql_index_consistency;
-        case "join" test_sql_join;
-        case "like" test_sql_like;
-        case "errors" test_sql_errors;
-        case "order by + limit" test_sql_limit_order;
       ] );
     ("workloads.bigapp", [ case "1 MB binary loads and runs" test_bigapp_size_and_runs ]);
   ]
