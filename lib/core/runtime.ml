@@ -84,7 +84,9 @@ let runtime_ta ~config =
     ta_invoke = (fun _ ~cmd:_ _ -> "");
   }
 
-exception App_trap of string
+(** A trap in the app, in the [_start] that {!load} runs or in an
+    {!invoke}: the Wasm engine's own trap, under the runtime's name. *)
+exception App_trap = Watz_wasm.Instance.Trap
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -199,13 +201,13 @@ let load ?(config = default_config) ?(entry = Some "_start") soc wasm_bytes =
     Printexc.raise_with_backtrace e bt
 
 (** Invoke an export of a loaded app (stays in the secure world; the
-    caller is charged one world round trip). *)
+    caller is charged one world round trip). Raises [App_trap] when the
+    app traps and [Not_found] when the export is missing. *)
 let invoke app name args =
   Watz_tz.Soc.smc app.soc (fun () ->
       Watz_obs.Trace.span (Watz_tz.Soc.tracer app.soc) Watz_obs.Trace.Secure
         ~session:Watz_obs.Trace.no_session app.invoke_label (fun () ->
-          try Engine.invoke app.instance name args
-          with Watz_wasm.Instance.Trap m -> raise (App_trap m)))
+          Engine.invoke app.instance name args))
 
 let output app = Buffer.contents app.output
 let claim app = app.claim

@@ -13,7 +13,8 @@ module Wasi = Watz_wasi.Wasi
 
 type app = { instance : Engine.instance; output : Buffer.t }
 
-exception App_trap of string
+(** A trap in the app, as in {!Runtime.App_trap}. *)
+exception App_trap = Watz_wasm.Instance.Trap
 
 (** Load and optionally run [_start] in the normal world. *)
 let load ?(tier = Engine.Fast) ?(entry = Some "_start") soc wasm_bytes =
@@ -34,10 +35,9 @@ let load ?(tier = Engine.Fast) ?(entry = Some "_start") soc wasm_bytes =
     with Wasi.Proc_exit code -> wasi_env.Wasi.exit_code <- Some code));
   { instance; output }
 
-let invoke app name args =
-  try Engine.invoke app.instance name args with
-  | Watz_wasm.Instance.Trap m -> raise (App_trap m)
-  | Not_found -> raise (App_trap ("no export " ^ name))
+(** Invoke an export. Raises [App_trap] when the app traps and
+    [Not_found] when the export is missing, as {!Runtime.invoke} does. *)
+let invoke app name args = Engine.invoke app.instance name args
 
 let output app = Buffer.contents app.output
 

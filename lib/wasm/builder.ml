@@ -17,7 +17,6 @@ type t = {
   mutable memories : limits list;
   mutable globals_rev : global list;
   mutable exports_rev : export list;
-  mutable start : int option;
   mutable elems_rev : elem list;
   mutable datas_rev : data list;
   mutable n_imported_funcs : int;
@@ -33,7 +32,6 @@ let create () =
     memories = [];
     globals_rev = [];
     exports_rev = [];
-    start = None;
     elems_rev = [];
     datas_rev = [];
     n_imported_funcs = 0;
@@ -86,7 +84,6 @@ let global b ~mut ~init =
 
 let export_func b name fidx = b.exports_rev <- { exp_name = name; edesc = ExportFunc fidx } :: b.exports_rev
 let export_memory b name idx = b.exports_rev <- { exp_name = name; edesc = ExportMemory idx } :: b.exports_rev
-let set_start b fidx = b.start <- Some fidx
 let elem b ~table ~offset funcs = b.elems_rev <- { etable = table; eoffset = [ Const (VI32 (Int32.of_int offset)) ]; einit = funcs } :: b.elems_rev
 let data b ~memory ~offset s = b.datas_rev <- { dmem = memory; doffset = [ Const (VI32 (Int32.of_int offset)) ]; dinit = s } :: b.datas_rev
 
@@ -99,16 +96,12 @@ let build b : module_ =
     memories = b.memories;
     globals = List.rev b.globals_rev;
     exports = List.rev b.exports_rev;
-    start = b.start;
+    start = None;
     elems = List.rev b.elems_rev;
     datas = List.rev b.datas_rev;
     customs = [];
   }
 
-(* Shorthand instruction constructors, so builder clients read like
+(* Shorthand for an i32 constant, so builder clients read like
    assembly listings. *)
-
 let i32c n = Const (VI32 (Int32.of_int n))
-let i64c n = Const (VI64 (Int64.of_int n))
-let f64c x = Const (VF64 x)
-let f32c x = Const (VF32 x)

@@ -54,16 +54,17 @@ type skind = SI32 | SI64 | SF32 | SF64 | SI32_8 | SI32_16 | SI64_8 | SI64_16 | S
 (* Slot indices below address a unified register file: locals occupy
    [0, nloc) and stack slots [nloc, nloc + max_height); the offset is
    baked in at flattening time, which turns local.get/set/tee into
-   plain register moves. The hottest operation families (i32 index
-   arithmetic, f64 arithmetic, 32/64-bit loads and stores) get
+   plain register moves. The hottest operation families (i32 add, sub,
+   mul and and; f64 arithmetic; i32 and f64 loads and stores) get
    dedicated constructors so the dispatch loop resolves them with a
-   single match. Four superinstruction families were chosen from an
-   executed-op-pair profile of the PolyBench and Speedtest kernels
-   ({!counting}): a loop back-edge fused with its i32 step and the
-   loop header's compare-branch ([OBackCmp*]), 2-D array addressing
-   [x*n + y] ([OMulAdd32], [OLoad*M]), f64 multiply-add
-   ([OFMulAdd64], two roundings like the unfused pair) and i32
-   memory-to-memory copies ([OCopyI32*]). *)
+   single match; every other instruction runs through a generic op.
+   Four superinstruction families were chosen from an executed-op-pair
+   profile of the PolyBench and Speedtest kernels ({!counting}): a
+   loop back-edge fused with its i32 step and the loop header's
+   compare-branch ([OBackCmp*]), 2-D array addressing [x*n + y]
+   ([OMulAdd32], [OLoad*M]), f64 multiply-add ([OFMulAdd64], two
+   roundings like the unfused pair) and i32 memory-to-memory copies
+   ([OCopyI32*]). A shape that no profiled module reaches gets no op. *)
 type op =
   | OHalt
   | OUnreachable
@@ -102,13 +103,8 @@ type op =
   | OSub32 of int * int * int
   | OMul32 of int * int * int
   | OAnd32 of int * int * int
-  | OOr32 of int * int * int
-  | OXor32 of int * int * int
-  | OShl32 of int * int * int
-  | OShrS32 of int * int * int
-  | OShrU32 of int * int * int
-  | OBin3I32 of ibinop * int * int * int (* d, a, imm (folded i32.const) *)
-  | OIBin32 of ibinop * int (* div/rem/rot: in-place at d, d+1 *)
+  | OBin3I32 of ibinop * int * int * int (* d, a, imm (folded i32.const); add/sub/mul/and *)
+  | OIBin32 of ibinop * int (* the other i32 binops: in-place at d, d+1 *)
   | OIBin64 of ibinop * int
   | OIRel32 of irelop * int * int * int (* d, a, b *)
   | OIRelI32 of irelop * int * int * int (* d, a, imm *)
@@ -138,23 +134,18 @@ type op =
   | OMulAdd32 of int * int * int * int * int * int
       (* d, x, n, y, k, b: xi.d <- wrap32 (((xi.x * n + xi.y) lsl k) + b) *)
   | OLoadI32 of int * int * int (* static offset, result slot, addr slot *)
-  | OLoadI64 of int * int * int
   | OLoadF64 of int * int * int
   | OStoreI32 of int * int * int (* static offset, addr slot, value slot *)
-  | OStoreI64 of int * int * int
   | OStoreF64 of int * int * int
   | OScaled of int * int * int * int (* d, x, k, b: xi.d <- wrap32 ((xi.x lsl k) + b) *)
   | OScaledR of int * int * int * int (* d, x, k, r: xi.d <- wrap32 ((xi.x lsl k) + xi.r) *)
   | OLoadI32X of int * int * int * int * int (* off, const base, dst, index slot, shift *)
-  | OLoadI64X of int * int * int * int * int
   | OLoadF64X of int * int * int * int * int
   | OLoadI32RX of int * int * int * int * int (* off, dst, index slot, shift, base slot *)
   | OLoadF64RX of int * int * int * int * int
   | OStoreI32X of int * int * int * int * int (* off, const base, index slot, shift, value *)
-  | OStoreI64X of int * int * int * int * int
   | OStoreF64X of int * int * int * int * int
-  | OStoreI32RX of int * int * int * int * int (* off, index slot, shift, base slot, value *)
-  | OStoreF64RX of int * int * int * int * int
+  | OStoreF64RX of int * int * int * int * int (* off, index slot, shift, base slot, value *)
   | OLoadI32M of int * int * int * int * int * int * int
       (* off, b, dst, x, n, y, k: address as in [OMulAdd32] *)
   | OLoadF64M of int * int * int * int * int * int * int
@@ -255,11 +246,14 @@ let write_slot fr t h v =
   | F64, VF64 x -> fr.xf.(h) <- x
   | (I32 | I64 | F32 | F64), _ -> raise (Trap "host function returned wrong type")
 
-let check_addr data addr width =
-  if addr < 0 || addr + width > Bytes.length data then raise (Trap "out of bounds memory access")
+(* Inlined, so a failed bounds check raises in place: the dispatch
+   loop saves no live value for a call that never returns. *)
+let[@inline] oob () = raise (Trap "out of bounds memory access")
+
+let check_addr data addr width = if addr < 0 || addr + width > Bytes.length data then oob ()
 
 (* Unaligned native-endian word access without the stdlib's redundant
-   bounds check ([check_addr] already ran); converted to Wasm's
+   bounds check; the accessors below check first and convert to Wasm's
    little-endian layout. *)
 external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -267,6 +261,26 @@ external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external swap32 : int32 -> int32 = "%bswap_int32"
 external swap64 : int64 -> int64 = "%bswap_int64"
+
+(* The one bounds-checked access per word width, for every 32- and
+   64-bit load and store. An address is a u32 plus the static offset,
+   which the decoder reads as a u32, so only its upper end needs
+   checking. *)
+let[@inline] ld32 data a =
+  if a + 4 > Bytes.length data then oob ();
+  if Sys.big_endian then swap32 (get32u data a) else get32u data a
+
+let[@inline] ld64 data a =
+  if a + 8 > Bytes.length data then oob ();
+  if Sys.big_endian then swap64 (get64u data a) else get64u data a
+
+let[@inline] st32 data a v =
+  if a + 4 > Bytes.length data then oob ();
+  set32u data a (if Sys.big_endian then swap32 v else v)
+
+let[@inline] st64 data a v =
+  if a + 8 > Bytes.length data then oob ();
+  set64u data a (if Sys.big_endian then swap64 v else v)
 
 (* ------------------------------------------------------------------ *)
 (* Flattening (compilation) *)
@@ -338,14 +352,17 @@ let ibinop_of_spec = function
   | OSub32 _ -> Sub
   | OMul32 _ -> Mul
   | OAnd32 _ -> And
-  | OOr32 _ -> Or
-  | OXor32 _ -> Xor
-  | OShl32 _ -> Shl
-  | OShrS32 _ -> ShrS
-  | OShrU32 _ -> ShrU
   | _ -> assert false
 
-let commutes = function Add | Mul | And | Or | Xor -> true | _ -> false
+(* Shift count when a multiply by [c] is a scaled-address producer:
+   log2 for a power of two, -1 otherwise. *)
+let shift_amount c =
+  if c > 0 && c land (c - 1) = 0 then
+    let rec log2 k v = if v <= 1 then k else log2 (k + 1) (v asr 1) in
+    log2 0 c
+  else -1
+
+let stack_slot nloc s = s >= nloc
 
 (* Try to fold the trailing op [tail] into the op about to be emitted.
    Sound because of stack discipline: when [pending] consumes the slot
@@ -355,24 +372,10 @@ let commutes = function Add | Mul | And | Or | Xor -> true | _ -> false
    Returns the combined op, always a freshly built value, or [pending]
    itself to emit it as-is; the caller tells the two apart with [==],
    so a failed fold allocates nothing. *)
-(* Shift count when [op]/[c] is a scaled-address producer: the shift
-   amount for [Shl], log2 for a power-of-two [Mul], -1 otherwise. *)
-let shift_amount op c =
-  match op with
-  | Shl -> c land 31
-  | Mul when c > 0 && c land (c - 1) = 0 ->
-    let rec log2 k v = if v <= 1 then k else log2 (k + 1) (v asr 1) in
-    log2 0 c
-  | _ -> -1
-
-let stack_slot nloc s = s >= nloc
-
 let absorb ~nloc (pending : op) (tail : op) : op =
   match (pending, tail) with
   (* -- operand folding into 3-address i32 arithmetic ---------------- *)
-  | (OAdd32 (d, a, b) | OSub32 (d, a, b) | OMul32 (d, a, b) | OAnd32 (d, a, b)
-    | OOr32 (d, a, b) | OXor32 (d, a, b) | OShl32 (d, a, b) | OShrS32 (d, a, b)
-    | OShrU32 (d, a, b)), OMovI (t, s)
+  | (OAdd32 (d, a, b) | OSub32 (d, a, b) | OMul32 (d, a, b) | OAnd32 (d, a, b)), OMovI (t, s)
     when t = b && b = a + 1 -> (
     (* right operand still at its natural push slot: read the move's
        source directly *)
@@ -381,20 +384,11 @@ let absorb ~nloc (pending : op) (tail : op) : op =
     | OSub32 _ -> OSub32 (d, a, s)
     | OMul32 _ -> OMul32 (d, a, s)
     | OAnd32 _ -> OAnd32 (d, a, s)
-    | OOr32 _ -> OOr32 (d, a, s)
-    | OXor32 _ -> OXor32 (d, a, s)
-    | OShl32 _ -> OShl32 (d, a, s)
-    | OShrS32 _ -> OShrS32 (d, a, s)
-    | OShrU32 _ -> OShrU32 (d, a, s)
     | _ -> assert false)
-  | (OAdd32 (d, a, b) | OSub32 (d, a, b) | OMul32 (d, a, b) | OAnd32 (d, a, b)
-    | OOr32 (d, a, b) | OXor32 (d, a, b) | OShl32 (d, a, b) | OShrS32 (d, a, b)
-    | OShrU32 (d, a, b)), OConstI (t, v)
+  | (OAdd32 (d, a, b) | OSub32 (d, a, b) | OMul32 (d, a, b) | OAnd32 (d, a, b)), OConstI (t, v)
     when t = b && b = a + 1 ->
     OBin3I32 (ibinop_of_spec pending, d, a, v)
-  | (OAdd32 (d, a, b) | OSub32 (d, a, b) | OMul32 (d, a, b) | OAnd32 (d, a, b)
-    | OOr32 (d, a, b) | OXor32 (d, a, b) | OShl32 (d, a, b) | OShrS32 (d, a, b)
-    | OShrU32 (d, a, b)), OMovI (t, s)
+  | (OAdd32 (d, a, b) | OSub32 (d, a, b) | OMul32 (d, a, b) | OAnd32 (d, a, b)), OMovI (t, s)
     when t = a && a = d && b <> a + 1 -> (
     (* right operand already folded; now fold the left push *)
     match pending with
@@ -402,16 +396,10 @@ let absorb ~nloc (pending : op) (tail : op) : op =
     | OSub32 _ -> OSub32 (d, s, b)
     | OMul32 _ -> OMul32 (d, s, b)
     | OAnd32 _ -> OAnd32 (d, s, b)
-    | OOr32 _ -> OOr32 (d, s, b)
-    | OXor32 _ -> OXor32 (d, s, b)
-    | OShl32 _ -> OShl32 (d, s, b)
-    | OShrS32 _ -> OShrS32 (d, s, b)
-    | OShrU32 _ -> OShrU32 (d, s, b)
     | _ -> assert false)
   | OBin3I32 (op, d, a, imm), OMovI (t, s) when t = a && a = d -> OBin3I32 (op, d, s, imm)
-  | (OAdd32 (d, a, b) | OMul32 (d, a, b) | OAnd32 (d, a, b) | OOr32 (d, a, b)
-    | OXor32 (d, a, b)), OConstI (t, v)
-    when t = a && a = d && b <> a + 1 && commutes (ibinop_of_spec pending) ->
+  | (OAdd32 (d, a, b) | OMul32 (d, a, b) | OAnd32 (d, a, b)), OConstI (t, v)
+    when t = a && a = d && b <> a + 1 ->
     (* constant pushed first on a commutative op: swap operands *)
     OBin3I32 (ibinop_of_spec pending, d, b, v)
   (* -- operand folding into i32 comparisons ------------------------- *)
@@ -460,56 +448,47 @@ let absorb ~nloc (pending : op) (tail : op) : op =
   | OCvt (op, d, a), OMovF (t, s) when t = a && a = d -> OCvt (op, d, s)
   (* -- address/value folding into loads and stores ------------------ *)
   | OLoadI32 (off, d, a), OMovI (t, s) when t = a && a = d -> OLoadI32 (off, d, s)
-  | OLoadI64 (off, d, a), OMovI (t, s) when t = a && a = d -> OLoadI64 (off, d, s)
   | OLoadF64 (off, d, a), OMovI (t, s) when t = a && a = d -> OLoadF64 (off, d, s)
   | OStoreI32 (off, a, v), OMovI (t, s) when t = v && v = a + 1 -> OStoreI32 (off, a, s)
-  | OStoreI64 (off, a, v), OMovL (t, s) when t = v && v = a + 1 -> OStoreI64 (off, a, s)
   | OStoreF64 (off, a, v), OMovF (t, s) when t = v && v = a + 1 -> OStoreF64 (off, a, s)
-  | (OStoreI32 (off, a, v) | OStoreI64 (off, a, v) | OStoreF64 (off, a, v)), OMovI (t, s)
-    when t = a && v <> a + 1 -> (
+  | OStoreI32 (off, a, v), OMovI (t, s) when t = a && v <> a + 1 ->
     (* value already folded; the trailing op is now the address push *)
-    match pending with
-    | OStoreI32 _ -> OStoreI32 (off, s, v)
-    | OStoreI64 _ -> OStoreI64 (off, s, v)
-    | OStoreF64 _ -> OStoreF64 (off, s, v)
-    | _ -> assert false)
+    OStoreI32 (off, s, v)
+  | OStoreF64 (off, a, v), OMovI (t, s) when t = a && v <> a + 1 -> OStoreF64 (off, s, v)
   (* -- scaled-address folding -----------------------------------------
-        (x << k) + b  /  (x * 2^k) + b  address chains collapse into a
-        single [OScaled]/[OScaledR], which then fuses into the memory op
+        (x * 2^k) + b  address chains collapse into a single
+        [OScaled]/[OScaledR], which then fuses into the memory op
         itself.  Every rewrite preserves the exact wrap32 arithmetic of
         the unfused chain, so addresses (and traps) are bit-identical:
         wrap32 only depends on the low 32 bits, hence
         wrap32 (wrap32 (x lsl k) + b) = wrap32 ((x lsl k) + b) and
         (x +- c) lsl k has the same low bits as (x lsl k) +- (c lsl k). *)
-  | OBin3I32 (Add, d, a, c2), OBin3I32 (((Shl | Mul) as bop), t, x, c)
-    when t = a && a = d && stack_slot nloc a && shift_amount bop c >= 0 ->
-    OScaled (d, x, shift_amount bop c, wrap32 c2)
-  | OBin3I32 (((Shl | Mul) as bop), d, a, c), OBin3I32 (((Add | Sub) as op2), t, x, c2)
-    when t = a && a = d && stack_slot nloc a && shift_amount bop c >= 0 ->
-    let k = shift_amount bop c in
+  | OBin3I32 (Add, d, a, c2), OBin3I32 (Mul, t, x, c)
+    when t = a && a = d && stack_slot nloc a && shift_amount c >= 0 ->
+    OScaled (d, x, shift_amount c, wrap32 c2)
+  | OBin3I32 (Mul, d, a, c), OBin3I32 (((Add | Sub) as op2), t, x, c2)
+    when t = a && a = d && stack_slot nloc a && shift_amount c >= 0 ->
+    let k = shift_amount c in
     OScaled (d, x, k, wrap32 ((match op2 with Sub -> -c2 | _ -> c2) lsl k))
   | OBin3I32 (Add, d, a, c2), OScaled (t, x, k, b0) when t = a && a = d && stack_slot nloc a ->
     OScaled (d, x, k, wrap32 (b0 + c2))
-  | OAdd32 (d, a, b), OBin3I32 (((Shl | Mul) as bop), t, x, c)
-    when t = a && a = d && b <> a && stack_slot nloc a && shift_amount bop c >= 0 ->
-    OScaledR (d, x, shift_amount bop c, b)
-  | OAdd32 (d, a, b), OBin3I32 (((Shl | Mul) as bop), t, x, c)
-    when t = b && b = a + 1 && a <> b && stack_slot nloc b && shift_amount bop c >= 0 ->
-    OScaledR (d, x, shift_amount bop c, a)
-  | (OLoadI32 (off, d, a) | OLoadI64 (off, d, a) | OLoadF64 (off, d, a)),
-    OBin3I32 (((Shl | Mul) as bop), t, x, c)
-    when t = a && a = d && stack_slot nloc a && shift_amount bop c >= 0 ->
-    let k = shift_amount bop c in
+  | OAdd32 (d, a, b), OBin3I32 (Mul, t, x, c)
+    when t = a && a = d && b <> a && stack_slot nloc a && shift_amount c >= 0 ->
+    OScaledR (d, x, shift_amount c, b)
+  | OAdd32 (d, a, b), OBin3I32 (Mul, t, x, c)
+    when t = b && b = a + 1 && a <> b && stack_slot nloc b && shift_amount c >= 0 ->
+    OScaledR (d, x, shift_amount c, a)
+  | (OLoadI32 (off, d, a) | OLoadF64 (off, d, a)), OBin3I32 (Mul, t, x, c)
+    when t = a && a = d && stack_slot nloc a && shift_amount c >= 0 ->
+    let k = shift_amount c in
     (match pending with
     | OLoadI32 _ -> OLoadI32X (off, 0, d, x, k)
-    | OLoadI64 _ -> OLoadI64X (off, 0, d, x, k)
     | OLoadF64 _ -> OLoadF64X (off, 0, d, x, k)
     | _ -> assert false)
-  | (OLoadI32 (off, d, a) | OLoadI64 (off, d, a) | OLoadF64 (off, d, a)), OScaled (t, x, k, b0)
+  | (OLoadI32 (off, d, a) | OLoadF64 (off, d, a)), OScaled (t, x, k, b0)
     when t = a && a = d && stack_slot nloc a ->
     (match pending with
     | OLoadI32 _ -> OLoadI32X (off, b0, d, x, k)
-    | OLoadI64 _ -> OLoadI64X (off, b0, d, x, k)
     | OLoadF64 _ -> OLoadF64X (off, b0, d, x, k)
     | _ -> assert false)
   | (OLoadI32 (off, d, a) | OLoadF64 (off, d, a)), OScaledR (t, x, k, r)
@@ -518,28 +497,21 @@ let absorb ~nloc (pending : op) (tail : op) : op =
     | OLoadI32 _ -> OLoadI32RX (off, d, x, k, r)
     | OLoadF64 _ -> OLoadF64RX (off, d, x, k, r)
     | _ -> assert false)
-  | (OStoreI32 (off, a, v) | OStoreI64 (off, a, v) | OStoreF64 (off, a, v)),
-    OBin3I32 (((Shl | Mul) as bop), t, x, c)
-    when t = a && v <> a + 1 && stack_slot nloc a && shift_amount bop c >= 0 ->
-    let k = shift_amount bop c in
+  | (OStoreI32 (off, a, v) | OStoreF64 (off, a, v)), OBin3I32 (Mul, t, x, c)
+    when t = a && v <> a + 1 && stack_slot nloc a && shift_amount c >= 0 ->
+    let k = shift_amount c in
     (match pending with
     | OStoreI32 _ -> OStoreI32X (off, 0, x, k, v)
-    | OStoreI64 _ -> OStoreI64X (off, 0, x, k, v)
     | OStoreF64 _ -> OStoreF64X (off, 0, x, k, v)
     | _ -> assert false)
-  | (OStoreI32 (off, a, v) | OStoreI64 (off, a, v) | OStoreF64 (off, a, v)), OScaled (t, x, k, b0)
+  | (OStoreI32 (off, a, v) | OStoreF64 (off, a, v)), OScaled (t, x, k, b0)
     when t = a && v <> a + 1 && stack_slot nloc a ->
     (match pending with
     | OStoreI32 _ -> OStoreI32X (off, b0, x, k, v)
-    | OStoreI64 _ -> OStoreI64X (off, b0, x, k, v)
     | OStoreF64 _ -> OStoreF64X (off, b0, x, k, v)
     | _ -> assert false)
-  | (OStoreI32 (off, a, v) | OStoreF64 (off, a, v)), OScaledR (t, x, k, r)
-    when t = a && v <> a + 1 && stack_slot nloc a ->
-    (match pending with
-    | OStoreI32 _ -> OStoreI32RX (off, x, k, r, v)
-    | OStoreF64 _ -> OStoreF64RX (off, x, k, r, v)
-    | _ -> assert false)
+  | OStoreF64 (off, a, v), OScaledR (t, x, k, r) when t = a && v <> a + 1 && stack_slot nloc a ->
+    OStoreF64RX (off, x, k, r, v)
   (* -- 2-D addressing ---------------------------------------------------
         x*n + y with n not a power of two (those took the OScaledR rules
         above) becomes one [OMulAdd32], as does a + (y +- c). A +- c on
@@ -626,11 +598,6 @@ let absorb ~nloc (pending : op) (tail : op) : op =
   | OMovI (z, s), OSub32 (t, a, b) when t = s && stack_slot nloc s -> OSub32 (z, a, b)
   | OMovI (z, s), OMul32 (t, a, b) when t = s && stack_slot nloc s -> OMul32 (z, a, b)
   | OMovI (z, s), OAnd32 (t, a, b) when t = s && stack_slot nloc s -> OAnd32 (z, a, b)
-  | OMovI (z, s), OOr32 (t, a, b) when t = s && stack_slot nloc s -> OOr32 (z, a, b)
-  | OMovI (z, s), OXor32 (t, a, b) when t = s && stack_slot nloc s -> OXor32 (z, a, b)
-  | OMovI (z, s), OShl32 (t, a, b) when t = s && stack_slot nloc s -> OShl32 (z, a, b)
-  | OMovI (z, s), OShrS32 (t, a, b) when t = s && stack_slot nloc s -> OShrS32 (z, a, b)
-  | OMovI (z, s), OShrU32 (t, a, b) when t = s && stack_slot nloc s -> OShrU32 (z, a, b)
   | OMovI (z, s), OBin3I32 (op, t, a, imm) when t = s && stack_slot nloc s -> OBin3I32 (op, z, a, imm)
   | OMovI (z, s), OIRel32 (op, t, a, b) when t = s && stack_slot nloc s -> OIRel32 (op, z, a, b)
   | OMovI (z, s), OIRelI32 (op, t, a, imm) when t = s && stack_slot nloc s -> OIRelI32 (op, z, a, imm)
@@ -647,8 +614,6 @@ let absorb ~nloc (pending : op) (tail : op) : op =
   | OMovI (z, s), OScaledR (t, x, k, r) when t = s && stack_slot nloc s -> OScaledR (z, x, k, r)
   | OMovI (z, s), OLoadI32X (off, b0, t, x, k) when t = s && stack_slot nloc s ->
     OLoadI32X (off, b0, z, x, k)
-  | OMovL (z, s), OLoadI64X (off, b0, t, x, k) when t = s && stack_slot nloc s ->
-    OLoadI64X (off, b0, z, x, k)
   | OMovF (z, s), OLoadF64X (off, b0, t, x, k) when t = s && stack_slot nloc s ->
     OLoadF64X (off, b0, z, x, k)
   | OMovI (z, s), OLoadI32RX (off, t, x, k, r) when t = s && stack_slot nloc s ->
@@ -668,7 +633,6 @@ let absorb ~nloc (pending : op) (tail : op) : op =
   | OMovF (z, s), OCvt (op, t, a) when t = s && stack_slot nloc s -> OCvt (op, z, a)
   | OMovL (z, s), OConstL (t, v) when t = s && stack_slot nloc s -> OConstL (z, v)
   | OMovL (z, s), OMovL (t, x) when t = s && stack_slot nloc s -> OMovL (z, x)
-  | OMovL (z, s), OLoadI64 (off, t, a) when t = s && stack_slot nloc s -> OLoadI64 (off, z, a)
   | _ -> pending
 
 (* Emit with fusion: keep absorbing the trailing op while legal. The
@@ -905,12 +869,7 @@ let leaf_live (ctx : cctx) (i : instr) =
         | Sub -> OSub32 (d, d, d + 1)
         | Mul -> OMul32 (d, d, d + 1)
         | And -> OAnd32 (d, d, d + 1)
-        | Or -> OOr32 (d, d, d + 1)
-        | Xor -> OXor32 (d, d, d + 1)
-        | Shl -> OShl32 (d, d, d + 1)
-        | ShrS -> OShrS32 (d, d, d + 1)
-        | ShrU -> OShrU32 (d, d, d + 1)
-        | DivS | DivU | RemS | RemU | Rotl | Rotr -> OIBin32 (op, d))
+        | Or | Xor | Shl | ShrS | ShrU | DivS | DivU | RemS | RemU | Rotl | Rotr -> OIBin32 (op, d))
       | I64 -> OIBin64 (op, d)
       | F32 | F64 -> assert false)
   | IRelop (ty, op) ->
@@ -963,7 +922,6 @@ let leaf_live (ctx : cctx) (i : instr) =
     emit_peep ctx
       (match lkind_of ty pack with
       | LI32 -> OLoadI32 (m.offset, s, s)
-      | LI64 -> OLoadI64 (m.offset, s, s)
       | LF64 -> OLoadF64 (m.offset, s, s)
       | k -> OLoad (k, m.offset, s))
   | Store (ty, pack, m) ->
@@ -973,7 +931,6 @@ let leaf_live (ctx : cctx) (i : instr) =
     emit_peep ctx
       (match skind_of ty pack with
       | SI32 -> OStoreI32 (m.offset, s, s + 1)
-      | SI64 -> OStoreI64 (m.offset, s, s + 1)
       | SF64 -> OStoreF64 (m.offset, s, s + 1)
       | k -> OStore (k, m.offset, s))
   | MemorySize ->
@@ -1452,26 +1409,19 @@ let exec_cvt fr op d s =
   | F32ReinterpretI32 -> fr.xf.(d) <- Int32.float_of_bits (Int32.of_int fr.xi.(s))
   | F64ReinterpretI64 -> fr.xf.(d) <- Int64.float_of_bits fr.xl.(s)
 
-(* Generic (cold) load/store path: sub-width and f32 flavours. The
-   32/64-bit flavours have dedicated ops inlined in the dispatch loop
-   but are kept here for completeness. *)
+(* Generic (cold) load/store path: i64 words, f32 and the sub-width
+   flavours. i32 and f64 words have dedicated ops in the dispatch loop
+   and never reach their arms here, which keep [lkind] and [skind] the
+   whole type-by-width table. *)
 let exec_load fr kind off s =
   let m = fr.inst.memories.(0) in
   let data = m.Memory.data in
   let a = u32 fr.xi.(s) + off in
   match kind with
-  | LI32 ->
-    check_addr data a 4;
-    fr.xi.(s) <- Int32.to_int (Bytes.get_int32_le data a)
-  | LI64 ->
-    check_addr data a 8;
-    fr.xl.(s) <- Bytes.get_int64_le data a
-  | LF32 ->
-    check_addr data a 4;
-    fr.xf.(s) <- Int32.float_of_bits (Bytes.get_int32_le data a)
-  | LF64 ->
-    check_addr data a 8;
-    fr.xf.(s) <- Int64.float_of_bits (Bytes.get_int64_le data a)
+  | LI32 -> fr.xi.(s) <- Int32.to_int (ld32 data a)
+  | LI64 -> fr.xl.(s) <- ld64 data a
+  | LF32 -> fr.xf.(s) <- Int32.float_of_bits (ld32 data a)
+  | LF64 -> fr.xf.(s) <- Int64.float_of_bits (ld64 data a)
   | LI32_8S ->
     check_addr data a 1;
     fr.xi.(s) <- Bytes.get_int8 data a
@@ -1496,30 +1446,18 @@ let exec_load fr kind off s =
   | LI64_16U ->
     check_addr data a 2;
     fr.xl.(s) <- Int64.of_int (Bytes.get_uint16_le data a)
-  | LI64_32S ->
-    check_addr data a 4;
-    fr.xl.(s) <- Int64.of_int32 (Bytes.get_int32_le data a)
-  | LI64_32U ->
-    check_addr data a 4;
-    fr.xl.(s) <- Int64.logand (Int64.of_int32 (Bytes.get_int32_le data a)) 0xffffffffL
+  | LI64_32S -> fr.xl.(s) <- Int64.of_int32 (ld32 data a)
+  | LI64_32U -> fr.xl.(s) <- Int64.logand (Int64.of_int32 (ld32 data a)) 0xffffffffL
 
 let exec_store fr kind off s =
   let m = fr.inst.memories.(0) in
   let data = m.Memory.data in
   let a = u32 fr.xi.(s) + off in
   match kind with
-  | SI32 ->
-    check_addr data a 4;
-    Bytes.set_int32_le data a (Int32.of_int fr.xi.(s + 1))
-  | SI64 ->
-    check_addr data a 8;
-    Bytes.set_int64_le data a fr.xl.(s + 1)
-  | SF32 ->
-    check_addr data a 4;
-    Bytes.set_int32_le data a (Int32.bits_of_float fr.xf.(s + 1))
-  | SF64 ->
-    check_addr data a 8;
-    Bytes.set_int64_le data a (Int64.bits_of_float fr.xf.(s + 1))
+  | SI32 -> st32 data a (Int32.of_int fr.xi.(s + 1))
+  | SI64 -> st64 data a fr.xl.(s + 1)
+  | SF32 -> st32 data a (Int32.bits_of_float fr.xf.(s + 1))
+  | SF64 -> st64 data a (Int64.bits_of_float fr.xf.(s + 1))
   | SI32_8 ->
     check_addr data a 1;
     Bytes.set_uint8 data a (fr.xi.(s + 1) land 0xff)
@@ -1532,20 +1470,16 @@ let exec_store fr kind off s =
   | SI64_16 ->
     check_addr data a 2;
     Bytes.set_uint16_le data a (Int64.to_int fr.xl.(s + 1) land 0xffff)
-  | SI64_32 ->
-    check_addr data a 4;
-    Bytes.set_int32_le data a (Int64.to_int32 fr.xl.(s + 1))
+  | SI64_32 -> st32 data a (Int64.to_int32 fr.xl.(s + 1))
 
 (* The dispatch loop: fetch, match, continue at [pc + 1] or at the
    precomputed edge target. A tail-recursive inner loop keeps the
    program counter in a register (no ref cell), the register files are
    hoisted out of the frame, and slot accesses are unchecked — indices
    are static stack heights guaranteed in-range by validation. The hot
-   arms (i32 index arithmetic, f64 arithmetic, comparisons, word-sized
+   arms (i32 index arithmetic, f64 arithmetic, comparisons, i32 and f64
    loads/stores) are resolved by this single match; cold arms call the
    generic helpers above. *)
-let oob () = raise (Trap "out of bounds memory access")
-
 let[@inline] rel32 op a b =
   match op with
   | Eq -> a = b
@@ -1688,22 +1622,6 @@ let rec dispatch (fr : frame) (xi : int array) (xl : int64 array) (xf : float ar
     | OAnd32 (d, a, b) ->
       Array.unsafe_set xi d (Array.unsafe_get xi a land Array.unsafe_get xi b);
       dispatch fr xi xl xf inst code data (pc + 1)
-    | OOr32 (d, a, b) ->
-      Array.unsafe_set xi d (Array.unsafe_get xi a lor Array.unsafe_get xi b);
-      dispatch fr xi xl xf inst code data (pc + 1)
-    | OXor32 (d, a, b) ->
-      Array.unsafe_set xi d (Array.unsafe_get xi a lxor Array.unsafe_get xi b);
-      dispatch fr xi xl xf inst code data (pc + 1)
-    | OShl32 (d, a, b) ->
-      Array.unsafe_set xi d (wrap32 (Array.unsafe_get xi a lsl (Array.unsafe_get xi b land 31)));
-      dispatch fr xi xl xf inst code data (pc + 1)
-    | OShrS32 (d, a, b) ->
-      Array.unsafe_set xi d (Array.unsafe_get xi a asr (Array.unsafe_get xi b land 31));
-      dispatch fr xi xl xf inst code data (pc + 1)
-    | OShrU32 (d, a, b) ->
-      Array.unsafe_set xi d
-        (wrap32 (u32 (Array.unsafe_get xi a) lsr (Array.unsafe_get xi b land 31)));
-      dispatch fr xi xl xf inst code data (pc + 1)
     | OBin3I32 (op, d, a, v) ->
       let x = Array.unsafe_get xi a in
       Array.unsafe_set xi d
@@ -1712,12 +1630,7 @@ let rec dispatch (fr : frame) (xi : int array) (xl : int64 array) (xf : float ar
         | Sub -> wrap32 (x - v)
         | Mul -> wrap32 (x * v)
         | And -> x land v
-        | Or -> x lor v
-        | Xor -> x lxor v
-        | Shl -> wrap32 (x lsl (v land 31))
-        | ShrS -> x asr (v land 31)
-        | ShrU -> wrap32 (u32 x lsr (v land 31))
-        | DivS | DivU | RemS | RemU | Rotl | Rotr ->
+        | Or | Xor | Shl | ShrS | ShrU | DivS | DivU | RemS | RemU | Rotl | Rotr ->
           (* never emitted by the fuser for these *)
           raise (Trap "unsupported fused op"));
       dispatch fr xi xl xf inst code data (pc + 1)
@@ -1819,40 +1732,19 @@ let rec dispatch (fr : frame) (xi : int array) (xl : int64 array) (xf : float ar
       dispatch fr xi xl xf inst code data (pc + 1)
     | OLoadI32 (off, d, s) ->
       let a = u32 (Array.unsafe_get xi s) + off in
-      if a + 4 > Bytes.length data then oob ();
-      if Sys.big_endian then Array.unsafe_set xi d (Int32.to_int (swap32 (get32u data a)))
-      else Array.unsafe_set xi d (Int32.to_int (get32u data a));
-      dispatch fr xi xl xf inst code data (pc + 1)
-    | OLoadI64 (off, d, s) ->
-      let a = u32 (Array.unsafe_get xi s) + off in
-      if a + 8 > Bytes.length data then oob ();
-      if Sys.big_endian then Array.unsafe_set xl d (swap64 (get64u data a))
-      else Array.unsafe_set xl d (get64u data a);
+      Array.unsafe_set xi d (Int32.to_int (ld32 data a));
       dispatch fr xi xl xf inst code data (pc + 1)
     | OLoadF64 (off, d, s) ->
       let a = u32 (Array.unsafe_get xi s) + off in
-      if a + 8 > Bytes.length data then oob ();
-      if Sys.big_endian then Array.unsafe_set xf d (Int64.float_of_bits (swap64 (get64u data a)))
-      else Array.unsafe_set xf d (Int64.float_of_bits (get64u data a));
+      Array.unsafe_set xf d (Int64.float_of_bits (ld64 data a));
       dispatch fr xi xl xf inst code data (pc + 1)
     | OStoreI32 (off, s, v) ->
       let a = u32 (Array.unsafe_get xi s) + off in
-      if a + 4 > Bytes.length data then oob ();
-      if Sys.big_endian then set32u data a (swap32 (Int32.of_int (Array.unsafe_get xi v)))
-      else set32u data a (Int32.of_int (Array.unsafe_get xi v));
-      dispatch fr xi xl xf inst code data (pc + 1)
-    | OStoreI64 (off, s, v) ->
-      let a = u32 (Array.unsafe_get xi s) + off in
-      if a + 8 > Bytes.length data then oob ();
-      if Sys.big_endian then set64u data a (swap64 (Array.unsafe_get xl v))
-      else set64u data a (Array.unsafe_get xl v);
+      st32 data a (Int32.of_int (Array.unsafe_get xi v));
       dispatch fr xi xl xf inst code data (pc + 1)
     | OStoreF64 (off, s, v) ->
       let a = u32 (Array.unsafe_get xi s) + off in
-      if a + 8 > Bytes.length data then oob ();
-      if Sys.big_endian then
-        set64u data a (swap64 (Int64.bits_of_float (Array.unsafe_get xf v)))
-      else set64u data a (Int64.bits_of_float (Array.unsafe_get xf v));
+      st64 data a (Int64.bits_of_float (Array.unsafe_get xf v));
       dispatch fr xi xl xf inst code data (pc + 1)
     | OScaled (d, x, k, b) ->
       Array.unsafe_set xi d (wrap32 ((Array.unsafe_get xi x lsl k) + b));
@@ -1862,71 +1754,31 @@ let rec dispatch (fr : frame) (xi : int array) (xl : int64 array) (xf : float ar
       dispatch fr xi xl xf inst code data (pc + 1)
     | OLoadI32X (off, b, d, x, k) ->
       let a = u32 (wrap32 ((Array.unsafe_get xi x lsl k) + b)) + off in
-      if a + 4 > Bytes.length data then oob ();
-      if Sys.big_endian then Array.unsafe_set xi d (Int32.to_int (swap32 (get32u data a)))
-      else Array.unsafe_set xi d (Int32.to_int (get32u data a));
-      dispatch fr xi xl xf inst code data (pc + 1)
-    | OLoadI64X (off, b, d, x, k) ->
-      let a = u32 (wrap32 ((Array.unsafe_get xi x lsl k) + b)) + off in
-      if a + 8 > Bytes.length data then oob ();
-      if Sys.big_endian then Array.unsafe_set xl d (swap64 (get64u data a))
-      else Array.unsafe_set xl d (get64u data a);
+      Array.unsafe_set xi d (Int32.to_int (ld32 data a));
       dispatch fr xi xl xf inst code data (pc + 1)
     | OLoadF64X (off, b, d, x, k) ->
       let a = u32 (wrap32 ((Array.unsafe_get xi x lsl k) + b)) + off in
-      if a + 8 > Bytes.length data then oob ();
-      if Sys.big_endian then Array.unsafe_set xf d (Int64.float_of_bits (swap64 (get64u data a)))
-      else Array.unsafe_set xf d (Int64.float_of_bits (get64u data a));
+      Array.unsafe_set xf d (Int64.float_of_bits (ld64 data a));
       dispatch fr xi xl xf inst code data (pc + 1)
     | OLoadI32RX (off, d, x, k, r) ->
-      let a =
-        u32 (wrap32 ((Array.unsafe_get xi x lsl k) + Array.unsafe_get xi r)) + off
-      in
-      if a + 4 > Bytes.length data then oob ();
-      if Sys.big_endian then Array.unsafe_set xi d (Int32.to_int (swap32 (get32u data a)))
-      else Array.unsafe_set xi d (Int32.to_int (get32u data a));
+      let a = u32 (wrap32 ((Array.unsafe_get xi x lsl k) + Array.unsafe_get xi r)) + off in
+      Array.unsafe_set xi d (Int32.to_int (ld32 data a));
       dispatch fr xi xl xf inst code data (pc + 1)
     | OLoadF64RX (off, d, x, k, r) ->
-      let a =
-        u32 (wrap32 ((Array.unsafe_get xi x lsl k) + Array.unsafe_get xi r)) + off
-      in
-      if a + 8 > Bytes.length data then oob ();
-      if Sys.big_endian then Array.unsafe_set xf d (Int64.float_of_bits (swap64 (get64u data a)))
-      else Array.unsafe_set xf d (Int64.float_of_bits (get64u data a));
+      let a = u32 (wrap32 ((Array.unsafe_get xi x lsl k) + Array.unsafe_get xi r)) + off in
+      Array.unsafe_set xf d (Int64.float_of_bits (ld64 data a));
       dispatch fr xi xl xf inst code data (pc + 1)
     | OStoreI32X (off, b, x, k, v) ->
       let a = u32 (wrap32 ((Array.unsafe_get xi x lsl k) + b)) + off in
-      if a + 4 > Bytes.length data then oob ();
-      if Sys.big_endian then set32u data a (swap32 (Int32.of_int (Array.unsafe_get xi v)))
-      else set32u data a (Int32.of_int (Array.unsafe_get xi v));
-      dispatch fr xi xl xf inst code data (pc + 1)
-    | OStoreI64X (off, b, x, k, v) ->
-      let a = u32 (wrap32 ((Array.unsafe_get xi x lsl k) + b)) + off in
-      if a + 8 > Bytes.length data then oob ();
-      if Sys.big_endian then set64u data a (swap64 (Array.unsafe_get xl v))
-      else set64u data a (Array.unsafe_get xl v);
+      st32 data a (Int32.of_int (Array.unsafe_get xi v));
       dispatch fr xi xl xf inst code data (pc + 1)
     | OStoreF64X (off, b, x, k, v) ->
       let a = u32 (wrap32 ((Array.unsafe_get xi x lsl k) + b)) + off in
-      if a + 8 > Bytes.length data then oob ();
-      if Sys.big_endian then set64u data a (swap64 (Int64.bits_of_float (Array.unsafe_get xf v)))
-      else set64u data a (Int64.bits_of_float (Array.unsafe_get xf v));
-      dispatch fr xi xl xf inst code data (pc + 1)
-    | OStoreI32RX (off, x, k, r, v) ->
-      let a =
-        u32 (wrap32 ((Array.unsafe_get xi x lsl k) + Array.unsafe_get xi r)) + off
-      in
-      if a + 4 > Bytes.length data then oob ();
-      if Sys.big_endian then set32u data a (swap32 (Int32.of_int (Array.unsafe_get xi v)))
-      else set32u data a (Int32.of_int (Array.unsafe_get xi v));
+      st64 data a (Int64.bits_of_float (Array.unsafe_get xf v));
       dispatch fr xi xl xf inst code data (pc + 1)
     | OStoreF64RX (off, x, k, r, v) ->
-      let a =
-        u32 (wrap32 ((Array.unsafe_get xi x lsl k) + Array.unsafe_get xi r)) + off
-      in
-      if a + 8 > Bytes.length data then oob ();
-      if Sys.big_endian then set64u data a (swap64 (Int64.bits_of_float (Array.unsafe_get xf v)))
-      else set64u data a (Int64.bits_of_float (Array.unsafe_get xf v));
+      let a = u32 (wrap32 ((Array.unsafe_get xi x lsl k) + Array.unsafe_get xi r)) + off in
+      st64 data a (Int64.bits_of_float (Array.unsafe_get xf v));
       dispatch fr xi xl xf inst code data (pc + 1)
     | OMulAdd32 (d, x, n, y, k, b) ->
       Array.unsafe_set xi d
@@ -1936,31 +1788,23 @@ let rec dispatch (fr : frame) (xi : int array) (xl : int64 array) (xf : float ar
       let a =
         u32 (wrap32 ((((Array.unsafe_get xi x * n) + Array.unsafe_get xi y) lsl k) + b)) + off
       in
-      if a + 4 > Bytes.length data then oob ();
-      if Sys.big_endian then Array.unsafe_set xi d (Int32.to_int (swap32 (get32u data a)))
-      else Array.unsafe_set xi d (Int32.to_int (get32u data a));
+      Array.unsafe_set xi d (Int32.to_int (ld32 data a));
       dispatch fr xi xl xf inst code data (pc + 1)
     | OLoadF64M (off, b, d, x, n, y, k) ->
       let a =
         u32 (wrap32 ((((Array.unsafe_get xi x * n) + Array.unsafe_get xi y) lsl k) + b)) + off
       in
-      if a + 8 > Bytes.length data then oob ();
-      if Sys.big_endian then Array.unsafe_set xf d (Int64.float_of_bits (swap64 (get64u data a)))
-      else Array.unsafe_set xf d (Int64.float_of_bits (get64u data a));
+      Array.unsafe_set xf d (Int64.float_of_bits (ld64 data a));
       dispatch fr xi xl xf inst code data (pc + 1)
     | OCopyI32X (soff, s, off, b, x, k) ->
       let src = u32 (wrap32 ((Array.unsafe_get xi x lsl k) + b)) + off in
-      if src + 4 > Bytes.length data then oob ();
-      let dst = u32 (Array.unsafe_get xi s) + soff in
-      if dst + 4 > Bytes.length data then oob ();
-      set32u data dst (get32u data src);
+      let w = ld32 data src in
+      st32 data (u32 (Array.unsafe_get xi s) + soff) w;
       dispatch fr xi xl xf inst code data (pc + 1)
     | OCopyI32RX (soff, s, off, x, k, r) ->
       let src = u32 (wrap32 ((Array.unsafe_get xi x lsl k) + Array.unsafe_get xi r)) + off in
-      if src + 4 > Bytes.length data then oob ();
-      let dst = u32 (Array.unsafe_get xi s) + soff in
-      if dst + 4 > Bytes.length data then oob ();
-      set32u data dst (get32u data src);
+      let w = ld32 data src in
+      st32 data (u32 (Array.unsafe_get xi s) + soff) w;
       dispatch fr xi xl xf inst code data (pc + 1)
     | OLoad (kind, off, s) ->
       exec_load fr kind off s;

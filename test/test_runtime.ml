@@ -151,6 +151,35 @@ let test_trap_is_contained () =
   | exception Runtime.App_trap _ -> ());
   Runtime.unload app
 
+(* A trap in the [_start] a launch runs is the app's trap, on both
+   runtimes and both tiers, like a trap in any later invoke; a missing
+   export is [Not_found] on both. *)
+let test_start_trap_is_app_trap () =
+  let module B = Watz_wasm.Builder in
+  let b = B.create () in
+  let start = B.func b ~params:[] ~results:[] ~locals:[] [ Watz_wasm.Ast.Unreachable ] in
+  B.export_func b "_start" start;
+  let bytes = Watz_wasm.Encode.encode (B.build b) in
+  let soc = booted_soc "dev" in
+  List.iter
+    (fun tier ->
+      let what = "tier " ^ Watz.Engine.tier_name tier in
+      let trap = "unreachable executed" in
+      (match Runtime.load ~config:{ Runtime.default_config with Runtime.tier } soc bytes with
+      | _ -> Alcotest.fail ("WaTZ launched a trapping _start on " ^ what)
+      | exception Runtime.App_trap m -> Alcotest.(check string) ("WaTZ, " ^ what) trap m);
+      (match Wamr.load ~tier soc bytes with
+      | _ -> Alcotest.fail ("WAMR launched a trapping _start on " ^ what)
+      | exception Wamr.App_trap m -> Alcotest.(check string) ("WAMR, " ^ what) trap m);
+      let app = Wamr.load ~tier ~entry:None soc bytes in
+      (match Wamr.invoke app "_start" [] with
+      | _ -> Alcotest.fail ("WAMR invoked a trapping _start on " ^ what)
+      | exception Wamr.App_trap _ -> ());
+      match Wamr.invoke app "missing" [] with
+      | _ -> Alcotest.fail ("WAMR invoked a missing export on " ^ what)
+      | exception Not_found -> ())
+    [ Runtime.Interp; Runtime.Fast ]
+
 (* A failed launch gives back everything it took from the TEE. At 2 MB
    of TA heap per session, 13 leaked sessions leave the 27 MB heap pool
    no room for a 14th, and three leaked 3 MB staging buffers fill the
@@ -369,6 +398,7 @@ let suite =
         case "heap budget enforced" test_heap_budget_enforced;
         case "oversized binary rejected" test_oversized_binary_rejected;
         case "traps contained by sandbox" test_trap_is_contained;
+        case "a trap in _start is App_trap on both runtimes" test_start_trap_is_app_trap;
         case "failed launches release TEE memory" test_failed_launch_releases_tee_memory;
         case "launches of the same bytes are independent" test_launches_are_independent;
       ] );

@@ -88,6 +88,40 @@ let expect_trap m name args msg_fragment =
       (Astring.String.is_infix ~affix:msg_fragment msg
        || String.length msg_fragment = 0)
 
+type outcome = Returned of value list | Trapped of string
+
+let outcome_testable =
+  let pp ppf = function
+    | Returned vs -> Format.fprintf ppf "%a" (Format.pp_print_list (Alcotest.pp value_testable)) vs
+    | Trapped msg -> Format.fprintf ppf "trap %S" msg
+  in
+  let eq a b =
+    match (a, b) with
+    | Returned x, Returned y ->
+      List.length x = List.length y && List.for_all2 (Alcotest.equal value_testable) x y
+    | Trapped x, Trapped y -> String.equal x y
+    | _ -> false
+  in
+  Alcotest.testable pp eq
+
+(* Run [name] on both tiers: the same result or trap message, and the
+   same memory afterwards. Returns the outcome and the memory. *)
+let on_both_tiers m name args =
+  Validate.validate m;
+  let attempt f = match f () with vs -> Returned vs | exception Instance.Trap msg -> Trapped msg in
+  let memory inst =
+    match inst.Instance.memories with
+    | [||] -> Bytes.empty
+    | mems -> Bytes.copy mems.(0).Instance.Memory.data
+  in
+  let inst = Interp.instantiate m in
+  let interp = attempt (fun () -> Interp.invoke (Option.get (Instance.export_func inst name)) args) in
+  let finst = Fastinterp.instantiate (Fastinterp.compile m) in
+  let fast = attempt (fun () -> Fastinterp.invoke finst name args) in
+  Alcotest.check outcome_testable (name ^ ": interp = fast") interp fast;
+  Alcotest.(check bool) (name ^ ": same memory") true (Bytes.equal (memory inst) (memory finst));
+  (fast, memory finst)
+
 let test_div_by_zero_traps () =
   let m = single_func ~params:[ I32 ] ~results:[ I32 ] [ LocalGet 0; Builder.i32c 0; IBinop (I32, DivS) ] in
   expect_trap m "f" [ VI32 7l ] "divide by zero";
@@ -427,6 +461,14 @@ let with_memory_module body =
   Builder.export_func b "f" f;
   Builder.build b
 
+(* A memory whose every aligned word differs, for the word, addressing
+   and copy cases. *)
+let pattern = String.init 65536 (fun i -> Char.chr (((i * 7) + (i lsr 8)) land 0xff))
+
+let patterned_memory b =
+  ignore (Builder.memory b ~min:1 ());
+  Builder.data b ~memory:0 ~offset:0 pattern
+
 let test_memory_load_store () =
   let m =
     with_memory_module
@@ -497,6 +539,63 @@ let test_data_segment () =
   Builder.export_func b "f" f;
   let m = Builder.build b in
   check_result m "f" [] [ VI32 42l ]
+
+(* i64 words through each address shape: a plain address, x*8 + c,
+   x << 3 + c and a register base x*8 + r. Each (x, r) below puts the
+   word at 65528, the last in-bounds i64 of the page; a static offset
+   of 1 puts it one byte past. Both tiers must agree on the value, the
+   trap message and the memory. *)
+let i64_word_addresses =
+  let scaled by = [ LocalGet 0; Builder.i32c 8; IBinop (I32, Mul) ] @ by in
+  [
+    ("plain", [ LocalGet 0 ], (65528, 0));
+    ("x*8+16", scaled [ Builder.i32c 16; IBinop (I32, Add) ], (8189, 0));
+    ( "x<<3+16",
+      [ LocalGet 0; Builder.i32c 3; IBinop (I32, Shl); Builder.i32c 16; IBinop (I32, Add) ],
+      (8189, 0) );
+    ("x*8+r", scaled [ LocalGet 1; IBinop (I32, Add) ], (8000, 1528));
+  ]
+
+let test_memory_i64_words () =
+  let b = Builder.create () in
+  patterned_memory b;
+  let name op shape off = Printf.sprintf "%s %s +%d" op shape off in
+  List.iter
+    (fun (shape, addr, _) ->
+      List.iter
+        (fun off ->
+          let m = { align = 3; offset = off } in
+          Builder.export_func b (name "load" shape off)
+            (Builder.func b ~params:[ I32; I32 ] ~results:[ I64 ] ~locals:[]
+               (addr @ [ Load (I64, None, m) ]));
+          Builder.export_func b (name "store" shape off)
+            (Builder.func b ~params:[ I32; I32; I64 ] ~results:[] ~locals:[]
+               (addr @ [ LocalGet 2; Store (I64, None, m) ])))
+        [ 0; 1 ])
+    i64_word_addresses;
+  let m = Builder.build b in
+  let last = String.get_int64_le pattern 65528 and v = 0x0123456789abcdefL in
+  List.iter
+    (fun (shape, _, (x, r)) ->
+      let call op off args =
+        on_both_tiers m (name op shape off) (VI32 (Int32.of_int x) :: VI32 (Int32.of_int r) :: args)
+      in
+      let oob what = function
+        | Trapped msg, mem ->
+          Alcotest.(check string) (what ^ ": trap") "out of bounds memory access" msg;
+          Alcotest.(check int64) (what ^ ": memory untouched") last (Bytes.get_int64_le mem 65528)
+        | Returned _, _ -> Alcotest.failf "%s %s: expected an out-of-bounds trap" what shape
+      in
+      (match call "load" 0 [] with
+      | Returned [ VI64 got ], _ -> Alcotest.(check int64) ("load " ^ shape) last got
+      | _ -> Alcotest.failf "load %s: expected one i64" shape);
+      (match call "store" 0 [ VI64 v ] with
+      | Returned [], mem ->
+        Alcotest.(check int64) ("store " ^ shape) v (Bytes.get_int64_le mem 65528)
+      | _ -> Alcotest.failf "store %s: expected no result" shape);
+      oob ("load one past, " ^ shape) (call "load" 1 []);
+      oob ("store one past, " ^ shape) (call "store" 1 [ VI64 v ]))
+    i64_word_addresses
 
 (* ------------------------------------------------------------------ *)
 (* Globals *)
@@ -1367,40 +1466,6 @@ let test_if_fusion_preserves_local_store () =
    under test really compiles to the fused op, so a case cannot pass
    by testing the unfused path. *)
 
-type outcome = Returned of value list | Trapped of string
-
-let outcome_testable =
-  let pp ppf = function
-    | Returned vs -> Format.fprintf ppf "%a" (Format.pp_print_list (Alcotest.pp value_testable)) vs
-    | Trapped msg -> Format.fprintf ppf "trap %S" msg
-  in
-  let eq a b =
-    match (a, b) with
-    | Returned x, Returned y ->
-      List.length x = List.length y && List.for_all2 (Alcotest.equal value_testable) x y
-    | Trapped x, Trapped y -> String.equal x y
-    | _ -> false
-  in
-  Alcotest.testable pp eq
-
-(* Run [name] on both tiers: the same result or trap message, and the
-   same memory afterwards. Returns the outcome and the memory. *)
-let on_both_tiers m name args =
-  Validate.validate m;
-  let attempt f = match f () with vs -> Returned vs | exception Instance.Trap msg -> Trapped msg in
-  let memory inst =
-    match inst.Instance.memories with
-    | [||] -> Bytes.empty
-    | mems -> Bytes.copy mems.(0).Instance.Memory.data
-  in
-  let inst = Interp.instantiate m in
-  let interp = attempt (fun () -> Interp.invoke (Option.get (Instance.export_func inst name)) args) in
-  let finst = Fastinterp.instantiate (Fastinterp.compile m) in
-  let fast = attempt (fun () -> Fastinterp.invoke finst name args) in
-  Alcotest.check outcome_testable (name ^ ": interp = fast") interp fast;
-  Alcotest.(check bool) (name ^ ": same memory") true (Bytes.equal (memory inst) (memory finst));
-  (fast, memory finst)
-
 let compiled_ops ?(fuel = false) m =
   Validate.validate m;
   let cm = Fastinterp.compile ~fuel m in
@@ -1578,14 +1643,6 @@ let test_back_edge_fuel () =
   Alcotest.(check (list value_testable)) "interp = fast" r_interp r_fast;
   Alcotest.(check int) "fuel charged: interp = fast" left_interp left_fast;
   Alcotest.(check bool) "fuel was charged" true (left_fast < 10_000)
-
-(* A memory whose every aligned word differs, for the addressing and
-   copy cases. *)
-let pattern = String.init 65536 (fun i -> Char.chr (((i * 7) + (i lsr 8)) land 0xff))
-
-let patterned_memory b =
-  ignore (Builder.memory b ~min:1 ());
-  Builder.data b ~memory:0 ~offset:0 pattern
 
 (* ((x +- xc) * n + (y +- yc) +- zc) * 2^k + base, in MiniC's order:
    the row term first unless [swap]; no base add when [base] is 0. *)
@@ -1794,6 +1851,57 @@ let test_i32_copy_retargeted () =
   | Returned [ VI32 v ], mem -> Alcotest.(check int32) "v = copied word" (Bytes.get_int32_le mem 28) v
   | _ -> Alcotest.fail "expected one i32"
 
+(* i32 or, xor, shl, shr_s and shr_u: operands from locals and from
+   constants on either side, and the result retargeted by local.set
+   into a fresh local or into an operand. Shift counts of 32 and more
+   and negative ones are taken mod 32. *)
+let test_i32_bit_ops () =
+  let count b = Int32.to_int b land 31 in
+  let ops =
+    [
+      ("or", Or, Int32.logor);
+      ("xor", Xor, Int32.logxor);
+      ("shl", Shl, fun a b -> Int32.shift_left a (count b));
+      ("shr_s", ShrS, fun a b -> Int32.shift_right a (count b));
+      ("shr_u", ShrU, fun a b -> Int32.shift_right_logical a (count b));
+    ]
+  in
+  let shapes op a b =
+    let c x = Builder.i32c (Int32.to_int x) and bin = IBinop (I32, op) in
+    [
+      ("a op b", [ LocalGet 0; LocalGet 1; bin ]);
+      ("a op const", [ LocalGet 0; c b; bin ]);
+      ("const op b", [ c a; LocalGet 1; bin ]);
+      ("t = a op b; t", [ LocalGet 0; LocalGet 1; bin; LocalSet 2; LocalGet 2 ]);
+      ("t = a op const; t", [ LocalGet 0; c b; bin; LocalSet 2; LocalGet 2 ]);
+      ("a = a op b; a", [ LocalGet 0; LocalGet 1; bin; LocalSet 0; LocalGet 0 ]);
+    ]
+  in
+  let pairs =
+    [ (0x80000001l, 1l); (-1l, 31l); (0x12345678l, 33l); (-8l, -1l); (5l, 0l);
+      (Int32.min_int, 63l) ]
+  in
+  List.iter
+    (fun (name, op, reference) ->
+      List.iter
+        (fun (a, b) ->
+          let bld = Builder.create () in
+          let exports =
+            List.map
+              (fun (shape, body) ->
+                let export = Printf.sprintf "%s, a = %ld, b = %ld: %s" name a b shape in
+                Builder.export_func bld export
+                  (Builder.func bld ~params:[ I32; I32 ] ~results:[ I32 ] ~locals:[ I32 ] body);
+                export)
+              (shapes op a b)
+          in
+          let m = Builder.build bld in
+          List.iter
+            (fun export -> check_result m export [ VI32 a; VI32 b ] [ VI32 (reference a b) ])
+            exports)
+        pairs)
+    ops
+
 (* The counting copy: a loop of N iterations executes exactly 3 + 2N
    ops — the header once, then the body and the fused back-edge per
    iteration, then the result move and the halt. *)
@@ -1901,6 +2009,7 @@ let suite =
         case "offset overflow traps" test_memory_offset_overflow_traps;
         case "grow and size" test_memory_grow_and_size;
         case "data segment" test_data_segment;
+        case "i64 words: plain, scaled and register-base addresses" test_memory_i64_words;
       ] );
     ("wasm.globals", [ case "mutable global" test_globals ]);
     ( "wasm.codec",
@@ -1982,6 +2091,7 @@ let suite =
         case "f64 multiply-add: locals survive" test_f64_multiply_add_retargeted;
         case "i32 copy: aliasing and bounds" test_i32_copy;
         case "i32 copy: local survives" test_i32_copy_retargeted;
+        case "i32 bit ops: locals, constants, retargets" test_i32_bit_ops;
         case "counting: a loop costs 3 + 2N" test_counting_loop;
       ] );
     ("wasm.differential", [ q qcheck_differential ]);
