@@ -142,8 +142,8 @@ let fig4 () =
   Printf.printf "  (paper: load 73%%, init 16%%, alloc 5%%, hash 4%%, rest <1%% each)\n";
   (* Where load goes, on the 1 MB app's bytes (one warm-up call, median
      of five, as benchsuite's isolated per-layer calls do): the fast
-     tier's launch runs one pass from bytes to flattened code; the AST
-     path runs three stages, each timed alone. *)
+     tier's launch runs one pass from bytes to flattened code; the
+     interp tier's launch decodes, then validates, each timed alone. *)
   let bytes = Watz_workloads.Bigapp.generate ~mb:1 in
   let m = Watz_wasm.Decode.decode bytes in
   let one_pass =
@@ -153,14 +153,13 @@ let fig4 () =
     [
       ("decode", median_ns ~warmup:1 (fun () -> ignore (Watz_wasm.Decode.decode bytes)));
       ("validate", median_ns ~warmup:1 (fun () -> Watz_wasm.Validate.validate m));
-      ("compile", median_ns ~warmup:1 (fun () -> ignore (Watz_wasm.Fastinterp.compile m)));
     ]
   in
   let sum = List.fold_left (fun acc (_, ns) -> acc +. ns) 0.0 stages in
-  Printf.printf "\n  load split (1MB app, fast tier)\n";
+  Printf.printf "\n  load split (1MB app)\n";
   Printf.printf "  %-10s %10s %8s\n" "stage" "ms" "share";
-  Printf.printf "  %-10s %10.2f %8s   (what the launch runs)\n" "one pass" (ns_to_ms one_pass) "";
-  Printf.printf "  AST path, each stage alone:\n";
+  Printf.printf "  %-10s %10.2f %8s   (the fast tier's launch)\n" "one pass" (ns_to_ms one_pass) "";
+  Printf.printf "  interp tier's launch, each stage alone:\n";
   List.iter
     (fun (name, ns) ->
       Printf.printf "  %-10s %10.2f %7.1f%%\n" name (ns_to_ms ns) (100.0 *. ns /. sum))
@@ -587,9 +586,7 @@ let wasm_ops () =
   let counts =
     List.map
       (fun (name, program) ->
-        let m = Watz_wasmc.Minic.compile program in
-        Watz_wasm.Validate.validate m;
-        let cm = Fi.compile m in
+        let cm = Fi.compile_bytes (Watz_wasmc.Minic.compile_to_bytes program) in
         let run cm = bits (Fi.invoke (Fi.instantiate cm) "run" []) in
         let counted, ops = Fi.counting cm in
         let expected = run cm in

@@ -8,6 +8,10 @@
     tiers agreed on the whole dynamic path (every loop back-edge and
     function entry), not just on final values.
 
+    Both tiers load a module as a launch does ({!Watz.Engine.prepare}):
+    from its bytes, interp through [Decode.decode] and
+    [Validate.validate], fast through {!Fastinterp.compile_bytes}.
+
     Any exception that is not a [Trap] / [Exhaustion] / [Link_error]
     escaping a tier is a crash and always a finding, whether or not the
     tiers agree on it. *)
@@ -68,9 +72,9 @@ let catching f =
    finally read the fuel export. *)
 type tier_run = { t_name : string; t_outcomes : outcome list; t_fuel : outcome }
 
-let run_interp (c : Gen.case) =
+let run_interp (c : Gen.case) m =
   let run () =
-    let inst = Interp.instantiate c.module_ in
+    let inst = Interp.instantiate m in
     let invoke name args =
       catching (fun () ->
           match Instance.export_func inst name with
@@ -86,9 +90,9 @@ let run_interp (c : Gen.case) =
     let o = Crash ("instantiate: " ^ Printexc.to_string e) in
     { t_name = "interp"; t_outcomes = [ o ]; t_fuel = o }
 
-let run_fast (c : Gen.case) =
+let run_fast (c : Gen.case) bytes =
   let run () =
-    let finst = Fastinterp.instantiate (Fastinterp.compile c.module_) in
+    let finst = Fastinterp.instantiate (Fastinterp.compile_bytes bytes) in
     let invoke name args = catching (fun () -> Fastinterp.invoke finst name args) in
     let outs = List.map (fun (name, args) -> invoke name args) c.Gen.calls in
     (outs, invoke c.Gen.fuel_export [])
@@ -138,14 +142,21 @@ let compare_runs (c : Gen.case) (a : tier_run) (b : tier_run) =
     in
     go names oa ob
 
-(** Run a generated case on both tiers and compare. *)
+(** Encode a generated case once, load both tiers from its bytes, run
+    it on both and compare. *)
 let run_case (c : Gen.case) : verdict =
-  match Validate.validate c.Gen.module_ with
+  let load () =
+    let bytes = Encode.encode c.Gen.module_ in
+    let m = Decode.decode bytes in
+    Validate.validate m;
+    (bytes, m)
+  in
+  match load () with
   | exception Validate.Invalid m -> Invalid_module m
   | exception e -> Invalid_module (Printexc.to_string e)
-  | () -> (
-    let interp = run_interp c in
-    let fast = run_fast c in
+  | bytes, m -> (
+    let interp = run_interp c m in
+    let fast = run_fast c bytes in
     (* a crash in either tier is a finding on its own *)
     let crash =
       List.find_map
@@ -180,8 +191,8 @@ let verdict_to_string = function
    [Invalid_argument], no [Stack_overflow], no reader exceptions. The
    fast tier's one-pass loader ({!Fastinterp.compile_bytes}) is a
    second front door to the same verdict: it must raise the same
-   exception with the same message, or accept and compile the same
-   code; any difference is a finding. A
+   exception with the same message, or accept too; any difference is
+   a finding. A
    module that decodes AND validates must also survive a re-encode →
    re-decode → re-validate roundtrip (the verdict every execution tier
    consumes is the same front door, so verdict stability is what keeps
@@ -269,9 +280,10 @@ let exec_tier (go : unit -> outcome list) : exec_result =
 let limit_memories mems =
   Array.iter (fun mem -> Instance.Memory.set_limit_bytes mem (Some exec_mem_limit_bytes)) mems
 
-(** Differentially execute a validated mutant. [None] = tiers agree and
+(** Differentially execute a validated mutant: [m] is [bytes] decoded,
+    for interp, and fast loads [bytes] itself. [None] = tiers agree and
     nothing crashed; [Some detail] is a finding. *)
-let exec_mutant (m : module_) : string option =
+let exec_mutant (m : module_) bytes : string option =
   let calls = nullary_exports m in
   let tiers =
     [
@@ -290,7 +302,7 @@ let exec_mutant (m : module_) : string option =
                calls );
       ( "fast",
         fun () ->
-          let finst = Fastinterp.instantiate (Fastinterp.compile ~fuel:true m) in
+          let finst = Fastinterp.instantiate (Fastinterp.compile_bytes ~fuel:true bytes) in
           limit_memories finst.Instance.memories;
           let start = catching (fun () -> under_fuel (fun () -> Fastinterp.run_start finst); []) in
           start
@@ -327,17 +339,12 @@ let exec_mutant (m : module_) : string option =
   | None, [] -> None
 
 (* The two front doors must agree on every byte string: the same typed
-   rejection with the same message, or acceptance with the same
-   compiled module (compared by its marshalled bytes, so float
-   constants compare bit for bit). *)
+   rejection with the same message, or acceptance. *)
 let same_rejection a b =
   match (a, b) with
   | Decode.Malformed x, Decode.Malformed y | Validate.Invalid x, Validate.Invalid y ->
     String.equal x y
   | _ -> false
-
-let same_code (a : Fastinterp.cmodule) (b : Fastinterp.cmodule) =
-  String.equal (Marshal.to_string a [ Marshal.No_sharing ]) (Marshal.to_string b [ Marshal.No_sharing ])
 
 let run_bytes ?(exec = false) (bytes : string) : decode_verdict =
   let onepass = match Fastinterp.compile_bytes bytes with cm -> Ok cm | exception e -> Error e in
@@ -361,8 +368,6 @@ let run_bytes ?(exec = false) (bytes : string) : decode_verdict =
     | () -> (
       match onepass with
       | Error _ -> disagree "accepts"
-      | Ok cm when not (same_code (Fastinterp.compile m) cm) ->
-        Decoder_crash "front doors compile different code"
       | Ok _ -> (
         match Encode.encode m with
         | exception e -> Decoder_crash ("re-encode of accepted module: " ^ Printexc.to_string e)
@@ -376,7 +381,7 @@ let run_bytes ?(exec = false) (bytes : string) : decode_verdict =
               Decoder_crash ("re-validate of accepted module: " ^ Printexc.to_string e)
             | () ->
               if exec && not (mem_too_big m) then
-                match exec_mutant m with
+                match exec_mutant m bytes with
                 | Some detail -> Exec_diverged detail
                 | None -> Accepted
               else Accepted)))))

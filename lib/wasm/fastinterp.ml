@@ -16,11 +16,11 @@
     The compiled form ({!cmodule}) references functions by {e index}
     and contains no per-instance state.
 
-    Modules must be validated ({!Validate.validate}) before
-    {!compile}: the flattener trusts the types. {!compile_bytes} goes
-    from bytes to the same compiled module in one pass, with no
-    function body built as an AST: the decoder sends each instruction
-    to the checker and then to the flattener as it reads it. *)
+    {!compile_bytes} is the only way in: it goes from bytes to the
+    compiled module in one pass, with no function body built as an
+    AST. The decoder sends each instruction to the checker and then to
+    the flattener as it reads it, so the flattener only ever sees code
+    that has passed validation, and it trusts the types. *)
 
 open Types
 open Ast
@@ -773,9 +773,8 @@ let skind_of ty pack =
 let top ctx = ctx.cnloc + ctx.cheight
 
 (* The per-event steps, one per {!Ast.sink} field: the flattener
-   consumes a body as the events of one pass over it, from the decoder
-   or from an AST. Each leaf's case below expects the types validation
-   guarantees. *)
+   consumes a body as the events the decoder sends while it reads it.
+   Each leaf's case below expects the types validation guarantees. *)
 let leaf_live (ctx : cctx) (i : instr) =
   match i with
   | Nop -> ()
@@ -1060,11 +1059,9 @@ let end_ ctx =
       end;
       reset_stack ctx fr.fr_entry fr.fr_results
 
-let sink = { leaf; block; loop; if_; else_; end_ }
-
 (* The flattener for one function with local types [locals]
-   (parameters first) and type [ft]. Feed it the body's events through
-   {!sink}, then take the code with [finish]. *)
+   (parameters first) and type [ft]. Feed it the body's events, then
+   take the code with [finish]. *)
 let func_cctx ~fuel ctypes cfunc_types cglobals_t (locals : valtype array) (ft : functype) =
   let nloc = Array.length locals in
   let ctx =
@@ -1102,37 +1099,6 @@ let finish ctx (ft : functype) : cbody =
     cb_result_types = Array.of_list ft.results;
   }
 
-(** Flatten a {e validated} module. The result is instance-free and
-    reusable: instantiate it any number of times. With [~fuel], the
-    flattened code charges {!Instance.Fuel} once per function entry
-    and per loop iteration — for running untrusted modules under a
-    budget. *)
-let compile ?(fuel = false) (m : module_) : cmodule =
-  let cm_types = Array.of_list m.types in
-  let imp_ftypes = List.map (fun t -> cm_types.(t)) (imported_funcs m) in
-  let own_ftypes = List.map (fun (f : func) -> cm_types.(f.ftype)) m.funcs in
-  let cm_func_types = Array.of_list (imp_ftypes @ own_ftypes) in
-  let cglobals_t =
-    Array.of_list (imported_globals m @ List.map (fun (g : global) -> g.gtype) m.globals)
-  in
-  let cm_bodies =
-    Array.map
-      (fun (f : func) ->
-        let ft = cm_types.(f.ftype) in
-        let ctx =
-          func_cctx ~fuel cm_types cm_func_types cglobals_t (Array.of_list (ft.params @ f.locals)) ft
-        in
-        replay_body sink ctx f.body;
-        finish ctx ft)
-      (Array.of_list m.funcs)
-  in
-  {
-    cm_module = { m with funcs = [] };
-    cm_func_types;
-    cm_bodies;
-    cm_n_imported = List.length imp_ftypes;
-  }
-
 (* One body in the one-pass loader: each event goes to the checker,
    then, once the checker has passed it, to the flattener. The first
    failed check stops both for the rest of the body. *)
@@ -1161,10 +1127,13 @@ let no_body =
 
 (** Decode, validate and flatten [bytes] in one pass, building no
     function body as an AST: each instruction goes to the checker and
-    then to the flattener as the decoder reads it. Gives the module
-    [compile ?fuel (Decode.decode bytes)] gives once
-    [Validate.validate] has accepted it, and otherwise raises what
-    those two raise, with the same message. A decoding error anywhere
+    then to the flattener as the decoder reads it. Accepts exactly the
+    bytes that [Decode.decode] then [Validate.validate] accept, and
+    otherwise raises what those two raise, with the same message. The
+    result is instance-free: instantiate it any number of times. With
+    [~fuel], the flattened code charges {!Instance.Fuel} once per
+    function entry and per loop iteration, for running untrusted
+    modules under a budget. A decoding error anywhere
     beats any validation error, so the first failed check waits until
     the whole module has decoded; and the module-level checks run in
     {!Validate.validate}'s order: {!Validate.header} before the bodies,
@@ -1223,7 +1192,8 @@ let compile_bytes ?(fuel = false) bytes : cmodule =
     carries (edge targets, [OBrTable]'s arrays, a back-edge's [next])
     becomes [2 * pc], so a jump counts the op it lands on. An edge
     shared by several ops is copied once (edges no longer change after
-    {!compile}, so equal edges share one copy); [cm] is left untouched.
+    {!compile_bytes}, so equal edges share one copy); [cm] is left
+    untouched.
     For measurement (`bench wasm-ops`), not for running apps. *)
 let counting (cm : cmodule) : cmodule * (unit -> int) =
   let tally = ref 0 in
@@ -1836,6 +1806,8 @@ and call_func (caller : frame) (callee : ffuncinst) (base : int) : unit =
       raise (Trap "host function returned wrong arity");
     List.iteri (fun i v -> write_slot caller h.fh_results.(i) (base + i) v) results
   | FWasm ({ fbody; finst; _ } as w) ->
+    (* Before the callee's entry charges fuel, as in {!Interp}. *)
+    check_depth finst;
     let pt = fbody.cb_param_types in
     let np = Array.length pt in
     (* Reuse the function's resident frame unless it is already live
@@ -1862,10 +1834,13 @@ and call_func (caller : frame) (callee : ffuncinst) (base : int) : unit =
       | I64 -> fr.xl.(i) <- caller.xl.(base + i)
       | F32 | F64 -> fr.xf.(i) <- caller.xf.(base + i)
     done;
+    finst.depth <- finst.depth + 1;
     (try exec fr fbody.cb_code
      with e ->
+       finst.depth <- finst.depth - 1;
        if pooled then w.fbusy <- false;
        raise e);
+    finst.depth <- finst.depth - 1;
     let rt = fbody.cb_result_types and rbase = fbody.cb_nloc in
     for i = 0 to Array.length rt - 1 do
       match rt.(i) with
@@ -1914,6 +1889,7 @@ let invoke_funcinst (fi : ffuncinst) (args : value list) : value list =
   match fi with
   | FHost h -> h.fimpl (Array.of_list args)
   | FWasm { fbody; finst; _ } ->
+    check_depth finst;
     let fr = make_frame finst fbody in
     List.iteri
       (fun i v ->
@@ -1922,7 +1898,12 @@ let invoke_funcinst (fi : ffuncinst) (args : value list) : value list =
         | VI64 x -> fr.xl.(i) <- x
         | VF32 x | VF64 x -> fr.xf.(i) <- x)
       args;
-    exec fr fbody.cb_code;
+    finst.depth <- finst.depth + 1;
+    (try exec fr fbody.cb_code
+     with e ->
+       finst.depth <- finst.depth - 1;
+       raise e);
+    finst.depth <- finst.depth - 1;
     List.mapi (fun i t -> read_slot fr t (fbody.cb_nloc + i)) ft.results
 
 (** Invoke an exported function by name. Raises [Not_found] if the

@@ -145,7 +145,8 @@ type globalinst = { gity : globaltype; mutable gvalue : value }
     step; they differ only in their function value ['f]
     ({!Interp.funcinst}, {!Fastinterp.ffuncinst}). Each index space
     holds the imports first, then the module's own entities; only
-    functions can be imported (see {!instantiate}). *)
+    functions can be imported (see {!instantiate}). [depth] counts the
+    module's Wasm frames now live (see {!max_call_depth}). *)
 type 'f t = {
   module_ : module_;
   types : functype array;
@@ -153,7 +154,27 @@ type 'f t = {
   tables : 'f option array array;
   memories : Memory.t array;
   globals : globalinst array;
+  mutable depth : int;
 }
+
+(** The most Wasm frames of one instance that may be live at once: a
+    call made at this depth traps [call stack exhausted] on both
+    tiers, before the callee's entry charges fuel. Without it an app
+    that recurses without end (an unsigned [_start] can) runs until
+    OCaml's own stack, 1 GiB by default, overflows, and that escapes
+    as [Stack_overflow], not as a trap. OCaml stack per Wasm frame,
+    measured on x86-64: [Fastinterp] 192 bytes whatever the body;
+    [Interp] 224 bytes for a call in an [if] arm, plus ~96 bytes per
+    enclosing block, so 24.7 KB for a call at the decoder's nesting
+    bound of 256. At this depth a plain recursion takes 2.2 MB and
+    that worst case 247 MB, a quarter of the default limit. No module
+    the repo runs (kernels, Genann, examples, fuzz campaign) goes
+    deeper than 4 frames. *)
+let max_call_depth = 10_000
+
+(** Trap unless [inst] may push one more Wasm frame. *)
+let[@inline] check_depth inst =
+  if inst.depth >= max_call_depth then raise (Trap "call stack exhausted")
 
 (** A host function, as either tier links it: the import name it
     answers, its Wasm type and a boxed implementation. *)
@@ -218,7 +239,7 @@ let instantiate ~of_host ~n_own ~own ?(imports = []) (m : module_) =
   let tables = Array.of_list (List.map (fun (l : limits) -> Array.make l.min None) m.tables) in
   let funcs = Array.make (n_imp + n_own) (of_host uninitialized) in
   Array.blit imported 0 funcs 0 n_imp;
-  let inst = { module_ = m; types; funcs; tables; memories; globals } in
+  let inst = { module_ = m; types; funcs; tables; memories; globals; depth = 0 } in
   for i = 0 to n_own - 1 do
     funcs.(n_imp + i) <- own inst i
   done;

@@ -408,6 +408,7 @@ and call_funcinst fi stack =
     let results = h.h_impl args in
     List.rev_append results rest
   | Wasm_func { ftype; func; inst } ->
+    check_depth inst;
     Fuel.consume ();
     let n_params = List.length ftype.params in
     let args = List.rev (take n_params stack) in
@@ -417,14 +418,18 @@ and call_funcinst fi stack =
     in
     let frame = { locals; inst } in
     let arity = List.length ftype.results in
+    inst.depth <- inst.depth + 1;
     let results =
-      try
-        let final_stack =
-          try eval_seq frame [] func.body
-          with Branch (0, s) -> s
-        in
-        take arity final_stack
-      with Return_exn s -> take arity s
+      match
+        try take arity (try eval_seq frame [] func.body with Branch (0, s) -> s)
+        with Return_exn s -> take arity s
+      with
+      | results ->
+        inst.depth <- inst.depth - 1;
+        results
+      | exception e ->
+        inst.depth <- inst.depth - 1;
+        raise e
     in
     results @ rest
 

@@ -115,8 +115,14 @@ let label_arity ctx n =
 
 let blocktype_types = function BlockEmpty -> [] | BlockVal t -> [ t ]
 
+(* The decoder reads both memarg fields as u32s; only a built AST can
+   carry one outside [0, 2^32). Rejecting it keeps every address a u32
+   plus a u32 offset, which is what lets the fast tier's accessors
+   check only an address's upper end. *)
 let check_memarg ctx (m : memarg) ~width =
   if ctx.env.memory_count = 0 then fail "memory instruction with no memory";
+  if m.offset < 0 || m.offset > 0xffff_ffff then fail "memory offset %d out of range" m.offset;
+  if m.align < 0 then fail "alignment %d out of range" m.align;
   let natural = match width with 1 -> 0 | 2 -> 1 | 4 -> 2 | 8 -> 3 | _ -> assert false in
   if m.align > natural then fail "alignment %d larger than natural %d" m.align natural
 

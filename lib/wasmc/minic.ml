@@ -15,23 +15,21 @@ module W = Watz_wasm.Ast
 module T = Watz_wasm.Types
 module B = Watz_wasm.Builder
 
-type ty = I32 | I64 | F32 | F64
+type ty = I32 | I64 | F64
 
 let valtype_of_ty = function
   | I32 -> T.I32
   | I64 -> T.I64
-  | F32 -> T.F32
   | F64 -> T.F64
 
 type binop = Add | Sub | Mul | Div | Rem | BAnd | BOr | BXor | Shl | Shr | ShrU
 type cmpop = Eq | Ne | Lt | Le | Gt | Ge
-type width = W8 | W16 | W32 | W64
+type width = W8 | W16
 
 type expr =
   | IntE of int (* i32 constant *)
   | LongE of int64
   | FloatE of float (* f64 constant *)
-  | Float32E of float
   | VarE of string
   | BinE of binop * expr * expr
   | NegE of expr
@@ -42,20 +40,17 @@ type expr =
   | CmpE of cmpop * expr * expr (* i32 0/1 *)
   | AndE of expr * expr (* logical, short-circuit *)
   | OrE of expr * expr
-  | NotE of expr
   | CastE of ty * expr
   | LoadE of ty * expr (* full-width load at byte address *)
   | LoadPackedE of width * bool (* signed *) * expr (* i32 result *)
   | CallE of string * expr list
   | TernE of expr * expr * expr
-  | MemSizeE
   | MemGrowE of expr
 
 type stmt =
   | DeclS of string * ty * expr option
   | AssignS of string * expr
   | StoreS of ty * expr * expr (* ty, address, value *)
-  | StorePackedS of width * expr * expr
   | IfS of expr * stmt list * stmt list
   | WhileS of expr * stmt list
   | ForS of string * expr * expr * stmt list
@@ -136,7 +131,7 @@ let lookup_fun env name =
   | Some f -> f
   | None -> type_fail "unbound function %s" name
 
-let is_float = function F32 | F64 -> true | I32 | I64 -> false
+let is_float = function F64 -> true | I32 | I64 -> false
 
 (* Each expression compiles to (instructions, type). *)
 let rec compile_expr env (e : expr) : W.instr list * ty =
@@ -144,7 +139,6 @@ let rec compile_expr env (e : expr) : W.instr list * ty =
   | IntE n -> ([ W.Const (W.VI32 (Int32.of_int n)) ], I32)
   | LongE n -> ([ W.Const (W.VI64 n) ], I64)
   | FloatE x -> ([ W.Const (W.VF64 x) ], F64)
-  | Float32E x -> ([ W.Const (W.VF32 x) ], F32)
   | VarE name ->
     let idx, ty = lookup_var env name in
     ([ W.LocalGet idx ], ty)
@@ -241,10 +235,6 @@ let rec compile_expr env (e : expr) : W.instr list * ty =
     if ta <> I32 || tb <> I32 then type_fail "logical or needs i32 operands";
     (ca @ [ W.If (W.BlockVal T.I32, [ W.Const (W.VI32 1l) ],
                   cb @ [ W.Const (W.VI32 0l); W.IRelop (T.I32, W.Ne) ]) ], I32)
-  | NotE a ->
-    let ca, ta = compile_expr env a in
-    if ta <> I32 then type_fail "logical not needs i32";
-    (ca @ [ W.ITestop T.I32 ], I32)
   | CastE (dst, a) ->
     let ca, src = compile_expr env a in
     if src = dst then (ca, dst)
@@ -254,29 +244,21 @@ let rec compile_expr env (e : expr) : W.instr list * ty =
         | I32, I64 -> W.I64ExtendI32S
         | I64, I32 -> W.I32WrapI64
         | I32, F64 -> W.F64ConvertI32S
-        | I32, F32 -> W.F32ConvertI32S
         | I64, F64 -> W.F64ConvertI64S
-        | I64, F32 -> W.F32ConvertI64S
         | F64, I32 -> W.I32TruncF64S
-        | F32, I32 -> W.I32TruncF32S
         | F64, I64 -> W.I64TruncF64S
-        | F32, I64 -> W.I64TruncF32S
-        | F32, F64 -> W.F64PromoteF32
-        | F64, F32 -> W.F32DemoteF64
-        | (I32 | I64 | F32 | F64), _ -> assert false
+        | (I32 | I64 | F64), _ -> assert false
       in
       (ca @ [ W.Cvtop cvt ], dst)
   | LoadE (ty, addr) ->
     let ca, ta = compile_expr env addr in
     if ta <> I32 then type_fail "address must be i32";
-    let align = match ty with I32 | F32 -> 2 | I64 | F64 -> 3 in
+    let align = match ty with I32 -> 2 | I64 | F64 -> 3 in
     (ca @ [ W.Load (valtype_of_ty ty, None, { align; offset = 0 }) ], ty)
   | LoadPackedE (w, signed, addr) ->
     let ca, ta = compile_expr env addr in
     if ta <> I32 then type_fail "address must be i32";
-    let pack, align =
-      match w with W8 -> (W.P8, 0) | W16 -> (W.P16, 1) | W32 | W64 -> type_fail "packed 32/64"
-    in
+    let pack, align = match w with W8 -> (W.P8, 0) | W16 -> (W.P16, 1) in
     let ext = if signed then W.SX else W.ZX in
     (ca @ [ W.Load (T.I32, Some (pack, ext), { align; offset = 0 }) ], I32)
   | CallE (name, args) ->
@@ -301,13 +283,12 @@ let rec compile_expr env (e : expr) : W.instr list * ty =
     let cb, tb = compile_expr env b in
     if ta <> tb then type_fail "ternary arms differ";
     (cc @ [ W.If (W.BlockVal (valtype_of_ty ta), ca, cb) ], ta)
-  | MemSizeE -> ([ W.MemorySize ], I32)
   | MemGrowE a ->
     let ca, ta = compile_expr env a in
     if ta <> I32 then type_fail "memory.grow takes i32";
     (ca @ [ W.MemoryGrow ], I32)
 
-and show_ty = function I32 -> "int" | I64 -> "long" | F32 -> "float" | F64 -> "double"
+and show_ty = function I32 -> "int" | I64 -> "long" | F64 -> "double"
 
 (* Statements: [level] bookkeeping mirrors the emitted Block/Loop/If
    structure so break/continue resolve to the right label depth. *)
@@ -331,17 +312,8 @@ let rec compile_stmt env (s : stmt) : W.instr list =
     if ta <> I32 then type_fail "store address must be i32";
     let cv, tv = compile_expr env v in
     if tv <> ty then type_fail "store value type mismatch";
-    let align = match ty with I32 | F32 -> 2 | I64 | F64 -> 3 in
+    let align = match ty with I32 -> 2 | I64 | F64 -> 3 in
     ca @ cv @ [ W.Store (valtype_of_ty ty, None, { align; offset = 0 }) ]
-  | StorePackedS (w, addr, v) ->
-    let ca, ta = compile_expr env addr in
-    if ta <> I32 then type_fail "store address must be i32";
-    let cv, tv = compile_expr env v in
-    if tv <> I32 then type_fail "packed store takes i32 value";
-    let pack, align =
-      match w with W8 -> (W.P8, 0) | W16 -> (W.P16, 1) | W32 | W64 -> type_fail "packed 32/64"
-    in
-    ca @ cv @ [ W.Store (T.I32, Some pack, { align; offset = 0 }) ]
   | IfS (c, then_, else_) ->
     let cc, tc = compile_expr env c in
     if tc <> I32 then type_fail "if condition must be i32";
@@ -534,7 +506,6 @@ module Dsl = struct
   let ( <> ) a b = CmpE (Ne, a, b)
   let ( && ) a b = AndE (a, b)
   let ( || ) a b = OrE (a, b)
-  let not_ a = NotE a
   let to_f64 e = CastE (F64, e)
   let to_i32 e = CastE (I32, e)
 

@@ -279,50 +279,50 @@ let bounded_module iters =
   Builder.export_func b "run" f;
   Builder.build b
 
-let interp_invoke m name =
+let interp_invoke bytes name =
   let open Watz_wasm in
+  let m = Decode.decode bytes in
+  Validate.validate m;
   let inst = Interp.instantiate m in
   match Instance.export_func inst name with
   | Some f -> ignore (Interp.invoke f [])
   | None -> Alcotest.failf "no export %s" name
 
-let fast_invoke m name =
+let fast_invoke bytes name =
   let open Watz_wasm in
-  ignore (Fastinterp.invoke (Fastinterp.instantiate (Fastinterp.compile ~fuel:true m)) name [])
+  ignore (Fastinterp.invoke (Fastinterp.instantiate (Fastinterp.compile_bytes ~fuel:true bytes)) name [])
 
 let test_fuel_trap_tier_identical () =
   let open Watz_wasm in
-  let m = spin_module () in
-  Validate.validate m;
+  let bytes = Encode.encode (spin_module ()) in
   let exhausts tier f =
     Instance.Fuel.with_fuel 10_000 (fun () ->
-        match f m "spin" with
+        match f bytes "spin" with
         | () -> Alcotest.failf "%s: infinite loop returned under fuel" tier
         | exception Instance.Exhaustion _ -> ())
   in
   exhausts "interp" interp_invoke;
   exhausts "fastinterp" fast_invoke;
   (* the differential harness calls exhaustion-everywhere agreement *)
-  match Diff.run_bytes ~exec:true (Encode.encode m) with
+  match Diff.run_bytes ~exec:true bytes with
   | Diff.Accepted -> ()
   | Diff.Rejected -> Alcotest.fail "spin module rejected"
   | Diff.Decoder_crash d | Diff.Exec_diverged d -> Alcotest.failf "spin module: %s" d
 
 let test_fuel_charge_parity () =
   let open Watz_wasm in
-  let m = bounded_module 100 in
-  Validate.validate m;
+  let bytes = Encode.encode (bounded_module 100) in
   let budget = 10_000 in
   let remaining f =
     Instance.Fuel.with_fuel budget (fun () ->
-        f m "run";
+        f bytes "run";
         !Instance.Fuel.cell)
   in
   let r_interp = remaining interp_invoke in
   Alcotest.(check int) "interp = fastinterp fuel charge" r_interp (remaining fast_invoke);
   Alcotest.(check bool) "fuel was charged" true (r_interp < budget);
   (* without a budget, fuel is free: same module, no charging *)
-  interp_invoke m "run";
+  interp_invoke bytes "run";
   Alcotest.(check bool) "fuel off outside with_fuel" false (Instance.Fuel.enabled ())
 
 (* The checked-in corpus (test/corpus/) replays clean. Runs against the

@@ -5,9 +5,8 @@ open Watz_wasmc.Minic
 open Watz_wasmc.Minic.Dsl
 
 let run_f64 program name args =
-  let m = compile program in
-  Watz_wasm.Validate.validate m;
-  let finst = Watz_wasm.Fastinterp.instantiate (Watz_wasm.Fastinterp.compile m) in
+  let m, cm = Tiers.of_minic program in
+  let finst = Watz_wasm.Fastinterp.instantiate cm in
   let inst = Watz_wasm.Interp.instantiate m in
   let boxed = List.map (fun x -> Watz_wasm.Ast.VF64 x) args in
   let a = Watz_wasm.Fastinterp.invoke finst name boxed in
@@ -18,9 +17,8 @@ let run_f64 program name args =
   | _ -> Alcotest.fail "expected one f64"
 
 let run_i32 program name args =
-  let m = compile program in
-  Watz_wasm.Validate.validate m;
-  let finst = Watz_wasm.Fastinterp.instantiate (Watz_wasm.Fastinterp.compile m) in
+  let m, cm = Tiers.of_minic program in
+  let finst = Watz_wasm.Fastinterp.instantiate cm in
   let inst = Watz_wasm.Interp.instantiate m in
   let boxed = List.map (fun x -> Watz_wasm.Ast.VI32 (Int32.of_int x)) args in
   let a = Watz_wasm.Fastinterp.invoke finst name boxed in
@@ -171,8 +169,6 @@ let test_imports () =
           [ call "log_i32" [ v "x" ]; ret (v "x" + i 1) ];
       ]
   in
-  let m = compile p in
-  Watz_wasm.Validate.validate m;
   let logged = ref [] in
   let finst =
     Watz_wasm.Fastinterp.instantiate
@@ -186,7 +182,7 @@ let test_imports () =
               | _ -> ());
               []);
         ]
-      (Watz_wasm.Fastinterp.compile m)
+      (Watz_wasm.Fastinterp.compile_bytes (compile_to_bytes p))
   in
   let r = Watz_wasm.Fastinterp.invoke finst "f" [ Watz_wasm.Ast.VI32 41l ] in
   Alcotest.(check bool) "result" true (Stdlib.( = ) r [ Watz_wasm.Ast.VI32 42l ]);
@@ -210,10 +206,7 @@ let test_encode_runs_through_decoder () =
     Dsl.program
       [ fn "f" [ ("a", F64) ] (Some F64) [ ret (v "a" * f 2.0) ] ]
   in
-  let bytes = compile_to_bytes p in
-  let m = Watz_wasm.Decode.decode bytes in
-  Watz_wasm.Validate.validate m;
-  let finst = Watz_wasm.Fastinterp.instantiate (Watz_wasm.Fastinterp.compile m) in
+  let finst = Watz_wasm.Fastinterp.instantiate (Watz_wasm.Fastinterp.compile_bytes (compile_to_bytes p)) in
   match Watz_wasm.Fastinterp.invoke finst "f" [ Watz_wasm.Ast.VF64 21.0 ] with
   | [ Watz_wasm.Ast.VF64 x ] -> Alcotest.(check (float 0.0)) "through codec" 42.0 x
   | _ -> Alcotest.fail "bad result"

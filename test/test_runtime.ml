@@ -180,6 +180,32 @@ let test_start_trap_is_app_trap () =
       | exception Not_found -> ())
     [ Runtime.Interp; Runtime.Fast ]
 
+(* An app whose [_start] recurses without end traps at the call-depth
+   bound on both tiers, within a second, and its failed launch gives
+   back its TEE memory like any other. *)
+let test_recursing_start_traps () =
+  let module B = Watz_wasm.Builder in
+  let b = B.create () in
+  let start = B.func b ~params:[] ~results:[] ~locals:[] [ Watz_wasm.Ast.Call 0 ] in
+  B.export_func b "_start" start;
+  let bytes = Watz_wasm.Encode.encode (B.build b) in
+  let soc = booted_soc "dev" in
+  let os = Watz_tz.Soc.optee soc in
+  let pools () = (os.Watz_tz.Optee.heap_pool.used, os.Watz_tz.Optee.shm_pool.used) in
+  let before = pools () in
+  List.iter
+    (fun tier ->
+      let what = "tier " ^ Watz.Engine.tier_name tier in
+      let t0 = Sys.time () in
+      (match Runtime.load ~config:{ Runtime.default_config with Runtime.tier } soc bytes with
+      | _ -> Alcotest.fail ("WaTZ launched a recursing _start on " ^ what)
+      | exception Runtime.App_trap m -> Alcotest.(check string) what "call stack exhausted" m);
+      let seconds = Sys.time () -. t0 in
+      Alcotest.(check bool) (Printf.sprintf "%s: trapped in %.3f s (< 1 s)" what seconds) true
+        Stdlib.(seconds < 1.0);
+      Alcotest.(check (pair int int)) (what ^ ": heap and shared pools restored") before (pools ()))
+    [ Runtime.Interp; Runtime.Fast ]
+
 (* A failed launch gives back everything it took from the TEE. At 2 MB
    of TA heap per session, 13 leaked sessions leave the 27 MB heap pool
    no room for a 14th, and three leaked 3 MB staging buffers fill the
@@ -400,6 +426,7 @@ let suite =
         case "traps contained by sandbox" test_trap_is_contained;
         case "a trap in _start is App_trap on both runtimes" test_start_trap_is_app_trap;
         case "failed launches release TEE memory" test_failed_launch_releases_tee_memory;
+        case "a recursing _start is App_trap and gives back its TEE memory" test_recursing_start_traps;
         case "launches of the same bytes are independent" test_launches_are_independent;
       ] );
     ( "runtime.tiers",

@@ -9,8 +9,6 @@ module Wasi = Watz_wasi.Wasi
 let wasi = "wasi_snapshot_preview1"
 
 let run_app ?(args = [ "app.wasm" ]) ?(environ = []) program =
-  let m = compile program in
-  Watz_wasm.Validate.validate m;
   let out = Buffer.create 64 in
   let rng = Watz_util.Prng.create 9L in
   let env =
@@ -21,7 +19,7 @@ let run_app ?(args = [ "app.wasm" ]) ?(environ = []) program =
   in
   let inst =
     Watz_wasm.Fastinterp.instantiate ~imports:(Wasi.imports env)
-      (Watz_wasm.Fastinterp.compile m)
+      (Watz_wasm.Fastinterp.compile_bytes (compile_to_bytes program))
   in
   Wasi.attach_memory env inst;
   (env, inst, out)

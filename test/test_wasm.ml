@@ -27,14 +27,14 @@ let value_testable =
 (* Run an exported function on both execution tiers and check they
    agree: tree-walking interpreter and pre-decoded fast interpreter. *)
 let run_both m name args =
-  Validate.validate m;
-  let inst = Interp.instantiate m in
+  let ast, cm = Tiers.of_module m in
+  let inst = Interp.instantiate ast in
   let interp_result =
     match Instance.export_func inst name with
     | Some f -> Interp.invoke f args
     | None -> Alcotest.failf "no export %s" name
   in
-  let finst = Fastinterp.instantiate (Fastinterp.compile m) in
+  let finst = Fastinterp.instantiate cm in
   let fast_result = Fastinterp.invoke finst name args in
   Alcotest.(check (list value_testable)) (name ^ ": interp = fast") interp_result fast_result;
   interp_result
@@ -72,8 +72,8 @@ let test_i32_division_semantics () =
   check_result (op RemS) "f" [ VI32 Int32.min_int; VI32 (-1l) ] [ VI32 0l ]
 
 let expect_trap m name args msg_fragment =
-  Validate.validate m;
-  let inst = Interp.instantiate m in
+  let ast, cm = Tiers.of_module m in
+  let inst = Interp.instantiate ast in
   let f = Option.get (Instance.export_func inst name) in
   (match Interp.invoke f args with
   | _ -> Alcotest.failf "interp: expected trap %s" msg_fragment
@@ -81,7 +81,7 @@ let expect_trap m name args msg_fragment =
     Alcotest.(check bool) ("interp trap: " ^ msg) true
       (Astring.String.is_infix ~affix:msg_fragment msg
        || String.length msg_fragment = 0));
-  match Fastinterp.invoke (Fastinterp.instantiate (Fastinterp.compile m)) name args with
+  match Fastinterp.invoke (Fastinterp.instantiate cm) name args with
   | _ -> Alcotest.failf "fast: expected trap %s" msg_fragment
   | exception Instance.Trap msg ->
     Alcotest.(check bool) ("fast trap: " ^ msg) true
@@ -107,16 +107,16 @@ let outcome_testable =
 (* Run [name] on both tiers: the same result or trap message, and the
    same memory afterwards. Returns the outcome and the memory. *)
 let on_both_tiers m name args =
-  Validate.validate m;
+  let ast, cm = Tiers.of_module m in
   let attempt f = match f () with vs -> Returned vs | exception Instance.Trap msg -> Trapped msg in
   let memory inst =
     match inst.Instance.memories with
     | [||] -> Bytes.empty
     | mems -> Bytes.copy mems.(0).Instance.Memory.data
   in
-  let inst = Interp.instantiate m in
+  let inst = Interp.instantiate ast in
   let interp = attempt (fun () -> Interp.invoke (Option.get (Instance.export_func inst name)) args) in
-  let finst = Fastinterp.instantiate (Fastinterp.compile m) in
+  let finst = Fastinterp.instantiate cm in
   let fast = attempt (fun () -> Fastinterp.invoke finst name args) in
   Alcotest.check outcome_testable (name ^ ": interp = fast") interp fast;
   Alcotest.(check bool) (name ^ ": same memory") true (Bytes.equal (memory inst) (memory finst));
@@ -375,6 +375,67 @@ let test_factorial_recursive () =
   check_result m "fact" [ VI64 10L ] [ VI64 3628800L ];
   check_result m "fact" [ VI64 20L ] [ VI64 2432902008176640000L ]
 
+(* A call made with [Instance.max_call_depth] frames live traps on
+   both tiers, so a recursion without end is a trap, not an OCaml stack
+   overflow. Each frame of [forever] bumps the word at 0 before it
+   recurses, so the memory shows how many frames ran; [down n] runs
+   n + 1 frames. *)
+let test_unbounded_recursion_traps () =
+  let b = Builder.create () in
+  ignore (Builder.memory b ~min:1 ());
+  let word = { align = 2; offset = 0 } in
+  let bump =
+    [ Builder.i32c 0; Builder.i32c 0; Load (I32, None, word); Builder.i32c 1; IBinop (I32, Add);
+      Store (I32, None, word) ]
+  in
+  let forever = Builder.func b ~params:[] ~results:[] ~locals:[] (bump @ [ Call 0 ]) in
+  let down =
+    Builder.func b ~params:[ I32 ] ~results:[ I32 ] ~locals:[]
+      [ LocalGet 0; ITestop I32;
+        If
+          ( BlockVal I32,
+            [ Builder.i32c 0 ],
+            [ LocalGet 0; Builder.i32c 1; IBinop (I32, Sub); Call 1; Builder.i32c 1; IBinop (I32, Add) ] ) ]
+  in
+  Alcotest.(check (pair int int)) "function indices" (0, 1) (forever, down);
+  Builder.export_func b "forever" forever;
+  Builder.export_func b "down" down;
+  let m = Builder.build b in
+  let limit = Instance.max_call_depth in
+  let exhausted = Trapped "call stack exhausted" in
+  let outcome, memory = on_both_tiers m "forever" [] in
+  Alcotest.check outcome_testable "forever" exhausted outcome;
+  Alcotest.(check int32) "frames run" (Int32.of_int limit) (Bytes.get_int32_le memory 0);
+  let down_to n = fst (on_both_tiers m "down" [ VI32 (Int32.of_int n) ]) in
+  Alcotest.check outcome_testable "limit frames return"
+    (Returned [ VI32 (Int32.of_int (limit - 1)) ])
+    (down_to (limit - 1));
+  Alcotest.check outcome_testable "one frame more traps" exhausted (down_to limit);
+  (* Under fuel, the trapping call charges nothing: the check comes
+     before the callee's entry charge, so both tiers charge one unit
+     per frame run. The trap unwinds the count, so the same instance
+     recurses to the limit again. *)
+  let ast, cm = Tiers.of_module ~fuel:true m in
+  let interp = Interp.instantiate ast and fast = Fastinterp.instantiate cm in
+  let budget = 1_000_000 in
+  List.iter
+    (fun (tier, invoke) ->
+      let left =
+        Instance.Fuel.with_fuel budget (fun () ->
+            (match invoke "forever" [] with
+            | _ -> Alcotest.failf "%s: forever returned" tier
+            | exception Instance.Trap _ -> ());
+            !Instance.Fuel.cell)
+      in
+      Alcotest.(check int) (tier ^ ": one fuel unit per frame run") (budget - limit) left;
+      Alcotest.(check (list value_testable)) (tier ^ ": limit frames after a trap")
+        [ VI32 (Int32.of_int (limit - 1)) ]
+        (invoke "down" [ VI32 (Int32.of_int (limit - 1)) ]))
+    [
+      ("interp", fun name args -> Interp.invoke (Option.get (Instance.export_func interp name)) args);
+      ("fast", Fastinterp.invoke fast);
+    ]
+
 let test_mutual_recursion () =
   (* is_even / is_odd *)
   let b = Builder.create () in
@@ -435,8 +496,7 @@ let test_host_function_call () =
       [ LocalGet 0; Call host_idx; Builder.i32c 1; IBinop (I32, Add) ]
   in
   Builder.export_func b "f" f;
-  let m = Builder.build b in
-  Validate.validate m;
+  let ast, cm = Tiers.of_module (Builder.build b) in
   let impl args =
     match args.(0) with
     | VI32 v -> [ VI32 (Int32.mul v 3l) ]
@@ -444,10 +504,10 @@ let test_host_function_call () =
   in
   (* one host spec, linked by both tiers *)
   let imports = [ Instance.host ~module_:"env" ~name:"mul3" ~params:[ I32 ] ~results:[ I32 ] impl ] in
-  let inst = Interp.instantiate ~imports m in
+  let inst = Interp.instantiate ~imports ast in
   let got = Interp.invoke (Option.get (Instance.export_func inst "f")) [ VI32 5l ] in
   Alcotest.(check (list value_testable)) "interp host" [ VI32 16l ] got;
-  let finst = Fastinterp.instantiate ~imports (Fastinterp.compile m) in
+  let finst = Fastinterp.instantiate ~imports cm in
   let got = Fastinterp.invoke finst "f" [ VI32 5l ] in
   Alcotest.(check (list value_testable)) "fast host" [ VI32 16l ] got
 
@@ -851,7 +911,21 @@ let test_validator_rejects_bad_memory_use () =
       [ LocalGet 0; Load (I32, None, { align = 5; offset = 0 }) ]
   in
   Builder.export_func b "f" f;
-  expect_invalid (Builder.build b) "alignment"
+  expect_invalid (Builder.build b) "alignment";
+  (* The decoder reads a memarg's fields as u32s, so a built AST must
+     stay in that range too; the largest offset validates and is out
+     of bounds of any memory. *)
+  let with_memarg memarg =
+    let b = Builder.create () in
+    ignore (Builder.memory b ~min:1 ());
+    let f = Builder.func b ~params:[ I32 ] ~results:[ I32 ] ~locals:[] [ LocalGet 0; Load (I32, None, memarg) ] in
+    Builder.export_func b "f" f;
+    Builder.build b
+  in
+  expect_invalid (with_memarg { align = 2; offset = -8 }) "memory offset -8 out of range";
+  expect_invalid (with_memarg { align = 2; offset = 1 lsl 32 }) "memory offset 4294967296 out of range";
+  expect_invalid (with_memarg { align = -1; offset = 0 }) "alignment -1 out of range";
+  expect_trap (with_memarg { align = 2; offset = 0xffff_ffff }) "f" [ VI32 0l ] "out of bounds memory access"
 
 let test_validator_accepts_unreachable_code () =
   let m =
@@ -1015,18 +1089,12 @@ let front_door_verdict f =
   | exception Decode.Malformed m -> "malformed: " ^ m
   | exception Validate.Invalid m -> "invalid: " ^ m
 
-(* Both front doors' verdict, checked equal; accepted bytes must also
-   compile to the same code on both. *)
+(* Both front doors' verdict, checked equal: interp's decode, then
+   validate, and fast's one pass. *)
 let front_doors bytes =
   let ast = front_door_verdict (fun () -> Validate.validate (Decode.decode bytes)) in
   let onepass = front_door_verdict (fun () -> ignore (Fastinterp.compile_bytes bytes)) in
   Alcotest.(check string) "one pass = decode, then validate" ast onepass;
-  if ast = "accepted" then begin
-    let digest cm = Digest.string (Marshal.to_string cm [ Marshal.No_sharing ]) in
-    Alcotest.(check string) "same compiled module"
-      (digest (Fastinterp.compile (Decode.decode bytes)))
-      (digest (Fastinterp.compile_bytes bytes))
-  end;
   ast
 
 let check_front_doors what expected bytes =
@@ -1170,11 +1238,9 @@ let test_onepass_sibling_blocks_linear () =
 let link_outcome f = match f () with _ -> "linked" | exception Instance.Link_error m -> m
 
 let check_link_parity ?imports m expected =
-  Validate.validate m;
-  let interp = link_outcome (fun () -> ignore (Interp.instantiate ?imports m)) in
-  let fast =
-    link_outcome (fun () -> ignore (Fastinterp.instantiate ?imports (Fastinterp.compile m)))
-  in
+  let ast, cm = Tiers.of_module m in
+  let interp = link_outcome (fun () -> ignore (Interp.instantiate ?imports ast)) in
+  let fast = link_outcome (fun () -> ignore (Fastinterp.instantiate ?imports cm)) in
   Alcotest.(check string) ("interp = fast: " ^ interp) interp fast;
   Alcotest.(check bool)
     (Printf.sprintf "%S in %S" expected interp)
@@ -1224,11 +1290,10 @@ let test_link_segments_out_of_bounds () =
   check_link_parity (Builder.build b) "data segment out of bounds"
 
 let test_invoke_arity_and_types () =
-  let m = single_func ~params:[ I32 ] ~results:[ I32 ] [ LocalGet 0 ] in
-  Validate.validate m;
+  let ast, cm = Tiers.of_module (single_func ~params:[ I32 ] ~results:[ I32 ] [ LocalGet 0 ]) in
   let trap f = match f () with _ -> "no trap" | exception Instance.Trap msg -> msg in
-  let interp = Option.get (Instance.export_func (Interp.instantiate m) "f") in
-  let fast = Fastinterp.instantiate (Fastinterp.compile m) in
+  let interp = Option.get (Instance.export_func (Interp.instantiate ast) "f") in
+  let fast = Fastinterp.instantiate cm in
   List.iter
     (fun (args, expected) ->
       let a = trap (fun () -> Interp.invoke interp args) in
@@ -1293,12 +1358,11 @@ let qcheck_differential =
     (QCheck.make random_program_gen)
     (fun instrs ->
       let body = balance_program instrs in
-      let m = single_func ~params:[ I32; I32 ] ~results:[ I32 ] body in
-      Validate.validate m;
-      let inst = Interp.instantiate m in
+      let ast, cm = Tiers.of_module (single_func ~params:[ I32; I32 ] ~results:[ I32 ] body) in
+      let inst = Interp.instantiate ast in
       let args = [ VI32 123456l; VI32 (-789l) ] in
       let a = Interp.invoke (Option.get (Instance.export_func inst "f")) args in
-      let fa = Fastinterp.invoke (Fastinterp.instantiate (Fastinterp.compile m)) "f" args in
+      let fa = Fastinterp.invoke (Fastinterp.instantiate cm) "f" args in
       a = fa)
 
 let qcheck_codec_roundtrip_random =
@@ -1466,9 +1530,8 @@ let test_if_fusion_preserves_local_store () =
    under test really compiles to the fused op, so a case cannot pass
    by testing the unfused path. *)
 
-let compiled_ops ?(fuel = false) m =
-  Validate.validate m;
-  let cm = Fastinterp.compile ~fuel m in
+let compiled_ops ?fuel m =
+  let cm = Fastinterp.compile_bytes ?fuel (Encode.encode m) in
   Array.concat (List.map (fun b -> b.Fastinterp.cb_code) (Array.to_list cm.Fastinterp.cm_bodies))
 
 let fuses what pred m = Alcotest.(check bool) (what ^ " fuses") true (Array.exists pred (compiled_ops m))
@@ -1631,13 +1694,13 @@ let test_back_edge_fuel () =
         let r = f () in
         (r, !Instance.Fuel.cell))
   in
-  let inst = Interp.instantiate m in
+  let ast, cm = Tiers.of_module ~fuel:true m in
+  let inst = Interp.instantiate ast in
   let r_interp, left_interp =
     metered (fun () -> Interp.invoke (Option.get (Instance.export_func inst "run")) [])
   in
   let r_fast, left_fast =
-    metered (fun () ->
-        Fastinterp.invoke (Fastinterp.instantiate (Fastinterp.compile ~fuel:true m)) "run" [])
+    metered (fun () -> Fastinterp.invoke (Fastinterp.instantiate cm) "run" [])
   in
   Alcotest.(check (list value_testable)) "result" [ VI32 1225l ] r_interp;
   Alcotest.(check (list value_testable)) "interp = fast" r_interp r_fast;
@@ -1698,7 +1761,7 @@ let test_2d_addressing () =
         | [| (Fastinterp.OLoadI32M _ | Fastinterp.OLoadF64M _); OHalt |]
         | [| Fastinterp.OMulAdd32 (_, 0, 12, 1, 2, _); OConstI _; OStoreI32 _; OHalt |] -> true
         | _ -> false))
-    (Fastinterp.compile m).Fastinterp.cm_bodies;
+    (Fastinterp.compile_bytes (Encode.encode m)).Fastinterp.cm_bodies;
   let run name x y = ignore (on_both_tiers m name [ VI32 (Int32.of_int x); VI32 (Int32.of_int y) ]) in
   let trap name x y =
     match on_both_tiers m name [ VI32 (Int32.of_int x); VI32 (Int32.of_int y) ] with
@@ -1914,8 +1977,7 @@ let test_counting_loop () =
          ~step:[ LocalGet 0; Builder.i32c 1; IBinop (I32, Sub); LocalSet 0 ]
       @ [ LocalGet 1 ])
   in
-  Validate.validate m;
-  let cm = Fastinterp.compile m in
+  let cm = Fastinterp.compile_bytes (Encode.encode m) in
   let before = Marshal.to_string cm.Fastinterp.cm_bodies [] in
   List.iter
     (fun n ->
@@ -1928,44 +1990,46 @@ let test_counting_loop () =
     (String.equal before (Marshal.to_string cm.Fastinterp.cm_bodies []))
 
 (* ------------------------------------------------------------------ *)
-(* One-pass identity: loading bytes in one pass and compiling the
-   decoded AST give the same compiled module, with and without fuel. *)
-
-let check_onepass_identity (name, bytes) =
-  let m = Decode.decode bytes in
-  Validate.validate m;
-  let digest x = Digest.to_hex (Digest.string (Marshal.to_string x [ Marshal.No_sharing ])) in
-  List.iter
-    (fun fuel ->
-      let ast = Fastinterp.compile ~fuel m and onepass = Fastinterp.compile_bytes ~fuel bytes in
-      let check field f =
-        Alcotest.(check string)
-          (Printf.sprintf "%s%s: %s" name (if fuel then " (fuel)" else "") field)
-          (digest (f ast)) (digest (f onepass))
-      in
-      check "cm_module" (fun cm -> digest cm.Fastinterp.cm_module);
-      check "cm_func_types" (fun cm -> digest cm.Fastinterp.cm_func_types);
-      check "cm_bodies" (fun cm -> digest cm.Fastinterp.cm_bodies);
-      check "cm_n_imported" (fun cm -> digest cm.Fastinterp.cm_n_imported))
-    [ false; true ]
+(* Fuel builds of real modules: every module the repo runs loads
+   through the one pass with and without fuel, and each kernel's fuel
+   build computes its plain build's checksum, bit for bit. *)
 
 let minic = Watz_wasmc.Minic.compile_to_bytes
 
-let test_onepass_polybench () =
+let test_fuel_builds () =
+  let module PB = Watz_workloads.Polybench in
+  let module ST = Watz_workloads.Speedtest in
+  let kernels =
+    List.map (fun (k : PB.kernel) -> (k.PB.name, minic k.PB.program)) PB.all
+    @ List.map (fun (e : ST.experiment) -> (Printf.sprintf "st-%d" e.ST.id, minic e.ST.program)) ST.all
+  in
+  let others =
+    [ ("1 MB Bigapp", Watz_workloads.Bigapp.generate ~mb:1); ("Genann", Watz_workloads.Genann_wasm.bytes ()) ]
+  in
+  Alcotest.(check int) "45 modules" 45 (List.length (kernels @ others));
   List.iter
-    (fun (k : Watz_workloads.Polybench.kernel) ->
-      check_onepass_identity (k.Watz_workloads.Polybench.name, minic k.Watz_workloads.Polybench.program))
-    Watz_workloads.Polybench.all
-
-let test_onepass_speedtest () =
+    (fun (_, bytes) -> List.iter (fun fuel -> ignore (Fastinterp.compile_bytes ~fuel bytes)) [ false; true ])
+    others;
+  (* [max_int] switches metering off, so one below it meters but
+     cannot run out. *)
+  let budget = max_int - 1 in
   List.iter
-    (fun (e : Watz_workloads.Speedtest.experiment) ->
-      check_onepass_identity
-        (Printf.sprintf "speedtest %d" e.Watz_workloads.Speedtest.id, minic e.Watz_workloads.Speedtest.program))
-    Watz_workloads.Speedtest.all
-
-let test_onepass_bigapp () = check_onepass_identity ("1 MB Bigapp", Watz_workloads.Bigapp.generate ~mb:1)
-let test_onepass_genann () = check_onepass_identity ("Genann", Watz_workloads.Genann_wasm.bytes ())
+    (fun (name, bytes) ->
+      let checksum cm =
+        match Fastinterp.invoke (Fastinterp.instantiate cm) "run" [] with
+        | [ VF64 x ] -> Int64.bits_of_float x
+        | _ -> Alcotest.failf "%s: run returns one f64" name
+      in
+      let plain = checksum (Fastinterp.compile_bytes bytes) in
+      let fuel_cm = Fastinterp.compile_bytes ~fuel:true bytes in
+      let fueled, left =
+        Instance.Fuel.with_fuel budget (fun () ->
+            let r = checksum fuel_cm in
+            (r, !Instance.Fuel.cell))
+      in
+      Alcotest.(check int64) (name ^ ": fuel build = plain build") plain fueled;
+      Alcotest.(check bool) (name ^ ": fuel charged") true (left < budget))
+    kernels
 
 let case name f = Alcotest.test_case name `Quick f
 let q = Seed_util.qcheck
@@ -2000,6 +2064,7 @@ let suite =
         case "mutual recursion" test_mutual_recursion;
         case "call_indirect" test_call_indirect;
         case "host function" test_host_function_call;
+        case "unbounded recursion traps on both tiers" test_unbounded_recursion_traps;
       ] );
     ( "wasm.memory",
       [
@@ -2048,10 +2113,7 @@ let suite =
       ] );
     ( "wasm.onepass",
       [
-        case "PolyBench: bytes = AST" test_onepass_polybench;
-        case "Speedtest: bytes = AST" test_onepass_speedtest;
-        case "1 MB Bigapp: bytes = AST" test_onepass_bigapp;
-        case "Genann: bytes = AST" test_onepass_genann;
+        case "fuel builds of 45 real modules" test_fuel_builds;
         case "dead code flattens to nothing" test_dead_code_flattens_to_nothing;
       ] );
     ( "wasm.link",

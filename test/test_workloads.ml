@@ -9,9 +9,7 @@ module GW = Watz_workloads.Genann_wasm
 module Iris = Watz_workloads.Iris
 
 let run_wasm program name =
-  let m = Watz_wasmc.Minic.compile program in
-  Watz_wasm.Validate.validate m;
-  let inst = Watz_wasm.Fastinterp.instantiate (Watz_wasm.Fastinterp.compile m) in
+  let inst = Watz_wasm.Fastinterp.instantiate (Watz_wasm.Fastinterp.compile_bytes (Watz_wasmc.Minic.compile_to_bytes program)) in
   match Watz_wasm.Fastinterp.invoke inst name [] with
   | [ Watz_wasm.Ast.VF64 x ] -> x
   | _ -> Alcotest.fail "expected one f64"
@@ -37,8 +35,7 @@ let polybench_parity_cases =
    checksum on the tree-walking interpreter and the pre-decoded fast
    interpreter. *)
 let run_both_tiers program =
-  let m = Watz_wasmc.Minic.compile program in
-  Watz_wasm.Validate.validate m;
+  let m, cm = Tiers.of_minic program in
   let f64 = function
     | [ Watz_wasm.Ast.VF64 x ] -> x
     | _ -> Alcotest.fail "expected one f64"
@@ -48,7 +45,7 @@ let run_both_tiers program =
     f64 (Watz_wasm.Interp.invoke (Option.get (Watz_wasm.Instance.export_func inst "run")) [])
   in
   let fast =
-    f64 (Watz_wasm.Fastinterp.invoke (Watz_wasm.Fastinterp.instantiate (Watz_wasm.Fastinterp.compile m)) "run" [])
+    f64 (Watz_wasm.Fastinterp.invoke (Watz_wasm.Fastinterp.instantiate cm) "run" [])
   in
   (interp, fast)
 
@@ -163,9 +160,10 @@ let test_genann_wasm_bit_identical () =
       records
   done;
   (* Wasm training. *)
-  let m = Watz_wasmc.Minic.compile (GW.program ~mem_pages:2 ()) in
-  Watz_wasm.Validate.validate m;
-  let inst = Watz_wasm.Fastinterp.instantiate (Watz_wasm.Fastinterp.compile m) in
+  let inst =
+    Watz_wasm.Fastinterp.instantiate
+      (Watz_wasm.Fastinterp.compile_bytes (Watz_wasmc.Minic.compile_to_bytes (GW.program ~mem_pages:2 ())))
+  in
   let invoke name args = Watz_wasm.Fastinterp.invoke inst name args in
   GW.seed_weights ~invoke initial;
   let mem = Option.get (Watz_wasm.Instance.export_memory inst "memory") in
@@ -199,8 +197,7 @@ let test_genann_tiers_bit_identical () =
   let rng = Watz_util.Prng.create 3L in
   let net = G.create ~inputs:4 ~hidden_layers:1 ~hidden:4 ~outputs:3 ~rng in
   let initial = Array.copy net.G.weights in
-  let m = Watz_wasmc.Minic.compile (GW.program ~mem_pages:2 ()) in
-  Watz_wasm.Validate.validate m;
+  let m, cm = Tiers.of_minic (GW.program ~mem_pages:2 ()) in
   let train_on ~invoke ~memory =
     GW.seed_weights ~invoke initial;
     GW.write_dataset memory data;
@@ -215,7 +212,7 @@ let test_genann_tiers_bit_identical () =
     train_on ~invoke ~memory:(Option.get (Watz_wasm.Instance.export_memory inst "memory"))
   in
   let fast_w =
-    let inst = Watz_wasm.Fastinterp.instantiate (Watz_wasm.Fastinterp.compile m) in
+    let inst = Watz_wasm.Fastinterp.instantiate cm in
     let invoke name args = Watz_wasm.Fastinterp.invoke inst name args in
     train_on ~invoke ~memory:(Option.get (Watz_wasm.Instance.export_memory inst "memory"))
   in
@@ -265,9 +262,7 @@ let test_bigapp_size_and_runs () =
   let size_mb = float_of_int (String.length bytes) /. 1048576.0 in
   Alcotest.(check bool) (Printf.sprintf "size %.2f MB in [0.9, 1.3]" size_mb) true
     (size_mb > 0.9 && size_mb < 1.3);
-  let m = Watz_wasm.Decode.decode bytes in
-  Watz_wasm.Validate.validate m;
-  let inst = Watz_wasm.Fastinterp.instantiate (Watz_wasm.Fastinterp.compile m) in
+  let inst = Watz_wasm.Fastinterp.instantiate (Watz_wasm.Fastinterp.compile_bytes bytes) in
   match Watz_wasm.Fastinterp.invoke inst "_start" [] with
   | [] -> ()
   | _ -> Alcotest.fail "_start should return nothing"
