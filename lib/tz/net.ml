@@ -146,9 +146,20 @@ let listen t ~port =
   Hashtbl.replace t.listeners port q;
   port
 
+(* A pipe whose writer has closed and that holds nothing more to
+   deliver can never carry bytes again. *)
+let dead pipe = pipe.writer_closed && Queue.is_empty pipe.pending && pipe.held = None
+
+(* [pipes] without the dead ones: the list itself when none is dead,
+   so a call that forgets nothing allocates nothing. *)
+let live_pipes pipes =
+  if List.exists dead pipes then List.filter (fun pipe -> not (dead pipe)) pipes else pipes
+
 (** [connect t ~port] establishes a connection to a listening port and
     returns the client-side endpoint; the server side is delivered via
-    {!accept}. Raises {!Refused} if nothing listens. *)
+    {!accept}. Raises {!Refused} if nothing listens. It also forgets
+    the pipes {!tick} would forget, so a caller that never ticks keeps
+    no closed connection's buffers alive. *)
 let connect t ~port =
   owner_check t;
   match Hashtbl.find_opt t.listeners port with
@@ -169,7 +180,7 @@ let connect t ~port =
       { net = t; tx = b_to_a; rx = a_to_b; closed = b_closed; peer = a_closed; broken;
         profile = t.default_profile }
     in
-    t.pipes <- a_to_b :: b_to_a :: t.pipes;
+    t.pipes <- a_to_b :: b_to_a :: live_pipes t.pipes;
     Queue.push server q;
     client
 
@@ -211,10 +222,7 @@ let tick t =
       Queue.iter (fun seg -> if seg.delay > 0 then seg.delay <- seg.delay - 1) pipe.pending;
       flush pipe)
     t.pipes;
-  t.pipes <-
-    List.filter
-      (fun pipe -> not (pipe.writer_closed && Queue.is_empty pipe.pending && pipe.held = None))
-      t.pipes
+  t.pipes <- live_pipes t.pipes
 
 (* ------------------------------------------------------------------ *)
 (* Faulty send *)

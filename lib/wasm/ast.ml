@@ -84,15 +84,35 @@ type instr =
   | FRelop of valtype * frelop
   | Cvtop of cvtop
 
+(** The leaves whose one immediate is an index: of a local, a global,
+    a label, a function or a type. *)
+type index_op =
+  | Local_get | Local_set | Local_tee
+  | Global_get | Global_set
+  | Br_label | Br_if_label
+  | Call_func | Call_indirect_type
+
 (** A function body as the events one pass over it meets, in reading
     order: each leaf instruction (never [Block], [Loop] or [If]), the
     start of each structured instruction with its block type, an [if]'s
     [else] and each [end], the body's own closing [end] last. An [else]
     arm with no instructions sends no [else], as the AST cannot tell it
     from an absent one. The state ['a] is passed to every step, so a
-    sink is one static record. *)
+    sink is one static record.
+
+    A leaf with an int immediate has an event of its own, whose
+    arguments are ints and constant constructors, so that reading and
+    passing it on allocates nothing: [index] for the nine index leaves,
+    [i32_const] with the constant as an int in [-2^31, 2^31), and [load]
+    and [store] with the memarg's align and offset, in that order. Every
+    other leaf goes to [leaf]: none of those carries an immediate except
+    [br_table] and the i64, f32 and f64 constants. *)
 type 'a sink = {
   leaf : 'a -> instr -> unit;
+  index : 'a -> index_op -> int -> unit;
+  i32_const : 'a -> int -> unit;
+  load : 'a -> valtype -> (pack * extension) option -> int -> int -> unit;
+  store : 'a -> valtype -> pack option -> int -> int -> unit;
   block : 'a -> blocktype -> unit;
   loop : 'a -> blocktype -> unit;
   if_ : 'a -> blocktype -> unit;
@@ -126,6 +146,18 @@ and replay_instr sink st = function
       sink.else_ st;
       replay sink st else_);
     sink.end_ st
+  | LocalGet x -> sink.index st Local_get x
+  | LocalSet x -> sink.index st Local_set x
+  | LocalTee x -> sink.index st Local_tee x
+  | GlobalGet x -> sink.index st Global_get x
+  | GlobalSet x -> sink.index st Global_set x
+  | Br l -> sink.index st Br_label l
+  | BrIf l -> sink.index st Br_if_label l
+  | Call f -> sink.index st Call_func f
+  | CallIndirect t -> sink.index st Call_indirect_type t
+  | Const (VI32 c) -> sink.i32_const st (Int32.to_int c)
+  | Load (ty, pack, m) -> sink.load st ty pack m.align m.offset
+  | Store (ty, pack, m) -> sink.store st ty pack m.align m.offset
   | i -> sink.leaf st i
 
 let replay_body sink st body =
@@ -136,6 +168,10 @@ let replay_body sink st body =
 let no_events =
   {
     leaf = (fun _ _ -> ());
+    index = (fun _ _ _ -> ());
+    i32_const = (fun _ _ -> ());
+    load = (fun _ _ _ _ _ -> ());
+    store = (fun _ _ _ _ _ -> ());
     block = (fun _ _ -> ());
     loop = (fun _ _ -> ());
     if_ = (fun _ _ -> ());

@@ -60,11 +60,6 @@ let globaltype r =
   in
   { content; mut }
 
-let memarg r =
-  let align = u32_as_int r in
-  let offset = u32_as_int r in
-  { align; offset }
-
 let blocktype r =
   (* Peek: 0x40 is empty, a valtype byte is a single result. *)
   match R.u8 r with
@@ -163,7 +158,7 @@ let max_nesting = 256
    closes it and sends each instruction to [sink] as soon as it is read
    (the events of {!Ast.sink}). With [build] set it also returns the
    sequence, built in order with one cons per instruction; without, it
-   returns [] and builds nothing. The nesting bound and the placement of
+   returns [] and conses nothing. The nesting bound and the placement of
    [else] are checked here and only here. The sequence's terminator is
    left in [ended_by_else]: [false] for 0x0b end, [true] for 0x05 else.
    One flag serves every nesting level, because a caller reads it as
@@ -176,62 +171,93 @@ type 'a reader = {
   mutable ended_by_else : bool;
 }
 
-let leaf r op =
+(* The leaves. Each opcode's immediates are read here, in one place,
+   and sent to the sink's event for that leaf; a leaf with an int
+   immediate is built as an [instr] only with [build] set (else [Nop]
+   stands for it), so that reading and sending it allocates nothing. *)
+let plain rd i =
+  rd.sink.leaf rd.st i;
+  i
+
+let index rd op mk =
+  let n = u32_as_int rd.r in
+  rd.sink.index rd.st op n;
+  if rd.build then mk n else Nop
+
+let load rd ty pack =
+  let align = u32_as_int rd.r in
+  let offset = u32_as_int rd.r in
+  rd.sink.load rd.st ty pack align offset;
+  if rd.build then Load (ty, pack, { align; offset }) else Nop
+
+let store rd ty pack =
+  let align = u32_as_int rd.r in
+  let offset = u32_as_int rd.r in
+  rd.sink.store rd.st ty pack align offset;
+  if rd.build then Store (ty, pack, { align; offset }) else Nop
+
+let leaf rd op =
+  let r = rd.r in
   match op with
-  | 0x00 -> Unreachable
-  | 0x01 -> Nop
-  | 0x0c -> Br (u32_as_int r)
-  | 0x0d -> BrIf (u32_as_int r)
+  | 0x00 -> plain rd Unreachable
+  | 0x01 -> plain rd Nop
+  | 0x0c -> index rd Br_label (fun l -> Br l)
+  | 0x0d -> index rd Br_if_label (fun l -> BrIf l)
   | 0x0e ->
     let targets = Array.of_list (vec r u32_as_int) in
     let default = u32_as_int r in
-    BrTable (targets, default)
-  | 0x0f -> Return
-  | 0x10 -> Call (u32_as_int r)
+    plain rd (BrTable (targets, default))
+  | 0x0f -> plain rd Return
+  | 0x10 -> index rd Call_func (fun f -> Call f)
   | 0x11 ->
     let ty = u32_as_int r in
     (match R.u8 r with
-    | 0x00 -> CallIndirect ty
-    | b -> fail "call_indirect: bad table byte 0x%02x" b)
-  | 0x1a -> Drop
-  | 0x1b -> Select
-  | 0x20 -> LocalGet (u32_as_int r)
-  | 0x21 -> LocalSet (u32_as_int r)
-  | 0x22 -> LocalTee (u32_as_int r)
-  | 0x23 -> GlobalGet (u32_as_int r)
-  | 0x24 -> GlobalSet (u32_as_int r)
-  | 0x28 -> Load (I32, None, memarg r)
-  | 0x29 -> Load (I64, None, memarg r)
-  | 0x2a -> Load (F32, None, memarg r)
-  | 0x2b -> Load (F64, None, memarg r)
-  | 0x2c -> Load (I32, Some (P8, SX), memarg r)
-  | 0x2d -> Load (I32, Some (P8, ZX), memarg r)
-  | 0x2e -> Load (I32, Some (P16, SX), memarg r)
-  | 0x2f -> Load (I32, Some (P16, ZX), memarg r)
-  | 0x30 -> Load (I64, Some (P8, SX), memarg r)
-  | 0x31 -> Load (I64, Some (P8, ZX), memarg r)
-  | 0x32 -> Load (I64, Some (P16, SX), memarg r)
-  | 0x33 -> Load (I64, Some (P16, ZX), memarg r)
-  | 0x34 -> Load (I64, Some (P32, SX), memarg r)
-  | 0x35 -> Load (I64, Some (P32, ZX), memarg r)
-  | 0x36 -> Store (I32, None, memarg r)
-  | 0x37 -> Store (I64, None, memarg r)
-  | 0x38 -> Store (F32, None, memarg r)
-  | 0x39 -> Store (F64, None, memarg r)
-  | 0x3a -> Store (I32, Some P8, memarg r)
-  | 0x3b -> Store (I32, Some P16, memarg r)
-  | 0x3c -> Store (I64, Some P8, memarg r)
-  | 0x3d -> Store (I64, Some P16, memarg r)
-  | 0x3e -> Store (I64, Some P32, memarg r)
+    | 0x00 -> ()
+    | b -> fail "call_indirect: bad table byte 0x%02x" b);
+    rd.sink.index rd.st Call_indirect_type ty;
+    if rd.build then CallIndirect ty else Nop
+  | 0x1a -> plain rd Drop
+  | 0x1b -> plain rd Select
+  | 0x20 -> index rd Local_get (fun x -> LocalGet x)
+  | 0x21 -> index rd Local_set (fun x -> LocalSet x)
+  | 0x22 -> index rd Local_tee (fun x -> LocalTee x)
+  | 0x23 -> index rd Global_get (fun x -> GlobalGet x)
+  | 0x24 -> index rd Global_set (fun x -> GlobalSet x)
+  | 0x28 -> load rd I32 None
+  | 0x29 -> load rd I64 None
+  | 0x2a -> load rd F32 None
+  | 0x2b -> load rd F64 None
+  | 0x2c -> load rd I32 (Some (P8, SX))
+  | 0x2d -> load rd I32 (Some (P8, ZX))
+  | 0x2e -> load rd I32 (Some (P16, SX))
+  | 0x2f -> load rd I32 (Some (P16, ZX))
+  | 0x30 -> load rd I64 (Some (P8, SX))
+  | 0x31 -> load rd I64 (Some (P8, ZX))
+  | 0x32 -> load rd I64 (Some (P16, SX))
+  | 0x33 -> load rd I64 (Some (P16, ZX))
+  | 0x34 -> load rd I64 (Some (P32, SX))
+  | 0x35 -> load rd I64 (Some (P32, ZX))
+  | 0x36 -> store rd I32 None
+  | 0x37 -> store rd I64 None
+  | 0x38 -> store rd F32 None
+  | 0x39 -> store rd F64 None
+  | 0x3a -> store rd I32 (Some P8)
+  | 0x3b -> store rd I32 (Some P16)
+  | 0x3c -> store rd I64 (Some P8)
+  | 0x3d -> store rd I64 (Some P16)
+  | 0x3e -> store rd I64 (Some P32)
   | 0x3f ->
-    (match R.u8 r with 0x00 -> MemorySize | b -> fail "memory.size: bad byte 0x%02x" b)
+    (match R.u8 r with 0x00 -> plain rd MemorySize | b -> fail "memory.size: bad byte 0x%02x" b)
   | 0x40 ->
-    (match R.u8 r with 0x00 -> MemoryGrow | b -> fail "memory.grow: bad byte 0x%02x" b)
-  | 0x41 -> Const (VI32 (Int32.of_int (R.sleb_int r ~max_bits:32)))
-  | 0x42 -> Const (VI64 (R.sleb r ~max_bits:64))
-  | 0x43 -> Const (VF32 (Int32.float_of_bits (R.u32 r)))
-  | 0x44 -> Const (VF64 (Int64.float_of_bits (R.u64 r)))
-  | op when op >= first_numeric && op <= last_numeric -> numerics.(op - first_numeric)
+    (match R.u8 r with 0x00 -> plain rd MemoryGrow | b -> fail "memory.grow: bad byte 0x%02x" b)
+  | 0x41 ->
+    let c = R.sleb_int r ~max_bits:32 in
+    rd.sink.i32_const rd.st c;
+    if rd.build then Const (VI32 (Int32.of_int c)) else Nop
+  | 0x42 -> plain rd (Const (VI64 (R.sleb r ~max_bits:64)))
+  | 0x43 -> plain rd (Const (VF32 (Int32.float_of_bits (R.u32 r))))
+  | 0x44 -> plain rd (Const (VF64 (Int64.float_of_bits (R.u64 r))))
+  | op when op >= first_numeric && op <= last_numeric -> plain rd numerics.(op - first_numeric)
   | op -> fail "unknown opcode 0x%02x" op
 
 (* [op] is the sequence's first byte, already read. *)
@@ -286,10 +312,7 @@ and instr rd depth op =
     in
     rd.sink.end_ rd.st;
     if rd.build then If (bt, then_, else_) else Nop
-  | op ->
-    let i = leaf rd.r op in
-    rd.sink.leaf rd.st i;
-    i
+  | op -> leaf rd op
 
 (** Read an expression (a function body, or a constant initialiser)
     up to its closing [end], sending its events, that [end] included,

@@ -774,7 +774,8 @@ let top ctx = ctx.cnloc + ctx.cheight
 
 (* The per-event steps, one per {!Ast.sink} field: the flattener
    consumes a body as the events the decoder sends while it reads it.
-   Each leaf's case below expects the types validation guarantees. *)
+   [leaf] takes every leaf without an event of its own. Each step
+   expects the types validation guarantees. *)
 let leaf_live (ctx : cctx) (i : instr) =
   match i with
   | Nop -> ()
@@ -790,57 +791,12 @@ let leaf_live (ctx : cctx) (i : instr) =
     push_t ctx t;
     let d = top ctx - 1 in
     emit ctx (match t with I32 -> OSelectI d | I64 -> OSelectL d | F32 | F64 -> OSelectF d)
-  | Const v ->
+  | Const (VI64 x) ->
+    push_t ctx I64;
+    emit ctx (OConstL (top ctx - 1, x))
+  | Const ((VF32 x | VF64 x) as v) ->
     push_t ctx (type_of_value v);
-    let d = top ctx - 1 in
-    emit ctx
-      (match v with
-      | VI32 x -> OConstI (d, Int32.to_int x)
-      | VI64 x -> OConstL (d, x)
-      | VF32 x | VF64 x -> OConstF (d, x))
-  | LocalGet i ->
-    let t = ctx.clocals.(i) in
-    push_t ctx t;
-    let d = top ctx - 1 in
-    emit ctx
-      (match t with
-      | I32 -> OMovI (d, i)
-      | I64 -> OMovL (d, i)
-      | F32 | F64 -> OMovF (d, i))
-  | LocalSet i ->
-    let t = pop_t ctx in
-    let s = top ctx in
-    (* Fusable: the producer of [s] can write the local directly. *)
-    emit_peep ctx
-      (match t with
-      | I32 -> OMovI (i, s)
-      | I64 -> OMovL (i, s)
-      | F32 | F64 -> OMovF (i, s))
-  | LocalTee i ->
-    let t = ctx.cstack.(ctx.cheight - 1) in
-    let s = top ctx - 1 in
-    emit ctx
-      (match t with
-      | I32 -> OMovI (i, s)
-      | I64 -> OMovL (i, s)
-      | F32 | F64 -> OMovF (i, s))
-  | GlobalGet i ->
-    let t = ctx.cglobals_t.(i).content in
-    push_t ctx t;
-    let d = top ctx - 1 in
-    emit ctx
-      (match t with
-      | I32 -> OGlobalGetI (d, i)
-      | I64 -> OGlobalGetL (d, i)
-      | F32 | F64 -> OGlobalGetF (d, i))
-  | GlobalSet i ->
-    let t = pop_t ctx in
-    let s = top ctx in
-    emit ctx
-      (match t with
-      | I32 -> OGlobalSetI (i, s)
-      | I64 -> OGlobalSetL (i, s)
-      | F32 | F64 -> OGlobalSetF (i, s))
+    emit ctx (OConstF (top ctx - 1, x))
   | ITestop ty ->
     ignore (pop_t ctx);
     push_t ctx I32;
@@ -914,24 +870,6 @@ let leaf_live (ctx : cctx) (i : instr) =
     push_t ctx dst;
     let s = top ctx - 1 in
     emit_peep ctx (match op with F64ConvertI32S -> OCvtIF (s, s) | _ -> OCvt (op, s, s))
-  | Load (ty, pack, m) ->
-    ignore (pop_t ctx);
-    push_t ctx ty;
-    let s = top ctx - 1 in
-    emit_peep ctx
-      (match lkind_of ty pack with
-      | LI32 -> OLoadI32 (m.offset, s, s)
-      | LF64 -> OLoadF64 (m.offset, s, s)
-      | k -> OLoad (k, m.offset, s))
-  | Store (ty, pack, m) ->
-    ignore (pop_t ctx);
-    ignore (pop_t ctx);
-    let s = top ctx in
-    emit_peep ctx
-      (match skind_of ty pack with
-      | SI32 -> OStoreI32 (m.offset, s, s + 1)
-      | SF64 -> OStoreF64 (m.offset, s, s + 1)
-      | k -> OStore (k, m.offset, s))
   | MemorySize ->
     push_t ctx I32;
     emit ctx (OMemSize (top ctx - 1))
@@ -939,29 +877,6 @@ let leaf_live (ctx : cctx) (i : instr) =
     ignore (pop_t ctx);
     push_t ctx I32;
     emit ctx (OMemGrow (top ctx - 1))
-  | Call f ->
-    let ft = ctx.cfunc_types.(f) in
-    let n = List.length ft.params in
-    let args_base = top ctx - n in
-    pop_n ctx n;
-    push_all ctx ft.results;
-    emit ctx (OCall (f, args_base))
-  | CallIndirect tidx ->
-    let ft = ctx.ctypes.(tidx) in
-    ignore (pop_t ctx);
-    let idx_slot = top ctx in
-    let n = List.length ft.params in
-    let args_base = top ctx - n in
-    pop_n ctx n;
-    push_all ctx ft.results;
-    emit ctx (OCallIndirect (tidx, idx_slot, args_base))
-  | Br n ->
-    emit_br ctx n;
-    ctx.cdead <- 1
-  | BrIf n ->
-    ignore (pop_t ctx);
-    let cond_slot = ctx.cnloc + ctx.cheight in
-    emit_peep ctx (OBrIf (cond_slot, branch_edge ctx n))
   | BrTable (targets, default) ->
     ignore (pop_t ctx);
     let cond_slot = ctx.cnloc + ctx.cheight in
@@ -972,10 +887,111 @@ let leaf_live (ctx : cctx) (i : instr) =
   | Return ->
     emit ctx (OJmp (branch_edge ctx (List.length ctx.cframes - 1)));
     ctx.cdead <- 1
-  | Block _ | Loop _ | If _ -> invalid_arg "Fastinterp.leaf: structured instruction"
-
+  | Block _ | Loop _ | If _ | Br _ | BrIf _ | Call _ | CallIndirect _ | LocalGet _ | LocalSet _
+  | LocalTee _ | GlobalGet _ | GlobalSet _ | Load _ | Store _ | Const (VI32 _) ->
+    invalid_arg "Fastinterp.leaf: structured, or a leaf with its own event"
 
 let leaf ctx i = if ctx.cdead = 0 then leaf_live ctx i
+
+let index ctx (op : index_op) x =
+  if ctx.cdead = 0 then
+    match op with
+    | Local_get ->
+      let t = ctx.clocals.(x) in
+      push_t ctx t;
+      let d = top ctx - 1 in
+      emit ctx
+        (match t with
+        | I32 -> OMovI (d, x)
+        | I64 -> OMovL (d, x)
+        | F32 | F64 -> OMovF (d, x))
+    | Local_set ->
+      let t = pop_t ctx in
+      let s = top ctx in
+      (* Fusable: the producer of [s] can write the local directly. *)
+      emit_peep ctx
+        (match t with
+        | I32 -> OMovI (x, s)
+        | I64 -> OMovL (x, s)
+        | F32 | F64 -> OMovF (x, s))
+    | Local_tee ->
+      let t = ctx.cstack.(ctx.cheight - 1) in
+      let s = top ctx - 1 in
+      emit ctx
+        (match t with
+        | I32 -> OMovI (x, s)
+        | I64 -> OMovL (x, s)
+        | F32 | F64 -> OMovF (x, s))
+    | Global_get ->
+      let t = ctx.cglobals_t.(x).content in
+      push_t ctx t;
+      let d = top ctx - 1 in
+      emit ctx
+        (match t with
+        | I32 -> OGlobalGetI (d, x)
+        | I64 -> OGlobalGetL (d, x)
+        | F32 | F64 -> OGlobalGetF (d, x))
+    | Global_set ->
+      let t = pop_t ctx in
+      let s = top ctx in
+      emit ctx
+        (match t with
+        | I32 -> OGlobalSetI (x, s)
+        | I64 -> OGlobalSetL (x, s)
+        | F32 | F64 -> OGlobalSetF (x, s))
+    | Br_label ->
+      emit_br ctx x;
+      ctx.cdead <- 1
+    | Br_if_label ->
+      ignore (pop_t ctx);
+      let cond_slot = ctx.cnloc + ctx.cheight in
+      emit_peep ctx (OBrIf (cond_slot, branch_edge ctx x))
+    | Call_func ->
+      let ft = ctx.cfunc_types.(x) in
+      let n = List.length ft.params in
+      let args_base = top ctx - n in
+      pop_n ctx n;
+      push_all ctx ft.results;
+      emit ctx (OCall (x, args_base))
+    | Call_indirect_type ->
+      let ft = ctx.ctypes.(x) in
+      ignore (pop_t ctx);
+      let idx_slot = top ctx in
+      let n = List.length ft.params in
+      let args_base = top ctx - n in
+      pop_n ctx n;
+      push_all ctx ft.results;
+      emit ctx (OCallIndirect (x, idx_slot, args_base))
+
+let i32_const ctx c =
+  if ctx.cdead = 0 then begin
+    push_t ctx I32;
+    emit ctx (OConstI (top ctx - 1, c))
+  end
+
+let load ctx ty pack (_ : int) offset =
+  if ctx.cdead = 0 then begin
+    ignore (pop_t ctx);
+    push_t ctx ty;
+    let s = top ctx - 1 in
+    emit_peep ctx
+      (match lkind_of ty pack with
+      | LI32 -> OLoadI32 (offset, s, s)
+      | LF64 -> OLoadF64 (offset, s, s)
+      | k -> OLoad (k, offset, s))
+  end
+
+let store ctx ty pack (_ : int) offset =
+  if ctx.cdead = 0 then begin
+    ignore (pop_t ctx);
+    ignore (pop_t ctx);
+    let s = top ctx in
+    emit_peep ctx
+      (match skind_of ty pack with
+      | SI32 -> OStoreI32 (offset, s, s + 1)
+      | SF64 -> OStoreF64 (offset, s, s + 1)
+      | k -> OStore (k, offset, s))
+  end
 
 let push_frame ?(start = -1) ?else_edge ctx results =
   ctx.cframes <-
@@ -1101,25 +1117,74 @@ let finish ctx (ft : functype) : cbody =
 
 (* One body in the one-pass loader: each event goes to the checker,
    then, once the checker has passed it, to the flattener. The first
-   failed check stops both for the rest of the body. *)
+   failed check stops both for the rest of the body. Each event calls
+   its pair of steps directly, so passing one on allocates nothing. *)
 type onepass = { check : Validate.context; flat : cctx; mutable error : exn option }
 
-let step check flatten p x =
-  match p.error with
-  | Some _ -> ()
-  | None -> (
-    match check p.check x with
-    | () -> flatten p.flat x
-    | exception Validate.Invalid msg -> p.error <- Some (Validate.in_function p.check msg))
+let failed p msg = p.error <- Some (Validate.in_function p.check msg)
 
 let onepass_sink =
   {
-    leaf = (fun p i -> step Validate.leaf leaf p i);
-    block = (fun p bt -> step Validate.block block p bt);
-    loop = (fun p bt -> step Validate.loop loop p bt);
-    if_ = (fun p bt -> step Validate.if_ if_ p bt);
-    else_ = (fun p -> step (fun c () -> Validate.else_ c) (fun c () -> else_ c) p ());
-    end_ = (fun p -> step (fun c () -> Validate.end_ c) (fun c () -> end_ c) p ());
+    leaf =
+      (fun p i ->
+        if Option.is_none p.error then
+          match Validate.leaf p.check i with
+          | () -> leaf p.flat i
+          | exception Validate.Invalid msg -> failed p msg);
+    index =
+      (fun p op x ->
+        if Option.is_none p.error then
+          match Validate.index p.check op x with
+          | () -> index p.flat op x
+          | exception Validate.Invalid msg -> failed p msg);
+    i32_const =
+      (fun p c ->
+        if Option.is_none p.error then
+          match Validate.i32_const p.check c with
+          | () -> i32_const p.flat c
+          | exception Validate.Invalid msg -> failed p msg);
+    load =
+      (fun p ty pack align offset ->
+        if Option.is_none p.error then
+          match Validate.load p.check ty pack align offset with
+          | () -> load p.flat ty pack align offset
+          | exception Validate.Invalid msg -> failed p msg);
+    store =
+      (fun p ty pack align offset ->
+        if Option.is_none p.error then
+          match Validate.store p.check ty pack align offset with
+          | () -> store p.flat ty pack align offset
+          | exception Validate.Invalid msg -> failed p msg);
+    block =
+      (fun p bt ->
+        if Option.is_none p.error then
+          match Validate.block p.check bt with
+          | () -> block p.flat bt
+          | exception Validate.Invalid msg -> failed p msg);
+    loop =
+      (fun p bt ->
+        if Option.is_none p.error then
+          match Validate.loop p.check bt with
+          | () -> loop p.flat bt
+          | exception Validate.Invalid msg -> failed p msg);
+    if_ =
+      (fun p bt ->
+        if Option.is_none p.error then
+          match Validate.if_ p.check bt with
+          | () -> if_ p.flat bt
+          | exception Validate.Invalid msg -> failed p msg);
+    else_ =
+      (fun p ->
+        if Option.is_none p.error then
+          match Validate.else_ p.check with
+          | () -> else_ p.flat
+          | exception Validate.Invalid msg -> failed p msg);
+    end_ =
+      (fun p ->
+        if Option.is_none p.error then
+          match Validate.end_ p.check with
+          | () -> end_ p.flat
+          | exception Validate.Invalid msg -> failed p msg);
   }
 
 let no_body =

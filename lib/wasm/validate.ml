@@ -83,8 +83,19 @@ let pop_expect ctx expect =
   | Known t -> if not (valtype_equal t expect) then
       fail "type mismatch: expected %s, got %s" (string_of_valtype expect) (string_of_valtype t)
 
-let pop_expects ctx types = List.iter (pop_expect ctx) (List.rev types)
-let push_knowns ctx types = List.iter (fun t -> push_opd ctx (known t)) types
+(* Pop [types], last first. These helpers and [label_arity] are
+   top-level recursions, so that checking a leaf allocates nothing. *)
+let rec pop_expects ctx = function
+  | [] -> ()
+  | t :: rest ->
+    pop_expects ctx rest;
+    pop_expect ctx t
+
+let rec push_knowns ctx = function
+  | [] -> ()
+  | t :: rest ->
+    push_opd ctx (known t);
+    push_knowns ctx rest
 
 let push_ctrl ?(is_then = false) ctx label_types end_types =
   ctx.ctrls <-
@@ -108,10 +119,12 @@ let set_unreachable ctx =
     ctx.height <- frame.height;
     frame.unreachable <- true
 
-let label_arity ctx n =
-  match List.nth_opt ctx.ctrls n with
-  | None -> fail "branch depth %d out of range" n
-  | Some frame -> frame.label_types
+let rec label_types ctrls k n =
+  match ctrls with
+  | [] -> fail "branch depth %d out of range" n
+  | frame :: rest -> if k = 0 then frame.label_types else label_types rest (k - 1) n
+
+let label_arity ctx n = label_types ctx.ctrls n n
 
 let blocktype_types = function BlockEmpty -> [] | BlockVal t -> [ t ]
 
@@ -119,33 +132,22 @@ let blocktype_types = function BlockEmpty -> [] | BlockVal t -> [ t ]
    carry one outside [0, 2^32). Rejecting it keeps every address a u32
    plus a u32 offset, which is what lets the fast tier's accessors
    check only an address's upper end. *)
-let check_memarg ctx (m : memarg) ~width =
+let check_memarg ctx ~align ~offset ~width =
   if ctx.env.memory_count = 0 then fail "memory instruction with no memory";
-  if m.offset < 0 || m.offset > 0xffff_ffff then fail "memory offset %d out of range" m.offset;
-  if m.align < 0 then fail "alignment %d out of range" m.align;
+  if offset < 0 || offset > 0xffff_ffff then fail "memory offset %d out of range" offset;
+  if align < 0 then fail "alignment %d out of range" align;
   let natural = match width with 1 -> 0 | 2 -> 1 | 4 -> 2 | 8 -> 3 | _ -> assert false in
-  if m.align > natural then fail "alignment %d larger than natural %d" m.align natural
+  if align > natural then fail "alignment %d larger than natural %d" align natural
 
-let width_of = function
-  | None, t -> (match t with I32 | F32 -> 4 | I64 | F64 -> 8)
-  | Some P8, _ -> 1
-  | Some P16, _ -> 2
-  | Some P32, _ -> 4
+let width_of_valtype = function I32 | F32 -> 4 | I64 | F64 -> 8
+let width_of_pack = function P8 -> 1 | P16 -> 2 | P32 -> 4
 
-(* The per-event steps, one per {!Ast.sink} field. A leaf is any
-   instruction but [Block], [Loop] and [If]. *)
+(* The per-event steps, one per {!Ast.sink} field. [leaf] takes every
+   leaf without an event of its own. *)
 let rec leaf ctx (i : instr) =
   match i with
   | Unreachable -> set_unreachable ctx
   | Nop -> ()
-  | Br n ->
-    pop_expects ctx (label_arity ctx n);
-    set_unreachable ctx
-  | BrIf n ->
-    pop_expect ctx I32;
-    let ts = label_arity ctx n in
-    pop_expects ctx ts;
-    push_knowns ctx ts
   | BrTable (targets, default) ->
     pop_expect ctx I32;
     let ts = label_arity ctx default in
@@ -160,19 +162,6 @@ let rec leaf ctx (i : instr) =
   | Return ->
     pop_expects ctx ctx.return_types;
     set_unreachable ctx
-  | Call f ->
-    if f >= Array.length ctx.env.func_types then fail "call: function %d out of range" f;
-    let ft = ctx.env.func_types.(f) in
-    pop_expects ctx ft.params;
-    push_knowns ctx ft.results
-  | Block _ | Loop _ | If _ -> invalid_arg "Validate.leaf: structured instruction"
-  | CallIndirect t ->
-    if ctx.env.table_count = 0 then fail "call_indirect with no table";
-    if t < 0 || t >= Array.length ctx.env.types then fail "call_indirect: type %d out of range" t;
-    let ft = ctx.env.types.(t) in
-    pop_expect ctx I32;
-    pop_expects ctx ft.params;
-    push_knowns ctx ft.results
   | Drop -> ignore (pop_opd ctx)
   | Select ->
     pop_expect ctx I32;
@@ -182,33 +171,6 @@ let rec leaf ctx (i : instr) =
     | Known a, Known b when not (valtype_equal a b) -> fail "select operands differ"
     | Known _, _ -> push_opd ctx t1
     | Unknown, other -> push_opd ctx other)
-  | LocalGet i ->
-    if i >= Array.length ctx.locals then fail "local %d out of range" i;
-    push_opd ctx (known ctx.locals.(i))
-  | LocalSet i ->
-    if i >= Array.length ctx.locals then fail "local %d out of range" i;
-    pop_expect ctx ctx.locals.(i)
-  | LocalTee i ->
-    if i >= Array.length ctx.locals then fail "local %d out of range" i;
-    pop_expect ctx ctx.locals.(i);
-    push_opd ctx (known ctx.locals.(i))
-  | GlobalGet i ->
-    if i >= Array.length ctx.env.global_types then fail "global %d out of range" i;
-    push_opd ctx (known ctx.env.global_types.(i).content)
-  | GlobalSet i ->
-    if i >= Array.length ctx.env.global_types then fail "global %d out of range" i;
-    let g = ctx.env.global_types.(i) in
-    if g.mut = Immutable then fail "global %d is immutable" i;
-    pop_expect ctx g.content
-  | Load (ty, pack, m) ->
-    let ext = match pack with None -> None | Some (p, _) -> Some p in
-    check_memarg ctx m ~width:(width_of (ext, ty));
-    pop_expect ctx I32;
-    push_opd ctx (known ty)
-  | Store (ty, pack, m) ->
-    check_memarg ctx m ~width:(width_of (pack, ty));
-    pop_expect ctx ty;
-    pop_expect ctx I32
   | MemorySize ->
     if ctx.env.memory_count = 0 then fail "memory.size with no memory";
     push_opd ctx (known I32)
@@ -216,7 +178,7 @@ let rec leaf ctx (i : instr) =
     if ctx.env.memory_count = 0 then fail "memory.grow with no memory";
     pop_expect ctx I32;
     push_opd ctx (known I32)
-  | Const v -> push_opd ctx (known (type_of_value v))
+  | Const ((VI64 _ | VF32 _ | VF64 _) as v) -> push_opd ctx (known (type_of_value v))
   | ITestop ty ->
     pop_expect ctx ty;
     push_opd ctx (known I32)
@@ -235,6 +197,9 @@ let rec leaf ctx (i : instr) =
     let src, dst = cvt_types op in
     pop_expect ctx src;
     push_opd ctx (known dst)
+  | Block _ | Loop _ | If _ | Br _ | BrIf _ | Call _ | CallIndirect _ | LocalGet _ | LocalSet _
+  | LocalTee _ | GlobalGet _ | GlobalSet _ | Load _ | Store _ | Const (VI32 _) ->
+    invalid_arg "Validate.leaf: structured, or a leaf with its own event"
 
 and cvt_types = function
   | I32WrapI64 -> (I64, I32)
@@ -253,6 +218,62 @@ and cvt_types = function
   | I64ReinterpretF64 -> (F64, I64)
   | F32ReinterpretI32 -> (I32, F32)
   | F64ReinterpretI64 -> (I64, F64)
+
+let local ctx x =
+  if x >= Array.length ctx.locals then fail "local %d out of range" x;
+  ctx.locals.(x)
+
+let global ctx x =
+  if x >= Array.length ctx.env.global_types then fail "global %d out of range" x;
+  ctx.env.global_types.(x)
+
+let index ctx (op : index_op) x =
+  match op with
+  | Local_get -> push_opd ctx (known (local ctx x))
+  | Local_set -> pop_expect ctx (local ctx x)
+  | Local_tee ->
+    let t = local ctx x in
+    pop_expect ctx t;
+    push_opd ctx (known t)
+  | Global_get -> push_opd ctx (known (global ctx x).content)
+  | Global_set ->
+    let g = global ctx x in
+    if g.mut = Immutable then fail "global %d is immutable" x;
+    pop_expect ctx g.content
+  | Br_label ->
+    pop_expects ctx (label_arity ctx x);
+    set_unreachable ctx
+  | Br_if_label ->
+    pop_expect ctx I32;
+    let ts = label_arity ctx x in
+    pop_expects ctx ts;
+    push_knowns ctx ts
+  | Call_func ->
+    if x >= Array.length ctx.env.func_types then fail "call: function %d out of range" x;
+    let ft = ctx.env.func_types.(x) in
+    pop_expects ctx ft.params;
+    push_knowns ctx ft.results
+  | Call_indirect_type ->
+    if ctx.env.table_count = 0 then fail "call_indirect with no table";
+    if x < 0 || x >= Array.length ctx.env.types then fail "call_indirect: type %d out of range" x;
+    let ft = ctx.env.types.(x) in
+    pop_expect ctx I32;
+    pop_expects ctx ft.params;
+    push_knowns ctx ft.results
+
+let i32_const ctx (_ : int) = push_opd ctx (known I32)
+
+let load ctx ty (pack : (pack * extension) option) align offset =
+  let width = match pack with None -> width_of_valtype ty | Some (p, _) -> width_of_pack p in
+  check_memarg ctx ~align ~offset ~width;
+  pop_expect ctx I32;
+  push_opd ctx (known ty)
+
+let store ctx ty (pack : pack option) align offset =
+  let width = match pack with None -> width_of_valtype ty | Some p -> width_of_pack p in
+  check_memarg ctx ~align ~offset ~width;
+  pop_expect ctx ty;
+  pop_expect ctx I32
 
 let block ctx bt =
   let ts = blocktype_types bt in
@@ -278,7 +299,7 @@ let end_ ctx =
   if frame.is_then && frame.end_types <> [] then fail "if with result type requires else";
   push_knowns ctx frame.end_types
 
-let sink = { leaf; block; loop; if_; else_; end_ }
+let sink = { leaf; index; i32_const; load; store; block; loop; if_; else_; end_ }
 
 let check_functype ft =
   if List.length ft.results > 1 then fail "multi-value results not supported in the MVP"

@@ -297,6 +297,24 @@ let test_net_partial_frame () =
   Alcotest.(check (option string)) "completes" (Some ("abc" ^ String.make 13 'x'))
     (Net.recv_frame server)
 
+(* A caller that never ticks, as the WASI-RA path does not, must not
+   keep closed connections alive: each would pin its buffers, a 128 KiB
+   msg3 in a provisioning session. Only the last cycle's two pipes may
+   remain. *)
+let test_net_closed_pipes_forgotten () =
+  let net = Net.create () in
+  ignore (Net.listen net ~port:7002);
+  for _ = 1 to 1000 do
+    let client = Net.connect net ~port:7002 in
+    let server = Option.get (Net.accept net ~port:7002) in
+    Net.send_frame client "msg";
+    Alcotest.(check (option string)) "frame" (Some "msg") (Net.recv_frame server);
+    Net.close client;
+    Net.close server
+  done;
+  let pipes = List.length net.Net.pipes in
+  Alcotest.(check bool) (Printf.sprintf "%d pipes left (<= 2)" pipes) true (pipes <= 2)
+
 (* ------------------------------------------------------------------ *)
 (* Random source *)
 
@@ -362,5 +380,6 @@ let suite =
         case "connect refused" test_net_connect_refused;
         case "frame roundtrip" test_net_roundtrip;
         case "partial frames buffered" test_net_partial_frame;
+        case "closed connections forgotten without a tick" test_net_closed_pipes_forgotten;
       ] );
   ]

@@ -1184,6 +1184,52 @@ let test_dead_code_flattens_to_nothing () =
   check_result (f dead) "f" [ VI32 1l ] [ VI32 5l ];
   check_result (f dead) "f" [ VI32 0l ] [ VI32 6l ]
 
+(* Reading and checking a leaf allocates nothing: the decoder passes
+   each leaf with an int immediate as ints and constant constructors,
+   and the checker's steps for them build nothing either. One body
+   repeats a chunk of every such leaf [k] times inside one block, so
+   ten times the chunks must cost no more words. Building each leaf as
+   an [instr], and the checker's list walks, cost 2-7 words a leaf. *)
+let test_leaf_events_allocate_nothing () =
+  let ma align offset = { align; offset } in
+  let chunk =
+    [ LocalGet 0; Load (I32, None, ma 2 4); LocalSet 0;
+      LocalGet 0; LocalGet 0; Store (I32, None, ma 2 8);
+      LocalGet 0; Load (F64, None, ma 3 16); LocalTee 1; Drop;
+      LocalGet 0; LocalGet 1; Store (F64, None, ma 3 24);
+      LocalGet 0; LocalGet 0; Load (I32, Some (P8, SX), ma 0 1); Store (I32, Some P8, ma 0 2);
+      GlobalGet 0; GlobalSet 0;
+      Const (VI32 123_456l); GlobalSet 0;
+      Const (VI32 (-1l)); BrIf 0;
+      Call 0;
+      Const (VI32 0l); CallIndirect 0 ]
+  in
+  let m =
+    {
+      empty_module with
+      types = [ { params = []; results = [] } ];
+      tables = [ { min = 1; max = None } ];
+      memories = [ { min = 1; max = None } ];
+      globals = [ { gtype = { content = I32; mut = Mutable }; ginit = [ Const (VI32 0l) ] } ];
+    }
+  in
+  let env = Validate.header m [ 0 ] in
+  let words k =
+    let w = Watz_util.Bytesio.Writer.create () in
+    Encode.expr w [ Block (BlockEmpty, List.concat (List.init k (fun _ -> chunk))) ];
+    let r = Watz_util.Bytesio.Reader.of_string (Watz_util.Bytesio.Writer.contents w) in
+    let ctx = Validate.checker env 0 [ I32; F64 ] in
+    let before = Gc.minor_words () in
+    ignore (Decode.body ~build:false Validate.sink ctx r);
+    Gc.minor_words () -. before
+  in
+  let small = words 1_000 and large = words 10_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words at 1,000 chunks, %.0f at 10,000 (%d leaves a chunk)" small large
+       (List.length chunk))
+    true
+    (large -. small < 1_000.)
+
 (* The one-pass loader's work stays linear in the module. At these
    sizes it takes milliseconds, and each shape's quadratic variant
    missed the bound by more than 10x (3.3-12.6 s): a function's type
@@ -2115,6 +2161,7 @@ let suite =
       [
         case "fuel builds of 45 real modules" test_fuel_builds;
         case "dead code flattens to nothing" test_dead_code_flattens_to_nothing;
+        case "reading and checking a leaf allocates nothing" test_leaf_events_allocate_nothing;
       ] );
     ( "wasm.link",
       [
