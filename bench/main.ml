@@ -143,26 +143,36 @@ let fig4 () =
   (* Where load goes, on the 1 MB app's bytes (one warm-up call, median
      of five, as benchsuite's isolated per-layer calls do): the fast
      tier's launch runs one pass from bytes to flattened code; the
-     interp tier's launch decodes, then validates, each timed alone. *)
+     interp tier's launch decodes, then validates, each timed alone.
+     Next to each median, the minor words of one more call: exact, so
+     they repeat across processes where the timings do not. *)
   let bytes = Watz_workloads.Bigapp.generate ~mb:1 in
   let m = Watz_wasm.Decode.decode bytes in
-  let one_pass =
-    median_ns ~warmup:1 (fun () -> ignore (Watz_wasm.Fastinterp.compile_bytes bytes))
+  let cost f =
+    let ns = median_ns ~warmup:1 f in
+    let w0 = Gc.minor_words () in
+    f ();
+    (ns, Gc.minor_words () -. w0)
+  in
+  let one_pass, one_pass_words =
+    cost (fun () -> ignore (Watz_wasm.Fastinterp.compile_bytes bytes))
   in
   let stages =
     [
-      ("decode", median_ns ~warmup:1 (fun () -> ignore (Watz_wasm.Decode.decode bytes)));
-      ("validate", median_ns ~warmup:1 (fun () -> Watz_wasm.Validate.validate m));
+      ("decode", cost (fun () -> ignore (Watz_wasm.Decode.decode bytes)));
+      ("validate", cost (fun () -> Watz_wasm.Validate.validate m));
     ]
   in
-  let sum = List.fold_left (fun acc (_, ns) -> acc +. ns) 0.0 stages in
+  let sum = List.fold_left (fun acc (_, (ns, _)) -> acc +. ns) 0.0 stages in
   Printf.printf "\n  load split (1MB app)\n";
-  Printf.printf "  %-10s %10s %8s\n" "stage" "ms" "share";
-  Printf.printf "  %-10s %10.2f %8s   (the fast tier's launch)\n" "one pass" (ns_to_ms one_pass) "";
+  Printf.printf "  %-10s %10s %8s %12s\n" "stage" "ms" "share" "minor words";
+  Printf.printf "  %-10s %10.2f %8s %12.0f   (the fast tier's launch)\n" "one pass"
+    (ns_to_ms one_pass) "" one_pass_words;
   Printf.printf "  interp tier's launch, each stage alone:\n";
   List.iter
-    (fun (name, ns) ->
-      Printf.printf "  %-10s %10.2f %7.1f%%\n" name (ns_to_ms ns) (100.0 *. ns /. sum))
+    (fun (name, (ns, words)) ->
+      Printf.printf "  %-10s %10.2f %7.1f%% %12.0f\n" name (ns_to_ms ns) (100.0 *. ns /. sum)
+        words)
     stages;
   Printf.printf "  %-10s %10.2f %7.1f%%   (one pass = %.2fx of it)\n" "sum" (ns_to_ms sum) 100.0
     (one_pass /. sum)
@@ -829,8 +839,10 @@ let mesh () =
    (Fleet.report.setup_wall_s / run_wall_s). Each shard domain runs
    with an enlarged minor heap (Fleet.config.minor_heap_words) so
    short-lived frame/field-element garbage stays in per-domain minor
-   collections instead of serialising on the shared major heap; the
-   knob and per-shard Gc.quick_stat deltas are recorded in the JSON.
+   collections instead of serialising on the shared major heap. The
+   JSON records the knob and, per session, the shards' own minor words
+   (each domain's Gc.minor_words, summed) and the process-wide major
+   and promoted words of the run (Fleet.report).
 
    With --json, writes BENCH_fleet.json. *)
 
@@ -896,11 +908,8 @@ let fleet () =
     let n = List.length rows in
     List.iteri
       (fun i (shards, (r : Fleet.report), wall, setup, throughput, speedup) ->
-        let gc_minor, gc_major =
-          List.fold_left
-            (fun (mi, ma) (_, (g : Fleet.gc_delta)) ->
-              (mi +. g.Fleet.minor_words, ma +. g.Fleet.major_words))
-            (0.0, 0.0) r.Fleet.gc_per_shard
+        let gc_minor =
+          List.fold_left (fun acc (_, w) -> acc +. w) 0.0 r.Fleet.minor_words_per_shard
         in
         let per_session v =
           if r.Fleet.sessions = 0 then 0.0 else v /. float_of_int r.Fleet.sessions
@@ -910,9 +919,11 @@ let fleet () =
              "    { \"shards\": %d, \"completed\": %d, \"sessions\": %d, \"setup_s\": %.4f, \
               \"run_wall_s\": %.4f, \"sessions_per_sec\": %.1f, \"speedup_vs_1\": %.3f, \
               \"ticks_max\": %d, \"gc_minor_words_per_session\": %.0f, \
-              \"gc_major_words_per_session\": %.0f }%s\n"
+              \"gc_process_major_words_per_session\": %.0f, \
+              \"gc_process_promoted_words_per_session\": %.0f }%s\n"
              shards r.Fleet.completed r.Fleet.sessions setup wall throughput speedup
-             r.Fleet.ticks (per_session gc_minor) (per_session gc_major)
+             r.Fleet.ticks (per_session gc_minor) (per_session r.Fleet.process_major_words)
+             (per_session r.Fleet.process_promoted_words)
              (if i < n - 1 then "," else "")))
       rows;
     Buffer.add_string buf "  ]\n}\n";

@@ -74,11 +74,6 @@ let shard_config config k =
 (* ------------------------------------------------------------------ *)
 (* Reports *)
 
-(** [Gc.quick_stat] deltas across one shard's (timed) run phase —
-    allocation pressure per shard, reported alongside the wall-clock
-    split so the bench can print words-per-session. *)
-type gc_delta = { minor_words : float; major_words : float; promoted_words : float }
-
 type report = {
   shards : int;
   sessions : int;
@@ -98,7 +93,15 @@ type report = {
       (* wall-clock from the barrier release until the last shard
          finished its tick loop — the number scaling studies should
          use; setup is reported, not mixed in *)
-  gc_per_shard : (int * gc_delta) list; (* ordered by shard id; run phase only *)
+  minor_words_per_shard : (int * float) list;
+      (* ordered by shard id; run phase only. Each shard's own domain's
+         [Gc.minor_words], which is exact per domain. *)
+  process_major_words : float;
+  process_promoted_words : float;
+      (* run phase, process-wide: one [Gc.quick_stat] pair taken by the
+         supervisor around the run. On OCaml 5 [Gc.quick_stat] counts
+         every domain (a shard's own pair would count its neighbours'
+         minor words too), so these are all shards' together. *)
 }
 
 let completion_rate r =
@@ -183,17 +186,10 @@ let run ?(config = default_config) () =
         match prep with
         | Error e -> raise e
         | Ok prep ->
-          let g0 = Gc.quick_stat () in
+          let minor0 = Gc.minor_words () in
           let report = Storm.run_prepared prep in
-          let g1 = Gc.quick_stat () in
-          let gc =
-            {
-              minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-              major_words = g1.Gc.major_words -. g0.Gc.major_words;
-              promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-            }
-          in
-          (k, report, gc, Option.map (Merge.of_tracer ~shard_id:k) tracer))
+          let minor = Gc.minor_words () -. minor0 in
+          (k, report, minor, Option.map (Merge.of_tracer ~shard_id:k) tracer))
   in
   let domains = List.init n spawn in
   (* Release the barrier once every shard has built its board; the
@@ -202,12 +198,14 @@ let run ?(config = default_config) () =
   while gate.g_ready < n do
     Condition.wait gate.g_cond gate.g_lock
   done;
+  let g0 = Gc.quick_stat () in
   let t_ready = Unix.gettimeofday () in
   gate.g_go <- true;
   Condition.broadcast gate.g_cond;
   Mutex.unlock gate.g_lock;
   let results = List.map Domain.join domains (* shard order *) in
   let t_end = Unix.gettimeofday () in
+  let g1 = Gc.quick_stat () in
   let reports = List.map (fun (_, r, _, _) -> r) results in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
   let phases_reg = merged_metrics ~shards:n reports in
@@ -233,7 +231,9 @@ let run ?(config = default_config) () =
     trace = List.filter_map (fun (_, _, _, t) -> t) results;
     setup_wall_s = t_ready -. t_start;
     run_wall_s = t_end -. t_ready;
-    gc_per_shard = List.map (fun (k, _, gc, _) -> (k, gc)) results;
+    minor_words_per_shard = List.map (fun (k, _, minor, _) -> (k, minor)) results;
+    process_major_words = g1.Gc.major_words -. g0.Gc.major_words;
+    process_promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
   }
 
 (** The merged registry as canonical flat JSON (the byte-identity

@@ -479,8 +479,9 @@ let sections ~code bytes =
 let func_of_entry ftype locals r = { ftype; locals; body = expr r }
 
 (* Pair each body with its type index. Bodies beyond the function
-   section's count are read and dropped: the length check fails once
-   every section has been read. *)
+   section's count are read and dropped, building nothing: the length
+   check fails once every section has been read. With [ftypes] empty,
+   every body is. *)
 let[@tail_mod_cons] rec funcs r n k ftypes =
   if k = n then []
   else
@@ -493,3 +494,7 @@ let[@tail_mod_cons] rec funcs r n k ftypes =
       funcs r n (k + 1) []
 
 let decode bytes = sections bytes ~code:(fun _ ftypes n r -> funcs r n 0 ftypes)
+
+(** [decode], building no function body: raises exactly what [decode]
+    raises on [bytes], and otherwise returns. *)
+let check bytes = ignore (sections bytes ~code:(fun _ _ n r -> funcs r n 0 []))

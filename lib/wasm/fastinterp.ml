@@ -18,9 +18,11 @@
 
     {!compile_bytes} is the only way in: it goes from bytes to the
     compiled module in one pass, with no function body built as an
-    AST. The decoder sends each instruction to the checker and then to
-    the flattener as it reads it, so the flattener only ever sees code
-    that has passed validation, and it trusts the types. *)
+    AST. The decoder sends each instruction to the flattener as it
+    reads it, and each flattener step runs the checker's step first, so
+    the flattener only ever sees code that has passed validation. It
+    keeps no stack of its own: the types, heights and labels it needs
+    are the checker's. *)
 
 open Types
 open Ast
@@ -288,24 +290,22 @@ let[@inline] st64 data a v =
 (* Growable op buffer. *)
 type buf = { mutable arr : op array; mutable len : int }
 
+(* What the flattener keeps of a label beyond the checker's frame for
+   it, which holds the label's entry height and types. *)
 type cframe = {
-  fr_entry : int; (* stack height at label entry *)
-  fr_results : valtype list; (* what the stack holds above [fr_entry] at the end *)
   fr_start : int; (* a loop's header pc; -1 for a block or an if *)
   mutable fr_pending : edge list; (* forward edges to patch at label end *)
   mutable fr_else : edge option; (* an if's jump to its else arm, until the else *)
 }
 
 type cctx = {
-  ctypes : functype array;
-  cfunc_types : functype array;
-  cglobals_t : globaltype array;
-  clocals : valtype array;
+  check : Validate.context;
+      (* the body's checker. Each step runs it first; live code then
+         reads the operand stack's types and height, the labels, the
+         locals and the module's types from it. *)
   cnloc : int; (* locals count = offset of stack slot 0 in the register file *)
-  mutable cstack : valtype array; (* compile-time type stack: [cheight] live entries *)
-  mutable cheight : int;
-  mutable cmax : int;
-  mutable cframes : cframe list; (* innermost first *)
+  mutable cmax : int; (* the largest checker height seen in live code *)
+  mutable cframes : cframe list; (* innermost first; in live code, one per checker frame *)
   cbuf : buf;
   mutable cmark : int; (* latest branch-target position (-1: none): a fusion barrier *)
   cfuel : bool; (* emit OFuel at function entry and loop headers *)
@@ -651,48 +651,20 @@ let rec emit_peep ctx o =
   end
   else emit ctx o
 
-let push_t ctx t =
-  if ctx.cheight = Array.length ctx.cstack then begin
-    let bigger = Array.make (2 * ctx.cheight) I32 in
-    Array.blit ctx.cstack 0 bigger 0 ctx.cheight;
-    ctx.cstack <- bigger
-  end;
-  ctx.cstack.(ctx.cheight) <- t;
-  ctx.cheight <- ctx.cheight + 1;
-  if ctx.cheight > ctx.cmax then ctx.cmax <- ctx.cheight
-
-let pop_t ctx =
-  if ctx.cheight = 0 then
-    invalid_arg "Fastinterp: compile-time stack underflow (module not validated?)";
-  ctx.cheight <- ctx.cheight - 1;
-  ctx.cstack.(ctx.cheight)
-
-let pop_n ctx n = ctx.cheight <- ctx.cheight - n
-
-let rec push_all ctx = function
-  | [] -> ()
-  | t :: ts ->
-    push_t ctx t;
-    push_all ctx ts
-
-(* Reset the type stack at a label end: whatever path was taken, the
-   stack now holds [ts] at [entry]. *)
-let reset_stack ctx entry ts =
-  ctx.cheight <- entry;
-  push_all ctx ts
-
 let kind_of_valtype = function I32 -> 0 | I64 -> 1 | F32 | F64 -> 2
 
-(* Build the edge for a branch to label [n]. Loop back-edges resolve
+(* Build the edge for a branch to label [n] taken with the label's
+   values just under register-file index [top]. Loop back-edges resolve
    immediately; forward edges register themselves for patching when
    the target label closes. *)
-let branch_edge ctx n : edge =
+let branch_edge ctx top n : edge =
   let frame = List.nth ctx.cframes n in
-  let is_loop = frame.fr_start >= 0 in
-  (* A branch to a loop carries its (empty, in the MVP) parameters. *)
-  let label_types = if is_loop then [] else frame.fr_results in
+  let label = List.nth ctx.check.ctrls n in
+  (* A branch to a loop carries its (empty, in the MVP) parameters: the
+     checker's label types are those. *)
+  let label_types = label.label_types in
   let arity = List.length label_types in
-  let src = ctx.cnloc + ctx.cheight - arity and dst = ctx.cnloc + frame.fr_entry in
+  let src = top - arity and dst = ctx.cnloc + label.height in
   let moves =
     if src = dst then [||]
     else
@@ -701,24 +673,24 @@ let branch_edge ctx n : edge =
            (fun k t -> { mk = kind_of_valtype t; msrc = src + k; mdst = dst + k })
            label_types)
   in
-  if is_loop then { target = frame.fr_start; moves }
+  if frame.fr_start >= 0 then { target = frame.fr_start; moves }
   else begin
     let e = { target = -1; moves } in
     frame.fr_pending <- e :: frame.fr_pending;
     e
   end
 
-(* Emit [br n]. A back-edge to a loop whose header (the op at
-   [fr_start]) is a compare-branch, right after an i32 add/sub step,
+(* Emit [br n] from [top]. A back-edge to a loop whose header (the op
+   at [fr_start]) is a compare-branch, right after an i32 add/sub step,
    replaces the step with one [OBackCmp*]: step, the header's test,
    then its exit edge (shared, so patched with the header's) or the
    header's successor. One dispatch per iteration instead of three.
    Not under fuel, where the header is the [OFuel] every iteration
    must charge; and only when the edge carries no moves, the step
    follows the header, and no branch lands at the [br]'s position. *)
-let emit_br ctx n =
+let emit_br ctx top n =
   let fr = List.nth ctx.cframes n in
-  let e = branch_edge ctx n in
+  let e = branch_edge ctx top n in
   let b = ctx.cbuf in
   let tail = b.len - 1 in
   let back =
@@ -769,42 +741,53 @@ let skind_of ty pack =
   | (I32 | F32 | F64), Some P32 | (F32 | F64), Some (P8 | P16) ->
     invalid_arg "Fastinterp: invalid store"
 
-(* Absolute register-file index one past the current stack top. *)
-let top ctx = ctx.cnloc + ctx.cheight
+(* Absolute register-file index one past the checker's stack top. *)
+let top ctx = ctx.cnloc + ctx.check.height
+
+(* The frame holds every height that live code reaches. *)
+let reached ctx =
+  let h = ctx.check.height in
+  if h > ctx.cmax then ctx.cmax <- h
+
+(* Whether the event the checker has just passed is live code. *)
+let live ctx =
+  ctx.cdead = 0
+  && begin
+    reached ctx;
+    true
+  end
+
+(* A register move of a value of type [t]. *)
+let mov t d s = match t with I32 -> OMovI (d, s) | I64 -> OMovL (d, s) | F32 | F64 -> OMovF (d, s)
 
 (* The per-event steps, one per {!Ast.sink} field: the flattener
    consumes a body as the events the decoder sends while it reads it.
-   [leaf] takes every leaf without an event of its own. Each step
-   expects the types validation guarantees. *)
-let leaf_live (ctx : cctx) (i : instr) =
+   Each step runs the checker's step for its event first, so the code
+   it flattens has passed validation; a check that does not pass
+   raises {!Validate.Invalid} and ends the pass. Slots come from the
+   checker's height after its step; branches and calls take the stack
+   top from before it ([before]). [leaf] takes every leaf without an
+   event of its own. *)
+let leaf_live (ctx : cctx) before (i : instr) =
   match i with
-  | Nop -> ()
+  | Nop | Drop -> ()
   | Unreachable ->
     emit ctx OUnreachable;
     ctx.cdead <- 1
-  | Drop ->
-    ignore (pop_t ctx)
   | Select ->
-    ignore (pop_t ctx);
-    let t = pop_t ctx in
-    ignore (pop_t ctx);
-    push_t ctx t;
     let d = top ctx - 1 in
-    emit ctx (match t with I32 -> OSelectI d | I64 -> OSelectL d | F32 | F64 -> OSelectF d)
-  | Const (VI64 x) ->
-    push_t ctx I64;
-    emit ctx (OConstL (top ctx - 1, x))
-  | Const ((VF32 x | VF64 x) as v) ->
-    push_t ctx (type_of_value v);
-    emit ctx (OConstF (top ctx - 1, x))
+    emit ctx
+      (match ctx.check.opds.(ctx.check.height - 1) with
+      | Validate.Known I32 -> OSelectI d
+      | Validate.Known I64 -> OSelectL d
+      | Validate.Known (F32 | F64) -> OSelectF d
+      | Validate.Unknown -> assert false (* only below an unconditional branch *))
+  | Const (VI64 x) -> emit ctx (OConstL (top ctx - 1, x))
+  | Const (VF32 x | VF64 x) -> emit ctx (OConstF (top ctx - 1, x))
   | ITestop ty ->
-    ignore (pop_t ctx);
-    push_t ctx I32;
     let s = top ctx - 1 in
     emit ctx (match ty with I32 -> OTestI s | I64 -> OTestL s | F32 | F64 -> assert false)
   | IUnop (ty, op) ->
-    ignore (pop_t ctx);
-    push_t ctx ty;
     let s = top ctx - 1 in
     emit ctx
       (match ty with
@@ -812,9 +795,6 @@ let leaf_live (ctx : cctx) (i : instr) =
       | I64 -> OIUn64 (op, s)
       | F32 | F64 -> assert false)
   | IBinop (ty, op) ->
-    ignore (pop_t ctx);
-    ignore (pop_t ctx);
-    push_t ctx ty;
     let d = top ctx - 1 in
     emit_peep ctx
       (match ty with
@@ -828,24 +808,14 @@ let leaf_live (ctx : cctx) (i : instr) =
       | I64 -> OIBin64 (op, d)
       | F32 | F64 -> assert false)
   | IRelop (ty, op) ->
-    ignore (pop_t ctx);
-    ignore (pop_t ctx);
-    push_t ctx I32;
     let d = top ctx - 1 in
     emit_peep ctx
       (match ty with
       | I32 -> OIRel32 (op, d, d, d + 1)
       | I64 -> OIRel64 (op, d)
       | F32 | F64 -> assert false)
-  | FUnop (ty, op) ->
-    ignore (pop_t ctx);
-    push_t ctx ty;
-    let s = top ctx - 1 in
-    emit ctx (OFUn (op, s, (match ty with F32 -> true | _ -> false)))
+  | FUnop (ty, op) -> emit ctx (OFUn (op, top ctx - 1, (match ty with F32 -> true | _ -> false)))
   | FBinop (ty, op) ->
-    ignore (pop_t ctx);
-    ignore (pop_t ctx);
-    push_t ctx ty;
     let d = top ctx - 1 in
     emit_peep ctx
       (match ty with
@@ -858,121 +828,76 @@ let leaf_live (ctx : cctx) (i : instr) =
         | Fdiv -> OFDiv64 (d, d, d + 1)
         | Fmin | Fmax | Copysign -> OFBin64 (op, d))
       | I32 | I64 -> assert false)
-  | FRelop (_, op) ->
-    ignore (pop_t ctx);
-    ignore (pop_t ctx);
-    push_t ctx I32;
-    let d = top ctx - 1 in
-    emit ctx (OFRel (op, d))
+  | FRelop (_, op) -> emit ctx (OFRel (op, top ctx - 1))
   | Cvtop op ->
-    ignore (pop_t ctx);
-    let _, dst = Validate.cvt_types op in
-    push_t ctx dst;
     let s = top ctx - 1 in
     emit_peep ctx (match op with F64ConvertI32S -> OCvtIF (s, s) | _ -> OCvt (op, s, s))
-  | MemorySize ->
-    push_t ctx I32;
-    emit ctx (OMemSize (top ctx - 1))
-  | MemoryGrow ->
-    ignore (pop_t ctx);
-    push_t ctx I32;
-    emit ctx (OMemGrow (top ctx - 1))
+  | MemorySize -> emit ctx (OMemSize (top ctx - 1))
+  | MemoryGrow -> emit ctx (OMemGrow (top ctx - 1))
   | BrTable (targets, default) ->
-    ignore (pop_t ctx);
-    let cond_slot = ctx.cnloc + ctx.cheight in
-    let edges = Array.map (fun tgt -> branch_edge ctx tgt) targets in
-    let dedge = branch_edge ctx default in
+    let cond_slot = before - 1 in
+    let edges = Array.map (fun tgt -> branch_edge ctx cond_slot tgt) targets in
+    let dedge = branch_edge ctx cond_slot default in
     emit ctx (OBrTable (cond_slot, edges, dedge));
     ctx.cdead <- 1
   | Return ->
-    emit ctx (OJmp (branch_edge ctx (List.length ctx.cframes - 1)));
+    emit ctx (OJmp (branch_edge ctx before (List.length ctx.cframes - 1)));
     ctx.cdead <- 1
   | Block _ | Loop _ | If _ | Br _ | BrIf _ | Call _ | CallIndirect _ | LocalGet _ | LocalSet _
   | LocalTee _ | GlobalGet _ | GlobalSet _ | Load _ | Store _ | Const (VI32 _) ->
     invalid_arg "Fastinterp.leaf: structured, or a leaf with its own event"
 
-let leaf ctx i = if ctx.cdead = 0 then leaf_live ctx i
+let leaf ctx i =
+  let before = top ctx in
+  Validate.leaf ctx.check i;
+  if live ctx then leaf_live ctx before i
 
 let index ctx (op : index_op) x =
-  if ctx.cdead = 0 then
+  let before = top ctx in
+  Validate.index ctx.check op x;
+  if live ctx then
+    let env = ctx.check.env in
     match op with
-    | Local_get ->
-      let t = ctx.clocals.(x) in
-      push_t ctx t;
-      let d = top ctx - 1 in
-      emit ctx
-        (match t with
-        | I32 -> OMovI (d, x)
-        | I64 -> OMovL (d, x)
-        | F32 | F64 -> OMovF (d, x))
+    | Local_get -> emit ctx (mov ctx.check.locals.(x) (top ctx - 1) x)
     | Local_set ->
-      let t = pop_t ctx in
-      let s = top ctx in
-      (* Fusable: the producer of [s] can write the local directly. *)
-      emit_peep ctx
-        (match t with
-        | I32 -> OMovI (x, s)
-        | I64 -> OMovL (x, s)
-        | F32 | F64 -> OMovF (x, s))
-    | Local_tee ->
-      let t = ctx.cstack.(ctx.cheight - 1) in
-      let s = top ctx - 1 in
-      emit ctx
-        (match t with
-        | I32 -> OMovI (x, s)
-        | I64 -> OMovL (x, s)
-        | F32 | F64 -> OMovF (x, s))
+      (* Fusable: the producer of the popped slot can write the local
+         directly. *)
+      emit_peep ctx (mov ctx.check.locals.(x) x (top ctx))
+    | Local_tee -> emit ctx (mov ctx.check.locals.(x) x (top ctx - 1))
     | Global_get ->
-      let t = ctx.cglobals_t.(x).content in
-      push_t ctx t;
       let d = top ctx - 1 in
       emit ctx
-        (match t with
+        (match env.global_types.(x).content with
         | I32 -> OGlobalGetI (d, x)
         | I64 -> OGlobalGetL (d, x)
         | F32 | F64 -> OGlobalGetF (d, x))
     | Global_set ->
-      let t = pop_t ctx in
       let s = top ctx in
       emit ctx
-        (match t with
+        (match env.global_types.(x).content with
         | I32 -> OGlobalSetI (x, s)
         | I64 -> OGlobalSetL (x, s)
         | F32 | F64 -> OGlobalSetF (x, s))
     | Br_label ->
-      emit_br ctx x;
+      emit_br ctx before x;
       ctx.cdead <- 1
     | Br_if_label ->
-      ignore (pop_t ctx);
-      let cond_slot = ctx.cnloc + ctx.cheight in
-      emit_peep ctx (OBrIf (cond_slot, branch_edge ctx x))
+      let cond_slot = top ctx in
+      emit_peep ctx (OBrIf (cond_slot, branch_edge ctx cond_slot x))
     | Call_func ->
-      let ft = ctx.cfunc_types.(x) in
-      let n = List.length ft.params in
-      let args_base = top ctx - n in
-      pop_n ctx n;
-      push_all ctx ft.results;
-      emit ctx (OCall (x, args_base))
+      emit ctx (OCall (x, before - List.length env.func_types.(x).params))
     | Call_indirect_type ->
-      let ft = ctx.ctypes.(x) in
-      ignore (pop_t ctx);
-      let idx_slot = top ctx in
-      let n = List.length ft.params in
-      let args_base = top ctx - n in
-      pop_n ctx n;
-      push_all ctx ft.results;
+      let idx_slot = before - 1 in
+      let args_base = idx_slot - List.length env.types.(x).params in
       emit ctx (OCallIndirect (x, idx_slot, args_base))
 
 let i32_const ctx c =
-  if ctx.cdead = 0 then begin
-    push_t ctx I32;
-    emit ctx (OConstI (top ctx - 1, c))
-  end
+  Validate.i32_const ctx.check c;
+  if live ctx then emit ctx (OConstI (top ctx - 1, c))
 
-let load ctx ty pack (_ : int) offset =
-  if ctx.cdead = 0 then begin
-    ignore (pop_t ctx);
-    push_t ctx ty;
+let load ctx ty pack align offset =
+  Validate.load ctx.check ty pack align offset;
+  if live ctx then begin
     let s = top ctx - 1 in
     emit_peep ctx
       (match lkind_of ty pack with
@@ -981,10 +906,9 @@ let load ctx ty pack (_ : int) offset =
       | k -> OLoad (k, offset, s))
   end
 
-let store ctx ty pack (_ : int) offset =
-  if ctx.cdead = 0 then begin
-    ignore (pop_t ctx);
-    ignore (pop_t ctx);
+let store ctx ty pack align offset =
+  Validate.store ctx.check ty pack align offset;
+  if live ctx then begin
     let s = top ctx in
     emit_peep ctx
       (match skind_of ty pack with
@@ -993,53 +917,40 @@ let store ctx ty pack (_ : int) offset =
       | k -> OStore (k, offset, s))
   end
 
-let push_frame ?(start = -1) ?else_edge ctx results =
-  ctx.cframes <-
-    {
-      fr_entry = ctx.cheight;
-      fr_results = results;
-      fr_start = start;
-      fr_pending = [];
-      fr_else = else_edge;
-    }
-    :: ctx.cframes
-
-let results_of = function BlockEmpty -> [] | BlockVal t -> [ t ]
+let push_frame ?(start = -1) ?else_edge ctx =
+  ctx.cframes <- { fr_start = start; fr_pending = []; fr_else = else_edge } :: ctx.cframes
 
 let block ctx bt =
-  if ctx.cdead > 0 then ctx.cdead <- ctx.cdead + 1
-  else
-    let ts = results_of bt in
-    push_frame ctx ts
+  Validate.block ctx.check bt;
+  if live ctx then push_frame ctx else ctx.cdead <- ctx.cdead + 1
 
 let loop ctx bt =
-  if ctx.cdead > 0 then ctx.cdead <- ctx.cdead + 1
-  else begin
+  Validate.loop ctx.check bt;
+  if live ctx then begin
     mark_here ctx;
     (* Under fuel, the header op sits at [fr_start]: charged on fall-in
        and by every back edge, i.e. once per iteration — the same
        charging points as the tree-walker's [iterate]. *)
     let start = here ctx in
     if ctx.cfuel then emit ctx OFuel;
-    push_frame ~start ctx (results_of bt)
+    push_frame ~start ctx
   end
+  else ctx.cdead <- ctx.cdead + 1
 
 let if_ ctx bt =
-  if ctx.cdead > 0 then ctx.cdead <- ctx.cdead + 1
-  else begin
-    ignore (pop_t ctx);
-    let cond_slot = ctx.cnloc + ctx.cheight in
-    let ts = results_of bt in
+  Validate.if_ ctx.check bt;
+  if live ctx then begin
     let else_edge = { target = -1; moves = [||] } in
-    push_frame ~else_edge ctx ts;
-    emit_peep ctx (OBrIfNot (cond_slot, else_edge))
+    push_frame ~else_edge ctx;
+    emit_peep ctx (OBrIfNot (top ctx, else_edge))
   end
+  else ctx.cdead <- ctx.cdead + 1
 
 (* The then-arm is over: it jumps past the else arm when it falls
    through, and the else arm (present or not) starts here. *)
 let start_else ctx fr else_edge =
-  (* At the natural end of the then-arm the values already sit at
-     [entry..]; skipping the else-arm needs no moves. *)
+  (* At the natural end of the then-arm the values already sit at the
+     label's entry height; skipping the else-arm needs no moves. *)
   if ctx.cdead = 0 then begin
     let e = { target = -1; moves = [||] } in
     emit ctx (OJmp e);
@@ -1048,18 +959,17 @@ let start_else ctx fr else_edge =
   ctx.cdead <- 0;
   fr.fr_else <- None;
   mark_here ctx;
-  else_edge.target <- here ctx;
-  (* Validated code never pops below a label's entry height, so the
-     types under [entry] are as the then-arm found them. *)
-  ctx.cheight <- fr.fr_entry
+  else_edge.target <- here ctx
 
 let else_ ctx =
+  Validate.else_ ctx.check;
   if ctx.cdead <= 1 then
     match ctx.cframes with
     | ({ fr_else = Some else_edge; _ } as fr) :: _ -> start_else ctx fr else_edge
     | _ -> invalid_arg "Fastinterp.else_: no if to close"
 
 let end_ ctx =
+  Validate.end_ ctx.check;
   if ctx.cdead > 1 then ctx.cdead <- ctx.cdead - 1
   else
     match ctx.cframes with
@@ -1073,23 +983,19 @@ let end_ ctx =
         if fr.fr_pending <> [] then mark_here ctx;
         List.iter (fun edge -> edge.target <- e) fr.fr_pending
       end;
-      reset_stack ctx fr.fr_entry fr.fr_results
+      (* The label's results are on the stack. *)
+      reached ctx
 
-(* The flattener for one function with local types [locals]
-   (parameters first) and type [ft]. Feed it the body's events, then
-   take the code with [finish]. *)
-let func_cctx ~fuel ctypes cfunc_types cglobals_t (locals : valtype array) (ft : functype) =
-  let nloc = Array.length locals in
+let sink = { leaf; index; i32_const; load; store; block; loop; if_; else_; end_ }
+
+(* The flattener for the function [check] checks. Feed it the body's
+   events through {!sink}, then take the code with [finish]. *)
+let func_cctx ~fuel (check : Validate.context) =
   let ctx =
     {
-      ctypes;
-      cfunc_types;
-      cglobals_t;
-      clocals = locals;
-      cnloc = nloc;
-      cstack = Array.make 16 I32;
-      cheight = 0;
-      cmax = List.length ft.results;
+      check;
+      cnloc = Array.length check.locals;
+      cmax = 0;
       cframes = [];
       cbuf = { arr = Array.make 32 OHalt; len = 0 };
       cmark = -1;
@@ -1101,12 +1007,14 @@ let func_cctx ~fuel ctypes cfunc_types cglobals_t (locals : valtype array) (ft :
      trailing OHalt with the results already moved to stack slots
      0..arity-1 (register-file indices nloc..); natural fall-through
      leaves them there by construction. *)
-  push_frame ctx ft.results;
+  push_frame ctx;
   if fuel then emit ctx OFuel (* function entry *);
   ctx
 
-let finish ctx (ft : functype) : cbody =
+let finish ctx : cbody =
   emit ctx OHalt;
+  let check = ctx.check in
+  let ft = check.env.func_types.(check.findex) in
   {
     cb_code = Array.sub ctx.cbuf.arr 0 ctx.cbuf.len;
     cb_nslots = ctx.cnloc + ctx.cmax;
@@ -1115,134 +1023,56 @@ let finish ctx (ft : functype) : cbody =
     cb_result_types = Array.of_list ft.results;
   }
 
-(* One body in the one-pass loader: each event goes to the checker,
-   then, once the checker has passed it, to the flattener. The first
-   failed check stops both for the rest of the body. Each event calls
-   its pair of steps directly, so passing one on allocates nothing. *)
-type onepass = { check : Validate.context; flat : cctx; mutable error : exn option }
-
-let failed p msg = p.error <- Some (Validate.in_function p.check msg)
-
-let onepass_sink =
-  {
-    leaf =
-      (fun p i ->
-        if Option.is_none p.error then
-          match Validate.leaf p.check i with
-          | () -> leaf p.flat i
-          | exception Validate.Invalid msg -> failed p msg);
-    index =
-      (fun p op x ->
-        if Option.is_none p.error then
-          match Validate.index p.check op x with
-          | () -> index p.flat op x
-          | exception Validate.Invalid msg -> failed p msg);
-    i32_const =
-      (fun p c ->
-        if Option.is_none p.error then
-          match Validate.i32_const p.check c with
-          | () -> i32_const p.flat c
-          | exception Validate.Invalid msg -> failed p msg);
-    load =
-      (fun p ty pack align offset ->
-        if Option.is_none p.error then
-          match Validate.load p.check ty pack align offset with
-          | () -> load p.flat ty pack align offset
-          | exception Validate.Invalid msg -> failed p msg);
-    store =
-      (fun p ty pack align offset ->
-        if Option.is_none p.error then
-          match Validate.store p.check ty pack align offset with
-          | () -> store p.flat ty pack align offset
-          | exception Validate.Invalid msg -> failed p msg);
-    block =
-      (fun p bt ->
-        if Option.is_none p.error then
-          match Validate.block p.check bt with
-          | () -> block p.flat bt
-          | exception Validate.Invalid msg -> failed p msg);
-    loop =
-      (fun p bt ->
-        if Option.is_none p.error then
-          match Validate.loop p.check bt with
-          | () -> loop p.flat bt
-          | exception Validate.Invalid msg -> failed p msg);
-    if_ =
-      (fun p bt ->
-        if Option.is_none p.error then
-          match Validate.if_ p.check bt with
-          | () -> if_ p.flat bt
-          | exception Validate.Invalid msg -> failed p msg);
-    else_ =
-      (fun p ->
-        if Option.is_none p.error then
-          match Validate.else_ p.check with
-          | () -> else_ p.flat
-          | exception Validate.Invalid msg -> failed p msg);
-    end_ =
-      (fun p ->
-        if Option.is_none p.error then
-          match Validate.end_ p.check with
-          | () -> end_ p.flat
-          | exception Validate.Invalid msg -> failed p msg);
-  }
-
 let no_body =
   { cb_code = [||]; cb_nslots = 0; cb_nloc = 0; cb_param_types = [||]; cb_result_types = [||] }
 
 (** Decode, validate and flatten [bytes] in one pass, building no
-    function body as an AST: each instruction goes to the checker and
-    then to the flattener as the decoder reads it. Accepts exactly the
+    function body as an AST: the decoder sends each instruction to the
+    flattener, whose step runs the checker's first. Accepts exactly the
     bytes that [Decode.decode] then [Validate.validate] accept, and
     otherwise raises what those two raise, with the same message. The
     result is instance-free: instantiate it any number of times. With
     [~fuel], the flattened code charges {!Instance.Fuel} once per
     function entry and per loop iteration, for running untrusted
-    modules under a budget. A decoding error anywhere
-    beats any validation error, so the first failed check waits until
-    the whole module has decoded; and the module-level checks run in
+    modules under a budget. The module-level checks run in
     {!Validate.validate}'s order: {!Validate.header} before the bodies,
-    {!Validate.trailer} after them. *)
+    {!Validate.trailer} after them. The first check that does not pass
+    ends the pass; since a decoding error anywhere beats any validation
+    error, the whole module is then decoded, building no body
+    ({!Decode.check}), before the check's error is raised. *)
 let compile_bytes ?(fuel = false) bytes : cmodule =
-  let env = ref None and invalid = ref None and bodies = ref [||] in
-  let header m ftypes =
-    match Validate.header m ftypes with
-    | e -> env := Some e
-    | exception (Validate.Invalid _ as e) -> invalid := Some e
-  in
+  let env = ref None and bodies = ref [||] in
   let code m ftypes n r =
-    header m ftypes;
     (* A count mismatch is a decoding error, raised once every section
        has been read: until then the bodies are only decoded. *)
-    let checked = n = List.length ftypes in
-    let compiled = Array.make n no_body in
-    let read_body i locals r =
-      match (!env, !invalid) with
-      | Some env, None when checked ->
-        let check = Validate.checker env i locals in
-        let ft = env.func_types.(env.n_imported + i) in
-        let flat =
-          func_cctx ~fuel env.types env.func_types env.global_types check.Validate.locals ft
-        in
-        let p = { check; flat; error = None } in
-        ignore (Decode.body ~build:false onepass_sink p r);
-        (match p.error with
-        | Some e -> invalid := Some e
-        | None -> compiled.(i) <- finish flat ft)
-      | _ -> ignore (Decode.body ~build:false no_events () r)
-    in
-    for i = 0 to n - 1 do
-      Decode.code_entry r read_body i
-    done;
-    bodies := compiled;
+    if n <> List.length ftypes then ignore (Decode.funcs r n 0 [])
+    else begin
+      let e = Validate.header m ftypes in
+      env := Some e;
+      let compiled = Array.make n no_body in
+      let read_body i locals r =
+        let check = Validate.checker e i locals in
+        let ctx = func_cctx ~fuel check in
+        (try ignore (Decode.body ~build:false sink ctx r)
+         with Validate.Invalid msg -> raise (Validate.in_function check msg));
+        compiled.(i) <- finish ctx
+      in
+      for i = 0 to n - 1 do
+        Decode.code_entry r read_body i
+      done;
+      bodies := compiled
+    end;
     []
   in
-  let m = Decode.sections ~code bytes in
+  let m =
+    try Decode.sections ~code bytes
+    with Validate.Invalid _ as invalid ->
+      Decode.check bytes;
+      raise invalid
+  in
   (* With no code section there are no functions, or [sections] has
      failed on the count mismatch. *)
-  if Option.is_none !env && Option.is_none !invalid then header m [];
-  Option.iter raise !invalid;
-  let env = Option.get !env in
+  let env = match !env with Some env -> env | None -> Validate.header m [] in
   Validate.trailer env m;
   {
     cm_module = m;

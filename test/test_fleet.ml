@@ -103,6 +103,25 @@ let test_lossy_completion_and_accounting () =
   Alcotest.(check int) "per-shard reports present" 4 (List.length r.Fleet.per_shard);
   Alcotest.(check bool) "faults were injected" true (c "net.drop" + c "net.delay" > 0)
 
+(* --- allocation accounting ------------------------------------------- *)
+
+(* Each shard reports its own domain's minor words, so the fleet's
+   minor words per session do not depend on how many domains share the
+   work. A shard that read [Gc.quick_stat] also counted its neighbours'
+   allocation, and the sum grew with the shard count (57k, 90k, 129k and
+   351k words per session at 1, 2, 4 and 8 shards). *)
+let test_minor_words_per_session_shard_independent () =
+  let per_session shards =
+    let r = Fleet.run ~config:(config ~shards ~sessions:32 ~seed:0xa77e57L ()) () in
+    List.fold_left (fun acc (_, w) -> acc +. w) 0.0 r.Fleet.minor_words_per_shard
+    /. float_of_int r.Fleet.sessions
+  in
+  let one = per_session 1 and four = per_session 4 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per session at 1 shard, %.0f at 4 (within 5%%)" one four)
+    true
+    (Float.abs (four -. one) <= 0.05 *. one)
+
 (* --- Net single-domain ownership ------------------------------------- *)
 
 let test_net_domain_ownership () =
@@ -128,6 +147,7 @@ let suite =
         case "GC knob never perturbs simulated artifacts" test_gc_knob_byte_identity;
         case "a fleet of one is a plain storm" test_fleet_of_one;
         case "lossy 4x4: completion + merged accounting" test_lossy_completion_and_accounting;
+        case "minor words per session: 1 shard = 4 shards" test_minor_words_per_session_shard_independent;
         case "net enforces single-domain ownership" test_net_domain_ownership;
       ] );
   ]

@@ -1116,7 +1116,13 @@ let test_parity_decode_error_beats_type_error () =
   check_front_doors "fewer code entries than functions, and a type error"
     "malformed: function and code section lengths disagree (2 vs 1)"
     (raw_module
-       [ (1, vec [ type_void ]); (3, vec [ "\x00"; "\x00" ]); (10, vec [ code_entry ill_typed ]) ])
+       [ (1, vec [ type_void ]); (3, vec [ "\x00"; "\x00" ]); (10, vec [ code_entry ill_typed ]) ]);
+  (* Both errors in one body: a pass that ends at the failed check must
+     still find the decoding error after it. *)
+  check_front_doors "type error, then an unknown opcode, in function 0"
+    "malformed: unknown opcode 0x06"
+    (raw_module
+       [ (1, vec [ type_void ]); (3, vec [ "\x00" ]); (10, vec [ code_entry (ill_typed ^ "\x06") ]) ])
 
 let test_parity_check_order () =
   check_front_doors "a body's type error beats a duplicate export" ill_typed_error
@@ -1229,6 +1235,34 @@ let test_leaf_events_allocate_nothing () =
        (List.length chunk))
     true
     (large -. small < 1_000.)
+
+(* Rejecting a module builds no AST: the first failed check ends the
+   pass, and the decoding that follows, so that a later decoding error
+   can still win, builds no function body. Function 0 is ill-typed;
+   function 1 holds [k] chunks of [local.get 0; i32.const 1; i32.add;
+   local.set 0], so ten times the chunks must cost no more words.
+   Decoding them with [Decode.decode] costs about 23 words a chunk. *)
+let test_reject_builds_no_ast () =
+  let chunk = "\x20\x00\x41\x01\x6a\x21\x00" in
+  let reject k =
+    let body = "\x01\x01\x7f" ^ String.concat "" (List.init k (fun _ -> chunk)) ^ "\x0b" in
+    let bytes =
+      raw_module
+        [ (1, vec [ type_void ]); (3, vec [ "\x00"; "\x00" ]);
+          (10, vec [ code_entry ill_typed; uleb (String.length body) ^ body ]) ]
+    in
+    let before = Gc.minor_words () in
+    let verdict = front_door_verdict (fun () -> ignore (Fastinterp.compile_bytes bytes)) in
+    (verdict, Gc.minor_words () -. before)
+  in
+  let small, small_words = reject 10_000 in
+  let large, large_words = reject 100_000 in
+  Alcotest.(check string) "10,000 chunks" ill_typed_error small;
+  Alcotest.(check string) "100,000 chunks" ill_typed_error large;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words at 10,000 chunks, %.0f at 100,000" small_words large_words)
+    true
+    (large_words -. small_words < 1_000.)
 
 (* The one-pass loader's work stays linear in the module. At these
    sizes it takes milliseconds, and each shape's quadratic variant
@@ -2162,6 +2196,7 @@ let suite =
         case "fuel builds of 45 real modules" test_fuel_builds;
         case "dead code flattens to nothing" test_dead_code_flattens_to_nothing;
         case "reading and checking a leaf allocates nothing" test_leaf_events_allocate_nothing;
+        case "rejecting a module builds no AST" test_reject_builds_no_ast;
       ] );
     ( "wasm.link",
       [
