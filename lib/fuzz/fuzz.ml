@@ -111,7 +111,7 @@ let decode_case cs =
       if Prng.bool rng then "\x00asm\x01\x00\x00\x00" ^ body else body
     else begin
       (* mutate a real encoded module *)
-      let case = Gen.generate ~config:{ Gen.default_config with Gen.max_funcs = 3 } rng in
+      let case = Gen.generate ~max_funcs:3 rng in
       Mutate.mutate rng (Watz_wasm.Encode.encode case.Gen.module_)
     end
   in

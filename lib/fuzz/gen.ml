@@ -21,24 +21,9 @@ open Watz_wasm.Ast
 module B = Watz_wasm.Builder
 module Prng = Watz_util.Prng
 
-type config = {
-  max_funcs : int; (* own (non-imported) functions, >= 1 *)
-  max_body : int; (* statement budget per function body *)
-  max_depth : int; (* expression recursion depth *)
-  max_params : int;
-  with_memory : bool;
-  with_table : bool;
-}
-
-let default_config =
-  {
-    max_funcs = 6;
-    max_body = 8;
-    max_depth = 4;
-    max_params = 3;
-    with_memory = true;
-    with_table = true;
-  }
+let max_body = 8 (* statement budget per function body *)
+let max_depth = 4 (* expression recursion depth *)
+let max_params = 3
 
 let valtypes = [| I32; I64; F32; F64 |]
 let pick rng arr = arr.(Prng.int rng (Array.length arr))
@@ -104,14 +89,13 @@ type callee = { c_idx : int; c_params : valtype list; c_result : valtype option 
 
 type genv = {
   rng : Prng.t;
-  cfg : config;
   locals : valtype array; (* params @ visible scratch locals *)
   counters : int array; (* hidden loop-induction locals, one per nesting level *)
   mutable loop_nest : int;
   fuel_global : int;
   fresult : valtype option;
   callees : callee list; (* lower-indexed functions, callable directly *)
-  table_size : int; (* 0 when no table; call_indirect allowed when > 0 *)
+  table_size : int; (* 0 in a leaf; call_indirect allowed when > 0 *)
   table_types : (int * functype) array; (* type index pool for call_indirect *)
   mutable budget : int; (* instruction-ish budget, hard stop for size *)
 }
@@ -167,7 +151,7 @@ let rec gen_expr env depth ty : instr list =
       (* conversion; trunc of NaN/out-of-range traps — differential fodder *)
       let cvt, src = pick rng (cvts_to ty) in
       gen_expr env (depth - 1) src @ [ Cvtop cvt ]
-    | 7 when env.cfg.with_memory ->
+    | 7 ->
       let pack =
         match ty with
         | I32 -> pick rng [| None; Some (P8, SX); Some (P8, ZX); Some (P16, SX); Some (P16, ZX) |]
@@ -224,7 +208,7 @@ let rec gen_stmt env depth : instr list =
       let ls = locals_of_type env ty in
       if Prng.bool rng then gen_expr env depth ty @ [ LocalSet (pick rng ls) ]
       else gen_expr env depth ty @ [ LocalTee (pick rng ls); Drop ]
-    | 2 when env.cfg.with_memory ->
+    | 2 ->
       (* store *)
       let ty = valtype rng in
       let pack =
@@ -245,7 +229,7 @@ let rec gen_stmt env depth : instr list =
     | 5 ->
       let ty = valtype rng in
       gen_expr env depth ty @ [ Drop ]
-    | 6 when env.cfg.with_memory ->
+    | 6 ->
       (* memory.grow, result dropped; capped by the memory's max *)
       [ Const (VI32 (Int32.of_int (Prng.int rng 2))); MemoryGrow; Drop ]
     | 7 when depth > 0 ->
@@ -307,8 +291,8 @@ and gen_loop env depth =
               Const (VI32 0l); IRelop (I32, GtS); BrIf 0 ] ) ]
   end
 
-let gen_functype rng cfg =
-  let n = Prng.int rng (cfg.max_params + 1) in
+let gen_functype rng =
+  let n = Prng.int rng (max_params + 1) in
   let params = List.init n (fun _ -> valtype rng) in
   let results = if Prng.int rng 8 = 0 then [] else [ valtype rng ] in
   { params; results }
@@ -330,20 +314,19 @@ let gen_value rng = function
 
 let max_loop_nest = 3
 
-let generate ?(config = default_config) rng : case =
+let generate ?(max_funcs = 6) rng : case =
   let b = B.create () in
-  let cfg = config in
-  if cfg.with_memory then ignore (B.memory b ~min:1 ~max:4 ());
+  ignore (B.memory b ~min:1 ~max:4 ());
   (* Global 0 is the mutable fuel counter. *)
   let fuel_global = B.global b ~mut:true ~init:(VI32 100_000l) in
-  let n_funcs = 1 + Prng.int rng cfg.max_funcs in
+  let n_funcs = 1 + Prng.int rng max_funcs in
   (* Leaf functions eligible for the table (no calls at all), then
      call-capable functions that may call anything before them. *)
-  let n_leaves = if cfg.with_table then 1 + Prng.int rng (max 1 (n_funcs / 2)) else 0 in
+  let n_leaves = 1 + Prng.int rng (max 1 (n_funcs / 2)) in
   let callees = ref [] in
   let table_types = ref [] in
   let make_fun ~leaf ~table_size () =
-    let ft = gen_functype rng cfg in
+    let ft = gen_functype rng in
     let n_extra = 1 + Prng.int rng 4 in
     let scratch = List.init n_extra (fun _ -> valtype rng) in
     (* hidden loop counters live after the visible scratch locals *)
@@ -355,7 +338,6 @@ let generate ?(config = default_config) rng : case =
     let env =
       {
         rng;
-        cfg;
         locals = Array.of_list (ft.params @ scratch);
         counters;
         loop_nest = 0;
@@ -367,7 +349,7 @@ let generate ?(config = default_config) rng : case =
         budget = 40 + Prng.int rng 60;
       }
     in
-    let stmts = gen_stmts env cfg.max_depth (1 + Prng.int rng cfg.max_body) in
+    let stmts = gen_stmts env max_depth (1 + Prng.int rng max_body) in
     (* function entry burns fuel too *)
     let prologue =
       [ GlobalGet fuel_global; Const (VI32 1l); IBinop (I32, Sub); GlobalSet fuel_global ]
@@ -388,15 +370,10 @@ let generate ?(config = default_config) rng : case =
   in
   let leaves = List.init n_leaves (fun _ -> make_fun ~leaf:true ~table_size:0 ()) in
   (* table of leaves, plus the type pool call_indirect draws from *)
-  let table_size =
-    if cfg.with_table && leaves <> [] then begin
-      let tbl = B.table b ~min:(List.length leaves) ~max:(List.length leaves) () in
-      B.elem b ~table:tbl ~offset:0 (List.map fst leaves);
-      table_types := List.map (fun (_, ft) -> (B.typeidx b ft, ft)) leaves;
-      List.length leaves
-    end
-    else 0
-  in
+  let table_size = List.length leaves in
+  let tbl = B.table b ~min:table_size ~max:table_size () in
+  B.elem b ~table:tbl ~offset:0 (List.map fst leaves);
+  table_types := List.map (fun (_, ft) -> (B.typeidx b ft, ft)) leaves;
   let rest = List.init (n_funcs - n_leaves) (fun _ -> make_fun ~leaf:false ~table_size ()) in
   let funs = leaves @ rest in
   List.iteri (fun i (fidx, _) -> B.export_func b (Printf.sprintf "f%d" i) fidx) funs;
@@ -404,10 +381,8 @@ let generate ?(config = default_config) rng : case =
      dynamic-path checksum. *)
   let fuel_f = B.func b ~params:[] ~results:[ I32 ] ~locals:[] [ GlobalGet fuel_global ] in
   B.export_func b "__fuel" fuel_f;
-  if cfg.with_memory then begin
-    B.export_memory b "memory" 0;
-    B.data b ~memory:0 ~offset:(Prng.int rng 256) (Prng.bytes rng (1 + Prng.int rng 64))
-  end;
+  B.export_memory b "memory" 0;
+  B.data b ~memory:0 ~offset:(Prng.int rng 256) (Prng.bytes rng (1 + Prng.int rng 64));
   let m = B.build b in
   let calls =
     List.mapi (fun i (_, ft) -> (Printf.sprintf "f%d" i, List.map (gen_value rng) ft.params)) funs

@@ -23,7 +23,7 @@ type t = {
 (** [manufacture ~seed] builds a board: generates the device-unique
     OTPMK and the vendor key, and burns the fuses. Deterministic in
     [seed] so experiments are reproducible. *)
-let manufacture ?(costs = Simclock.default_costs) ~seed () =
+let manufacture ~seed () =
   let rng = Watz_util.Prng.create (Int64.of_int (Hashtbl.hash seed)) in
   let otpmk = Watz_util.Prng.bytes rng 32 in
   let vendor = Boot.vendor_key_of_seed seed in
@@ -32,7 +32,7 @@ let manufacture ?(costs = Simclock.default_costs) ~seed () =
   Fuses.program_boot_pubkey_hash fuses (Boot.vendor_pubkey_hash vendor);
   {
     clock = Simclock.create ();
-    costs;
+    costs = Simclock.default_costs;
     fuses;
     net = Net.create ();
     vendor;

@@ -20,17 +20,13 @@ module Writer = struct
       u8 w (Int64.to_int (Int64.shift_right_logical n (8 * i)) land 0xff)
     done
 
-  let uleb w n =
-    let rec go n =
-      let byte = Int64.to_int (Int64.logand n 0x7fL) in
-      let rest = Int64.shift_right_logical n 7 in
-      if Int64.equal rest 0L then u8 w byte
-      else begin
-        u8 w (byte lor 0x80);
-        go rest
-      end
-    in
-    go n
+  let rec uleb w n =
+    let rest = n lsr 7 in
+    if rest = 0 then u8 w n
+    else begin
+      u8 w ((n land 0x7f) lor 0x80);
+      uleb w rest
+    end
 
   let sleb w n =
     let rec go n =
@@ -49,7 +45,7 @@ module Writer = struct
   let bytes w s = Buffer.add_string w s
 
   let len_bytes w s =
-    uleb w (Int64.of_int (String.length s));
+    uleb w (String.length s);
     bytes w s
 end
 

@@ -15,7 +15,9 @@ module Writer : sig
   val u16 : t -> int -> unit
   val u32 : t -> int32 -> unit
   val u64 : t -> int64 -> unit
-  val uleb : t -> int64 -> unit
+  val uleb : t -> int -> unit
+  (** [uleb w n] writes [n], which must be non-negative, as ULEB128. *)
+
   val sleb : t -> int64 -> unit
   val bytes : t -> string -> unit
 

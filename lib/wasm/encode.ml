@@ -16,10 +16,8 @@ let blocktype w = function
   | BlockEmpty -> W.u8 w 0x40
   | BlockVal t -> valtype w t
 
-let uleb_int w n = W.uleb w (Int64.of_int n)
-
 let vec w f items =
-  uleb_int w (List.length items);
+  W.uleb w (List.length items);
   List.iter (f w) items
 
 let name w s = W.len_bytes w s
@@ -28,11 +26,11 @@ let limits w (l : limits) =
   match l.max with
   | None ->
     W.u8 w 0x00;
-    uleb_int w l.min
+    W.uleb w l.min
   | Some m ->
     W.u8 w 0x01;
-    uleb_int w l.min;
-    uleb_int w m
+    W.uleb w l.min;
+    W.uleb w m
 
 let functype w ft =
   W.u8 w 0x60;
@@ -44,8 +42,8 @@ let globaltype w (g : globaltype) =
   W.u8 w (match g.mut with Immutable -> 0x00 | Mutable -> 0x01)
 
 let memarg w (m : memarg) =
-  uleb_int w m.align;
-  uleb_int w m.offset
+  W.uleb w m.align;
+  W.uleb w m.offset
 
 let f32_const w x = W.u32 w (Int32.bits_of_float x)
 let f64_const w x = W.u64 w (Int64.bits_of_float x)
@@ -179,40 +177,40 @@ let rec instr w = function
     W.u8 w 0x0b
   | Br l ->
     W.u8 w 0x0c;
-    uleb_int w l
+    W.uleb w l
   | BrIf l ->
     W.u8 w 0x0d;
-    uleb_int w l
+    W.uleb w l
   | BrTable (ls, default) ->
     W.u8 w 0x0e;
-    uleb_int w (Array.length ls);
-    Array.iter (uleb_int w) ls;
-    uleb_int w default
+    W.uleb w (Array.length ls);
+    Array.iter (W.uleb w) ls;
+    W.uleb w default
   | Return -> W.u8 w 0x0f
   | Call f ->
     W.u8 w 0x10;
-    uleb_int w f
+    W.uleb w f
   | CallIndirect t ->
     W.u8 w 0x11;
-    uleb_int w t;
+    W.uleb w t;
     W.u8 w 0x00 (* table index *)
   | Drop -> W.u8 w 0x1a
   | Select -> W.u8 w 0x1b
   | LocalGet i ->
     W.u8 w 0x20;
-    uleb_int w i
+    W.uleb w i
   | LocalSet i ->
     W.u8 w 0x21;
-    uleb_int w i
+    W.uleb w i
   | LocalTee i ->
     W.u8 w 0x22;
-    uleb_int w i
+    W.uleb w i
   | GlobalGet i ->
     W.u8 w 0x23;
-    uleb_int w i
+    W.uleb w i
   | GlobalSet i ->
     W.u8 w 0x24;
-    uleb_int w i
+    W.uleb w i
   | Load (ty, pack, m) ->
     W.u8 w (load_opcode ty pack);
     memarg w m
@@ -264,7 +262,7 @@ let in_section f =
 let importdesc w = function
   | ImportFunc t ->
     W.u8 w 0x00;
-    uleb_int w t
+    W.uleb w t
   | ImportTable l ->
     W.u8 w 0x01;
     W.u8 w 0x70;
@@ -279,16 +277,16 @@ let importdesc w = function
 let exportdesc w = function
   | ExportFunc i ->
     W.u8 w 0x00;
-    uleb_int w i
+    W.uleb w i
   | ExportTable i ->
     W.u8 w 0x01;
-    uleb_int w i
+    W.uleb w i
   | ExportMemory i ->
     W.u8 w 0x02;
-    uleb_int w i
+    W.uleb w i
   | ExportGlobal i ->
     W.u8 w 0x03;
-    uleb_int w i
+    W.uleb w i
 
 let code_entry f =
   in_section (fun w ->
@@ -304,7 +302,7 @@ let code_entry f =
       in
       vec w
         (fun w (count, t) ->
-          uleb_int w count;
+          W.uleb w count;
           valtype w t)
         groups;
       expr w f.body)
@@ -322,7 +320,7 @@ let encode (m : module_) =
              name w i.imp_name;
              importdesc w i.idesc)
            m.imports));
-  section w 3 (in_section (fun w -> vec w (fun w f -> uleb_int w f.ftype) m.funcs));
+  section w 3 (in_section (fun w -> vec w (fun w f -> W.uleb w f.ftype) m.funcs));
   section w 4
     (in_section (fun w ->
          vec w
@@ -347,14 +345,14 @@ let encode (m : module_) =
            m.exports));
   (match m.start with
   | None -> ()
-  | Some f -> section w 8 (in_section (fun w -> uleb_int w f)));
+  | Some f -> section w 8 (in_section (fun w -> W.uleb w f)));
   section w 9
     (in_section (fun w ->
          vec w
            (fun w e ->
-             uleb_int w e.etable;
+             W.uleb w e.etable;
              expr w e.eoffset;
-             vec w (fun w i -> uleb_int w i) e.einit)
+             vec w W.uleb e.einit)
            m.elems));
   section w 10
     (in_section (fun w -> vec w (fun w f -> W.len_bytes w (code_entry f)) m.funcs));
@@ -362,7 +360,7 @@ let encode (m : module_) =
     (in_section (fun w ->
          vec w
            (fun w d ->
-             uleb_int w d.dmem;
+             W.uleb w d.dmem;
              expr w d.doffset;
              W.len_bytes w d.dinit)
            m.datas));

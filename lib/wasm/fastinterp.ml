@@ -371,7 +371,10 @@ let stack_slot nloc s = s >= nloc
    (a stack position >= cnloc), never a local carrying a live value.
    Returns the combined op, always a freshly built value, or [pending]
    itself to emit it as-is; the caller tells the two apart with [==],
-   so a failed fold allocates nothing. *)
+   so a failed fold allocates nothing. A rule exists only for a shape
+   that the profiled modules fuse, or that the 2-D addressing and f64
+   multiply-add cases of [wasm.fusion] pin; every other shape runs as
+   the plain ops it is built from. *)
 let absorb ~nloc (pending : op) (tail : op) : op =
   match (pending, tail) with
   (* -- operand folding into 3-address i32 arithmetic ---------------- *)
@@ -443,18 +446,9 @@ let absorb ~nloc (pending : op) (tail : op) : op =
   | OFImm (op, d, a, c), OMovF (t, s) when t = a && a = d -> OFImm (op, d, s, c)
   (* -- conversions --------------------------------------------------- *)
   | OCvtIF (d, a), OMovI (t, s) when t = a && a = d -> OCvtIF (d, s)
-  | OCvt (op, d, a), OMovI (t, s) when t = a && a = d -> OCvt (op, d, s)
-  | OCvt (op, d, a), OMovL (t, s) when t = a && a = d -> OCvt (op, d, s)
-  | OCvt (op, d, a), OMovF (t, s) when t = a && a = d -> OCvt (op, d, s)
-  (* -- address/value folding into loads and stores ------------------ *)
-  | OLoadI32 (off, d, a), OMovI (t, s) when t = a && a = d -> OLoadI32 (off, d, s)
-  | OLoadF64 (off, d, a), OMovI (t, s) when t = a && a = d -> OLoadF64 (off, d, s)
+  (* -- value folding into stores ------------------------------------ *)
   | OStoreI32 (off, a, v), OMovI (t, s) when t = v && v = a + 1 -> OStoreI32 (off, a, s)
   | OStoreF64 (off, a, v), OMovF (t, s) when t = v && v = a + 1 -> OStoreF64 (off, a, s)
-  | OStoreI32 (off, a, v), OMovI (t, s) when t = a && v <> a + 1 ->
-    (* value already folded; the trailing op is now the address push *)
-    OStoreI32 (off, s, v)
-  | OStoreF64 (off, a, v), OMovI (t, s) when t = a && v <> a + 1 -> OStoreF64 (off, s, v)
   (* -- scaled-address folding -----------------------------------------
         (x * 2^k) + b  address chains collapse into a single
         [OScaled]/[OScaledR], which then fuses into the memory op
@@ -497,13 +491,6 @@ let absorb ~nloc (pending : op) (tail : op) : op =
     | OLoadI32 _ -> OLoadI32RX (off, d, x, k, r)
     | OLoadF64 _ -> OLoadF64RX (off, d, x, k, r)
     | _ -> assert false)
-  | (OStoreI32 (off, a, v) | OStoreF64 (off, a, v)), OBin3I32 (Mul, t, x, c)
-    when t = a && v <> a + 1 && stack_slot nloc a && shift_amount c >= 0 ->
-    let k = shift_amount c in
-    (match pending with
-    | OStoreI32 _ -> OStoreI32X (off, 0, x, k, v)
-    | OStoreF64 _ -> OStoreF64X (off, 0, x, k, v)
-    | _ -> assert false)
   | (OStoreI32 (off, a, v) | OStoreF64 (off, a, v)), OScaled (t, x, k, b0)
     when t = a && v <> a + 1 && stack_slot nloc a ->
     (match pending with
@@ -526,8 +513,6 @@ let absorb ~nloc (pending : op) (tail : op) : op =
   | OAdd32 (d, a, b), OBin3I32 (((Add | Sub) as op), t, y, c)
     when t = b && b = a + 1 && stack_slot nloc b ->
     OMulAdd32 (d, a, 1, y, 0, wrap32 (match op with Sub -> -c | _ -> c))
-  | OMulAdd32 (d, x, n, y, k, b), OMovI (t, s) when t = x && x = d && y <> d && stack_slot nloc t ->
-    OMulAdd32 (d, s, n, y, k, b)
   | OMulAdd32 (d, x, n, y, k, b), OMovI (t, s) when t = y && y = d && x <> d && stack_slot nloc t ->
     OMulAdd32 (d, x, n, s, k, b)
   | OMulAdd32 (d, a, m, y, k, b), OBin3I32 (Mul, t, x, n) when t = a && y <> a && stack_slot nloc a ->
@@ -574,11 +559,9 @@ let absorb ~nloc (pending : op) (tail : op) : op =
     OCopyI32RX (soff, a, off, x, k, r)
   (* -- compare-and-branch fusion ------------------------------------
         Guard: only fold a producer away when its destination [c] is a
-        dead stack slot. After local.set retargeting the producer's
-        destination can be a *local* (e.g. relop; local.set z;
-        local.get z; br_if folds down to OBrIf(z) with the retargeted
-        OIRel32 writing z as the trailing op) — folding that producer
-        into the branch would delete a live local store. *)
+        dead stack slot, never a local that local.set retargeting made
+        it write: folding that producer into the branch would delete a
+        live local store. *)
   | OBrIf (c, e), OIRel32 (op, t, a, b) when t = c && stack_slot nloc c ->
     OBrCmpR32 (op, a, b, e)
   | OBrIf (c, e), OIRelI32 (op, t, a, imm) when t = c && stack_slot nloc c ->
@@ -588,20 +571,12 @@ let absorb ~nloc (pending : op) (tail : op) : op =
   | OBrIfNot (c, e), OIRelI32 (op, t, a, imm) when t = c && stack_slot nloc c ->
     OBrCmpI32 (negate_irelop op, a, imm, e)
   | OBrIf (c, e), OTestI t when t = c && stack_slot nloc c -> OBrIfNot (c, e)
-  | OBrIfNot (c, e), OTestI t when t = c && stack_slot nloc c -> OBrIf (c, e)
-  | OBrIf (c, e), OMovI (t, s) when t = c && stack_slot nloc c -> OBrIf (s, e)
-  | OBrIfNot (c, e), OMovI (t, s) when t = c && stack_slot nloc c -> OBrIfNot (s, e)
   (* -- local.set retargeting: rewrite the producer's destination ----- *)
   | OMovI (z, s), OConstI (t, v) when t = s && stack_slot nloc s -> OConstI (z, v)
   | OMovI (z, s), OMovI (t, x) when t = s && stack_slot nloc s -> OMovI (z, x)
   | OMovI (z, s), OAdd32 (t, a, b) when t = s && stack_slot nloc s -> OAdd32 (z, a, b)
   | OMovI (z, s), OSub32 (t, a, b) when t = s && stack_slot nloc s -> OSub32 (z, a, b)
-  | OMovI (z, s), OMul32 (t, a, b) when t = s && stack_slot nloc s -> OMul32 (z, a, b)
-  | OMovI (z, s), OAnd32 (t, a, b) when t = s && stack_slot nloc s -> OAnd32 (z, a, b)
   | OMovI (z, s), OBin3I32 (op, t, a, imm) when t = s && stack_slot nloc s -> OBin3I32 (op, z, a, imm)
-  | OMovI (z, s), OIRel32 (op, t, a, b) when t = s && stack_slot nloc s -> OIRel32 (op, z, a, b)
-  | OMovI (z, s), OIRelI32 (op, t, a, imm) when t = s && stack_slot nloc s -> OIRelI32 (op, z, a, imm)
-  | OMovI (z, s), OLoadI32 (off, t, a) when t = s && stack_slot nloc s -> OLoadI32 (off, z, a)
   | OMovF (z, s), OConstF (t, v) when t = s && stack_slot nloc s -> OConstF (z, v)
   | OMovF (z, s), OMovF (t, x) when t = s && stack_slot nloc s -> OMovF (z, x)
   | OMovF (z, s), OFAdd64 (t, a, b) when t = s && stack_slot nloc s -> OFAdd64 (z, a, b)
@@ -610,14 +585,9 @@ let absorb ~nloc (pending : op) (tail : op) : op =
   | OMovF (z, s), OFDiv64 (t, a, b) when t = s && stack_slot nloc s -> OFDiv64 (z, a, b)
   | OMovF (z, s), OLoadF64 (off, t, a) when t = s && stack_slot nloc s -> OLoadF64 (off, z, a)
   | OMovF (z, s), OFImm (op, t, a, c) when t = s && stack_slot nloc s -> OFImm (op, z, a, c)
-  | OMovI (z, s), OScaled (t, x, k, b0) when t = s && stack_slot nloc s -> OScaled (z, x, k, b0)
   | OMovI (z, s), OScaledR (t, x, k, r) when t = s && stack_slot nloc s -> OScaledR (z, x, k, r)
-  | OMovI (z, s), OLoadI32X (off, b0, t, x, k) when t = s && stack_slot nloc s ->
-    OLoadI32X (off, b0, z, x, k)
   | OMovF (z, s), OLoadF64X (off, b0, t, x, k) when t = s && stack_slot nloc s ->
     OLoadF64X (off, b0, z, x, k)
-  | OMovI (z, s), OLoadI32RX (off, t, x, k, r) when t = s && stack_slot nloc s ->
-    OLoadI32RX (off, z, x, k, r)
   | OMovF (z, s), OLoadF64RX (off, t, x, k, r) when t = s && stack_slot nloc s ->
     OLoadF64RX (off, z, x, k, r)
   | OMovI (z, s), OMulAdd32 (t, x, n, y, k, b) when t = s && stack_slot nloc s ->
@@ -627,12 +597,7 @@ let absorb ~nloc (pending : op) (tail : op) : op =
   | OMovF (z, s), OLoadF64M (off, b, t, x, n, y, k) when t = s && stack_slot nloc s ->
     OLoadF64M (off, b, z, x, n, y, k)
   | OMovF (z, s), OFMulAdd64 (t, a, x, y) when t = s && stack_slot nloc s -> OFMulAdd64 (z, a, x, y)
-  | OMovF (z, s), OCvtIF (t, a) when t = s && stack_slot nloc s -> OCvtIF (z, a)
   | OMovI (z, s), OCvt (op, t, a) when t = s && stack_slot nloc s -> OCvt (op, z, a)
-  | OMovL (z, s), OCvt (op, t, a) when t = s && stack_slot nloc s -> OCvt (op, z, a)
-  | OMovF (z, s), OCvt (op, t, a) when t = s && stack_slot nloc s -> OCvt (op, z, a)
-  | OMovL (z, s), OConstL (t, v) when t = s && stack_slot nloc s -> OConstL (z, v)
-  | OMovL (z, s), OMovL (t, x) when t = s && stack_slot nloc s -> OMovL (z, x)
   | _ -> pending
 
 (* Emit with fusion: keep absorbing the trailing op while legal. The

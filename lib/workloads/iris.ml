@@ -20,12 +20,12 @@ let class_stats =
 
 let class_names = [| "setosa"; "versicolor"; "virginica" |]
 
-let generate ?(per_class = 50) ~seed () =
+let generate ~seed () =
   let rng = Watz_util.Prng.create seed in
   let records = ref [] in
   for cls = 0 to 2 do
     let means, stddevs = class_stats.(cls) in
-    for _ = 1 to per_class do
+    for _ = 1 to 50 do
       let features =
         Array.init 4 (fun k ->
             Float.max 0.05

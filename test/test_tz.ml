@@ -5,8 +5,8 @@
 
 open Watz_tz
 
-let fresh_soc ?costs () =
-  let soc = Soc.manufacture ?costs ~seed:"test-device" () in
+let fresh_soc () =
+  let soc = Soc.manufacture ~seed:"test-device" () in
   (match Soc.boot soc with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "boot failed: %a" Boot.pp_boot_error e);

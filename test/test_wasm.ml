@@ -777,7 +777,7 @@ let test_leb32_roundtrip =
   QCheck.Test.make ~name:"codec: 32-bit sleb/uleb roundtrip" ~count:500 QCheck.int32 (fun v ->
       let w = Watz_util.Bytesio.Writer.create () in
       Watz_util.Bytesio.Writer.sleb w (Int64.of_int32 v);
-      Watz_util.Bytesio.Writer.uleb w (Int64.logand (Int64.of_int32 v) 0xFFFFFFFFL);
+      Watz_util.Bytesio.Writer.uleb w (Int32.to_int v land 0xFFFFFFFF);
       let r = Watz_util.Bytesio.Reader.of_string (Watz_util.Bytesio.Writer.contents w) in
       let s = Watz_util.Bytesio.Reader.sleb_int r ~max_bits:32 in
       let u = Watz_util.Bytesio.Reader.uleb r ~max_bits:32 in
@@ -1064,7 +1064,7 @@ let test_interp_br_table_linear () =
 
 let uleb n =
   let w = Watz_util.Bytesio.Writer.create () in
-  Watz_util.Bytesio.Writer.uleb w (Int64.of_int n);
+  Watz_util.Bytesio.Writer.uleb w n;
   Watz_util.Bytesio.Writer.contents w
 
 let raw_module sections =
@@ -1994,6 +1994,107 @@ let test_i32_copy_retargeted () =
   | Returned [ VI32 v ], mem -> Alcotest.(check int32) "v = copied word" (Bytes.get_int32_le mem 28) v
   | _ -> Alcotest.fail "expected one i32"
 
+(* Shapes that no profiled module fuses: the peephole has no rule for
+   them, so each producer stays in front of its consumer as a plain op
+   (the address push stays an OMovI before the OStoreI32, a local.set
+   stays an OMovI after its producer), and both tiers agree on results,
+   traps and memory. One function per family; adding a rule for one of
+   them is a deliberate change to this case. *)
+let test_unfused_shapes () =
+  let b = Builder.create () in
+  patterned_memory b;
+  let shapes = ref [] in
+  let shape name ~params ~results ?(locals = []) body keeps calls =
+    let f = Builder.func b ~params ~results ~locals body in
+    Builder.export_func b name f;
+    shapes := (name, f, keeps, calls) :: !shapes
+  in
+  let memarg align offset = { align; offset } in
+  let scaled k rest = [ Builder.i32c (1 lsl k); IBinop (I32, Mul) ] @ rest in
+  let add_16 = [ Builder.i32c 16; IBinop (I32, Add) ] in
+  shape "conversion of a local" ~params:[ I32; I64; F64 ] ~results:[ I64 ]
+    [ LocalGet 0; Cvtop I64ExtendI32S; LocalGet 1; Cvtop I32WrapI64; Cvtop I64ExtendI32U;
+      IBinop (I64, Add); LocalGet 2; Cvtop I64TruncF64S; IBinop (I64, Add) ]
+    [ ("OMovI, OCvt", function Fastinterp.(OMovI (t, _), OCvt (_, _, a)) -> t = a | _ -> false);
+      ("OMovL, OCvt", function Fastinterp.(OMovL (t, _), OCvt (_, _, a)) -> t = a | _ -> false);
+      ("OMovF, OCvt", function Fastinterp.(OMovF (t, _), OCvt (_, _, a)) -> t = a | _ -> false) ]
+    [ [ VI32 (-5l); VI64 0x1_0000_0007L; VF64 3.7 ]; [ VI32 1l; VI64 0L; VF64 Float.nan ] ];
+  shape "address from a local" ~params:[ I32; I32; F64 ] ~results:[ F64 ]
+    [ LocalGet 0; LocalGet 1; Store (I32, None, memarg 2 0); LocalGet 0; LocalGet 2;
+      Store (F64, None, memarg 3 8); LocalGet 0; Load (I32, None, memarg 2 0);
+      Cvtop F64ConvertI32S; LocalGet 0; Load (F64, None, memarg 3 8); FBinop (F64, Fadd) ]
+    [ ("OMovI, OStoreI32", function Fastinterp.(OMovI (t, _), OStoreI32 (_, a, _)) -> t = a | _ -> false);
+      ("OMovI, OStoreF64", function Fastinterp.(OMovI (t, _), OStoreF64 (_, a, _)) -> t = a | _ -> false);
+      ("OMovI, OLoadI32", function Fastinterp.(OMovI (t, _), OLoadI32 (_, _, a)) -> t = a | _ -> false);
+      ("OMovI, OLoadF64", function Fastinterp.(OMovI (t, _), OLoadF64 (_, _, a)) -> t = a | _ -> false) ]
+    [ [ VI32 100l; VI32 (-7l); VF64 2.5 ]; [ VI32 65530l; VI32 1l; VF64 1.0 ] ];
+  shape "scaled store, no base" ~params:[ I32; I32; F64 ] ~results:[]
+    ((LocalGet 0 :: scaled 2 [ LocalGet 1; Store (I32, None, memarg 2 0) ])
+    @ (LocalGet 0 :: scaled 3 [ LocalGet 2; Store (F64, None, memarg 3 0) ]))
+    [ ("OBin3I32 Mul, OStoreI32",
+       function Fastinterp.(OBin3I32 (Mul, t, _, _), OStoreI32 (_, a, _)) -> t = a | _ -> false);
+      ("OBin3I32 Mul, OStoreF64",
+       function Fastinterp.(OBin3I32 (Mul, t, _, _), OStoreF64 (_, a, _)) -> t = a | _ -> false) ]
+    [ [ VI32 3l; VI32 0x12345678l; VF64 1.5 ]; [ VI32 16383l; VI32 9l; VF64 2.0 ];
+      [ VI32 (-1l); VI32 9l; VF64 2.0 ] ];
+  shape "x + (y + c), x a local" ~params:[ I32; I32 ] ~results:[ I32 ]
+    [ LocalGet 0; LocalGet 1; Builder.i32c 5; IBinop (I32, Add); IBinop (I32, Add) ]
+    [ ("OMovI, OMulAdd32", function Fastinterp.(OMovI (t, _), OMulAdd32 (_, x, _, _, _, _)) -> t = x | _ -> false) ]
+    [ [ VI32 7l; VI32 9l ]; [ VI32 Int32.max_int; VI32 1l ] ];
+  shape "eqz before if" ~params:[ I32 ] ~results:[ I32 ]
+    [ LocalGet 0; ITestop I32; If (BlockVal I32, [ Builder.i32c 1 ], [ Builder.i32c 2 ]) ]
+    [ ("OTestI, OBrIfNot", function Fastinterp.(OTestI t, OBrIfNot (c, _)) -> t = c | _ -> false) ]
+    [ [ VI32 0l ]; [ VI32 5l ] ];
+  shape "branch on a local copy" ~params:[ I32 ] ~results:[ I32 ] ~locals:[ I32 ]
+    [ Block (BlockEmpty, [ LocalGet 0; BrIf 0; Builder.i32c 100; LocalSet 1 ]); LocalGet 0;
+      If (BlockVal I32, [ LocalGet 1; Builder.i32c 1; IBinop (I32, Add) ], [ LocalGet 1 ]) ]
+    [ ("OMovI, OBrIf", function Fastinterp.(OMovI (t, _), OBrIf (c, _)) -> t = c | _ -> false);
+      ("OMovI, OBrIfNot", function Fastinterp.(OMovI (t, _), OBrIfNot (c, _)) -> t = c | _ -> false) ]
+    [ [ VI32 0l ]; [ VI32 3l ] ];
+  shape "local.set of i32 producers" ~params:[ I32; I32; I32 ] ~results:[ I32 ]
+    ~locals:[ I32; I32; I32; I32; I32; I32; I32; I32 ]
+    ([ LocalGet 0; LocalGet 1; IBinop (I32, Mul); LocalSet 3; LocalGet 0; LocalGet 1;
+       IBinop (I32, And); LocalSet 4; LocalGet 0; LocalGet 1; IRelop (I32, LtS); LocalSet 5;
+       LocalGet 0; Builder.i32c 5; IRelop (I32, GtU); LocalSet 6; LocalGet 2;
+       Load (I32, None, memarg 2 4); LocalSet 7 ]
+    @ (LocalGet 0 :: scaled 2 add_16) @ [ LocalSet 8 ]
+    @ (LocalGet 1 :: scaled 2 add_16) @ [ Load (I32, None, memarg 2 0); LocalSet 9 ]
+    @ (LocalGet 1 :: scaled 2 [ LocalGet 2; IBinop (I32, Add) ])
+    @ [ Load (I32, None, memarg 2 0); LocalSet 10 ]
+    @ (LocalGet 3 :: List.concat_map (fun l -> [ LocalGet l; IBinop (I32, Add) ]) [ 4; 5; 6; 7; 8; 9; 10 ]))
+    [ ("OMul32, OMovI", function Fastinterp.(OMul32 (t, _, _), OMovI (_, s)) -> t = s | _ -> false);
+      ("OAnd32, OMovI", function Fastinterp.(OAnd32 (t, _, _), OMovI (_, s)) -> t = s | _ -> false);
+      ("OIRel32, OMovI", function Fastinterp.(OIRel32 (_, t, _, _), OMovI (_, s)) -> t = s | _ -> false);
+      ("OIRelI32, OMovI", function Fastinterp.(OIRelI32 (_, t, _, _), OMovI (_, s)) -> t = s | _ -> false);
+      ("OLoadI32, OMovI", function Fastinterp.(OLoadI32 (_, t, _), OMovI (_, s)) -> t = s | _ -> false);
+      ("OScaled, OMovI", function Fastinterp.(OScaled (t, _, _, _), OMovI (_, s)) -> t = s | _ -> false);
+      ("OLoadI32X, OMovI", function Fastinterp.(OLoadI32X (_, _, t, _, _), OMovI (_, s)) -> t = s | _ -> false);
+      ("OLoadI32RX, OMovI", function Fastinterp.(OLoadI32RX (_, t, _, _, _), OMovI (_, s)) -> t = s | _ -> false) ]
+    [ [ VI32 3l; VI32 5l; VI32 100l ]; [ VI32 (-1l); VI32 16380l; VI32 0l ] ];
+  shape "local.set of a conversion" ~params:[ I32; I64 ] ~results:[ F64 ] ~locals:[ F64; F64; I64 ]
+    [ LocalGet 0; Cvtop F64ConvertI32S; LocalSet 2; LocalGet 1; Cvtop F64ConvertI64S; LocalSet 3;
+      LocalGet 0; Cvtop I64ExtendI32S; LocalSet 4; LocalGet 2; LocalGet 3; FBinop (F64, Fadd);
+      LocalGet 4; Cvtop F64ConvertI64S; FBinop (F64, Fadd) ]
+    [ ("OCvtIF, OMovF", function Fastinterp.(OCvtIF (t, _), OMovF (_, s)) -> t = s | _ -> false);
+      ("OCvt, OMovF", function Fastinterp.(OCvt (_, t, _), OMovF (_, s)) -> t = s | _ -> false);
+      ("OCvt, OMovL", function Fastinterp.(OCvt (_, t, _), OMovL (_, s)) -> t = s | _ -> false) ]
+    [ [ VI32 (-3l); VI64 1_000_000_000_000L ] ];
+  shape "i64 local.set of a constant or a move" ~params:[ I64 ] ~results:[ I64 ] ~locals:[ I64; I64 ]
+    [ Const (VI64 0x1234_5678_9abcL); LocalSet 1; LocalGet 0; LocalSet 2; LocalGet 1; LocalGet 2;
+      IBinop (I64, Sub) ]
+    [ ("OConstL, OMovL", function Fastinterp.(OConstL (t, _), OMovL (_, s)) -> t = s | _ -> false);
+      ("OMovL, OMovL", function Fastinterp.(OMovL (t, _), OMovL (_, s)) -> t = s | _ -> false) ]
+    [ [ VI64 5L ] ];
+  let m = Builder.build b in
+  let bodies = (Fastinterp.compile_bytes (Encode.encode m)).Fastinterp.cm_bodies in
+  List.iter
+    (fun (name, f, keeps, calls) ->
+      let code = bodies.(f).Fastinterp.cb_code in
+      let rec adjacent p i = i + 1 < Array.length code && (p (code.(i), code.(i + 1)) || adjacent p (i + 1)) in
+      List.iter (fun (pair, p) -> Alcotest.(check bool) (name ^ ": " ^ pair ^ " stays") true (adjacent p 0)) keeps;
+      List.iter (fun args -> ignore (on_both_tiers m name args)) calls)
+    (List.rev !shapes)
+
 (* i32 or, xor, shl, shr_s and shr_u: operands from locals and from
    constants on either side, and the result retargeted by local.set
    into a fresh local or into an operand. Shift counts of 32 and more
@@ -2235,6 +2336,7 @@ let suite =
         case "f64 multiply-add: locals survive" test_f64_multiply_add_retargeted;
         case "i32 copy: aliasing and bounds" test_i32_copy;
         case "i32 copy: local survives" test_i32_copy_retargeted;
+        case "unprofiled shapes stay unfused" test_unfused_shapes;
         case "i32 bit ops: locals, constants, retargets" test_i32_bit_ops;
         case "counting: a loop costs 3 + 2N" test_counting_loop;
       ] );
