@@ -1063,22 +1063,35 @@ let crypto () =
     (ops "aes_block"
        (fun () -> Watz_crypto.Aes.encrypt_into aes_new block 0 block 0)
        (fun () -> Refcrypto.Aes.encrypt_block aes_old "0123456789abcdef"));
-  (* AES-GCM: T-table AES and table-driven GHASH vs the textbook AES
-     and bitwise GHASH. *)
+  (* AES-GCM: T-table AES and the 8-bit-table GHASH vs the textbook AES
+     and bitwise GHASH, over 64 KiB, and one frame-sized call, which
+     also pays the per-key table build. *)
   let iv = String.make 12 'i' in
   let blob = String.make 65536 'p' in
-  let gn, go =
-    duel_auto
+  let mbs s = float_of_int (String.length blob) /. s /. 1e6 in
+  let throughput name label f_new f_old =
+    let sn, so = duel_auto f_new f_old in
+    Printf.printf "  %-22s %7.1f MB/s %5.1f MB/s %7.2fx\n" label (mbs sn) (mbs so) (so /. sn);
+    Buffer.add_string json
+      (Printf.sprintf "  \"%s\": { \"new_mb_s\": %.1f, \"old_mb_s\": %.1f, \"speedup\": %.2f },\n"
+         name (mbs sn) (mbs so) (so /. sn));
+    so /. sn
+  in
+  let h = String.sub (Watz_crypto.Sha256.digest "ghash subkey") 0 16 in
+  ignore
+    (throughput "ghash_64k" "ghash 64KB"
+       (fun () -> Watz_crypto.Gcm.ghash_bytes ~h [ blob ])
+       (fun () -> Refcrypto.Gcm.ghash_bytes ~h [ blob ]));
+  let gcm_speedup =
+    throughput "gcm_encrypt_64k" "aes-gcm encrypt 64KB"
       (fun () -> Watz_crypto.Gcm.encrypt ~key ~iv blob)
       (fun () -> Refcrypto.Gcm.encrypt ~key ~iv blob)
   in
-  let mbs s = float_of_int (String.length blob) /. s /. 1e6 in
-  Printf.printf "  %-22s %7.1f MB/s %5.1f MB/s %7.2fx\n" "aes-gcm encrypt 64KB" (mbs gn) (mbs go)
-    (go /. gn);
-  Buffer.add_string json
-    (Printf.sprintf
-       "  \"gcm_encrypt_64k\": { \"new_mb_s\": %.1f, \"old_mb_s\": %.1f, \"speedup\": %.2f },\n"
-       (mbs gn) (mbs go) (go /. gn));
+  let frame = String.make 64 'f' in
+  ignore
+    (ops "gcm_encrypt_64b"
+       (fun () -> Watz_crypto.Gcm.encrypt ~key ~iv frame)
+       (fun () -> Refcrypto.Gcm.encrypt ~key ~iv frame));
   (* End-to-end effect: a lossy 64-session storm, wall-clock. *)
   let module Storm = Watz.Storm in
   let sessions = if smoke || quick then 32 else 64 in
@@ -1115,7 +1128,7 @@ let crypto () =
   let below_floor =
     List.filter
       (fun (_, speedup) -> speedup < 5.0)
-      [ ("ecdsa verify", verify_speedup); ("aes-gcm encrypt", go /. gn) ]
+      [ ("ecdsa verify", verify_speedup); ("aes-gcm encrypt", gcm_speedup) ]
   in
   List.iter
     (fun (name, speedup) -> Printf.eprintf "  FAIL: %s speedup %.2fx < 5x target\n" name speedup)

@@ -2,9 +2,12 @@
 
    A column of the state is one big-endian word in the low 32 bits of
    an int, so a round is sixteen table lookups and XORs on four local
-   ints: no array state, no allocation per block. Every table index is
-   a byte taken with [land 0xff], always inside a 256-entry table, so
-   only those lookups skip the bounds check. *)
+   ints: no array state, no allocation per block. Only two kinds of
+   lookup skip the bounds check: a table index is a byte taken with
+   [land 0xff], plus a row offset of 256, 512 or 768 in the 1024-entry
+   T-table, so always inside its table; and the round loop reads
+   schedule words 4 to 4 * rounds - 1 of the 4 * (rounds + 1) that
+   [expand_key] writes. *)
 
 let mask32 = 0xffffffff
 
@@ -34,16 +37,16 @@ let sbox =
       let b = inv.(a) in
       b lxor rotl8 b 1 lxor rotl8 b 2 lxor rotl8 b 3 lxor rotl8 b 4 lxor 0x63)
 
-(* te0.(x) is the MixColumns column (2s, s, s, 3s) of s = S(x), most
-   significant byte first; te1..te3 are it rotated right by 8, 16 and
-   24 bits, one table per row so a round needs no rotations. *)
-let te0, te1, te2, te3 =
+(* te.(x) is the MixColumns column (2s, s, s, 3s) of s = S(x), most
+   significant byte first; te.(256k + x) is it rotated right by 8k
+   bits, one quarter per row so a round needs no rotations. One array
+   keeps the four rows behind one base register. *)
+let te =
   let rotr w n = ((w lsr n) lor (w lsl (32 - n))) land mask32 in
   let t0 =
     Array.map (fun s -> (xtime s lsl 24) lor (s lsl 16) lor (s lsl 8) lor (xtime s lxor s)) sbox
   in
-  (t0, Array.map (fun w -> rotr w 8) t0, Array.map (fun w -> rotr w 16) t0,
-   Array.map (fun w -> rotr w 24) t0)
+  Array.init 1024 (fun i -> rotr t0.(i land 0xff) (8 * (i lsr 8)))
 
 (* rk holds the 4 * (rounds + 1) schedule words. *)
 type key = { rounds : int; rk : int array }
@@ -86,35 +89,39 @@ let expand_key key_bytes =
 
 let load b off = Int32.to_int (Bytes.get_int32_be b off) land mask32
 
-let encrypt_into { rounds; rk } src soff dst doff =
-  let s0 = ref (load src soff lxor rk.(0)) and s1 = ref (load src (soff + 4) lxor rk.(1)) in
-  let s2 = ref (load src (soff + 8) lxor rk.(2)) and s3 = ref (load src (soff + 12) lxor rk.(3)) in
+(* The one round body. The input block arrives as four big-endian
+   words, so a caller that has its block as ints (GCM's counter) needs
+   no bytes; the output is stored big-endian at [dst.[doff]]. *)
+let encrypt_words { rounds; rk } w0 w1 w2 w3 dst doff =
+  let s0 = ref (w0 lxor rk.(0)) and s1 = ref (w1 lxor rk.(1)) in
+  let s2 = ref (w2 lxor rk.(2)) and s3 = ref (w3 lxor rk.(3)) in
   for r = 1 to rounds - 1 do
     let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+    let k = 4 * r in
     s0 :=
-      Array.unsafe_get te0 ((a0 lsr 24) land 0xff)
-      lxor Array.unsafe_get te1 ((a1 lsr 16) land 0xff)
-      lxor Array.unsafe_get te2 ((a2 lsr 8) land 0xff)
-      lxor Array.unsafe_get te3 (a3 land 0xff)
-      lxor rk.(4 * r);
+      Array.unsafe_get te ((a0 lsr 24) land 0xff)
+      lxor Array.unsafe_get te (256 + ((a1 lsr 16) land 0xff))
+      lxor Array.unsafe_get te (512 + ((a2 lsr 8) land 0xff))
+      lxor Array.unsafe_get te (768 + (a3 land 0xff))
+      lxor Array.unsafe_get rk k;
     s1 :=
-      Array.unsafe_get te0 ((a1 lsr 24) land 0xff)
-      lxor Array.unsafe_get te1 ((a2 lsr 16) land 0xff)
-      lxor Array.unsafe_get te2 ((a3 lsr 8) land 0xff)
-      lxor Array.unsafe_get te3 (a0 land 0xff)
-      lxor rk.((4 * r) + 1);
+      Array.unsafe_get te ((a1 lsr 24) land 0xff)
+      lxor Array.unsafe_get te (256 + ((a2 lsr 16) land 0xff))
+      lxor Array.unsafe_get te (512 + ((a3 lsr 8) land 0xff))
+      lxor Array.unsafe_get te (768 + (a0 land 0xff))
+      lxor Array.unsafe_get rk (k + 1);
     s2 :=
-      Array.unsafe_get te0 ((a2 lsr 24) land 0xff)
-      lxor Array.unsafe_get te1 ((a3 lsr 16) land 0xff)
-      lxor Array.unsafe_get te2 ((a0 lsr 8) land 0xff)
-      lxor Array.unsafe_get te3 (a1 land 0xff)
-      lxor rk.((4 * r) + 2);
+      Array.unsafe_get te ((a2 lsr 24) land 0xff)
+      lxor Array.unsafe_get te (256 + ((a3 lsr 16) land 0xff))
+      lxor Array.unsafe_get te (512 + ((a0 lsr 8) land 0xff))
+      lxor Array.unsafe_get te (768 + (a1 land 0xff))
+      lxor Array.unsafe_get rk (k + 2);
     s3 :=
-      Array.unsafe_get te0 ((a3 lsr 24) land 0xff)
-      lxor Array.unsafe_get te1 ((a0 lsr 16) land 0xff)
-      lxor Array.unsafe_get te2 ((a1 lsr 8) land 0xff)
-      lxor Array.unsafe_get te3 (a2 land 0xff)
-      lxor rk.((4 * r) + 3)
+      Array.unsafe_get te ((a3 lsr 24) land 0xff)
+      lxor Array.unsafe_get te (256 + ((a0 lsr 16) land 0xff))
+      lxor Array.unsafe_get te (512 + ((a1 lsr 8) land 0xff))
+      lxor Array.unsafe_get te (768 + (a2 land 0xff))
+      lxor Array.unsafe_get rk (k + 3)
   done;
   (* The last round has no MixColumns: plain S-box bytes. *)
   let last a b c d k =
@@ -132,3 +139,7 @@ let encrypt_into { rounds; rk } src soff dst doff =
   Bytes.set_int32_be dst (doff + 4) (Int32.of_int o1);
   Bytes.set_int32_be dst (doff + 8) (Int32.of_int o2);
   Bytes.set_int32_be dst (doff + 12) (Int32.of_int o3)
+
+let encrypt_into key src soff dst doff =
+  encrypt_words key (load src soff) (load src (soff + 4)) (load src (soff + 8))
+    (load src (soff + 12)) dst doff

@@ -1,13 +1,17 @@
 (** AES-GCM authenticated encryption (NIST SP 800-38D).
 
     WaTZ uses AES-GCM-128 to protect the secret blob of msg3 in the
-    remote-attestation protocol. The CTR keystream comes from
-    {!Aes.encrypt_into}, one block at a time into a per-call 16-byte
-    scratch, XORed into a single output buffer; GHASH runs on a per-key
-    4-bit table (Shoup's method) over unboxed 32-bit words. Neither
-    allocates per block, so a call's minor allocation does not grow
-    with the message: only the output buffer does. Like {!Aes}, it is
-    not cache-timing safe. *)
+    remote-attestation protocol. CTR hands each counter block to
+    {!Aes.encrypt_words} as four ints, which writes the keystream
+    straight into the single output buffer, where the input is XORed
+    in. GHASH runs on an 8-bit table (Shoup's method) of the 256 byte
+    multiples of the hash subkey, over unboxed 32-bit words: 16 steps
+    per block. The 8 KiB table lives in one per-domain array and is
+    rebuilt in place for each call's key, so no call allocates it.
+    Neither half allocates per block, so a call's minor allocation does
+    not grow with the message: only the output buffer does. Like
+    {!Aes}, it is not cache-timing safe: GHASH reads its table at
+    data-dependent indices. *)
 
 val encrypt :
   key:string -> iv:string -> ?aad:string -> string -> string * string

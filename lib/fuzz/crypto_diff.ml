@@ -14,8 +14,9 @@
     - ECDH with a peer point freshly decoded from a seeded encoding,
       against the x-coordinate of the reference [P256.mul], and the
       decode verdict of both stacks on a one-byte-corrupted encoding;
-    - GHASH on random subkeys and part lists (the table-driven path vs
-      the shift-and-add reference);
+    - GHASH on part lists under random subkeys and, half the time, a
+      subkey from {!ghash_edge_subkeys} (the table-driven path vs the
+      shift-and-add reference);
     - AES-GCM encrypt bit-identity, decrypt roundtrip, and
       tag-corruption rejection;
     - the T-table AES against the frozen textbook cipher: one block
@@ -163,8 +164,18 @@ let check_ecdh rng =
           (Printf.sprintf "p256 decode verdict diverges on %s (fast=%b ref=%b)" (hex bad) v_fast v_ref)
     end)
 
+(* Hash subkeys at the corners of the GHASH table: zero (every entry
+   zero), x^0 alone (entry 0x80 is H itself), x^127 alone (the first
+   halving already folds a bit back through 0xE1) and all ones. *)
+let ghash_edge_subkeys =
+  [| String.make 16 '\000'; "\x80" ^ String.make 15 '\000'; String.make 15 '\000' ^ "\x01";
+     String.make 16 '\xff' |]
+
 let check_ghash rng =
-  let h = Prng.bytes rng 16 in
+  let h =
+    if Prng.bool rng then ghash_edge_subkeys.(Prng.int rng (Array.length ghash_edge_subkeys))
+    else Prng.bytes rng 16
+  in
   let parts = List.init (Prng.int rng 5) (fun _ -> Prng.bytes rng (Prng.int rng 70)) in
   let fast = C.Gcm.ghash_bytes ~h parts in
   let ref_ = R.Gcm.ghash_bytes ~h parts in

@@ -229,7 +229,8 @@ let gcm_vectors () =
   let ct, tag = Gcm.encrypt ~key:key0 ~iv:iv0 (String.make 16 '\000') in
   check_hex "case2 ct" "0388dace60b6a392f328c2b971b2fe78" ct;
   check_hex "case2 tag" "ab6e47d42cec13bdf53a67b21257bddf" tag;
-  (* NIST test case 3: 64-byte plaintext with a non-zero key/IV. *)
+  (* NIST test case 4: 60-byte plaintext and 20-byte AAD under a
+     non-zero key and 96-bit IV. *)
   let key = hex "feffe9928665731c6d6a8f9467308308" in
   let iv = hex "cafebabefacedbaddecaf888" in
   let pt =
@@ -241,7 +242,27 @@ let gcm_vectors () =
   check_hex "case4 ct"
     "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091"
     ct;
-  check_hex "case4 tag" "5bc94fbc3221a5db94fae95ae7121a47" tag
+  check_hex "case4 tag" "5bc94fbc3221a5db94fae95ae7121a47" tag;
+  (* Cases 5 and 6 take case 4's plaintext and AAD under 64- and
+     480-bit IVs, so J0 is the GHASH of the IV; case 16 repeats case 4
+     under the 256-bit key K || K. *)
+  List.iter
+    (fun (name, key, iv, ct_hex, tag_hex) ->
+      let ct, tag = Gcm.encrypt ~key ~iv:(hex iv) ~aad pt in
+      check_hex (name ^ " ct") ct_hex ct;
+      check_hex (name ^ " tag") tag_hex tag)
+    [
+      ( "case5", key, "cafebabefacedbad",
+        "61353b4c2806934a777ff51fa22a4755699b2a714fcdc6f83766e5f97b6c742373806900e49f24b22b097544d4896b424989b5e1ebac0f07c23f4598",
+        "3612d2e79e3b0785561be14aaca2fccb" );
+      ( "case6", key,
+        "9313225df88406e555909c5aff5269aa6a7a9538534f7da1e4c303d2a318a728c3c0c95156809539fcf0e2429a6b525416aedbf5a0de6a57a637b39b",
+        "8ce24998625615b603a033aca13fb894be9112a5c3a211a8ba262a3cca7e2ca701e4a9a4fba43c90ccdcb281d48c7c6fd62875d2aca417034c34aee5",
+        "619cc5aefffe0bfa462af43c1699d050" );
+      ( "case16", key ^ key, "cafebabefacedbaddecaf888",
+        "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662",
+        "76fc6ece0f4e1768cddf8853bb2d551b" );
+    ]
 
 let gcm_roundtrip_and_tamper () =
   let key = hex "000102030405060708090a0b0c0d0e0f" in
@@ -721,11 +742,53 @@ let ecdsa_edge_cases () =
   Alcotest.(check bool) "infinity pubkey rejected" false
     (Ecdsa.verify_digest P256.infinity ~digest ~signature)
 
+(* Half the subkeys come from the corners of the byte table, and half
+   the part lengths sit at a block or table-row boundary. *)
 let qcheck_ghash_matches_ref =
+  let subkey =
+    QCheck.Gen.(
+      oneof [ oneofa Watz_fuzz.Crypto_diff.ghash_edge_subkeys; string_size (return 16) ])
+  in
+  let part_len = QCheck.Gen.(oneof [ int_range 0 60; oneofl [ 0; 1; 15; 16; 17; 255; 256; 257 ] ]) in
   QCheck.Test.make ~name:"gcm: table-driven ghash = pre-PR bitwise ghash" ~count:100
-    QCheck.(pair (string_of_size (Gen.return 16)) (list_of_size (Gen.int_range 0 4) (string_of_size (Gen.int_range 0 60))))
+    (QCheck.make
+       ~print:QCheck.Print.(pair hex_of (list hex_of))
+       QCheck.Gen.(pair subkey (list_size (int_range 0 4) (string_size part_len))))
     (fun (h, parts) ->
       String.equal (Gcm.ghash_bytes ~h parts) (Refcrypto.Gcm.ghash_bytes ~h parts))
+
+let ghash_128k () =
+  let h = hex "66e94bd4ef8a2c3b884cfa59ca342b2e" in
+  let parts = [ "hdr"; pattern 131072 ] in
+  check_hex "128 KiB after a 3-byte part"
+    (hex_of (Refcrypto.Gcm.ghash_bytes ~h parts))
+    (Gcm.ghash_bytes ~h parts)
+
+(* Every domain fills its own GHASH table for each key. Two domains
+   encrypting under different keys at the same time must each get the
+   reference result: with one table between them, a table rebuilt for
+   one key would be read by the other domain's hashing. *)
+let gcm_two_domains () =
+  let iv = pattern 12 and ready = Atomic.make 0 in
+  let spawn key lengths rounds =
+    let cases =
+      List.map (fun n -> (pattern n, Refcrypto.Gcm.encrypt ~key ~iv (pattern n))) lengths
+    in
+    Domain.spawn (fun () ->
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        let wrong = ref 0 in
+        for _ = 1 to rounds do
+          List.iter (fun (pt, expected) -> if Gcm.encrypt ~key ~iv pt <> expected then incr wrong) cases
+        done;
+        !wrong)
+  in
+  let large = spawn (pattern 16) [ 131072; 31; 1000 ] 4 in
+  let small = spawn (String.make 32 'k') [ 64; 0; 17; 4096; 255 ] 200 in
+  Alcotest.(check int) "AES-128, 128 KiB: results unlike Refcrypto" 0 (Domain.join large);
+  Alcotest.(check int) "AES-256, frames: results unlike Refcrypto" 0 (Domain.join small)
 
 let qcheck_gcm_matches_ref =
   QCheck.Test.make ~name:"gcm: encrypt = pre-PR encrypt" ~count:50
@@ -739,8 +802,12 @@ let qcheck_gcm_matches_ref =
 
 (* A block costs no allocation, so a GCM call allocates the same words
    whatever its length: the output buffers of both sizes go straight to
-   the major heap, and what is left is the per-call key schedule, hash
-   table and scratch. *)
+   the major heap, and what is left is the per-call key schedule,
+   blocks and results. A 64-byte call allocates exactly 83 words: the
+   key schedule 48 (its record 3, its 44 words 45), H 4, J0 5, the
+   (key, table, J0) triple 4, the ciphertext 10, the GHASH accumulator
+   5, the tag 4 and the (ciphertext, tag) pair 3. The 8 KiB hash table
+   is per-domain scratch, refilled in place, and not among them. *)
 let aes_gcm_allocation_law () =
   let minor_words f =
     let w0 = Gc.minor_words () in
@@ -754,9 +821,18 @@ let aes_gcm_allocation_law () =
          for _ = 1 to 10_000 do
            Aes.encrypt_into k b 0 b 0
          done));
+  let out = Bytes.create 128 in
+  Alcotest.(check int) "10,000 CTR blocks" 0
+    (minor_words (fun () ->
+         for i = 0 to 9_999 do
+           Aes.encrypt_words k 0x01020304 0x05060708 0x090a0b0c i out (16 * (i land 7))
+         done));
   let key = pattern 16 and iv = pattern 12 in
-  let gcm len = minor_words (fun () -> ignore (Gcm.encrypt ~key ~iv (String.make len 'p'))) in
-  Alcotest.(check int) "gcm encrypt: 16 KiB and 128 KiB" (gcm 16384) (gcm 131072)
+  let gcm pt = minor_words (fun () -> ignore (Gcm.encrypt ~key ~iv pt)) in
+  let frame = pattern 64 and medium = pattern 16384 and large = pattern 131072 in
+  ignore (gcm frame);
+  Alcotest.(check int) "gcm encrypt: 64 bytes" 83 (gcm frame);
+  Alcotest.(check int) "gcm encrypt: 16 KiB and 128 KiB" (gcm medium) (gcm large)
 
 let sha256_allocation_law () =
   (* A digest allocates its result, never anything per block: the round
@@ -902,7 +978,9 @@ let suite =
         q qcheck_ecdsa_sign_matches_ref;
         case "ecdsa edge cases" ecdsa_edge_cases;
         q qcheck_ghash_matches_ref;
+        case "ghash 128 KiB" ghash_128k;
         q qcheck_gcm_matches_ref;
+        case "gcm in two domains at once" gcm_two_domains;
         case "mac prepared = one-shot" mac_prepared_equivalence;
         case "p256 cached encoding stable" p256_encode_cached_stable;
         case "aes/gcm allocation law" aes_gcm_allocation_law;
