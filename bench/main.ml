@@ -1054,6 +1054,41 @@ let crypto () =
     (ops "ecdh_point_mul"
        (fun () -> Watz_crypto.P256.mul scalar Watz_crypto.P256.base)
        (fun () -> Refcrypto.P256.mul scalar Refcrypto.P256.base));
+  (* What a handshake's ECDH runs: decode the peer's 65 bytes, then the
+     shared secret on that fresh point, its window table included. *)
+  let peer =
+    Watz_crypto.P256.encode
+      (Watz_crypto.P256.base_mul (Watz_crypto.Bn.of_bytes_be (Watz_crypto.Sha256.digest "ecdh peer")))
+  in
+  ignore
+    (ops "ecdh_shared_fresh"
+       (fun () ->
+         match Watz_crypto.P256.decode peer with
+         | Some q -> Watz_crypto.Ecdh.shared_secret ~priv:scalar ~peer:q
+         | None -> failwith "crypto bench: peer does not decode")
+       (fun () ->
+         match Refcrypto.P256.of_bytes peer with
+         | Some q ->
+           Option.map
+             (fun (x, _) -> Watz_crypto.Bn.to_bytes_be ~len:32 x)
+             (Refcrypto.P256.to_affine (Refcrypto.P256.mul scalar q))
+         | None -> failwith "crypto bench: old decode of peer failed"));
+  (* One product and one squaring mod p: the shift-reducing Montgomery
+     pair against the Barrett ring. *)
+  let fp = Watz_crypto.P256.field_ring in
+  let gr = Modring.create (Watz_crypto.Fe256.modulus fp) in
+  let operand label = Modring.reduce gr (Watz_crypto.Bn.of_bytes_be (Watz_crypto.Sha256.digest label)) in
+  let ga = operand "field a" and gb = operand "field b" in
+  let fa = Watz_crypto.Fe256.of_bn fp ga and fb = Watz_crypto.Fe256.of_bn fp gb in
+  let fd = Watz_crypto.Fe256.zero fp in
+  ignore
+    (ops "p256_field_mul"
+       (fun () -> Watz_crypto.Fe256.mul_into fp fd fa fb)
+       (fun () -> Modring.mul gr ga gb));
+  ignore
+    (ops "p256_field_sqr"
+       (fun () -> Watz_crypto.Fe256.sqr_into fp fd fa)
+       (fun () -> Modring.sqr gr ga));
   let keys = Watz_crypto.Kdf.session_of_shared (Watz_crypto.Sha256.digest "s") in
   let key = keys.Watz_crypto.Kdf.k_e in
   (* One AES-128 block: T-tables in place vs the textbook cipher. *)

@@ -4,15 +4,18 @@
     now only in the reference crypto of [lib/crypto/ref]) in the P-256
     hot loops: 9 limbs of 29 bits in native ints, a straight-line
     Montgomery product, and Fermat inversion. One {!ring} instance each
-    backs the P-256 field (mod p) and scalar ring (mod n).
+    backs the P-256 field (mod p) and scalar ring (mod n). {!create}
+    gives the ring mod p its own product and squaring, which reduce by
+    p's shape with shifts; every other modulus gets the generic
+    product, and squares with it. Both products give the same limbs.
 
     The arithmetic is destination-passing and allocates nothing:
     [op_into r dst a b] overwrites [dst], which may be [a], [b] or both.
-    Only the constructors ({!zero}, {!one}, {!of_bn}) and {!to_bn}
-    allocate. Elements are tied to the ring they were created with;
-    mixing rings is a caller bug and silently computes garbage. All
-    values stay fully reduced, so {!equal}/{!is_zero} are plain
-    representation comparisons. *)
+    Only the constructors ({!zero}, {!one}, {!of_bn}, {!of_bytes}),
+    {!to_bn} and {!to_bytes} allocate. Elements are tied to the ring
+    they were created with; mixing rings is a caller bug and silently
+    computes garbage. All values stay fully reduced, so
+    {!equal}/{!is_zero} are plain representation comparisons. *)
 
 type t
 (** A mutable ring element, internally in Montgomery form. *)
@@ -36,6 +39,15 @@ val of_bn : ring -> Bn.t -> t
     accepted. *)
 
 val to_bn : ring -> t -> Bn.t
+
+val of_bytes : ring -> string -> int -> t option
+(** [of_bytes r s off] is a fresh element holding the 32 big-endian
+    bytes at [s.[off]], or [None] if their value is not below the
+    modulus. *)
+
+val to_bytes : ring -> Bytes.t -> int -> t -> unit
+(** [to_bytes r b off a] writes [a] as 32 big-endian bytes at
+    [b.[off]]. *)
 
 val mul_into : ring -> t -> t -> t -> unit
 (** [mul_into r dst a b] sets [dst] to [a * b]. *)

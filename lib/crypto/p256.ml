@@ -483,17 +483,17 @@ let comb_double_mul ws u1 u2 qc =
     end
   done
 
-(* Measured with OCaml 5.1 on a 2-vCPU Xeon VM: a comb costs 3.5-4.1 ms
-   to build (its two flat arrays, 42k words, go straight to the major
-   heap), and each ECDSA verify on it takes 0.28-0.32 ms against
-   0.59-0.76 ms on the window ladder, a saving of 0.29-0.48 ms; both
-   paths allocate ~2.8k words per verify. So a comb pays for itself
-   after 7 to 13 uses. The threshold sits at the low end of that range
-   because the keys that pass it (endorsed attestation keys, a pinned
-   verifier identity, a board's vendor key) keep verifying for the rest
-   of the run, while a key decoded for one handshake never gets near
-   it. *)
-let comb_threshold = 8
+(* Measured with OCaml 5.1 on a 2-vCPU Xeon VM, quartiles over 40 fresh
+   keys: a comb costs 2.35-2.75 ms to build (its two flat arrays, 42k
+   words, go straight to the major heap), and each ECDSA verify on it
+   takes 0.18-0.19 ms against 0.36-0.37 ms on the window ladder, a
+   saving of 0.17-0.19 ms; both paths allocate ~2.8k words per verify.
+   So a comb pays for itself after 12 to 16 uses. The threshold sits at
+   the low end of that range because the keys that pass it (endorsed
+   attestation keys, a pinned verifier identity, a board's vendor key)
+   keep verifying for the rest of the run, while a key decoded for one
+   handshake never gets near it. *)
+let comb_threshold = 12
 
 let double_mul u1 u2 q =
   if is_infinity q then base_mul u1
@@ -534,31 +534,28 @@ let equal p1 p2 =
 let encode pt =
   match pt.enc with
   | Some s -> s
-  | None -> (
-    match to_affine pt with
-    | None -> invalid_arg "P256.encode: point at infinity"
-    | Some (x, y) ->
-      let s = "\x04" ^ Bn.to_bytes_be ~len:32 x ^ Bn.to_bytes_be ~len:32 y in
+  | None ->
+      if is_infinity pt then invalid_arg "P256.encode: point at infinity";
+      let ws = Domain.DLS.get workspace in
+      affine_of ws pt;
+      let b = Bytes.create 65 in
+      Bytes.set b 0 '\x04';
+      Fe.to_bytes fp b 1 ws.px;
+      Fe.to_bytes fp b 33 ws.py;
+      let s = Bytes.unsafe_to_string b in
       pt.enc <- Some s;
-      s)
+      s
 
 let decode s =
   if String.length s <> 65 || s.[0] <> '\x04' then None
-  else begin
-    let x = Bn.of_bytes_be (String.sub s 1 32) in
-    let y = Bn.of_bytes_be (String.sub s 33 32) in
-    if Bn.compare x p >= 0 || Bn.compare y p >= 0 then None
-    else begin
-      let fx = Fe.of_bn fp x and fy = Fe.of_bn fp y in
-      if on_curve_fe (Domain.DLS.get workspace) fx fy then begin
+  else
+    match (Fe.of_bytes fp s 1, Fe.of_bytes fp s 33) with
+    | Some fx, Some fy when on_curve_fe (Domain.DLS.get workspace) fx fy ->
         (* a decoded point re-encodes to its own input for free *)
         let pt = jac fx fy (Fe.one fp) in
         pt.enc <- Some s;
         Some pt
-      end
-      else None
-    end
-  end
+    | _ -> None
 
 (* Force the one-time lazy tables (the fixed-base comb) so a server's
    first session does not pay their construction inside its latency. *)

@@ -59,7 +59,7 @@ val double_mul : Bn.t -> Bn.t -> point -> point
 val comb_threshold : int
 (** The number of window-ladder {!double_mul} calls a point makes
     before it moves to its comb. A constant, not a setting: a comb
-    pays for itself after 7 to 13 uses, which long-lived keys reach
+    pays for itself after 12 to 16 uses, which long-lived keys reach
     and keys decoded for a single handshake never do. *)
 
 val prepare : point -> unit

@@ -347,7 +347,28 @@ let p256_encode_roundtrip () =
 let p256_decode_rejects () =
   Alcotest.(check bool) "short" true (P256.decode "\x04abc" = None);
   let bogus = "\x04" ^ String.make 64 '\x01' in
-  Alcotest.(check bool) "off-curve" true (P256.decode bogus = None)
+  Alcotest.(check bool) "off-curve" true (P256.decode bogus = None);
+  (* The curve point with the smallest x, found as y = t^((p+1)/4) for
+     the first square t = x^3 - 3x + b (p = 3 mod 4). Its x is tiny, so
+     x + p still fits 32 bytes: that encoding names the same point mod
+     p, and only the range check rejects it. *)
+  let p = Fe256.modulus P256.field_ring in
+  let gr = Modring.create p in
+  let b = Bn.of_hex "5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b" in
+  let rec point x =
+    let bx = Bn.of_int x in
+    let cube_plus_b = Bn.add (Bn.mul bx (Bn.mul bx bx)) (Bn.add b p) in
+    let t = Modring.reduce gr (Bn.sub cube_plus_b (Bn.mul (Bn.of_int 3) bx)) in
+    let y = Modring.pow gr t (Bn.shift_right (Bn.add p Bn.one) 2) in
+    if Bn.equal (Modring.sqr gr y) t then (bx, y) else point (x + 1)
+  in
+  let x, y = point 0 in
+  let enc x = "\x04" ^ Bn.to_bytes_be ~len:32 x ^ Bn.to_bytes_be ~len:32 y in
+  Alcotest.(check bool) "canonical x decodes" true (Option.is_some (P256.decode (enc x)));
+  Alcotest.(check bool) "x + p rejected" true (P256.decode (enc (Bn.add x p)) = None);
+  Alcotest.(check bool) "x + p rejected by Refcrypto" true
+    (Refcrypto.P256.of_bytes (enc (Bn.add x p)) = None);
+  Alcotest.(check bool) "x = p rejected" true (P256.decode (enc p) = None)
 
 let qcheck_p256_distributive =
   let scalar =
@@ -676,6 +697,81 @@ let qcheck_fe256_matches_modring =
           && unop Fe256.inv_into (if Bn.is_zero ga then Bn.zero else Modring.inv_prime gr ga))
         rings)
 
+(* The field product's law on raw limbs, at a fixed seed: operands are
+   written with [Fe256.load], results read with [Fe256.store], and the
+   oracle is a * b * 2^-261 mod m from [Bn] and [Modring] alone, so no
+   side goes through [of_bn] or [to_bn], which run the product
+   themselves. Limbs are 0, 1, 2^28, 2^29 - 1 or random (the top limb
+   cut to 24 bits), redrawn until the value is below m; m - 1, m - 2
+   and every limb at its largest below m come first. Mod p this is the
+   shift-reducing product and squaring, mod n the generic product. *)
+let fe256_raw_limb_law () =
+  let prng = Watz_util.Prng.create 0x29L in
+  let beta = Bn.shift_left Bn.one 29 in
+  let value l = Array.fold_right (fun x acc -> Bn.add (Bn.shift_left acc 29) (Bn.of_int x)) l Bn.zero in
+  let limbs v = Array.init 9 (fun i -> Bn.to_int (Bn.mod_ (Bn.shift_right v (29 * i)) beta)) in
+  let pick () =
+    match Watz_util.Prng.int prng 5 with
+    | 0 -> 0
+    | 1 -> 1
+    | 2 -> 1 lsl 28
+    | 3 -> (1 lsl 29) - 1
+    | _ -> Watz_util.Prng.int prng (1 lsl 29)
+  in
+  let rec draw m =
+    let l = Array.init 9 (fun i -> if i = 8 then pick () land ((1 lsl 24) - 1) else pick ()) in
+    if Bn.compare (value l) m < 0 then l else draw m
+  in
+  let show l = String.concat "; " (Array.to_list (Array.map string_of_int l)) in
+  List.iter
+    (fun fr ->
+      let m = Fe256.modulus fr in
+      let gr = Modring.create m in
+      let r_inv = Modring.inv_prime gr (Modring.reduce gr (Bn.shift_left Bn.one 261)) in
+      let oracle la lb = limbs (Modring.mul gr (Modring.mul gr (value la) (value lb)) r_inv) in
+      let all_max = Array.init 9 (fun i -> if i = 8 then (1 lsl 24) - 2 else (1 lsl 29) - 1) in
+      let operands =
+        [ limbs (Bn.sub m Bn.one); limbs (Bn.sub m (Bn.of_int 2)); all_max ]
+        @ List.init 37 (fun _ -> draw m)
+      in
+      let elt l =
+        let e = Fe256.zero fr in
+        Fe256.load e l 0;
+        e
+      in
+      let check what la lb expected e =
+        let got = Array.make 9 0 in
+        Fe256.store got 0 e;
+        if got <> expected then
+          Alcotest.failf "mod %s, %s of [%s] and [%s]: [%s], expected [%s]" (Bn.to_hex m) what
+            (show la) (show lb) (show got) (show expected)
+      in
+      List.iter
+        (fun la ->
+          let aa = oracle la la in
+          let d = Fe256.zero fr and a = elt la in
+          Fe256.sqr_into fr d a;
+          check "sqr_into" la la aa d;
+          Fe256.sqr_into fr a a;
+          check "sqr_into aliased" la la aa a;
+          let a = elt la in
+          Fe256.mul_into fr a a a;
+          check "mul_into a a, aliased" la la aa a;
+          List.iter
+            (fun lb ->
+              let ab = oracle la lb in
+              let d = Fe256.zero fr and a = elt la and b = elt lb in
+              Fe256.mul_into fr d a b;
+              check "mul_into" la lb ab d;
+              Fe256.mul_into fr a a b;
+              check "mul_into into a" la lb ab a;
+              let a = elt la in
+              Fe256.mul_into fr b a b;
+              check "mul_into into b" la lb ab b)
+            operands)
+        operands)
+    [ P256.field_ring; P256.scalar_ring ]
+
 let affine_eq_ref p_new p_old =
   match (P256.to_affine p_new, Refcrypto.P256.to_affine p_old) with
   | None, None -> true
@@ -857,6 +953,34 @@ let sha256_allocation_law () =
         (minor_words (fun () -> Sha256.update_bytes ctx b 0 len)))
     [ 0; 1; 64 ]
 
+(* A point crosses the byte boundary as limbs. A decode allocates 46
+   words: per coordinate its 10-word limbs and their [Some] (2), then
+   Z = 1 (10), the point (8), the [Some] of its cached encoding (2) and
+   the result's [Some] (2). A fresh encode allocates 32: its 65 bytes
+   (10), one 10-word temporary per coordinate that takes it out of
+   Montgomery form, and the [Some] of the cache (2). The field products
+   allocate nothing. *)
+let p256_allocation_law () =
+  let minor_words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    int_of_float (Gc.minor_words () -. w0)
+  in
+  let enc = P256.encode (P256.base_mul (Bn.of_int 0x5eed)) in
+  ignore (P256.decode enc);
+  Alcotest.(check int) "decode" 46 (minor_words (fun () -> ignore (P256.decode enc)));
+  let fresh = P256.base_mul (Bn.of_int 0x5eee) in
+  Alcotest.(check int) "fresh encode" 32 (minor_words (fun () -> ignore (P256.encode fresh)));
+  Alcotest.(check int) "cached encode" 0 (minor_words (fun () -> ignore (P256.encode fresh)));
+  let fp = P256.field_ring in
+  let a = Fe256.one fp and b = Fe256.of_bn fp (Bn.of_int 7) in
+  Alcotest.(check int) "10,000 field products and squarings" 0
+    (minor_words (fun () ->
+         for _ = 1 to 10_000 do
+           Fe256.mul_into fp a a b;
+           Fe256.sqr_into fp b b
+         done))
+
 let mac_prepared_equivalence () =
   (* Prepared-key paths (reused SHA contexts / expanded AES subkeys)
      must match the one-shot derivations for every key-length shape. *)
@@ -985,5 +1109,7 @@ let suite =
         case "p256 cached encoding stable" p256_encode_cached_stable;
         case "aes/gcm allocation law" aes_gcm_allocation_law;
         case "sha256 allocation law" sha256_allocation_law;
+        case "p256 allocation law" p256_allocation_law;
+        case "fe256 raw-limb law" fe256_raw_limb_law;
       ] );
   ]
