@@ -25,15 +25,6 @@ let quick = Array.exists (fun a -> a = "--quick") Sys.argv
 let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv
 let json_out = Array.exists (fun a -> a = "--json") Sys.argv
 
-(* Free-form annotation for the [record] target (--reason "..."). *)
-let reason =
-  let rec find = function
-    | "--reason" :: v :: _ -> Some v
-    | _ :: rest -> find rest
-    | [] -> None
-  in
-  find (Array.to_list Sys.argv)
-
 let booted seed =
   let soc = Soc.manufacture ~seed () in
   (match Soc.boot soc with Ok _ -> () | Error _ -> failwith "boot failed");
@@ -1020,11 +1011,12 @@ let crypto () =
            len (mbs sn) (mbs so) (so /. sn)))
     [ ("64B", 64); ("1KB", 1024); ("8KB", 8192); ("64KB", 65536) ];
   Buffer.add_string json "\n  ],\n";
-  (* Asymmetric ops. The old signer/verifier take raw Bn scalars; feed
-     both sides the same key material so the work is identical. *)
+  (* Asymmetric ops. The old signer/verifier take Bn scalars, the new
+     ones 32 bytes; feed both sides the same key material so the work is
+     identical. *)
   let priv, pub = Watz_crypto.Ecdsa.keypair_of_seed "bench-crypto" in
   Watz_crypto.P256.prepare pub;
-  let priv_bn = Watz_crypto.Bn.of_bytes_be (Watz_crypto.Ecdsa.private_to_bytes priv) in
+  let priv_bn = Bn.of_bytes_be (Watz_crypto.Ecdsa.private_to_bytes priv) in
   let pub_old =
     match Refcrypto.P256.of_bytes (Watz_crypto.P256.encode pub) with
     | Some p -> p
@@ -1032,7 +1024,8 @@ let crypto () =
   in
   let digest = Watz_crypto.Sha256.digest "crypto bench message" in
   let signature = Watz_crypto.Ecdsa.sign_digest priv digest in
-  let scalar = Watz_crypto.Bn.of_bytes_be (Watz_crypto.Sha256.digest "ecdh scalar") in
+  let scalar = Watz_crypto.Sha256.digest "ecdh scalar" in
+  let scalar_bn = Bn.of_bytes_be scalar in
   let ops name f_new f_old =
     let sn, so = duel_auto f_new f_old in
     Printf.printf "  %-22s %8.0f /s %8.1f /s %7.2fx\n" name (1.0 /. sn) (1.0 /. so) (so /. sn);
@@ -1053,33 +1046,35 @@ let crypto () =
   ignore
     (ops "ecdh_point_mul"
        (fun () -> Watz_crypto.P256.mul scalar Watz_crypto.P256.base)
-       (fun () -> Refcrypto.P256.mul scalar Refcrypto.P256.base));
+       (fun () -> Refcrypto.P256.mul scalar_bn Refcrypto.P256.base));
   (* What a handshake's ECDH runs: decode the peer's 65 bytes, then the
      shared secret on that fresh point, its window table included. *)
   let peer =
-    Watz_crypto.P256.encode
-      (Watz_crypto.P256.base_mul (Watz_crypto.Bn.of_bytes_be (Watz_crypto.Sha256.digest "ecdh peer")))
+    Watz_crypto.P256.encode (Watz_crypto.P256.base_mul (Watz_crypto.Sha256.digest "ecdh peer"))
   in
+  (* [scalar] is below n, so [generate] takes it as drawn *)
+  let ecdh_priv = (Watz_crypto.Ecdh.generate ~random:(fun _ -> scalar)).Watz_crypto.Ecdh.priv in
   ignore
     (ops "ecdh_shared_fresh"
        (fun () ->
          match Watz_crypto.P256.decode peer with
-         | Some q -> Watz_crypto.Ecdh.shared_secret ~priv:scalar ~peer:q
+         | Some q -> Watz_crypto.Ecdh.shared_secret ~priv:ecdh_priv ~peer:q
          | None -> failwith "crypto bench: peer does not decode")
        (fun () ->
          match Refcrypto.P256.of_bytes peer with
          | Some q ->
            Option.map
-             (fun (x, _) -> Watz_crypto.Bn.to_bytes_be ~len:32 x)
-             (Refcrypto.P256.to_affine (Refcrypto.P256.mul scalar q))
+             (fun (x, _) -> Bn.to_bytes_be ~len:32 x)
+             (Refcrypto.P256.to_affine (Refcrypto.P256.mul scalar_bn q))
          | None -> failwith "crypto bench: old decode of peer failed"));
   (* One product and one squaring mod p: the shift-reducing Montgomery
      pair against the Barrett ring. *)
   let fp = Watz_crypto.P256.field_ring in
-  let gr = Modring.create (Watz_crypto.Fe256.modulus fp) in
-  let operand label = Modring.reduce gr (Watz_crypto.Bn.of_bytes_be (Watz_crypto.Sha256.digest label)) in
+  let gr = Modring.create (Bn.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff") in
+  let operand label = Modring.reduce gr (Bn.of_bytes_be (Watz_crypto.Sha256.digest label)) in
   let ga = operand "field a" and gb = operand "field b" in
-  let fa = Watz_crypto.Fe256.of_bn fp ga and fb = Watz_crypto.Fe256.of_bn fp gb in
+  let fe v = Option.get (Watz_crypto.Fe256.of_bytes fp (Bn.to_bytes_be ~len:32 v) 0) in
+  let fa = fe ga and fb = fe gb in
   let fd = Watz_crypto.Fe256.zero fp in
   ignore
     (ops "p256_field_mul"
@@ -1170,64 +1165,6 @@ let crypto () =
     below_floor;
   if below_floor <> [] then exit 1
 
-(* ------------------------------------------------------------------ *)
-(* `bench record`: append the BENCH_*.json artifacts sitting in the
-   working directory to bench/history.yaml, stamped with the current
-   commit and an operator-supplied --reason, so scaling numbers stay
-   comparable across commits instead of being overwritten in place. *)
-
-let record () =
-  section "record - append BENCH_*.json artifacts to bench/history.yaml";
-  let commit =
-    try
-      let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-      let line = try input_line ic with End_of_file -> "unknown" in
-      match Unix.close_process_in ic with Unix.WEXITED 0 -> line | _ -> "unknown"
-    with _ -> "unknown"
-  in
-  let date =
-    let t = Unix.gmtime (Unix.time ()) in
-    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900) (t.Unix.tm_mon + 1)
-      t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min t.Unix.tm_sec
-  in
-  let files =
-    Sys.readdir "." |> Array.to_list
-    |> List.filter (fun f ->
-           String.length f > 6 && String.sub f 0 6 = "BENCH_" && Filename.check_suffix f ".json")
-    |> List.sort compare
-  in
-  if files = [] then
-    Printf.printf "  no BENCH_*.json artifacts in %s; run the json benches first\n"
-      (Sys.getcwd ())
-  else begin
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf
-      (Printf.sprintf "- commit: %s\n  date: %s\n  reason: %S\n  artifacts:\n" commit date
-         (Option.value ~default:"unspecified" reason));
-    List.iter
-      (fun f ->
-        Buffer.add_string buf (Printf.sprintf "    - file: %s\n      json: |\n" f);
-        let ic = open_in f in
-        (try
-           while true do
-             Buffer.add_string buf ("        " ^ input_line ic ^ "\n")
-           done
-         with End_of_file -> ());
-        close_in ic)
-      files;
-    let path = "bench/history.yaml" in
-    match
-      let fresh = not (Sys.file_exists path) in
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      if fresh then
-        output_string oc "# Benchmark history: one entry per `bench record` invocation.\n";
-      output_string oc (Buffer.contents buf);
-      close_out oc
-    with
-    | () -> Printf.printf "  recorded %d artifact(s) at commit %s -> %s\n" (List.length files) commit path
-    | exception Sys_error e -> Printf.printf "  cannot write %s (%s); run from the repo root\n" path e
-  end
-
 let all_targets =
   [
     ("fig3", fig3); ("fig4", fig4); ("fig5", fig5); ("fig6", fig6); ("table2", table2);
@@ -1236,15 +1173,10 @@ let all_targets =
     ("attest-storm", attest_storm); ("mesh", mesh); ("fleet", fleet); ("crypto", crypto);
   ]
 
-(* [record] is invocable by name but not part of the default sweep —
-   a bare `bench` run must not append to history as a side effect. *)
-let named_targets = all_targets @ [ ("record", record) ]
-
 let () =
   let requested =
     let rec strip = function
       | [] -> []
-      | "--reason" :: _ :: rest -> strip rest
       | a :: rest ->
         if a = "--quick" || a = "--smoke" || a = "--json" then strip rest else a :: strip rest
     in
@@ -1256,11 +1188,11 @@ let () =
     | names ->
       List.map
         (fun n ->
-          match List.assoc_opt n named_targets with
+          match List.assoc_opt n all_targets with
           | Some f -> (n, f)
           | None ->
             Printf.eprintf "unknown target %s; known: %s\n" n
-              (String.concat " " (List.map fst named_targets));
+              (String.concat " " (List.map fst all_targets));
             exit 2)
         names
   in

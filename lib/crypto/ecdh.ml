@@ -1,14 +1,13 @@
-type keypair = { priv : Bn.t; pub : P256.point }
+type private_key = string
+type keypair = { priv : private_key; pub : P256.point }
 
 let generate ~random =
   let rec draw () =
-    let d = Bn.of_bytes_be (random 32) in
-    if Bn.is_zero d || Bn.compare d P256.n >= 0 then draw ()
-    else { priv = d; pub = P256.base_mul d }
+    let d = random 32 in
+    match Fe256.of_bytes P256.scalar_ring d 0 with
+    | Some k when not (Fe256.is_zero k) -> { priv = d; pub = P256.base_mul d }
+    | _ -> draw ()
   in
   draw ()
 
-let shared_secret ~priv ~peer =
-  match P256.to_affine (P256.mul priv peer) with
-  | None -> None
-  | Some (x, _) -> Some (Bn.to_bytes_be ~len:32 x)
+let shared_secret ~priv ~peer = P256.affine_x (P256.mul priv peer)

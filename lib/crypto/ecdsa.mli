@@ -3,7 +3,9 @@
     Deterministic nonces remove the dependency on run-time entropy: the
     simulated device derives its attestation key pair from the hardware
     root of trust and must never sign with a repeated or biased nonce.
-    Signatures are encoded as the raw 64-byte [r || s] concatenation. *)
+    Signatures are encoded as the raw 64-byte [r || s] concatenation.
+    Keys, nonces and both signature halves are 32 big-endian bytes,
+    and the arithmetic mod n runs on {!P256.scalar_ring}. *)
 
 type private_key
 type public_key = P256.point

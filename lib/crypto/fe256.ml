@@ -8,7 +8,9 @@
    field mod p and the scalar ring mod n. [create] gives the ring mod p
    its own product and squaring, which reduce by p's shape with shifts
    ([mul_p], [sqr_p]); any other modulus runs the generic product
-   ([mul_mont]), which squares too. *)
+   ([mul_mont]), which squares too. Numbers enter and leave as 32
+   big-endian bytes, or as limbs in flat tables ([load], [store]);
+   [create] derives its constants from the modulus limbs. *)
 
 let limbs = 9
 let limb_bits = 29
@@ -18,11 +20,10 @@ type t = int array
 
 type ring = {
   m : int array; (* modulus limbs *)
-  m_bn : Bn.t;
   n0 : int; (* -m^-1 mod beta *)
   r2 : t; (* R^2 mod m, ordinary representation *)
   one_m : t; (* R mod m: the Montgomery image of 1 *)
-  fermat : string; (* m - 2 as 64 big-endian nibbles, one per char *)
+  fermat : string; (* m - 2 as 32 big-endian bytes *)
   p_shape : bool; (* m = p_limbs: products reduce by shifts *)
 }
 
@@ -42,8 +43,6 @@ let limbs_of_bytes s off =
   done;
   out.(!li) <- !acc;
   out
-
-let limbs_of_bn v = limbs_of_bytes (Bn.to_bytes_be ~len:32 v) 0
 
 (* Writes ordinary limbs of a value below 2^256 as 32 big-endian bytes
    at [b.[off]]; the 5 bits left over after the last byte are zero. *)
@@ -708,12 +707,14 @@ let sub_into r dst a b =
     Array.unsafe_set dst 8 (d8 + Array.unsafe_get m 8 + (e7 lsr limb_bits))
   end
 
-let create m_bn =
-  if Bn.is_zero m_bn || not (Bn.testbit m_bn 0) then
-    invalid_arg "Fe256.create: modulus must be odd";
-  if Bn.bit_length m_bn > 256 || Bn.compare m_bn (Bn.of_int 3) < 0 then
-    invalid_arg "Fe256.create: modulus out of range";
-  let m = limbs_of_bn m_bn in
+(* The constants come from the modulus limbs alone: R mod m and
+   R^2 mod m by doubling 1 with [add_into] (which reads only [m]) 261
+   and 522 times, and the Fermat exponent m - 2 by one [sub_into]. *)
+let create m_bytes =
+  if String.length m_bytes <> 32 || Char.code m_bytes.[0] < 0x80
+     || Char.code m_bytes.[31] land 1 = 0
+  then invalid_arg "Fe256.create: modulus must be odd, above 2^255 and 32 bytes";
+  let m = limbs_of_bytes m_bytes 0 in
   let m0 = m.(0) in
   (* Newton's iteration doubles the valid bit-width each round:
      odd m0 is its own inverse mod 8, so 5 rounds cover 29 bits. *)
@@ -723,18 +724,18 @@ let create m_bn =
     inv := (!inv * (2 - p)) land limb_mask
   done;
   let n0 = ((1 lsl limb_bits) - !inv) land limb_mask in
-  let mont_bits = limbs * limb_bits in
-  let r2 = limbs_of_bn (Bn.mod_ (Bn.shift_left Bn.one (2 * mont_bits)) m_bn) in
-  let one_m = limbs_of_bn (Bn.mod_ (Bn.shift_left Bn.one mont_bits) m_bn) in
-  let e = Bn.to_bytes_be ~len:32 (Bn.sub m_bn (Bn.of_int 2)) in
-  let fermat =
-    String.init 64 (fun i ->
-        let b = Char.code e.[i / 2] in
-        Char.unsafe_chr (if i land 1 = 0 then b lsr 4 else b land 0xf))
-  in
-  { m; m_bn; n0; r2; one_m; fermat; p_shape = m = p_limbs }
-
-let modulus r = r.m_bn
+  let one_m = Array.make limbs 0 and r2 = Array.make limbs 0 in
+  let r = { m; n0; r2; one_m; fermat = ""; p_shape = m = p_limbs } in
+  r2.(0) <- 1;
+  for i = 1 to 2 * limbs * limb_bits do
+    add_into r r2 r2 r2;
+    if i = limbs * limb_bits then Array.blit r2 0 one_m 0 limbs
+  done;
+  let e = Array.make limbs 0 and fermat = Bytes.create 32 in
+  e.(0) <- 2;
+  sub_into r e m e;
+  bytes_of_limbs e fermat 0;
+  { r with fermat = Bytes.unsafe_to_string fermat }
 
 let is_zero a =
   Array.unsafe_get a 0 lor Array.unsafe_get a 1 lor Array.unsafe_get a 2
@@ -777,12 +778,6 @@ let one r = Array.copy r.one_m
 let set_one r dst = set dst r.one_m
 let is_one r a = equal a r.one_m
 
-let of_bn r v =
-  let v = if Bn.compare v r.m_bn >= 0 then Bn.mod_ v r.m_bn else v in
-  let a = limbs_of_bn v in
-  mul_into r a a r.r2;
-  a
-
 (* a < m: the borrow chain of a - m, as in [reduce_store], ends
    negative. *)
 let below_modulus r a =
@@ -801,6 +796,15 @@ let of_bytes r s off =
   end
   else None
 
+(* Any 32 bytes are below 2^256 < 2m, since [create] wants m > 2^255, so
+   one conditional subtraction reduces them. *)
+let of_bytes_mod r s off =
+  if off < 0 || off > String.length s - 32 then invalid_arg "Fe256.of_bytes_mod";
+  let a = limbs_of_bytes s off in
+  reduce_store a r.m a.(0) a.(1) a.(2) a.(3) a.(4) a.(5) a.(6) a.(7) a.(8);
+  mul_into r a a r.r2;
+  a
+
 (* The product by ordinary 1 takes [a] out of Montgomery form. *)
 let to_bytes r b off a =
   if off < 0 || off > Bytes.length b - 32 then invalid_arg "Fe256.to_bytes";
@@ -809,13 +813,10 @@ let to_bytes r b off a =
   mul_into r o a o;
   bytes_of_limbs o b off
 
-(* 33 bytes, the first zero: [Bn.of_bytes_be] reads 3-byte chunks, and
-   from this boundary an ECDSA verify allocates ~40 fewer words than
-   from 32 bytes. *)
-let to_bn r a =
-  let b = Bytes.make 33 '\000' in
-  to_bytes r b 1 a;
-  Bn.of_bytes_be (Bytes.unsafe_to_string b)
+let to_string r a =
+  let b = Bytes.create 32 in
+  to_bytes r b 0 a;
+  Bytes.unsafe_to_string b
 
 (* The inversion's window table, a^d in slot d, per domain so fleet
    shards never share it. *)
@@ -840,6 +841,7 @@ let inv_into r dst a =
       sqr_into r dst dst;
       sqr_into r dst dst
     end;
-    let d = Char.code (String.unsafe_get r.fermat i) in
+    let b = Char.code (String.unsafe_get r.fermat (i lsr 1)) in
+    let d = if i land 1 = 0 then b lsr 4 else b land 0xf in
     if d > 0 then mul_into r dst dst pw.(d)
   done

@@ -8,25 +8,27 @@
     gives the ring mod p its own product and squaring, which reduce by
     p's shape with shifts; every other modulus gets the generic
     product, and squares with it. Both products give the same limbs.
+    Numbers enter and leave as 32 big-endian bytes, or as limbs in flat
+    tables: the production crypto has no other number type.
 
     The arithmetic is destination-passing and allocates nothing:
     [op_into r dst a b] overwrites [dst], which may be [a], [b] or both.
-    Only the constructors ({!zero}, {!one}, {!of_bn}, {!of_bytes}),
-    {!to_bn} and {!to_bytes} allocate. Elements are tied to the ring
-    they were created with; mixing rings is a caller bug and silently
-    computes garbage. All values stay fully reduced, so
-    {!equal}/{!is_zero} are plain representation comparisons. *)
+    Only the constructors ({!zero}, {!one}, {!of_bytes},
+    {!of_bytes_mod}) and the writers ({!to_bytes}, {!to_string})
+    allocate. Elements are tied to the ring they were created with;
+    mixing rings is a caller bug and silently computes garbage. All
+    values stay fully reduced, so {!equal}/{!is_zero} are plain
+    representation comparisons. *)
 
 type t
 (** A mutable ring element, internally in Montgomery form. *)
 
 type ring
 
-val create : Bn.t -> ring
-(** [create m] for an odd modulus [m], [3 <= m < 2^256]. {!inv_into}
-    and the semantics of the ring additionally assume [m] prime. *)
-
-val modulus : ring -> Bn.t
+val create : string -> ring
+(** [create m] for an odd modulus [2^255 < m < 2^256] as 32 big-endian
+    bytes; raises [Invalid_argument] on any other. {!inv_into} and the
+    semantics of the ring additionally assume [m] prime. *)
 
 val zero : ring -> t
 (** A fresh element holding 0. *)
@@ -34,20 +36,22 @@ val zero : ring -> t
 val one : ring -> t
 (** A fresh element holding 1. *)
 
-val of_bn : ring -> Bn.t -> t
-(** A fresh element; reduces mod [m] first, so any non-negative value is
-    accepted. *)
-
-val to_bn : ring -> t -> Bn.t
-
 val of_bytes : ring -> string -> int -> t option
 (** [of_bytes r s off] is a fresh element holding the 32 big-endian
     bytes at [s.[off]], or [None] if their value is not below the
     modulus. *)
 
+val of_bytes_mod : ring -> string -> int -> t
+(** [of_bytes_mod r s off] is a fresh element holding the 32 big-endian
+    bytes at [s.[off]] reduced mod m, by one conditional subtraction:
+    any 32 bytes are below 2m. *)
+
 val to_bytes : ring -> Bytes.t -> int -> t -> unit
 (** [to_bytes r b off a] writes [a] as 32 big-endian bytes at
     [b.[off]]. *)
+
+val to_string : ring -> t -> string
+(** [a] as a fresh string of 32 big-endian bytes. *)
 
 val mul_into : ring -> t -> t -> t -> unit
 (** [mul_into r dst a b] sets [dst] to [a * b]. *)

@@ -7,7 +7,8 @@
     for the generator, and Shamir's trick for the ECDSA-verify shape
     until a key has verified often enough to earn its own comb. The
     formulas run in place on a per-domain workspace, so each call
-    allocates little beyond its result.
+    allocates little beyond its result. Scalars, the curve's constants
+    and the coordinates a point gives out are 32 big-endian bytes.
 
     Caution: like the rest of this simulation's crypto, the scalar
     ladders here are *not* constant-time (window digits index tables,
@@ -26,28 +27,27 @@ val field_ring : Fe256.ring
 val scalar_ring : Fe256.ring
 (** Montgomery ring for F{_n}, shared with {!Ecdsa}. *)
 
-val n : Bn.t
-(** The group order as an integer. *)
-
 val infinity : point
 val is_infinity : point -> bool
 val base : point
 (** The standard generator G. *)
 
-val to_affine : point -> (Bn.t * Bn.t) option
-(** [None] for the point at infinity. *)
+val affine_x : point -> string option
+(** The affine x-coordinate as 32 big-endian bytes, or [None] for the
+    point at infinity. *)
 
 val add : point -> point -> point
 val double : point -> point
 
-val mul : Bn.t -> point -> point
-(** Scalar multiplication, 4-bit windowed. The scalar is reduced mod
-    the group order. Builds (and memoizes) the point's window table. *)
+val mul : string -> point -> point
+(** Scalar multiplication, 4-bit windowed. The scalar is 32 big-endian
+    bytes (any other length raises [Invalid_argument]), reduced mod n.
+    Builds (and memoizes) the point's window table. *)
 
-val base_mul : Bn.t -> point
+val base_mul : string -> point
 (** [k]G via the fixed-base comb: at most 64 mixed additions. *)
 
-val double_mul : Bn.t -> Bn.t -> point -> point
+val double_mul : string -> string -> point -> point
 (** [double_mul u1 u2 q] is [u1]G + [u2]Q — the ECDSA verification
     inner loop. Its first {!comb_threshold} calls on a point run
     Shamir's trick on one shared doubling ladder over the point's
@@ -86,7 +86,6 @@ val prewarm : unit -> unit
     benignly to identical tables). *)
 
 val equal : point -> point -> bool
-val on_curve : Bn.t -> Bn.t -> bool
 
 val encode : point -> string
 (** Uncompressed SEC 1 encoding: [0x04 || x || y], 65 bytes, memoized

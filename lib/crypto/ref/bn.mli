@@ -2,10 +2,12 @@
 
     Numbers are little-endian arrays of 26-bit limbs stored in OCaml
     [int]s, sized so that schoolbook multiplication never overflows a
-    63-bit native integer. This is the only bignum in the repository; it
-    carries P-256 scalars and coordinates across the {!P256} and
-    {!Ecdsa} interfaces, keygen, and the reference crypto's Barrett
-    rings ([Modring] in [lib/crypto/ref]).
+    63-bit native integer. This is the bignum of the reference crypto
+    and the tests: it backs the Barrett rings of {!Modring} and the
+    reference curve of {!Refcrypto}, and the tests build scalars and
+    read points with it. The production crypto ([Watz_crypto]) has no
+    bignum; its numbers are {!Watz_crypto.Fe256} limbs and 32-byte
+    big-endian strings.
 
     All values are non-negative; [sub] raises on underflow. *)
 

@@ -1,4 +1,3 @@
-open Watz_crypto
 (** Modular arithmetic over a fixed odd modulus using Barrett reduction.
 
     A [t] caches the Barrett constant for its modulus so that a modular

@@ -1,4 +1,3 @@
-open Watz_crypto
 (* The pre-fast-path crypto, frozen verbatim.
 
    This module preserves the original textbook implementations — boxed

@@ -1,4 +1,3 @@
-open Watz_crypto
 (** The pre-fast-path crypto, frozen verbatim.
 
     Reference implementations kept only for differential testing and for

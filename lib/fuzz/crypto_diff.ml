@@ -13,7 +13,9 @@
       has used the key past {!Watz_crypto.P256.comb_threshold};
     - ECDH with a peer point freshly decoded from a seeded encoding,
       against the x-coordinate of the reference [P256.mul], and the
-      decode verdict of both stacks on a one-byte-corrupted encoding;
+      decode verdict of both stacks on a one-byte-corrupted encoding
+      and on a small-x point written with x + p, which both must
+      reject (see {!point_at});
     - GHASH on part lists under random subkeys and, half the time, a
       subkey from {!ghash_edge_subkeys} (the table-driven path vs the
       shift-and-add reference);
@@ -30,7 +32,6 @@
 module Prng = Watz_util.Prng
 module C = Watz_crypto
 module R = Refcrypto
-module Bn = Watz_crypto.Bn
 
 let hex s =
   String.concat "" (List.map (Printf.sprintf "%02x") (List.map Char.code (List.init (String.length s) (String.get s))))
@@ -126,15 +127,37 @@ let check_ecdsa rng =
     end
   end
 
+(* P-256's p and b, for building curve points by x on the reference's
+   Barrett ring. *)
+let p = Bn.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff"
+let b_coeff = Bn.of_hex "5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b"
+let fp = Modring.create p
+
+(** [point_at x] is the curve point with the smallest x-coordinate at or
+    above [x] whose x{^3} - 3x + b is a square, as [(x, y)] with
+    y = t{^(p+1)/4} (p = 3 mod 4). From a small [x], x + p still fits
+    32 bytes and names the same point mod p, so only a decoder's range
+    check rejects that encoding; random points and byte corruption
+    almost never reach it. *)
+let rec point_at x =
+  let x3_b = Bn.add (Bn.mul x (Bn.mul x x)) (Bn.add b_coeff p) in
+  let t = Modring.reduce fp (Bn.sub x3_b (Bn.mul (Bn.of_int 3) x)) in
+  let y = Modring.pow fp t (Bn.shift_right (Bn.add p Bn.one) 2) in
+  if Bn.equal (Modring.sqr fp y) t then (x, y) else point_at (Bn.add x Bn.one)
+
 (* ECDH against a peer point decoded from its encoding, so the point is
-   fresh (no window table, no memo) exactly as a handshake sees it. *)
+   fresh (no window table, no memo) exactly as a handshake sees it. The
+   private key's bytes for the reference are the last 32 that
+   [Ecdh.generate] drew. *)
 let check_ecdh rng =
-  let scalar () =
-    let k = Bn.mod_ (Bn.of_bytes_be (Prng.bytes rng 32)) C.P256.n in
-    if Bn.is_zero k then Bn.one else k
+  let drawn = ref "" in
+  let random n =
+    drawn := Prng.bytes rng n;
+    !drawn
   in
-  let enc = C.P256.encode (C.P256.base_mul (scalar ())) in
-  let priv = scalar () in
+  let enc = C.P256.encode (C.Ecdh.generate ~random).C.Ecdh.pub in
+  let priv = (C.Ecdh.generate ~random).C.Ecdh.priv in
+  let priv_ref = Bn.of_bytes_be !drawn in
   match (C.P256.decode enc, R.P256.of_bytes enc) with
   | None, _ -> Error (Printf.sprintf "p256 decode rejected a valid encoding %s" (hex enc))
   | _, None -> Error (Printf.sprintf "reference decode rejected a valid encoding %s" (hex enc))
@@ -143,7 +166,7 @@ let check_ecdh rng =
     let ref_ =
       Option.map
         (fun (x, _) -> Bn.to_bytes_be ~len:32 x)
-        (R.P256.to_affine (R.P256.mul priv peer_ref))
+        (R.P256.to_affine (R.P256.mul priv_ref peer_ref))
     in
     if not (Option.equal String.equal fast ref_) then
       let show = Option.fold ~none:"infinity" ~some:hex in
@@ -158,10 +181,22 @@ let check_ecdh rng =
       let bad = Bytes.to_string b in
       let v_fast = Option.is_some (C.P256.decode bad) in
       let v_ref = Option.is_some (R.P256.of_bytes bad) in
-      if v_fast = v_ref then Ok ()
-      else
+      if v_fast <> v_ref then
         Error
           (Printf.sprintf "p256 decode verdict diverges on %s (fast=%b ref=%b)" (hex bad) v_fast v_ref)
+      else
+        (* a small-x point: both decoders take (x, y) and reject (x + p, y) *)
+        let x, y = point_at (Bn.of_int (Prng.int rng (1 lsl 30))) in
+        let point x = "\x04" ^ Bn.to_bytes_be ~len:32 x ^ Bn.to_bytes_be ~len:32 y in
+        let verdicts e = (Option.is_some (C.P256.decode e), Option.is_some (R.P256.of_bytes e)) in
+        match (verdicts (point x), verdicts (point (Bn.add x p))) with
+        | (true, true), (false, false) -> Ok ()
+        | (f, r), (f', r') ->
+          Error
+            (Printf.sprintf
+               "p256 decode verdicts on %s: fast=%b ref=%b, and with x + p: fast=%b ref=%b \
+                (want true, true, false, false)"
+               (hex (point x)) f r f' r')
     end)
 
 (* Hash subkeys at the corners of the GHASH table: zero (every entry

@@ -112,9 +112,12 @@ let fd_read env args =
     ok
   end
 
+(* The range is checked before any bytes are drawn: a guest-chosen
+   length must not size host work that the bounds check would refuse. *)
 let random_get env args =
   let mem = memory env in
   let buf = i32_arg args 0 and len = i32_arg args 1 in
+  Mem.check mem buf len;
   Mem.store_string mem buf (env.random len);
   ok
 

@@ -7,6 +7,19 @@ let hex = Watz_util.Hex.decode
 let hex_of = Watz_util.Hex.encode
 let check_hex name expected actual = Alcotest.(check string) name expected (hex_of actual)
 
+(* P-256's field prime and group order for the reference [Bn], a [Bn]
+   scalar as the 32 bytes the production curve takes, and a point's
+   affine coordinates read back from its encoding. *)
+let p_bn = Bn.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff"
+let n_bn = Bn.of_hex "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551"
+let scalar k = Bn.to_bytes_be ~len:32 k
+
+let coords pt =
+  if P256.is_infinity pt then None
+  else
+    let e = P256.encode pt in
+    Some (Bn.of_bytes_be (String.sub e 1 32), Bn.of_bytes_be (String.sub e 33 32))
+
 (* ------------------------------------------------------------------ *)
 (* Bignum *)
 
@@ -96,7 +109,7 @@ let modring_matches_divmod () =
   Alcotest.(check bool) "barrett = division" true (Bn.equal via_ring via_div)
 
 let modring_inverse () =
-  let ring = Modring.create P256.n in
+  let ring = Modring.create n_bn in
   let a = Bn.of_hex "123456789" in
   let inv = Modring.inv_prime ring a in
   Alcotest.(check bool) "a * a^-1 = 1" true (Bn.equal Bn.one (Modring.mul ring a inv));
@@ -314,16 +327,16 @@ let cmac_verify () =
 (* P-256 *)
 
 let p256_base_on_curve () =
-  match P256.to_affine P256.base with
+  match coords P256.base with
   | None -> Alcotest.fail "base is infinity"
-  | Some (x, y) -> Alcotest.(check bool) "G on curve" true (P256.on_curve x y)
+  | Some (x, y) -> Alcotest.(check bool) "G on curve" true (Refcrypto.P256.on_curve x y)
 
 let p256_order_annihilates () =
-  Alcotest.(check bool) "n*G = O" true (P256.is_infinity (P256.base_mul P256.n))
+  Alcotest.(check bool) "n*G = O" true (P256.is_infinity (P256.base_mul (scalar n_bn)))
 
 let p256_known_multiple () =
   (* 2G, from standard P-256 test data. *)
-  match P256.to_affine (P256.base_mul (Bn.of_int 2)) with
+  match coords (P256.base_mul (scalar (Bn.of_int 2))) with
   | None -> Alcotest.fail "2G is infinity"
   | Some (x, y) ->
     Alcotest.(check string) "2G.x"
@@ -334,12 +347,12 @@ let p256_known_multiple () =
 let p256_add_consistency () =
   let g2 = P256.double P256.base in
   let g3a = P256.add g2 P256.base in
-  let g3b = P256.base_mul (Bn.of_int 3) in
+  let g3b = P256.base_mul (scalar (Bn.of_int 3)) in
   Alcotest.(check bool) "G+2G = 3G" true (P256.equal g3a g3b);
   Alcotest.(check bool) "comm" true (P256.equal (P256.add P256.base g2) (P256.add g2 P256.base))
 
 let p256_encode_roundtrip () =
-  let pt = P256.base_mul (Bn.of_int 12345) in
+  let pt = P256.base_mul (scalar (Bn.of_int 12345)) in
   match P256.decode (P256.encode pt) with
   | Some pt' -> Alcotest.(check bool) "decode . encode" true (P256.equal pt pt')
   | None -> Alcotest.fail "decode failed"
@@ -352,17 +365,8 @@ let p256_decode_rejects () =
      the first square t = x^3 - 3x + b (p = 3 mod 4). Its x is tiny, so
      x + p still fits 32 bytes: that encoding names the same point mod
      p, and only the range check rejects it. *)
-  let p = Fe256.modulus P256.field_ring in
-  let gr = Modring.create p in
-  let b = Bn.of_hex "5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b" in
-  let rec point x =
-    let bx = Bn.of_int x in
-    let cube_plus_b = Bn.add (Bn.mul bx (Bn.mul bx bx)) (Bn.add b p) in
-    let t = Modring.reduce gr (Bn.sub cube_plus_b (Bn.mul (Bn.of_int 3) bx)) in
-    let y = Modring.pow gr t (Bn.shift_right (Bn.add p Bn.one) 2) in
-    if Bn.equal (Modring.sqr gr y) t then (bx, y) else point (x + 1)
-  in
-  let x, y = point 0 in
+  let p = p_bn in
+  let x, y = Watz_fuzz.Crypto_diff.point_at Bn.zero in
   let enc x = "\x04" ^ Bn.to_bytes_be ~len:32 x ^ Bn.to_bytes_be ~len:32 y in
   Alcotest.(check bool) "canonical x decodes" true (Option.is_some (P256.decode (enc x)));
   Alcotest.(check bool) "x + p rejected" true (P256.decode (enc (Bn.add x p)) = None);
@@ -370,15 +374,39 @@ let p256_decode_rejects () =
     (Refcrypto.P256.of_bytes (enc (Bn.add x p)) = None);
   Alcotest.(check bool) "x = p rejected" true (P256.decode (enc p) = None)
 
+(* Any 32 bytes are a scalar: k + n names the same multiple as k up to
+   2^256 - 1, on the comb, the window ladder and Shamir's ladder alike.
+   Any other length is refused. *)
+let p256_scalars_reduce_mod_n () =
+  let top = Bn.sub (Bn.shift_left Bn.one 256) Bn.one in
+  let q = P256.base_mul (scalar (Bn.of_int 7)) in
+  List.iter
+    (fun k ->
+      let what = Bn.to_hex k ^ " + n" in
+      let k' = scalar (Bn.add k n_bn) and k = scalar k in
+      Alcotest.(check bool) (what ^ ", base_mul") true (P256.equal (P256.base_mul k') (P256.base_mul k));
+      Alcotest.(check bool) (what ^ ", mul") true (P256.equal (P256.mul k' q) (P256.mul k q));
+      Alcotest.(check bool) (what ^ ", double_mul") true
+        (P256.equal (P256.double_mul k' k q) (P256.double_mul k k' q)))
+    [ Bn.zero; Bn.one; Bn.of_int 5; Bn.sub top n_bn ];
+  List.iter
+    (fun len ->
+      match P256.base_mul (String.make len '\001') with
+      | _ -> Alcotest.failf "a %d-byte scalar was taken" len
+      | exception Invalid_argument _ -> ())
+    [ 0; 31; 33 ]
+
 let qcheck_p256_distributive =
-  let scalar =
+  let small =
     QCheck.make ~print:Bn.to_hex
       (QCheck.Gen.map (fun n -> Bn.of_int (abs n + 1)) QCheck.Gen.int)
   in
   QCheck.Test.make ~name:"p256: (k1+k2)G = k1 G + k2 G" ~count:10
-    (QCheck.pair scalar scalar)
+    (QCheck.pair small small)
     (fun (k1, k2) ->
-      P256.equal (P256.base_mul (Bn.add k1 k2)) (P256.add (P256.base_mul k1) (P256.base_mul k2)))
+      P256.equal
+        (P256.base_mul (scalar (Bn.add k1 k2)))
+        (P256.add (P256.base_mul (scalar k1)) (P256.base_mul (scalar k2))))
 
 (* ------------------------------------------------------------------ *)
 (* ECDSA (RFC 6979 A.2.5) *)
@@ -393,7 +421,7 @@ let ecdsa_rfc6979_vector () =
     "efd48b2aacb6a8fd1140dd9cd45e81d69d2c877b56aaf991c34d0ea84eaf3716f7cb1c942d657c41d436c7a1b6e29f65f3e900dbb9aff4064dc4ab2f843acda8"
     signature;
   let pub = Ecdsa.public_of_private key in
-  (match P256.to_affine pub with
+  (match coords pub with
   | Some (x, y) ->
     Alcotest.(check string) "pub.x"
       "60fed4ba255a9d31c961eb74c6356d68c049b8923b61fa6ce669622e60f29fb6" (Bn.to_hex x);
@@ -498,7 +526,7 @@ let ecdsa_corruptions_across_comb_threshold () =
         (Ecdsa.verify_digest q ~digest ~signature))
     [
       ("valid", signature);
-      ("high-s", r ^ Bn.to_bytes_be ~len:32 (Bn.sub P256.n (Bn.of_bytes_be s)));
+      ("high-s", r ^ Bn.to_bytes_be ~len:32 (Bn.sub n_bn (Bn.of_bytes_be s)));
       ("r = 0", zero32 ^ s);
       ("s = 0", r ^ zero32);
     ]
@@ -533,14 +561,16 @@ let ecdh_cavs_vector () =
     | Some q -> q
     | None -> Alcotest.fail "QCAVS rejected"
   in
-  let d_iut = Bn.of_hex "7d7dc5f71eb29ddaf80d6214632eeae03d9058af1fb6d22ed80badb62bc1a534" in
-  (match Ecdh.shared_secret ~priv:d_iut ~peer with
+  (* dIUT is in [1, n - 1], so [generate] takes it as its first draw *)
+  let d_iut = hex "7d7dc5f71eb29ddaf80d6214632eeae03d9058af1fb6d22ed80badb62bc1a534" in
+  let iut = Ecdh.generate ~random:(fun _ -> d_iut) in
+  (match Ecdh.shared_secret ~priv:iut.Ecdh.priv ~peer with
   | Some z -> check_hex "ZIUT" "46fc62106420ff012e54a434fbdd2d25ccc5852060561e68040dd7778997bd7b" z
   | None -> Alcotest.fail "shared secret at infinity");
   check_hex "QIUT = dIUT G"
     ("04" ^ "ead218590119e8876b29146ff89ca61770c4edbbf97d38ce385ed281d8a6b230"
    ^ "28af61281fd35e2fa7002523acc85a429cb06ee6648325389f59edfce1405141")
-    (P256.encode (P256.base_mul d_iut))
+    (P256.encode iut.Ecdh.pub)
 
 let ecdh_fresh_sessions_differ () =
   let rng = Watz_util.Prng.create 7L in
@@ -653,7 +683,9 @@ let qcheck_fe256_matches_modring =
      element. The edge operands 0, 1, m - 1 and 2^255 - 1 fill the
      straight-line product's columns with the widest limbs. *)
   let rings =
-    List.map (fun fr -> (fr, Modring.create (Fe256.modulus fr))) [ P256.field_ring; P256.scalar_ring ]
+    List.map
+      (fun (fr, m) -> (fr, m, Modring.create m))
+      [ (P256.field_ring, p_bn); (P256.scalar_ring, n_bn) ]
   in
   let operand =
     QCheck.Gen.(
@@ -665,8 +697,7 @@ let qcheck_fe256_matches_modring =
     (QCheck.make ~print:QCheck.Print.(pair print print) (QCheck.Gen.pair operand operand))
     (fun (oa, ob) ->
       List.for_all
-        (fun (fr, gr) ->
-          let m = Fe256.modulus fr in
+        (fun (fr, m, gr) ->
           let value = function
             | `Edge 0 -> Bn.zero
             | `Edge 1 -> Bn.one
@@ -676,9 +707,10 @@ let qcheck_fe256_matches_modring =
           in
           let a = value oa and b = value ob in
           let ga = Modring.reduce gr a and gb = Modring.reduce gr b in
+          let elt v = Fe256.of_bytes_mod fr (scalar v) 0 in
           let agrees expected f =
             (* f gets fresh copies of a and b and returns the element it wrote *)
-            Bn.equal (Fe256.to_bn fr (f (Fe256.of_bn fr a) (Fe256.of_bn fr b))) expected
+            Bn.equal (Bn.of_bytes_be (Fe256.to_string fr (f (elt ga) (elt gb)))) expected
           in
           let binop op expected expected_aa =
             agrees expected (fun fa fb -> let d = Fe256.zero fr in op fr d fa fb; d)
@@ -697,10 +729,51 @@ let qcheck_fe256_matches_modring =
           && unop Fe256.inv_into (if Bn.is_zero ga then Bn.zero else Modring.inv_prime gr ga))
         rings)
 
+(* The reducing reader subtracts m at most once from any 32 bytes, and
+   the checked reader refuses what is not below m. [create] takes only
+   an odd modulus above 2^255 as 32 bytes, since only there is one
+   subtraction enough; the constants it derives serve any such prime,
+   here 2^256 - 189 as well as p and n. *)
+let fe256_reducing_reader_and_create () =
+  let two256 = Bn.shift_left Bn.one 256 in
+  let prime = Bn.sub two256 (Bn.of_int 189) in
+  List.iter
+    (fun (fr, m) ->
+      List.iter
+        (fun v ->
+          let what = Printf.sprintf "%s mod %s" (Bn.to_hex v) (Bn.to_hex m) in
+          Alcotest.(check string) ("of_bytes_mod " ^ what)
+            (Bn.to_hex (Bn.mod_ v m))
+            (Bn.to_hex (Bn.of_bytes_be (Fe256.to_string fr (Fe256.of_bytes_mod fr (scalar v) 0))));
+          Alcotest.(check bool) ("of_bytes " ^ what) (Bn.compare v m < 0)
+            (Option.is_some (Fe256.of_bytes fr (scalar v) 0)))
+        [ Bn.zero; Bn.one; Bn.sub m Bn.one; m; Bn.add m Bn.one; Bn.sub two256 Bn.one ])
+    [ (P256.field_ring, p_bn); (P256.scalar_ring, n_bn); (Fe256.create (scalar prime), prime) ];
+  let fr = Fe256.create (scalar prime) and gr = Modring.create prime in
+  let a = Bn.of_hex "123456789abcdef0fedcba9876543210" and b = Bn.sub prime (Bn.of_int 2) in
+  let fa = Fe256.of_bytes_mod fr (scalar a) 0 and fb = Fe256.of_bytes_mod fr (scalar b) 0 in
+  let d = Fe256.zero fr in
+  Fe256.mul_into fr d fa fb;
+  Alcotest.(check string) "a * b mod 2^256 - 189" (Bn.to_hex (Modring.mul gr a b))
+    (Bn.to_hex (Bn.of_bytes_be (Fe256.to_string fr d)));
+  Fe256.inv_into fr d fa;
+  Alcotest.(check string) "a^-1 mod 2^256 - 189" (Bn.to_hex (Modring.inv_prime gr a))
+    (Bn.to_hex (Bn.of_bytes_be (Fe256.to_string fr d)));
+  List.iter
+    (fun (what, m) ->
+      match Fe256.create m with
+      | _ -> Alcotest.failf "create took %s" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("an even modulus", scalar (Bn.sub prime Bn.one));
+      ("2^255 - 19", scalar (Bn.sub (Bn.shift_left Bn.one 255) (Bn.of_int 19)));
+      ("31 bytes", String.sub (scalar prime) 1 31);
+    ]
+
 (* The field product's law on raw limbs, at a fixed seed: operands are
    written with [Fe256.load], results read with [Fe256.store], and the
    oracle is a * b * 2^-261 mod m from [Bn] and [Modring] alone, so no
-   side goes through [of_bn] or [to_bn], which run the product
+   side goes through [of_bytes] or [to_bytes], which run the product
    themselves. Limbs are 0, 1, 2^28, 2^29 - 1 or random (the top limb
    cut to 24 bits), redrawn until the value is below m; m - 1, m - 2
    and every limb at its largest below m come first. Mod p this is the
@@ -724,8 +797,7 @@ let fe256_raw_limb_law () =
   in
   let show l = String.concat "; " (Array.to_list (Array.map string_of_int l)) in
   List.iter
-    (fun fr ->
-      let m = Fe256.modulus fr in
+    (fun (fr, m) ->
       let gr = Modring.create m in
       let r_inv = Modring.inv_prime gr (Modring.reduce gr (Bn.shift_left Bn.one 261)) in
       let oracle la lb = limbs (Modring.mul gr (Modring.mul gr (value la) (value lb)) r_inv) in
@@ -770,25 +842,24 @@ let fe256_raw_limb_law () =
               check "mul_into into b" la lb ab b)
             operands)
         operands)
-    [ P256.field_ring; P256.scalar_ring ]
+    [ (P256.field_ring, p_bn); (P256.scalar_ring, n_bn) ]
 
 let affine_eq_ref p_new p_old =
-  match (P256.to_affine p_new, Refcrypto.P256.to_affine p_old) with
+  match (coords p_new, Refcrypto.P256.to_affine p_old) with
   | None, None -> true
   | Some (x, y), Some (x', y') -> Bn.equal x x' && Bn.equal y y'
   | _ -> false
 
-let arbitrary_scalar =
-  QCheck.make ~print:Bn.to_hex
-    QCheck.Gen.(map (fun s -> Bn.of_bytes_be s) (string_size (return 32)))
+let arbitrary_scalar = QCheck.make ~print:hex_of QCheck.Gen.(string_size (return 32))
 
 let qcheck_p256_mul_matches_ref =
   QCheck.Test.make ~name:"p256: windowed mul = pre-PR double-and-add" ~count:20
     arbitrary_scalar
     (fun k ->
-      let q_new = P256.base_mul (Bn.of_int 7) and q_old = Refcrypto.P256.mul (Bn.of_int 7) Refcrypto.P256.base in
-      affine_eq_ref (P256.base_mul k) (Refcrypto.P256.base_mul k)
-      && affine_eq_ref (P256.mul k q_new) (Refcrypto.P256.mul k q_old))
+      let q_new = P256.base_mul (scalar (Bn.of_int 7)) and q_old = Refcrypto.P256.mul (Bn.of_int 7) Refcrypto.P256.base in
+      let k_bn = Bn.of_bytes_be k in
+      affine_eq_ref (P256.base_mul k) (Refcrypto.P256.base_mul k_bn)
+      && affine_eq_ref (P256.mul k q_new) (Refcrypto.P256.mul k_bn q_old))
 
 let qcheck_ecdsa_sign_matches_ref =
   (* Same key, same digest, same RFC 6979 nonce: the signatures must be
@@ -824,7 +895,7 @@ let ecdsa_edge_cases () =
   let signature = Ecdsa.sign_digest priv digest in
   let r = String.sub signature 0 32 in
   let s = Bn.of_bytes_be (String.sub signature 32 32) in
-  let high = r ^ Bn.to_bytes_be ~len:32 (Bn.sub P256.n s) in
+  let high = r ^ Bn.to_bytes_be ~len:32 (Bn.sub n_bn s) in
   Alcotest.(check bool) "high-s verdict matches reference"
     (Refcrypto.Ecdsa.verify_digest pub_old ~digest ~signature:high)
     (Ecdsa.verify_digest pub ~digest ~signature:high);
@@ -959,27 +1030,65 @@ let sha256_allocation_law () =
    the result's [Some] (2). A fresh encode allocates 32: its 65 bytes
    (10), one 10-word temporary per coordinate that takes it out of
    Montgomery form, and the [Some] of the cache (2). The field products
-   allocate nothing. *)
+   allocate nothing.
+
+   The P-256 calls of a handshake, one warm call each, pass only limbs
+   and 32-byte strings. A scalar read by a ladder costs 26 words (its
+   reduced limbs 10, then its bytes 6 and their 10-word temporary), and
+   a new point 38 (three 10-word coordinates and the record).
+   - An ECDH keygen on a constant byte source: 83 = the candidate's
+     check against n (12), [base_mul] (26 + 38), the key pair (3) and
+     the draw loop's closure (4).
+   - A shared secret on a freshly decoded peer: 130 = the decode (46),
+     [mul] (26 + 38, and 2 for the [Some] of the window table, whose
+     270 words go straight to the major heap) and x as 32 bytes (18).
+   - An ECDSA sign: 484, most of them RFC 6979's HMAC strings.
+   - An ECDSA verify: 188 on the window ladder and on the comb alike:
+     r and s checked (24), u1 (10) and both scalars written (32),
+     [double_mul] (2 * 26 + 38), x1 (18) and x1 mod n (10), and its
+     closure (4). *)
 let p256_allocation_law () =
   let minor_words f =
     let w0 = Gc.minor_words () in
     f ();
     int_of_float (Gc.minor_words () -. w0)
   in
-  let enc = P256.encode (P256.base_mul (Bn.of_int 0x5eed)) in
+  let enc = P256.encode (P256.base_mul (scalar (Bn.of_int 0x5eed))) in
   ignore (P256.decode enc);
   Alcotest.(check int) "decode" 46 (minor_words (fun () -> ignore (P256.decode enc)));
-  let fresh = P256.base_mul (Bn.of_int 0x5eee) in
+  let fresh = P256.base_mul (scalar (Bn.of_int 0x5eee)) in
   Alcotest.(check int) "fresh encode" 32 (minor_words (fun () -> ignore (P256.encode fresh)));
   Alcotest.(check int) "cached encode" 0 (minor_words (fun () -> ignore (P256.encode fresh)));
   let fp = P256.field_ring in
-  let a = Fe256.one fp and b = Fe256.of_bn fp (Bn.of_int 7) in
+  let a = Fe256.one fp and b = Fe256.of_bytes_mod fp (scalar (Bn.of_int 7)) 0 in
   Alcotest.(check int) "10,000 field products and squarings" 0
     (minor_words (fun () ->
          for _ = 1 to 10_000 do
            Fe256.mul_into fp a a b;
            Fe256.sqr_into fp b b
-         done))
+         done));
+  let d = Sha256.digest "ecdh scalar" in
+  let random _ = d in
+  let generate () = Ecdh.generate ~random in
+  ignore (generate ());
+  Alcotest.(check int) "ecdh generate" 83 (minor_words (fun () -> ignore (generate ())));
+  let priv = (generate ()).Ecdh.priv in
+  let shared () = ignore (Ecdh.shared_secret ~priv ~peer:(Option.get (P256.decode enc))) in
+  shared ();
+  Alcotest.(check int) "decode and shared secret" 130 (minor_words shared);
+  let key, pub = Ecdsa.keypair_of_seed "allocation law" in
+  let digest = Sha256.digest "allocation law" in
+  let sign () = ignore (Ecdsa.sign_digest key digest) in
+  sign ();
+  Alcotest.(check int) "ecdsa sign" 484 (minor_words sign);
+  let signature = Ecdsa.sign_digest key digest in
+  let verify () = assert (Ecdsa.verify_digest pub ~digest ~signature) in
+  verify ();
+  Alcotest.(check int) "ecdsa verify, window ladder" 188 (minor_words verify);
+  for _ = 1 to P256.comb_threshold do
+    verify ()
+  done;
+  Alcotest.(check int) "ecdsa verify, comb" 188 (minor_words verify)
 
 let mac_prepared_equivalence () =
   (* Prepared-key paths (reused SHA contexts / expanded AES subkeys)
@@ -1000,10 +1109,10 @@ let mac_prepared_equivalence () =
 let p256_encode_cached_stable () =
   (* encode memoizes; the cached string must survive point reuse in
      mul/prepare and still round-trip. *)
-  let pt = P256.base_mul (Bn.of_int 99887766) in
+  let pt = P256.base_mul (scalar (Bn.of_int 99887766)) in
   let first = P256.encode pt in
   P256.prepare pt;
-  ignore (P256.mul (Bn.of_int 3) pt);
+  ignore (P256.mul (scalar (Bn.of_int 3)) pt);
   Alcotest.(check string) "second encode identical" (hex_of first) (hex_of (P256.encode pt));
   match P256.decode first with
   | None -> Alcotest.fail "cached encoding does not decode"
@@ -1065,6 +1174,7 @@ let suite =
         case "add consistency" p256_add_consistency;
         case "encode roundtrip" p256_encode_roundtrip;
         case "decode rejects invalid" p256_decode_rejects;
+        case "scalars reduce mod n" p256_scalars_reduce_mod_n;
         q qcheck_p256_distributive;
       ] );
     ( "crypto.ecdsa",
@@ -1111,5 +1221,6 @@ let suite =
         case "sha256 allocation law" sha256_allocation_law;
         case "p256 allocation law" p256_allocation_law;
         case "fe256 raw-limb law" fe256_raw_limb_law;
+        case "fe256 reducing reader and create" fe256_reducing_reader_and_create;
       ] );
   ]

@@ -105,6 +105,29 @@ let test_random_get () =
   let drawn = Watz_wasm.Instance.Memory.load_string mem 0 16 in
   Alcotest.(check bool) "bytes written" false (String.equal drawn (String.make 16 '\000'))
 
+(* random_get checks its range before it draws: on a one-page memory a
+   1 MiB or a 2^32 - 1 byte request traps at once, with no host string
+   of that length made first. *)
+let test_random_get_range_first () =
+  let p =
+    Dsl.program
+      ~imports:[ imp "random_get" [ I32; I32 ] (Some I32) ]
+      [ fn "fill" [ ("len", I32) ] (Some I32) [ ret (calle "random_get" [ i 0; v "len" ]) ] ]
+  in
+  let _, inst, _ = run_app p in
+  List.iter
+    (fun len ->
+      let what = Printf.sprintf "random_get(0, %lu)" len in
+      let before = Gc.allocated_bytes () in
+      (match Watz_wasm.Fastinterp.invoke inst "fill" [ Watz_wasm.Ast.VI32 len ] with
+      | _ -> Alcotest.failf "%s on one page did not trap" what
+      | exception Watz_wasm.Instance.Trap msg ->
+        Alcotest.(check string) (what ^ " trap") "out of bounds memory access" msg);
+      let grown = Gc.allocated_bytes () -. before in
+      if Stdlib.( >= ) grown 65536. then
+        Alcotest.failf "%s allocated %.0f bytes before its trap" what grown)
+    [ 0x10_0000l; 0xFFFF_FFFFl ]
+
 let test_stub_returns_enosys () =
   let p =
     Dsl.program
@@ -249,6 +272,7 @@ let suite =
         case "environ" test_environ;
         case "clock value plumbed" test_clock_value;
         case "random_get fills memory" test_random_get;
+        case "random_get checks its range first" test_random_get_range_first;
         case "stubs return ENOSYS" test_stub_returns_enosys;
         case "fd_write fd policy" test_fd_write_bad_fd;
         case "proc_exit captured" test_proc_exit;
