@@ -306,10 +306,16 @@ let table2 () =
     (Watz_attest.Symbolic.attack_findings ())
 
 (* ------------------------------------------------------------------ *)
-(* Table III: per-message cost breakdown of msg0..msg2. *)
+(* Table III: per-message cost breakdown of msg0..msg2, read from the
+   endpoints' own spans. Each cell is the median of 7 handshakes; the
+   endorsed key and the verifier identity then verify 7 signatures
+   each, below P256.comb_threshold, so every verify runs the window
+   ladder. Exits 1 unless key generation plus asymmetric crypto
+   outweighs the rest in every row, the paper's shape. *)
 
 let table3 () =
-  section "Table III - execution time of msg0, msg1, msg2 (per category)";
+  section "Table III - execution time of msg0, msg1, msg2 (wall clock, per category)";
+  let module T = Watz_obs.Trace in
   let soc = booted "bench-t3" in
   let service = Watz_attest.Service.install (Soc.optee soc) in
   let claim = Watz_crypto.Sha256.digest "app" in
@@ -320,39 +326,67 @@ let table3 () =
   in
   let rng = Watz_util.Prng.create 0x7ab1e3L in
   let random n = Watz_util.Prng.bytes rng n in
-  let snapshot (m : P.meter) = (m.P.mem_ns, m.P.keygen_ns, m.P.sym_ns, m.P.asym_ns) in
-  let diff (m2, k2, s2, a2) (m1, k1, s1, a1) = (m2 -. m1, k2 -. k1, s2 -. s1, a2 -. a1) in
-  let attester = P.Attester.create ~random ~expected_verifier:policy.P.Verifier.identity_pub () in
-  (* Key generation at session creation is part of the msg0 cost (1). *)
-  let m0 = P.Attester.msg0 attester in
-  let a_m0 = snapshot (P.Attester.meter attester) in
-  let vsession, m1 = Result.get_ok (P.Verifier.handle_msg0 policy ~random m0) in
-  let v_m0 = snapshot (P.Verifier.meter vsession) in
-  let before_a1 = snapshot (P.Attester.meter attester) in
-  let anchor = Result.get_ok (P.Attester.handle_msg1 attester m1) in
-  let ev_ns, evidence =
-    Stats.time_ns (fun () ->
-        Watz_attest.Evidence.encode (Watz_attest.Service.issue_evidence service ~anchor ~claim))
+  (* A tracer of the bench's own on the wall clock: no board holds it,
+     so no simulated artifact ever sees a wall-clock time. *)
+  let trace = T.create ~now:(fun () -> Int64.of_float (Unix.gettimeofday () *. 1e9)) () in
+  (* The spans that [f] emits, split into (keygen, asym, rest). *)
+  let row f =
+    T.clear trace;
+    let v = f () in
+    (v, P.table3_split (T.events trace))
   in
-  let m2 = Result.get_ok (P.Attester.msg2 attester ~evidence) in
-  let a_m1_m2 = diff (snapshot (P.Attester.meter attester)) before_a1 in
-  let before_v2 = snapshot (P.Verifier.meter vsession) in
-  let _m3 = Result.get_ok (P.Verifier.handle_msg2 vsession ~random m2) in
-  let v_m2 = diff (snapshot (P.Verifier.meter vsession)) before_v2 in
-  let row name (m, k, s, a) =
-    Printf.printf "  %-26s mem %8.1f us | keygen %10.1f us | sym %8.1f us | asym %10.1f us\n"
-      name (m /. 1e3) (k /. 1e3) (s /. 1e3) (a /. 1e3)
+  let handshake () =
+    let (attester, m0), a0 =
+      row (fun () ->
+          let a =
+            P.Attester.create ~trace ~random ~expected_verifier:policy.P.Verifier.identity_pub ()
+          in
+          (a, P.Attester.msg0 a))
+    in
+    let (vsession, m1), v0 =
+      row (fun () -> Result.get_ok (P.Verifier.handle_msg0 ~trace policy ~random m0))
+    in
+    (* The service signs outside every span, so this row leaves it out. *)
+    let (ev_ns, m2), a12 =
+      row (fun () ->
+          let anchor = Result.get_ok (P.Attester.handle_msg1 attester m1) in
+          let ev_ns, evidence =
+            Stats.time_ns (fun () ->
+                Watz_attest.Evidence.encode
+                  (Watz_attest.Service.issue_evidence service ~anchor ~claim))
+          in
+          (ev_ns, Result.get_ok (P.Attester.msg2 attester ~evidence)))
+    in
+    let _m3, v2 = row (fun () -> Result.get_ok (P.Verifier.handle_msg2 vsession ~random m2)) in
+    ([| a0; a12; v0; v2 |], ev_ns)
   in
+  let runs = Array.init 7 (fun _ -> handshake ()) in
+  let median_us f = Stats.median (Array.map f runs) /. 1e3 in
+  (* Prints row [i]'s medians; true when keygen + asym > rest. *)
+  let row_line i name =
+    let cell pick = median_us (fun (rows, _) -> float_of_int (pick rows.(i))) in
+    let keygen = cell (fun (k, _, _) -> k) and asym = cell (fun (_, a, _) -> a) in
+    let rest = cell (fun (_, _, r) -> r) in
+    Printf.printf "  %-26s keygen %8.1f us | asym %8.1f us | rest %8.1f us\n" name keygen asym rest;
+    keygen +. asym > rest
+  in
+  Printf.printf "  medians of %d handshakes; rest = the row's outermost spans - keygen - asym\n"
+    (Array.length runs);
   Printf.printf "  (attester)\n";
-  row "msg0 generation (1)" a_m0;
-  row "msg1 handling + msg2 (4-6)" a_m1_m2;
-  Printf.printf "  %-26s evidence signature (6): %.1f us\n" "" (ev_ns /. 1e3);
+  let a0 = row_line 0 "msg0 generation (1)" in
+  let a12 = row_line 1 "msg1 handling + msg2 (4-6)" in
+  Printf.printf "  %-26s evidence signature (6), in the service: %.1f us\n" "" (median_us snd);
   Printf.printf "  (verifier)\n";
-  row "msg0 handling + msg1 (2-3)" v_m0;
-  row "msg2 handling (7)" v_m2;
+  let v0 = row_line 2 "msg0 handling + msg1 (2-3)" in
+  let v2 = row_line 3 "msg2 handling (7)" in
   Printf.printf
     "  (paper: asymmetric crypto dominates - keygen 235-471 ms, sign/verify 159-238 ms on A53;\n";
-  Printf.printf "   symmetric and memory costs are microseconds on both platforms)\n"
+  Printf.printf "   symmetric and memory costs are microseconds on both platforms)\n";
+  if a0 && a12 && v0 && v2 then Printf.printf "  keygen + asym > rest in every row: holds\n"
+  else begin
+    Printf.printf "  FAIL: keygen + asym is not larger than rest in every row\n";
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 7: msg3 encryption/decryption time vs secret-blob size. *)

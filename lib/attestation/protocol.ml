@@ -13,11 +13,11 @@
 
     Both endpoints are pure state machines over byte strings, so they
     run unchanged inside the simulated secure world (driven through the
-    supplicant socket RPCs) and in direct-call unit tests.
-
-    Every cryptographic operation is accounted to a {!meter} in the
-    paper's Table III categories (memory management, key generation,
-    symmetric and asymmetric cryptography). *)
+    supplicant socket RPCs) and in direct-call unit tests. They read no
+    clock: their trace spans are the only instrument, and a tracer's
+    clock decides what those spans measure. On a board that is the
+    simulated clock; [bench table3] gives them a wall-clock tracer and
+    splits each message's time with {!table3_split}. *)
 
 module C = Watz_crypto
 module T = Watz_obs.Trace
@@ -25,31 +25,6 @@ module T = Watz_obs.Trace
 (* Protocol state machines run in the secure world; their spans carry
    that world tag and the session correlation id the driver chose. *)
 let tspan trace sid name f = T.span trace T.Secure ~session:sid name f
-
-(* ------------------------------------------------------------------ *)
-(* Cost metering (Table III) *)
-
-type meter = {
-  mutable mem_ns : float;
-  mutable keygen_ns : float;
-  mutable sym_ns : float;
-  mutable asym_ns : float;
-}
-
-let fresh_meter () = { mem_ns = 0.0; keygen_ns = 0.0; sym_ns = 0.0; asym_ns = 0.0 }
-
-type category = Mem | Keygen | Sym | Asym
-
-let timed meter category f =
-  let t0 = Unix.gettimeofday () in
-  let result = f () in
-  let dt = (Unix.gettimeofday () -. t0) *. 1e9 in
-  (match category with
-  | Mem -> meter.mem_ns <- meter.mem_ns +. dt
-  | Keygen -> meter.keygen_ns <- meter.keygen_ns +. dt
-  | Sym -> meter.sym_ns <- meter.sym_ns +. dt
-  | Asym -> meter.asym_ns <- meter.asym_ns +. dt);
-  result
 
 (* ------------------------------------------------------------------ *)
 (* Errors *)
@@ -97,14 +72,8 @@ let iv_len = 12
 
 let anchor_of ~ga ~gv = C.Sha256.digest (ga ^ gv)
 
-let derive_session meter shared =
-  timed meter Sym (fun () -> C.Kdf.session_of_shared shared)
-
-let mac meter key content = timed meter Sym (fun () -> C.Cmac.mac ~key content)
-
-let check_mac meter key ~tag content ~where =
-  if timed meter Sym (fun () -> C.Cmac.verify ~key ~tag content) then Ok ()
-  else Error (Bad_mac where)
+let check_mac key ~tag content ~where =
+  if C.Cmac.verify ~key ~tag content then Ok () else Error (Bad_mac where)
 
 let decode_point ~what raw =
   match C.P256.decode raw with
@@ -121,7 +90,6 @@ module Attester = struct
     keys : C.Ecdh.keypair;
     expected_verifier : C.P256.point;
         (* hardcoded in the Wasm application; part of its measurement *)
-    meter : meter;
     trace : T.t; (* observability sink; T.null when not tracing *)
     sid : int; (* session correlation id for trace events *)
     mutable session : C.Kdf.session_keys option;
@@ -140,18 +108,13 @@ module Attester = struct
       ephemeral ECDHE key pair is generated immediately (cost ① in
       Table III). *)
   let create ?(trace = T.null) ?(sid = T.no_session) ~random ~expected_verifier () =
-    let meter = fresh_meter () in
     (* The verifier identity outlives sessions; make sure its window
        table is built once, not inside each msg1 appraisal. *)
     C.P256.prepare expected_verifier;
-    let keys =
-      tspan trace sid "crypto.ecdh_keygen" (fun () ->
-          timed meter Keygen (fun () -> C.Ecdh.generate ~random))
-    in
+    let keys = tspan trace sid "crypto.ecdh_keygen" (fun () -> C.Ecdh.generate ~random) in
     {
       keys;
       expected_verifier;
-      meter;
       trace;
       sid;
       session = None;
@@ -163,8 +126,6 @@ module Attester = struct
       blob = None;
     }
 
-  let meter t = t.meter
-
   (** The resumption master secret: a session-ticket layer (lib/mesh)
       derives resume keys from it instead of re-running the handshake.
       Derivable by both endpoints from the session KDK once msg1 has
@@ -173,8 +134,7 @@ module Attester = struct
     Option.map (fun s -> C.Kdf.derive_label ~kdk:s.C.Kdf.kdk "WZ-MESH-RMS") t.session
 
   let msg0 t =
-    tspan t.trace t.sid "ra.msg0_build" (fun () ->
-        timed t.meter Mem (fun () -> C.P256.encode t.keys.C.Ecdh.pub))
+    tspan t.trace t.sid "ra.msg0_build" (fun () -> C.P256.encode t.keys.C.Ecdh.pub)
 
   (** Process msg1: key agreement (⑤), MAC, hardcoded-identity check,
       session-key signature (④). Returns the session {e anchor} the
@@ -203,28 +163,25 @@ module Attester = struct
         (* Derive the shared secrets (⑤): needed before the MAC check. *)
         let shared =
           tspan t.trace t.sid "crypto.ecdh" (fun () ->
-              timed t.meter Keygen (fun () ->
-                  C.Ecdh.shared_secret ~priv:t.keys.C.Ecdh.priv ~peer:gv))
+              C.Ecdh.shared_secret ~priv:t.keys.C.Ecdh.priv ~peer:gv)
         in
         match shared with
         | None -> Error (Malformed "msg1: degenerate session key")
         | Some shared ->
-          let session = derive_session t.meter shared in
-          let* () = check_mac t.meter session.C.Kdf.k_m ~tag content1 ~where:"msg1" in
+          let session = C.Kdf.session_of_shared shared in
+          let* () = check_mac session.C.Kdf.k_m ~tag content1 ~where:"msg1" in
           (* The verifier identity must match the key hardcoded in the
              (measured) application: a swapped key would change the
              measurement and be caught by attestation. *)
           if not (C.P256.equal v_pub t.expected_verifier) then
             Error Unexpected_verifier_identity
           else begin
-            let ga_raw = timed t.meter Mem (fun () -> C.P256.encode t.keys.C.Ecdh.pub) in
+            let ga_raw = C.P256.encode t.keys.C.Ecdh.pub in
             (* [v_pub] equals [t.expected_verifier]; verify with the
                long-lived point so its memoized table is reused. *)
             let session_sig_ok =
               tspan t.trace t.sid "crypto.ecdsa_verify" (fun () ->
-                  timed t.meter Asym (fun () ->
-                      C.Ecdsa.verify t.expected_verifier ~msg:(gv_raw ^ ga_raw)
-                        ~signature:sig_session))
+                  C.Ecdsa.verify t.expected_verifier ~msg:(gv_raw ^ ga_raw) ~signature:sig_session)
             in
             if not session_sig_ok then Error Bad_session_signature
             else begin
@@ -246,9 +203,9 @@ module Attester = struct
     match (t.state, t.session) with
     | Need_evidence, Some session ->
       tspan t.trace t.sid "ra.msg2_build" (fun () ->
-          let ga_raw = timed t.meter Mem (fun () -> C.P256.encode t.keys.C.Ecdh.pub) in
+          let ga_raw = C.P256.encode t.keys.C.Ecdh.pub in
           let content2 = ga_raw ^ evidence in
-          let tag2 = mac t.meter session.C.Kdf.k_m content2 in
+          let tag2 = C.Cmac.mac ~key:session.C.Kdf.k_m content2 in
           t.state <- Expect_msg3;
           let m2 = content2 ^ tag2 in
           t.msg2_cache <- Some m2;
@@ -284,8 +241,7 @@ module Attester = struct
           let tag = String.sub raw (iv_len + ct_len) mac_len in
           let plain =
             tspan t.trace t.sid "crypto.aes_gcm_decrypt" (fun () ->
-                timed t.meter Sym (fun () ->
-                    C.Gcm.decrypt ~key:session.C.Kdf.k_e ~iv ~tag ct))
+                C.Gcm.decrypt ~key:session.C.Kdf.k_e ~iv ~tag ct)
           in
           match plain with
           | None ->
@@ -333,15 +289,12 @@ module Verifier = struct
     keys : C.Ecdh.keypair;
     ga_raw : string; (* attester's session key from msg0 *)
     session_keys : C.Kdf.session_keys;
-    meter : meter;
     trace : T.t;
     sid : int;
     mutable accepted_evidence : Evidence.signed option;
     mutable msg1 : string; (* cached reply, resent on a msg0 retransmit *)
     mutable msg2_cache : (string * string) option; (* (raw msg2, msg3 reply) *)
   }
-
-  let meter s = s.meter
 
   (** Verifier side of {!Attester.resumption_secret}: same KDK, same
       label, so both ends hold the same 16-byte secret without ever
@@ -374,27 +327,23 @@ module Verifier = struct
     if String.length raw <> point_len then Error (Malformed "msg0 length")
     else tspan trace sid "ra.msg0_handle" @@ fun () ->
     begin
-      let meter = fresh_meter () in
       let* ga = decode_point ~what:"msg0 G_a" raw in
-      let keys =
-        tspan trace sid "crypto.ecdh_keygen" (fun () ->
-            timed meter Keygen (fun () -> C.Ecdh.generate ~random))
-      in
+      let keys = tspan trace sid "crypto.ecdh_keygen" (fun () -> C.Ecdh.generate ~random) in
       match
         tspan trace sid "crypto.ecdh" (fun () ->
-            timed meter Keygen (fun () -> C.Ecdh.shared_secret ~priv:keys.C.Ecdh.priv ~peer:ga))
+            C.Ecdh.shared_secret ~priv:keys.C.Ecdh.priv ~peer:ga)
       with
       | None -> Error (Malformed "msg0: degenerate session key")
       | Some shared ->
-        let session_keys = derive_session meter shared in
-        let gv_raw = timed meter Mem (fun () -> C.P256.encode keys.C.Ecdh.pub) in
+        let session_keys = C.Kdf.session_of_shared shared in
+        let gv_raw = C.P256.encode keys.C.Ecdh.pub in
         let v_raw = C.P256.encode policy.identity_pub in
         let signature =
           tspan trace sid "crypto.ecdsa_sign" (fun () ->
-              timed meter Asym (fun () -> C.Ecdsa.sign policy.identity_priv (gv_raw ^ raw)))
+              C.Ecdsa.sign policy.identity_priv (gv_raw ^ raw))
         in
         let content1 = gv_raw ^ v_raw ^ signature in
-        let tag = mac meter session_keys.C.Kdf.k_m content1 in
+        let tag = C.Cmac.mac ~key:session_keys.C.Kdf.k_m content1 in
         let m1 = content1 ^ tag in
         let session =
           {
@@ -402,7 +351,6 @@ module Verifier = struct
             keys;
             ga_raw = raw;
             session_keys;
-            meter;
             trace;
             sid;
             accepted_evidence = None;
@@ -439,9 +387,7 @@ module Verifier = struct
     begin
       let content2 = String.sub raw 0 (String.length raw - mac_len) in
       let tag = String.sub raw (String.length raw - mac_len) mac_len in
-      let* () =
-        check_mac session.meter session.session_keys.C.Kdf.k_m ~tag content2 ~where:"msg2"
-      in
+      let* () = check_mac session.session_keys.C.Kdf.k_m ~tag content2 ~where:"msg2" in
       let ga_raw = String.sub content2 0 point_len in
       let evidence_raw = String.sub content2 point_len (String.length content2 - point_len) in
       if not (String.equal ga_raw session.ga_raw) then Error Session_key_mismatch
@@ -467,8 +413,7 @@ module Verifier = struct
           if
             not
               (tspan session.trace session.sid "ra.quote_verify" (fun () ->
-                   timed session.meter Asym (fun () ->
-                       Evidence.verify_signature_with endorsed evidence)))
+                   Evidence.verify_signature_with endorsed evidence))
           then Error Bad_evidence_signature
           else if not (session.policy.accept_version evidence.Evidence.body.Evidence.version)
           then Error (Outdated_version evidence.Evidence.body.Evidence.version)
@@ -484,8 +429,7 @@ module Verifier = struct
             let plain = session.policy.secret_blob ^ augment evidence in
             let ct, gcm_tag =
               tspan session.trace session.sid "crypto.aes_gcm_encrypt" (fun () ->
-                  timed session.meter Sym (fun () ->
-                      C.Gcm.encrypt ~key:session.session_keys.C.Kdf.k_e ~iv plain))
+                  C.Gcm.encrypt ~key:session.session_keys.C.Kdf.k_e ~iv plain)
             in
             let m3 = iv ^ ct ^ gcm_tag in
             session.msg2_cache <- Some (raw, m3);
@@ -497,15 +441,10 @@ module Verifier = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* In-memory end-to-end run (no transport) — used by tests, the
-   Table III bench and the Scyther-style trace printer. *)
+(* In-memory end-to-end run (no transport) — used by tests, the fuzzer
+   and the examples. *)
 
-type run_result = {
-  blob : string;
-  attester_meter : meter;
-  verifier_meter : meter;
-  evidence : Evidence.signed;
-}
+type run_result = { blob : string; evidence : Evidence.signed }
 
 let run_local ?(trace = T.null) ~random ~(policy : Verifier.policy) ~issue ~expected_verifier () :
     (run_result, error) result =
@@ -519,11 +458,21 @@ let run_local ?(trace = T.null) ~random ~(policy : Verifier.policy) ~issue ~expe
   let* blob = Attester.handle_msg3 attester m3 in
   match vsession.Verifier.accepted_evidence with
   | None -> Error (Malformed "verifier accepted nothing")
-  | Some evidence ->
-    Ok
-      {
-        blob;
-        attester_meter = Attester.meter attester;
-        verifier_meter = Verifier.meter vsession;
-        evidence;
-      }
+  | Some evidence -> Ok { blob; evidence }
+
+(** Table III's split of a stretch of traced endpoint work, in the
+    tracer's clock: [(keygen, asym, rest)] is the time in key
+    generation and agreement, in signatures and their checks, and in
+    the rest of the outermost spans, so the three add up to those. *)
+let table3_split events =
+  let totals = Watz_obs.Export.phase_totals events in
+  let part names =
+    List.fold_left
+      (fun acc (p : Watz_obs.Export.phase) ->
+        if List.mem p.Watz_obs.Export.phase_name names then acc + p.Watz_obs.Export.total_ns
+        else acc)
+      0 totals
+  in
+  let keygen = part [ "crypto.ecdh_keygen"; "crypto.ecdh" ]
+  and asym = part [ "crypto.ecdsa_sign"; "crypto.ecdsa_verify"; "ra.quote_verify" ] in
+  (keygen, asym, Watz_obs.Export.outermost_total events - keygen - asym)

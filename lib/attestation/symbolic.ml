@@ -1,24 +1,29 @@
-(** A bounded Dolev–Yao symbolic analysis of the WaTZ protocol — the
+(** A Dolev–Yao symbolic analysis of the WaTZ protocol — the
     repository's stand-in for the paper's Scyther verification (§VII).
 
-    The protocol of Table II is modelled as a term algebra; the intruder
-    observes every message, controls the channel, owns its own key
-    material, and can apply the standard deduction rules (pairing /
-    projection, symmetric decryption with a known key, Diffie–Hellman
-    combination of a known private scalar with a known public point,
-    key derivation from a known shared secret). Signatures, MACs and
-    hashes are one-way.
+    The protocol of Table II is modelled as a term algebra. What the
+    analysis does is one deduction closure over a hand-written list of
+    what the intruder observes ({!intruder_knowledge}): the messages
+    of one honest session and its own key material. From that list it
+    applies the standard deduction rules (pairing / projection,
+    symmetric decryption with a known key, Diffie–Hellman combination
+    of a known private scalar with a known public point, key
+    derivation from a known shared secret); signatures, MACs and
+    hashes are one-way. There are no roles and no interleavings: the
+    weakened variant's man-in-the-middle sessions are written into
+    that list, so finding the MITM re-reads what the list holds
+    (ROADMAP item 17 replaces the list with a search).
 
     Checked claims, mirroring the paper's Scyther script:
     - {e secrecy} of the session keys and of the msg3 secret blob in an
       honest session;
     - {e agreement}: the intruder cannot fabricate evidence binding a
       session it controls (it lacks the device attestation key);
-    - {e non-vacuity}: the same checker {e does} find the
-      man-in-the-middle when the authentication ingredients (the
-      verifier's signature over the session keys / the evidence check)
-      are removed, and the leak when a session private key is
-      compromised. *)
+    - {e non-vacuity}: the same closure derives the blob when the
+      authentication ingredients (the verifier's signature over the
+      session keys / the evidence check) are removed, from the MITM
+      terms the list then holds, and the leak when a session private
+      key is compromised. *)
 
 type term =
   | Name of string (* atomic secret: private scalar, key, nonce, blob *)

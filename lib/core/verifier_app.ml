@@ -71,6 +71,15 @@ type t = {
 (** Simulated-clock inactivity after which a session is evicted. *)
 let session_timeout_ns = 2_000_000_000L
 
+(* The generator of the ECDHE scalars, msg3 IVs and (in the mesh)
+   ticket IVs and resumption nonces is seeded from the identity's
+   private key, so two verifiers with different identities never draw
+   the same stream. Federated mesh shards share one ticket key, and a
+   shared stream would seal two tickets under one key and IV. *)
+let stream_seed (policy : P.Verifier.policy) =
+  let key = Watz_crypto.Ecdsa.private_to_bytes policy.P.Verifier.identity_priv in
+  String.get_int64_le (Watz_crypto.Sha256.digest key) 0
+
 (** Start listening. [soc] is the device hosting the verifier (the
     paper co-locates attester and verifier on one board). [handler t
     conn] builds each accepted connection's extension (default: none). *)
@@ -87,7 +96,7 @@ let start ?(handler = fun (_ : t) (_ : conn_state) -> no_handler) soc ~port ~pol
     soc;
     port;
     policy;
-    rng = Watz_util.Prng.create 0x5eed0fae1L;
+    rng = Watz_util.Prng.create (stream_seed policy);
     sessions = Hashtbl.create 32;
     next_id = 0;
     make_handler = handler;
@@ -118,12 +127,6 @@ let drop_session t state reason =
   Metrics.incr t.metrics reason;
   Net.close state.conn;
   Hashtbl.remove t.sessions state.id
-
-(** Close every live connection, counting each under [reason] (a
-    verifier restart). *)
-let close_all t reason =
-  Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions []
-  |> List.iter (fun s -> drop_session t s reason)
 
 (** Reply to the attester; a dead link while answering aborts the
     session instead of escaping the event loop. [false] when the

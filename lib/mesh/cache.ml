@@ -5,7 +5,7 @@
     when the verifier is willing to trust it without re-running the
     handshake. The resume path consults the cache before honouring a
     ticket: a valid ticket whose backing entry expired or was
-    invalidated (key rotation, module update, restart) falls back to
+    invalidated (key rotation, module update) falls back to
     a full attestation.
 
     Entries are plain data, so federated verifier shards {!export}
@@ -99,11 +99,6 @@ let invalidate_attester t attester_id =
 (** Drop every entry for a measurement — the module was updated, so
     appraisals of the old code no longer certify deployments. *)
 let invalidate_claim t claim = remove_matching t (fun e -> String.equal e.claim claim)
-
-(** Verifier restart: all cached trust is gone. *)
-let clear t =
-  t.invalidated <- t.invalidated + Hashtbl.length t.tbl;
-  Hashtbl.reset t.tbl
 
 (* Total order on entries sharing a key: freshest appraisal wins, then
    longest validity, then raw bytes as an arbitrary-but-fixed tiebreak.

@@ -18,9 +18,7 @@
     - {e ticket-key (STEK) rotation}: outstanding tickets reject as
       rotated;
     - {e module update}: new reference measurement, cache entries for
-      the old one invalidated;
-    - {e verifier restart}: cache wiped, fresh ticket master, live
-      connections dropped.
+      the old one invalidated.
 
     Everything is a pure function of [config.seed]: arrivals, churn
     schedule, identity choice and fault injection all derive from it,
@@ -37,7 +35,6 @@ type churn = {
   reboot_every : int; (* every Nth arrival reboots its attester first (0 = off) *)
   rotate_key_every : int;
   rotate_stek_every : int;
-  restart_verifier_every : int;
   module_update_every : int;
 }
 
@@ -46,7 +43,6 @@ let no_churn =
     reboot_every = 0;
     rotate_key_every = 0;
     rotate_stek_every = 0;
-    restart_verifier_every = 0;
     module_update_every = 0;
   }
 
@@ -57,7 +53,6 @@ let default_churn =
     reboot_every = 17;
     rotate_key_every = 29;
     rotate_stek_every = 41;
-    restart_verifier_every = 0;
     module_update_every = 53;
   }
 
@@ -191,7 +186,6 @@ let run ?(config = default_config) ?identities ?(stek_seed = "mesh-stek")
       ignore (Cache.invalidate_attester (Mesh_verifier.cache server) old_id : int)
     end;
     if fires cfg.churn.rotate_stek_every i then Mesh_verifier.rotate_tickets server;
-    if fires cfg.churn.restart_verifier_every i then Mesh_verifier.restart server;
     if fires cfg.churn.module_update_every i then begin
       let old_claim = claim_for !claim_generation in
       incr claim_generation;

@@ -38,11 +38,9 @@ type estab = {
 (* What the frame handlers share across connections. *)
 type mesh = {
   sub_refs : string list; (* acceptable sub-module measurements *)
-  mutable master : Ticket.master;
+  master : Ticket.master;
   cache : Cache.t;
   ticket_ttl_ns : int64;
-  stek_seed : string;
-  mutable restarts : int;
 }
 
 type t = { server : V.t; mesh : mesh }
@@ -68,17 +66,6 @@ let set_reference_claims t claims =
 let rotate_tickets t =
   Metrics.incr (metrics t) "stek_rotations";
   Ticket.rotate t.mesh.master
-
-(** Simulate a verifier restart: every live connection dies, the
-    evidence cache is wiped, and a fresh ticket master is derived —
-    outstanding tickets become [unknown_key]. *)
-let restart t =
-  let m = t.mesh in
-  m.restarts <- m.restarts + 1;
-  Metrics.incr (metrics t) "restarts";
-  V.close_all t.server "sessions_closed";
-  Cache.clear m.cache;
-  m.master <- Ticket.make ~seed:(Printf.sprintf "%s:restart%d" m.stek_seed m.restarts)
 
 let establish_from_rms ~rms =
   { e_k_sub = Hier.derive_key ~rms; e_resume_cache = None; e_sub_acks = Hashtbl.create 4 }
@@ -245,8 +232,6 @@ let start ?(ticket_ttl_ns = 10_000_000_000L) ?(cache_ttl_ns = 10_000_000_000L) ?
       master = Ticket.make ~seed:stek_seed;
       cache = Cache.create ~ttl_ns:cache_ttl_ns ();
       ticket_ttl_ns;
-      stek_seed;
-      restarts = 0;
     }
   in
   { server = V.start ~handler:(handler mesh) soc ~port ~policy; mesh }

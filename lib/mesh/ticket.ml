@@ -17,16 +17,21 @@
     The body travels encrypted because it carries the resumption
     master secret and the ticket is presented over the untrusted
     network in resume0. The outer HMAC gives a cheap constant-shape
-    reject for tampered tickets before any decryption; the GCM tag
-    backs it up.
+    reject for tampered tickets before any decryption. It is also what
+    keeps tickets unforgeable should an IV ever repeat under one epoch
+    key: a repeated (key, IV) leaks the XOR of two sealed bodies,
+    resumption secrets included, and exposes GCM's authentication key,
+    so the GCM tag alone would not hold. Federated shards share the
+    STEK, so each verifier draws its IVs from a stream seeded by its
+    own identity ({!Watz.Verifier_app}).
 
-    [key_id] names the verifier instance (stable across rotations,
-    fresh after a restart), [epoch] the rotation generation. The two
-    fields let {!redeem} distinguish {e rotated} (fall back, re-handshake,
-    get a new ticket) from {e unknown key} (this verifier never minted
-    it — a restart wiped the master, or the ticket is alien). Both are
-    classified before the MAC check, so their classification is
-    best-effort: every mismatch path rejects, none accepts. *)
+    [key_id] names the ticket master (stable across rotations),
+    [epoch] the rotation generation. The two fields let {!redeem}
+    distinguish {e rotated} (fall back, re-handshake, get a new
+    ticket) from {e unknown key} (the ticket is alien: another master
+    minted it). Both are classified before the MAC check, so their
+    classification is best-effort: every mismatch path rejects, none
+    accepts. *)
 
 module C = Watz_crypto
 module W = Watz_util.Bytesio.Writer
@@ -40,7 +45,7 @@ let body_len = 32 + 32 + 32 + 16 + 8 + 8
 let wire_len = key_id_len + 4 + iv_len + body_len + gcm_tag_len + hmac_len
 
 type master = {
-  key_id : string; (* 4 bytes; names this verifier instance *)
+  key_id : string; (* 4 bytes; names this master *)
   base : string; (* instance secret every epoch key derives from *)
   mutable epoch : int;
   mutable enc_key : string; (* 16 bytes, current epoch *)
@@ -61,8 +66,8 @@ let derive_epoch_keys base epoch =
 
 (** [make ~seed] derives a fresh ticket master. The same seed always
     yields the same master (so federated verifier shards sharing a
-    seed accept each other's tickets); a restarted verifier derives
-    from a new seed and every outstanding ticket becomes unknown. *)
+    seed accept each other's tickets); a master from another seed
+    rejects them as unknown. *)
 let make ~seed =
   let base = C.Hmac.sha256 ~key:"WZ-MESH-STEK" seed in
   let key_id = String.sub (C.Hmac.sha256 ~key:"WZ-MESH-KID" seed) 0 key_id_len in

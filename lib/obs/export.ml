@@ -142,6 +142,23 @@ let phase_totals events =
   Hashtbl.fold (fun name (spans, total) acc -> { phase_name = name; spans; total_ns = total } :: acc) totals []
   |> List.sort (fun a b -> String.compare a.phase_name b.phase_name)
 
+(** Inclusive time of the outermost spans, those that begin while no
+    span is open. The events must nest as one thread's spans do. *)
+let outermost_total events =
+  let depth = ref 0 and opened = ref 0 and total = ref 0 in
+  List.iter
+    (fun (e : Trace.event) ->
+      match e.Trace.kind with
+      | Trace.Begin ->
+        if !depth = 0 then opened := e.Trace.ts_ns;
+        incr depth
+      | Trace.End ->
+        decr depth;
+        if !depth = 0 then total := !total + (e.Trace.ts_ns - !opened)
+      | Trace.Instant -> ())
+    events;
+  !total
+
 (** Instant-event counts per name, sorted. *)
 let instant_counts events =
   let tbl = Hashtbl.create 16 in

@@ -372,9 +372,8 @@ let stack_slot nloc s = s >= nloc
    Returns the combined op, always a freshly built value, or [pending]
    itself to emit it as-is; the caller tells the two apart with [==],
    so a failed fold allocates nothing. A rule exists only for a shape
-   that the profiled modules fuse, or that the 2-D addressing and f64
-   multiply-add cases of [wasm.fusion] pin; every other shape runs as
-   the plain ops it is built from. *)
+   that the profiled modules fuse; every other shape runs as the plain
+   ops it is built from. *)
 let absorb ~nloc (pending : op) (tail : op) : op =
   match (pending, tail) with
   (* -- operand folding into 3-address i32 arithmetic ---------------- *)
@@ -472,13 +471,6 @@ let absorb ~nloc (pending : op) (tail : op) : op =
   | OAdd32 (d, a, b), OBin3I32 (Mul, t, x, c)
     when t = b && b = a + 1 && a <> b && stack_slot nloc b && shift_amount c >= 0 ->
     OScaledR (d, x, shift_amount c, a)
-  | (OLoadI32 (off, d, a) | OLoadF64 (off, d, a)), OBin3I32 (Mul, t, x, c)
-    when t = a && a = d && stack_slot nloc a && shift_amount c >= 0 ->
-    let k = shift_amount c in
-    (match pending with
-    | OLoadI32 _ -> OLoadI32X (off, 0, d, x, k)
-    | OLoadF64 _ -> OLoadF64X (off, 0, d, x, k)
-    | _ -> assert false)
   | (OLoadI32 (off, d, a) | OLoadF64 (off, d, a)), OScaled (t, x, k, b0)
     when t = a && a = d && stack_slot nloc a ->
     (match pending with
@@ -502,7 +494,7 @@ let absorb ~nloc (pending : op) (tail : op) : op =
   (* -- 2-D addressing ---------------------------------------------------
         x*n + y with n not a power of two (those took the OScaledR rules
         above) becomes one [OMulAdd32], as does a + (y +- c). A +- c on
-        either index, a power-of-two scale and the array's constant
+        the row index, a power-of-two scale and the array's constant
         base then fold into its k and b, and the i32/f64 loads absorb
         the whole address. Exact for the reason the scaled rules are:
         every rewrite keeps the low 32 bits of the unfused chain. *)
@@ -521,10 +513,6 @@ let absorb ~nloc (pending : op) (tail : op) : op =
     when t = a && y <> a && stack_slot nloc a ->
     let c = match op with Sub -> -c | _ -> c in
     OMulAdd32 (d, x, n, y, k, wrap32 (b + ((c * n) lsl k)))
-  | OMulAdd32 (d, x, n, a, k, b), OBin3I32 (((Add | Sub) as op), t, y, c)
-    when t = a && x <> a && stack_slot nloc a ->
-    let c = match op with Sub -> -c | _ -> c in
-    OMulAdd32 (d, x, n, y, k, wrap32 (b + (c lsl k)))
   | OBin3I32 (((Add | Sub) as op), d, a, c), OMulAdd32 (t, x, n, y, k, b)
     when t = a && stack_slot nloc a ->
     OMulAdd32 (d, x, n, y, k, wrap32 (match op with Sub -> b - c | _ -> b + c))
@@ -536,21 +524,11 @@ let absorb ~nloc (pending : op) (tail : op) : op =
     | OLoadI32 _ -> OLoadI32M (off, b, d, x, n, y, k)
     | OLoadF64 _ -> OLoadF64M (off, b, d, x, n, y, k)
     | _ -> assert false)
-  | (OLoadI32X (off, b0, d, a, k) | OLoadF64X (off, b0, d, a, k)), OMulAdd32 (t, x, n, y, 0, c)
-    when t = a && stack_slot nloc a ->
-    let b = wrap32 (b0 + (c lsl k)) in
-    (match pending with
-    | OLoadI32X _ -> OLoadI32M (off, b, d, x, n, y, k)
-    | OLoadF64X _ -> OLoadF64M (off, b, d, x, n, y, k)
-    | _ -> assert false)
   (* -- f64 multiply-add: acc + a*b, two roundings as unfused (no FMA).
         Only with the product on the right, so NaN operands meet the
         add in the unfused order. *)
   | OFAdd64 (d, a, b), OFMul64 (t, x, y) when t = b && b = a + 1 && stack_slot nloc b ->
     OFMulAdd64 (d, a, x, y)
-  | OFMulAdd64 (d, a, x, y), OMovF (t, s) when t = a && a = d && x <> d && y <> d && stack_slot nloc t
-    ->
-    OFMulAdd64 (d, s, x, y)
   (* -- i32 memory-to-memory copy: the load feeding a store's value.
         The load's bound is checked first, then the store's. *)
   | OStoreI32 (soff, a, v), OLoadI32X (off, b0, t, x, k) when t = v && v = a + 1 && stack_slot nloc v ->

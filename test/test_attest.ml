@@ -87,15 +87,35 @@ let run_protocol ?(claims = [ claim_a ]) ?accept_version ?(claim = claim_a) soc 
     ~issue:(fun ~anchor -> issue_with service ~claim ~anchor)
     ~expected_verifier:policy.P.Verifier.identity_pub ()
 
+(* The handshake's own spans on a wall-clock tracer carry Table III's
+   shape: key generation plus asymmetric crypto outweigh the rest. Each
+   part is the median of 5 handshakes, so one preemption that lands in
+   the rest (a 4 ms time slice on a loaded host) cannot decide it. *)
 let test_protocol_happy_path () =
-  let soc = booted_soc "dev-a" in
-  match run_protocol soc with
-  | Ok result ->
-    Alcotest.(check string) "blob delivered" "the secret dataset" result.P.blob;
-    Alcotest.(check bool) "asym dominates keygen+sym on attester" true
-      (result.P.attester_meter.P.asym_ns +. result.P.attester_meter.P.keygen_ns
-      > result.P.attester_meter.P.sym_ns)
-  | Error e -> Alcotest.failf "protocol failed: %a" P.pp_error e
+  let service = service_for (booted_soc "dev-a") in
+  let policy = policy_for service in
+  let handshake () =
+    let trace =
+      Watz_obs.Trace.create ~now:(fun () -> Int64.of_float (Unix.gettimeofday () *. 1e9)) ()
+    in
+    match
+      P.run_local ~trace ~random ~policy
+        ~issue:(fun ~anchor -> issue_with service ~claim:claim_a ~anchor)
+        ~expected_verifier:policy.P.Verifier.identity_pub ()
+    with
+    | Ok result ->
+      Alcotest.(check string) "blob delivered" "the secret dataset" result.P.blob;
+      P.table3_split (Watz_obs.Trace.events trace)
+    | Error e -> Alcotest.failf "protocol failed: %a" P.pp_error e
+  in
+  let splits = List.init 5 (fun _ -> handshake ()) in
+  let median pick = List.nth (List.sort compare (List.map pick splits)) 2 in
+  let keygen = median (fun (k, _, _) -> k) and asym = median (fun (_, a, _) -> a) in
+  let rest = median (fun (_, _, r) -> r) in
+  Alcotest.(check bool)
+    (Printf.sprintf "keygen %d + asym %d ns > rest %d ns" keygen asym rest)
+    true
+    (keygen + asym > rest && List.for_all (fun (_, _, r) -> r >= 0) splits)
 
 let test_protocol_sessions_fresh () =
   (* Two runs produce different evidence anchors (ECDHE freshness). *)

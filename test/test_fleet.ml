@@ -105,22 +105,27 @@ let test_lossy_completion_and_accounting () =
 
 (* --- allocation accounting ------------------------------------------- *)
 
-(* Each shard reports its own domain's minor words, so the fleet's
-   minor words per session do not depend on how many domains share the
-   work. A shard that read [Gc.quick_stat] also counted its neighbours'
-   allocation, and the sum grew with the shard count (57k, 90k, 129k and
-   351k words per session at 1, 2, 4 and 8 shards). *)
+(* Each shard reports its own domain's minor words, so a shard of a
+   4-shard fleet allocates exactly what a fleet of one allocates on that
+   shard's seed and sessions: the same work, word for word. A shard that
+   read [Gc.quick_stat] also counted its neighbours' allocation, and the
+   sum grew with the shard count (57k, 90k, 129k and 351k words per
+   session at 1, 2, 4 and 8 shards). *)
 let test_minor_words_per_session_shard_independent () =
-  let per_session shards =
-    let r = Fleet.run ~config:(config ~shards ~sessions:32 ~seed:0xa77e57L ()) () in
-    List.fold_left (fun acc (_, w) -> acc +. w) 0.0 r.Fleet.minor_words_per_shard
-    /. float_of_int r.Fleet.sessions
-  in
-  let one = per_session 1 and four = per_session 4 in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.0f minor words per session at 1 shard, %.0f at 4 (within 5%%)" one four)
-    true
-    (Float.abs (four -. one) <= 0.05 *. one)
+  let seed = 0xa77e57L and sessions = 32 in
+  let four = Fleet.run ~config:(config ~shards:4 ~sessions ~seed ()) () in
+  List.iter
+    (fun (k, words) ->
+      let alone =
+        config ~shards:1
+          ~sessions:(Fleet.shard_sessions ~total:sessions ~shards:4 k)
+          ~seed:(Fleet.shard_seed seed k) ()
+      in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "shard %d of 4: minor words = its seed and sessions alone" k)
+        (List.assoc 0 (Fleet.run ~config:alone ()).Fleet.minor_words_per_shard)
+        words)
+    four.Fleet.minor_words_per_shard
 
 (* --- Net single-domain ownership ------------------------------------- *)
 

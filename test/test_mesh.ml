@@ -145,8 +145,8 @@ let test_ticket_rotation () =
 
 let test_ticket_foreign_master () =
   let f = make_fixture () in
-  let restarted = Ticket.make ~seed:"a-different-verifier-instance" in
-  match Ticket.redeem restarted ~now_ns:(Int64.add f.now 1L) f.ticket with
+  let foreign = Ticket.make ~seed:"a-different-verifier-instance" in
+  match Ticket.redeem foreign ~now_ns:(Int64.add f.now 1L) f.ticket with
   | Error Ticket.Unknown_key -> ()
   | Error r -> Alcotest.failf "foreign ticket rejected as %s" (Ticket.reject_to_string r)
   | Ok _ -> Alcotest.fail "ticket redeemed by a verifier that never minted it"
@@ -426,6 +426,38 @@ let test_fleet_merge_order_free () =
       check_int "wave2 aborted" 0 o.Mesh_fleet.wave2.Mesh_storm.aborted)
     r.Mesh_fleet.outcomes
 
+(* Federated shards seal tickets under one shared STEK, so a (key_id,
+   epoch, IV) prefix seen twice is one key and IV over two GCM bodies,
+   resumption secrets included. Each shard's verifier must draw its IVs
+   from a stream of its own. *)
+let test_fleet_ticket_ivs_distinct () =
+  let cfg = Mesh_fleet.default_config in
+  let stek_seed = Mesh_fleet.fleet_stek cfg in
+  let prefixes =
+    List.init cfg.Mesh_fleet.shards (fun k ->
+        let r = Mesh_storm.run ~config:(Mesh_fleet.shard_storm_config cfg ~wave:0 k) ~stek_seed () in
+        Array.to_list r.Mesh_storm.identities
+        |> List.filter_map (fun (id : Watz_mesh.Identity.t) -> id.Watz_mesh.Identity.ticket))
+    |> List.concat
+    |> List.map (fun t -> String.sub t 0 (Ticket.key_id_len + 4 + Ticket.iv_len))
+  in
+  check_bool "every shard's population holds tickets" true (List.length prefixes >= 16);
+  check_int "distinct (key_id, epoch, IV) prefixes" (List.length prefixes)
+    (List.length (List.sort_uniq String.compare prefixes))
+
+let test_verifier_streams_differ () =
+  let soc = Soc.manufacture ~seed:"two-verifiers" () in
+  let start port identity_seed =
+    let policy =
+      P.Verifier.make_policy ~identity_seed ~endorsed_keys:[] ~reference_claims:[] ~secret_blob:""
+        ()
+    in
+    Watz.Verifier_app.start soc ~port ~policy
+  in
+  let a = start 7401 "verifier-a" and b = start 7402 "verifier-b" in
+  check_bool "different identities, different first 32 bytes" false
+    (String.equal (Watz.Verifier_app.random a 32) (Watz.Verifier_app.random b 32))
+
 let suite =
   [
     ( "mesh.ticket",
@@ -435,6 +467,8 @@ let suite =
         case "foreign master: unknown key" test_ticket_foreign_master;
         qcheck prop_ticket_expiry;
         qcheck prop_ticket_flip;
+        case "federated shards never repeat a ticket IV" test_fleet_ticket_ivs_distinct;
+        case "verifier identities seed distinct streams" test_verifier_streams_differ;
       ] );
     ( "mesh.resume",
       [
