@@ -1118,6 +1118,21 @@ let crypto () =
     (ops "p256_field_sqr"
        (fun () -> Watz_crypto.Fe256.sqr_into fp fd fa)
        (fun () -> Modring.sqr gr ga));
+  (* One inversion mod p and one mod n: safegcd on the Montgomery limbs
+     against Fermat on the Barrett ring. *)
+  ignore
+    (ops "p256_field_inv"
+       (fun () -> Watz_crypto.Fe256.inv_into fp fd fa)
+       (fun () -> Modring.inv_prime gr ga));
+  let sr = Watz_crypto.P256.scalar_ring in
+  let nr = Modring.create (Bn.of_hex "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551") in
+  let na = Modring.reduce nr (Bn.of_bytes_be (Watz_crypto.Sha256.digest "scalar a")) in
+  let sa = Option.get (Watz_crypto.Fe256.of_bytes sr (Bn.to_bytes_be ~len:32 na) 0) in
+  let sd = Watz_crypto.Fe256.zero sr in
+  ignore
+    (ops "p256_scalar_inv"
+       (fun () -> Watz_crypto.Fe256.inv_into sr sd sa)
+       (fun () -> Modring.inv_prime nr na));
   let keys = Watz_crypto.Kdf.session_of_shared (Watz_crypto.Sha256.digest "s") in
   let key = keys.Watz_crypto.Kdf.k_e in
   (* One AES-128 block: T-tables in place vs the textbook cipher. *)

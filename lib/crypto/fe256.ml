@@ -22,8 +22,8 @@ type ring = {
   m : int array; (* modulus limbs *)
   n0 : int; (* -m^-1 mod beta *)
   r2 : t; (* R^2 mod m, ordinary representation *)
+  r3 : t; (* R^3 mod m, ordinary: takes an inverse back to Montgomery form *)
   one_m : t; (* R mod m: the Montgomery image of 1 *)
-  fermat : string; (* m - 2 as 32 big-endian bytes *)
   p_shape : bool; (* m = p_limbs: products reduce by shifts *)
 }
 
@@ -709,7 +709,7 @@ let sub_into r dst a b =
 
 (* The constants come from the modulus limbs alone: R mod m and
    R^2 mod m by doubling 1 with [add_into] (which reads only [m]) 261
-   and 522 times, and the Fermat exponent m - 2 by one [sub_into]. *)
+   and 522 times, and R^3 mod m as the product of R^2 by itself. *)
 let create m_bytes =
   if String.length m_bytes <> 32 || Char.code m_bytes.[0] < 0x80
      || Char.code m_bytes.[31] land 1 = 0
@@ -724,18 +724,15 @@ let create m_bytes =
     inv := (!inv * (2 - p)) land limb_mask
   done;
   let n0 = ((1 lsl limb_bits) - !inv) land limb_mask in
-  let one_m = Array.make limbs 0 and r2 = Array.make limbs 0 in
-  let r = { m; n0; r2; one_m; fermat = ""; p_shape = m = p_limbs } in
+  let one_m = Array.make limbs 0 and r2 = Array.make limbs 0 and r3 = Array.make limbs 0 in
+  let r = { m; n0; r2; r3; one_m; p_shape = m = p_limbs } in
   r2.(0) <- 1;
   for i = 1 to 2 * limbs * limb_bits do
     add_into r r2 r2 r2;
     if i = limbs * limb_bits then Array.blit r2 0 one_m 0 limbs
   done;
-  let e = Array.make limbs 0 and fermat = Bytes.create 32 in
-  e.(0) <- 2;
-  sub_into r e m e;
-  bytes_of_limbs e fermat 0;
-  { r with fermat = Bytes.unsafe_to_string fermat }
+  mul_into r r3 r2 r2;
+  r
 
 let is_zero a =
   Array.unsafe_get a 0 lor Array.unsafe_get a 1 lor Array.unsafe_get a 2
@@ -805,12 +802,24 @@ let of_bytes_mod r s off =
   mul_into r a a r.r2;
   a
 
+(* Per-domain scratch, so fleet shards never share it: [f], [g], [d]
+   and [e] of [inv_into], and [out], the ordinary form [to_bytes]
+   writes out. *)
+type scratch = { f : int array; g : int array; d : int array; e : int array; out : t }
+
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      let l () = Array.make limbs 0 in
+      { f = l (); g = l (); d = l (); e = l (); out = l () })
+
+(* Ordinary 1; only ever read. *)
+let ordinary_one = Array.init limbs (fun i -> if i = 0 then 1 else 0)
+
 (* The product by ordinary 1 takes [a] out of Montgomery form. *)
 let to_bytes r b off a =
   if off < 0 || off > Bytes.length b - 32 then invalid_arg "Fe256.to_bytes";
-  let o = Array.make limbs 0 in
-  o.(0) <- 1;
-  mul_into r o a o;
+  let o = (Domain.DLS.get scratch).out in
+  mul_into r o a ordinary_one;
   bytes_of_limbs o b off
 
 let to_string r a =
@@ -818,30 +827,147 @@ let to_string r a =
   to_bytes r b 0 a;
   Bytes.unsafe_to_string b
 
-(* The inversion's window table, a^d in slot d, per domain so fleet
-   shards never share it. *)
-let powers = Domain.DLS.new_key (fun () -> Array.init 16 (fun _ -> Array.make limbs 0))
+(* Inversion is Bernstein and Yang's safegcd ("Fast constant-time gcd
+   computation and modular inversion", TCHES 2019) in the half-delta
+   form of libsecp256k1's modinv32, on 29-bit limbs. With f = m, g = a,
+   d = 0, e = 1 and zeta = -1, a divstep replaces (f, g) by (g, g - f)
+   and zeta by -zeta - 2 if zeta < 0 and g is odd; otherwise it adds f
+   to g if g is odd and lowers zeta by 1. Then it halves g, now even.
+   d and e follow f and g mod m, so that d a = f and e a = g (mod m)
+   throughout. Once g reaches 0, f = +-1 (m prime, a nonzero) and +-d
+   is a^-1; for a = 0, d stays 0. The steps run in [batches] batches
+   of [batch_steps]: each batch works on the low limbs of f and g alone
+   and yields a 2x2 matrix [[u, v], [q, r]] that takes (f, g) to
+   (u f + v g, q f + r g) / 2^29, and [update_fg] and [update_de] apply
+   it to the full numbers. Every step and every limb update is
+   branch-free and the counts are fixed, so this work does not depend
+   on [a]; the closing product ends in [reduce_store]'s conditional
+   subtraction, as every product does.
 
-(* Fermat inversion a^(m-2) with fixed 4-bit windows: 14 products for
-   the table, then 4 squarings per exponent nibble and one product per
-   non-zero nibble, ~300 products where bit-by-bit square-and-multiply
-   takes 380-420. The table holds a copy of [a], so [dst] may alias it;
-   [inv_into r dst zero] writes zero. *)
-let inv_into r dst a =
-  let pw = Domain.DLS.get powers in
-  set pw.(1) a;
-  for d = 2 to 15 do
-    mul_into r pw.(d) pw.(d - 1) pw.(1)
+   21 batches of 29 make 609 divsteps. 590 suffice for any modulus and
+   input below 2^256: the bound libsecp256k1 cites for its 600
+   (doc/safegcd_implementation.md), computed by Wuille
+   (github.com/sipa/safegcd-bounds) for this half-delta variant; the
+   paper proves 741 for its original divstep. No test can check it:
+   too few steps leave g nonzero only for some inputs, and 19 or 20
+   batches pass every test in the suite, as 21 do.
+
+   Signed numbers are 9 limbs: limbs 0-7 in [0, 2^29), limb 8 signed.
+   After n divsteps every entry of the matrix is at most 2^n in
+   magnitude, and so is |u| + |v| and |q| + |r|: a step doubles u and
+   v, and adds (or swaps in) one row to the other. *)
+let batches = 21
+let batch_steps = 29
+
+(* (f, g) <- (u f + v g, q f + r g) / 2^29; the 29 low bits of both sums
+   are zero by construction. |f| and |g| stay at most m < 2^256, so
+   their limb 8 is at most 2^24 in magnitude. A sum u f_i + v g_i is at
+   most (|u| + |v|) 2^29 <= 2^58, and the carry below 2^30, so no sum
+   reaches 2^59. *)
+let update_fg f g u v q r =
+  let f0 = Array.unsafe_get f 0 and g0 = Array.unsafe_get g 0 in
+  let cf = ref ((u * f0 + v * g0) asr limb_bits) in
+  let cg = ref ((q * f0 + r * g0) asr limb_bits) in
+  for i = 1 to limbs - 1 do
+    let fi = Array.unsafe_get f i and gi = Array.unsafe_get g i in
+    cf := !cf + u * fi + v * gi;
+    cg := !cg + q * fi + r * gi;
+    Array.unsafe_set f (i - 1) (!cf land limb_mask);
+    Array.unsafe_set g (i - 1) (!cg land limb_mask);
+    cf := !cf asr limb_bits;
+    cg := !cg asr limb_bits
   done;
-  set_one r dst;
-  for i = 0 to 63 do
-    if i > 0 then begin
-      sqr_into r dst dst;
-      sqr_into r dst dst;
-      sqr_into r dst dst;
-      sqr_into r dst dst
-    end;
-    let b = Char.code (String.unsafe_get r.fermat (i lsr 1)) in
-    let d = if i land 1 = 0 then b lsr 4 else b land 0xf in
-    if d > 0 then mul_into r dst dst pw.(d)
+  Array.unsafe_set f (limbs - 1) !cf;
+  Array.unsafe_set g (limbs - 1) !cg
+
+(* (d, e) <- (u d + v e + md m, q d + r e + me m) / 2^29, where md and
+   me make the 29 low bits zero. They start as u (d < 0) plus v (e < 0)
+   and q (d < 0) plus r (e < 0), which stand for d + m and e + m, in
+   (-m, m); then each drops by below 2^29 to the digit that clears the
+   low limb, n0 times the sum's low limb mod 2^29, as in a Montgomery
+   product (that product wraps, but only its low 29 bits are kept). So
+   d and e stay in (-2m, m): the sum is in (-2^29 m - 2^29 m, 2^29 m)
+   before the shift. A limb's sum holds u d_i + v e_i, at most 2^58,
+   m_i md with |md| <= 2^30, below 2^59, and a carry below 2^31: it
+   stays below 2^60, and no limb update leaves OCaml's 63 bits. *)
+let update_de ring d e u v q r =
+  let m = ring.m and n0 = ring.n0 in
+  let sd = Array.unsafe_get d (limbs - 1) asr 62 and se = Array.unsafe_get e (limbs - 1) asr 62 in
+  let md = (u land sd) + (v land se) and me = (q land sd) + (r land se) in
+  let d0 = Array.unsafe_get d 0 and e0 = Array.unsafe_get e 0 in
+  let cd = (u * d0) + (v * e0) and ce = (q * d0) + (r * e0) in
+  let md = md - ((md - (cd * n0)) land limb_mask) in
+  let me = me - ((me - (ce * n0)) land limb_mask) in
+  let m0 = Array.unsafe_get m 0 in
+  let cd = ref ((cd + (m0 * md)) asr limb_bits) and ce = ref ((ce + (m0 * me)) asr limb_bits) in
+  for i = 1 to limbs - 1 do
+    let di = Array.unsafe_get d i and ei = Array.unsafe_get e i and mi = Array.unsafe_get m i in
+    cd := !cd + (u * di) + (v * ei) + (mi * md);
+    ce := !ce + (q * di) + (r * ei) + (mi * me);
+    Array.unsafe_set d (i - 1) (!cd land limb_mask);
+    Array.unsafe_set e (i - 1) (!ce land limb_mask);
+    cd := !cd asr limb_bits;
+    ce := !ce asr limb_bits
+  done;
+  Array.unsafe_set d (limbs - 1) !cd;
+  Array.unsafe_set e (limbs - 1) !ce
+
+(* d in (-2m, m) to [0, m), negated when [sign] < 0: add m if d < 0,
+   negate and carry, which leaves (-m, m) in 9 limbs of 29 bits, mod
+   2^261; the carry out of limb 8 is then -1 if that is negative, and
+   the second pass adds m back. *)
+let normalize ring d sign =
+  let m = ring.m in
+  let add = Array.unsafe_get d (limbs - 1) asr 62 and neg = sign asr 62 in
+  let c = ref 0 in
+  for i = 0 to limbs - 1 do
+    let x = Array.unsafe_get d i + (Array.unsafe_get m i land add) in
+    c := !c + ((x lxor neg) - neg);
+    Array.unsafe_set d i (!c land limb_mask);
+    c := !c asr limb_bits
+  done;
+  let add = !c in
+  c := 0;
+  for i = 0 to limbs - 1 do
+    c := !c + Array.unsafe_get d i + (Array.unsafe_get m i land add);
+    Array.unsafe_set d i (!c land limb_mask);
+    c := !c asr limb_bits
   done
+
+(* a holds a R, so the divsteps give (a R)^-1 in ordinary form, and one
+   product by R^3 makes it a^-1 R, the Montgomery image of a^-1. *)
+let inv_into ring dst a =
+  let { f; g; d; e; _ } = Domain.DLS.get scratch in
+  set f ring.m;
+  set g a;
+  Array.fill d 0 limbs 0;
+  Array.fill e 0 limbs 0;
+  e.(0) <- 1;
+  let zeta = ref (-1) in
+  for _ = 1 to batches do
+    (* The steps run on the low limbs fl and gl alone: after i of
+       them, fl and gl agree with the full f and g in their low 29 - i
+       bits, and a step reads only g's parity. The matrix keeps
+       u f0 + v g0 = 2^i fl and q f0 + r g0 = 2^i gl. The masks are
+       -1 for zeta < 0, for g odd and for both. *)
+    let fl = ref (Array.unsafe_get f 0) and gl = ref (Array.unsafe_get g 0) in
+    let u = ref 1 and v = ref 0 and q = ref 0 and r = ref 1 in
+    for _ = 1 to batch_steps do
+      let neg = !zeta asr 62 and odd = - (!gl land 1) in
+      gl := !gl + (((!fl lxor neg) - neg) land odd);
+      q := !q + (((!u lxor neg) - neg) land odd);
+      r := !r + (((!v lxor neg) - neg) land odd);
+      let swap = neg land odd in
+      zeta := (!zeta lxor swap) - 1;
+      fl := !fl + (!gl land swap);
+      u := !u + (!q land swap);
+      v := !v + (!r land swap);
+      gl := !gl asr 1;
+      u := !u lsl 1;
+      v := !v lsl 1
+    done;
+    update_fg f g !u !v !q !r;
+    update_de ring d e !u !v !q !r
+  done;
+  normalize ring d (Array.unsafe_get f (limbs - 1));
+  mul_into ring dst d ring.r3

@@ -3,8 +3,10 @@
     The fast-path replacement for the generic Barrett ring ([Modring],
     now only in the reference crypto of [lib/crypto/ref]) in the P-256
     hot loops: 9 limbs of 29 bits in native ints, a straight-line
-    Montgomery product, and Fermat inversion. One {!ring} instance each
-    backs the P-256 field (mod p) and scalar ring (mod n). {!create}
+    Montgomery product, and safegcd inversion (Bernstein and Yang's
+    divsteps: a fixed count, with no branch on the input). One {!ring}
+    instance each backs the P-256 field (mod p) and scalar ring
+    (mod n). {!create}
     gives the ring mod p its own product and squaring, which reduce by
     p's shape with shifts; every other modulus gets the generic
     product, and squares with it. Both products give the same limbs.
@@ -14,8 +16,8 @@
     The arithmetic is destination-passing and allocates nothing:
     [op_into r dst a b] overwrites [dst], which may be [a], [b] or both.
     Only the constructors ({!zero}, {!one}, {!of_bytes},
-    {!of_bytes_mod}) and the writers ({!to_bytes}, {!to_string})
-    allocate. Elements are tied to the ring they were created with;
+    {!of_bytes_mod}) and {!to_string} allocate; {!to_bytes} and
+    {!inv_into} work in per-domain scratch. Elements are tied to the ring they were created with;
     mixing rings is a caller bug and silently computes garbage. All
     values stay fully reduced, so {!equal}/{!is_zero} are plain
     representation comparisons. *)
@@ -48,7 +50,7 @@ val of_bytes_mod : ring -> string -> int -> t
 
 val to_bytes : ring -> Bytes.t -> int -> t -> unit
 (** [to_bytes r b off a] writes [a] as 32 big-endian bytes at
-    [b.[off]]. *)
+    [b.[off]]. Allocates nothing. *)
 
 val to_string : ring -> t -> string
 (** [a] as a fresh string of 32 big-endian bytes. *)
@@ -63,9 +65,10 @@ val add_into : ring -> t -> t -> t -> unit
 val sub_into : ring -> t -> t -> t -> unit
 
 val inv_into : ring -> t -> t -> unit
-(** [inv_into r dst a] sets [dst] to [a{^-1}] by Fermat inversion
-    [a{^m-2}]; requires a prime modulus. Inverting zero gives zero. Uses
-    a per-domain scratch table. *)
+(** [inv_into r dst a] sets [dst] to [a{^-1}] by 609 branch-free
+    divsteps on [a]'s limbs, then one product that returns to
+    Montgomery form; requires a prime modulus. Inverting zero gives
+    zero. Uses per-domain scratch and allocates nothing. *)
 
 val set : t -> t -> unit
 (** [set dst a] copies [a] into [dst]. *)

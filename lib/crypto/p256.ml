@@ -482,15 +482,17 @@ let comb_double_mul ws u1 u2 qc =
   done
 
 (* Measured with OCaml 5.1 on a 2-vCPU Xeon VM, quartiles over 40 fresh
-   keys: a comb costs 2.35-2.75 ms to build (its two flat arrays, 42k
+   keys in each of six runs, on a host whose pace moved ~1.5x between
+   runs: a comb costs 2.6-4.7 ms to build (its two flat arrays, 42k
    words, go straight to the major heap), and each ECDSA verify on it
-   takes 0.18-0.19 ms against 0.36-0.37 ms on the window ladder, a
-   saving of 0.17-0.19 ms; both paths allocate 188 words per verify.
-   So a comb pays for itself after 12 to 16 uses. The threshold sits at
-   the low end of that range because the keys that pass it (endorsed
-   attestation keys, a pinned verifier identity, a board's vendor key)
-   keep verifying for the rest of the run, while a key decoded for one
-   handshake never gets near it. *)
+   takes 0.14-0.28 ms against 0.34-0.64 ms on the window ladder; both
+   paths allocate 138 words per verify. The build over the saving read
+   9.8-13.8 uses, medians 12.0-13.1, so a comb pays for itself after
+   12 to 14 uses. The threshold sits at the low end of that range
+   because the keys that pass it (endorsed attestation keys, a pinned
+   verifier identity, a board's vendor key) keep verifying for the rest
+   of the run, while a key decoded for one handshake never gets near
+   it. *)
 let comb_threshold = 12
 
 let double_mul u1 u2 q =
