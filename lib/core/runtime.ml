@@ -115,8 +115,8 @@ let load ?(config = default_config) ?(entry = Some "_start") soc wasm_bytes =
     let ta = Watz_tz.Soc.sign_ta soc (runtime_ta ~config) in
     let session = Watz_tz.Optee.open_session os ta in
     opened := Some session;
-    let transition_ns = float_of_int soc.Watz_tz.Soc.costs.Watz_tz.Simclock.smc_enter_ns in
-    Watz_tz.Simclock.advance soc.Watz_tz.Soc.clock soc.Watz_tz.Soc.costs.Watz_tz.Simclock.smc_enter_ns;
+    let transition_ns = float_of_int Watz_tz.Simclock.smc_enter_ns in
+    Watz_tz.Simclock.advance soc.Watz_tz.Soc.clock Watz_tz.Simclock.smc_enter_ns;
     (* Secure world: copy in, account heap, obtain executable pages. *)
     let alloc_ns, bytecode =
       time (fun () ->
@@ -139,8 +139,7 @@ let load ?(config = default_config) ?(entry = Some "_start") soc wasm_bytes =
               ~clock_ns:(fun () ->
                 (* WASI clock_time_get: RPC to the normal world plus the
                    WASI dispatch overhead (Fig. 3a: ~13 us for Wasm). *)
-                Watz_tz.Simclock.advance soc.Watz_tz.Soc.clock
-                  soc.Watz_tz.Soc.costs.Watz_tz.Simclock.wasi_dispatch_ns;
+                Watz_tz.Simclock.advance soc.Watz_tz.Soc.clock Watz_tz.Simclock.wasi_dispatch_ns;
                 Watz_tz.Optee.ree_time_ns os)
               ~random:(Watz_tz.Optee.generate_random os)
               ~write_out:(Buffer.add_string output) ()
@@ -175,7 +174,7 @@ let load ?(config = default_config) ?(entry = Some "_start") soc wasm_bytes =
             try ignore (Engine.invoke_opt instance name [])
             with Wasi.Proc_exit code -> wasi_env.Wasi.exit_code <- Some code))
     in
-    Watz_tz.Simclock.advance soc.Watz_tz.Soc.clock soc.Watz_tz.Soc.costs.Watz_tz.Simclock.smc_return_ns;
+    Watz_tz.Simclock.advance soc.Watz_tz.Soc.clock Watz_tz.Simclock.smc_return_ns;
     T.end_ trace T.Normal ~session:sid "runtime.load";
     {
       claim;

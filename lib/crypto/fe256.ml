@@ -8,9 +8,10 @@
    field mod p and the scalar ring mod n. [create] gives the ring mod p
    its own product and squaring, which reduce by p's shape with shifts
    ([mul_p], [sqr_p]); any other modulus runs the generic product
-   ([mul_mont]), which squares too. Numbers enter and leave as 32
-   big-endian bytes, or as limbs in flat tables ([load], [store]);
-   [create] derives its constants from the modulus limbs. *)
+   ([mul_mont], one loop over the product's columns), which squares
+   too. Numbers enter and leave as 32 big-endian bytes, or as limbs in
+   flat tables ([load], [store]); [create] derives its constants from
+   the modulus limbs. *)
 
 let limbs = 9
 let limb_bits = 29
@@ -95,16 +96,34 @@ let[@inline] reduce_store dst m r0 r1 r2 r3 r4 r5 r6 r7 r8 =
     Array.unsafe_set dst 8 d8
   end
 
-(* Montgomery product dst <- a * b * R^-1 mod m, straight-line in
-   product-scanning order: column k sums every a_i * b_j and q_i * m_j
-   with i + j = k plus the carry c from column k - 1. Columns 0-8 each
-   fix a quotient digit q_k that makes the column a multiple of beta;
-   columns 9-16 emit the result limbs. All operand limbs are read
-   before [dst] is written, so [dst] may alias [a] or [b]. Each product
-   is added to the running sum by its own [let]: one chained [+]
-   expression would have the compiler form every product of a column
-   before the first addition and spill them, which measured ~1.3x
-   slower.
+(* Per-domain scratch, so fleet shards never share it: [q] and [res]
+   of [mul_mont], [f], [g], [d] and [e] of [inv_into], and [out], the
+   ordinary form [to_bytes] writes out. [mul_mont] must not use the
+   others: [inv_into]'s closing product reads [d], and [to_bytes]'s
+   writes [out]. *)
+type scratch = {
+  q : int array;
+  res : int array;
+  f : int array;
+  g : int array;
+  d : int array;
+  e : int array;
+  out : t;
+}
+
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      let l () = Array.make limbs 0 in
+      { q = l (); res = l (); f = l (); g = l (); d = l (); e = l (); out = l () })
+
+(* Montgomery product dst <- a * b * R^-1 mod m in product-scanning
+   order: column k sums every a_i * b_j and q_i * m_j with i + j = k
+   plus the carry c from column k - 1. Columns 0-8 each fix a quotient
+   digit q_k that makes the column a multiple of beta; columns 9-16
+   emit the result limbs. All operand limbs are read before [dst] is
+   written, so [dst] may alias [a] or [b]. The column bounds are ints
+   picked with [<]: the polymorphic [max] and [min] are external calls,
+   and made this loop 2.5-2.8x slower.
 
    Why no column overflows OCaml's 63-bit int (max 2^62 - 1): a full
    product of two 29-bit limbs is at most (2^29 - 1)^2 < 2^58 - 2^29; a
@@ -118,212 +137,32 @@ let[@inline] reduce_store dst m r0 r1 r2 r3 r4 r5 r6 r7 r8 =
    and qm < Rm), so one conditional subtraction fully reduces it. *)
 let mul_mont r dst a b =
   let m = r.m and n0 = r.n0 in
-  let a0 = Array.unsafe_get a 0 and a1 = Array.unsafe_get a 1 and a2 = Array.unsafe_get a 2 in
-  let a3 = Array.unsafe_get a 3 and a4 = Array.unsafe_get a 4 and a5 = Array.unsafe_get a 5 in
-  let a6 = Array.unsafe_get a 6 and a7 = Array.unsafe_get a 7 and a8 = Array.unsafe_get a 8 in
-  let b0 = Array.unsafe_get b 0 and b1 = Array.unsafe_get b 1 and b2 = Array.unsafe_get b 2 in
-  let b3 = Array.unsafe_get b 3 and b4 = Array.unsafe_get b 4 and b5 = Array.unsafe_get b 5 in
-  let b6 = Array.unsafe_get b 6 and b7 = Array.unsafe_get b 7 and b8 = Array.unsafe_get b 8 in
-  let m0 = Array.unsafe_get m 0 and m1 = Array.unsafe_get m 1 and m2 = Array.unsafe_get m 2 in
-  let m3 = Array.unsafe_get m 3 and m4 = Array.unsafe_get m 4 and m5 = Array.unsafe_get m 5 in
-  let m6 = Array.unsafe_get m 6 and m7 = Array.unsafe_get m 7 and m8 = Array.unsafe_get m 8 in
-  (* column 0: 2 full products *)
-  let s = a0 * b0 in
-  let q0 = (s * n0) land limb_mask in
-  let c = (s + (q0 * m0)) lsr limb_bits in
-  (* column 1: 4 full products + c *)
-  let s = c + a0 * b1 in
-  let s = s + a1 * b0 in
-  let s = s + q0 * m1 in
-  let q1 = (s * n0) land limb_mask in
-  let c = (s + (q1 * m0)) lsr limb_bits in
-  (* column 2: 6 full products + c *)
-  let s = c + a0 * b2 in
-  let s = s + a1 * b1 in
-  let s = s + a2 * b0 in
-  let s = s + q0 * m2 in
-  let s = s + q1 * m1 in
-  let q2 = (s * n0) land limb_mask in
-  let c = (s + (q2 * m0)) lsr limb_bits in
-  (* column 3: 8 full products + c *)
-  let s = c + a0 * b3 in
-  let s = s + a1 * b2 in
-  let s = s + a2 * b1 in
-  let s = s + a3 * b0 in
-  let s = s + q0 * m3 in
-  let s = s + q1 * m2 in
-  let s = s + q2 * m1 in
-  let q3 = (s * n0) land limb_mask in
-  let c = (s + (q3 * m0)) lsr limb_bits in
-  (* column 4: 10 full products + c *)
-  let s = c + a0 * b4 in
-  let s = s + a1 * b3 in
-  let s = s + a2 * b2 in
-  let s = s + a3 * b1 in
-  let s = s + a4 * b0 in
-  let s = s + q0 * m4 in
-  let s = s + q1 * m3 in
-  let s = s + q2 * m2 in
-  let s = s + q3 * m1 in
-  let q4 = (s * n0) land limb_mask in
-  let c = (s + (q4 * m0)) lsr limb_bits in
-  (* column 5: 12 full products + c *)
-  let s = c + a0 * b5 in
-  let s = s + a1 * b4 in
-  let s = s + a2 * b3 in
-  let s = s + a3 * b2 in
-  let s = s + a4 * b1 in
-  let s = s + a5 * b0 in
-  let s = s + q0 * m5 in
-  let s = s + q1 * m4 in
-  let s = s + q2 * m3 in
-  let s = s + q3 * m2 in
-  let s = s + q4 * m1 in
-  let q5 = (s * n0) land limb_mask in
-  let c = (s + (q5 * m0)) lsr limb_bits in
-  (* column 6: 14 full products + c *)
-  let s = c + a0 * b6 in
-  let s = s + a1 * b5 in
-  let s = s + a2 * b4 in
-  let s = s + a3 * b3 in
-  let s = s + a4 * b2 in
-  let s = s + a5 * b1 in
-  let s = s + a6 * b0 in
-  let s = s + q0 * m6 in
-  let s = s + q1 * m5 in
-  let s = s + q2 * m4 in
-  let s = s + q3 * m3 in
-  let s = s + q4 * m2 in
-  let s = s + q5 * m1 in
-  let q6 = (s * n0) land limb_mask in
-  let c = (s + (q6 * m0)) lsr limb_bits in
-  (* column 7: 16 full products + c *)
-  let s = c + a0 * b7 in
-  let s = s + a1 * b6 in
-  let s = s + a2 * b5 in
-  let s = s + a3 * b4 in
-  let s = s + a4 * b3 in
-  let s = s + a5 * b2 in
-  let s = s + a6 * b1 in
-  let s = s + a7 * b0 in
-  let s = s + q0 * m7 in
-  let s = s + q1 * m6 in
-  let s = s + q2 * m5 in
-  let s = s + q3 * m4 in
-  let s = s + q4 * m3 in
-  let s = s + q5 * m2 in
-  let s = s + q6 * m1 in
-  let q7 = (s * n0) land limb_mask in
-  let c = (s + (q7 * m0)) lsr limb_bits in
-  (* column 8: 15 full + 3 top-limb products + c *)
-  let s = c + a0 * b8 in
-  let s = s + a1 * b7 in
-  let s = s + a2 * b6 in
-  let s = s + a3 * b5 in
-  let s = s + a4 * b4 in
-  let s = s + a5 * b3 in
-  let s = s + a6 * b2 in
-  let s = s + a7 * b1 in
-  let s = s + a8 * b0 in
-  let s = s + q0 * m8 in
-  let s = s + q1 * m7 in
-  let s = s + q2 * m6 in
-  let s = s + q3 * m5 in
-  let s = s + q4 * m4 in
-  let s = s + q5 * m3 in
-  let s = s + q6 * m2 in
-  let s = s + q7 * m1 in
-  let q8 = (s * n0) land limb_mask in
-  let c = (s + (q8 * m0)) lsr limb_bits in
-  (* column 9: 13 full + 3 top-limb products + c *)
-  let s = c + a1 * b8 in
-  let s = s + a2 * b7 in
-  let s = s + a3 * b6 in
-  let s = s + a4 * b5 in
-  let s = s + a5 * b4 in
-  let s = s + a6 * b3 in
-  let s = s + a7 * b2 in
-  let s = s + a8 * b1 in
-  let s = s + q1 * m8 in
-  let s = s + q2 * m7 in
-  let s = s + q3 * m6 in
-  let s = s + q4 * m5 in
-  let s = s + q5 * m4 in
-  let s = s + q6 * m3 in
-  let s = s + q7 * m2 in
-  let s = s + q8 * m1 in
-  let r0 = s land limb_mask and c = s lsr limb_bits in
-  (* column 10: 11 full + 3 top-limb products + c *)
-  let s = c + a2 * b8 in
-  let s = s + a3 * b7 in
-  let s = s + a4 * b6 in
-  let s = s + a5 * b5 in
-  let s = s + a6 * b4 in
-  let s = s + a7 * b3 in
-  let s = s + a8 * b2 in
-  let s = s + q2 * m8 in
-  let s = s + q3 * m7 in
-  let s = s + q4 * m6 in
-  let s = s + q5 * m5 in
-  let s = s + q6 * m4 in
-  let s = s + q7 * m3 in
-  let s = s + q8 * m2 in
-  let r1 = s land limb_mask and c = s lsr limb_bits in
-  (* column 11: 9 full + 3 top-limb products + c *)
-  let s = c + a3 * b8 in
-  let s = s + a4 * b7 in
-  let s = s + a5 * b6 in
-  let s = s + a6 * b5 in
-  let s = s + a7 * b4 in
-  let s = s + a8 * b3 in
-  let s = s + q3 * m8 in
-  let s = s + q4 * m7 in
-  let s = s + q5 * m6 in
-  let s = s + q6 * m5 in
-  let s = s + q7 * m4 in
-  let s = s + q8 * m3 in
-  let r2 = s land limb_mask and c = s lsr limb_bits in
-  (* column 12: 7 full + 3 top-limb products + c *)
-  let s = c + a4 * b8 in
-  let s = s + a5 * b7 in
-  let s = s + a6 * b6 in
-  let s = s + a7 * b5 in
-  let s = s + a8 * b4 in
-  let s = s + q4 * m8 in
-  let s = s + q5 * m7 in
-  let s = s + q6 * m6 in
-  let s = s + q7 * m5 in
-  let s = s + q8 * m4 in
-  let r3 = s land limb_mask and c = s lsr limb_bits in
-  (* column 13: 5 full + 3 top-limb products + c *)
-  let s = c + a5 * b8 in
-  let s = s + a6 * b7 in
-  let s = s + a7 * b6 in
-  let s = s + a8 * b5 in
-  let s = s + q5 * m8 in
-  let s = s + q6 * m7 in
-  let s = s + q7 * m6 in
-  let s = s + q8 * m5 in
-  let r4 = s land limb_mask and c = s lsr limb_bits in
-  (* column 14: 3 full + 3 top-limb products + c *)
-  let s = c + a6 * b8 in
-  let s = s + a7 * b7 in
-  let s = s + a8 * b6 in
-  let s = s + q6 * m8 in
-  let s = s + q7 * m7 in
-  let s = s + q8 * m6 in
-  let r5 = s land limb_mask and c = s lsr limb_bits in
-  (* column 15: 1 full + 3 top-limb products + c *)
-  let s = c + a7 * b8 in
-  let s = s + a8 * b7 in
-  let s = s + q7 * m8 in
-  let s = s + q8 * m7 in
-  let r6 = s land limb_mask and c = s lsr limb_bits in
-  (* column 16: 0 full + 2 top-limb products + c *)
-  let s = c + a8 * b8 in
-  let s = s + q8 * m8 in
-  let r7 = s land limb_mask and r8 = s lsr limb_bits in
-  reduce_store dst m r0 r1 r2 r3 r4 r5 r6 r7 r8
+  let { q; res; _ } = Domain.DLS.get scratch in
+  let c = ref 0 in
+  for k = 0 to (2 * limbs) - 2 do
+    let lo = if k < limbs then 0 else k - (limbs - 1) in
+    let hi = if k < limbs then k else limbs - 1 in
+    let s = ref !c in
+    for i = lo to hi do
+      s := !s + (Array.unsafe_get a i * Array.unsafe_get b (k - i))
+    done;
+    (* q_k is not known yet in columns 0-8; its term follows below. *)
+    for i = lo to (if k < limbs then k - 1 else hi) do
+      s := !s + (Array.unsafe_get q i * Array.unsafe_get m (k - i))
+    done;
+    if k < limbs then begin
+      let qk = (!s * n0) land limb_mask in
+      Array.unsafe_set q k qk;
+      c := (!s + (qk * Array.unsafe_get m 0)) lsr limb_bits
+    end
+    else begin
+      Array.unsafe_set res (k - limbs) (!s land limb_mask);
+      c := !s lsr limb_bits
+    end
+  done;
+  reduce_store dst m (Array.unsafe_get res 0) (Array.unsafe_get res 1) (Array.unsafe_get res 2)
+    (Array.unsafe_get res 3) (Array.unsafe_get res 4) (Array.unsafe_get res 5)
+    (Array.unsafe_get res 6) (Array.unsafe_get res 7) !c
 
 (* The P-256 prime p = 2^256 - 2^224 + 2^192 + 2^96 - 1 in limbs. *)
 let p_limbs =
@@ -640,7 +479,7 @@ let sqr_p dst a =
   reduce_store dst p_limbs r0 r1 r2 r3 r4 r5 r6 r7 r8
 
 (* The scalar ring mod n keeps the generic product, and squares with it:
-   it runs ~8 % of an attestation's products. *)
+   it runs 60 of a warm handshake's 11,376 products. *)
 let mul_into r dst a b = if r.p_shape then mul_p dst a b else mul_mont r dst a b
 let sqr_into r dst a = if r.p_shape then sqr_p dst a else mul_mont r dst a a
 
@@ -801,16 +640,6 @@ let of_bytes_mod r s off =
   reduce_store a r.m a.(0) a.(1) a.(2) a.(3) a.(4) a.(5) a.(6) a.(7) a.(8);
   mul_into r a a r.r2;
   a
-
-(* Per-domain scratch, so fleet shards never share it: [f], [g], [d]
-   and [e] of [inv_into], and [out], the ordinary form [to_bytes]
-   writes out. *)
-type scratch = { f : int array; g : int array; d : int array; e : int array; out : t }
-
-let scratch =
-  Domain.DLS.new_key (fun () ->
-      let l () = Array.make limbs 0 in
-      { f = l (); g = l (); d = l (); e = l (); out = l () })
 
 (* Ordinary 1; only ever read. *)
 let ordinary_one = Array.init limbs (fun i -> if i = 0 then 1 else 0)

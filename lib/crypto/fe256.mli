@@ -2,22 +2,23 @@
 
     The fast-path replacement for the generic Barrett ring ([Modring],
     now only in the reference crypto of [lib/crypto/ref]) in the P-256
-    hot loops: 9 limbs of 29 bits in native ints, a straight-line
-    Montgomery product, and safegcd inversion (Bernstein and Yang's
-    divsteps: a fixed count, with no branch on the input). One {!ring}
-    instance each backs the P-256 field (mod p) and scalar ring
-    (mod n). {!create}
-    gives the ring mod p its own product and squaring, which reduce by
-    p's shape with shifts; every other modulus gets the generic
-    product, and squares with it. Both products give the same limbs.
-    Numbers enter and leave as 32 big-endian bytes, or as limbs in flat
-    tables: the production crypto has no other number type.
+    hot loops: 9 limbs of 29 bits in native ints, a Montgomery product
+    in product-scanning columns, and safegcd inversion (Bernstein and
+    Yang's divsteps: a fixed count, with no branch on the input). One
+    {!ring} instance each backs the P-256 field (mod p) and scalar ring
+    (mod n). {!create} gives the ring mod p its own straight-line
+    product and squaring, which reduce by p's shape with shifts; every
+    other modulus gets the generic product, one loop over the columns,
+    and squares with it. Both products give the same limbs. Numbers
+    enter and leave as 32 big-endian bytes, or as limbs in flat tables:
+    the production crypto has no other number type.
 
     The arithmetic is destination-passing and allocates nothing:
     [op_into r dst a b] overwrites [dst], which may be [a], [b] or both.
     Only the constructors ({!zero}, {!one}, {!of_bytes},
-    {!of_bytes_mod}) and {!to_string} allocate; {!to_bytes} and
-    {!inv_into} work in per-domain scratch. Elements are tied to the ring they were created with;
+    {!of_bytes_mod}) and {!to_string} allocate; the generic product,
+    {!to_bytes} and {!inv_into} work in per-domain scratch. Elements
+    are tied to the ring they were created with;
     mixing rings is a caller bug and silently computes garbage. All
     values stay fully reduced, so {!equal}/{!is_zero} are plain
     representation comparisons. *)

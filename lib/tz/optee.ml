@@ -28,7 +28,6 @@ type kernel_service = string -> string
 
 type t = {
   clock : Simclock.t;
-  costs : Simclock.costs;
   mkvb : string; (* kernel-only; see Kernel submodule *)
   boot_measurement : string;
   version : string;
@@ -46,10 +45,9 @@ type t = {
 let ta_heap_limit = 27 * 1024 * 1024
 let shared_mem_limit = 9 * 1024 * 1024
 
-let create ~clock ~costs ~mkvb ~boot_measurement ~net ~vendor_pub ~version =
+let create ~clock ~mkvb ~boot_measurement ~net ~vendor_pub ~version =
   {
     clock;
-    costs;
     mkvb;
     boot_measurement;
     version;
@@ -164,7 +162,7 @@ let shm_read_secure t shm ~off ~len =
   let module T = Watz_obs.Trace in
   let trace = Simclock.tracer t.clock in
   T.begin_ trace T.Secure ~session:T.no_session "shm.copy_in";
-  Simclock.charge_copy t.clock t.costs len;
+  Simclock.charge_copy t.clock len;
   let data = Bytes.sub_string shm.shm_data off len in
   T.end_ trace T.Secure ~session:T.no_session "shm.copy_in";
   data
@@ -177,13 +175,13 @@ let shm_write_normal _t shm ~off data =
 
 (** Stock OP-TEE time for TAs: millisecond resolution. *)
 let ree_time_ms t =
-  Simclock.advance t.clock t.costs.time_query_rpc_ns;
+  Simclock.advance t.clock Simclock.time_query_rpc_ns;
   Int64.div (Simclock.now_ns t.clock) 1_000_000L
 
 (** The paper's driver extension: the normal world's monotonic clock at
     nanosecond resolution, still one RPC away. *)
 let ree_time_ns t =
-  Simclock.advance t.clock t.costs.time_query_rpc_ns;
+  Simclock.advance t.clock Simclock.time_query_rpc_ns;
   Simclock.now_ns t.clock
 
 (* ------------------------------------------------------------------ *)
@@ -197,22 +195,22 @@ let supplicant_span t name f =
 
 let socket_connect t ~port =
   supplicant_span t "supplicant.connect" (fun () ->
-      Simclock.advance t.clock t.costs.supplicant_rpc_ns;
+      Simclock.advance t.clock Simclock.supplicant_rpc_ns;
       Net.connect t.net ~port)
 
 let socket_send t conn data =
   supplicant_span t "supplicant.send" (fun () ->
-      Simclock.advance t.clock t.costs.supplicant_rpc_ns;
-      Simclock.charge_copy t.clock t.costs (String.length data);
+      Simclock.advance t.clock Simclock.supplicant_rpc_ns;
+      Simclock.charge_copy t.clock (String.length data);
       Net.send_frame conn data)
 
 let socket_recv t conn =
   supplicant_span t "supplicant.recv" (fun () ->
-      Simclock.advance t.clock t.costs.supplicant_rpc_ns;
+      Simclock.advance t.clock Simclock.supplicant_rpc_ns;
       match Net.recv_frame conn with
       | None -> None
       | Some data ->
-        Simclock.charge_copy t.clock t.costs (String.length data);
+        Simclock.charge_copy t.clock (String.length data);
         Some data)
 
 (* ------------------------------------------------------------------ *)

@@ -26,28 +26,14 @@ let attach_tracer t trace =
   Watz_obs.Trace.set_now trace (fun () -> t.now_ns);
   t.trace <- trace
 
-(** Costs in nanoseconds, defaults calibrated to the paper's NXP
-    i.MX 8MQ measurements (§VI-A). *)
-type costs = {
-  smc_enter_ns : int; (* normal -> secure transition (86 us) *)
-  smc_return_ns : int; (* secure -> normal return (20 us) *)
-  time_query_rpc_ns : int; (* monotonic-clock RPC from a native TA (10 us) *)
-  wasi_dispatch_ns : int; (* extra WASI indirection for Wasm apps (3 us) *)
-  normal_clock_read_ns : int; (* clock_gettime in the normal world (<1 us) *)
-  supplicant_rpc_ns : int; (* secure -> supplicant round trip per message *)
-  shm_copy_ns_per_kb : int; (* shared-memory copy bandwidth model *)
-}
+(** Costs in nanoseconds, calibrated to the paper's NXP i.MX 8MQ
+    measurements (§VI-A). *)
+let smc_enter_ns = 86_000 (* normal -> secure transition (86 us) *)
+let smc_return_ns = 20_000 (* secure -> normal return (20 us) *)
+let time_query_rpc_ns = 10_000 (* monotonic-clock RPC from a native TA (10 us) *)
+let wasi_dispatch_ns = 3_000 (* extra WASI indirection for Wasm apps (3 us) *)
+let normal_clock_read_ns = 400 (* clock_gettime in the normal world (<1 us) *)
+let supplicant_rpc_ns = 12_000 (* secure -> supplicant round trip per message *)
+let shm_copy_ns_per_kb = 90 (* shared-memory copy bandwidth model *)
 
-let default_costs =
-  {
-    smc_enter_ns = 86_000;
-    smc_return_ns = 20_000;
-    time_query_rpc_ns = 10_000;
-    wasi_dispatch_ns = 3_000;
-    normal_clock_read_ns = 400;
-    supplicant_rpc_ns = 12_000;
-    shm_copy_ns_per_kb = 90;
-  }
-
-let charge_copy t costs bytes =
-  advance t (costs.shm_copy_ns_per_kb * ((bytes + 1023) / 1024))
+let charge_copy t bytes = advance t (shm_copy_ns_per_kb * ((bytes + 1023) / 1024))

@@ -13,7 +13,6 @@ type state =
 
 type t = {
   clock : Simclock.t;
-  costs : Simclock.costs;
   fuses : Fuses.t;
   net : Net.t;
   vendor : Boot.vendor_key;
@@ -32,7 +31,6 @@ let manufacture ~seed () =
   Fuses.program_boot_pubkey_hash fuses (Boot.vendor_pubkey_hash vendor);
   {
     clock = Simclock.create ();
-    costs = Simclock.default_costs;
     fuses;
     net = Net.create ();
     vendor;
@@ -59,7 +57,7 @@ let boot ?(version = watz_version) ?chain t =
     T.instant trace T.Secure ~session:T.no_session "caam.mkvb";
     let mkvb = Caam.mkvb t.fuses Caam.Secure_world in
     let os =
-      Optee.create ~clock:t.clock ~costs:t.costs ~mkvb ~boot_measurement:measurement
+      Optee.create ~clock:t.clock ~mkvb ~boot_measurement:measurement
         ~net:t.net ~vendor_pub:t.vendor.Boot.vk_pub ~version
     in
     t.state <- Running os;
@@ -89,12 +87,12 @@ let smc t f =
   let module T = Watz_obs.Trace in
   let trace = Simclock.tracer t.clock in
   T.begin_ trace T.Monitor ~session:T.no_session "smc";
-  Simclock.advance t.clock t.costs.smc_enter_ns;
+  Simclock.advance t.clock Simclock.smc_enter_ns;
   T.begin_ trace T.Secure ~session:T.no_session "smc.secure";
   match f () with
   | result ->
     T.end_ trace T.Secure ~session:T.no_session "smc.secure";
-    Simclock.advance t.clock t.costs.smc_return_ns;
+    Simclock.advance t.clock Simclock.smc_return_ns;
     T.end_ trace T.Monitor ~session:T.no_session "smc";
     result
   | exception e ->
@@ -117,7 +115,7 @@ let tracer t = Simclock.tracer t.clock
 
 (** Normal-world monotonic clock read (sub-microsecond, Fig. 3a). *)
 let normal_world_clock_ns t =
-  Simclock.advance t.clock t.costs.normal_clock_read_ns;
+  Simclock.advance t.clock Simclock.normal_clock_read_ns;
   Simclock.now_ns t.clock
 
 let now_ns t = Simclock.now_ns t.clock

@@ -681,7 +681,7 @@ let qcheck_fe256_matches_modring =
      moduli: add/sub/mul/sqr/inv agree for any inputs, into a fresh
      destination, into either operand, and with both operands one
      element. The edge operands 0, 1, m - 1 and 2^255 - 1 fill the
-     straight-line product's columns with the widest limbs. *)
+     products' columns with the widest limbs. *)
   let rings =
     List.map
       (fun (fr, m) -> (fr, m, Modring.create m))
@@ -814,9 +814,12 @@ let fe256_inversion_law () =
    themselves. Limbs are 0, 1, 2^28, 2^29 - 1 or random (the top limb
    cut to 24 bits), redrawn until the value is below m; m - 1, m - 2
    and every limb at its largest below m come first. Mod p this is the
-   shift-reducing product and squaring, mod n the generic product. *)
+   shift-reducing product and squaring; mod n and mod 2^256 - 189 it is
+   the generic product, the second with another n0 and a top limb of
+   2^24 - 1. *)
 let fe256_raw_limb_law () =
   let prng = Watz_util.Prng.create 0x29L in
+  let prime = Bn.sub (Bn.shift_left Bn.one 256) (Bn.of_int 189) in
   let beta = Bn.shift_left Bn.one 29 in
   let value l = Array.fold_right (fun x acc -> Bn.add (Bn.shift_left acc 29) (Bn.of_int x)) l Bn.zero in
   let limbs v = Array.init 9 (fun i -> Bn.to_int (Bn.mod_ (Bn.shift_right v (29 * i)) beta)) in
@@ -879,7 +882,7 @@ let fe256_raw_limb_law () =
               check "mul_into into b" la lb ab b)
             operands)
         operands)
-    [ (P256.field_ring, p_bn); (P256.scalar_ring, n_bn) ]
+    [ (P256.field_ring, p_bn); (P256.scalar_ring, n_bn); (Fe256.create (scalar prime), prime) ]
 
 let affine_eq_ref p_new p_old =
   match (coords p_new, Refcrypto.P256.to_affine p_old) with
