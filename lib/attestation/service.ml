@@ -66,15 +66,15 @@ let install os =
 
 (* Client-side wrappers over the syscall. *)
 
+(** Signed evidence over [claim] bound to [anchor], as the encoded
+    bytes the service returns: the bytes msg2 carries, so the kernel
+    call's result crosses into the TA undecoded. *)
 let request_issue os ~anchor ~claim =
   let w = Watz_util.Bytesio.Writer.create () in
   Watz_util.Bytesio.Writer.len_bytes w "issue";
   Watz_util.Bytesio.Writer.bytes w anchor;
   Watz_util.Bytesio.Writer.bytes w claim;
-  let resp =
-    Watz_tz.Optee.kernel_call os ~service:service_name (Watz_util.Bytesio.Writer.contents w)
-  in
-  Evidence.decode resp
+  Watz_tz.Optee.kernel_call os ~service:service_name (Watz_util.Bytesio.Writer.contents w)
 
 let request_pubkey os =
   let w = Watz_util.Bytesio.Writer.create () in

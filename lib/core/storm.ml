@@ -154,6 +154,23 @@ let prepare ?(config = default_config) ?tracer () =
     p_port = port;
   }
 
+(** The abort histogram of both storms ({!Watz_mesh.Mesh_storm} too):
+    each session that did not complete, keyed by its error ([None]:
+    still pending at the hard stop), most frequent first. *)
+let tally_aborts (failed : P.error option list) =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun e ->
+      let k =
+        match e with
+        | Some e -> Format.asprintf "%a" P.pp_error e
+        | None -> "still pending at max_ticks"
+      in
+      Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
+    failed;
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  |> List.sort (fun (_, a) (_, b) -> compare b a)
+
 (** Drive a prepared storm to completion. The whole schedule is a pure
     function of [config.seed]: a failing run replays exactly from its
     seed. *)
@@ -196,22 +213,13 @@ let run_prepared p =
     List.length (List.filter (function _, Attester_app.Done _ -> true | _ -> false) outcomes)
   in
   let aborts =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (_, o) ->
-        let key =
-          match o with
-          | Attester_app.Done _ -> None
-          | Attester_app.Aborted e -> Some (Format.asprintf "%a" P.pp_error e)
-          | Attester_app.Pending -> Some "still pending at max_ticks"
-        in
-        match key with
-        | None -> ()
-        | Some k ->
-          Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-      outcomes;
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
+    tally_aborts
+      (List.filter_map
+         (function
+           | _, Attester_app.Done _ -> None
+           | _, Attester_app.Aborted e -> Some (Some e)
+           | _, Attester_app.Pending -> Some None)
+         outcomes)
   in
   let latencies =
     List.filter_map
@@ -262,6 +270,23 @@ let run_prepared p =
 (** Run one storm: {!prepare} then {!run_prepared}. *)
 let run ?config ?tracer () = run_prepared (prepare ?config ?tracer ())
 
+(** The counts both storms' reports end with: injected faults, server
+    counters and the {!tally_aborts} histogram. *)
+let pp_counts ppf ~faults ~server ~aborts =
+  let pairs label = function
+    | [] -> ()
+    | l ->
+      Format.fprintf ppf "@\n  %s:" label;
+      List.iter (fun (k, v) -> Format.fprintf ppf " %s=%d" k v) l
+  in
+  pairs "faults" faults;
+  pairs "server" server;
+  match aborts with
+  | [] -> ()
+  | l ->
+    Format.fprintf ppf "@\n  aborts:";
+    List.iter (fun (k, v) -> Format.fprintf ppf "@\n    %3dx %s" v k) l
+
 let pp_report ppf r =
   Format.fprintf ppf "sessions %d | completed %d (%.1f%%) | aborted %d | retries %d | ticks %d"
     r.sessions r.completed
@@ -277,16 +302,4 @@ let pp_report ppf r =
       Format.fprintf ppf "@\n  phase %-9s p50 %a | p95 %a | p99 %a" name Stats.pp_ns
         h.Histogram.p50 Stats.pp_ns h.Histogram.p95 Stats.pp_ns h.Histogram.p99)
     r.phases;
-  let pairs label = function
-    | [] -> ()
-    | l ->
-      Format.fprintf ppf "@\n  %s:" label;
-      List.iter (fun (k, v) -> Format.fprintf ppf " %s=%d" k v) l
-  in
-  pairs "faults" r.faults;
-  pairs "server" r.server;
-  (match r.aborts with
-  | [] -> ()
-  | l ->
-    Format.fprintf ppf "@\n  aborts:";
-    List.iter (fun (k, v) -> Format.fprintf ppf "@\n    %3dx %s" v k) l)
+  pp_counts ppf ~faults:r.faults ~server:r.server ~aborts:r.aborts

@@ -238,8 +238,7 @@ let round soc ~policy ~service rng : (unit, string) result =
         fun n -> Prng.bytes arng n
       in
       let issue ~anchor =
-        Watz_attest.Evidence.encode
-          (Watz_attest.Service.request_issue (Watz_tz.Soc.optee soc) ~anchor ~claim:m1)
+        Watz_attest.Service.request_issue (Watz_tz.Soc.optee soc) ~anchor ~claim:m1
       in
       let policy = policy ~claim:m1 in
       match

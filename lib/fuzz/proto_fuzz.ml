@@ -32,11 +32,12 @@
       key-rotated tickets must reject with exactly their taxonomy
       reason; a stolen ticket presented under another attester id must
       fail the sealed-identity check even when the thief knows the
-      resumption secret. *)
+      resumption secret, and one presented without that secret must
+      fail the binding MAC. The verdicts are the verifier's own
+      ({!Watz_mesh.Mesh_verifier.redeem_resume0}). *)
 
 module Prng = Watz_util.Prng
 module P = Watz_attest.Protocol
-module Evidence = Watz_attest.Evidence
 module Service = Watz_attest.Service
 module Soc = Watz_tz.Soc
 module Net = Watz_tz.Net
@@ -64,8 +65,7 @@ let make_ctx seed =
   in
   { soc; service; policy; claim }
 
-let issue ctx ~anchor =
-  Evidence.encode (Service.request_issue (Soc.optee ctx.soc) ~anchor ~claim:ctx.claim)
+let issue ctx ~anchor = Service.request_issue (Soc.optee ctx.soc) ~anchor ~claim:ctx.claim
 
 (* Run one legitimate exchange, returning the messages and the live
    sessions parked right before each handler. *)
@@ -161,7 +161,7 @@ let net_round seed rng : (unit, string) result =
   let port = 7007 in
   try
     let server = Watz.Verifier_app.start soc ~port ~policy in
-    let issue ~anchor = Evidence.encode (Service.request_issue os ~anchor ~claim) in
+    let issue ~anchor = Service.request_issue os ~anchor ~claim in
     let a =
       Watz.Attester_app.start ~sid:1 soc ~port
         ~random:(Prng.bytes rng)
@@ -274,20 +274,9 @@ module Ticket = Watz_mesh.Ticket
 module Resume = Watz_mesh.Resume
 module Hier = Watz_mesh.Hier
 
-(* The verifier's resume0 acceptance pipeline, minus policy and cache:
-   a frame resumes only if it parses, its ticket redeems under the
-   current master, the presented id matches the sealed one and the
-   binding MAC verifies under the sealed rms. *)
-let resume_accepts master ~now_ns frame =
-  match Resume.parse_resume0 frame with
-  | None -> None
-  | Some r -> (
-    match Ticket.redeem master ~now_ns r.Resume.r_ticket with
-    | Error _ -> None
-    | Ok body ->
-      if not (String.equal body.Ticket.attester_id r.Resume.r_attester_id) then None
-      else if not (Resume.check_binding ~rms:body.Ticket.rms r) then None
-      else Some body)
+(* The verifier's own resume0 pipeline, the part before its cache and
+   policy checks: parse, redeem, sealed id, binding MAC. *)
+let redeem = Watz_mesh.Mesh_verifier.redeem_resume0
 
 let mesh_round seed rng : (unit, string) result =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
@@ -305,88 +294,75 @@ let mesh_round seed rng : (unit, string) result =
   let nonce_a = random Resume.nonce_len in
   let resume0 = Resume.build_resume0 ~rms ~attester_id ~nonce_a ~ticket in
   let later = Int64.add now 1L in
-  match resume_accepts master ~now_ns:later resume0 with
+  (* A genuine shape must reject with exactly its reason. *)
+  let expect ?(now_ns = later) what reason frame =
+    match redeem master ~now_ns frame with
+    | exception e -> fail "resume pipeline crashed on %s: %s" what (Printexc.to_string e)
+    | Ok _ -> fail "%s resumed" what
+    | Error r when r = reason -> Ok ()
+    | Error r -> fail "%s rejected as %s" what (Resume.reason_to_string r)
+  in
+  (* A mutant of [genuine] may pass [accepts] only if byte-identical. *)
+  let forged what ~genuine accepts =
+    let mutant = Mutate.mutate rng genuine in
+    match accepts mutant with
+    | exception e -> fail "%s check crashed on a mutant: %s" what (Printexc.to_string e)
+    | true when not (String.equal mutant genuine) ->
+      fail "forged %s accepted (%d bytes)" what (String.length mutant)
+    | _ -> Ok ()
+  in
+  let resumes frame = Result.is_ok (redeem master ~now_ns:later frame) in
+  match redeem master ~now_ns:later resume0 with
   | exception e ->
     fail "resume pipeline crashed on the genuine frame: %s" (Printexc.to_string e)
-  | None -> fail "genuine resume0 rejected"
-  | Some _ -> (
+  | Error r -> fail "genuine resume0 rejected as %s" (Resume.reason_to_string r)
+  | Ok _ -> (
     match Prng.int rng 7 with
-    | 0 -> (
-      (* whole-frame mutation: only the byte-identical frame resumes *)
-      let mutant = Mutate.mutate rng resume0 in
-      match resume_accepts master ~now_ns:later mutant with
-      | exception e ->
-        fail "resume pipeline crashed on mutated resume0: %s" (Printexc.to_string e)
-      | Some _ when not (String.equal mutant resume0) ->
-        fail "forged resume0 accepted (%d bytes)" (String.length mutant)
-      | _ -> Ok ())
-    | 1 -> (
+    | 0 -> forged "resume0" ~genuine:resume0 resumes
+    | 1 ->
       (* mutate the sealed ticket, then bind it honestly (the presenter
          knows rms): the ticket's own seal must stop the resume *)
-      let tmutant = Mutate.mutate rng ticket in
-      let frame = Resume.build_resume0 ~rms ~attester_id ~nonce_a ~ticket:tmutant in
-      match resume_accepts master ~now_ns:later frame with
-      | exception e -> fail "ticket redeem crashed on mutant: %s" (Printexc.to_string e)
-      | Some _ when not (String.equal tmutant ticket) ->
-        fail "forged ticket redeemed (%d bytes)" (String.length tmutant)
-      | _ -> Ok ())
-    | 2 -> (
-      (* at or past expires_ns the ticket is dead, with the exact reason *)
+      forged "ticket" ~genuine:ticket (fun ticket ->
+          resumes (Resume.build_resume0 ~rms ~attester_id ~nonce_a ~ticket))
+    | 2 ->
+      (* at or past expires_ns the ticket is dead *)
       let at = Int64.add now (Int64.add ttl (Int64.of_int (Prng.int rng 1000))) in
-      match Ticket.redeem master ~now_ns:at ticket with
-      | Ok _ -> fail "expired ticket redeemed"
-      | Error Ticket.Expired -> Ok ()
-      | Error r -> fail "expired ticket rejected as %s" (Ticket.reject_to_string r))
-    | 3 -> (
+      expect ~now_ns:at "expired ticket" Resume.Rj_expired resume0
+    | 3 ->
       (* key rotation invalidates every outstanding ticket *)
       let spins = 1 + Prng.int rng 3 in
       for _ = 1 to spins do
         Ticket.rotate master
       done;
-      match Ticket.redeem master ~now_ns:later ticket with
-      | Ok _ -> fail "ticket redeemed after %d key rotation(s)" spins
-      | Error Ticket.Rotated -> Ok ()
-      | Error r -> fail "rotated ticket rejected as %s" (Ticket.reject_to_string r))
-    | 4 -> (
-      (* cross-attester replay: a thief presents the stolen ticket
-         under its own id, even knowing the resumption secret *)
+      expect (Printf.sprintf "ticket after %d key rotation(s)" spins) Resume.Rj_rotated resume0
+    | 4 ->
+      (* a stolen ticket: presented under the thief's own id, even by a
+         thief that knows the resumption secret, or under the genuine
+         id by one that does not *)
       let thief = random 32 in
-      let frame = Resume.build_resume0 ~rms ~attester_id:thief ~nonce_a ~ticket in
-      match resume_accepts master ~now_ns:later frame with
-      | exception e ->
-        fail "resume pipeline crashed on replayed ticket: %s" (Printexc.to_string e)
-      | Some _ -> fail "ticket replayed under a different attester id"
-      | None -> Ok ())
-    | 5 -> (
+      let replayed = Resume.build_resume0 ~rms ~attester_id:thief ~nonce_a ~ticket in
+      let unbound = Resume.build_resume0 ~rms:(random 16) ~attester_id ~nonce_a ~ticket in
+      Result.bind
+        (expect "ticket replayed under another attester id" Resume.Rj_id_mismatch replayed)
+        (fun () -> expect "ticket bound without its rms" Resume.Rj_bad_binding unbound)
+    | 5 ->
       (* resume-accept mutation: the attester opens only the
          byte-identical frame (nonce, iv and blob are all bound) *)
       let nonce_v = random Resume.nonce_len in
       let iv = random 12 in
-      let blob = "fuzz mesh secret blob" in
-      let accept = Resume.build_accept ~rms ~nonce_a ~nonce_v ~iv blob in
-      let mutant = Mutate.mutate rng accept in
-      match Resume.open_accept ~rms ~nonce_a mutant with
-      | exception e -> fail "open_accept crashed: %s" (Printexc.to_string e)
-      | Some _ when not (String.equal mutant accept) ->
-        fail "forged resume accept opened (%d bytes)" (String.length mutant)
-      | _ -> Ok ())
-    | _ -> (
+      let accept = Resume.build_accept ~rms ~nonce_a ~nonce_v ~iv "fuzz mesh secret blob" in
+      forged "resume accept" ~genuine:accept (fun a ->
+          Option.is_some (Resume.open_accept ~rms ~nonce_a a))
+    | _ ->
       (* sub-claim and ack forgery under the session sub-claim key *)
       let k_sub = Hier.derive_key ~rms in
       let name = Printf.sprintf "mod-%d" (Prng.int rng 16) in
-      let measurement = random 32 in
-      let sub = Hier.make ~k_sub ~name ~measurement in
-      let mutant = Mutate.mutate rng sub in
-      match Hier.verify ~k_sub mutant with
-      | exception e -> fail "Hier.verify crashed: %s" (Printexc.to_string e)
-      | Ok _ when not (String.equal mutant sub) ->
-        fail "forged sub-claim verified (%d bytes)" (String.length mutant)
-      | _ ->
-        let ack = Hier.ack ~k_sub sub in
-        let amutant = Mutate.mutate rng ack in
-        if (not (String.equal amutant ack)) && Hier.check_ack ~k_sub ~subclaim:sub amutant
-        then fail "forged sub-claim ack accepted"
-        else Ok ()))
+      let sub = Hier.make ~k_sub ~name ~measurement:(random 32) in
+      Result.bind
+        (forged "sub-claim" ~genuine:sub (fun s -> Option.is_some (Hier.verify ~k_sub s)))
+        (fun () ->
+          forged "sub-claim ack" ~genuine:(Hier.ack ~k_sub sub)
+            (Hier.check_ack ~k_sub ~subclaim:sub)))
 
 (** One protocol-fuzz round: handler-level most of the time (cheap),
     transport, boot chain or mesh resumption on the side. *)

@@ -13,7 +13,13 @@
     {!merge_into}. The merge keeps, per key, the entry that is greatest
     under a total order (freshest appraisal first) — commutative,
     associative and idempotent, so the merged cache is byte-identical
-    no matter the order the shard exports are merged in. *)
+    no matter the order the shard exports are merged in.
+
+    Its counts live in the metrics registry it is created with: hits,
+    misses, stores, invalidations, expiries and merges as [cache.*]
+    counters, and its size as the [cache.size] gauge. *)
+
+module Metrics = Watz_obs.Metrics
 
 type entry = {
   attester_id : string; (* 32 bytes *)
@@ -26,46 +32,45 @@ type entry = {
 type t = {
   tbl : (string, entry) Hashtbl.t;
   ttl_ns : int64;
-  mutable hits : int;
-  mutable misses : int;
-  mutable stores : int;
-  mutable invalidated : int;
-  mutable expired : int; (* lookups that found only a stale entry *)
-  mutable merged : int; (* entries adopted from peer exports *)
+  size : Metrics.Gauge.t;
+  hits : Metrics.Counter.t;
+  misses : Metrics.Counter.t;
+  stores : Metrics.Counter.t;
+  invalidated : Metrics.Counter.t;
+  expired : Metrics.Counter.t; (* lookups that found only a stale entry *)
+  merged : Metrics.Counter.t; (* entries adopted from peer exports *)
 }
 
-let create ~ttl_ns () =
+let create metrics ~ttl_ns =
+  let counter name = Metrics.counter metrics ("cache." ^ name) in
   {
     tbl = Hashtbl.create 64;
     ttl_ns;
-    hits = 0;
-    misses = 0;
-    stores = 0;
-    invalidated = 0;
-    expired = 0;
-    merged = 0;
+    size = Metrics.gauge metrics "cache.size";
+    hits = counter "hits";
+    misses = counter "misses";
+    stores = counter "stores";
+    invalidated = counter "invalidated";
+    expired = counter "expired";
+    merged = counter "merged";
   }
 
 let key ~attester_id ~claim ~boot = attester_id ^ claim ^ boot
 let size t = Hashtbl.length t.tbl
-let hits t = t.hits
-let misses t = t.misses
-let stores t = t.stores
-let invalidated t = t.invalidated
-let expired t = t.expired
-let merged t = t.merged
+let hits t = Metrics.Counter.get t.hits
+let misses t = Metrics.Counter.get t.misses
 
-let hit_rate t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
+(* Called after every change to the table. *)
+let resized t = Metrics.Gauge.set t.size (size t)
 
 (** Record a fresh full appraisal: the entry is trusted for [ttl_ns]
     from [now_ns]. Re-appraisals refresh in place. *)
 let store t ~now_ns ~attester_id ~claim ~boot =
-  t.stores <- t.stores + 1;
+  Metrics.Counter.incr t.stores;
   Hashtbl.replace t.tbl
     (key ~attester_id ~claim ~boot)
-    { attester_id; claim; boot; verified_ns = now_ns; expires_ns = Int64.add now_ns t.ttl_ns }
+    { attester_id; claim; boot; verified_ns = now_ns; expires_ns = Int64.add now_ns t.ttl_ns };
+  resized t
 
 (** Is (attester id, claim, boot) backed by a live appraisal? Stale
     entries are dropped on sight and count as misses. *)
@@ -73,22 +78,24 @@ let lookup t ~now_ns ~attester_id ~claim ~boot =
   let k = key ~attester_id ~claim ~boot in
   match Hashtbl.find_opt t.tbl k with
   | Some e when Int64.compare now_ns e.expires_ns < 0 ->
-    t.hits <- t.hits + 1;
+    Metrics.Counter.incr t.hits;
     true
   | Some _ ->
     Hashtbl.remove t.tbl k;
-    t.expired <- t.expired + 1;
-    t.misses <- t.misses + 1;
+    resized t;
+    Metrics.Counter.incr t.expired;
+    Metrics.Counter.incr t.misses;
     false
   | None ->
-    t.misses <- t.misses + 1;
+    Metrics.Counter.incr t.misses;
     false
 
 let remove_matching t pred =
   let doomed = Hashtbl.fold (fun k e acc -> if pred e then k :: acc else acc) t.tbl [] in
   List.iter (Hashtbl.remove t.tbl) doomed;
+  resized t;
   let n = List.length doomed in
-  t.invalidated <- t.invalidated + n;
+  Metrics.Counter.add t.invalidated n;
   n
 
 (** Drop every entry for an attester — its attestation key rotated or
@@ -129,9 +136,10 @@ let merge_into t entries =
       match Hashtbl.find_opt t.tbl k with
       | Some mine when entry_geq mine e -> ()
       | _ ->
-        t.merged <- t.merged + 1;
+        Metrics.Counter.incr t.merged;
         Hashtbl.replace t.tbl k e)
-    entries
+    entries;
+  resized t
 
 (** A canonical digest of the cache contents (key-sorted), for
     byte-identity assertions across federation runs. *)

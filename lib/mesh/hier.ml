@@ -42,12 +42,12 @@ let make ~k_sub ~name ~measurement =
   b ^ C.Hmac.sha256 ~key:k_sub b
 
 type verified = { name : string; measurement : string }
-type reject = Sub_malformed | Sub_forged
 
-(** Verify a sub-claim frame under the session's sub-claim key. *)
-let verify ~k_sub frame : (verified, reject) result =
+(** Verify a sub-claim frame under the session's sub-claim key:
+    [None] for a frame that does not parse or whose MAC fails. *)
+let verify ~k_sub frame : verified option =
   let n = String.length frame in
-  if n < 4 + 1 + 32 + mac_len || not (is_subclaim frame) then Error Sub_malformed
+  if n < 4 + 1 + 32 + mac_len || not (is_subclaim frame) then None
   else begin
     let b = String.sub frame 0 (n - mac_len) in
     let mac = String.sub frame (n - mac_len) mac_len in
@@ -58,9 +58,8 @@ let verify ~k_sub frame : (verified, reject) result =
       let measurement = R.bytes r 32 in
       if not (R.eof r) then None else Some { name; measurement }
     with
-    | None | (exception R.Truncated) | (exception R.Overflow) -> Error Sub_malformed
-    | Some v ->
-      if String.equal mac (C.Hmac.sha256 ~key:k_sub b) then Ok v else Error Sub_forged
+    | None | (exception R.Truncated) | (exception R.Overflow) -> None
+    | Some _ as v -> if String.equal mac (C.Hmac.sha256 ~key:k_sub b) then v else None
   end
 
 (** The verifier's acknowledgement of an accepted sub-claim: a MAC

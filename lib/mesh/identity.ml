@@ -31,14 +31,13 @@ type t = {
   mutable claim : string; (* measurement of the module this attester runs *)
   mutable ticket : string option; (* volatile: survives sessions, not reboots *)
   mutable rms : string option; (* resumption master secret for [ticket] *)
-  mutable sessions : int; (* sessions launched, for reporting *)
 }
 
 let keypair_for seed gen = C.Ecdsa.keypair_of_seed (Printf.sprintf "mesh-attester:%s:gen%d" seed gen)
 
 let create ~seed ~claim =
   let priv, pub = keypair_for seed 0 in
-  { seed; boot_count = 0; key_gen = 0; priv; pub; claim; ticket = None; rms = None; sessions = 0 }
+  { seed; boot_count = 0; key_gen = 0; priv; pub; claim; ticket = None; rms = None }
 
 let attester_id_of_pub pub = C.Sha256.digest ("WZ-MESH-ID:" ^ C.P256.encode pub)
 let attester_id t = attester_id_of_pub t.pub

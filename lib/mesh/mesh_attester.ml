@@ -67,7 +67,6 @@ type t = {
   mutable fell_back : bool;
   mutable resumed : bool;
   mutable nonce_a : string;
-  mutable rms : string; (* established resumption secret ("" until known) *)
   mutable k_sub : string;
   mutable blob : string;
   started_ns : int64;
@@ -150,7 +149,6 @@ and next_subclaim t =
 
 and established t ~rms ~blob =
   t.established_ns <- now t;
-  t.rms <- rms;
   t.k_sub <- Hier.derive_key ~rms;
   t.blob <- blob;
   next_subclaim t
@@ -187,7 +185,6 @@ and fall_back t =
 let start ?(retry = default_retry) ?(sid = T.no_session) ?(subclaims = []) soc ~port ~random
     ~identity ~expected_verifier () =
   T.begin_ (Soc.tracer soc) T.Normal ~session:sid "mesh.attest.session";
-  identity.Identity.sessions <- identity.Identity.sessions + 1;
   let t =
     {
       soc;
@@ -212,7 +209,6 @@ let start ?(retry = default_retry) ?(sid = T.no_session) ?(subclaims = []) soc ~
       fell_back = false;
       resumed = false;
       nonce_a = "";
-      rms = "";
       k_sub = "";
       blob = "";
       started_ns = Soc.now_ns soc;
@@ -240,34 +236,30 @@ let retries t = t.retries
 let started_ns t = t.started_ns
 let established_ns t = t.established_ns
 let finished_ns t = t.finished_ns
-let resumed t = t.resumed
-let fell_back t = t.fell_back
 
 let handle_frame t frame =
   match t.phase with
   | Term -> ()
-  | Resume_await ->
-    if Resume.is_reject frame then fall_back t
-    else if Resume.is_accept frame then begin
-      match
+  | Resume_await -> (
+    let opened =
+      if not (Resume.is_accept frame) then None
+      else
         Soc.smc t.soc (fun () ->
             match t.identity.Identity.rms with
-            | Some rms -> Option.map (fun b -> (rms, b)) (Resume.open_accept ~rms ~nonce_a:t.nonce_a frame)
+            | Some rms ->
+              Option.map (fun b -> (rms, b)) (Resume.open_accept ~rms ~nonce_a:t.nonce_a frame)
             | None -> None)
-      with
-      | Some (rms, blob) ->
-        t.resumed <- true;
-        T.instant (tr t) T.Normal ~session:t.sid "mesh.attest.resumed";
-        established t ~rms ~blob
-      | None ->
-        (* An accept that fails to authenticate (e.g. corrupted in
-           flight) is as dead as a reject: re-attest in full. *)
-        fall_back t
-    end
-    else
-      (* Unparseable traffic during resume: treat like a dead resume
-         path and fall back — the full handshake is the safe state. *)
-      fall_back t
+    in
+    match opened with
+    | Some (rms, blob) ->
+      t.resumed <- true;
+      T.instant (tr t) T.Normal ~session:t.sid "mesh.attest.resumed";
+      established t ~rms ~blob
+    | None ->
+      (* A reject, an accept that fails to authenticate (e.g. corrupted
+         in flight) or unparseable traffic: the resume path is dead, so
+         re-attest in full, the safe state. *)
+      fall_back t)
   | Full_await_msg1 -> (
     let proto = Option.get t.proto in
     match Soc.smc t.soc (fun () -> P.Attester.handle_msg1 proto frame) with

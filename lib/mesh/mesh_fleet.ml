@@ -108,7 +108,7 @@ let run ?(config = default_config) () =
     Array.to_list wave1 |> List.concat_map (fun r -> chunk r.Mesh_storm.cache_export)
   in
   let fold chunks =
-    let c = Cache.create ~ttl_ns:Int64.max_int () in
+    let c = Cache.create (Metrics.create ()) ~ttl_ns:Int64.max_int in
     List.iter (Cache.merge_into c) chunks;
     c
   in
@@ -141,6 +141,15 @@ let run ?(config = default_config) () =
     wave2_fallbacks = sum (fun r -> r.Mesh_storm.fallbacks);
     metrics;
   }
+
+(** The federation's pass/fail rules, as {!Mesh_storm.failures}: an
+    order-free merge and, unless [profile] tampers, a cross-shard resume. *)
+let failures profile r =
+  (if String.equal r.merge_digest r.merge_digest_reversed then []
+   else [ "merged cache depends on chunk merge order" ])
+  @
+  if Net.tampers profile || r.cross_resumes > 0 then []
+  else [ "no cross-shard resumption succeeded" ]
 
 let pp_report ppf r =
   Format.fprintf ppf

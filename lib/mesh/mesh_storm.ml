@@ -97,17 +97,9 @@ type report = {
   ticks : int;
   full_latency : Histogram.t; (* launch -> established, sim ns, per path *)
   resumed_latency : Histogram.t;
-  cache_hits : int;
-  cache_misses : int;
-  cache_hit_rate : float;
-  tickets_minted : int;
-  stray_frames : int; (* server-side stray_after_complete *)
-  frame_violations : int;
-  resume_rejects : (string * int) list; (* reason -> count *)
   aborts : (string * int) list;
   faults : (string * int) list;
-  server : (string * int) list;
-  metrics : Metrics.t; (* the server registry (counters + cache gauges) *)
+  metrics : Metrics.t; (* the server registry, the cache's counts included *)
   cache_export : Cache.entry list;
   identities : Identity.t array;
 }
@@ -229,7 +221,6 @@ let run ?(config = default_config) ?identities ?(stek_seed = "mesh-stek")
     List.iter Mesh_attester.step (List.rev !attesters);
     Watz_tz.Simclock.advance soc.Soc.clock quantum_ns
   done;
-  Mesh_verifier.snapshot_cache_metrics server;
   let outcomes = List.map (fun a -> (a, Mesh_attester.outcome a)) (List.rev !attesters) in
   let full_latency = Histogram.create () and resumed_latency = Histogram.create () in
   let completed_resumed = ref 0
@@ -257,35 +248,14 @@ let run ?(config = default_config) ?identities ?(stek_seed = "mesh-stek")
       | _ -> ())
     outcomes;
   let aborts =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (_, o) ->
-        let key =
-          match o with
-          | Mesh_attester.Done _ -> None
-          | Mesh_attester.Aborted e -> Some (Format.asprintf "%a" P.pp_error e)
-          | Mesh_attester.Pending -> Some "still pending at max_ticks"
-        in
-        match key with
-        | None -> ()
-        | Some k -> Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-      outcomes;
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
+    Watz.Storm.tally_aborts
+      (List.filter_map
+         (function
+           | _, Mesh_attester.Done _ -> None
+           | _, Mesh_attester.Aborted e -> Some (Some e)
+           | _, Mesh_attester.Pending -> Some None)
+         outcomes)
   in
-  let counters = Mesh_verifier.counters server in
-  let counter name = Option.value ~default:0 (List.assoc_opt name counters) in
-  let resume_rejects =
-    List.filter_map
-      (fun (k, v) ->
-        let prefix = "resume_rejected." in
-        let n = String.length prefix in
-        if String.length k > n && String.equal (String.sub k 0 n) prefix then
-          Some (String.sub k n (String.length k - n), v)
-        else None)
-      counters
-  in
-  let cache = Mesh_verifier.cache server in
   {
     launched = !launched;
     completed_resumed = !completed_resumed;
@@ -297,31 +267,53 @@ let run ?(config = default_config) ?identities ?(stek_seed = "mesh-stek")
     ticks = !ticks;
     full_latency;
     resumed_latency;
-    cache_hits = Cache.hits cache;
-    cache_misses = Cache.misses cache;
-    cache_hit_rate = Cache.hit_rate cache;
-    tickets_minted = Ticket.minted (Mesh_verifier.ticket_master server);
-    stray_frames = counter "stray_after_complete";
-    frame_violations = counter "frame_violations";
-    resume_rejects;
     aborts;
     faults = Net.fault_counts soc.Soc.net;
-    server = counters;
     metrics = Mesh_verifier.metrics server;
-    cache_export = Cache.export cache;
+    cache_export = Cache.export (Mesh_verifier.cache server);
     identities;
   }
+
+(** A server counter at the end of the run; 0 if it never fired. *)
+let counter r name = Option.value ~default:0 (List.assoc_opt name (Metrics.counter_list r.metrics))
+
+let cache_hit_rate r =
+  let hits = counter r "cache.hits" in
+  let lookups = hits + counter r "cache.misses" in
+  if lookups = 0 then 0.0 else float_of_int hits /. float_of_int lookups
 
 let completion_rate r =
   if r.launched = 0 then 1.0
   else float_of_int (r.completed_resumed + r.completed_full) /. float_of_int r.launched
+
+(** The storm's pass/fail rules, one message per rule broken. An
+    attester counts itself resumed only after authenticating the
+    accept, so more resumes than server-side acceptances means a forged
+    acceptance got through. Completion below 99 % and stray frames fail
+    only where [profile] does not tamper with frames. *)
+let failures profile r =
+  let accepts = counter r "resumes_accepted" + counter r "retransmits_answered" in
+  let judged = not (Net.tampers profile) in
+  let stray = counter r "stray_after_complete" in
+  List.filter_map
+    (fun (broken, message) -> if broken then Some message else None)
+    [
+      ( r.completed_resumed > accepts,
+        Printf.sprintf "%d resumed sessions but only %d server-side acceptances: a forged \
+                        resume acceptance was accepted" r.completed_resumed accepts );
+      ( judged && completion_rate r < 0.99,
+        Printf.sprintf "completion rate %.1f%% below 99%%" (100.0 *. completion_rate r) );
+      (judged && stray > 0, Printf.sprintf "%d stray frames after session completion" stray);
+    ]
 
 let pp_report ppf r =
   Format.fprintf ppf
     "sessions %d | resumed %d | full %d | fallbacks %d | aborted %d | retries %d | ticks %d"
     r.launched r.completed_resumed r.completed_full r.fallbacks r.aborted r.retries r.ticks;
   Format.fprintf ppf "@\n  cache: hits %d | misses %d | hit-rate %.1f%% | tickets minted %d"
-    r.cache_hits r.cache_misses (100.0 *. r.cache_hit_rate) r.tickets_minted;
+    (counter r "cache.hits") (counter r "cache.misses")
+    (100.0 *. cache_hit_rate r)
+    (counter r "tickets_minted");
   let pp_lat name h =
     if Histogram.count h > 0 then begin
       let s = Histogram.summarize h in
@@ -332,17 +324,5 @@ let pp_report ppf r =
   in
   pp_lat "full" r.full_latency;
   pp_lat "resumed" r.resumed_latency;
-  let pairs label = function
-    | [] -> ()
-    | l ->
-      Format.fprintf ppf "@\n  %s:" label;
-      List.iter (fun (k, v) -> Format.fprintf ppf " %s=%d" k v) l
-  in
-  pairs "rejects" r.resume_rejects;
-  pairs "faults" r.faults;
-  pairs "server" r.server;
-  (match r.aborts with
-  | [] -> ()
-  | l ->
-    Format.fprintf ppf "@\n  aborts:";
-    List.iter (fun (k, v) -> Format.fprintf ppf "@\n    %3dx %s" v k) l)
+  Watz.Storm.pp_counts ppf ~faults:r.faults ~server:(Metrics.counter_list r.metrics)
+    ~aborts:r.aborts

@@ -16,9 +16,9 @@
     Frame dispatch is unambiguous: msg0 is a 65-byte SEC1 point
     starting with 0x04, every mesh frame starts with an ASCII magic.
 
-    All trust decisions and their rejections are counted in the
-    server's metrics registry; the storm report and the forged-resume
-    fuzz oracle read them from there. *)
+    All trust decisions and their rejections, and the evidence cache's
+    counts, go to the server's metrics registry; the storm report and
+    its forged-acceptance oracle read them from there. *)
 
 module P = Watz_attest.Protocol
 module Evidence = Watz_attest.Evidence
@@ -45,10 +45,8 @@ type mesh = {
 
 type t = { server : V.t; mesh : mesh }
 
-let counters t = V.counters t.server
 let metrics t = V.metrics t.server
 let cache t = t.mesh.cache
-let ticket_master t = t.mesh.master
 
 (** Endorse an additional attestation key (an attester rotated). *)
 let endorse t pub =
@@ -72,6 +70,25 @@ let establish_from_rms ~rms =
 
 (* ------------------------------------------------------------------ *)
 (* Resume path *)
+
+(** The resume0 checks that read nothing but the frame, the clock and
+    the ticket master: parse, redeem the ticket, match the presented
+    attester id against the sealed one and check the binding MAC under
+    the sealed resumption secret. [handle_resume0] runs exactly this
+    and then the cache and policy checks; the mesh tests and the proto
+    fuzz target check it directly. *)
+let redeem_resume0 master ~now_ns frame :
+    (Resume.resume0 * Ticket.body, Resume.reject_reason) result =
+  match Resume.parse_resume0 frame with
+  | None -> Error Resume.Rj_malformed
+  | Some r -> (
+    match Ticket.redeem master ~now_ns r.Resume.r_ticket with
+    | Error reason -> Error reason
+    | Ok body ->
+      if not (String.equal body.Ticket.attester_id r.Resume.r_attester_id) then
+        Error Resume.Rj_id_mismatch
+      else if not (Resume.check_binding ~rms:body.Ticket.rms r) then Error Resume.Rj_bad_binding
+      else Ok (r, body))
 
 let handle_resume0 m v (c : V.conn_state) estab frame =
   let metrics = V.metrics v and tracer = Soc.tracer v.V.soc in
@@ -98,35 +115,28 @@ let handle_resume0 m v (c : V.conn_state) estab frame =
       in
       let verdict =
         Soc.smc v.V.soc (fun () ->
-            match Resume.parse_resume0 frame with
-            | None -> Error Resume.Rj_malformed
-            | Some r -> (
-              match Ticket.redeem m.master ~now_ns:now r.Resume.r_ticket with
-              | Error tr -> Error (Resume.reason_of_ticket_reject tr)
-              | Ok body ->
-                if not (String.equal body.Ticket.attester_id r.Resume.r_attester_id) then
-                  Error Resume.Rj_id_mismatch
-                else if not (Resume.check_binding ~rms:body.Ticket.rms r) then
-                  Error Resume.Rj_bad_binding
-                else if
-                  not
-                    (Cache.lookup m.cache ~now_ns:now ~attester_id:body.Ticket.attester_id
-                       ~claim:body.Ticket.claim ~boot:body.Ticket.boot)
-                then Error Resume.Rj_cache_stale
-                else if
-                  not
-                    (List.exists (String.equal body.Ticket.claim)
-                       policy.P.Verifier.reference_claims)
-                then Error Resume.Rj_policy
-                else begin
-                  let nonce_v = V.random v Resume.nonce_len in
-                  let iv = V.random v Resume.iv_len in
-                  let rep =
-                    Resume.build_accept ~rms:body.Ticket.rms ~nonce_a:r.Resume.r_nonce_a
-                      ~nonce_v ~iv policy.P.Verifier.secret_blob
-                  in
-                  Ok (body.Ticket.rms, rep)
-                end))
+            match redeem_resume0 m.master ~now_ns:now frame with
+            | Error reason -> Error reason
+            | Ok (r, body) ->
+              if
+                not
+                  (Cache.lookup m.cache ~now_ns:now ~attester_id:body.Ticket.attester_id
+                     ~claim:body.Ticket.claim ~boot:body.Ticket.boot)
+              then Error Resume.Rj_cache_stale
+              else if
+                not
+                  (List.exists (String.equal body.Ticket.claim)
+                     policy.P.Verifier.reference_claims)
+              then Error Resume.Rj_policy
+              else begin
+                let nonce_v = V.random v Resume.nonce_len in
+                let iv = V.random v Resume.iv_len in
+                let rep =
+                  Resume.build_accept ~rms:body.Ticket.rms ~nonce_a:r.Resume.r_nonce_a ~nonce_v
+                    ~iv policy.P.Verifier.secret_blob
+                in
+                Ok (body.Ticket.rms, rep)
+              end)
       in
       match verdict with
       | Error reason -> reject reason
@@ -154,20 +164,15 @@ let handle_subclaim m v c estab frame =
       ignore (V.reply v c ack)
     | None -> (
       match Soc.smc v.V.soc (fun () -> Hier.verify ~k_sub:e.e_k_sub frame) with
-      | Error _ ->
+      | Some sub when List.exists (String.equal sub.Hier.measurement) m.sub_refs ->
+        let ack = Soc.smc v.V.soc (fun () -> Hier.ack ~k_sub:e.e_k_sub frame) in
+        Hashtbl.replace e.e_sub_acks frame ack;
+        Metrics.incr metrics "subclaims_accepted";
+        ignore (V.reply v c ack)
+      | verified ->
         Metrics.incr metrics "subclaims_rejected";
-        V.abort v c (P.Bad_mac "sub-claim")
-      | Ok sub ->
-        if not (List.exists (String.equal sub.Hier.measurement) m.sub_refs) then begin
-          Metrics.incr metrics "subclaims_rejected";
-          V.abort v c P.Unknown_measurement
-        end
-        else begin
-          let ack = Soc.smc v.V.soc (fun () -> Hier.ack ~k_sub:e.e_k_sub frame) in
-          Hashtbl.replace e.e_sub_acks frame ack;
-          Metrics.incr metrics "subclaims_accepted";
-          ignore (V.reply v c ack)
-        end))
+        V.abort v c
+          (if Option.is_none verified then P.Bad_mac "sub-claim" else P.Unknown_measurement)))
 
 (* ------------------------------------------------------------------ *)
 (* Full handshake: ticket minting *)
@@ -226,29 +231,20 @@ let handler m v (c : V.conn_state) =
     sub-claims. *)
 let start ?(ticket_ttl_ns = 10_000_000_000L) ?(cache_ttl_ns = 10_000_000_000L) ?(sub_refs = [])
     ~stek_seed soc ~port ~policy () =
+  (* The cache counts into the server's registry, so the mesh is built
+     after the server; handlers are built per connection, later. *)
+  let shared = ref None in
+  let server = V.start ~handler:(fun v c -> handler (Option.get !shared) v c) soc ~port ~policy in
   let mesh =
     {
       sub_refs;
       master = Ticket.make ~seed:stek_seed;
-      cache = Cache.create ~ttl_ns:cache_ttl_ns ();
+      cache = Cache.create (V.metrics server) ~ttl_ns:cache_ttl_ns;
       ticket_ttl_ns;
     }
   in
-  { server = V.start ~handler:(handler mesh) soc ~port ~policy; mesh }
+  shared := Some mesh;
+  { server; mesh }
 
 (** One scheduling quantum of the server: {!Watz.Verifier_app.step}. *)
 let step t = V.step t.server
-
-(** Copy the cache counters into the metrics registry (called by the
-    storm before reporting, so one registry carries everything). *)
-let snapshot_cache_metrics t =
-  let set name v = Metrics.Gauge.set (Metrics.gauge (metrics t) ("cache." ^ name)) v in
-  let c = t.mesh.cache in
-  set "size" (Cache.size c);
-  set "hits" (Cache.hits c);
-  set "misses" (Cache.misses c);
-  set "stores" (Cache.stores c);
-  set "invalidated" (Cache.invalidated c);
-  set "expired" (Cache.expired c);
-  set "merged" (Cache.merged c);
-  set "tickets_minted" (Ticket.minted t.mesh.master)

@@ -105,6 +105,8 @@ let open_accept ~rms ~nonce_a raw : string option =
     C.Gcm.decrypt ~key ~iv ~aad:(nonce_a ^ nonce_v) ~tag ct
   end
 
+(** Why a verifier turned a resume0 down: the one reject vocabulary
+    of the resume path, the ticket's own checks included. *)
 type reject_reason =
   | Rj_malformed
   | Rj_unknown_key
@@ -116,47 +118,33 @@ type reject_reason =
   | Rj_cache_stale
   | Rj_policy
 
-let all_reasons =
-  [
-    Rj_malformed; Rj_unknown_key; Rj_rotated; Rj_forged; Rj_expired; Rj_id_mismatch;
-    Rj_bad_binding; Rj_cache_stale; Rj_policy;
-  ]
+(** Every reason with its name, the suffix of its
+    [resume_rejected.<name>] counter. A reason's index here is its
+    wire code in a ["WZRF"] frame. *)
+let reasons =
+  [|
+    (Rj_malformed, "malformed");
+    (Rj_unknown_key, "unknown_key");
+    (Rj_rotated, "rotated");
+    (Rj_forged, "forged");
+    (Rj_expired, "expired");
+    (Rj_id_mismatch, "id_mismatch");
+    (Rj_bad_binding, "bad_binding");
+    (Rj_cache_stale, "cache_stale");
+    (Rj_policy, "policy");
+  |]
 
-let reason_code = function
-  | Rj_malformed -> 0
-  | Rj_unknown_key -> 1
-  | Rj_rotated -> 2
-  | Rj_forged -> 3
-  | Rj_expired -> 4
-  | Rj_id_mismatch -> 5
-  | Rj_bad_binding -> 6
-  | Rj_cache_stale -> 7
-  | Rj_policy -> 8
+let reason_code reason =
+  let rec find i = if fst reasons.(i) = reason then i else find (i + 1) in
+  find 0
 
-let reason_of_code c = List.find_opt (fun r -> reason_code r = c) all_reasons
-
-let reason_to_string = function
-  | Rj_malformed -> "malformed"
-  | Rj_unknown_key -> "unknown_key"
-  | Rj_rotated -> "rotated"
-  | Rj_forged -> "forged"
-  | Rj_expired -> "expired"
-  | Rj_id_mismatch -> "id_mismatch"
-  | Rj_bad_binding -> "bad_binding"
-  | Rj_cache_stale -> "cache_stale"
-  | Rj_policy -> "policy"
-
-let reason_of_ticket_reject = function
-  | Ticket.Malformed -> Rj_malformed
-  | Ticket.Unknown_key -> Rj_unknown_key
-  | Ticket.Rotated -> Rj_rotated
-  | Ticket.Forged -> Rj_forged
-  | Ticket.Expired -> Rj_expired
-
+let reason_to_string reason = snd reasons.(reason_code reason)
 let build_reject reason = magicf ^ String.make 1 (Char.chr (reason_code reason))
 
 let parse_reject raw : reject_reason option =
-  if String.length raw = 5 && is_reject raw then reason_of_code (Char.code raw.[4]) else None
+  if String.length raw = 5 && is_reject raw && Char.code raw.[4] < Array.length reasons then
+    Some (fst reasons.(Char.code raw.[4]))
+  else None
 
 (* ------------------------------------------------------------------ *)
 (* Ticket delivery: the full handshake hands the ticket to the

@@ -50,8 +50,6 @@ type master = {
   mutable epoch : int;
   mutable enc_key : string; (* 16 bytes, current epoch *)
   mutable mac_key : string; (* 32 bytes, current epoch *)
-  mutable minted : int;
-  mutable rotations : int;
 }
 
 let epoch_bytes epoch =
@@ -72,22 +70,16 @@ let make ~seed =
   let base = C.Hmac.sha256 ~key:"WZ-MESH-STEK" seed in
   let key_id = String.sub (C.Hmac.sha256 ~key:"WZ-MESH-KID" seed) 0 key_id_len in
   let enc_key, mac_key = derive_epoch_keys base 0 in
-  { key_id; base; epoch = 0; enc_key; mac_key; minted = 0; rotations = 0 }
+  { key_id; base; epoch = 0; enc_key; mac_key }
 
 (** Rotate the ticket key: every ticket minted under the previous
-    epoch is rejected as [Rotated] from now on (the attester falls
+    epoch is rejected as [rotated] from now on (the attester falls
     back to a full handshake and earns a fresh ticket). *)
 let rotate m =
   m.epoch <- m.epoch + 1;
-  m.rotations <- m.rotations + 1;
   let enc_key, mac_key = derive_epoch_keys m.base m.epoch in
   m.enc_key <- enc_key;
   m.mac_key <- mac_key
-
-let minted m = m.minted
-let rotations m = m.rotations
-let epoch m = m.epoch
-let key_id m = m.key_id
 
 type body = {
   attester_id : string; (* 32 bytes *)
@@ -131,40 +123,31 @@ let mint m ~random ~now_ns ~ttl_ns ~attester_id ~claim ~boot ~rms =
   let aad = m.key_id ^ epoch_bytes m.epoch in
   let ct, tag = C.Gcm.encrypt ~key:m.enc_key ~iv ~aad (encode_body body) in
   let sealed = aad ^ iv ^ ct ^ tag in
-  m.minted <- m.minted + 1;
   sealed ^ C.Hmac.sha256 ~key:m.mac_key sealed
-
-type reject = Malformed | Unknown_key | Rotated | Forged | Expired
-
-let reject_to_string = function
-  | Malformed -> "malformed"
-  | Unknown_key -> "unknown_key"
-  | Rotated -> "rotated"
-  | Forged -> "forged"
-  | Expired -> "expired"
 
 (** Redeem a presented ticket against the verifier's current master.
     Every check must pass — length, key id, epoch, outer HMAC, GCM
     tag, expiry — before the body is released; any failure rejects
     with the first applicable reason. *)
-let redeem m ~now_ns wire : (body, reject) result =
-  if String.length wire <> wire_len then Error Malformed
-  else if not (String.equal (String.sub wire 0 key_id_len) m.key_id) then Error Unknown_key
+let redeem m ~now_ns wire : (body, Resume.reject_reason) result =
+  if String.length wire <> wire_len then Error Resume.Rj_malformed
+  else if not (String.equal (String.sub wire 0 key_id_len) m.key_id) then
+    Error Resume.Rj_unknown_key
   else if not (String.equal (String.sub wire key_id_len 4) (epoch_bytes m.epoch)) then
-    Error Rotated
+    Error Resume.Rj_rotated
   else begin
     let sealed = String.sub wire 0 (wire_len - hmac_len) in
     let mac = String.sub wire (wire_len - hmac_len) hmac_len in
-    if not (String.equal mac (C.Hmac.sha256 ~key:m.mac_key sealed)) then Error Forged
+    if not (String.equal mac (C.Hmac.sha256 ~key:m.mac_key sealed)) then Error Resume.Rj_forged
     else begin
       let aad = String.sub wire 0 (key_id_len + 4) in
       let iv = String.sub wire (key_id_len + 4) iv_len in
       let ct = String.sub wire (key_id_len + 4 + iv_len) body_len in
       let tag = String.sub wire (key_id_len + 4 + iv_len + body_len) gcm_tag_len in
       match C.Gcm.decrypt ~key:m.enc_key ~iv ~aad ~tag ct with
-      | None -> Error Forged
+      | None -> Error Resume.Rj_forged
       | Some plain ->
         let body = decode_body plain in
-        if Int64.compare now_ns body.expires_ns >= 0 then Error Expired else Ok body
+        if Int64.compare now_ns body.expires_ns >= 0 then Error Resume.Rj_expired else Ok body
     end
   end

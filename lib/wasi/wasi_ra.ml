@@ -68,9 +68,7 @@ let fresh_handle env =
   env.next_handle <- h + 1;
   h
 
-let issue env ~anchor =
-  Watz_attest.Evidence.encode
-    (Watz_attest.Service.request_issue env.os ~anchor ~claim:env.claim)
+let issue env ~anchor = Watz_attest.Service.request_issue env.os ~anchor ~claim:env.claim
 
 (* wasi_ra_collect_quote(anchor_ptr, anchor_len, handle_out) *)
 let collect_quote env args =

@@ -74,7 +74,7 @@ let test_kernel_service_plumbing () =
   Alcotest.(check bool) "pubkey via syscall" true
     (Watz_crypto.P256.equal pub (Service.public_key service));
   let anchor = Watz_crypto.Sha256.digest "a" in
-  let ev = Service.request_issue os ~anchor ~claim:claim_a in
+  let ev = Evidence.decode (Service.request_issue os ~anchor ~claim:claim_a) in
   Alcotest.(check bool) "issued via syscall verifies" true (Evidence.verify_signature ev)
 
 (* ------------------------------------------------------------------ *)

@@ -5,14 +5,14 @@
    byte anywhere in a ticket, resume0 frame, resume accept, sub-claim
    or ack must reject; a stolen ticket presented under another identity
    fails the sealed-identity check even when the thief knows the
-   resumption secret; the evidence-cache merge is an order-free lattice
-   join; a resumed session yields byte-identical sub-claim tokens to
-   the full handshake it chains to; and the 256-session churn storm
-   replays to pinned counters at the CI seed. *)
+   resumption secret, and each resume shape gets its exact reason from
+   the verifier's own pipeline; the evidence-cache merge is an
+   order-free lattice join; a resumed session yields byte-identical
+   sub-claim tokens to the full handshake it chains to; and the
+   256-session churn storm replays to pinned counters at the CI seed. *)
 
 module C = Watz_crypto
 module P = Watz_attest.Protocol
-module Evidence = Watz_attest.Evidence
 module Service = Watz_attest.Service
 module Soc = Watz_tz.Soc
 module Net = Watz_tz.Net
@@ -21,6 +21,8 @@ module Ticket = Watz_mesh.Ticket
 module Resume = Watz_mesh.Resume
 module Cache = Watz_mesh.Cache
 module Hier = Watz_mesh.Hier
+module Mesh_verifier = Watz_mesh.Mesh_verifier
+module Metrics = Watz_obs.Metrics
 module Mesh_storm = Watz_mesh.Mesh_storm
 module Mesh_fleet = Watz_mesh.Mesh_fleet
 
@@ -66,19 +68,17 @@ let make_fixture ?(seed = 0x7e51e7L) () =
   let resume0 = Resume.build_resume0 ~rms ~attester_id ~nonce_a ~ticket in
   { master; rms; attester_id; claim; boot; ticket; nonce_a; resume0; now; ttl }
 
-(* The verifier's resume0 acceptance pipeline, minus policy and cache
-   (those are exercised end-to-end by the storm): parse, redeem,
+(* The verifier's own resume0 pipeline before its cache and policy
+   checks (those are exercised end-to-end by the storm): parse, redeem,
    sealed-identity check, binding MAC. *)
-let resume_accepts master ~now_ns frame =
-  match Resume.parse_resume0 frame with
-  | None -> None
-  | Some r -> (
-    match Ticket.redeem master ~now_ns r.Resume.r_ticket with
-    | Error _ -> None
-    | Ok body ->
-      if not (String.equal body.Ticket.attester_id r.Resume.r_attester_id) then None
-      else if not (Resume.check_binding ~rms:body.Ticket.rms r) then None
-      else Some body)
+let resume ?now_ns f frame =
+  let now_ns = Option.value now_ns ~default:(Int64.add f.now 1L) in
+  Mesh_verifier.redeem_resume0 f.master ~now_ns frame
+
+let verdict = function Ok _ -> "accepted" | Error r -> Resume.reason_to_string r
+
+let check_reason what reason outcome =
+  Alcotest.(check string) what (Resume.reason_to_string reason) (verdict outcome)
 
 (* ------------------------------------------------------------------ *)
 (* Ticket laws *)
@@ -86,7 +86,7 @@ let resume_accepts master ~now_ns frame =
 let test_ticket_roundtrip () =
   let f = make_fixture () in
   match Ticket.redeem f.master ~now_ns:(Int64.add f.now 1L) f.ticket with
-  | Error r -> Alcotest.failf "genuine ticket rejected: %s" (Ticket.reject_to_string r)
+  | Error r -> Alcotest.failf "genuine ticket rejected: %s" (Resume.reason_to_string r)
   | Ok body ->
     check_bool "attester id sealed" true (String.equal body.Ticket.attester_id f.attester_id);
     check_bool "claim sealed" true (String.equal body.Ticket.claim f.claim);
@@ -103,62 +103,47 @@ let prop_ticket_expiry =
       let dead_at = Int64.add expires (Int64.of_int after) in
       let live =
         Int64.compare live_at f.now < 0 (* a huge [before] predates minting: skip *)
-        || match Ticket.redeem f.master ~now_ns:live_at f.ticket with Ok _ -> true | Error _ -> false
+        || Result.is_ok (Ticket.redeem f.master ~now_ns:live_at f.ticket)
       in
-      let dead =
-        match Ticket.redeem f.master ~now_ns:dead_at f.ticket with
-        | Error Ticket.Expired -> true
-        | Ok _ | Error _ -> false
-      in
-      live && dead)
+      live && Ticket.redeem f.master ~now_ns:dead_at f.ticket = Error Resume.Rj_expired)
 
 let prop_ticket_flip =
   QCheck.Test.make ~name:"ticket: any flipped byte rejects" ~count:300
     QCheck.(pair (int_bound (Ticket.wire_len - 1)) (int_range 1 255))
     (fun (i, x) ->
       let f = make_fixture () in
-      match Ticket.redeem f.master ~now_ns:(Int64.add f.now 1L) (flip f.ticket i x) with
-      | Error _ -> true
-      | Ok _ -> false)
+      Result.is_error (Ticket.redeem f.master ~now_ns:(Int64.add f.now 1L) (flip f.ticket i x)))
 
 let test_ticket_rotation () =
   let f = make_fixture () in
   let later = Int64.add f.now 1L in
+  let redeem () = Ticket.redeem f.master ~now_ns:later f.ticket in
   Ticket.rotate f.master;
-  (match Ticket.redeem f.master ~now_ns:later f.ticket with
-  | Error Ticket.Rotated -> ()
-  | Error r -> Alcotest.failf "rotated ticket rejected as %s" (Ticket.reject_to_string r)
-  | Ok _ -> Alcotest.fail "ticket redeemed after key rotation");
+  check_reason "after one rotation" Resume.Rj_rotated (redeem ());
   Ticket.rotate f.master;
-  (match Ticket.redeem f.master ~now_ns:later f.ticket with
-  | Error Ticket.Rotated -> ()
-  | _ -> Alcotest.fail "ticket outcome changed after a second rotation");
+  check_reason "after two rotations" Resume.Rj_rotated (redeem ());
   (* a ticket minted under the rotated key redeems *)
   let rng = Prng.create 0xabcdefL in
   let fresh =
     Ticket.mint f.master ~random:(Prng.bytes rng) ~now_ns:f.now ~ttl_ns:f.ttl
       ~attester_id:f.attester_id ~claim:f.claim ~boot:f.boot ~rms:f.rms
   in
-  match Ticket.redeem f.master ~now_ns:later fresh with
-  | Ok _ -> ()
-  | Error r -> Alcotest.failf "post-rotation mint rejected: %s" (Ticket.reject_to_string r)
+  Alcotest.(check string) "post-rotation mint" "accepted"
+    (verdict (Ticket.redeem f.master ~now_ns:later fresh))
+
+let foreign_master () = Ticket.make ~seed:"a-different-verifier-instance"
 
 let test_ticket_foreign_master () =
   let f = make_fixture () in
-  let foreign = Ticket.make ~seed:"a-different-verifier-instance" in
-  match Ticket.redeem foreign ~now_ns:(Int64.add f.now 1L) f.ticket with
-  | Error Ticket.Unknown_key -> ()
-  | Error r -> Alcotest.failf "foreign ticket rejected as %s" (Ticket.reject_to_string r)
-  | Ok _ -> Alcotest.fail "ticket redeemed by a verifier that never minted it"
+  check_reason "ticket from another master" Resume.Rj_unknown_key
+    (Ticket.redeem (foreign_master ()) ~now_ns:(Int64.add f.now 1L) f.ticket)
 
 (* ------------------------------------------------------------------ *)
 (* Resume-exchange laws *)
 
 let test_resume_genuine_accepts () =
   let f = make_fixture () in
-  match resume_accepts f.master ~now_ns:(Int64.add f.now 1L) f.resume0 with
-  | Some _ -> ()
-  | None -> Alcotest.fail "genuine resume0 rejected"
+  Alcotest.(check string) "genuine resume0" "accepted" (verdict (resume f f.resume0))
 
 let prop_resume0_flip =
   QCheck.Test.make ~name:"resume0: any flipped byte rejects" ~count:300
@@ -166,7 +151,7 @@ let prop_resume0_flip =
     (fun (i0, x) ->
       let f = make_fixture () in
       let i = i0 mod String.length f.resume0 in
-      resume_accepts f.master ~now_ns:(Int64.add f.now 1L) (flip f.resume0 i x) = None)
+      Result.is_error (resume f (flip f.resume0 i x)))
 
 let test_resume_cross_attester_replay () =
   let f = make_fixture () in
@@ -174,9 +159,8 @@ let test_resume_cross_attester_replay () =
      presents its own identity: the id sealed in the ticket wins. *)
   let thief = C.Sha256.digest "thief" in
   let frame = Resume.build_resume0 ~rms:f.rms ~attester_id:thief ~nonce_a:f.nonce_a ~ticket:f.ticket in
-  match resume_accepts f.master ~now_ns:(Int64.add f.now 1L) frame with
-  | None -> ()
-  | Some _ -> Alcotest.fail "ticket replayed under a different attester id"
+  check_reason "ticket replayed under a different attester id" Resume.Rj_id_mismatch
+    (resume f frame)
 
 let test_resume_wrong_rms_binding () =
   let f = make_fixture () in
@@ -184,9 +168,18 @@ let test_resume_wrong_rms_binding () =
     Resume.build_resume0 ~rms:(String.make 16 'x') ~attester_id:f.attester_id ~nonce_a:f.nonce_a
       ~ticket:f.ticket
   in
-  match resume_accepts f.master ~now_ns:(Int64.add f.now 1L) frame with
-  | None -> ()
-  | Some _ -> Alcotest.fail "resume bound under the wrong secret accepted"
+  check_reason "resume bound under the wrong secret" Resume.Rj_bad_binding (resume f frame)
+
+(* A genuine frame whose ticket has lapsed, or that another master
+   minted, gets the reason the attester's recovery depends on. *)
+let test_resume_ticket_reasons () =
+  let f = make_fixture () in
+  check_reason "expired ticket" Resume.Rj_expired
+    (resume f ~now_ns:(Int64.add f.now f.ttl) f.resume0);
+  check_reason "foreign ticket" Resume.Rj_unknown_key
+    (resume { f with master = foreign_master () } f.resume0);
+  Ticket.rotate f.master;
+  check_reason "rotated ticket" Resume.Rj_rotated (resume f f.resume0)
 
 let prop_accept_flip =
   QCheck.Test.make ~name:"resume accept: opens only byte-identical" ~count:300
@@ -202,13 +195,22 @@ let prop_accept_flip =
       Resume.open_accept ~rms:f.rms ~nonce_a:f.nonce_a accept = Some blob
       && Resume.open_accept ~rms:f.rms ~nonce_a:f.nonce_a (flip accept i x) = None)
 
+(* The wire codes and counter names are a deployed vocabulary: each
+   reason keeps its code and its name. *)
 let test_reject_codec () =
-  List.iter
-    (fun reason ->
-      match Resume.parse_reject (Resume.build_reject reason) with
-      | Some r when r = reason -> ()
-      | _ -> Alcotest.failf "reject codec broke on %s" (Resume.reason_to_string reason))
-    Resume.all_reasons;
+  Alcotest.(check (list string))
+    "names in wire-code order"
+    [
+      "malformed"; "unknown_key"; "rotated"; "forged"; "expired"; "id_mismatch"; "bad_binding";
+      "cache_stale"; "policy";
+    ]
+    (Array.to_list (Array.map snd Resume.reasons));
+  Array.iteri
+    (fun code (reason, name) ->
+      let frame = Resume.build_reject reason in
+      check_int ("code of " ^ name) code (Char.code frame.[4]);
+      check_bool ("roundtrip of " ^ name) true (Resume.parse_reject frame = Some reason))
+    Resume.reasons;
   check_bool "garbage reject" true (Resume.parse_reject "WZRF" = None);
   check_bool "unknown code" true (Resume.parse_reject "WZRF\xff" = None)
 
@@ -225,9 +227,9 @@ let prop_subclaim_flip =
       let ack = Hier.ack ~k_sub sub in
       let i = i0 mod String.length sub in
       let j = i0 mod String.length ack in
-      (match Hier.verify ~k_sub (flip sub i x) with Error _ -> true | Ok _ -> false)
+      Option.is_none (Hier.verify ~k_sub (flip sub i x))
       && not (Hier.check_ack ~k_sub ~subclaim:sub (flip ack j x))
-      && (match Hier.verify ~k_sub sub with Ok _ -> true | Error _ -> false)
+      && Option.is_some (Hier.verify ~k_sub sub)
       && Hier.check_ack ~k_sub ~subclaim:sub ack)
 
 (* A full msg0–msg3 handshake and a ticket resumption chained to it
@@ -253,7 +255,7 @@ let test_resumed_subclaims_byte_identical () =
   in
   let vsession, m1 = ok "msg0" (P.Verifier.handle_msg0 policy ~random (P.Attester.msg0 attester)) in
   let anchor = ok "msg1" (P.Attester.handle_msg1 attester m1) in
-  let evidence = Evidence.encode (Service.request_issue (Soc.optee soc) ~anchor ~claim) in
+  let evidence = Service.request_issue (Soc.optee soc) ~anchor ~claim in
   let m2 = ok "msg2 build" (P.Attester.msg2 attester ~evidence) in
   let m3 = ok "msg2" (P.Verifier.handle_msg2 vsession ~random m2) in
   let _blob = ok "msg3" (P.Attester.handle_msg3 attester m3) in
@@ -274,9 +276,9 @@ let test_resumed_subclaims_byte_identical () =
   let nonce_a = random Resume.nonce_len in
   let resume0 = Resume.build_resume0 ~rms:rms_a ~attester_id ~nonce_a ~ticket in
   let body =
-    match resume_accepts f.master ~now_ns:(Int64.add f.now 1L) resume0 with
-    | Some b -> b
-    | None -> Alcotest.fail "resumption of a genuine session rejected"
+    match resume f resume0 with
+    | Ok (_, b) -> b
+    | Error _ -> Alcotest.fail "resumption of a genuine session rejected"
   in
   (* sub-claims from the full-handshake rms and the resumed rms *)
   let measurement = C.Sha256.digest "loaded-module" in
@@ -287,8 +289,8 @@ let test_resumed_subclaims_byte_identical () =
   check_bool "resumed sub-claim byte-identical to full-handshake sub-claim" true
     (String.equal sub_full sub_resumed);
   match Hier.verify ~k_sub:(Hier.derive_key ~rms:rms_v) sub_resumed with
-  | Ok v -> check_bool "measurement carried" true (String.equal v.Hier.measurement measurement)
-  | Error _ -> Alcotest.fail "verifier rejected the resumed sub-claim"
+  | Some v -> check_bool "measurement carried" true (String.equal v.Hier.measurement measurement)
+  | None -> Alcotest.fail "verifier rejected the resumed sub-claim"
 
 (* ------------------------------------------------------------------ *)
 (* Evidence-cache laws *)
@@ -310,7 +312,7 @@ let entries_gen =
       (tup5 (int_bound 3) (int_bound 3) (int_bound 3) (int_bound 1000) (int_bound 1000)))
 
 let digest_after seeds =
-  let c = Cache.create ~ttl_ns:1_000L () in
+  let c = Cache.create (Metrics.create ()) ~ttl_ns:1_000L in
   List.iter (fun entries -> Cache.merge_into c (List.map entry_of entries)) seeds;
   Cache.digest c
 
@@ -325,14 +327,15 @@ let prop_cache_merge_order_free =
 let prop_cache_export_fixpoint =
   QCheck.Test.make ~name:"cache: merging an export reproduces the digest" ~count:200 entries_gen
     (fun xs ->
-      let c = Cache.create ~ttl_ns:1_000L () in
+      let c = Cache.create (Metrics.create ()) ~ttl_ns:1_000L in
       Cache.merge_into c (List.map entry_of xs);
-      let c' = Cache.create ~ttl_ns:1_000L () in
+      let c' = Cache.create (Metrics.create ()) ~ttl_ns:1_000L in
       Cache.merge_into c' (Cache.export c);
       String.equal (Cache.digest c) (Cache.digest c'))
 
 let test_cache_expiry_and_invalidation () =
-  let c = Cache.create ~ttl_ns:100L () in
+  let metrics = Metrics.create () in
+  let c = Cache.create metrics ~ttl_ns:100L in
   let a1 = tag32 0 and a2 = tag32 1 in
   let cl1 = tag32 2 and cl2 = tag32 3 in
   let boot = tag32 4 in
@@ -347,7 +350,15 @@ let test_cache_expiry_and_invalidation () =
     (Cache.lookup c ~now_ns:50L ~attester_id:a2 ~claim:cl1 ~boot);
   check_int "module update drops the claim's entries" 1 (Cache.invalidate_claim c cl1);
   check_int "cache empty" 0 (Cache.size c);
-  check_int "expired counted" 1 (Cache.expired c)
+  (* every count lands in the registry the cache was created with *)
+  Alcotest.(check (list (pair string int)))
+    "cache counters"
+    [
+      ("cache.expired", 1); ("cache.hits", 2); ("cache.invalidated", 2); ("cache.merged", 0);
+      ("cache.misses", 1); ("cache.stores", 3);
+    ]
+    (Metrics.counter_list metrics);
+  check_int "size gauge" 0 (Metrics.Gauge.get (Metrics.gauge metrics "cache.size"))
 
 (* ------------------------------------------------------------------ *)
 (* Storm and fleet regressions *)
@@ -362,19 +373,19 @@ let test_storm_churn_regression () =
     { Mesh_storm.default_config with Mesh_storm.sessions = 256; seed = 7L; profile = Net.lossy }
   in
   let r = Mesh_storm.run ~config () in
+  let counter = Mesh_storm.counter r in
   check_int "launched" 256 r.Mesh_storm.launched;
   check_int "aborted" 0 r.Mesh_storm.aborted;
   check_int "completed via resume" 35 r.Mesh_storm.completed_resumed;
   check_int "completed via full handshake" 221 r.Mesh_storm.completed_full;
   check_int "fallbacks" 112 r.Mesh_storm.fallbacks;
-  check_int "cache hits" 61 r.Mesh_storm.cache_hits;
-  check_int "cache misses" 14 r.Mesh_storm.cache_misses;
-  check_int "tickets minted" 221 r.Mesh_storm.tickets_minted;
-  check_int "stray frames" 0 r.Mesh_storm.stray_frames;
-  check_int "frame violations" 0 r.Mesh_storm.frame_violations;
+  check_int "cache hits" 61 (counter "cache.hits");
+  check_int "cache misses" 14 (counter "cache.misses");
+  check_int "tickets minted" 221 (counter "tickets_minted");
+  check_int "stray frames" 0 (counter "stray_after_complete");
+  check_int "frame violations" 0 (counter "frame_violations");
   (* the forged-acceptance oracle: more attester-side resumes than
      server-side acceptances would mean a forged accept got through *)
-  let counter name = Option.value ~default:0 (List.assoc_opt name r.Mesh_storm.server) in
   check_bool "no forged resume acceptance" true
     (r.Mesh_storm.completed_resumed
     <= counter "resumes_accepted" + counter "retransmits_answered");
@@ -478,6 +489,7 @@ let suite =
         case "reject codec roundtrips" test_reject_codec;
         qcheck prop_resume0_flip;
         qcheck prop_accept_flip;
+        case "expired, rotated, foreign tickets: exact reasons" test_resume_ticket_reasons;
       ] );
     ( "mesh.hier",
       [
